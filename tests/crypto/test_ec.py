@@ -1,4 +1,6 @@
-"""secp256r1 group tests: known vectors and group laws."""
+"""secp256r1 group tests: known vectors, group laws, and a differential
+suite that pins the windowed scalar multiplications against the textbook
+double-and-add ladder they replaced."""
 
 import random
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.ec import ECPoint, INFINITY, N, P256
+from repro.crypto.ec import GX, GY, ECPoint, INFINITY, N, P, P256
 from repro.errors import CryptoError
 
 # Known scalar multiples of the P-256 generator (public test vectors).
@@ -61,7 +63,7 @@ class TestGroupLaws:
         assert P256.add(g, g) == P256.scalar_mult(2)
 
     @given(st.integers(min_value=1, max_value=N - 1))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_scalar_distributes(self, k):
         # (k+1)G == kG + G
         assert P256.add(P256.scalar_mult(k), P256.generator) == P256.scalar_mult(k + 1)
@@ -98,3 +100,170 @@ class TestEncoding:
     def test_scalar_mult_rejects_off_curve(self):
         with pytest.raises(CryptoError):
             P256.scalar_mult(2, ECPoint(1, 1))
+
+    @pytest.mark.parametrize("k", [0, N, 2 * N])
+    def test_scalar_mult_rejects_off_curve_for_multiples_of_n(self, k):
+        # The k = 0 (mod N) shortcut used to return infinity before the
+        # point was looked at.
+        with pytest.raises(CryptoError):
+            P256.scalar_mult(k, ECPoint(1, 1))
+
+    def test_double_scalar_mult_rejects_off_curve(self):
+        with pytest.raises(CryptoError):
+            P256.double_scalar_mult(1, 0, ECPoint(1, 1))
+
+
+class RefP256:
+    """The bit-at-a-time double-and-add ladder ``repro.crypto.ec`` used
+    before its windowed multiplications, kept as their reference model:
+    textbook Jacobian formulas, a Fermat inverse, no tables."""
+
+    @staticmethod
+    def double(x1, y1, z1):
+        if not y1 or not z1:
+            return (0, 0, 0)
+        ysq = (y1 * y1) % P
+        s = (4 * x1 * ysq) % P
+        zsq = (z1 * z1) % P
+        m = (3 * (x1 - zsq) * (x1 + zsq)) % P
+        nx = (m * m - 2 * s) % P
+        ny = (m * (s - nx) - 8 * ysq * ysq) % P
+        nz = (2 * y1 * z1) % P
+        return (nx, ny, nz)
+
+    @staticmethod
+    def jacobian_add(x1, y1, z1, x2, y2, z2):
+        if not z1:
+            return (x2, y2, z2)
+        if not z2:
+            return (x1, y1, z1)
+        z1sq = (z1 * z1) % P
+        z2sq = (z2 * z2) % P
+        u1 = (x1 * z2sq) % P
+        u2 = (x2 * z1sq) % P
+        s1 = (y1 * z2sq * z2) % P
+        s2 = (y2 * z1sq * z1) % P
+        if u1 == u2:
+            if s1 != s2:
+                return (0, 0, 0)
+            return RefP256.double(x1, y1, z1)
+        h = (u2 - u1) % P
+        r = (s2 - s1) % P
+        hsq = (h * h) % P
+        hcu = (hsq * h) % P
+        u1hsq = (u1 * hsq) % P
+        nx = (r * r - hcu - 2 * u1hsq) % P
+        ny = (r * (u1hsq - nx) - s1 * hcu) % P
+        nz = (h * z1 * z2) % P
+        return (nx, ny, nz)
+
+    @staticmethod
+    def to_affine(x, y, z):
+        if not z:
+            return INFINITY
+        zinv = pow(z, P - 2, P)
+        zinv2 = (zinv * zinv) % P
+        return ECPoint((x * zinv2) % P, (y * zinv2 * zinv) % P)
+
+    @classmethod
+    def add(cls, a, b):
+        ja = (a.x, a.y, 1) if not a.is_infinity else (0, 0, 0)
+        jb = (b.x, b.y, 1) if not b.is_infinity else (0, 0, 0)
+        return cls.to_affine(*cls.jacobian_add(*ja, *jb))
+
+    @classmethod
+    def scalar_mult(cls, k, point):
+        k %= N
+        if point.is_infinity or not k:
+            return INFINITY
+        rx, ry, rz = 0, 0, 0
+        qx, qy, qz = point.x, point.y, 1
+        while k:
+            if k & 1:
+                rx, ry, rz = cls.jacobian_add(rx, ry, rz, qx, qy, qz)
+            qx, qy, qz = cls.double(qx, qy, qz)
+            k >>= 1
+        return cls.to_affine(rx, ry, rz)
+
+    @classmethod
+    def double_scalar_mult(cls, u1, u2, point):
+        return cls.add(
+            cls.scalar_mult(u1, P256.generator), cls.scalar_mult(u2, point)
+        )
+
+
+G = P256.generator
+# Equal to the generator but not the same object, so scalar_mult takes the
+# variable-base path over it.
+G_COPY = ECPoint(GX, GY)
+NEG_G = ECPoint(GX, P - GY)
+ALL_WINDOWS_SET = (1 << 252) - 1  # every 4-bit window below the top one is 0xF
+EDGE_SCALARS = [
+    0, 1, 2, 15, 16, N - 1, N, N + 1, 1 << 255,
+    ALL_WINDOWS_SET,
+    int("f0" * 31, 16),  # windows alternate 0xF and 0x0
+    int("0f" * 32, 16),
+    1 << 252,  # one window set, all others zero
+    (1 << 248) + 1,
+    int("10" * 31, 16),
+    31, 33, (1 << 128) - 1,  # negative wNAF digits, a long run of ones
+]  # fmt: skip
+
+
+class TestAgainstDoubleAndAdd:
+    """Fixed-base, variable-base and joint multiplication, differentially."""
+
+    def test_seeded_scalars(self):
+        rng = random.Random(1305)
+        points = [RefP256.scalar_mult(rng.randrange(1, N), G) for _ in range(8)]
+        for i in range(200):
+            # A third of the scalars are short, so the high windows are empty.
+            u1 = rng.getrandbits(rng.choice((256, 256, 64)))
+            u2 = rng.getrandbits(rng.choice((256, 256, 64)))
+            q = points[i % len(points)]
+            u1_g = RefP256.scalar_mult(u1, G)
+            u2_q = RefP256.scalar_mult(u2, q)
+            assert P256.scalar_mult(u1) == u1_g
+            assert P256.scalar_mult(u2, q) == u2_q
+            assert P256.double_scalar_mult(u1, u2, q) == RefP256.add(u1_g, u2_q)
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_edge_scalars(self, k):
+        q = RefP256.scalar_mult(0xC0FFEE, G)
+        expected_g = RefP256.scalar_mult(k, G)
+        expected_q = RefP256.scalar_mult(k, q)
+        assert P256.scalar_mult(k) == expected_g
+        assert P256.scalar_mult(k, G_COPY) == expected_g
+        assert P256.scalar_mult(k, q) == expected_q
+        assert P256.double_scalar_mult(k, 0, q) == expected_g
+        assert P256.double_scalar_mult(0, k, q) == expected_q
+        assert P256.double_scalar_mult(k, k, q) == RefP256.add(expected_g, expected_q)
+        assert P256.double_scalar_mult(k, 7, INFINITY) == expected_g
+
+    @pytest.mark.parametrize("q", [G_COPY, NEG_G], ids=["Q=G", "Q=-G"])
+    def test_joint_with_generator_as_q(self, q):
+        # u1 == u2 in the low window makes the running sum meet the table
+        # entry it is about to add (Q = G: the doubling branch) or its
+        # negation (Q = -G: cancel to infinity, then carry on from there).
+        rng = random.Random(7)
+        pairs = [(d, d) for d in range(1, 16)]
+        pairs += [(d + 16 * e, d) for d, e in ((1, 1), (9, 3), (15, 15))]
+        pairs += [(rng.randrange(N), rng.randrange(N)) for _ in range(20)]
+        pairs += [(k, k) for k in EDGE_SCALARS]
+        for u1, u2 in pairs:
+            assert P256.double_scalar_mult(u1, u2, q) == RefP256.double_scalar_mult(
+                u1, u2, q
+            )
+        assert P256.double_scalar_mult(5, 5, NEG_G).is_infinity
+        assert P256.double_scalar_mult(5, 5, G_COPY) == RefP256.scalar_mult(10, G)
+
+    def test_joint_cancels_to_infinity(self):
+        # u1*G = -(u2*Q) for Q = qG means u1 = -u2*q (mod N).
+        rng = random.Random(11)
+        for _ in range(10):
+            q_scalar = rng.randrange(1, N)
+            q = RefP256.scalar_mult(q_scalar, G)
+            u2 = rng.randrange(1, N)
+            u1 = -u2 * q_scalar % N
+            assert P256.double_scalar_mult(u1, u2, q).is_infinity
+            assert not P256.double_scalar_mult(u1 + 1, u2, q).is_infinity

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.ec import N, P256
+from repro.crypto.ec import ECPoint, INFINITY, N, P256
 from repro.crypto.ecdh import EcdhKeyPair
 from repro.crypto.ecdsa import EcdsaKeyPair, ecdsa_sign, ecdsa_verify
 from repro.errors import AuthenticationError, CryptoError
@@ -17,6 +17,15 @@ RFC6979_SAMPLE_R = 0xEFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EA
 RFC6979_SAMPLE_S = 0xF7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8
 RFC6979_TEST_R = 0xF1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367
 RFC6979_TEST_S = 0x019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083
+
+# RFC 5903 section 8.1, 256-bit random ECP group: initiator i, responder r.
+RFC5903_I = 0xC88F01F510D9AC3F70A292DAA2316DE544E9AAB8AFE84049C62A9C57862D1433
+RFC5903_GI_X = 0xDAD0B65394221CF9B051E1FECA5787D098DFE637FC90B9EF945D0C3772581180
+RFC5903_GI_Y = 0x5271A0461CDB8252D61F1C456FA3E59AB1F45B33ACCF5F58389E0577B8990BB3
+RFC5903_R = 0xC6EF9C5D78AE012A011164ACB397CE2088685D8F06BF9BE0B283AB46476BEE53
+RFC5903_GR_X = 0xD12DFB5289C8D4F81208B70270398C342296970A0BCCB74C736FC7554494BF63
+RFC5903_GR_Y = 0x56FBF3CA366CC23E8157854C13C58D6AAC23F046ADA30F8353E74F33039872AB
+RFC5903_GIR_X = 0xD6840F6B42F6EDAFD13116E0E12565202FEF8E9ECE7DCE03812464D04B9442DE
 
 
 class TestRfc6979Vectors:
@@ -81,6 +90,21 @@ class TestSignVerify:
         with pytest.raises(AuthenticationError):
             kp.verify(b"m", bad)
 
+    def test_negated_key_rejected(self):
+        kp = EcdsaKeyPair.generate(random.Random(0))
+        sig = kp.sign(b"m")
+        kp.verify(b"m", sig)
+        with pytest.raises(AuthenticationError):
+            ecdsa_verify(P256.negate(kp.public), b"m", sig)
+
+    @pytest.mark.parametrize(
+        "public", [INFINITY, ECPoint(5, 7)], ids=["infinity", "off-curve"]
+    )
+    def test_invalid_key_rejected(self, public):
+        sig = EcdsaKeyPair.generate(random.Random(0)).sign(b"m")
+        with pytest.raises(CryptoError):
+            ecdsa_verify(public, b"m", sig)
+
     @given(st.binary(min_size=0, max_size=200))
     @settings(max_examples=10, deadline=None)
     def test_roundtrip_property(self, message):
@@ -105,9 +129,16 @@ class TestEcdh:
         a, b, c = (EcdhKeyPair.generate(rng) for _ in range(3))
         assert a.shared_secret(b.public) != a.shared_secret(c.public)
 
-    def test_invalid_peer_share_rejected(self):
-        from repro.crypto.ec import ECPoint, INFINITY
+    def test_rfc5903_known_answer(self):
+        initiator = EcdhKeyPair(RFC5903_I, P256.scalar_mult(RFC5903_I))
+        responder = EcdhKeyPair(RFC5903_R, P256.scalar_mult(RFC5903_R))
+        assert initiator.public == ECPoint(RFC5903_GI_X, RFC5903_GI_Y)
+        assert responder.public == ECPoint(RFC5903_GR_X, RFC5903_GR_Y)
+        secret = RFC5903_GIR_X.to_bytes(32, "big")
+        assert initiator.shared_secret(responder.public) == secret
+        assert responder.shared_secret(initiator.public) == secret
 
+    def test_invalid_peer_share_rejected(self):
         a = EcdhKeyPair.generate(random.Random(3))
         with pytest.raises(CryptoError):
             a.shared_secret(INFINITY)
