@@ -6,10 +6,8 @@ seeds, sizes and concurrency levels the paper sweeps can afford (ROADMAP
 "as fast as the hardware allows").  Four slices:
 
 - ``timer-churn``   -- the Homa resend/RTO pattern: many timers armed, most
-  cancelled (acked) before they fire.  Uses the cancellable ``Timer``
-  fast path when the kernel provides one and falls back to the legacy
-  guard-flag pattern (dead timers fire and no-op) when it does not, so
-  the same module measures both sides of the optimisation.
+  cancelled (acked) before they fire, through the cancellable ``Timer``
+  handle (tombstone path).
 - ``codec``         -- SMT encode/decode round trips (framing, composite
   seqnos, record seal/open) over the ``fast`` AEAD.
 - ``aead``          -- raw seal throughput of AES-128-GCM vs FastAead on
@@ -32,31 +30,24 @@ from repro.core.session import SmtSession
 from repro.crypto.aead import FastAead
 from repro.crypto.gcm import AesGcm
 from repro.host.costs import CostModel
-from repro.sim import event_loop as _event_loop
-from repro.sim.event_loop import EventLoop
+from repro.sim.event_loop import EventLoop, Timer, events_dispatched
 from repro.tls.keyschedule import TrafficKeys
 
 _KEY_A = TrafficKeys(key=b"\xa1" * 16, iv=b"\xa2" * 12)
 _KEY_B = TrafficKeys(key=b"\xb1" * 16, iv=b"\xb2" * 12)
 
 
-def _events_dispatched() -> int:
-    """Global dispatched-event counter; 0 on kernels that predate it."""
-    fn = getattr(_event_loop, "events_dispatched", None)
-    return fn() if fn is not None else 0
-
-
 class _Timed:
     """Wall-clock + kernel-event window around one micro-benchmark."""
 
     def __enter__(self) -> "_Timed":
-        self.events0 = _events_dispatched()
+        self.events0 = events_dispatched()
         self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
         self.wall = time.perf_counter() - self.t0
-        self.events = _events_dispatched() - self.events0
+        self.events = events_dispatched() - self.events0
 
     @property
     def events_per_sec(self) -> float:
@@ -69,41 +60,19 @@ class _Timed:
 def run_timer_churn(n: int = 200_000) -> dict:
     """Arm ``n`` resend-style timers; 95 % are "acked" 1 ms before firing.
 
-    With a cancellable kernel the ack cancels the timer (tombstone path);
-    on a legacy kernel the ack merely flips a guard flag and the dead
-    timer fires and no-ops -- exactly what the Homa/TCP machinery used to
-    do on every delivered message.
+    The ack cancels the timer (tombstone path), as the Homa/TCP machinery
+    does on every delivered message.
     """
     loop = EventLoop()
-    fired = [0, 0]  # live, dead
-    modern = hasattr(loop, "timer_later")
+    fired = [0]
 
     def fire_live() -> None:
         fired[0] += 1
 
-    if modern:
-        from repro.sim.event_loop import Timer
-
-        def arm(i: int) -> None:
-            timer = loop.timer_later(10e-3, fire_live)
-            if i % 20:  # 95 %: acked long before the deadline
-                loop.call_later(1e-3, Timer.cancel, timer)
-    else:
-        def arm(i: int) -> None:
-            acked = [False]
-
-            def maybe_fire() -> None:
-                if acked[0]:
-                    fired[1] += 1
-                else:
-                    fired[0] += 1
-
-            loop.call_later(10e-3, maybe_fire)
-            if i % 20:
-                def ack() -> None:
-                    acked[0] = True
-
-                loop.call_later(1e-3, ack)
+    def arm(i: int) -> None:
+        timer = loop.timer_later(10e-3, fire_live)
+        if i % 20:  # 95 %: acked long before the deadline
+            loop.call_later(1e-3, Timer.cancel, timer)
 
     idx = [0]
 
@@ -122,9 +91,11 @@ def run_timer_churn(n: int = 200_000) -> dict:
         loop.run()
     return {
         "n": n,
-        "mode": "cancel" if modern else "dead-fire",
+        # "mode" and "fired_dead" are constants kept so BENCH_perf.json's
+        # table and checks keep their shape across PRs.
+        "mode": "cancel",
         "fired_live": fired[0],
-        "fired_dead": fired[1],
+        "fired_dead": 0,
         "wall_s": t.wall,
         "events": t.events,
         "timers_per_sec": n / t.wall if t.wall > 0 else 0.0,

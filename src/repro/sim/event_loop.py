@@ -17,28 +17,19 @@ seed replays identically.
 
 Fast-path internals (all behaviour-preserving):
 
-- Scheduled entries are mutable 4-lists ``[when, seq, fn, arg]``.  ``seq``
-  is unique, so list comparison never reaches ``fn`` and stays in C.  A
-  cancelled timer is a *tombstone*: its ``fn`` slot is set to ``None`` and
-  the entry is dropped when next touched.  When tombstones outnumber live
-  entries every structure is compacted in place -- the resulting dispatch
-  order is unchanged because ``(when, seq)`` keys are distinct.
-- The pending-entry store is a **hierarchical timer wheel**, not a single
-  heap: 4 levels x 256 slots at a deliberately coarse tick of 2^-12 s
-  (~0.24 ms per slot), an exact ``(when, seq)`` heap for everything at or
-  behind the cursor, and an overflow heap for entries beyond the wheel
-  horizon (2^32 ticks, ~12 days).  Dense sub-millisecond traffic lands in
-  the exact heap and degenerates to plain heapq; the Python-level slot
-  machinery (cursor jumps via per-level occupancy bitmasks, cascades of
-  higher-level slots) runs once per *slot*, amortised over all the events
-  the slot holds.  Cancelled entries parked in far slots are dropped
-  wholesale during compaction without ever paying heap traffic, which is
-  what makes resend/RTO churn cheap.  Dispatch order is *identical* to
-  the old heap: slot assignment is monotonic in ``when`` and the exact
-  heap orders by ``(when, seq)``.
+- Scheduled entries are mutable 4-lists ``[when, seq, fn, arg]`` in
+  **one binary heap**.  ``seq`` is unique, so list comparison never
+  reaches ``fn`` and stays in C.  One heap because ``heappush`` and
+  ``heappop`` are C: Python-level bucketing in front of them measured at
+  wall-clock parity at best and 11-22 % slower when finer-grained
+  (EXPERIMENTS.md, "Speed machinery: kept / removed").
+- A cancelled timer is a *tombstone*: its ``fn`` slot is set to ``None``
+  and the entry is dropped when it reaches the head.  When tombstones
+  outnumber live entries the heap is filtered and re-heapified in place;
+  dispatch order is unchanged because ``(when, seq)`` keys are distinct.
 - ``call_soon`` appends to a FIFO ready deque instead of touching the
-  wheel.  Ready entries share the global ``seq`` counter, and the run
-  loop merges the deque with same-timestamp wheel entries strictly by
+  heap.  Ready entries share the global ``seq`` counter, and the run
+  loop merges the deque with same-timestamp heap entries strictly by
   ``seq``, so the dispatch order is byte-identical to the all-heap scheme.
 - ``timeout()`` returns a slotted :class:`Event` subclass fired by a
   module-level function -- no per-timeout closure allocation, which
@@ -56,22 +47,10 @@ from repro.errors import SimulationError
 # Sentinel: "call fn()" rather than "call fn(arg)".
 _NO_ARG = object()
 
-# Timer-wheel resolution: ticks per second.  Slots are deliberately
-# *coarse* -- 2^12 ticks/s is ~0.24 ms per slot -- because the wheel's job
-# in CPython is not fine-grained bucketing but keeping the Python-level
-# slot machinery off the per-event path: everything inside the current
-# slot lives in an exact C-heap ordered by (when, seq), so the dense
-# sub-millisecond packet traffic degenerates to plain heapq and the
-# cursor/cascade code runs once per slot, amortised over the hundreds of
-# events the slot holds.  A 4-level x 256-slot wheel spans 2^32 ticks
-# (2^20 s, ~12 days); anything further sits in a small overflow heap.  Slot
-# binning is order-preserving for any monotonic tick function (dispatch
-# order comes from the exact heap, never the slot index), so this scale
-# is purely a performance knob.  Multiplying by a power of two is exact
-# for the float timestamps we use.
-_TICK_SCALE = float(2 ** 12)
-_WHEEL_LEVELS = 4
-_WHEEL_SLOTS = 256
+# Upper bound of every range check on a time or delay: ``x < _INF`` is
+# False for +inf and for NaN, so one comparison chain rejects past,
+# infinite and NaN values alike.  A NaN key would silently break the heap.
+_INF = float("inf")
 
 # Events dispatched across every loop in this process, for perf trajectory
 # bookkeeping (wall-clock benches report events/sec).  Deliberately a plain
@@ -240,8 +219,8 @@ class Timer:
     """Cancellable handle for one scheduled callback.
 
     Holds the scheduled entry itself, so :meth:`cancel` is O(1): it blanks
-    the entry's ``fn`` slot (turning it into a tombstone the wheel drops
-    when it next touches it) rather than searching any structure.
+    the entry's ``fn`` slot (turning it into a tombstone the loop drops
+    when it reaches the head of the heap) rather than searching the heap.
     Cancelling after the callback fired, or twice, is a no-op -- dispatch
     blanks the same slot.
     """
@@ -265,10 +244,9 @@ class Timer:
     def cancel(self) -> bool:
         """Cancel the callback; True if it had not yet fired.
 
-        Idempotent.  The entry stays parked in its wheel slot as a
-        tombstone and is reclaimed lazily -- immediately compacting when
-        tombstones outnumber live entries, otherwise dropped when its
-        slot is next drained or cascaded.
+        Idempotent.  The entry stays in the heap as a tombstone and is
+        reclaimed lazily: by compaction once tombstones outnumber live
+        entries, otherwise when it surfaces at the head.
         """
         entry = self._entry
         if entry[2] is None:
@@ -277,7 +255,7 @@ class Timer:
         entry[3] = _NO_ARG  # drop the arg reference right away
         loop = self._loop
         loop._tombstones += 1
-        if loop._tombstones * 2 > loop._size:
+        if loop._tombstones * 2 > len(loop._heap):
             loop._compact()
         return True
 
@@ -285,12 +263,12 @@ class Timer:
 class PeriodicTimer:
     """A repeating timer: fires ``fn()`` every ``interval`` until cancelled.
 
-    Built on :class:`Timer` handles, so cancellation is O(1) and a
-    cancelled periodic leaves only a lazily-reclaimed tombstone.  The
-    callback may cancel its own periodic; the reschedule check runs after
-    the callback returns.  Created via :meth:`EventLoop.every` -- the
-    control-plane primitives (key-pool refill, ticket rotation, session
-    idle sweeps) all hang off this.
+    Holds its pending heap entry the way a :class:`Timer` does, so
+    cancellation is O(1) and leaves only a lazily-reclaimed tombstone.
+    The callback may cancel its own periodic; the reschedule check runs
+    after the callback returns.  Created via :meth:`EventLoop.every` --
+    the control-plane primitives (key-pool refill, ticket rotation,
+    session idle sweeps) all hang off this.
     """
 
     __slots__ = ("_loop", "interval", "_fn", "_entry", "_cancelled", "fires")
@@ -302,27 +280,27 @@ class PeriodicTimer:
         fn: Callable[[], None],
         first_delay: Optional[float] = None,
     ):
-        if interval <= 0:
-            raise SimulationError(f"periodic interval must be positive, got {interval}")
+        if not 0 < interval < _INF:
+            raise SimulationError(
+                f"periodic interval must be positive and finite, got {interval}"
+            )
+        delay = interval if first_delay is None else first_delay
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"periodic first_delay must be non-negative and finite, got {delay}"
+            )
         self._loop = loop
         self.interval = interval
         self._fn = fn
         self._cancelled = False
         self.fires = 0
-        delay = interval if first_delay is None else first_delay
         # The scheduled entry is held directly (not via a Timer handle):
         # a periodic reschedules on every fire, and skipping the handle
         # allocation matters for heartbeat-grade frequencies.
         loop._seq = seq = loop._seq + 1
-        when = loop._now + delay
-        entry = [when, seq, self._fire, _NO_ARG]
+        entry = [loop._now + delay, seq, self._fire, _NO_ARG]
         self._entry: list = entry
-        tick = int(when * _TICK_SCALE)
-        if tick <= loop._cur_tick:
-            heappush(loop._cur, entry)
-            loop._size += 1
-        else:
-            loop._push(entry, tick)
+        heappush(loop._heap, entry)
 
     def _fire(self) -> None:
         if self._cancelled:
@@ -332,14 +310,9 @@ class PeriodicTimer:
         if not self._cancelled:
             loop = self._loop
             loop._seq = seq = loop._seq + 1
-            when = loop._now + self.interval
-            entry = [when, seq, self._fire, _NO_ARG]
+            entry = [loop._now + self.interval, seq, self._fire, _NO_ARG]
             self._entry = entry
-            if int(when * _TICK_SCALE) <= loop._cur_tick:
-                heappush(loop._cur, entry)
-                loop._size += 1
-            else:
-                loop._push(entry)
+            heappush(loop._heap, entry)
 
     @property
     def active(self) -> bool:
@@ -357,7 +330,7 @@ class PeriodicTimer:
             entry[3] = _NO_ARG
             loop = self._loop
             loop._tombstones += 1
-            if loop._tombstones * 2 > loop._size:
+            if loop._tombstones * 2 > len(loop._heap):
                 loop._compact()
         return True
 
@@ -367,23 +340,9 @@ class EventLoop:
 
     def __init__(self) -> None:
         self._now = 0.0
-        # Scheduled entries are [when, seq, fn, arg] lists; arg is _NO_ARG
-        # for plain fn() calls.  Cancelled entries have fn=None (tombstones).
-        # They live in a hierarchical timer wheel:
-        #   _cur       heap of entries at/behind the cursor tick, ordered by
-        #              (when, seq) -- the only structure dispatch pops from
-        #   _levels    4 levels x 256 slots of plain lists; level L holds
-        #              entries (tick >> 8L) - (cursor >> 8L) in [1, 255]
-        #   _masks     per-level occupancy bitmask ints (bit i = slot i)
-        #   _overflow  heap for entries beyond the wheel horizon (~12 days)
-        self._cur: list[list] = []
-        self._cur_tick = 0
-        self._levels: list[list[list]] = [
-            [[] for _ in range(_WHEEL_SLOTS)] for _ in range(_WHEEL_LEVELS)
-        ]
-        self._masks = [0] * _WHEEL_LEVELS
-        self._overflow: list[list] = []
-        self._size = 0  # entries across _cur + wheel + overflow, incl. tombstones
+        # Heap of [when, seq, fn, arg] entries ordered by (when, seq); arg is
+        # _NO_ARG for plain fn() calls, fn is None once cancelled or fired.
+        self._heap: list[list] = []
         self._ready: deque = deque()  # (seq, fn, arg) at the current time
         self._seq = 0
         self._tombstones = 0
@@ -401,71 +360,21 @@ class EventLoop:
 
     # -- scheduling --------------------------------------------------------
 
-    def _push(self, entry: list, tick: Optional[int] = None) -> None:
-        """File ``entry`` into the wheel structure holding it until dispatch.
-
-        O(1) for anything within the wheel horizon: pick the innermost
-        level whose 256-slot window (relative to the cursor) contains the
-        entry's tick, and append to that slot.  At/behind the cursor goes
-        straight into the current-slot heap; beyond the horizon goes into
-        the overflow heap.  Callers that already computed the tick for the
-        inlined fast-path check pass it in to avoid the recompute.
-        """
-        if tick is None:
-            tick = int(entry[0] * _TICK_SCALE)
-        ctick = self._cur_tick
-        delta = tick - ctick
-        if delta <= 0:
-            heappush(self._cur, entry)
-        elif delta < 256:
-            idx = tick & 255
-            self._levels[0][idx].append(entry)
-            self._masks[0] |= 1 << idx
-        elif (tick >> 8) - (ctick >> 8) < 256:
-            idx = (tick >> 8) & 255
-            self._levels[1][idx].append(entry)
-            self._masks[1] |= 1 << idx
-        elif (tick >> 16) - (ctick >> 16) < 256:
-            idx = (tick >> 16) & 255
-            self._levels[2][idx].append(entry)
-            self._masks[2] |= 1 << idx
-        elif (tick >> 24) - (ctick >> 24) < 256:
-            idx = (tick >> 24) & 255
-            self._levels[3][idx].append(entry)
-            self._masks[3] |= 1 << idx
-        else:
-            heappush(self._overflow, entry)
-        self._size += 1
-
     def call_at(self, when: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` -- or ``fn(arg)`` if given -- at virtual time ``when``."""
-        if when < self._now - 1e-15:
-            raise SimulationError(f"cannot schedule in the past ({when} < {self._now})")
+        if not self._now - 1e-15 <= when < _INF:
+            raise SimulationError(
+                f"cannot schedule at {when}: in the past of {self._now} or not finite"
+            )
         self._seq = seq = self._seq + 1
-        entry = [when, seq, fn, arg]
-        # Inlined _push fast path: at/behind the cursor's slot goes straight
-        # into the current heap.  With millisecond-grade slots this is the
-        # overwhelmingly common case, and skipping the call is measurable.
-        tick = int(when * _TICK_SCALE)
-        if tick <= self._cur_tick:
-            heappush(self._cur, entry)
-            self._size += 1
-        else:
-            self._push(entry, tick)
+        heappush(self._heap, [when, seq, fn, arg])
 
     def call_later(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"negative or non-finite delay {delay}")
         self._seq = seq = self._seq + 1
-        when = self._now + delay
-        entry = [when, seq, fn, arg]
-        tick = int(when * _TICK_SCALE)
-        if tick <= self._cur_tick:
-            heappush(self._cur, entry)
-            self._size += 1
-        else:
-            self._push(entry, tick)
+        heappush(self._heap, [self._now + delay, seq, fn, arg])
 
     def call_soon(self, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` at the current time, after already-queued events.
@@ -479,16 +388,13 @@ class EventLoop:
 
     def timer_at(self, when: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
         """Like :meth:`call_at`, but returns a cancellable :class:`Timer`."""
-        if when < self._now - 1e-15:
-            raise SimulationError(f"cannot schedule in the past ({when} < {self._now})")
+        if not self._now - 1e-15 <= when < _INF:
+            raise SimulationError(
+                f"cannot schedule at {when}: in the past of {self._now} or not finite"
+            )
         self._seq = seq = self._seq + 1
         entry = [when, seq, fn, arg]
-        tick = int(when * _TICK_SCALE)
-        if tick <= self._cur_tick:
-            heappush(self._cur, entry)
-            self._size += 1
-        else:
-            self._push(entry, tick)
+        heappush(self._heap, entry)
         timer = Timer.__new__(Timer)  # skip __init__: this path is hot
         timer._loop = self
         timer._entry = entry
@@ -496,206 +402,27 @@ class EventLoop:
 
     def timer_later(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
         """Like :meth:`call_later`, but returns a cancellable :class:`Timer`."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"negative or non-finite delay {delay}")
         self._seq = seq = self._seq + 1
-        when = self._now + delay
-        entry = [when, seq, fn, arg]
-        tick = int(when * _TICK_SCALE)
-        if tick <= self._cur_tick:
-            heappush(self._cur, entry)
-            self._size += 1
-        else:
-            self._push(entry, tick)
+        entry = [self._now + delay, seq, fn, arg]
+        heappush(self._heap, entry)
         timer = Timer.__new__(Timer)  # skip __init__: this path is hot
         timer._loop = self
         timer._entry = entry
         return timer
 
-    def _advance(self) -> bool:
-        """Move the cursor to the next occupied slot and refill ``_cur``.
-
-        Called only when the current-slot heap is empty.  Scans each
-        level's occupancy bitmask for the nearest slot *in tick order*
-        (the scan window wraps around the cursor position), takes the
-        minimum base tick across levels and the overflow head, then
-        either drains that slot into ``_cur`` (level 0 -- one exact tick
-        per slot, so a heapify restores full ``(when, seq)`` order) or
-        cascades it down a level and rescans.  Tombstones are dropped on
-        the way instead of being re-filed.  Returns True when ``_cur``
-        has a live head, False when nothing is pending anywhere.
-        """
-        cur = self._cur
-        levels = self._levels
-        masks = self._masks
-        overflow = self._overflow
-        while True:
-            ctick = self._cur_tick
-            # Fast path: the next occupied level-0 slot wins outright
-            # whenever no higher level holds a transient current-lap slot
-            # (cursor-position bit) and the overflow head is further out.
-            # Same-lap higher-level slots cannot precede it -- their base
-            # is at least the cursor's next lap boundary, past the level-0
-            # window -- so the full scan below is only needed on the rarer
-            # cascade/wrap/overflow iterations.
-            m0 = masks[0]
-            if m0:
-                pos = ctick & 255
-                rest = m0 >> pos
-                if rest & 1:
-                    idx0 = pos
-                    best0 = ctick
-                else:
-                    hi = rest >> 1
-                    if hi:
-                        off = (hi & -hi).bit_length()
-                        idx0 = pos + off
-                        best0 = ctick + off
-                    else:
-                        best0 = -1
-                if (
-                    best0 >= 0
-                    and not masks[1] & (1 << ((ctick >> 8) & 255))
-                    and not masks[2] & (1 << ((ctick >> 16) & 255))
-                    and not masks[3] & (1 << ((ctick >> 24) & 255))
-                    and (not overflow or int(overflow[0][0] * _TICK_SCALE) > best0)
-                ):
-                    slot = levels[0][idx0]
-                    masks[0] = m0 & ~(1 << idx0)
-                    if best0 > ctick:
-                        self._cur_tick = best0
-                    for entry in slot:
-                        if entry[2] is None:
-                            self._tombstones -= 1
-                            self._size -= 1
-                        else:
-                            cur.append(entry)
-                    slot.clear()
-                    if cur:
-                        if len(cur) > 1:
-                            heapify(cur)
-                        return True
-                    continue
-            best_tick = -1
-            best_lvl = -1
-            best_idx = -1
-            for lvl in range(_WHEEL_LEVELS):
-                m = masks[lvl]
-                if not m:
-                    continue
-                shift = lvl << 3
-                csh = ctick >> shift
-                pos = csh & 255
-                if m & (1 << pos):
-                    # The cursor's own slot position at this level: only
-                    # possible transiently, right after a cascade parked
-                    # the cursor exactly on this slot's lap boundary.  Its
-                    # entries belong to the *current* lap (ticks at/after
-                    # the cursor), so it is the nearest candidate here --
-                    # the wrapped window below would misread it as a full
-                    # lap away and strand it behind the advancing cursor.
-                    idx = pos
-                    ssh = csh
-                else:
-                    hi = m >> (pos + 1)
-                    if hi:
-                        idx = pos + 1 + ((hi & -hi).bit_length() - 1)
-                        ssh = csh - pos + idx
-                    else:
-                        lo = m & ((1 << pos) - 1)
-                        idx = (lo & -lo).bit_length() - 1
-                        ssh = csh - pos + 256 + idx
-                # Ties prefer the higher level: a level-L slot whose base
-                # tick equals a lower candidate must cascade first, or the
-                # cursor would land on its lap position and strand its
-                # entries outside the wrapped scan window.
-                slot_tick = ssh << shift
-                if best_tick < 0 or slot_tick <= best_tick:
-                    best_tick, best_lvl, best_idx = slot_tick, lvl, idx
-            if overflow and (
-                best_tick < 0 or int(overflow[0][0] * _TICK_SCALE) <= best_tick
-            ):
-                # Overflow entries have crept to/inside the wheel horizon
-                # (or are all that's left): migrate the batch that now fits,
-                # then rescan.  With an empty wheel the cursor may jump
-                # straight to the overflow head -- nothing else is pending.
-                if best_tick < 0:
-                    self._cur_tick = int(overflow[0][0] * _TICK_SCALE)
-                while overflow:
-                    head = overflow[0]
-                    tick = int(head[0] * _TICK_SCALE)
-                    if (tick >> 24) - (self._cur_tick >> 24) >= 256:
-                        break
-                    heappop(overflow)
-                    if head[2] is None:
-                        self._tombstones -= 1
-                        self._size -= 1
-                    else:
-                        self._size -= 1  # _push re-counts it
-                        self._push(head)
-                continue
-            if best_tick < 0:
-                return False
-            slot = levels[best_lvl][best_idx]
-            masks[best_lvl] &= ~(1 << best_idx)
-            if best_tick > ctick:  # a current-lap slot must not rewind the cursor
-                self._cur_tick = best_tick
-            if best_lvl == 0:
-                for entry in slot:
-                    if entry[2] is None:
-                        self._tombstones -= 1
-                        self._size -= 1
-                    else:
-                        cur.append(entry)
-                slot.clear()
-                if cur:
-                    if len(cur) > 1:
-                        heapify(cur)
-                    return True
-            else:
-                for entry in slot:
-                    if entry[2] is None:
-                        self._tombstones -= 1
-                        self._size -= 1
-                    else:
-                        self._size -= 1  # _push re-counts it
-                        self._push(entry)
-                slot.clear()
-
     def _compact(self) -> None:
-        """Drop every tombstone from every structure, in place.
+        """Drop every tombstone from the heap, in place.
 
-        Live entries never move: each slot list is filtered where it is
-        (its slot assignment is still valid), so compaction costs one
-        C-level list rebuild per occupied structure rather than a refile
-        per entry.  In place matters for ``_cur``: ``run`` holds a
-        reference to the list, so the list object must survive
-        compaction.  Dispatch order is unchanged -- ``(when, seq)`` keys
-        are distinct and the exact heaps are re-heapified.
+        In place matters: ``run`` holds a reference to the list, so the
+        list object must survive compaction.  Dispatch order is unchanged
+        -- ``(when, seq)`` keys are distinct, so any valid heap over the
+        same live entries pops them in the same order.
         """
-        cur = self._cur
-        cur[:] = [entry for entry in cur if entry[2] is not None]
-        heapify(cur)
-        size = len(cur)
-        levels = self._levels
-        masks = self._masks
-        for lvl in range(_WHEEL_LEVELS):
-            m = masks[lvl]
-            scan = m
-            while scan:
-                bit = scan & -scan
-                scan ^= bit
-                slot = levels[lvl][bit.bit_length() - 1]
-                slot[:] = [e for e in slot if e[2] is not None]
-                if slot:
-                    size += len(slot)
-                else:
-                    m ^= bit
-            masks[lvl] = m
-        overflow = self._overflow
-        overflow[:] = [e for e in overflow if e[2] is not None]
-        heapify(overflow)
-        self._size = size + len(overflow)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2] is not None]
+        heapify(heap)
         self._tombstones = 0
 
     # -- event factories ----------------------------------------------------
@@ -766,32 +493,27 @@ class EventLoop:
         ``max_events`` guards against runaway simulations (tombstone skips
         do not count).
         """
-        cur = self._cur
+        heap = self._heap
         ready = self._ready
         pop = heappop
         no_arg = _NO_ARG
         count = 0
         # Ready entries run at the *current* time; if the window already
-        # ended they must wait for a later run, like the wheel entries do.
+        # ended they must wait for a later run, like the heap entries do.
         ready_ok = until is None or self._now <= until
         try:
             while True:
-                # Find the next live scheduled entry (leave it in _cur).
-                if cur:
-                    head = cur[0]
+                # Find the next live scheduled entry (leave it in the heap).
+                if heap:
+                    head = heap[0]
                     if head[2] is None:  # cancelled: drop the tombstone
-                        pop(cur)
+                        pop(heap)
                         self._tombstones -= 1
-                        self._size -= 1
                         continue
-                else:
-                    if self._size:
-                        self._advance()
-                        if cur:
-                            continue
-                    if not ready:
-                        break
+                elif ready:
                     head = None
+                else:
+                    break
                 if ready and ready_ok:
                     # Dispatch from the ready FIFO unless a scheduled entry
                     # at the current time was filed earlier.
@@ -812,8 +534,7 @@ class EventLoop:
                 when = head[0]
                 if until is not None and when > until:
                     break  # head stays filed for a later run
-                pop(cur)
-                self._size -= 1
+                pop(heap)
                 fn = head[2]
                 head[2] = None  # marks "fired": Timer.cancel becomes a no-op
                 arg, head[3] = head[3], no_arg
@@ -856,30 +577,19 @@ class EventLoop:
         size safe synchronization windows: at a domain barrier every event
         is strictly in the future, so ``min`` over domains bounds the next
         state change anywhere.  Ready-queue entries fire at the current
-        time.  May pop tombstones and advance the wheel cursor to the next
-        occupied slot -- both are deterministic and dispatch nothing, so
-        the observable event sequence is unchanged.
+        time.  May pop tombstones off the head -- deterministic, and it
+        dispatches nothing, so the observable event sequence is unchanged.
         """
         if self._ready:
             return self._now
-        cur = self._cur
-        while True:
-            if cur:
-                head = cur[0]
-                if head[2] is None:  # cancelled: drop the tombstone
-                    heappop(cur)
-                    self._tombstones -= 1
-                    self._size -= 1
-                    continue
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2] is not None:
                 return head[0]
-            if self._size:
-                # Like run(): a cascade may park entries in _cur even when
-                # _advance reports no newly-drained slot, so recheck _cur
-                # rather than trusting the return value.
-                self._advance()
-                if cur:
-                    continue
-            return None
+            heappop(heap)  # cancelled: drop the tombstone
+            self._tombstones -= 1
+        return None
 
     def pending_events(self) -> int:
         """Number of not-yet-dispatched events (for tests).
@@ -887,4 +597,4 @@ class EventLoop:
         Tombstones are already-dead entries, not pending work, so they are
         excluded; ready-queue entries count.
         """
-        return self._size - self._tombstones + len(self._ready)
+        return len(self._heap) - self._tombstones + len(self._ready)

@@ -46,6 +46,37 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             EventLoop().call_later(-1.0, lambda: None)
 
+    def test_negative_first_delay_rejected(self):
+        """A negative ``first_delay`` used to run the clock backwards."""
+        loop = EventLoop()
+        loop.run(until=1.0)
+        with pytest.raises(SimulationError):
+            loop.every(1.0, lambda: None, first_delay=-0.5)
+        assert loop.pending_events() == 0
+        assert loop.run() == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_times_rejected(self, bad):
+        """A NaN key would silently break the heap invariant, and an
+        infinite one would never fire: every entry point refuses both
+        before filing anything."""
+        loop = EventLoop()
+        loop.run(until=1.0)
+        noop = lambda: None  # noqa: E731
+        attempts = [
+            lambda: loop.call_at(bad, noop),
+            lambda: loop.call_later(bad, noop),
+            lambda: loop.timer_at(bad, noop),
+            lambda: loop.timer_later(bad, noop),
+            lambda: loop.timeout(bad),
+            lambda: loop.every(bad, noop),
+            lambda: loop.every(1.0, noop, first_delay=bad),
+        ]
+        for attempt in attempts:
+            with pytest.raises(SimulationError):
+                attempt()
+            assert loop.pending_events() == 0
+
     def test_run_until_stops_early(self):
         loop = EventLoop()
         seen = []

@@ -1,12 +1,14 @@
-"""Property suite for the hierarchical timer wheel in the event loop.
+"""Property suite for the event loop's dispatch order.
 
-The wheel replaced a single ``heapq`` as the pending-entry store, with the
-contract that dispatch order is *identical*: entries fire in exact
-``(when, seq)`` order regardless of which slot, level, or overflow
-structure parks them in between.  These tests pin that contract against a
-minimal heap reference model -- the scheduler the wheel replaced -- across
-randomized workloads that mix nested scheduling, cancellation, periodic
-timers, ``call_soon`` merging, and delays spanning every wheel level.
+The loop keeps one ``(when, seq)`` heap but adds three things on top of a
+plain ``heapq``: a ``call_soon`` ready deque merged with the heap by
+``seq``, tombstone cancellation, and in-place compaction once tombstones
+outnumber live entries.  The contract is that none of them is visible:
+entries fire in exact ``(when, seq)`` order.  These tests pin that against
+a minimal plain-heap reference model, across randomized workloads that mix
+nested scheduling, cancellation, periodic timers, ``call_soon`` merging,
+``run(until)`` windows with ``next_event_time()`` peeks, and delays from
+zero to weeks.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from repro.sim.event_loop import EventLoop
 
 SEEDS = range(40)
 
-# Delay palette spanning the wheel's regimes: same-slot, next-slot, every
-# level of the hierarchy, and past the overflow horizon.
+# Delay palette: same-instant, sub-microsecond packet gaps, RTO-grade
+# milliseconds, control-plane seconds, and weeks.
 DELAYS = [0.0, 1e-7, 2.37e-7, 1e-6, 5e-5, 1e-3, 0.017, 0.5, 3.0, 700.0, 2e6]
 
 
 class RefHeapLoop:
-    """The old all-heap scheduler: exact (when, seq) order, tombstone cancel.
+    """A plain-heap scheduler: exact (when, seq) order, tombstone cancel.
 
     ``call_soon`` is modelled as ``call_at(now)`` -- in a pure heap the
     two are indistinguishable, which is precisely the ordering contract
@@ -74,6 +76,12 @@ class RefHeapLoop:
         elif entry_or_state[2] is not None:
             entry_or_state[2] = None
 
+    def next_event_time(self):
+        """Time of the live head, or None: what the real peek must return."""
+        while self._q and self._q[0][2] is None:
+            heapq.heappop(self._q)
+        return self._q[0][0] if self._q else None
+
     def run(self, until=None):
         while self._q:
             entry = self._q[0]
@@ -92,7 +100,7 @@ class RefHeapLoop:
         return self.now
 
 
-class WheelAdapter:
+class LoopAdapter:
     """Uniform facade over the real loop so scenarios run on either."""
 
     def __init__(self):
@@ -103,6 +111,7 @@ class WheelAdapter:
         self.timer_later = self._loop.timer_later
         self.every = lambda interval, fn: self._loop.every(interval, fn)
         self.run = self._loop.run
+        self.next_event_time = self._loop.next_event_time
 
     @property
     def now(self):
@@ -150,31 +159,41 @@ def _scenario(seed, loop):
 def test_firing_order_matches_heap_reference():
     """40 randomized seeds: full dispatch order equals the heap model's."""
     for seed in SEEDS:
-        wheel = WheelAdapter()
+        loop = LoopAdapter()
         ref = RefHeapLoop()
-        w_order = _scenario(seed, wheel)
+        l_order = _scenario(seed, loop)
         r_order = _scenario(seed, ref)
-        wheel.run()
+        loop.run()
         ref.run()
-        assert w_order == r_order, f"seed {seed} diverged"
-        assert wheel.now == ref.now, f"seed {seed}: final clocks differ"
+        assert l_order == r_order, f"seed {seed} diverged"
+        assert loop.now == ref.now, f"seed {seed}: final clocks differ"
+
+
+def _must_not_fire(_arg):
+    raise AssertionError("a cancelled timer fired")
 
 
 def test_windowed_runs_match_heap_reference():
-    """run(until=...) windows advance both models identically."""
+    """run(until=...) windows advance both models identically, and the
+    ``next_event_time()`` peek before each window names the live head."""
     for seed in range(20):
-        wheel = WheelAdapter()
+        loop = LoopAdapter()
         ref = RefHeapLoop()
-        w_order = _scenario(seed, wheel)
+        l_order = _scenario(seed, loop)
         r_order = _scenario(seed, ref)
         rng = random.Random(10_000 + seed)
         horizon = 0.0
         for _ in range(30):
+            for side in (loop, ref):  # park a tombstone at the head
+                side.cancel(side.timer_later(0.0, _must_not_fire))
+            assert loop.next_event_time() == ref.next_event_time(), f"seed {seed}"
             horizon += rng.choice(DELAYS) * rng.random()
-            assert wheel.run(until=horizon) == ref.run(until=horizon)
-        wheel.run()
+            assert loop.run(until=horizon) == ref.run(until=horizon)
+        assert loop.next_event_time() == ref.next_event_time(), f"seed {seed}"
+        loop.run()
         ref.run()
-        assert w_order == r_order, f"seed {seed} diverged under windowed runs"
+        assert loop.next_event_time() is None
+        assert l_order == r_order, f"seed {seed} diverged under windowed runs"
 
 
 def test_periodic_timer_matches_heap_reference():
@@ -183,7 +202,7 @@ def test_periodic_timer_matches_heap_reference():
         rng = random.Random(seed)
         interval = rng.choice([1e-5, 3.3e-4, 0.01, 0.25])
         cancel_after = rng.randrange(1, 12)
-        for loop in (WheelAdapter(), RefHeapLoop()):
+        for loop in (LoopAdapter(), RefHeapLoop()):
             fired = []
 
             def tick(fired=fired, loop=loop):
