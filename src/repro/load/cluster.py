@@ -20,6 +20,12 @@ that.  A single swapped, duplicated or cross-wired record anywhere in
 segmentation, ECMP forwarding or reassembly surfaces as a counted
 integrity error instead of a silent pass — this is the check behind the
 ``loaded`` benchmark's "no cross-path reordering" band.
+
+The pieces of the message mesh -- the per-peer SMT codec provider, one
+socket per host, the verifying echo-server loops -- are module-level
+functions, because three harnesses build from them: :class:`ClusterHarness`
+here, the per-domain harness in :mod:`repro.load.shard`, and (the codec
+provider, with per-tenant keys) :class:`repro.tenancy.TenantFabric`.
 """
 
 from __future__ import annotations
@@ -162,6 +168,97 @@ class _StreamRpcClient:
         self._reader_running = False
 
 
+def smt_codec_provider(host, codecs: dict, keys_for):
+    """``HomaSocket`` codec provider: one pre-keyed :class:`SmtCodec` per peer.
+
+    ``keys_for(peer_addr)`` returns this host's ``(tx, rx)`` traffic keys
+    toward that peer; it runs once per codec built.  ``codecs`` is the
+    per-socket cache, owned by the caller so an eviction policy (the
+    tenant session tables) can drop entries -- the next packet rebuilds.
+    """
+    pps = packets_per_segment_for(host.nic.tso_mode)
+
+    def provider(addr: int, port: int) -> SmtCodec:
+        codec = codecs.get(addr)
+        if codec is None:
+            tx, rx = keys_for(addr)
+            codec = codecs[addr] = SmtCodec(
+                SmtSession(tx, rx, aead_kind=LOAD_AEAD),
+                host.costs,
+                host.nic.num_queues,
+                packets_per_segment=pps,
+            )
+        return codec
+
+    return provider
+
+
+def message_socket(host, system: str, config: Optional[HomaConfig]) -> HomaSocket:
+    """``host``'s one socket for all peers on :data:`SERVER_PORT`."""
+    encrypted = system == "smt"
+    proto = PROTO_SMT if encrypted else PROTO_HOMA
+    transport = HomaTransport(host, config, proto=proto)
+    if encrypted:
+        provider = smt_codec_provider(
+            host, {},
+            lambda addr: (_pair_keys(host.addr, addr), _pair_keys(addr, host.addr)),
+        )
+    else:
+        plain = PlainCodec(
+            proto, packets_per_segment=packets_per_segment_for(host.nic.tso_mode)
+        )
+
+        def provider(addr: int, port: int) -> PlainCodec:
+            return plain
+
+    return HomaSocket(transport, SERVER_PORT, codec_provider=provider)
+
+
+def start_message_mesh(harness, keys, config, num_server_threads: int) -> dict:
+    """A socket per ``harness.hosts`` entry, then its verifying echo servers.
+
+    ``keys[i]`` names host ``i``: its key in the returned socket map and
+    its slot in ``harness.requests_served``.  Every socket exists before
+    the first server process is spawned, and servers spawn host-major --
+    process creation order is event order.
+    """
+    loop = harness.bed.loop
+    socks = {
+        key: message_socket(host, harness.system, config)
+        for key, host in zip(keys, harness.hosts)
+    }
+    for key, host in zip(keys, harness.hosts):
+        for k in range(num_server_threads):
+            loop.process(
+                serve_messages(harness, key, socks[key], host.app_thread(k))
+            )
+    return socks
+
+
+def _answer(harness, key, payload: bytes) -> bytes:
+    """Verify one request, book it under ``key``, build the response."""
+    response, ok = handle_request(payload)
+    harness.requests_served[key] += 1
+    if not ok:
+        harness.server_integrity_errors += 1
+    return response
+
+
+def serve_messages(harness, key, sock: HomaSocket, thread):
+    """Verifying echo server on one message socket (one server thread)."""
+    while True:
+        rpc = yield from sock.recv_request(thread)
+        yield from sock.reply(thread, rpc, _answer(harness, key, rpc.payload))
+
+
+def serve_stream(harness, key, channel, thread):
+    """Verifying echo server on the passive end of one bytestream."""
+    rpc = RpcChannel(channel)
+    while True:
+        req_id, payload = yield from rpc.recv_request(thread)
+        yield from rpc.send_response(thread, req_id, _answer(harness, key, payload))
+
+
 class ClusterHarness:
     """One system's any-to-any RPC mesh plus verifying echo servers."""
 
@@ -184,66 +281,21 @@ class ClusterHarness:
         #: balanced load, independent of client-side bookkeeping).
         self.requests_served = [0] * len(self.hosts)
         self._index_of = {host.addr: i for i, host in enumerate(self.hosts)}
-        self._socks: list[HomaSocket] = []
+        self._socks: dict[int, HomaSocket] = {}
         self._stream_clients: dict[tuple[int, int], _StreamRpcClient] = {}
         if system in ("homa", "smt"):
-            self._build_message_mesh(config, num_server_threads)
+            self._socks = start_message_mesh(
+                self, range(len(self.hosts)), config, num_server_threads
+            )
         else:
             self._build_stream_mesh()
 
-    # -- construction -----------------------------------------------------------
-
-    def _build_message_mesh(
-        self, config: Optional[HomaConfig], num_server_threads: int
-    ) -> None:
-        encrypted = self.system == "smt"
-        proto = PROTO_SMT if encrypted else PROTO_HOMA
-        for host in self.hosts:
-            transport = HomaTransport(host, config, proto=proto)
-            if encrypted:
-                pps = packets_per_segment_for(host.nic.tso_mode)
-                codecs: dict[int, SmtCodec] = {}
-
-                def provider(addr, port, host=host, codecs=codecs, pps=pps):
-                    codec = codecs.get(addr)
-                    if codec is None:
-                        codec = SmtCodec(
-                            SmtSession(
-                                _pair_keys(host.addr, addr),
-                                _pair_keys(addr, host.addr),
-                                aead_kind=LOAD_AEAD,
-                            ),
-                            host.costs,
-                            host.nic.num_queues,
-                            packets_per_segment=pps,
-                        )
-                        codecs[addr] = codec
-                    return codec
-
-                sock = HomaSocket(transport, SERVER_PORT, codec_provider=provider)
-            else:
-                pps = packets_per_segment_for(host.nic.tso_mode)
-                plain = PlainCodec(proto, packets_per_segment=pps)
-                sock = HomaSocket(
-                    transport, SERVER_PORT, codec_provider=lambda a, p, c=plain: c
-                )
-            self._socks.append(sock)
-        for i, host in enumerate(self.hosts):
-            for k in range(num_server_threads):
-                self.bed.loop.process(self._serve_messages(i, k))
-
-    def _serve_messages(self, i: int, k: int):
-        sock = self._socks[i]
-        thread = self.hosts[i].app_thread(k)
-        while True:
-            rpc = yield from sock.recv_request(thread)
-            response, ok = handle_request(rpc.payload)
-            self.requests_served[i] += 1
-            if not ok:
-                self.server_integrity_errors += 1
-            yield from sock.reply(thread, rpc, response)
-
     def _build_stream_mesh(self) -> None:
+        # Kept apart from the sharded harness's stream mesh on purpose:
+        # this one takes client ports from ``Host.alloc_port``, that one
+        # derives both ports from the pair ordinal, and the port pair is
+        # in the flow tuple the fabric's ECMP hash reads -- merging them
+        # would move flows between spines.
         mode = "sw" if self.system == "ktls" else None
         port = SERVER_PORT
         for i, src in enumerate(self.hosts):
@@ -263,18 +315,8 @@ class ClusterHarness:
                     self.bed.loop, src.app_thread(ordinal), chan_c
                 )
                 self.bed.loop.process(
-                    self._serve_stream(chan_s, dst.app_thread(ordinal), j)
+                    serve_stream(self, j, chan_s, dst.app_thread(ordinal))
                 )
-
-    def _serve_stream(self, channel, thread, host_index: int):
-        rpc = RpcChannel(channel)
-        while True:
-            req_id, payload = yield from rpc.recv_request(thread)
-            response, ok = handle_request(payload)
-            self.requests_served[host_index] += 1
-            if not ok:
-                self.server_integrity_errors += 1
-            yield from rpc.send_response(thread, req_id, response)
 
     # -- engine-facing ------------------------------------------------------------
 

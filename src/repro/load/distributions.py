@@ -41,6 +41,10 @@ class SizeDistribution:
         """Every size this distribution can produce, ascending."""
         raise NotImplementedError
 
+    def probabilities(self) -> list[tuple[int, float]]:
+        """Per-size point masses ``(size, probability)`` over the support."""
+        raise NotImplementedError
+
 
 class FixedSize(SizeDistribution):
     """Degenerate distribution: always ``size`` bytes."""
@@ -59,6 +63,9 @@ class FixedSize(SizeDistribution):
 
     def support(self) -> tuple[int, ...]:
         return (self.size,)
+
+    def probabilities(self) -> list[tuple[int, float]]:
+        return [(self.size, 1.0)]
 
 
 class CdfSizes(SizeDistribution):

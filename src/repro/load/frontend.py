@@ -78,6 +78,8 @@ class FrontendEngine(OpenLoopEngine):
         if set(clients) & set(replicas):
             raise ReproError("client and replica host sets must be disjoint")
         self.clients = list(clients)
+        # Only the client subset offers load, in host order.
+        self.senders = [h for h in self.senders if h in self.clients]
         self.replica_indices = list(replicas)
         self.balancer = balancer
         self.keys = keys
@@ -89,43 +91,26 @@ class FrontendEngine(OpenLoopEngine):
         }
         self.unroutable = 0
 
-    def _route(self, key: int) -> Optional[int]:
+    def _pick_dst(self, src: int, rng: random.Random) -> Optional[int]:
+        key = self.keys.sample(rng)
         cands = (
             list(self.live_fn()) if self.live_fn is not None
             else self.replica_indices
         )
         if not cands:
+            self.unroutable += 1
             return None
         return self.balancer.pick(key, cands, self.replica_outstanding)
 
-    def _one_rpc(self, src: int, dst: int, size: int, serial: int):
+    def _invoke(self, stream, src, dst, thread, request, base):
         self.replica_outstanding[dst] += 1
         self.replica_issued[dst] += 1
-        before = self.result.completed
         try:
-            yield from super()._one_rpc(src, dst, size, serial)
+            response = yield from stream.call(src, dst, thread, request)
         finally:
             self.replica_outstanding[dst] -= 1
-        if self.result.completed > before and len(self.result_hist):
-            self.replica_slowdowns[dst].record(self.result_hist._samples[-1])
+        return response
 
-    def _arrivals(self, src: int, end_time: float):
-        # Only the client subset generates load; the engine's base run()
-        # spawns an arrival process per host, so the rest no-op here.
-        if src not in self.clients:
-            return
-        loop = self.bed.loop
-        rng = random.Random(self.seed * 1_000_003 + src)
-        while True:
-            yield loop.timeout(rng.expovariate(self.per_sender_rate))
-            if loop.now >= end_time:
-                return
-            key = self.keys.sample(rng)
-            dst = self._route(key)
-            if dst is None:
-                self.unroutable += 1
-                continue
-            size = self.dist.sample(rng)
-            serial = self._next_serial()
-            self.result.issued += 1
-            loop.process(self._one_rpc(src, dst, size, serial))
+    def _completed(self, stream, src, dst, size, serial, t0, slowdown):
+        super()._completed(stream, src, dst, size, serial, t0, slowdown)
+        self.replica_slowdowns[dst].record(slowdown)

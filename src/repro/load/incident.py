@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.load.cluster import build_request, verify_response
 from repro.load.engine import OpenLoopEngine
 from repro.net.domain_faults import (
     DOWN_ACTIONS,
@@ -153,7 +152,7 @@ class IncidentEngine(OpenLoopEngine):
                 continue
 
             def storm(client=client):
-                thread = self.harness.thread_for(client, self._next_serial())
+                thread = self.harness.thread_for(client, self._next_serial(client))
                 yield from self._reestablisher.reestablish(
                     thread,
                     planes[client],
@@ -163,7 +162,7 @@ class IncidentEngine(OpenLoopEngine):
 
             loop.process(storm())
 
-    # -- phase-tagged RPCs -------------------------------------------------------
+    # -- phase-tagged RPCs: an RPC belongs to the phase it was issued in ----------
 
     def _phase(self, at: float) -> str:
         rel = at - self._load_start
@@ -173,46 +172,34 @@ class IncidentEngine(OpenLoopEngine):
             return "during"
         return "after"
 
-    def _one_rpc(self, src: int, dst: int, size: int, serial: int):
-        loop = self.bed.loop
-        thread = self.harness.thread_for(src, serial)
-        request = build_request(serial, size, self.response_size)
-        phase = self._phase(loop.now)
-        self.metrics.phase_issued[phase] += 1
-        base = self.result.baseline_rtt[(size, self._is_cross(src, dst))]
-        t0 = loop.now
-        try:
-            if self.kit is not None:
-                response = yield from self.kit.call(
-                    lambda deadline: self.harness.call(
-                        src, dst, thread, request, timeout=deadline
-                    ),
-                    dst=dst,
-                    caller=src,
-                    on_open="wait",
-                    timeout=max(
-                        self.kit.config.attempt_timeout,
-                        self.deadline_baseline_factor * base,
-                    ),
-                )
-            else:
-                response = yield from self.harness.call(src, dst, thread, request)
-        except ReproError:
-            self.result.failed += 1
-            self.metrics.phase_failed[phase] += 1
-            return
-        rtt = loop.now - t0
-        if not verify_response(response, serial, self.response_size):
-            self.result.integrity_errors += 1
-        slowdown = rtt / base
-        self.result_hist.record(slowdown)
+    def _invoke(self, stream, src, dst, thread, request, base):
+        # Runs in the RPC's own process at the instant it was issued.
+        self.metrics.phase_issued[self._phase(self.loop.now)] += 1
+        if self.kit is None:
+            return stream.call(src, dst, thread, request)
+        return self.kit.call(
+            lambda deadline: stream.call(
+                src, dst, thread, request, timeout=deadline
+            ),
+            dst=dst,
+            caller=src,
+            on_open="wait",
+            timeout=max(
+                self.kit.config.attempt_timeout,
+                self.deadline_baseline_factor * base,
+            ),
+        )
+
+    def _completed(self, stream, src, dst, size, serial, t0, slowdown):
+        super()._completed(stream, src, dst, size, serial, t0, slowdown)
+        phase = self._phase(t0)
         self.metrics.phase_slowdowns[phase].record(slowdown)
-        self.result.per_size.setdefault(size, Histogram()).record(slowdown)
-        self.result.achieved_bytes += size + self.response_size
-        self.result.completed += 1
         self.metrics.phase_completed[phase] += 1
         if phase == "during":
-            self._last_during_done = loop.now
+            self._last_during_done = self.loop.now
+
+    def _failed(self, stream, src, dst, size, serial, t0):
+        self.metrics.phase_failed[self._phase(t0)] += 1
 
     # -- the run -----------------------------------------------------------------
 

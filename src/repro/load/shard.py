@@ -2,23 +2,26 @@
 
 :class:`~repro.load.cluster.ClusterHarness` assumes every host shares one
 event loop; under :mod:`repro.sim.shard` each time domain owns only its
-racks' hosts, so this module rebuilds the same any-to-any RPC mesh one
-domain slice at a time:
+racks' hosts, so :class:`ShardedClusterHarness` builds the same
+any-to-any RPC mesh one domain slice at a time, and
+:class:`ShardedOpenLoopEngine` is the open-loop engine with the seams
+that make a host's traffic independent of the partitioning:
 
-- each domain constructs *its own* endpoints only.  A cross-domain
-  stream connection is built one-sided in each domain from deterministic
-  ports (both sides derive the identical flow tuple, so the fabric wires
-  them together without any cross-domain setup traffic), and the message
-  meshes key peers by address alone -- which
-  :func:`~repro.load.cluster._pair_keys` already supports.
+- each domain constructs *its own* endpoints only.  The message mesh is
+  the shared one (:func:`~repro.load.cluster.start_message_mesh`): its
+  sockets key peers by address alone.  A cross-domain stream connection
+  is built one-sided in each domain from deterministic ports (both sides
+  derive the identical flow tuple, so the fabric wires them together
+  without any cross-domain setup traffic).
 - each sender's arrival process is seeded from its *global* host index,
   and message serials are namespaced per sender, so the traffic a host
   offers is a pure function of (plan, seed, host) -- independent of how
   the cluster is partitioned into domains.
-- baselines are measured once, up front, on a pristine 2x2 mini-cluster
-  with the target plan's link parameters (the unloaded best-case RTT is
-  topology-size independent), then passed into every domain.  This keeps
-  the slowdown denominators bit-identical across domain counts.
+- baselines are measured once, up front, by the engine's own calibration
+  on a pristine 2x2 one-domain mini-cluster with the target plan's link
+  parameters (the unloaded best-case RTT is topology-size independent),
+  then passed into every domain.  This keeps the slowdown denominators
+  bit-identical across domain counts.
 - per-domain completion records merge in canonical ``(t, src, serial)``
   order, so the merged histogram accumulates samples in the same order
   no matter the partitioning -- means as well as percentiles are then
@@ -28,30 +31,22 @@ domain slice at a time:
 
 from __future__ import annotations
 
-import random
 from dataclasses import replace
 from typing import Any, Generator, Optional
 
-from repro.core.codec import SmtCodec
-from repro.core.session import SmtSession
-from repro.errors import ReproError
-from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.homa.codec import PlainCodec, packets_per_segment_for
+from repro.homa import HomaConfig, HomaSocket
 from repro.ktls.ktls import KtlsConnection
 from repro.load.cluster import (
     LOAD_AEAD,
-    MIN_MESSAGE,
     SERVER_PORT,
     SYSTEMS,
     _pair_keys,
     _StreamRpcClient,
-    build_request,
-    handle_request,
-    verify_response,
+    serve_stream,
+    start_message_mesh,
 )
 from repro.load.distributions import SizeDistribution
-from repro.load.engine import DEFAULT_RESPONSE, LoadResult, wire_bytes
-from repro.net.headers import PROTO_HOMA, PROTO_SMT
+from repro.load.engine import DEFAULT_RESPONSE, LoadResult, OpenLoopEngine
 from repro.sim.shard.domain import ShardDomain
 from repro.sim.shard.plan import ShardPlan
 from repro.sim.trace import Histogram
@@ -88,7 +83,9 @@ class ShardedClusterHarness:
     ):
         if system not in SYSTEMS:
             raise ValueError(f"unknown system {system!r}; pick from {SYSTEMS}")
-        self.domain = domain
+        #: The domain, under the name the engine reads a testbed by: it
+        #: has the ``loop``, ``fabric`` and ``obs`` a testbed has.
+        self.bed = domain
         self.plan = domain.plan
         self.system = system
         self.loop = domain.loop
@@ -107,61 +104,11 @@ class ShardedClusterHarness:
         self._socks: dict[int, HomaSocket] = {}
         self._stream_clients: dict[tuple[int, int], _StreamRpcClient] = {}
         if system in ("homa", "smt"):
-            self._build_message_mesh(config, num_server_threads)
+            self._socks = start_message_mesh(
+                self, self.global_indices, config, num_server_threads
+            )
         else:
             self._build_stream_mesh()
-
-    # -- construction -----------------------------------------------------------
-
-    def _build_message_mesh(
-        self, config: Optional[HomaConfig], num_server_threads: int
-    ) -> None:
-        encrypted = self.system == "smt"
-        proto = PROTO_SMT if encrypted else PROTO_HOMA
-        for i, host in enumerate(self.hosts):
-            transport = HomaTransport(host, config, proto=proto)
-            pps = packets_per_segment_for(host.nic.tso_mode)
-            if encrypted:
-                codecs: dict[int, SmtCodec] = {}
-
-                def provider(addr, port, host=host, codecs=codecs, pps=pps):
-                    codec = codecs.get(addr)
-                    if codec is None:
-                        codec = SmtCodec(
-                            SmtSession(
-                                _pair_keys(host.addr, addr),
-                                _pair_keys(addr, host.addr),
-                                aead_kind=LOAD_AEAD,
-                            ),
-                            host.costs,
-                            host.nic.num_queues,
-                            packets_per_segment=pps,
-                        )
-                        codecs[addr] = codec
-                    return codec
-
-                sock = HomaSocket(transport, SERVER_PORT, codec_provider=provider)
-            else:
-                plain = PlainCodec(proto, packets_per_segment=pps)
-                sock = HomaSocket(
-                    transport, SERVER_PORT, codec_provider=lambda a, p, c=plain: c
-                )
-            self._socks[self.global_indices[i]] = sock
-        for i in range(len(self.hosts)):
-            for k in range(num_server_threads):
-                self.loop.process(self._serve_messages(i, k))
-
-    def _serve_messages(self, i: int, k: int):
-        g = self.global_indices[i]
-        sock = self._socks[g]
-        thread = self.hosts[i].app_thread(k)
-        while True:
-            rpc = yield from sock.recv_request(thread)
-            response, ok = handle_request(rpc.payload)
-            self.requests_served[g] += 1
-            if not ok:
-                self.server_integrity_errors += 1
-            yield from sock.reply(thread, rpc, response)
 
     def _build_stream_mesh(self) -> None:
         """Local ends of every stream whose client or server lives here.
@@ -212,20 +159,8 @@ class ShardedClusterHarness:
                         conn, mode, server_keys, client_keys, LOAD_AEAD
                     )
                     self.loop.process(
-                        self._serve_stream(chan, dst.app_thread(ordinal), dst_g)
+                        serve_stream(self, dst_g, chan, dst.app_thread(ordinal))
                     )
-
-    def _serve_stream(self, channel, thread, dst_g: int):
-        from repro.apps.rpc import RpcChannel
-
-        rpc = RpcChannel(channel)
-        while True:
-            req_id, payload = yield from rpc.recv_request(thread)
-            response, ok = handle_request(payload)
-            self.requests_served[dst_g] += 1
-            if not ok:
-                self.server_integrity_errors += 1
-            yield from rpc.send_response(thread, req_id, response)
 
     # -- engine-facing ------------------------------------------------------------
 
@@ -252,14 +187,16 @@ class ShardedClusterHarness:
         return response
 
 
-class ShardedOpenLoopEngine:
+class ShardedOpenLoopEngine(OpenLoopEngine):
     """Open-loop load from one domain's hosts, shard-deterministically.
 
-    Mirrors :class:`~repro.load.engine.OpenLoopEngine` with three changes
-    that make the offered traffic a pure per-host function: arrival RNGs
-    seed from global host indices, serials are namespaced per sender, and
-    baselines arrive pre-measured instead of being calibrated in-band.
-    Doubles as the domain workload object (``done()`` / ``result()``).
+    :class:`~repro.load.engine.OpenLoopEngine` with what makes the
+    offered traffic a pure per-host function: only the domain's hosts
+    send, seeded from their global indices; serials are namespaced per
+    sender; baselines arrive pre-measured instead of being calibrated
+    in-band; and completions are kept as records for the coordinator to
+    merge, not folded into histograms here.  Doubles as the domain
+    workload object (``done()`` / ``result()``).
     """
 
     def __init__(
@@ -273,108 +210,57 @@ class ShardedOpenLoopEngine:
         response_size: int = DEFAULT_RESPONSE,
         max_drain: float = 0.5,
     ):
-        if not 0.0 < load < 1.0:
-            raise ValueError(f"load fraction {load} outside (0, 1)")
-        self.harness = harness
-        self.loop = harness.loop
+        # Not super().__init__: it would bind the LoadResult to
+        # ``self.result``, the name the workload protocol calls.
+        self._bind(harness, duration, seed, response_size, max_drain)
         self.plan = harness.plan
-        self.dist = distribution
-        self.load = load
-        self.duration = duration
-        self.seed = seed
-        self.baselines = dict(baselines)
-        self.response_size = max(response_size, MIN_MESSAGE)
-        self.max_drain = max_drain
-        mtu = self.plan.mtu
-        sizes = distribution.support()
-        if min(sizes) < MIN_MESSAGE:
-            raise ValueError(
-                f"distribution {distribution.name} has sizes below {MIN_MESSAGE} B"
-            )
-        if hasattr(distribution, "probabilities"):
-            mean_wire = sum(
-                wire_bytes(s, mtu) * p for s, p in distribution.probabilities()
-            )
-        else:
-            mean_wire = float(wire_bytes(int(distribution.mean()), mtu))
-        self.per_sender_rate = (
-            load * self.plan.bandwidth_bps / (8.0 * mean_wire)
-        )
-        self.issued = 0
-        self.completed = 0
-        self.failed = 0
-        self.integrity_errors = 0
-        self.achieved_bytes = 0
+        self.senders = harness.global_indices
+        self.num_hosts = harness.num_hosts
+        self.book = self._harness_stream(distribution, load).result
+        self.book.baseline_rtt.update(baselines)
+        self._sent = dict.fromkeys(self.senders, 0)
         #: ``(t_complete, src_global, serial, size, cross, slowdown)`` --
         #: the picklable evidence the coordinator merges canonically.
         self.completions: list[tuple] = []
-        obs = harness.domain.obs
-        self._hist = None if obs is None else obs.metrics.histogram("load.slowdown")
 
-    def start(self) -> None:
-        """Schedule every local sender's arrival process (call once)."""
-        for src_g in self.harness.global_indices:
-            self.loop.process(self._arrivals(src_g))
+    def _rack_of(self, index: int) -> int:
+        return self.plan.rack_of_index(index)
 
-    def _arrivals(self, src_g: int):
-        loop = self.loop
-        rng = random.Random(self.seed * 1_000_003 + src_g)
-        num_hosts = self.harness.num_hosts
-        k = 0
-        while True:
-            yield loop.timeout(rng.expovariate(self.per_sender_rate))
-            if loop.now >= self.duration:
-                return
-            dst = rng.randrange(num_hosts - 1)
-            if dst >= src_g:
-                dst += 1
-            size = self.dist.sample(rng)
-            k += 1
-            self.issued += 1
-            loop.process(self._one_rpc(src_g, dst, size, src_g * _SERIAL_STRIDE + k))
+    def _next_serial(self, src: int) -> int:
+        # Strided per sender, so a host's serials -- and the app threads
+        # they rotate over -- do not depend on how arrivals from other
+        # hosts, possibly in other domains, interleave with its own.
+        self._sent[src] += 1
+        return src * _SERIAL_STRIDE + self._sent[src]
 
-    def _one_rpc(self, src_g: int, dst_g: int, size: int, serial: int):
-        loop = self.loop
-        thread = self.harness.thread_for(src_g, serial)
-        request = build_request(serial, size, self.response_size)
-        t0 = loop.now
-        try:
-            response = yield from self.harness.call(src_g, dst_g, thread, request)
-        except ReproError:
-            self.failed += 1
-            return
-        rtt = loop.now - t0
-        if not verify_response(response, serial, self.response_size):
-            self.integrity_errors += 1
-        cross = self.plan.rack_of_index(src_g) != self.plan.rack_of_index(dst_g)
-        slowdown = rtt / self.baselines[(size, cross)]
-        self.completions.append((loop.now, src_g, serial, size, cross, slowdown))
-        self.achieved_bytes += size + self.response_size
-        self.completed += 1
-        if self._hist is not None:
-            self._hist.record(slowdown)
+    def _completed(self, stream, src, dst, size, serial, t0, slowdown):
+        self.completions.append(
+            (self.loop.now, src, serial, size, self._is_cross(src, dst), slowdown)
+        )
+        if self.bed.obs is not None:
+            # The registry's histogram; without one nobody reads it.
+            stream.result.slowdowns.record(slowdown)
 
     # -- workload protocol ---------------------------------------------------------
 
     def done(self) -> bool:
         now = self.loop.now
-        if now < self.duration:
+        if now < self.end_time:
             return False
-        if self.completed + self.failed >= self.issued:
-            return True
-        # Bounded drain, like the shared-loop engine: in-flight RPCs
-        # (including loss recovery) get max_drain seconds, then we stop
-        # and the stragglers count as neither completed nor failed.
-        return now >= self.duration + self.max_drain
+        # Bounded drain, like run(): in-flight RPCs (including loss
+        # recovery) get max_drain seconds, then we stop and the
+        # stragglers count as neither completed nor failed.
+        return not self._outstanding() or now >= self.end_time + self.max_drain
 
     def result(self) -> dict:
+        book = self.book
         return {
-            "issued": self.issued,
-            "completed": self.completed,
-            "failed": self.failed,
-            "integrity_errors": self.integrity_errors
+            "issued": book.issued,
+            "completed": book.completed,
+            "failed": book.failed,
+            "integrity_errors": book.integrity_errors
             + self.harness.server_integrity_errors,
-            "achieved_bytes": self.achieved_bytes,
+            "achieved_bytes": book.achieved_bytes,
             "requests_served": dict(self.harness.requests_served),
             "completions": list(self.completions),
         }
@@ -417,43 +303,25 @@ def measure_baselines(
 ) -> dict:
     """Unloaded best-case RTT per ``(size, cross_rack)`` for ``system``.
 
-    Measured on a pristine 2-rack x 2-host mini-cluster sharing the
-    target plan's link parameters -- unloaded RTT does not depend on the
-    cluster's size, and measuring outside the real run keeps the
-    denominators identical for every domain count.
+    The engine's own calibration, run on a pristine 2-rack x 2-host
+    one-domain mini-cluster sharing the target plan's link parameters --
+    unloaded RTT does not depend on the cluster's size, and measuring
+    outside the real run keeps the denominators identical for every
+    domain count.
     """
     mini = replace(
         plan, num_racks=2, hosts_per_rack=2, domains=1, observe=False,
         _domain_of_rack=(),
     )
-    domain = ShardDomain(mini, 0)
     harness = ShardedClusterHarness(
-        domain, system, config=config, num_server_threads=num_server_threads
+        ShardDomain(mini, 0), system, config=config,
+        num_server_threads=num_server_threads,
     )
-    loop = domain.loop
-    response_size = max(response_size, MIN_MESSAGE)
-    baselines: dict = {}
-
-    def body():
-        serial = 0
-        for cross, (src, dst) in ((False, (0, 1)), (True, (0, 2))):
-            for size in distribution.support():
-                serial += 1
-                request = build_request(serial, size, response_size)
-                thread = harness.thread_for(src, serial)
-                t0 = loop.now
-                response = yield from harness.call(src, dst, thread, request)
-                if not verify_response(response, serial, response_size):
-                    raise ReproError(f"baseline integrity failure at {size} B")
-                baselines[(size, cross)] = loop.now - t0
-
-    done = loop.process(body())
-    loop.run(until=loop.now + 2.0)
-    if not done.triggered:
-        raise ReproError("baseline calibration deadlocked")
-    if not done.ok:
-        raise done.value
-    return baselines
+    # Calibration offers no load; any valid fraction builds the engine.
+    engine = ShardedOpenLoopEngine(
+        harness, distribution, 0.5, 0.0, {}, response_size=response_size
+    )
+    return engine.calibrate()
 
 
 def merge_load_results(

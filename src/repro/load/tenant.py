@@ -1,17 +1,17 @@
 """Multi-tenant open-loop load over a :class:`TenantFabric`.
 
-The noisy-neighbor engine: each tenant offers its *own* Poisson
+:class:`TenantLoadEngine` is :class:`~repro.load.engine.OpenLoopEngine`
+with one arrival stream per tenant: each tenant offers its *own* Poisson
 open-loop load (its own target fraction of every host's uplink, its own
-size distribution, its own seeded arrival streams) over the shared
-fabric, and slowdowns aggregate per tenant.  The metric is the same as
-:mod:`repro.load.engine` — observed RTT over the unloaded best-case RTT
-for the same size and path class — so a victim tenant's p99 answers the
-question the paper's isolation argument poses: *how much slower is my
-tail because someone else is noisy?*
+size distribution, its own seeded arrival processes) over the shared
+fabric, and slowdowns aggregate per tenant.  Arrivals, the RPC-measure
+body, calibration and the drain are the engine's; this module only says
+what a tenant's stream is.  A victim tenant's p99 answers the question
+the paper's isolation argument poses: *how much slower is my tail
+because someone else is noisy?*
 
-Determinism: per-(tenant, sender) ``random.Random`` streams seeded from
-(engine seed, tenant id, sender index) drive gaps, destinations and
-sizes, so a (fabric, workloads, seed) tuple replays the identical
+Determinism: the stream salt puts the tenant id into every sender's RNG
+seed, so a (fabric, workloads, seed) tuple replays the identical
 packet-level run with isolation on or off — the bench's strict
 victim-p99 comparison depends on both runs sampling identical arrivals.
 
@@ -23,15 +23,14 @@ cost the isolation tradeoff table reports.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.load.cluster import MIN_MESSAGE, build_request, verify_response
+from repro.load.cluster import MIN_MESSAGE
 from repro.load.distributions import SizeDistribution
-from repro.load.engine import DEFAULT_RESPONSE, LoadResult, wire_bytes
-from repro.sim.trace import Histogram
+from repro.load.engine import DEFAULT_RESPONSE, LoadResult, OpenLoopEngine, Stream
 
 if TYPE_CHECKING:  # annotation-only: repro.tenancy imports this package
     from repro.tenancy.harness import TenantFabric
@@ -50,9 +49,13 @@ class TenantWorkload:
     def __post_init__(self):
         if not 0.0 < self.load < 1.0:
             raise ReproError(f"load fraction {self.load} outside (0, 1)")
+        # The engine checks both again for every stream (ValueError); a
+        # workload is rejected here, as ReproError, before a fabric exists.
+        if min(self.distribution.support()) < MIN_MESSAGE:
+            raise ReproError(f"{self.tenant.name}: sizes below {MIN_MESSAGE} B")
 
 
-class TenantLoadEngine:
+class TenantLoadEngine(OpenLoopEngine):
     """Drive every tenant's open-loop arrivals over one shared fabric."""
 
     def __init__(
@@ -66,190 +69,29 @@ class TenantLoadEngine:
     ):
         if not workloads:
             raise ReproError("need at least one tenant workload")
+        self._bind(fabric, duration, seed, response_size, max_drain)
         self.fabric = fabric
-        self.bed = fabric.bed
         self.workloads = workloads
-        self.duration = duration
-        self.seed = seed
-        self.response_size = max(response_size, MIN_MESSAGE)
-        self.max_drain = max_drain
-        mtu = self.bed.fabric.mtu
-        obs = self.bed.obs
         self.results: dict[str, LoadResult] = {}
-        self._rates: dict[str, float] = {}
         for w in workloads:
-            sizes = w.distribution.support()
-            if min(sizes) < MIN_MESSAGE:
-                raise ReproError(
-                    f"{w.tenant.name}: sizes below {MIN_MESSAGE} B"
-                )
-            if hasattr(w.distribution, "probabilities"):
-                mean_wire = sum(
-                    wire_bytes(s, mtu) * p
-                    for s, p in w.distribution.probabilities()
-                )
-            else:
-                mean_wire = float(wire_bytes(int(w.distribution.mean()), mtu))
-            self._rates[w.tenant.name] = (
-                w.load * self.bed.fabric.bandwidth / (8.0 * mean_wire)
-            )
-            if obs is not None:
-                hist = obs.metrics.histogram(f"tenant.{w.tenant.name}.slowdown")
-            else:
-                hist = Histogram(f"tenant.{w.tenant.name}.slowdown")
-            self.results[w.tenant.name] = LoadResult(
-                system=w.tenant.name, load=w.load, duration=duration,
-                slowdowns=hist,
-            )
-        self._serial = 0
-        self._cross_of: dict[tuple[int, int], bool] = {}
+            self.results[w.tenant.name] = self._tenant_stream(w).result
 
-    # -- calibration --------------------------------------------------------------
+    def _tenant_stream(self, w: TenantWorkload) -> Stream:
+        fabric, tenant, name = self.fabric, w.tenant, w.tenant.name
 
-    def _pick_pairs(self) -> dict[bool, tuple[int, int]]:
-        """A representative (src, dst) host-index pair per path class."""
-        fabric = self.bed.fabric
-        racks: dict[int, list[int]] = {}
-        for idx, host in enumerate(self.fabric.hosts):
-            racks.setdefault(fabric.rack_of(host.addr), []).append(idx)
-        pairs: dict[bool, tuple[int, int]] = {}
-        ordered = sorted(racks)
-        first = racks[ordered[0]]
-        if len(first) >= 2:
-            pairs[False] = (first[0], first[1])
-        if len(ordered) >= 2:
-            pairs[True] = (first[0], racks[ordered[1]][0])
-        if not pairs:
-            raise ReproError("fabric too small: need 2 hosts")
-        return pairs
+        def call(src, dst, thread, request, **kw):
+            return fabric.call(name, src, dst, thread, request, **kw)
 
-    def calibrate(self) -> None:
-        """Unloaded best-case RTT per (tenant, size, path class), unshaped."""
-        pairs = self._pick_pairs()
-        loop = self.bed.loop
-
-        def body():
-            for w in self.workloads:
-                result = self.results[w.tenant.name]
-                for cross, (src, dst) in sorted(pairs.items()):
-                    for size in w.distribution.support():
-                        serial = self._next_serial()
-                        request = build_request(serial, size, self.response_size)
-                        thread = self.fabric.thread_for(w.tenant, src, serial)
-                        t0 = loop.now
-                        response = yield from self.fabric.call(
-                            w.tenant.name, src, dst, thread, request,
-                            shaped=False,
-                        )
-                        if not verify_response(
-                            response, serial, self.response_size
-                        ):
-                            raise ReproError(
-                                f"{w.tenant.name}: calibration integrity "
-                                f"failure at {size} B"
-                            )
-                        result.baseline_rtt[(size, cross)] = loop.now - t0
-
-        done = loop.process(body())
-        self.bed.run(until=loop.now + 2.0)
-        if not done.triggered:
-            raise ReproError("baseline calibration deadlocked")
-        if not done.ok:
-            raise done.value
-        for result in self.results.values():
-            measured = {cross for _, cross in result.baseline_rtt}
-            if False not in measured:
-                for (size, cross), rtt in list(result.baseline_rtt.items()):
-                    if cross:
-                        result.baseline_rtt[(size, False)] = rtt
-            if True not in measured:
-                for (size, cross), rtt in list(result.baseline_rtt.items()):
-                    if not cross:
-                        result.baseline_rtt[(size, True)] = rtt
-
-    # -- the loaded run -----------------------------------------------------------
-
-    def _next_serial(self) -> int:
-        self._serial += 1
-        return self._serial
-
-    def _is_cross(self, src: int, dst: int) -> bool:
-        cached = self._cross_of.get((src, dst))
-        if cached is None:
-            fabric = self.bed.fabric
-            cached = fabric.rack_of(
-                self.fabric.hosts[src].addr
-            ) != fabric.rack_of(self.fabric.hosts[dst].addr)
-            self._cross_of[(src, dst)] = cached
-        return cached
-
-    def _one_rpc(self, w: TenantWorkload, src: int, dst: int, size: int,
-                 serial: int):
-        loop = self.bed.loop
-        result = self.results[w.tenant.name]
-        thread = self.fabric.thread_for(w.tenant, src, serial)
-        request = build_request(serial, size, self.response_size)
-        t0 = loop.now
-        try:
-            response = yield from self.fabric.call(
-                w.tenant.name, src, dst, thread, request
-            )
-        except ReproError:
-            result.failed += 1
-            return
-        rtt = loop.now - t0
-        if not verify_response(response, serial, self.response_size):
-            result.integrity_errors += 1
-        base = result.baseline_rtt[(size, self._is_cross(src, dst))]
-        slowdown = rtt / base
-        result.slowdowns.record(slowdown)
-        result.per_size.setdefault(size, Histogram()).record(slowdown)
-        result.achieved_bytes += size + self.response_size
-        result.completed += 1
-
-    def _arrivals(self, w: TenantWorkload, src: int, end_time: float):
-        loop = self.bed.loop
-        rng = random.Random(
-            self.seed * 1_000_003 + w.tenant.tid * 131_071 + src
+        return self._add_stream(
+            name, w.distribution, w.load, tenant.tid * 131_071,
+            f"tenant.{name}.slowdown",
+            call=call,
+            idle_call=partial(call, shaped=False),
+            thread_for=lambda src, serial: fabric.thread_for(tenant, src, serial),
+            server_errors=lambda: fabric.server_integrity_errors[name],
         )
-        rate = self._rates[w.tenant.name]
-        num_hosts = len(self.fabric.hosts)
-        result = self.results[w.tenant.name]
-        while True:
-            yield loop.timeout(rng.expovariate(rate))
-            if loop.now >= end_time:
-                return
-            dst = rng.randrange(num_hosts - 1)
-            if dst >= src:
-                dst += 1
-            size = w.distribution.sample(rng)
-            serial = self._next_serial()
-            result.issued += 1
-            loop.process(self._one_rpc(w, src, dst, size, serial))
 
     def run(self) -> dict[str, LoadResult]:
         """Calibrate, run every tenant's arrivals, drain, report."""
-        if not all(r.baseline_rtt for r in self.results.values()):
-            self.calibrate()
-        loop = self.bed.loop
-        end_time = loop.now + self.duration
-        for w in self.workloads:
-            for src in range(len(self.fabric.hosts)):
-                loop.process(self._arrivals(w, src, end_time))
-        self.bed.run(until=end_time)
-        deadline = end_time + self.max_drain
-
-        def outstanding() -> bool:
-            return any(
-                r.completed + r.failed < r.issued for r in self.results.values()
-            )
-
-        while loop.now < deadline and outstanding():
-            self.bed.run(until=min(deadline, loop.now + 0.01))
-        for w in self.workloads:
-            result = self.results[w.tenant.name]
-            result.integrity_errors += self.fabric.server_integrity_errors[
-                w.tenant.name
-            ]
-            result.spine_spread = self.bed.fabric.spine_spread()
+        self._drive()
         return self.results

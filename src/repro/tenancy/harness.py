@@ -42,11 +42,9 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.core.codec import SmtCodec
-from repro.core.session import SmtSession
 from repro.ctrl.partition import PartitionedKeyPool, PartitionedSessionTable
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.homa.codec import packets_per_segment_for
-from repro.load.cluster import LOAD_AEAD, handle_request
+from repro.load.cluster import handle_request, smt_codec_provider
 from repro.load.engine import wire_bytes
 from repro.net.headers import PROTO_SMT
 from repro.tenancy.bulkhead import WeightedBulkhead
@@ -209,29 +207,24 @@ class TenantFabric:
     # -- codecs / sessions -----------------------------------------------------
 
     def _codec_provider(self, tenant: Tenant, h: int, host, codecs: dict):
-        pps = packets_per_segment_for(host.nic.tso_mode)
+        """The load mesh's per-peer codec cache, keyed per tenant, with
+        every codec it builds registered in the host's session table."""
+        name = tenant.name
+
+        def keys_for(addr: int) -> tuple[TrafficKeys, TrafficKeys]:
+            mine = self._shares[(h, name)]
+            theirs = self._shares[(self._index_of[addr], name)]
+            return (
+                tenant_pair_keys(tenant.tid, host.addr, addr, mine, theirs),
+                tenant_pair_keys(tenant.tid, addr, host.addr, theirs, mine),
+            )
+
+        build = smt_codec_provider(host, codecs, keys_for)
 
         def provider(addr: int, port: int) -> SmtCodec:
             codec = codecs.get(addr)
             if codec is None:
-                peer = self._index_of[addr]
-                tx = tenant_pair_keys(
-                    tenant.tid, host.addr, addr,
-                    self._shares[(h, tenant.name)],
-                    self._shares[(peer, tenant.name)],
-                )
-                rx = tenant_pair_keys(
-                    tenant.tid, addr, host.addr,
-                    self._shares[(peer, tenant.name)],
-                    self._shares[(h, tenant.name)],
-                )
-                codec = SmtCodec(
-                    SmtSession(tx, rx, aead_kind=LOAD_AEAD),
-                    host.costs,
-                    host.nic.num_queues,
-                    packets_per_segment=pps,
-                )
-                codecs[addr] = codec
+                codec = build(addr, port)
                 self._register_session(tenant, h, addr, codecs)
             return codec
 

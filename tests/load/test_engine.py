@@ -3,6 +3,7 @@
 import pytest
 
 from repro.load import ClusterHarness, FixedSize, HOMA_W4, OpenLoopEngine, wire_bytes
+from repro.load.engine import offered_rate
 from repro.net.headers import HEADERS_SIZE
 from repro.testbed import ClosTestbed
 
@@ -25,6 +26,38 @@ class TestWireBytes:
         mss = 1500 - HEADERS_SIZE
         size = 3 * mss + 1  # spills into a fourth packet
         assert wire_bytes(size, mtu=1500) == size + 4 * HEADERS_SIZE
+
+
+class TestOfferedRate:
+    """The one rate computation equals, bit for bit, the expression every
+    engine used to spell out (``==``, not ``approx``: the rate seeds every
+    inter-arrival gap, so one ulp would move every virtual-time number)."""
+
+    LOAD, BANDWIDTH, MTU = 0.5, 100e9, 1500
+
+    def test_cdf_distribution(self):
+        mean_wire = sum(
+            wire_bytes(s, self.MTU) * p for s, p in HOMA_W4.probabilities()
+        )
+        assert offered_rate(HOMA_W4, self.LOAD, self.BANDWIDTH, self.MTU) == (
+            self.LOAD * self.BANDWIDTH / (8.0 * mean_wire)
+        )
+
+    def test_fixed_size_matches_the_old_mean_branch(self):
+        # FixedSize had no probabilities() and took the engines' else
+        # branch: the wire bytes of the integer mean, as a float.
+        dist = FixedSize(4096)
+        mean_wire = float(wire_bytes(int(dist.mean()), self.MTU))
+        assert offered_rate(dist, self.LOAD, self.BANDWIDTH, self.MTU) == (
+            self.LOAD * self.BANDWIDTH / (8.0 * mean_wire)
+        )
+
+    def test_engine_streams_use_it(self):
+        engine = _engine(load=0.2)
+        fabric = engine.bed.fabric
+        assert engine.streams[0].rate == offered_rate(
+            FixedSize(16384), 0.2, fabric.bandwidth, fabric.mtu
+        )
 
 
 class TestValidation:
