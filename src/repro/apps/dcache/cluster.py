@@ -28,11 +28,9 @@ from repro.apps.dcache.protocol import (
     decode_reply,
     encode_request,
 )
-from repro.core.codec import SmtCodec
-from repro.core.session import SmtSession
 from repro.errors import ProtocolError, ReproError
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.homa.codec import packets_per_segment_for
+from repro.load.cluster import smt_codec_provider
 from repro.net.headers import PROTO_SMT
 from repro.testbed import ClosTestbed
 from repro.tls.keyschedule import TrafficKeys
@@ -40,7 +38,6 @@ from repro.tls.keyschedule import TrafficKeys
 CACHE_PORT = 7200
 ORIGIN_PORT = 7300
 CLIENT_PORT = 7400
-DCACHE_AEAD = "fast"
 
 
 def shard_of(key: bytes, num_shards: int) -> int:
@@ -159,28 +156,14 @@ class DCacheCluster:
             loop.process(node.flusher(host.app_thread(1)))
 
     def _make_socket(self, host_index: int, port: int) -> HomaSocket:
-        transport = self._transports[host_index]
         host = self.hosts[host_index]
-        pps = packets_per_segment_for(host.nic.tso_mode)
-        codecs: dict[int, SmtCodec] = {}
-
-        def provider(addr, port_, host=host, codecs=codecs, pps=pps):
-            codec = codecs.get(addr)
-            if codec is None:
-                codec = SmtCodec(
-                    SmtSession(
-                        _pair_keys(host.addr, addr),
-                        _pair_keys(addr, host.addr),
-                        aead_kind=DCACHE_AEAD,
-                    ),
-                    host.costs,
-                    host.nic.num_queues,
-                    packets_per_segment=pps,
-                )
-                codecs[addr] = codec
-            return codec
-
-        return HomaSocket(transport, port, codec_provider=provider)
+        provider = smt_codec_provider(
+            host, {},
+            lambda addr: (_pair_keys(host.addr, addr), _pair_keys(addr, host.addr)),
+        )
+        return HomaSocket(
+            self._transports[host_index], port, codec_provider=provider
+        )
 
     def _client_socket(self, host_index: int) -> HomaSocket:
         sock = self._client_socks.get(host_index)

@@ -105,7 +105,7 @@ class ControlPlane:
         # resyncs it -- the ticket-portability gap the frontend measures.
         self.zero_rtt = None
         host.ctrl = self
-        obs = getattr(self.loop, "obs", None)
+        obs = self.loop.obs
         if obs is not None:
             self.bind_obs(obs)
 

@@ -70,7 +70,7 @@ class InternalDns:
         to the synchronous prefetched-ticket path.
         """
         if self.lookup_latency > 0:
-            obs = getattr(loop, "obs", None)
+            obs = loop.obs
             span = None
             if obs is not None:
                 span = obs.tracer.begin("dns", "dns.lookup", record=name)

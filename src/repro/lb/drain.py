@@ -40,7 +40,7 @@ class ConnectionDrainer:
         """
         fe = self.frontend
         fe.mark_draining(rid)
-        obs = getattr(self.loop, "obs", None)
+        obs = self.loop.obs
         span = None
         if obs is not None:
             span = obs.tracer.begin(

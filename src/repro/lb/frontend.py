@@ -146,7 +146,7 @@ class ServiceFrontend:
         """
         c = self.counters
         c.opens += 1
-        obs = getattr(self.loop, "obs", None)
+        obs = self.loop.obs
         # Membership through DNS, with graceful degradation to the last
         # locally-known snapshot when the record raced its TTL.
         try:

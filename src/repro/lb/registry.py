@@ -88,7 +88,7 @@ class ServiceRegistry:
         self._healthy[rid] = up
         self.membership_changes += 1
         self.log.append((self.loop.now, "up" if up else "down", rid))
-        obs = getattr(self.loop, "obs", None)
+        obs = self.loop.obs
         if up:
             self._close_down_span(rid)
         elif obs is not None:

@@ -12,19 +12,28 @@ spine switches:
   link (own serialisation, like a NIC cable);
 - every leaf has one *trunk* port up to each spine, and every spine one
   trunk down to each leaf — trunks are ordinary switch egress ports, so
-  strict-priority queues, bounded buffers and NDP trimming apply at
-  every hop;
+  strict-priority queues and bounded buffers apply at every hop, and
+  NDP trimming does too when the bed enables it (``trimming=True``;
+  off by default, so an overflowing port drops);
 - leaves route intra-rack traffic straight to the destination port and
   spread cross-rack traffic over the spines by hashing the flow 5-tuple
   (ECMP).  The hash is a pure function of the flow and the fabric's
   ``ecmp_salt``, so every packet of a flow rides one spine — no
   cross-path reordering can break SMT's composite-seqno record
   reassembly — and the whole spread is replayable.
+
+The same class is one time domain's slice of a sharded cluster
+(``repro.sim.shard``): built over a rack subset and then :meth:`cut
+<ClosFabric.cut>`.  The fabric decomposes exactly along rack lines —
+contention happens only at egress ports, and a spine's egress port
+toward rack ``r`` carries *only* rack-``r`` traffic, so a per-domain
+shard of every spine holding just the local racks' down-trunks behaves
+identically to the shared switch.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.net.addressing import FlowTuple
@@ -54,8 +63,17 @@ def ecmp_hash(packet: Packet, salt: int = 0) -> int:
     return h
 
 
+#: Boundary emit callback: (dest_domain, spine, packet, departure, arrival).
+ShardEmit = Callable[[int, int, Packet, float, float], None]
+
+
 class ClosFabric:
-    """``num_racks`` leaves x ``num_spines`` spines, ECMP across spines."""
+    """``num_racks`` leaves x ``num_spines`` spines, ECMP across spines.
+
+    ``racks`` builds only that subset of the leaves (and, on every spine,
+    only the down-trunks toward them): one time domain's slice, which
+    must then be :meth:`cut`.
+    """
 
     def __init__(
         self,
@@ -71,9 +89,13 @@ class ClosFabric:
         trunk_buffer_bytes: Optional[int] = None,
         trimming: bool = False,
         ecmp_salt: int = 0,
+        racks: Optional[Sequence[int]] = None,
     ):
         if num_racks < 1 or num_spines < 1:
             raise SimulationError("a Clos fabric needs >= 1 rack and >= 1 spine")
+        racks = range(num_racks) if racks is None else racks
+        if not racks or not all(0 <= r < num_racks for r in racks):
+            raise SimulationError(f"racks {list(racks)} not within {num_racks}")
         self.loop = loop
         self.num_racks = num_racks
         self.num_spines = num_spines
@@ -88,13 +110,14 @@ class ClosFabric:
         trunk_buffer = (
             trunk_buffer_bytes if trunk_buffer_bytes is not None else buffer_bytes
         )
-        self.leaves = [
-            Switch(
+        #: Leaf switch per rack built here (all of them unless ``racks``).
+        self.leaves = {
+            rack: Switch(
                 loop, bandwidth_bps=bandwidth_bps, delay=host_link_delay,
                 buffer_bytes=buffer_bytes, trimming=trimming,
             )
-            for _ in range(num_racks)
-        ]
+            for rack in racks
+        }
         self.spines = [
             Switch(
                 loop, bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
@@ -102,8 +125,8 @@ class ClosFabric:
             )
             for _ in range(num_spines)
         ]
-        # Packets each leaf steered up to each spine: [rack][spine].
-        self.spine_packets = [[0] * num_spines for _ in range(num_racks)]
+        # Packets each leaf steered up to each spine: {rack: [spine]}.
+        self.spine_packets = {rack: [0] * num_spines for rack in racks}
         # Failure-domain state: which spines/leaves are alive, and which
         # spines the leaves' ECMP tables currently hash over.  The two are
         # distinct on purpose -- between a spine dying and the fabric
@@ -113,9 +136,10 @@ class ClosFabric:
         self._leaf_up = [True] * num_racks
         self._routing_spines: tuple[int, ...] = tuple(range(num_spines))
         self.reconvergences = 0
+        self._cut = False
         self._rack_of: dict[int, int] = {}
         self._ports: dict[int, FabricPort] = {}
-        for rack, leaf in enumerate(self.leaves):
+        for rack, leaf in self.leaves.items():
             for s, spine in enumerate(self.spines):
                 leaf.add_trunk(
                     f"spine{s}", spine.inject,
@@ -135,13 +159,13 @@ class ClosFabric:
 
     def attach_host(self, rack: int, addr: int) -> FabricPort:
         """Register ``addr`` in ``rack``; returns its NIC-facing access port."""
-        if not 0 <= rack < self.num_racks:
+        leaf = self.leaves.get(rack)
+        if leaf is None:
             raise SimulationError(f"rack {rack} out of range")
-        if addr in self._rack_of:
+        if addr in self._ports:
             raise SimulationError(f"address {addr} already attached")
         self._rack_of[addr] = rack
-        port = FabricPort(self, addr, switch=self.leaves[rack])
-        self._ports[addr] = port
+        port = self._ports[addr] = FabricPort(self, addr, switch=leaf)
         return port
 
     def port(self, addr: int) -> FabricPort:
@@ -163,13 +187,13 @@ class ClosFabric:
         """Kill one spine switch.  Leaves keep hashing flows to it until
         :meth:`reconverge` updates their ECMP tables -- the in-between
         packets blackhole at the dead switch (counted in its totals)."""
-        self._check_spine(spine)
+        self._check_domain("spine", spine, self.num_spines)
         self._spine_up[spine] = False
         self.spines[spine].set_down(True)
 
     def restore_spine(self, spine: int) -> None:
         """Revive a spine; call :meth:`reconverge` to route over it again."""
-        self._check_spine(spine)
+        self._check_domain("spine", spine, self.num_spines)
         self._spine_up[spine] = True
         self.spines[spine].set_down(False)
 
@@ -177,12 +201,12 @@ class ClosFabric:
         """Kill a rack's leaf: total blackout for every host behind it,
         in both directions (hosts inject into a dead switch; spines trunk
         into it)."""
-        self._check_rack(rack)
+        self._check_domain("rack", rack, self.num_racks)
         self._leaf_up[rack] = False
         self.leaves[rack].set_down(True)
 
     def restore_leaf(self, rack: int) -> None:
-        self._check_rack(rack)
+        self._check_domain("rack", rack, self.num_racks)
         self._leaf_up[rack] = True
         self.leaves[rack].set_down(False)
 
@@ -197,7 +221,8 @@ class ClosFabric:
         does).  An explicit ``salt`` additionally re-salts the hash,
         reshuffling all flows.  Returns the new routing set.
         """
-        live = tuple(s for s in range(self.num_spines) if self._spine_up[s])
+        self._require_uncut()
+        live = self.live_spines()
         if not live:
             raise SimulationError("cannot reconverge: no live spines")
         if salt is not None:
@@ -215,11 +240,11 @@ class ClosFabric:
         return self._routing_spines
 
     def spine_up(self, spine: int) -> bool:
-        self._check_spine(spine)
+        self._check_domain("spine", spine, self.num_spines)
         return self._spine_up[spine]
 
     def leaf_up(self, rack: int) -> bool:
-        self._check_rack(rack)
+        self._check_domain("rack", rack, self.num_racks)
         return self._leaf_up[rack]
 
     def spine_for(self, packet: Packet) -> int:
@@ -227,13 +252,66 @@ class ClosFabric:
         spines = self._routing_spines
         return spines[ecmp_hash(packet, self.ecmp_salt) % len(spines)]
 
-    def _check_spine(self, spine: int) -> None:
-        if not 0 <= spine < self.num_spines:
-            raise SimulationError(f"spine {spine} out of range")
+    def _require_uncut(self) -> None:
+        if self._cut:
+            # A slice holds one shard of each spine and some of the
+            # leaves: killing "the switch" here would kill a fraction of it.
+            raise SimulationError(
+                "failure domains need the whole fabric on one loop; "
+                "this one is cut into time domains"
+            )
 
-    def _check_rack(self, rack: int) -> None:
-        if not 0 <= rack < self.num_racks:
-            raise SimulationError(f"rack {rack} out of range")
+    def _check_domain(self, kind: str, index: int, count: int) -> None:
+        self._require_uncut()
+        if not 0 <= index < count:
+            raise SimulationError(f"{kind} {index} out of range")
+
+    # -- time-domain boundary (repro.sim.shard) -------------------------------------
+
+    def cut(
+        self,
+        domain: int,
+        domain_of_rack: Sequence[int],
+        rack_of_addr: dict[int, int],
+        emit: ShardEmit,
+    ) -> None:
+        """Make this fabric time domain ``domain``'s slice of the cluster.
+
+        The cut runs through every leaf up-trunk at serialisation end:
+        the trunk's propagation delay happens in the destination domain,
+        which makes ``trunk_delay`` the synchronization lookahead.
+        ``rack_of_addr`` is the cluster-wide address map (leaves route to
+        racks built in other domains); a packet bound for one of those
+        leaves through ``emit`` and reaches the far spine shard through
+        that fabric's :meth:`deliver`.  Every float the schedule sees
+        (departure, arrival, queueing) comes from the same expressions as
+        on an uncut fabric, and one ``call_later`` becomes one
+        ``call_at``, so an N-domain run replays the 1-domain event times
+        and event count bit for bit.
+        """
+        self._cut = True
+        self._rack_of = rack_of_addr
+        loop = self.loop
+
+        def uplink_sender(spine: int):
+            inject = self.spines[spine].inject
+
+            def sender(packet: Packet, arrival: float) -> None:
+                dest = domain_of_rack[rack_of_addr[packet.ip.dst_addr]]
+                if dest == domain:
+                    loop.call_at(arrival, inject, packet)
+                else:
+                    emit(dest, spine, packet, loop.now, arrival)
+
+            return sender
+
+        for leaf in self.leaves.values():
+            for spine in range(self.num_spines):
+                leaf.set_trunk_boundary(f"spine{spine}", uplink_sender(spine))
+
+    def deliver(self, spine: int, packet: Packet, arrival: float) -> None:
+        """Inject a packet another domain emitted into the local spine shard."""
+        self.loop.call_at(arrival, self.spines[spine].inject, packet)
 
     # -- routing ------------------------------------------------------------------
 
@@ -256,200 +334,21 @@ class ClosFabric:
     # -- accounting ---------------------------------------------------------------
 
     def spine_spread(self) -> list[int]:
-        """Upward packets per spine, summed over all leaves."""
+        """Upward packets per spine, summed over the leaves built here."""
         return [
-            sum(per_rack[s] for per_rack in self.spine_packets)
+            sum(per_rack[s] for per_rack in self.spine_packets.values())
             for s in range(self.num_spines)
         ]
 
     def stats(self) -> dict:
         """Aggregated fabric counters (drops/trims per tier + ECMP spread)."""
-        leaf = {"dropped": 0, "trimmed": 0, "queued": 0, "blackholed": 0}
-        for sw in self.leaves:
-            for field, value in sw.totals().items():
-                leaf[field] += value
-        spine = {"dropped": 0, "trimmed": 0, "queued": 0, "blackholed": 0}
-        for sw in self.spines:
-            for field, value in sw.totals().items():
-                spine[field] += value
-        return {"leaf": leaf, "spine": spine, "spine_spread": self.spine_spread()}
-
-
-#: Boundary emit callback: (dest_domain, spine, packet, departure, arrival).
-ShardEmit = Callable[[int, int, Packet, float, float], None]
-
-
-class ShardClosFabric:
-    """One time domain's slice of a leaf-spine fabric (``repro.sim.shard``).
-
-    The full Clos fabric decomposes exactly along rack lines: contention
-    happens only at egress ports, and a spine's egress port toward rack
-    ``r`` carries *only* rack-``r`` traffic, so replicating each spine as
-    one shard per domain (holding just the local racks' down-trunks) is
-    behaviourally identical to the shared switch.  The cut runs through
-    the leaf up-trunk at serialisation end: the trunk's propagation delay
-    happens in the destination domain, which makes ``trunk_delay`` the
-    synchronization lookahead.  Every float the schedule sees (departure,
-    arrival, queueing) is computed by the same expressions as in
-    :class:`ClosFabric`, so an N-domain run replays the 1-domain event
-    times bit for bit.
-
-    Failure domains are not supported on a sharded fabric (the incident
-    scenarios run on the single-loop :class:`ClosFabric`).
-    """
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        domain: int,
-        local_racks: list[int],
-        domain_of_rack: list[int],
-        rack_of_addr: dict[int, int],
-        num_spines: int,
-        emit: ShardEmit,
-        bandwidth_bps: float = 100 * GBPS,
-        trunk_bandwidth_bps: Optional[float] = None,
-        host_link_delay: float = 0.5e-6,
-        trunk_delay: float = 0.5e-6,
-        mtu: int = 1500,
-        buffer_bytes: int = 128 * 1024,
-        trunk_buffer_bytes: Optional[int] = None,
-        trimming: bool = False,
-        ecmp_salt: int = 0,
-    ):
-        if not local_racks:
-            raise SimulationError("a shard fabric needs >= 1 local rack")
-        self.loop = loop
-        self.domain = domain
-        self.local_racks = list(local_racks)
-        self.num_spines = num_spines
-        self.bandwidth = bandwidth_bps
-        self.trunk_bandwidth = (
-            trunk_bandwidth_bps if trunk_bandwidth_bps is not None else bandwidth_bps
-        )
-        self.host_link_delay = host_link_delay
-        self.trunk_delay = trunk_delay
-        self.mtu = mtu
-        self.ecmp_salt = ecmp_salt
-        self._domain_of_rack = domain_of_rack
-        self._rack_of = rack_of_addr
-        self._emit = emit
-        trunk_buffer = (
-            trunk_buffer_bytes if trunk_buffer_bytes is not None else buffer_bytes
-        )
-        self.leaves: dict[int, Switch] = {
-            rack: Switch(
-                loop, bandwidth_bps=bandwidth_bps, delay=host_link_delay,
-                buffer_bytes=buffer_bytes, trimming=trimming,
+        out: dict = {}
+        for tier, switches in (("leaf", self.leaves.values()), ("spine", self.spines)):
+            total = out[tier] = dict.fromkeys(
+                ("dropped", "trimmed", "queued", "blackholed"), 0
             )
-            for rack in self.local_racks
-        }
-        self.spine_shards = [
-            Switch(
-                loop, bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
-                buffer_bytes=trunk_buffer, trimming=trimming,
-            )
-            for _ in range(num_spines)
-        ]
-        # Packets each local leaf steered up to each spine: {rack: [spine]}.
-        self.spine_packets: dict[int, list[int]] = {
-            rack: [0] * num_spines for rack in self.local_racks
-        }
-        self._ports: dict[int, FabricPort] = {}
-        for rack, leaf in self.leaves.items():
-            for s, shard in enumerate(self.spine_shards):
-                leaf.add_trunk(
-                    f"spine{s}", shard.inject,
-                    bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
-                    buffer_bytes=trunk_buffer,
-                )
-                leaf.set_trunk_boundary(f"spine{s}", self._uplink_sender(s))
-                shard.add_trunk(
-                    f"rack{rack}", leaf.inject,
-                    bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
-                    buffer_bytes=trunk_buffer,
-                )
-            leaf.set_router(self._leaf_router(rack))
-        for shard in self.spine_shards:
-            shard.set_router(self._spine_router)
-
-    # -- topology ----------------------------------------------------------------
-
-    def attach_host(self, rack: int, addr: int) -> FabricPort:
-        """Register ``addr`` in local ``rack``; returns its access port."""
-        leaf = self.leaves.get(rack)
-        if leaf is None:
-            raise SimulationError(f"rack {rack} not in domain {self.domain}")
-        if addr in self._ports:
-            raise SimulationError(f"address {addr} already attached")
-        port = FabricPort(self, addr, switch=leaf)
-        self._ports[addr] = port
-        return port
-
-    def port(self, addr: int) -> FabricPort:
-        port = self._ports.get(addr)
-        if port is None:
-            raise SimulationError(f"address {addr} not attached")
-        return port
-
-    def rack_of(self, addr: int) -> int:
-        rack = self._rack_of.get(addr)
-        if rack is None:
-            raise SimulationError(f"no rack for destination {addr}")
-        return rack
-
-    # -- boundary ----------------------------------------------------------------
-
-    def _uplink_sender(self, spine: int):
-        def sender(packet: Packet, arrival: float) -> None:
-            dest = self._domain_of_rack[self.rack_of(packet.ip.dst_addr)]
-            if dest == self.domain:
-                # Same domain: deliver exactly as call_later(delay) would
-                # have -- arrival is the identical float, scheduled from
-                # the identical event.
-                self.loop.call_at(arrival, self.spine_shards[spine].inject, packet)
-            else:
-                self._emit(dest, spine, packet, self.loop.now, arrival)
-
-        return sender
-
-    def deliver(self, spine: int, packet: Packet, arrival: float) -> None:
-        """Inject a cross-domain packet into the local spine shard."""
-        self.loop.call_at(arrival, self.spine_shards[spine].inject, packet)
-
-    # -- routing ------------------------------------------------------------------
-
-    def _leaf_router(self, rack: int):
-        def route(packet: Packet) -> PortKey:
-            dst = packet.ip.dst_addr
-            if self.rack_of(dst) == rack:
-                return dst
-            spine = ecmp_hash(packet, self.ecmp_salt) % self.num_spines
-            self.spine_packets[rack][spine] += 1
-            return f"spine{spine}"
-
-        return route
-
-    def _spine_router(self, packet: Packet) -> PortKey:
-        return f"rack{self.rack_of(packet.ip.dst_addr)}"
-
-    # -- accounting ---------------------------------------------------------------
-
-    def spine_spread(self) -> list[int]:
-        """Upward packets per spine, summed over the *local* leaves."""
-        return [
-            sum(row[s] for row in self.spine_packets.values())
-            for s in range(self.num_spines)
-        ]
-
-    def stats(self) -> dict:
-        """Local-tier counters, same shape as :meth:`ClosFabric.stats`."""
-        leaf = {"dropped": 0, "trimmed": 0, "queued": 0, "blackholed": 0}
-        for sw in self.leaves.values():
-            for field, value in sw.totals().items():
-                leaf[field] += value
-        spine = {"dropped": 0, "trimmed": 0, "queued": 0, "blackholed": 0}
-        for sw in self.spine_shards:
-            for field, value in sw.totals().items():
-                spine[field] += value
-        return {"leaf": leaf, "spine": spine, "spine_spread": self.spine_spread()}
+            for sw in switches:
+                for field, value in sw.totals().items():
+                    total[field] += value
+        out["spine_spread"] = self.spine_spread()
+        return out

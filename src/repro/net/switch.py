@@ -13,7 +13,8 @@ named by string rather than bound to one destination address, feeding
 another switch's ``inject`` — and a pluggable *router* that maps each
 packet to the port key it should leave through (per-destination by
 default).  Trunks reuse the exact same ``_Port`` machinery, so strict
-priorities, bounded buffers and trimming apply at every hop.
+priorities and bounded buffers apply at every hop -- and trimming too,
+when the bed enables it (``trimming=True``; the default is to drop).
 """
 
 from __future__ import annotations

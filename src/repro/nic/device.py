@@ -143,14 +143,7 @@ class Nic:
         self.link.send(self.side, packet)
 
     def _wire_tx_burst(self, packets: list[Packet]) -> None:
-        link = self.link
-        send_burst = getattr(link, "send_burst", None)
-        if send_burst is not None:
-            send_burst(self.side, packets)
-        else:
-            side = self.side
-            for packet in packets:
-                link.send(side, packet)
+        self.link.send_burst(self.side, packets)
 
     def _segment_to_packets(self, segment: TsoSegment) -> list[Packet]:
         flow_key = (

@@ -1,14 +1,14 @@
 """One time domain: an event loop, a fabric slice, hosts and a workload.
 
 A :class:`ShardDomain` is everything the conservative scheduler advances
-between two barriers: its own :class:`EventLoop`, the local racks' hosts
-(built exactly like ``ClosTestbed.leaf_spine`` builds them -- same names,
-addresses, cost model and NIC configuration), the
-:class:`~repro.net.clos.ShardClosFabric` slice, and optionally a workload
-driving traffic.  Cross-domain packets leave through the fabric's
-boundary senders into an :class:`OutboundQueue` and arrive via
-:meth:`inject`, which schedules them at their precomputed arrival times
-in deterministic merged order.
+between two barriers: its own :class:`EventLoop`, the local racks' slice
+of the :class:`~repro.net.clos.ClosFabric` with their hosts (from
+:meth:`ShardPlan.build`, the function ``ClosTestbed.leaf_spine`` builds
+the whole cluster with), the fabric's :meth:`~repro.net.clos.ClosFabric.cut`
+along its up-trunks, and optionally a workload driving traffic.
+Cross-domain packets leave through the cut's boundary senders into an
+:class:`OutboundQueue` and arrive via :meth:`inject`, which schedules
+them at their precomputed arrival times in deterministic merged order.
 
 Workloads are resolved from a dotted ``module:function`` path (the same
 name-not-closure rule the bench fleet uses), so a domain can be rebuilt
@@ -24,8 +24,6 @@ from importlib import import_module
 from typing import Any, Optional
 
 from repro.host.host import Host
-from repro.net.clos import ShardClosFabric
-from repro.nic.device import Nic
 from repro.sim.event_loop import EventLoop
 from repro.sim.shard.boundary import OutboundQueue, merge_batches
 from repro.sim.shard.plan import ShardPlan
@@ -68,48 +66,17 @@ class ShardDomain:
         self.loop = EventLoop()
         self.outbound = OutboundQueue()
         self.local_racks = plan.racks_of_domain(domain)
-        self.fabric = ShardClosFabric(
-            self.loop,
-            domain,
-            self.local_racks,
-            list(plan._domain_of_rack),
-            plan.rack_of_addr_map(),
-            plan.num_spines,
-            emit=self.outbound.emit,
-            bandwidth_bps=plan.bandwidth_bps,
-            trunk_bandwidth_bps=plan.trunk_bandwidth_bps,
-            host_link_delay=plan.host_link_delay,
-            trunk_delay=plan.trunk_delay,
-            mtu=plan.mtu,
-            buffer_bytes=plan.buffer_bytes,
-            trunk_buffer_bytes=plan.trunk_buffer_bytes,
-            trimming=plan.trimming,
-            ecmp_salt=plan.ecmp_salt,
+        self.fabric, self.racks = plan.build(self.loop, racks=self.local_racks)
+        self.fabric.cut(
+            domain, plan._domain_of_rack, plan.rack_of_addr_map(), self.outbound.emit
         )
-        costs = plan.cost_model()
-        self.racks: dict[int, list[Host]] = {}
         #: Local hosts in rack-major order, alongside their global indices.
-        self.hosts: list[Host] = []
-        self.global_indices: list[int] = []
-        for rack in self.local_racks:
-            row = []
-            for slot in range(plan.hosts_per_rack):
-                host = Host(
-                    self.loop,
-                    plan.host_name(rack, slot),
-                    plan.addr_of(rack, slot),
-                    costs,
-                    num_app_cores=plan.num_app_cores,
-                    num_softirq_cores=plan.num_softirq_cores,
-                )
-                port = self.fabric.attach_host(rack, host.addr)
-                host.attach_nic(
-                    Nic(self.loop, port, "a", costs, tso_mode=plan.tso_mode)
-                )
-                row.append(host)
-                self.hosts.append(host)
-                self.global_indices.append(plan.global_index(rack, slot))
-            self.racks[rack] = row
+        self.hosts: list[Host] = [h for row in self.racks.values() for h in row]
+        self.global_indices = [
+            plan.global_index(rack, slot)
+            for rack in self.local_racks
+            for slot in range(plan.hosts_per_rack)
+        ]
         self.obs = None
         if plan.observe:
             from repro.obs import Observability

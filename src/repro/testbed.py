@@ -4,13 +4,19 @@ One call builds an event loop, two hosts with the paper's core counts
 (12 application + 4 stack cores each, §5), a 100 Gb/s link and two NICs.
 Everything downstream (transports, sessions, applications, benchmarks)
 hangs off a :class:`Testbed`.
+
+:class:`StarTestbed` (one switch) and :class:`ClosTestbed` (leaf-spine,
+built from a :class:`~repro.sim.shard.ShardPlan`) are the multi-host
+topologies; all three share one base for the opt-in layers
+(``enable_obs``, ``enable_ctrl``, fault bookkeeping, ``run``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.host.costs import CostModel
 from repro.host.host import Host
@@ -20,6 +26,7 @@ from repro.net.link import Link
 from repro.nic.device import Nic
 from repro.nic.tso import TsoMode
 from repro.sim.event_loop import EventLoop
+from repro.sim.shard import ShardPlan, ShardRunner
 from repro.units import GBPS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -28,46 +35,121 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs import Observability
 
 
-@dataclass
-class Testbed:
-    """Two hosts, one link, one loop -- the paper's §5 hardware."""
+class _Bed:
+    """What every single-loop topology shares: the opt-in layers.
 
-    __test__ = False  # not a pytest collection target despite the name
+    A topology supplies ``loop``, ``hosts`` (the order planes, spans and
+    seeds follow) and :meth:`_observe_wiring`; observability, control
+    planes, fault-injector bookkeeping and ``run`` live here once.
+    """
+
+    __test__ = False  # not a pytest collection target despite the names
+
+    # Installed by :meth:`enable_obs`; None keeps the bed unobserved.
+    obs: Optional["Observability"] = None
+    # Installed by :meth:`enable_ctrl`; one plane per host, ``hosts`` order.
+    ctrl_planes: Optional[list] = None
+    # Installed by ``install_faults``; {site key: injector}, None when clean.
+    fault_injectors: Optional[dict] = None
+    # The same injectors as (label, injector), in installation order.
+    _faults: tuple = ()
+
+    def enable_obs(self, capture_capacity: int = 4096) -> "Observability":
+        """Switch on span tracing, metrics and packet capture.
+
+        Idempotent; call before driving traffic so every packet is seen.
+        Observes every link or switch egress port of the topology and
+        every host.  Observation is strictly passive -- same event
+        sequence, same RNG draws, byte-identical transcripts with or
+        without it.
+        """
+        if self.obs is not None:
+            return self.obs
+        from repro.obs import Observability
+
+        obs = Observability(self.loop, capture_capacity=capture_capacity)
+        self._observe_wiring(obs)
+        for host in self.hosts:
+            obs.observe_host(host)
+        for label, injector in self._faults:
+            obs.observe_fault_injector(injector, f"faults.{label}")
+        for plane in self.ctrl_planes or ():
+            plane.bind_obs(obs)
+        self.obs = obs
+        return obs
+
+    def enable_ctrl(self, config=None, seed: int = 2025) -> list:
+        """Attach a session-lifecycle control plane to every host.
+
+        Idempotent.  Returns the planes in :attr:`hosts` order (client,
+        server on a back-to-back bed); endpoints opt in with
+        ``ctrl=bed.ctrl_planes[i]`` (or via ``plane.adopt``).  Per-host
+        seed offsets keep the hosts' standby-key streams independent yet
+        replayable.
+        """
+        if self.ctrl_planes is None:
+            from repro.ctrl import ControlPlane
+
+            self.ctrl_planes = [
+                ControlPlane(host, random.Random(seed + i), config=config)
+                for i, host in enumerate(self.hosts)
+            ]
+        return self.ctrl_planes
+
+    def _install_faults(
+        self,
+        faults: FaultConfig,
+        fault_seed: int,
+        sites: Iterable[tuple[object, str, Callable[[FaultInjector], None]]],
+        prefix: str = "",
+    ) -> None:
+        """One seeded injector per ``(key, label, attach)`` site, in order.
+
+        Site ``i`` draws from seed ``fault_seed + i``, so fates decorrelate
+        across sites while the whole bed stays replayable from
+        ``fault_seed`` alone.
+        """
+        self.fault_injectors, self._faults = {}, ()
+        for i, (key, label, attach) in enumerate(sites):
+            injector = FaultInjector(
+                self.loop, faults, seed=fault_seed + i, name=prefix + label
+            )
+            attach(injector)
+            self.fault_injectors[key] = injector
+            self._faults += ((label, injector),)
+            if self.obs is not None:
+                self.obs.observe_fault_injector(injector, f"faults.{label}")
+
+    def fault_stats(self) -> dict:
+        """Fault counters per injection site, by label (empty when clean)."""
+        return {label: injector.stats() for label, injector in self._faults}
+
+    def run(self, until: Optional[float] = None) -> float:
+        return self.loop.run(until=until)
+
+
+@dataclass
+class Testbed(_Bed):
+    """Two hosts, one link, one loop -- the paper's §5 hardware."""
 
     loop: EventLoop
     link: Link
     client: Host
     server: Host
     rng: random.Random = field(default_factory=lambda: random.Random(0))
-    # Installed by :meth:`adversarial` (or `install_faults`); None on a
-    # clean testbed.
-    faults_c2s: Optional[FaultInjector] = None
-    faults_s2c: Optional[FaultInjector] = None
-    # Installed by :meth:`enable_obs`; None keeps the bed unobserved.
-    obs: Optional["Observability"] = None
-    # Installed by :meth:`enable_ctrl`; None keeps both hosts unmanaged.
-    ctrl_client: Optional[object] = None
-    ctrl_server: Optional[object] = None
 
-    def enable_ctrl(self, config=None, seed: int = 2025):
-        """Attach a session-lifecycle control plane to both hosts.
+    @property
+    def hosts(self) -> list[Host]:
+        return [self.client, self.server]
 
-        Idempotent.  Returns ``(client_plane, server_plane)``; endpoints
-        built afterwards opt in with ``ctrl=bed.ctrl_client`` (or via
-        ``plane.adopt``).  Distinct seeds keep the two hosts' standby-key
-        streams independent yet replayable.
-        """
-        if self.ctrl_client is not None:
-            return self.ctrl_client, self.ctrl_server
-        from repro.ctrl import ControlPlane
+    @property
+    def faults_c2s(self) -> Optional[FaultInjector]:
+        """Client->server injector; None on a clean testbed."""
+        return (self.fault_injectors or {}).get("c2s")
 
-        self.ctrl_client = ControlPlane(
-            self.client, random.Random(seed), config=config
-        )
-        self.ctrl_server = ControlPlane(
-            self.server, random.Random(seed + 1), config=config
-        )
-        return self.ctrl_client, self.ctrl_server
+    @property
+    def faults_s2c(self) -> Optional[FaultInjector]:
+        return (self.fault_injectors or {}).get("s2c")
 
     @staticmethod
     def back_to_back(
@@ -124,56 +206,19 @@ class Testbed:
         May be called mid-simulation -- e.g. after a clean handshake -- to
         turn the weather bad at a chosen virtual time.
         """
-        self.faults_c2s = FaultInjector(self.loop, faults, seed=fault_seed, name="c2s")
-        self.faults_s2c = FaultInjector(
-            self.loop, faults, seed=fault_seed + 1, name="s2c"
-        )
-        self.link.inject_faults("a", self.faults_c2s)
-        self.link.inject_faults("b", self.faults_s2c)
-        if self.obs is not None:
-            self.obs.observe_fault_injector(self.faults_c2s, "faults.c2s")
-            self.obs.observe_fault_injector(self.faults_s2c, "faults.s2c")
+        inject = self.link.inject_faults
+        sites = [
+            ("c2s", "c2s", partial(inject, "a")),
+            ("s2c", "s2c", partial(inject, "b")),
+        ]
+        self._install_faults(faults, fault_seed, sites)
 
-    def enable_obs(self, capture_capacity: int = 4096) -> "Observability":
-        """Switch on span tracing, metrics and packet capture.
-
-        Idempotent; call before driving traffic so every packet is seen.
-        Observation is strictly passive -- same event sequence, same RNG
-        draws, byte-identical transcripts with or without it.
-        """
-        if self.obs is not None:
-            return self.obs
-        from repro.obs import Observability
-
-        obs = Observability(self.loop, capture_capacity=capture_capacity)
+    def _observe_wiring(self, obs: "Observability") -> None:
         obs.observe_link(self.link, "c2s", "s2c")
-        obs.observe_host(self.client)
-        obs.observe_host(self.server)
-        if self.faults_c2s is not None:
-            obs.observe_fault_injector(self.faults_c2s, "faults.c2s")
-        if self.faults_s2c is not None:
-            obs.observe_fault_injector(self.faults_s2c, "faults.s2c")
-        if self.ctrl_client is not None:
-            self.ctrl_client.bind_obs(obs)
-            self.ctrl_server.bind_obs(obs)
-        self.obs = obs
-        return obs
-
-    def fault_stats(self) -> dict:
-        """Combined per-direction fault counters (empty when clean)."""
-        stats = {}
-        if self.faults_c2s is not None:
-            stats["c2s"] = self.faults_c2s.stats()
-        if self.faults_s2c is not None:
-            stats["s2c"] = self.faults_s2c.stats()
-        return stats
-
-    def run(self, until: Optional[float] = None) -> float:
-        return self.loop.run(until=until)
 
 
 @dataclass
-class StarTestbed:
+class StarTestbed(_Bed):
     """N client hosts and one server behind a single switch.
 
     Built for incast experiments: the clients' combined load funnels into
@@ -181,13 +226,14 @@ class StarTestbed:
     ``trimming`` -- trims packets NDP-style (paper §7).
     """
 
-    __test__ = False
-
     loop: EventLoop
     fabric: "SwitchFabric"
     clients: list[Host]
     server: Host
-    obs: Optional["Observability"] = None
+
+    @property
+    def hosts(self) -> list[Host]:
+        return [self.server, *self.clients]
 
     @staticmethod
     def star(
@@ -228,25 +274,10 @@ class StarTestbed:
             clients.append(client)
         return StarTestbed(loop, fabric, clients, server)
 
-    def enable_obs(self, capture_capacity: int = 4096) -> "Observability":
-        """Observe every switch egress port and every host. Idempotent."""
-        if self.obs is not None:
-            return self.obs
-        from repro.obs import Observability
-
-        obs = Observability(self.loop, capture_capacity=capture_capacity)
-        port_names = {self.server.addr: self.server.name}
-        for client in self.clients:
-            port_names[client.addr] = client.name
-        obs.observe_switch(self.fabric.switch, port_names)
-        obs.observe_host(self.server)
-        for client in self.clients:
-            obs.observe_host(client)
-        self.obs = obs
-        return obs
-
-    def run(self, until: Optional[float] = None) -> float:
-        return self.loop.run(until=until)
+    def _observe_wiring(self, obs: "Observability") -> None:
+        obs.observe_switch(
+            self.fabric.switch, {host.addr: host.name for host in self.hosts}
+        )
 
 
 @dataclass
@@ -263,7 +294,7 @@ class ShardedClosTestbed:
 
     __test__ = False
 
-    plan: "object"
+    plan: ShardPlan
 
     @property
     def num_hosts(self) -> int:
@@ -273,23 +304,11 @@ class ShardedClosTestbed:
     def domains(self) -> int:
         return self.plan.domains
 
-    def runner(
-        self,
-        workload_factory: Optional[str] = None,
-        workload_args: Optional[dict] = None,
-        deadline: Optional[float] = None,
-        use_processes: bool = False,
-    ):
-        """A :class:`repro.sim.shard.ShardRunner` over this bed's plan."""
-        from repro.sim.shard import ShardRunner
-
-        return ShardRunner(
-            self.plan,
-            workload_factory=workload_factory,
-            workload_args=workload_args,
-            deadline=deadline,
-            use_processes=use_processes,
-        )
+    def runner(self, **kwargs) -> ShardRunner:
+        """A :class:`repro.sim.shard.ShardRunner` over this bed's plan
+        (``workload_factory``, ``workload_args``, ``deadline``,
+        ``use_processes``)."""
+        return ShardRunner(self.plan, **kwargs)
 
     def run(self, **kwargs):
         """Build a runner and drive it to completion in one call."""
@@ -297,7 +316,7 @@ class ShardedClosTestbed:
 
 
 @dataclass
-class ClosTestbed:
+class ClosTestbed(_Bed):
     """N racks x M hosts behind a leaf-spine fabric with ECMP spines.
 
     The topology the loaded-slowdown workloads run on
@@ -308,18 +327,10 @@ class ClosTestbed:
     ``install_faults``.
     """
 
-    __test__ = False
-
     loop: EventLoop
     fabric: "ClosFabric"
     racks: list[list[Host]]
     rng: random.Random = field(default_factory=lambda: random.Random(0))
-    obs: Optional["Observability"] = None
-    # Installed by :meth:`enable_ctrl`; one plane per host, host order.
-    ctrl_planes: Optional[list] = None
-    # Installed by :meth:`install_faults`; {host addr: injector} on the
-    # leaf egress port toward that host.
-    fault_injectors: Optional[dict] = None
     # Installed by :meth:`domain_controller`; kills whole failure domains.
     domains: Optional[object] = None
 
@@ -335,24 +346,19 @@ class ClosTestbed:
     def leaf_spine(
         num_racks: int = 3,
         hosts_per_rack: int = 4,
-        num_spines: int = 2,
-        bandwidth_bps: float = 100 * GBPS,
-        trunk_bandwidth_bps: Optional[float] = None,
-        mtu: int = 1500,
-        buffer_bytes: int = 128 * 1024,
-        trunk_buffer_bytes: Optional[int] = None,
-        trimming: bool = False,
-        num_app_cores: int = 12,
-        num_softirq_cores: int = 4,
-        tso_mode: TsoMode = TsoMode.FULL,
         costs: Optional[CostModel] = None,
-        seed: int = 0,
-        ecmp_salt: int = 0,
-        domains: int = 1,
+        **plan_fields,
     ):
         """Build the fabric and one NIC-attached host per rack slot.
 
-        Host ``i`` of rack ``r`` is named ``r{r}h{i}`` and addressed
+        Every other keyword is a :class:`~repro.sim.shard.ShardPlan` field
+        (``num_spines``, ``bandwidth_bps``, ``trunk_bandwidth_bps``,
+        ``mtu``, ``buffer_bytes``, ``trunk_buffer_bytes``, ``trimming``,
+        ``num_app_cores``, ``num_softirq_cores``, ``tso_mode``, ``seed``,
+        ``ecmp_salt``, ``domains``, ...): the plan is the cluster's one
+        parameter list, and validates it (``observe`` only acts on a
+        sharded bed; call :meth:`enable_obs` on a single-loop one).  Host
+        ``i`` of rack ``r`` is named ``r{r}h{i}`` and addressed
         ``10.(1+r).0.(1+i)``, so the rack is readable off the address.
 
         ``domains > 1`` returns a :class:`ShardedClosTestbed` instead: the
@@ -361,144 +367,55 @@ class ClosTestbed:
         loop or host list -- drive them through :meth:`ShardedClosTestbed.runner`
         with a picklable workload factory.
         """
-        if domains > 1:
+        plan = ShardPlan(
+            num_racks=num_racks, hosts_per_rack=hosts_per_rack, **plan_fields
+        )
+        if plan.domains > 1:
             if costs is not None:
                 raise ValueError(
                     "sharded beds rebuild CostModel() per domain; "
                     "custom cost models are not supported with domains > 1"
                 )
-            from repro.sim.shard import ShardPlan
-
-            return ShardedClosTestbed(
-                plan=ShardPlan(
-                    num_racks=num_racks,
-                    hosts_per_rack=hosts_per_rack,
-                    num_spines=num_spines,
-                    domains=domains,
-                    bandwidth_bps=bandwidth_bps,
-                    trunk_bandwidth_bps=trunk_bandwidth_bps,
-                    mtu=mtu,
-                    buffer_bytes=buffer_bytes,
-                    trunk_buffer_bytes=trunk_buffer_bytes,
-                    trimming=trimming,
-                    num_app_cores=num_app_cores,
-                    num_softirq_cores=num_softirq_cores,
-                    tso_mode=tso_mode,
-                    ecmp_salt=ecmp_salt,
-                    seed=seed,
-                )
-            )
-        from repro.net.clos import ClosFabric
-
+            return ShardedClosTestbed(plan)
         loop = EventLoop()
-        costs = costs or CostModel()
-        fabric = ClosFabric(
-            loop,
-            num_racks=num_racks,
-            num_spines=num_spines,
-            bandwidth_bps=bandwidth_bps,
-            trunk_bandwidth_bps=trunk_bandwidth_bps,
-            mtu=mtu,
-            buffer_bytes=buffer_bytes,
-            trunk_buffer_bytes=trunk_buffer_bytes,
-            trimming=trimming,
-            ecmp_salt=ecmp_salt,
-        )
-        racks: list[list[Host]] = []
-        for r in range(num_racks):
-            rack: list[Host] = []
-            for i in range(hosts_per_rack):
-                host = Host(
-                    loop, f"r{r}h{i}", make_addr(10, 1 + r, 0, 1 + i), costs,
-                    num_app_cores=num_app_cores,
-                    num_softirq_cores=num_softirq_cores,
-                )
-                port = fabric.attach_host(r, host.addr)
-                host.attach_nic(Nic(loop, port, "a", costs, tso_mode=tso_mode))
-                rack.append(host)
-            racks.append(rack)
-        return ClosTestbed(loop, fabric, racks, random.Random(seed))
+        fabric, racks = plan.build(loop, costs=costs)
+        return ClosTestbed(loop, fabric, list(racks.values()), random.Random(plan.seed))
 
-    def enable_obs(self, capture_capacity: int = 4096) -> "Observability":
-        """Observe every leaf/spine egress port and every host. Idempotent."""
-        if self.obs is not None:
-            return self.obs
-        from repro.obs import Observability
-
-        obs = Observability(self.loop, capture_capacity=capture_capacity)
-        for r, leaf in enumerate(self.fabric.leaves):
-            port_names: dict = {
-                host.addr: host.name for host in self.racks[r]
-            }
-            for s in range(self.fabric.num_spines):
+    def _observe_wiring(self, obs: "Observability") -> None:
+        fabric = self.fabric
+        for r, leaf in fabric.leaves.items():
+            port_names: dict = {host.addr: host.name for host in self.racks[r]}
+            for s in range(fabric.num_spines):
                 port_names[f"spine{s}"] = f"leaf{r}.up{s}"
             obs.observe_switch(leaf, port_names)
-        for s, spine in enumerate(self.fabric.spines):
+        for s, spine in enumerate(fabric.spines):
             obs.observe_switch(
-                spine,
-                {f"rack{r}": f"spine{s}.down{r}" for r in range(self.fabric.num_racks)},
+                spine, {f"rack{r}": f"spine{s}.down{r}" for r in fabric.leaves}
             )
             obs.metrics.gauge(
-                f"clos.spine{s}.packets",
-                lambda s=s: self.fabric.spine_spread()[s],
+                f"clos.spine{s}.packets", lambda s=s: fabric.spine_spread()[s]
             )
-        for host in self.hosts:
-            obs.observe_host(host)
-        if self.fault_injectors:
-            for host in self.hosts:
-                injector = self.fault_injectors.get(host.addr)
-                if injector is not None:
-                    obs.observe_fault_injector(injector, f"faults.{host.name}")
-        if self.ctrl_planes is not None:
-            for plane in self.ctrl_planes:
-                plane.bind_obs(obs)
-        self.obs = obs
-        return obs
-
-    def enable_ctrl(self, config=None, seed: int = 2025) -> list:
-        """Attach a session-lifecycle control plane to every host.
-
-        Idempotent.  Returns the planes in :attr:`hosts` order; endpoints
-        opt in with ``ctrl=bed.ctrl_planes[i]``.  Per-host seed offsets
-        keep standby-key streams independent yet replayable.
-        """
-        if self.ctrl_planes is not None:
-            return self.ctrl_planes
-        from repro.ctrl import ControlPlane
-
-        self.ctrl_planes = [
-            ControlPlane(host, random.Random(seed + i), config=config)
-            for i, host in enumerate(self.hosts)
-        ]
-        return self.ctrl_planes
 
     def install_faults(self, faults: FaultConfig, fault_seed: int = 0) -> None:
         """Seeded fault injectors on every leaf egress port toward a host.
 
         Each host's downlink gets an independent stream (seed offset by
         host index), so fates decorrelate while the whole fabric stays
-        replayable from ``fault_seed`` alone.
+        replayable from ``fault_seed`` alone.  :attr:`fault_injectors` is
+        keyed by host address, :meth:`fault_stats` by host name.
         """
-        self.fault_injectors = {}
-        for i, host in enumerate(self.hosts):
-            injector = FaultInjector(
-                self.loop, faults, seed=fault_seed + i, name=f"to.{host.name}"
+        fabric = self.fabric
+        sites = [
+            (
+                host.addr,
+                host.name,
+                partial(
+                    fabric.leaves[fabric.rack_of(host.addr)].inject_faults, host.addr
+                ),
             )
-            leaf = self.fabric.leaves[self.fabric.rack_of(host.addr)]
-            leaf.inject_faults(host.addr, injector)
-            self.fault_injectors[host.addr] = injector
-            if self.obs is not None:
-                self.obs.observe_fault_injector(injector, f"faults.{host.name}")
-
-    def fault_stats(self) -> dict:
-        """Per-host-downlink fault counters (empty when clean)."""
-        if not self.fault_injectors:
-            return {}
-        addr_to_name = {host.addr: host.name for host in self.hosts}
-        return {
-            addr_to_name[addr]: injector.stats()
-            for addr, injector in self.fault_injectors.items()
-        }
+            for host in self.hosts
+        ]
+        self._install_faults(faults, fault_seed, sites, prefix="to.")
 
     def domain_controller(self, auto_reroute_delay: Optional[float] = None):
         """The bed's failure-domain controller (spine/leaf/replica kills).
@@ -516,6 +433,3 @@ class ClosTestbed:
                 self, auto_reroute_delay=auto_reroute_delay
             )
         return self.domains
-
-    def run(self, until: Optional[float] = None) -> float:
-        return self.loop.run(until=until)

@@ -1,5 +1,7 @@
 """Leaf-spine fabric: ECMP routing, trunks, and ClosTestbed parity."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -9,7 +11,8 @@ from repro.net.faults import FaultConfig
 from repro.net.headers import HEADERS_SIZE, IPv4Header, TransportHeader
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
-from repro.testbed import ClosTestbed
+from repro.sim.shard import ShardPlan
+from repro.testbed import ClosTestbed, Testbed
 
 
 def _packet(src, dst, sport=1000, dport=2000, payload=b"", proto=146):
@@ -265,6 +268,138 @@ class TestEcmpResalt:
             return mapping, fabric.routing_spines(), fabric.reconvergences
 
         assert run_once() == run_once()
+
+
+class TestCutFabric:
+    """A fabric cut into one domain is the uncut fabric, event for event."""
+
+    RACKS, SLOTS, SPINES = 3, 2, 2
+
+    def _run(self, seed, cut):
+        loop = EventLoop()
+        fabric = ClosFabric(
+            loop, self.RACKS, self.SPINES, buffer_bytes=3 * 1024,
+            trimming=bool(seed % 2), racks=range(self.RACKS) if cut else None,
+        )
+        rack_of_addr = {
+            0x0A000001 + 256 * r + i: r
+            for r in range(self.RACKS) for i in range(self.SLOTS)
+        }
+        log = {addr: [] for addr in rack_of_addr}
+        for addr, rack in rack_of_addr.items():
+            fabric.attach_host(rack, addr).attach(
+                "x",
+                lambda p, seen=log[addr]: seen.append(
+                    (loop.now, p.ip.src_addr, p.transport.src_port, p.wire_size)
+                ),
+            )
+        if cut:
+            def emit(*boundary):
+                raise AssertionError(f"one domain has no far side: {boundary}")
+
+            fabric.cut(0, [0] * self.RACKS, dict(rack_of_addr), emit)
+        rng = random.Random(seed)
+        addrs = list(rack_of_addr)
+        for _ in range(2000):
+            src, dst = rng.sample(addrs, 2)
+            packet = Packet(
+                IPv4Header(src, dst, 146, HEADERS_SIZE),
+                TransportHeader(
+                    rng.randrange(1024, 1056), 2000, 1, priority=rng.randrange(8)
+                ),
+                bytes(rng.randrange(0, 1400)),
+            )
+            loop.call_at(
+                rng.uniform(0.0, 20e-6),
+                lambda p=packet: fabric.port(p.ip.src_addr).send("x", p),
+            )
+        loop.run(until=1.0)
+        return log, loop.dispatched, fabric.stats()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_domain_cut_replays_the_uncut_fabric(self, seed):
+        whole_log, whole_events, whole_stats = self._run(seed, cut=False)
+        cut_log, cut_events, cut_stats = self._run(seed, cut=True)
+        assert cut_log == whole_log
+        assert cut_events == whole_events
+        assert cut_stats == whole_stats
+        # The workload must overflow the 3 KB buffers and cross the spines,
+        # or the comparison proves nothing about either.
+        assert sum(whole_stats["spine_spread"]) > 500
+        lost = "trimmed" if seed % 2 else "dropped"
+        assert whole_stats["leaf"][lost] + whole_stats["spine"][lost] > 0
+
+    def test_failure_domains_rejected_on_a_cut_fabric(self):
+        loop = EventLoop()
+        fabric = ClosFabric(loop, 2, 2, racks=[0])
+        fabric.cut(0, [0, 1], {}, lambda *boundary: None)
+        for method, args in (
+            (fabric.fail_spine, (0,)),
+            (fabric.restore_spine, (0,)),
+            (fabric.fail_leaf, (0,)),
+            (fabric.restore_leaf, (0,)),
+            (fabric.reconverge, ()),
+            (fabric.spine_up, (0,)),
+            (fabric.leaf_up, (0,)),
+        ):
+            with pytest.raises(SimulationError, match="cut into time domains"):
+                method(*args)
+        assert not fabric.spines[0].down and not fabric.leaves[0].down
+
+    def test_rack_subset_validated(self):
+        for racks in ([], [2], [-1, 0]):
+            with pytest.raises(SimulationError):
+                ClosFabric(EventLoop(), 2, 2, racks=racks)
+        fabric = ClosFabric(EventLoop(), 3, 2, racks=[1, 2])
+        assert list(fabric.leaves) == [1, 2]
+        with pytest.raises(SimulationError):
+            fabric.attach_host(0, 99)  # rack 0 lives in another domain
+
+
+class TestPlanValidation:
+    """One parameter list, so one place a bad cluster is refused."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"hosts_per_rack": 0},
+            {"hosts_per_rack": -1},
+            {"hosts_per_rack": 256},
+            {"hosts_per_rack": 300},
+            {"num_racks": 256, "hosts_per_rack": 1},
+        ],
+    )
+    def test_bad_grids_rejected_before_anything_is_built(self, fields):
+        with pytest.raises(SimulationError):
+            ShardPlan(**fields)
+        with pytest.raises(SimulationError):
+            ClosTestbed.leaf_spine(**fields)
+
+    def test_largest_grid_is_addressable(self):
+        plan = ShardPlan(num_racks=255, hosts_per_rack=255)
+        assert plan.addr_of(254, 254) == (10 << 24) | (255 << 16) | 255
+
+    def test_leaf_spine_takes_only_plan_fields(self):
+        with pytest.raises(TypeError):
+            ClosTestbed.leaf_spine(num_rack=2)
+        with pytest.raises(SimulationError):
+            ClosTestbed.leaf_spine(num_racks=2, domains=3)
+
+
+class TestBackToBackCtrl:
+    def test_enable_ctrl_seeds_and_unpacks(self):
+        from repro.ctrl import ControlPlane
+
+        bed = Testbed.back_to_back()
+        client_plane, server_plane = bed.enable_ctrl(seed=77)
+        assert bed.enable_ctrl() == [client_plane, server_plane]
+        assert (client_plane.host, server_plane.host) == (bed.client, bed.server)
+        # Host i draws its standby keys from Random(seed + i).
+        for offset, plane in enumerate(bed.ctrl_planes):
+            twin = ControlPlane(
+                Testbed.back_to_back().hosts[offset], random.Random(77 + offset)
+            )
+            assert plane.rng.getstate() == twin.rng.getstate()
 
 
 class TestClosTestbed:
