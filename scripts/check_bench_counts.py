@@ -29,7 +29,10 @@ import json
 import sys
 from pathlib import Path
 
-# Exact event counts for `python -m repro.bench <name> --quick`.
+# Exact event counts for `python -m repro.bench <name> --quick` (the paper
+# figures at the bottom have no quick mode; they are the cheap ones whose
+# band checks all pass, and they gate the two-host stack builders in
+# repro.bench.runner the way the seven above gate the load engines).
 # The "scale" count is invariant to the --domains setting: sharding
 # replaces each boundary hop's local receive event with exactly one
 # injected arrival event in the destination domain.
@@ -47,6 +50,12 @@ EXPECTED_EVENTS = {
     "frontend": 52839,
     "tenant": 269289,
     "scale": 585544,
+    "fig6": 149678,
+    "fig10": 65937,
+    "fig11": 372591,
+    "fig7-cpu": 453018,
+    "ablation-acks": 186810,
+    "ablation-contexts": 17736,
 }
 
 
@@ -79,13 +88,13 @@ def main(argv: list[str]) -> int:
         return 2
     rows = collect(Path(argv[1]))
     failures = [r for r in rows if r[3]]
-    header = f"{'bench':<10} {'expected':>10} {'actual':>10}  status"
+    header = f"{'bench':<18} {'expected':>10} {'actual':>10}  status"
     print(header)
     print("-" * len(header))
     for name, expected, actual, problem in rows:
         shown = "-" if actual is None else actual
         status = problem if problem else "OK"
-        print(f"{name:<10} {expected:>10} {shown:>10}  {status}")
+        print(f"{name:<18} {expected:>10} {shown:>10}  {status}")
     if failures:
         print(
             f"\n{len(failures)} bench(es) drifted; if intentional, update "

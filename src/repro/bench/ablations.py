@@ -19,33 +19,13 @@ from repro.bench.runner import (
     SERVER_PORT,
     _CLIENT_KEYS,
     _SERVER_KEYS,
+    message_pair,
 )
 from repro.core.codec import SmtCodec
 from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
 from repro.errors import ProtocolError
-from repro.homa import HomaSocket, HomaTransport
-from repro.net.headers import PROTO_SMT
 from repro.testbed import Testbed
-
-
-def _smt_pair(bed: Testbed, context_per_message: bool, context_capacity: int):
-    bed.client.nic.flow_contexts.capacity = context_capacity
-    ct = HomaTransport(bed.client, proto=PROTO_SMT)
-    st = HomaTransport(bed.server, proto=PROTO_SMT)
-    costs = bed.client.costs
-    client_session = SmtSession(
-        _CLIENT_KEYS, _SERVER_KEYS, aead_kind=BENCH_AEAD, offload=True,
-        nic=bed.client.nic,
-    )
-    ccodec = SmtCodec(client_session, costs, bed.client.nic.num_queues,
-                      context_per_message=context_per_message)
-    scodec = SmtCodec(
-        SmtSession(_SERVER_KEYS, _CLIENT_KEYS, aead_kind=BENCH_AEAD), costs,
-    )
-    csock = HomaSocket(ct, bed.client.alloc_port(), codec_provider=lambda a, p: ccodec)
-    ssock = HomaSocket(st, SERVER_PORT, codec_provider=lambda a, p: scodec)
-    return csock, ssock, client_session
 
 
 def run_flow_context_ablation(
@@ -58,10 +38,11 @@ def run_flow_context_ablation(
     stats = {}
     for policy in ("per-queue", "per-message"):
         bed = Testbed.back_to_back()
-        csock, ssock, session = _smt_pair(
-            bed, context_per_message=policy == "per-message",
-            context_capacity=context_capacity,
+        bed.client.nic.flow_contexts.capacity = context_capacity
+        csock, ssock = message_pair(
+            bed, "smt-hw", SERVER_PORT, context_per_message=policy == "per-message"
         )
+        session = csock.codec_for(bed.server.addr, SERVER_PORT).session
 
         def server():
             thread = bed.server.app_thread(0)

@@ -16,14 +16,9 @@ from repro.apps.kvstore.protocol import decode_reply, encode_get, encode_set
 from repro.apps.rpc import RpcChannel
 from repro.apps.ycsb import WORKLOADS, YcsbWorkload
 from repro.bench.report import ExperimentReport, improvement
-from repro.bench.runner import BENCH_AEAD, _CLIENT_KEYS, _SERVER_KEYS
-from repro.core.codec import SmtCodec
-from repro.core.session import SmtSession
-from repro.homa import HomaSocket, HomaTransport
-from repro.ktls import KtlsConnection, ktls_pair
-from repro.net.headers import PROTO_HOMA, PROTO_SMT
+from repro.bench.runner import MESSAGE_SYSTEMS, message_pair, stream_pairs
+from repro.ktls import KtlsConnection
 from repro.sim.trace import RateMeter
-from repro.tcp import connect_pair
 from repro.testbed import Testbed
 from repro.units import USEC
 
@@ -54,28 +49,7 @@ class _UserTlsChannel(KtlsConnection):
 
 
 def _build_message_side(bed: Testbed, system: str, store: KVStore):
-    offload = system == "smt-hw"
-    encrypted = system.startswith("smt")
-    proto = PROTO_SMT if encrypted else PROTO_HOMA
-    ct = HomaTransport(bed.client, proto=proto)
-    st = HomaTransport(bed.server, proto=proto)
-    if encrypted:
-        costs = bed.client.costs
-        ccodec = SmtCodec(
-            SmtSession(_CLIENT_KEYS, _SERVER_KEYS, aead_kind=BENCH_AEAD,
-                       offload=offload, nic=bed.client.nic if offload else None),
-            costs, bed.client.nic.num_queues,
-        )
-        scodec = SmtCodec(
-            SmtSession(_SERVER_KEYS, _CLIENT_KEYS, aead_kind=BENCH_AEAD,
-                       offload=offload, nic=bed.server.nic if offload else None),
-            costs, bed.server.nic.num_queues,
-        )
-        csock = HomaSocket(ct, bed.client.alloc_port(), codec_provider=lambda a, p: ccodec)
-        ssock = HomaSocket(st, KV_PORT, codec_provider=lambda a, p: scodec)
-    else:
-        csock = HomaSocket(ct, bed.client.alloc_port())
-        ssock = HomaSocket(st, KV_PORT)
+    csock, ssock = message_pair(bed, system, KV_PORT)
     server = MessageKvServer(ssock, store)
     bed.loop.process(server.run(bed.server.app_thread(0)))
 
@@ -92,17 +66,14 @@ def _build_message_side(bed: Testbed, system: str, store: KVStore):
 
 
 def _build_stream_side(bed: Testbed, system: str, store: KVStore, num_connections=12):
-    mode = {"tcp": None, "tls-usr": "sw", "ktls-sw": "sw", "ktls-hw": "hw"}[system]
+    # User-space TLS is the kTLS-SW stack behind the library-overhead channel.
+    base, channel = (
+        ("ktls-sw", _UserTlsChannel) if system == "tls-usr" else (system, KtlsConnection)
+    )
     server = StreamKvServer(bed.loop, bed.server.costs, store)
     issuers = []
-    for i in range(num_connections):
-        conn_c, conn_s = connect_pair(bed.client, bed.server, KV_PORT + 1 + i)
-        if system == "tls-usr":
-            c = _UserTlsChannel(conn_c, mode, _CLIENT_KEYS, _SERVER_KEYS, BENCH_AEAD)
-            s = _UserTlsChannel(conn_s, mode, _SERVER_KEYS, _CLIENT_KEYS, BENCH_AEAD)
-        else:
-            c, s = ktls_pair(conn_c, conn_s, mode, _CLIENT_KEYS, _SERVER_KEYS,
-                             aead_kind=BENCH_AEAD)
+    pairs = stream_pairs(bed, base, KV_PORT + 1, num_connections, channel)
+    for i, (c, s) in enumerate(pairs):
         server.add_client(s)
         rpc = RpcChannel(c)
         thread = bed.client.app_thread(i)
@@ -133,7 +104,7 @@ def run_kv(
     spec = WORKLOADS[workload_name]
     setup_workload = YcsbWorkload(spec, record_count, value_size, random.Random(seed))
     store.preload(setup_workload.initial_data())
-    if system in ("homa", "smt-sw", "smt-hw"):
+    if system in MESSAGE_SYSTEMS:
         issue_factory = _build_message_side(bed, system, store)
     else:
         issue_factory = _build_stream_side(bed, system, store)

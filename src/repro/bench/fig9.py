@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from repro.apps.fio import MessageFioDriver, StreamFioDriver
 from repro.apps.nvmeof import MessageNvmeTarget, NvmeDevice, StreamNvmeTarget
 from repro.bench.report import ExperimentReport, improvement
-from repro.bench.runner import BENCH_AEAD, _CLIENT_KEYS, _SERVER_KEYS
-from repro.core.codec import SmtCodec
-from repro.core.session import SmtSession
-from repro.homa import HomaSocket, HomaTransport
-from repro.ktls import ktls_pair
-from repro.net.headers import PROTO_HOMA, PROTO_SMT
-from repro.tcp import connect_pair
+from repro.bench.runner import MESSAGE_SYSTEMS, message_pair, stream_pairs
 from repro.testbed import Testbed
 
 NVME_PORT = 4420
@@ -40,29 +34,8 @@ class NvmePoint:
 def run_point(system: str, iodepth: int, duration: float = 6e-3, seed: int = 0) -> NvmePoint:
     bed = Testbed.back_to_back(seed=seed)
     device = NvmeDevice(bed.loop, random.Random(seed + 17))
-    if system in ("homa", "smt-sw", "smt-hw"):
-        offload = system == "smt-hw"
-        encrypted = system.startswith("smt")
-        proto = PROTO_SMT if encrypted else PROTO_HOMA
-        ct = HomaTransport(bed.client, proto=proto)
-        st = HomaTransport(bed.server, proto=proto)
-        if encrypted:
-            costs = bed.client.costs
-            ccodec = SmtCodec(
-                SmtSession(_CLIENT_KEYS, _SERVER_KEYS, aead_kind=BENCH_AEAD,
-                           offload=offload, nic=bed.client.nic if offload else None),
-                costs, bed.client.nic.num_queues,
-            )
-            scodec = SmtCodec(
-                SmtSession(_SERVER_KEYS, _CLIENT_KEYS, aead_kind=BENCH_AEAD,
-                           offload=offload, nic=bed.server.nic if offload else None),
-                costs, bed.server.nic.num_queues,
-            )
-            csock = HomaSocket(ct, bed.client.alloc_port(), codec_provider=lambda a, p: ccodec)
-            ssock = HomaSocket(st, NVME_PORT, codec_provider=lambda a, p: scodec)
-        else:
-            csock = HomaSocket(ct, bed.client.alloc_port())
-            ssock = HomaSocket(st, NVME_PORT)
+    if system in MESSAGE_SYSTEMS:
+        csock, ssock = message_pair(bed, system, NVME_PORT)
         target = MessageNvmeTarget(ssock, device)
         bed.loop.process(target.run(bed.server.app_thread(0)))
         driver = MessageFioDriver(
@@ -77,10 +50,7 @@ def run_point(system: str, iodepth: int, duration: float = 6e-3, seed: int = 0) 
         bed.loop.run(until=duration * 3)
         result = driver.result
     else:
-        mode = {"tcp": None, "ktls-sw": "sw", "ktls-hw": "hw"}[system]
-        conn_c, conn_s = connect_pair(bed.client, bed.server, NVME_PORT)
-        c, s = ktls_pair(conn_c, conn_s, mode, _CLIENT_KEYS, _SERVER_KEYS,
-                         aead_kind=BENCH_AEAD)
+        ((c, s),) = stream_pairs(bed, system, NVME_PORT, 1)
         target = StreamNvmeTarget(s, device)
         bed.loop.process(target.run(bed.server.app_thread(0)))
         driver = StreamFioDriver(c, device.num_blocks, random.Random(seed + 3))

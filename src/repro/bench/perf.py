@@ -1,57 +1,31 @@
-"""Kernel and codec micro-benchmarks: the perf trajectory of the repo.
+"""Kernel and codec micro-benchmarks, judged by counts only.
 
-Unlike the figure/table experiments, these measure *host wall-clock*, not
-virtual time: the simulation kernel's own speed is what bounds how many
-seeds, sizes and concurrency levels the paper sweeps can afford (ROADMAP
-"as fast as the hardware allows").  Four slices:
+Three slices of the simulator's own machinery, each with deterministic
+*event and operation counts* the CI perf-smoke job pins exactly:
 
 - ``timer-churn``   -- the Homa resend/RTO pattern: many timers armed, most
   cancelled (acked) before they fire, through the cancellable ``Timer``
   handle (tombstone path).
 - ``codec``         -- SMT encode/decode round trips (framing, composite
   seqnos, record seal/open) over the ``fast`` AEAD.
-- ``aead``          -- raw seal throughput of AES-128-GCM vs FastAead on
-  16 KB records (the two ciphers benchmarks may select).
 - ``rpc-slice``     -- a small fig7-style closed-loop throughput run, end
   to end through hosts, NIC, link and transport.
 
-Wall-clock numbers are environment-dependent, so the band checks assert
-only deterministic *event and operation counts* -- the CI perf-smoke job
-stays flake-free while still catching behavioural regressions.
+Host time is not measured here: wall-clock per workload and per layer is
+the ledger's job (``python3 ledger/run.py``, ``ledger/compare.py``).
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.report import ExperimentReport
 from repro.core.codec import SmtCodec
 from repro.core.session import SmtSession
-from repro.crypto.aead import FastAead
-from repro.crypto.gcm import AesGcm
 from repro.host.costs import CostModel
 from repro.sim.event_loop import EventLoop, Timer, events_dispatched
 from repro.tls.keyschedule import TrafficKeys
 
 _KEY_A = TrafficKeys(key=b"\xa1" * 16, iv=b"\xa2" * 12)
 _KEY_B = TrafficKeys(key=b"\xb1" * 16, iv=b"\xb2" * 12)
-
-
-class _Timed:
-    """Wall-clock + kernel-event window around one micro-benchmark."""
-
-    def __enter__(self) -> "_Timed":
-        self.events0 = events_dispatched()
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.wall = time.perf_counter() - self.t0
-        self.events = events_dispatched() - self.events0
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall if self.wall > 0 else 0.0
 
 
 # -- timer churn ---------------------------------------------------------------
@@ -86,19 +60,13 @@ def run_timer_churn(n: int = 200_000) -> dict:
         if i < n:
             loop.call_later(1e-6, driver)
 
-    with _Timed() as t:
-        loop.call_soon(driver)
-        loop.run()
+    events0 = events_dispatched()
+    loop.call_soon(driver)
+    loop.run()
     return {
         "n": n,
-        # "mode" and "fired_dead" are constants kept so BENCH_perf.json's
-        # table and checks keep their shape across PRs.
-        "mode": "cancel",
         "fired_live": fired[0],
-        "fired_dead": 0,
-        "wall_s": t.wall,
-        "events": t.events,
-        "timers_per_sec": n / t.wall if t.wall > 0 else 0.0,
+        "events": events_dispatched() - events0,
     }
 
 
@@ -122,15 +90,13 @@ def run_codec(
     )
     payload = bytes(range(256)) * (msg_size // 256)
     decoded_ok = 0
-    with _Timed() as t:
-        for i in range(iters):
-            msg_id = 2 * (i + 1)
-            encoded = sender.encode(msg_id, payload, mss=1460)
-            wire = b"".join(bytes(plan.payload) for plan in encoded.plans)
-            decoded = receiver.decode(msg_id, wire)
-            if len(decoded.payload) == msg_size:
-                decoded_ok += 1
-    mb = iters * msg_size / 1e6
+    for i in range(iters):
+        msg_id = 2 * (i + 1)
+        encoded = sender.encode(msg_id, payload, mss=1460)
+        wire = b"".join(bytes(plan.payload) for plan in encoded.plans)
+        decoded = receiver.decode(msg_id, wire)
+        if len(decoded.payload) == msg_size:
+            decoded_ok += 1
     return {
         "msg_size": msg_size,
         "record_payload": record_payload,
@@ -138,27 +104,7 @@ def run_codec(
         "decoded_ok": decoded_ok,
         "records_sealed": sender.records_sealed,
         "records_opened": receiver.records_opened,
-        "wall_s": t.wall,
-        "mb_per_sec": 2 * mb / t.wall if t.wall > 0 else 0.0,  # encode + decode
     }
-
-
-# -- raw AEAD seal -------------------------------------------------------------
-
-
-def run_aead(record: int = 16 * 1024, iters: int = 64) -> dict:
-    """Raw seal throughput: the real AES-128-GCM vs the simulation AEAD."""
-    plaintext = bytes(record)
-    out = {"record": record, "iters": iters}
-    for name, aead in (("aes-128-gcm", AesGcm(b"\x01" * 16)),
-                       ("fast", FastAead(b"\x01" * 16))):
-        t0 = time.perf_counter()
-        for i in range(iters):
-            aead.seal(i.to_bytes(12, "big"), plaintext)
-        wall = time.perf_counter() - t0
-        out[f"{name}_wall_s"] = wall
-        out[f"{name}_mb_per_sec"] = iters * record / 1e6 / wall if wall > 0 else 0.0
-    return out
 
 
 # -- end-to-end RPC slice ------------------------------------------------------
@@ -168,15 +114,13 @@ def run_rpc_slice(duration: float = 1.5e-3) -> dict:
     """A fig7-shaped closed-loop throughput slice, end to end."""
     from repro.bench.runner import throughput
 
-    with _Timed() as t:
-        result = throughput("smt-sw", 1024, 50, duration=duration)
+    events0 = events_dispatched()
+    result = throughput("smt-sw", 1024, 50, duration=duration)
     return {
         "system": result.system,
         "virtual_duration_s": duration,
         "krps": result.rate / 1e3,
-        "wall_s": t.wall,
-        "events": t.events,
-        "events_per_sec": t.events_per_sec,
+        "events": events_dispatched() - events0,
     }
 
 
@@ -184,42 +128,26 @@ def run_rpc_slice(duration: float = 1.5e-3) -> dict:
 
 
 def run(quick: bool = False) -> ExperimentReport:
-    report = ExperimentReport("Kernel micro-benchmarks (host wall-clock)")
+    report = ExperimentReport("Kernel micro-benchmarks (event and record counts)")
     churn_n = 20_000 if quick else 200_000
     codec_iters = 6 if quick else 24
-    aead_iters = 16 if quick else 64
 
     churn = run_timer_churn(churn_n)
     codec = run_codec(iters=codec_iters)
-    aead = run_aead(iters=aead_iters)
     rpc = run_rpc_slice(duration=0.5e-3 if quick else 1.5e-3)
 
     report.add_table(
         ["bench", "metric", "value"],
         [
-            ("timer-churn", "mode", churn["mode"]),
             ("timer-churn", "timers", churn["n"]),
-            ("timer-churn", "wall_s", round(churn["wall_s"], 4)),
-            ("timer-churn", "timers/s", round(churn["timers_per_sec"])),
+            ("timer-churn", "events", churn["events"]),
             ("codec", "roundtrips", codec["iters"]),
-            ("codec", "wall_s", round(codec["wall_s"], 4)),
-            ("codec", "MB/s", round(codec["mb_per_sec"], 1)),
-            ("aead", "aes-gcm MB/s", round(aead["aes-128-gcm_mb_per_sec"], 2)),
-            ("aead", "fast MB/s", round(aead["fast_mb_per_sec"], 1)),
+            ("codec", "records sealed", codec["records_sealed"]),
             ("rpc-slice", "kRPC/s", round(rpc["krps"], 1)),
-            ("rpc-slice", "wall_s", round(rpc["wall_s"], 3)),
-            ("rpc-slice", "events/s", round(rpc["events_per_sec"])),
+            ("rpc-slice", "events", rpc["events"]),
         ],
     )
-    # Deterministic count checks only -- wall time is never asserted, so
-    # the CI perf-smoke job cannot flake on a slow runner.
     report.check("timer-churn live fires", churn["fired_live"], churn_n // 20, churn_n // 20)
-    report.check(
-        "timer-churn total fires",
-        churn["fired_live"] + churn["fired_dead"],
-        churn_n // 20,
-        churn_n,
-    )
     report.check("codec roundtrips decoded", codec["decoded_ok"], codec_iters, codec_iters)
     records_per_msg = -(-codec["msg_size"] // codec["record_payload"])
     report.check(
@@ -229,12 +157,7 @@ def run(quick: bool = False) -> ExperimentReport:
         codec_iters * (records_per_msg + 2),
     )
     report.check("rpc-slice makes progress (kRPC/s)", rpc["krps"], 1.0, 1e9)
-    report.obs["perf"] = {
-        "timer_churn": churn,
-        "codec": codec,
-        "aead": aead,
-        "rpc_slice": rpc,
-    }
+    report.obs["perf"] = {"timer_churn": churn, "codec": codec, "rpc_slice": rpc}
     return report
 
 

@@ -17,9 +17,8 @@ from typing import Any, Generator, Optional
 
 from repro.apps.rpc import RpcChannel
 from repro.core.codec import SmtCodec
-from repro.core.session import SmtSession
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.ktls import ktls_pair
+from repro.ktls import KtlsConnection
 from repro.net.headers import PROTO_HOMA, PROTO_SMT
 from repro.nic.tso import TsoMode
 from repro.sim.trace import Histogram, RateMeter
@@ -36,6 +35,9 @@ SERVER_PORT = 7000
 # costs are charged as AES-128-GCM either way (see repro.host.costs).
 BENCH_AEAD = "fast"
 
+# kTLS mode per bytestream system (tcpls carries its own record layer).
+_STREAM_MODES = {"tcp": None, "tcpls": None, "ktls-sw": "sw", "ktls-hw": "hw"}
+
 _CLIENT_KEYS = TrafficKeys(key=b"\xc1" * 16, iv=b"\xc2" * 12)
 _SERVER_KEYS = TrafficKeys(key=b"\xd1" * 16, iv=b"\xd2" * 12)
 
@@ -47,7 +49,6 @@ class RpcHarness:
     bed: Testbed
     system: str
     call_factory: Any  # call_factory(slot_index) -> call(payload, response_size)
-    num_client_threads: int = 12
 
     def client_slot(
         self,
@@ -73,41 +74,64 @@ class RpcHarness:
             meter.record(payload_size + response_size)
 
 
-def _message_harness(bed: Testbed, system: str, config: Optional[HomaConfig]) -> RpcHarness:
-    from repro.homa.codec import PlainCodec, packets_per_segment_for
+def message_pair(
+    bed: Testbed, system: str, port: int, config: Optional[HomaConfig] = None,
+    **client_codec_kw,
+) -> tuple[HomaSocket, HomaSocket]:
+    """Both sockets of one message stack: ``homa``, ``smt-sw`` or ``smt-hw``.
 
-    offload = system == "smt-hw"
+    The client socket takes an ephemeral port, the server socket ``port``.
+    ``client_codec_kw`` reaches the client's :class:`SmtCodec` only (the
+    flow-context ablation's ``context_per_message``).  Client transport
+    before server transport: construction order is event order.
+    """
     encrypted = system.startswith("smt")
     proto = PROTO_SMT if encrypted else PROTO_HOMA
-    pps = packets_per_segment_for(bed.client.nic.tso_mode)
     ct = HomaTransport(bed.client, config, proto=proto)
     st = HomaTransport(bed.server, config, proto=proto)
-    if encrypted:
-        costs = bed.client.costs
-        client_codec = SmtCodec(
-            SmtSession(_CLIENT_KEYS, _SERVER_KEYS, aead_kind=BENCH_AEAD,
-                       offload=offload, nic=bed.client.nic if offload else None),
-            costs, bed.client.nic.num_queues, packets_per_segment=pps,
-        )
-        server_codec = SmtCodec(
-            SmtSession(_SERVER_KEYS, _CLIENT_KEYS, aead_kind=BENCH_AEAD,
-                       offload=offload, nic=bed.server.nic if offload else None),
-            costs, bed.server.nic.num_queues, packets_per_segment=pps,
-        )
-        if bed.obs is not None:
-            client_codec.bind_obs(bed.obs, "client.smt")
-            server_codec.bind_obs(bed.obs, "server.smt")
-        csock = HomaSocket(ct, bed.client.alloc_port(),
-                           codec_provider=lambda a, p: client_codec)
-        ssock = HomaSocket(st, SERVER_PORT,
-                           codec_provider=lambda a, p: server_codec)
-    else:
-        plain_c = PlainCodec(proto, packets_per_segment=pps)
-        plain_s = PlainCodec(proto, packets_per_segment=pps)
-        csock = HomaSocket(ct, bed.client.alloc_port(),
-                           codec_provider=lambda a, p: plain_c)
-        ssock = HomaSocket(st, SERVER_PORT,
-                           codec_provider=lambda a, p: plain_s)
+    if not encrypted:
+        return HomaSocket(ct, bed.client.alloc_port()), HomaSocket(st, port)
+    offload = system == "smt-hw"
+    client_codec = SmtCodec.for_host(
+        bed.client, _CLIENT_KEYS, _SERVER_KEYS, offload=offload,
+        aead_kind=BENCH_AEAD, **client_codec_kw,
+    )
+    server_codec = SmtCodec.for_host(
+        bed.server, _SERVER_KEYS, _CLIENT_KEYS, offload=offload,
+        aead_kind=BENCH_AEAD,
+    )
+    if bed.obs is not None:
+        client_codec.bind_obs(bed.obs, "client.smt")
+        server_codec.bind_obs(bed.obs, "server.smt")
+    csock = HomaSocket(ct, bed.client.alloc_port(),
+                       codec_provider=lambda a, p: client_codec)
+    ssock = HomaSocket(st, port, codec_provider=lambda a, p: server_codec)
+    return csock, ssock
+
+
+def stream_pairs(bed: Testbed, system: str, port: int, n: int, channel=KtlsConnection):
+    """Yield ``n`` established ``(client, server)`` bytestream channels.
+
+    ``tcp``, ``ktls-sw``, ``ktls-hw`` (as ``channel`` instances, so a
+    subclass can add per-operation costs) or ``tcpls``, on ports ``port``
+    up.  A generator on purpose: construction order is event order, and
+    every caller spawns pair *i*'s server before pair *i+1* connects.
+    """
+    mode = _STREAM_MODES[system]
+    for i in range(n):
+        conn_c, conn_s = connect_pair(bed.client, bed.server, port + i)
+        if system == "tcpls":
+            yield tcpls_pair(conn_c, conn_s, _CLIENT_KEYS, _SERVER_KEYS,
+                             aead_kind=BENCH_AEAD)
+        else:
+            yield (
+                channel(conn_c, mode, _CLIENT_KEYS, _SERVER_KEYS, BENCH_AEAD),
+                channel(conn_s, mode, _SERVER_KEYS, _CLIENT_KEYS, BENCH_AEAD),
+            )
+
+
+def _message_harness(bed: Testbed, system: str, config: Optional[HomaConfig]) -> RpcHarness:
+    csock, ssock = message_pair(bed, system, SERVER_PORT, config)
 
     def server_thread(i: int) -> Generator[Any, Any, None]:
         thread = bed.server.app_thread(i)
@@ -164,16 +188,9 @@ class _PipelinedStreamClient:
         self._reader_running = False
 
 
-def _stream_harness(bed: Testbed, system: str, num_connections: int = 12) -> RpcHarness:
-    mode = {"tcp": None, "ktls-sw": "sw", "ktls-hw": "hw"}.get(system)
+def _stream_harness(bed: Testbed, system: str) -> RpcHarness:
     clients = []
-    for i in range(num_connections):
-        conn_c, conn_s = connect_pair(bed.client, bed.server, SERVER_PORT + 1 + i)
-        if system == "tcpls":
-            c, s = tcpls_pair(conn_c, conn_s, _CLIENT_KEYS, _SERVER_KEYS)
-        else:
-            c, s = ktls_pair(conn_c, conn_s, mode, _CLIENT_KEYS, _SERVER_KEYS,
-                             aead_kind=BENCH_AEAD)
+    for i, (c, s) in enumerate(stream_pairs(bed, system, SERVER_PORT + 1, 12)):
         clients.append(_PipelinedStreamClient(bed, bed.client.app_thread(i), c))
 
         def server_thread(channel=s, i=i) -> Generator[Any, Any, None]:
@@ -203,7 +220,6 @@ def build_rpc_harness(
     mtu: int = 1500,
     tso_mode: TsoMode = TsoMode.FULL,
     config: Optional[HomaConfig] = None,
-    num_connections: int = 12,
     seed: int = 0,
     observe: bool = False,
 ) -> RpcHarness:
@@ -220,7 +236,7 @@ def build_rpc_harness(
         bed.enable_obs()
     if system in MESSAGE_SYSTEMS:
         return _message_harness(bed, system, config)
-    return _stream_harness(bed, system, num_connections)
+    return _stream_harness(bed, system)
 
 
 # -- experiment shapes ---------------------------------------------------------

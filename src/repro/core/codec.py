@@ -13,9 +13,16 @@ from __future__ import annotations
 
 
 from repro.core.framing import plan_message, segment_capacity
+from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
 from repro.errors import ProtocolError
-from repro.homa.codec import DecodedMessage, EncodedMessage, SegmentPlan
+from repro.homa.codec import (
+    DecodedMessage,
+    EncodedMessage,
+    MessageCodec,
+    SegmentPlan,
+    packets_per_segment_for,
+)
 from repro.host.costs import CostModel
 from repro.net.headers import PROTO_SMT
 from repro.nic.tls_offload import ResyncDescriptor, TlsOffloadDescriptor
@@ -25,10 +32,11 @@ from repro.tls.constants import (
     RECORD_HEADER_SIZE,
     TAG_SIZE,
 )
+from repro.tls.keyschedule import TrafficKeys
 from repro.tls.record import encode_record_header, parse_record_header
 
 
-class SmtCodec:
+class SmtCodec(MessageCodec):
     """MessageCodec implementation for one SMT session."""
 
     def __init__(
@@ -64,6 +72,36 @@ class SmtCodec:
         # endpoint or harness binds explicitly with a host-scoped name).
         self.obs = None
         self.obs_name = "smt"
+
+    @classmethod
+    def for_host(
+        cls,
+        host,
+        write_keys: TrafficKeys,
+        read_keys: TrafficKeys,
+        *,
+        offload: bool = False,
+        allocation: BitAllocation = BitAllocation(),
+        aead_kind: str = "aes-128-gcm",
+        **codec_kw,
+    ) -> "SmtCodec":
+        """A fresh session plus its codec, wired to ``host``.
+
+        The one place that reads a :class:`~repro.host.Host` for a codec:
+        the cost model, the NIC queue count, the segment packet budget of
+        the NIC's TSO mode (paper §7) and, for ``offload``, the NIC whose
+        flow contexts the session installs.  ``codec_kw`` passes through
+        to the constructor (``context_per_message``, ``pad_to``, ...).
+        """
+        session = SmtSession(
+            write_keys, read_keys, allocation, aead_kind, offload,
+            nic=host.nic if offload else None,
+        )
+        return cls(
+            session, host.costs, host.nic.num_queues,
+            packets_per_segment=packets_per_segment_for(host.nic.tso_mode),
+            **codec_kw,
+        )
 
     def bind_obs(self, obs, name: str = "smt") -> None:
         """Record codec spans/counters under ``name`` on ``obs``."""

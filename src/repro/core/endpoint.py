@@ -24,7 +24,6 @@ from repro.core.codec import SmtCodec
 from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
 from repro.errors import ProtocolError
-from repro.homa.codec import PlainCodec
 from repro.homa.constants import HomaConfig
 from repro.homa.engine import HomaTransport
 from repro.homa.socket import HomaSocket
@@ -38,6 +37,7 @@ from repro.tls.handshake import (
     ServerHandshake,
     SessionTicket,
 )
+from repro.tls.keyschedule import TrafficKeys
 from repro.tls.timing import HandshakeCostModel
 
 HANDSHAKE_PORT = 443
@@ -93,7 +93,6 @@ class SmtEndpoint:
         )
         self._sessions: dict[tuple[int, int], SmtSession] = {}
         self._codecs: dict[tuple[int, int], SmtCodec] = {}
-        self._plain = PlainCodec(PROTO_SMT)
         self.socket = SmtSocket(self.transport, port, codec_provider=self._codec_for)
         # Servers answer handshakes on the well-known port; additional
         # endpoints on the same host fall back to an ephemeral one (they
@@ -123,15 +122,18 @@ class SmtEndpoint:
         return self._sessions[(peer_addr, peer_port)]
 
     def register_session(
-        self, peer_addr: int, peer_port: int, session: SmtSession
-    ) -> None:
+        self,
+        peer_addr: int,
+        peer_port: int,
+        write_keys: TrafficKeys,
+        read_keys: TrafficKeys,
+    ) -> SmtSession:
         """The paper's setsockopt: install negotiated keys for a peer."""
-        self._sessions[(peer_addr, peer_port)] = session
-        codec = SmtCodec(
-            session,
-            self.host.costs,
-            num_nic_queues=self.host.nic.num_queues,
+        codec = SmtCodec.for_host(
+            self.host, write_keys, read_keys, offload=self.offload,
+            allocation=self.allocation, aead_kind=self.aead_kind,
         )
+        session = self._sessions[(peer_addr, peer_port)] = codec.session
         obs = self.loop.obs
         if obs is not None:
             # Name by host + peer address (not ports: the codec/session are
@@ -140,6 +142,7 @@ class SmtEndpoint:
         self._codecs[(peer_addr, peer_port)] = codec
         if self.ctrl is not None:
             self.ctrl.on_session_registered(self, peer_addr, peer_port, session)
+        return session
 
     def close_session(self, peer_addr: int, peer_port: int) -> bool:
         """Tear down one peer's session (eviction or explicit close)."""
@@ -152,20 +155,6 @@ class SmtEndpoint:
         if self.ctrl is not None:
             self.ctrl.on_session_closed(self, peer_addr, peer_port)
         return True
-
-    def _build_session(self, result, role: str) -> SmtSession:
-        client_keys, server_keys = result.traffic_keys()
-        write, read = (
-            (client_keys, server_keys) if role == "client" else (server_keys, client_keys)
-        )
-        return SmtSession(
-            write_keys=write,
-            read_keys=read,
-            allocation=self.allocation,
-            aead_kind=self.aead_kind,
-            offload=self.offload,
-            nic=self.host.nic if self.offload else None,
-        )
 
     # -- server side -----------------------------------------------------------------
 
@@ -212,8 +201,10 @@ class SmtEndpoint:
                     yield from thread.work(
                         self.cost_model.total(server_hs.trace[charged:])
                     )
-                    session = self._build_session(server_hs.result, "server")
-                    self.register_session(rpc.peer_addr, peer_data_port, session)
+                    client_keys, server_keys = server_hs.result.traffic_keys()
+                    self.register_session(
+                        rpc.peer_addr, peer_data_port, server_keys, client_keys
+                    )
                     tickets = b""
                     for _ in range(issue_tickets):
                         tickets += _pack_bytes(server_hs.issue_ticket())
@@ -296,8 +287,8 @@ class SmtEndpoint:
             )
         finished = client_hs.process_server_flight(server_flight)
         yield from thread.work(self.cost_model.total(client_hs.trace[charged:]))
-        session = self._build_session(client_hs.result, "client")
-        self.register_session(server_addr, server_data_port, session)
+        client_keys, server_keys = client_hs.result.traffic_keys()
+        self.register_session(server_addr, server_data_port, client_keys, server_keys)
         keys_ready = self.loop.now
         ticket_blob = yield from self._handshake_socket.call(
             thread, server_addr, HANDSHAKE_PORT, _wrap(_MSG_FINISHED, self.port, finished)
@@ -369,13 +360,7 @@ class ZeroRttMixin:
                     + self.cost_model.op_cost_for("S2.3")
                     + self.cost_model.op_cost_for("S3")
                 )
-                session = SmtSession(
-                    write_keys=sw, read_keys=cw,
-                    allocation=self.allocation, aead_kind=self.aead_kind,
-                    offload=self.offload,
-                    nic=self.host.nic if self.offload else None,
-                )
-                self.register_session(rpc.peer_addr, peer_data_port, session)
+                session = self.register_session(rpc.peer_addr, peer_data_port, sw, cw)
                 if want_fs:
                     eph = keypool.take() if keypool is not None else None
                     if eph is None:
@@ -432,12 +417,7 @@ class ZeroRttMixin:
         yield from thread.work(
             self.cost_model.total(trace) + self.cost_model.op_cost_for("C2.3")
         )
-        session = SmtSession(
-            write_keys=cw, read_keys=sw,
-            allocation=self.allocation, aead_kind=self.aead_kind,
-            offload=self.offload, nic=self.host.nic if self.offload else None,
-        )
-        self.register_session(server_addr, server_data_port, session)
+        session = self.register_session(server_addr, server_data_port, cw, sw)
         keys_ready = self.loop.now  # 0-RTT: encrypted data may flow already
         body = bytes([int(forward_secrecy)]) + chlo_random + share
         if share_fingerprint:

@@ -128,10 +128,6 @@ class MessageIdSpace:
         self.resets = 0
         self.total_allocated = 0
 
-    @property
-    def next_msg_id(self) -> int:
-        return self._next
-
     def alloc(self) -> int:
         """Next even message id; fires the watermark hook, raises at the end."""
         msg_id = self._next

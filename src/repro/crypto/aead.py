@@ -39,6 +39,10 @@ class Aead(Protocol):
         """Encrypt + authenticate, returning ciphertext || tag."""
         ...
 
+    def seal_many(self, items: list) -> list[bytes]:
+        """:meth:`seal` over a batch of ``(nonce, plaintext, aad)`` records."""
+        ...
+
     def open(self, nonce: bytes, ciphertext_and_tag: bytes, aad: bytes = b"") -> bytes:
         """Authenticate + decrypt, raising AuthenticationError on tampering."""
         ...

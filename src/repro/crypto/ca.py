@@ -110,11 +110,3 @@ class CertificateAuthority:
             certs.append(ca.certificate)
             ca = ca.parent
         return CertificateChain(tuple(certs))
-
-    @property
-    def root_certificate(self) -> Certificate:
-        """The top-most self-signed certificate of this CA's hierarchy."""
-        ca: CertificateAuthority = self
-        while ca.parent is not None:
-            ca = ca.parent
-        return ca.certificate

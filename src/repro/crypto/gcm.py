@@ -164,6 +164,10 @@ class AesGcm:
         ciphertext = self._crypt(nonce, plaintext)
         return ciphertext + self._tag(nonce, aad, ciphertext)
 
+    def seal_many(self, items: list) -> list[bytes]:
+        """Seal ``(nonce, plaintext, aad)`` records one by one."""
+        return [self.seal(nonce, plaintext, aad) for nonce, plaintext, aad in items]
+
     def open(self, nonce: bytes, ciphertext_and_tag, aad=b"") -> bytes:
         """Verify the tag and decrypt; raises AuthenticationError on mismatch.
 

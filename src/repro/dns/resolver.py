@@ -79,9 +79,6 @@ class InternalDns:
                 obs.tracer.end(span)
         return self.query(name, loop.now)
 
-    def revoke(self, name: str) -> None:
-        self._records.pop(name, None)
-
     def bind_obs(self, obs, name: str = "dns") -> None:
         """Expose resolver state as registry gauges."""
         m = obs.metrics

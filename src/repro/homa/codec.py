@@ -10,7 +10,7 @@ numbers, NIC offload descriptors and replay defence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import Optional
 
 from repro.errors import ProtocolError
 from repro.net.headers import PROTO_HOMA
@@ -59,26 +59,32 @@ class DecodedMessage:
     rx_cpu_cost: float = 0.0
 
 
-class MessageCodec(Protocol):
-    """Contract between the Homa engine and a message codec."""
+class MessageCodec:
+    """Contract between the Homa engine and a message codec.
+
+    A codec implements the seven methods that raise here.  The five
+    session hooks below them default to "unmanaged, nothing to do", so the
+    engine and socket call them unconditionally; :class:`SmtCodec
+    <repro.core.codec.SmtCodec>` forwards them to its session.
+    """
 
     proto: int
 
     def segment_capacity(self, mss: int) -> int:
         """Uniform wire bytes per TSO segment (both endpoints derive it)."""
-        ...
+        raise NotImplementedError
 
     def max_message_ids(self) -> int:
         """How many message IDs the codec can represent."""
-        ...
+        raise NotImplementedError
 
     def encode(self, msg_id: int, payload: bytes, mss: int) -> EncodedMessage:
         """Build wire segments for ``payload`` under ``msg_id``."""
-        ...
+        raise NotImplementedError
 
     def decode(self, msg_id: int, wire: bytes) -> DecodedMessage:
         """Recover the payload; raises AuthenticationError on tampering."""
-        ...
+        raise NotImplementedError
 
     def accept_message(self, msg_id: int) -> bool:
         """Replay filter, called on the first packet of an unseen message.
@@ -86,7 +92,7 @@ class MessageCodec(Protocol):
         Returning False silently drops the message (paper §6.1: a replayed
         message ID is discarded *without decryption*).
         """
-        ...
+        raise NotImplementedError
 
     def reseal_range(self, encoded: EncodedMessage, tso_offset: int) -> bytes:
         """Wire bytes of one segment for retransmission.
@@ -95,13 +101,33 @@ class MessageCodec(Protocol):
         offloaded codec re-seals in software, since per-packet retransmits
         cannot ride the record-granular NIC engine.
         """
-        ...
+        raise NotImplementedError
 
     def segment_pre_descriptors(
         self, plan: SegmentPlan, queue: int
     ) -> list[ResyncDescriptor]:
         """Descriptors to post before ``plan`` in ring ``queue`` (resyncs)."""
-        ...
+        raise NotImplementedError
+
+    # -- session hooks (managed sessions, repro.ctrl) ----------------------------
+
+    def alloc_msg_id(self) -> Optional[int]:
+        """An ID from the session's own lane, or None for the transport counter."""
+        return None
+
+    def tx_gate(self):
+        """Event blocking new calls while the session rekeys, else None."""
+        return None
+
+    def rpc_started(self) -> None:
+        """A call on this codec's session began (in-flight accounting)."""
+
+    def rpc_finished(self) -> None:
+        """The call ended, successfully or not."""
+
+    def forgive_message(self, msg_id: int) -> bool:
+        """Re-admit an ID whose bytes failed authentication (recovery)."""
+        return True
 
 
 def packets_per_segment_for(tso_mode) -> int:
@@ -111,7 +137,7 @@ def packets_per_segment_for(tso_mode) -> int:
     return {TsoMode.FULL: 0, TsoMode.PAIRS: 2, TsoMode.OFF: 1}[tso_mode]
 
 
-class PlainCodec:
+class PlainCodec(MessageCodec):
     """Identity codec: unencrypted Homa."""
 
     def __init__(self, proto: int = PROTO_HOMA, packets_per_segment: int = 0):

@@ -53,4 +53,3 @@ class HomaConfig:
     # Network priority levels (strict; 7 highest).
     control_priority: int = 7
     unscheduled_priority: int = 6
-    scheduled_priority_levels: int = 4  # SRPT levels 2..5 for granted data

@@ -62,11 +62,9 @@ class HomaTransport:
     def alloc_msg_id(self, codec: MessageCodec) -> int:
         # Managed sessions (repro.ctrl) carve per-session lanes out of the
         # ID space; unmanaged codecs fall through to the shared counter.
-        alloc = getattr(codec, "alloc_msg_id", None)
-        if alloc is not None:
-            msg_id = alloc()
-            if msg_id is not None:
-                return msg_id
+        msg_id = codec.alloc_msg_id()
+        if msg_id is not None:
+            return msg_id
         msg_id = self._next_msg_id
         self._next_msg_id += 2
         if msg_id >= codec.max_message_ids():
@@ -289,9 +287,8 @@ class HomaTransport:
             msg.sender_timer = None
 
     def _end_tx_span(self, msg: OutboundMessage, outcome: str) -> None:
-        span = getattr(msg, "obs_span", None)
-        if span is not None:
-            self.loop.obs.tracer.end(span, outcome=outcome)
+        if msg.obs_span is not None:
+            self.loop.obs.tracer.end(msg.obs_span, outcome=outcome)
 
     # -- receive path --------------------------------------------------------------------
 
@@ -432,9 +429,8 @@ class HomaTransport:
         obs = self.loop.obs
         if obs is not None:
             obs.metrics.counter(f"{self.host.name}.homa.rx.messages").add()
-            span = getattr(inbound, "obs_span", None)
-            if span is not None:
-                obs.tracer.end(span, resends=inbound.resends)
+            if inbound.obs_span is not None:
+                obs.tracer.end(inbound.obs_span, resends=inbound.resends)
         cost = self.costs.homa_deliver_fixed + self.costs.homa_wake
         if inbound.msg_id & 1:
             # A response implicitly acknowledges its request (Homa's RPC
@@ -699,9 +695,7 @@ class HomaTransport:
         socket = self._sockets.get(inbound.local_port)
         if socket is not None:
             codec = socket.codec_for(inbound.peer_addr, inbound.peer_port)
-            forgive = getattr(codec, "forgive_message", None)
-            if forgive is not None:
-                forgive(inbound.msg_id)
+            codec.forgive_message(inbound.msg_id)
         self.corrupt_recoveries += 1
         self.resend_requests += 1
         obs = self.loop.obs
@@ -748,12 +742,6 @@ class HomaTransport:
                     )
             return cost or None
         return self._retransmit_segment_explicit(msg, encoded, t.tso_offset) or None
-
-    def _socket_codec_for(self, msg: OutboundMessage) -> MessageCodec:
-        socket = self._sockets.get(msg.src_port)
-        if socket is None:
-            raise ProtocolError(f"no socket on port {msg.src_port}")
-        return socket.codec_for(msg.dest_addr, msg.dest_port)
 
     # .. ack ..
 

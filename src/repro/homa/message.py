@@ -154,6 +154,8 @@ class InboundMessage:
     # Active RESEND timer handle (repro.sim.Timer); cancelled on delivery
     # instead of letting a dead timer fire and guard-check.
     resend_timer: Optional[object] = None
+    # Open ``homa.rx`` span while the loop is observed (closed on delivery).
+    obs_span: Optional[object] = None
     # Message-wide receive buffer, preallocated from the first DATA
     # header's msg_len (fault injection never corrupts headers, so the
     # size is trusted the same way the old per-segment lengths were).
@@ -226,7 +228,5 @@ class OutboundMessage:
     last_activity: float = 0.0
     # Sender-timeout handle (repro.sim.Timer); cancelled when acked.
     sender_timer: Optional[object] = None
-
-    @property
-    def fully_sent(self) -> bool:
-        return self.sent_bytes >= self.wire_len
+    # Open ``homa.tx`` span while the loop is observed (closed on ack/timeout).
+    obs_span: Optional[object] = None

@@ -21,7 +21,7 @@ from repro.errors import (
     SessionFailedError,
     TransportError,
 )
-from repro.homa.codec import MessageCodec, PlainCodec
+from repro.homa.codec import MessageCodec, PlainCodec, packets_per_segment_for
 from repro.homa.engine import HomaTransport
 from repro.homa.message import InboundMessage
 from repro.host.cpu import AppThread
@@ -51,7 +51,10 @@ class HomaSocket:
         self.loop = transport.loop
         self.costs = transport.costs
         self.port = port
-        default_codec = PlainCodec(transport.proto)
+        # Unencrypted by default, framed for this host's NIC (paper §7).
+        default_codec = PlainCodec(
+            transport.proto, packets_per_segment_for(transport.host.nic.tso_mode)
+        )
         self._codec_provider = codec_provider or (lambda addr, port_: default_codec)
         self._rx_requests: Store = Store(self.loop, f"homa.{port}.rx")
         self._pending: dict[int, Any] = {}  # request msg_id -> Event
@@ -100,28 +103,20 @@ class HomaSocket:
         """
         codec = self.codec_for(dest_addr, dest_port)
         # Managed sessions (repro.ctrl) gate new calls while a rekey drains
-        # the session; unmanaged codecs have no gate and pay nothing here.
-        gate = getattr(codec, "tx_gate", None)
-        if gate is not None:
-            blocked = gate()
-            while blocked is not None:
-                yield blocked
-                blocked = gate()
-        started = getattr(codec, "rpc_started", None)
-        if started is not None:
-            started()
-            try:
-                payload = yield from self._call(
+        # the session; an unmanaged codec's gate is always open.
+        blocked = codec.tx_gate()
+        while blocked is not None:
+            yield blocked
+            blocked = codec.tx_gate()
+        codec.rpc_started()
+        try:
+            return (
+                yield from self._call(
                     thread, dest_addr, dest_port, payload, codec, timeout
                 )
-            finally:
-                codec.rpc_finished()
-            return payload
-        return (
-            yield from self._call(
-                thread, dest_addr, dest_port, payload, codec, timeout
             )
-        )
+        finally:
+            codec.rpc_finished()
 
     def _call(
         self,

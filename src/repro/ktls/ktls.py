@@ -123,33 +123,40 @@ class KtlsConnection:
 
     # -- receive -----------------------------------------------------------------
 
+    def _open_buffered(self) -> tuple[list[bytes], float]:
+        """Open every complete record in the receive buffer.
+
+        Returns the plaintexts and the CPU cost of parsing, gathering and
+        decrypting them; a partial trailing record stays buffered.
+        """
+        out: list[bytes] = []
+        cost = 0.0
+        while len(self._rx_buf) >= RECORD_HEADER_SIZE:
+            _t, ct_len = parse_record_header(bytes(self._rx_buf[:RECORD_HEADER_SIZE]))
+            total = RECORD_HEADER_SIZE + ct_len
+            if len(self._rx_buf) < total:
+                break
+            record = bytes(self._rx_buf[:total])
+            del self._rx_buf[:total]
+            opened = self._read.open(record)
+            if opened.content_type != CONTENT_APPLICATION_DATA:
+                raise ProtocolError("unexpected TLS content type on data path")
+            out.append(opened.payload)
+            self.records_opened += 1
+            cost += (
+                self.costs.record_parse
+                + self.costs.stream_gather_per_byte * total
+                + self.costs.crypto_cost(len(opened.payload))
+            )
+        return out, cost
+
     def recv(self, thread: AppThread) -> Generator[Any, Any, bytes]:
         """Receive decrypted application bytes (blocks until some arrive)."""
         if self.mode is None:
             data = yield from self.conn.recv(thread)
             return data
         while True:
-            out: list[bytes] = []
-            cost = 0.0
-            while True:
-                if len(self._rx_buf) < RECORD_HEADER_SIZE:
-                    break
-                _t, ct_len = parse_record_header(bytes(self._rx_buf[:RECORD_HEADER_SIZE]))
-                total = RECORD_HEADER_SIZE + ct_len
-                if len(self._rx_buf) < total:
-                    break
-                record = bytes(self._rx_buf[:total])
-                del self._rx_buf[:total]
-                opened = self._read.open(record)
-                if opened.content_type != CONTENT_APPLICATION_DATA:
-                    raise ProtocolError("unexpected TLS content type on data path")
-                out.append(opened.payload)
-                self.records_opened += 1
-                cost += (
-                    self.costs.record_parse
-                    + self.costs.stream_gather_per_byte * total
-                    + self.costs.crypto_cost(len(opened.payload))
-                )
+            out, cost = self._open_buffered()
             if out:
                 if cost:
                     yield from thread.work(cost)
@@ -171,23 +178,7 @@ class KtlsConnection:
         if self.mode is None:
             return data
         self._rx_buf += data
-        out: list[bytes] = []
-        cost = 0.0
-        while len(self._rx_buf) >= RECORD_HEADER_SIZE:
-            _t, ct_len = parse_record_header(bytes(self._rx_buf[:RECORD_HEADER_SIZE]))
-            total = RECORD_HEADER_SIZE + ct_len
-            if len(self._rx_buf) < total:
-                break
-            record = bytes(self._rx_buf[:total])
-            del self._rx_buf[:total]
-            opened = self._read.open(record)
-            out.append(opened.payload)
-            self.records_opened += 1
-            cost += (
-                self.costs.record_parse
-                + self.costs.stream_gather_per_byte * total
-                + self.costs.crypto_cost(len(opened.payload))
-            )
+        out, cost = self._open_buffered()
         if cost:
             yield from thread.work(cost)
         return b"".join(out)

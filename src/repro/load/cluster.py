@@ -36,9 +36,7 @@ from typing import Any, Generator, Optional
 
 from repro.apps.rpc import RpcChannel
 from repro.core.codec import SmtCodec
-from repro.core.session import SmtSession
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.homa.codec import PlainCodec, packets_per_segment_for
 from repro.ktls import ktls_pair
 from repro.net.headers import PROTO_HOMA, PROTO_SMT
 from repro.tcp import connect_pair
@@ -176,17 +174,13 @@ def smt_codec_provider(host, codecs: dict, keys_for):
     per-socket cache, owned by the caller so an eviction policy (the
     tenant session tables) can drop entries -- the next packet rebuilds.
     """
-    pps = packets_per_segment_for(host.nic.tso_mode)
 
     def provider(addr: int, port: int) -> SmtCodec:
         codec = codecs.get(addr)
         if codec is None:
             tx, rx = keys_for(addr)
-            codec = codecs[addr] = SmtCodec(
-                SmtSession(tx, rx, aead_kind=LOAD_AEAD),
-                host.costs,
-                host.nic.num_queues,
-                packets_per_segment=pps,
+            codec = codecs[addr] = SmtCodec.for_host(
+                host, tx, rx, aead_kind=LOAD_AEAD
             )
         return codec
 
@@ -196,21 +190,13 @@ def smt_codec_provider(host, codecs: dict, keys_for):
 def message_socket(host, system: str, config: Optional[HomaConfig]) -> HomaSocket:
     """``host``'s one socket for all peers on :data:`SERVER_PORT`."""
     encrypted = system == "smt"
-    proto = PROTO_SMT if encrypted else PROTO_HOMA
-    transport = HomaTransport(host, config, proto=proto)
-    if encrypted:
-        provider = smt_codec_provider(
-            host, {},
-            lambda addr: (_pair_keys(host.addr, addr), _pair_keys(addr, host.addr)),
-        )
-    else:
-        plain = PlainCodec(
-            proto, packets_per_segment=packets_per_segment_for(host.nic.tso_mode)
-        )
-
-        def provider(addr: int, port: int) -> PlainCodec:
-            return plain
-
+    transport = HomaTransport(host, config, proto=PROTO_SMT if encrypted else PROTO_HOMA)
+    if not encrypted:
+        return HomaSocket(transport, SERVER_PORT)
+    provider = smt_codec_provider(
+        host, {},
+        lambda addr: (_pair_keys(host.addr, addr), _pair_keys(addr, host.addr)),
+    )
     return HomaSocket(transport, SERVER_PORT, codec_provider=provider)
 
 

@@ -84,7 +84,6 @@ class DomainFaultController:
         self._crashed_hosts: set[int] = set()  # addrs
         self._spans: dict[str, object] = {}
         self._watchers: list = []
-        self._on_crash: list[Callable[[int], None]] = []
         self._on_revive: list[Callable[[int], None]] = []
         self.reroutes = 0
 
@@ -225,8 +224,6 @@ class DomainFaultController:
         self.fault_times[host.name] = self.loop.now
         self._record("replica_crash", host.name)
         self._open_span(f"{host.name}.crash")
-        for hook in self._on_crash:
-            hook(host_index)
 
     def replica_revive(self, host_index: int) -> None:
         """Revive a crashed host.  Its control plane restarts *cold*:
@@ -246,10 +243,6 @@ class DomainFaultController:
         for hook in self._on_revive:
             hook(host_index)
 
-    def on_replica_crash(self, hook: Callable[[int], None]) -> None:
-        """Run ``hook(host_index)`` at every replica crash (engine wiring)."""
-        self._on_crash.append(hook)
-
     def on_replica_revive(self, hook: Callable[[int], None]) -> None:
         self._on_revive.append(hook)
 
@@ -260,13 +253,6 @@ class DomainFaultController:
         if addr in self._crashed_hosts:
             return False
         return self.fabric.leaf_up(self.fabric.rack_of(addr))
-
-    def is_spine_up(self, spine: int) -> bool:
-        return self.fabric.spine_up(spine)
-
-    @property
-    def crashed_hosts(self) -> frozenset:
-        return frozenset(self._crashed_hosts)
 
     # -- scheduling -------------------------------------------------------------
 

@@ -322,14 +322,6 @@ class Switch:
         port = self._ports[addr]
         return {"dropped": port.dropped, "trimmed": port.trimmed, "queued": port.queued}
 
-    def port_blackholed(self, addr: PortKey) -> int:
-        """Packets blackholed at one down egress port."""
-        return self._ports[addr].blackholed
-
-    def port_keys(self) -> list[PortKey]:
-        """Every attached port key (host addresses and trunk names)."""
-        return list(self._ports)
-
     def totals(self) -> dict:
         """Drop/trim/queue/blackhole counters aggregated over every port."""
         out = {"dropped": 0, "trimmed": 0, "queued": 0,

@@ -17,7 +17,7 @@ dicts with insertion-ordered keys -- byte-identical across same-seed runs.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 from repro.errors import SimulationError
 from repro.sim.trace import Counter, CounterSet, Histogram, RateMeter
@@ -71,10 +71,6 @@ class MetricsRegistry:
     def rate_meter(self, name: str) -> RateMeter:
         """The rate meter at ``name``, created on first use."""
         return self._get(name, RateMeter, lambda: RateMeter(name))
-
-    def counter_set(self, name: str, names: Iterable[str]) -> CounterSet:
-        """The counter set at ``name``, created on first use."""
-        return self._get(name, CounterSet, lambda: CounterSet(names, prefix=f"{name}."))
 
     def gauge(self, name: str, fn: Callable[[], Union[int, float]]) -> Gauge:
         """Register ``fn`` as a gauge read at snapshot time.

@@ -163,10 +163,6 @@ class TcpConnection:
         yield from thread.work(cost)
         return data
 
-    @property
-    def bytes_queued(self) -> int:
-        return (self.snd_nxt - self.snd_una) if (self._tx_queue or self._unacked) else 0
-
     # -- transmit machinery ---------------------------------------------------------
 
     def _tx_cpu_cost(self, chunks: list[TxChunk]) -> float:

@@ -121,12 +121,13 @@ def tcpls_pair(
     server_conn: TcpConnection,
     client_keys: Optional[TrafficKeys] = None,
     server_keys: Optional[TrafficKeys] = None,
+    aead_kind: str = "aes-128-gcm",
 ) -> tuple[TcplsConnection, TcplsConnection]:
     """Both ends of a TCPLS session over an established TCP pair."""
     if client_keys is None:
         client_keys = TrafficKeys(key=b"\x55" * 16, iv=b"\x66" * 12)
     if server_keys is None:
         server_keys = TrafficKeys(key=b"\x77" * 16, iv=b"\x88" * 12)
-    c = TcplsConnection(client_conn, client_keys, server_keys)
-    s = TcplsConnection(server_conn, server_keys, client_keys)
+    c = TcplsConnection(client_conn, client_keys, server_keys, aead_kind)
+    s = TcplsConnection(server_conn, server_keys, client_keys, aead_kind)
     return c, s

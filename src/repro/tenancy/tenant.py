@@ -72,12 +72,6 @@ class TenantRegistry:
             raise ProtocolError(f"unknown tenant {name!r}")
         return tenant
 
-    def by_tid(self, tid: int) -> Tenant:
-        tenant = self._by_tid.get(tid)
-        if tenant is None:
-            raise ProtocolError(f"unknown tenant id {tid}")
-        return tenant
-
     def names(self) -> list[str]:
         return list(self._by_name)
 

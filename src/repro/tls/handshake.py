@@ -34,7 +34,6 @@ from repro.crypto.cert import (
     verify_with_key,
 )
 from repro.crypto.ecdh import EcdhKeyPair
-from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.crypto.kdf import hmac_sha256, transcript_hash
 from repro.errors import AuthenticationError, ProtocolError
 from repro.tls.constants import (
@@ -149,10 +148,6 @@ class HandshakeResult:
             TrafficKeys.from_secret(self.client_app_secret),
             TrafficKeys.from_secret(self.server_app_secret),
         )
-
-
-def _signing_alg(key: object) -> str:
-    return KEY_ALG_ECDSA if isinstance(key, EcdsaKeyPair) else KEY_ALG_RSA
 
 
 def _hs_protection(secret: bytes) -> RecordProtection:

@@ -51,9 +51,6 @@ class KeySchedule:
         label = "ext binder" if external else "res binder"
         return derive_secret(self._early_secret, label, _EMPTY_HASH)
 
-    def client_early_traffic_secret(self, chlo_hash: bytes) -> bytes:
-        return derive_secret(self._early_secret, "c e traffic", chlo_hash)
-
     # -- handshake stage -----------------------------------------------------
 
     def inject_ecdhe(self, shared_secret: bytes) -> None:

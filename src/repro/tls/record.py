@@ -116,10 +116,10 @@ class RecordProtection:
         """Seal ``(payload, content_type, seqno)`` records in one pass.
 
         Byte-identical to calling :meth:`seal` per record with explicit
-        seqnos and no padding.  When the AEAD exposes ``seal_many`` (the
-        simulation :class:`~repro.crypto.aead.FastAead`), keystream tiles
-        for every record of the message are generated and applied in a
-        single pass; other AEADs (AES-GCM) fall back to per-record seals.
+        seqnos and no padding.  The AEAD's ``seal_many`` decides how: the
+        simulation :class:`~repro.crypto.aead.FastAead` generates and
+        applies the keystream tiles of every record in a single pass,
+        AES-GCM seals record by record.
         """
         headers: list[bytes] = []
         batch: list[tuple] = []
@@ -133,12 +133,7 @@ class RecordProtection:
             header = encode_record_header(len(inner) + TAG_SIZE)
             headers.append(header)
             batch.append((nonce_for(seqno), inner, header))
-        seal_many = getattr(self._aead, "seal_many", None)
-        if seal_many is not None:
-            sealed = seal_many(batch)
-        else:
-            seal = self._aead.seal
-            sealed = [seal(nonce, inner, aad=aad) for nonce, inner, aad in batch]
+        sealed = self._aead.seal_many(batch)
         return [header + ct for header, ct in zip(headers, sealed)]
 
     def open_parsed(self, header, body, seqno: int) -> TLSRecord:
@@ -188,8 +183,3 @@ class RecordProtection:
         if end == 0:
             raise ProtocolError("record with no content type")
         return TLSRecord(content_type=inner[end - 1], payload=inner[: end - 1], seqno=seqno)
-
-    @property
-    def next_seqno(self) -> int:
-        """The next implicit sequence number (TLS/TCP mode)."""
-        return self._next_seqno

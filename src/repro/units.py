@@ -28,25 +28,3 @@ GBPS = 1e9  # bits per second
 def seconds_to_usec(t: float) -> float:
     """Convert seconds to microseconds (for reporting)."""
     return t / USEC
-
-
-def wire_time(nbytes: int, bandwidth_bps: float) -> float:
-    """Serialization delay of ``nbytes`` on a link of ``bandwidth_bps``."""
-    return (nbytes * 8) / bandwidth_bps
-
-
-def fmt_size(nbytes: int) -> str:
-    """Human-readable size used in benchmark tables (``64B``, ``8KB``...)."""
-    if nbytes >= MB and nbytes % MB == 0:
-        return f"{nbytes // MB}MB"
-    if nbytes >= KB and nbytes % KB == 0:
-        return f"{nbytes // KB}KB"
-    return f"{nbytes}B"
-
-
-def fmt_usec(t: float) -> str:
-    """Render a duration in microseconds with sensible precision."""
-    us = seconds_to_usec(t)
-    if us >= 100:
-        return f"{us:.0f}us"
-    return f"{us:.1f}us"

@@ -5,7 +5,7 @@ import json
 from repro.bench.fleet import EXPERIMENTS, run_experiment, run_fleet
 
 # Fast experiments for parity runs (sub-second each); "perf" is exercised
-# separately because its report *contains* wall-clock numbers by design.
+# separately, in quick mode.
 FAST = ["fig5", "fig12"]
 
 
@@ -42,10 +42,10 @@ class TestSerialParallelParity:
             assert s.rendered == p.rendered
 
     def test_perf_quick_deterministic_checks(self):
-        # The perf micro-benchmark's tables hold wall times (host-dependent);
-        # its band checks are pure event/record counts and must agree
-        # between an in-process run and a worker-process run.
+        # The perf micro-benchmark reports pure event/record counts, which
+        # must agree between an in-process run and a worker-process run.
         serial = run_fleet(["perf"], jobs=1, quick=True)[0]
         parallel = run_fleet(["perf", "fig5"], jobs=2, quick=True)[0]
         assert serial.report_json["checks"] == parallel.report_json["checks"]
+        assert serial.report_json["tables"] == parallel.report_json["tables"]
         assert all(c["ok"] for c in serial.report_json["checks"])

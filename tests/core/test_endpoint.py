@@ -9,6 +9,7 @@ from repro.crypto.ca import CertificateAuthority
 from repro.crypto.cert import KEY_ALG_ECDSA
 from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.errors import ProtocolError
+from repro.nic.tso import TsoMode
 from repro.testbed import Testbed
 from repro.tls.handshake import HandshakeConfig, ServerCredentials
 
@@ -22,9 +23,9 @@ def pki():
     return ca, ServerCredentials(chain=ca.chain_for(leaf), signing_key=key)
 
 
-def build(pki, offload=False):
+def build(pki, offload=False, **bed_kw):
     ca, creds = pki
-    bed = Testbed.back_to_back()
+    bed = Testbed.back_to_back(**bed_kw)
     cep = SmtEndpoint(bed.client, bed.client.alloc_port(), offload=offload)
     sep = SmtEndpoint(bed.server, 7000, offload=offload)
     roots = (ca.certificate,)
@@ -108,6 +109,38 @@ class TestEncryptedData:
         done = bed.loop.process(client())
         bed.loop.run(until=bed.loop.now + 1.0)
         assert done.ok and result["r"] == b"ping" * 100
+
+    @pytest.mark.parametrize("mode,budget", [(TsoMode.PAIRS, 2), (TsoMode.OFF, 1)])
+    def test_sessions_honour_nic_tso_mode(self, pki, mode, budget):
+        # Paper §7 reduced-TSO modes: a handshaken session frames for the
+        # NIC it sits on, like the pre-keyed bench stacks do.
+        bed, cep, sep, roots = build(pki, tso_mode=mode)
+
+        def server():
+            t = bed.server.app_thread(1)
+            while True:
+                rpc = yield from sep.socket.recv_request(t)
+                yield from sep.socket.reply(t, rpc, rpc.payload)
+
+        bed.loop.process(server())
+        connect(bed, cep, roots)
+        assert cep.socket.codec_for(bed.server.addr, 7000).packets_per_segment == budget
+        assert sep.socket.codec_for(bed.client.addr, cep.port).packets_per_segment == budget
+        segments0 = bed.client.nic.segments_sent
+        packets0 = bed.client.nic.packets_sent
+        result = {}
+
+        def client():
+            t = bed.client.app_thread(0)
+            result["r"] = yield from cep.socket.call(
+                t, bed.server.addr, 7000, b"ping" * 5000
+            )
+
+        done = bed.loop.process(client())
+        bed.loop.run(until=bed.loop.now + 1.0)
+        assert done.ok and result["r"] == b"ping" * 5000
+        nic = bed.client.nic
+        assert nic.packets_sent - packets0 <= budget * (nic.segments_sent - segments0)
 
     @pytest.mark.parametrize("offload", [False, True])
     def test_wire_confidentiality(self, pki, offload):

@@ -42,11 +42,12 @@ class TestDefaultSplitBoundaries:
 
     def test_engine_alloc_refuses_exhausted_id_space(self):
         # The transport's ID allocator must fail typed, not wrap around.
+        from repro.homa.codec import MessageCodec
         from repro.homa.engine import HomaTransport
         from repro.net.headers import PROTO_SMT
         from repro.testbed import Testbed
 
-        class TinyCodec:
+        class TinyCodec(MessageCodec):
             def max_message_ids(self):
                 return 8
 

@@ -1,6 +1,8 @@
 """Homa engine integration tests: RPCs, grants, loss recovery."""
 
+from repro.errors import TransportError
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
+from repro.homa.codec import PlainCodec
 from repro.net.headers import PacketType
 from repro.testbed import Testbed
 from repro.units import KB
@@ -220,3 +222,52 @@ class TestReceiverDriven:
         echo_server(bed, ssock)
         run_client(bed, csock, [bytes(200 * KB)])
         assert control_prios and all(p == 7 for p in control_prios)
+
+
+class TestCodecContract:
+    def test_session_hooks_bracket_every_call(self):
+        # HomaSocket.call has one arm: any codec's gate/started/finished
+        # hooks run, and rpc_finished runs when the call fails too.
+        class Counting(PlainCodec):
+            started = finished = gates = 0
+
+            def tx_gate(self):
+                self.gates += 1
+                return None
+
+            def rpc_started(self):
+                self.started += 1
+
+            def rpc_finished(self):
+                self.finished += 1
+
+        bed = Testbed.back_to_back()
+        codec = Counting()
+        csock = HomaSocket(
+            HomaTransport(bed.client), bed.client.alloc_port(),
+            codec_provider=lambda addr, port: codec,
+        )
+        ssock = HomaSocket(HomaTransport(bed.server), 6000)
+        failures = []
+
+        def client():
+            t = bed.client.app_thread(0)
+            try:  # no server process yet: the caller deadline expires
+                yield from csock.call(t, bed.server.addr, 6000, b"x" * 64, timeout=50e-6)
+            except TransportError as exc:
+                failures.append(exc)
+            assert (codec.started, codec.finished) == (1, 1)
+            echo_server(bed, ssock)
+            response = yield from csock.call(t, bed.server.addr, 6000, b"y" * 64)
+            assert response == b"y" * 64
+
+        done = bed.loop.process(client())
+        bed.loop.run(until=1.0)
+        assert done.triggered and done.ok, getattr(done, "value", "deadlock")
+        assert len(failures) == 1
+        assert (codec.gates, codec.started, codec.finished) == (2, 2, 2)
+
+    def test_plain_codec_is_unmanaged(self):
+        codec = PlainCodec()
+        assert codec.alloc_msg_id() is None and codec.tx_gate() is None
+        assert codec.forgive_message(2) is True

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AuthenticationError, CryptoError
+from repro.errors import AuthenticationError, CryptoError, ProtocolError
 from repro.ktls import KtlsConnection, ktls_pair
 from repro.net.headers import PacketType
 from repro.tcp import connect_pair
@@ -194,6 +194,31 @@ class TestTamperDetection:
         bed.loop.run(until=1.0)
         assert srv.triggered and not srv.ok
         assert isinstance(srv.value, AuthenticationError)
+
+
+class TestContentType:
+    @pytest.mark.parametrize("entry", ["recv", "recv_available"])
+    def test_non_application_data_record_rejected(self, entry):
+        # A well-authenticated record of another content type (an alert)
+        # must not reach the application as data, on either receive entry.
+        bed, c, s = make_bed("sw")
+        alert = c._write.seal(b"\x01\x00", content_type=21)
+
+        def server():
+            t = bed.server.app_thread(0)
+            if entry == "recv_available":
+                yield bed.loop.timeout(1e-3)  # let the record land first
+            yield from getattr(s, entry)(t)
+
+        def client():
+            yield from c.conn.send(bed.client.app_thread(0), alert)
+
+        srv = bed.loop.process(server())
+        bed.loop.process(client())
+        bed.loop.run(until=1.0)
+        assert srv.triggered and not srv.ok
+        assert isinstance(srv.value, ProtocolError)
+        assert s.records_opened == 0
 
 
 class TestHwRetransmission:
