@@ -42,6 +42,8 @@ from pathlib import Path
 # times.  "frontend" then dropped by exactly 4: the engine no longer
 # spawns an arrival process that returns at once on each of the 2
 # non-client hosts in each of the bench's 2 skewed runs (1 event each).
+# "fig12" is the key exchange (five handshake variants): every handshake
+# byte and charged crypto op feeds its count.
 EXPECTED_EVENTS = {
     "perf": 51321,
     "churn": 4497,
@@ -56,6 +58,7 @@ EXPECTED_EVENTS = {
     "fig7-cpu": 453018,
     "ablation-acks": 186810,
     "ablation-contexts": 17736,
+    "fig12": 756,
 }
 
 

@@ -197,7 +197,7 @@ class SmtEndpoint:
                     if pending is None:
                         raise ProtocolError("Finished flight without a pending handshake")
                     server_hs, charged = pending
-                    server_hs.process_client_flight(body)
+                    server_hs.process_client_flight(body, self.loop.now)
                     yield from thread.work(
                         self.cost_model.total(server_hs.trace[charged:])
                     )
@@ -285,7 +285,7 @@ class SmtEndpoint:
             raise ProtocolError(
                 f"server {server_addr} refused handshake (admission backpressure)"
             )
-        finished = client_hs.process_server_flight(server_flight)
+        finished = client_hs.process_server_flight(server_flight, self.loop.now)
         yield from thread.work(self.cost_model.total(client_hs.trace[charged:]))
         client_keys, server_keys = client_hs.result.traffic_keys()
         self.register_session(server_addr, server_data_port, client_keys, server_keys)

@@ -238,8 +238,9 @@ def shared_aead(kind: str, key: bytes) -> Aead:
     matters most for :class:`AesGcm`, whose per-key GHASH tables (16x256
     128-bit entries) are otherwise rebuilt for every connection and rekey.
 
-    The cache is never evicted; simulations key a handful of sessions, not
-    an unbounded population.
+    The cache is dropped whole once it holds 4 096 instances: simulations
+    key a handful of sessions, and a run that churns through more only
+    rebuilds the ones it still uses.
     """
     cache_key = (kind, bytes(key))
     aead = _SHARED_AEADS.get(cache_key)

@@ -1,32 +1,46 @@
 """The secp256r1 (NIST P-256) elliptic-curve group.
 
-Implements point addition/doubling in Jacobian coordinates, windowed scalar
-multiplication, on-curve validation, and SEC1 uncompressed point encoding.
+Implements point addition/doubling in Jacobian coordinates, comb and wNAF
+scalar multiplication, on-curve validation, and SEC1 uncompressed point
+encoding.
 This is the group behind the paper's key exchange (ECDH with secp256r1) and
 signatures (ECDSA with secp256r1), per §5.6.
 
 Scalar multiplication comes in three shapes, all over affine tables so that
 every addition is a mixed Jacobian+affine one:
 
-- ``k*G`` (key generation, signing): a comb over a table of
-  ``d * 2^(4i) * G`` for d in 1..15 and i in 0..63, built on first use
-  (~10 ms, ~180 KB, once per process).  At most 64 additions, no doublings.
+- ``k*G`` (key generation, signing): a Lim-Lee comb of 8 teeth x 32 columns
+  over one table of the 255 subset sums of ``2^(32j) * G``, j in 0..7, built
+  on first use (~3 ms, ~47 KB, once per process).  32 doublings and at most
+  32 additions.
 - ``k*Q`` (ECDH): width-5 wNAF over the odd multiples ``1Q..15Q``, which
   are recomputed on every call (2Q goes affine first, so that building them
-  is mixed additions too); nothing is kept per public key.
-- ``u1*G + u2*Q`` (ECDSA verification): the wNAF ladder for ``u2*Q``, then
-  the comb for ``u1*G`` added onto it before the one conversion to affine.
+  is mixed additions too).  An ECDH peer share is ephemeral, so nothing is
+  kept for it.
+- ``u1*G + u2*Q`` (ECDSA verification): **one** comb ladder over two tables
+  of that shape, G's and Q's -- 32 doublings for both scalars together and
+  at most 64 additions.  Verification keys are long-lived (a CA's, a
+  server leaf's), so this is the one place a table is kept per public key:
+  ``_key_tables`` holds at most ``_KEY_TABLES_MAX`` of them, least recently
+  used out first, keyed by the full ``(x, y)``, and a key earns its table
+  only on its second sighting.  On the first, ``u2*Q`` is the wNAF ladder
+  and joins the comb for ``u1*G`` by one affine addition.  What is kept is
+  a table of multiples of a point that was validated on this very call --
+  never a verification result: every signature is a full double-scalar
+  multiplication.
 
-Both tables leave Jacobian coordinates through Montgomery's batch inversion,
+All tables leave Jacobian coordinates through Montgomery's batch inversion,
 and every inverse is ``pow(x, -1, m)``.
 
 Performance note: pure-Python big-int arithmetic, measured on the CI-class
-box the ledger runs on: 0.36 ms for ``k*G``, 1.4 ms for ``k*Q`` and 1.8 ms
-for an ECDSA verification.  The bit-at-a-time double-and-add ladder this
-replaced (kept as the reference model in ``tests/crypto/test_ec.py``) cost
-2.3 ms, 2.3 ms and 5.0 ms.  About two thirds of what is left of ``k*Q`` is its 256
-doublings.  Neither ladder is constant-time: keys here are seeded simulation
-keys, and virtual-time costs come from the cost model anyway.
+box the ledger runs on: 0.30 ms for ``k*G``, 1.3 ms for ``k*Q``, 0.48 ms
+for an ECDSA verification under a key with a table and 1.6 ms without,
+2.7 ms to build a table.  The bit-at-a-time double-and-add ladder (kept as
+the reference model in ``tests/crypto/test_ec.py``) cost 2.3 ms, 2.3 ms and
+5.0 ms; the 64 x 15 window table ``k*G`` used before the comb cost 0.31 ms
+per ``k*G`` and 180 KB.  About two thirds of ``k*Q`` is its 256 doublings.
+No ladder here is constant-time: keys are seeded simulation keys, and
+virtual-time costs come from the cost model anyway.
 """
 
 from __future__ import annotations
@@ -137,37 +151,79 @@ def _batch_to_affine(points: list[tuple[int, int, int]]) -> list[tuple[int, int]
     return affine
 
 
-@functools.cache
-def _generator_table() -> tuple[tuple[Optional[tuple[int, int]], ...], ...]:
-    """``table[i][d]`` = affine ``d * 2^(4i) * G`` for d in 1..15, i in 0..63.
+_CombTable = tuple[Optional[tuple[int, int]], ...]
 
-    Built on first use (~10 ms, once per process); ``table[i][0]`` is None.
+
+def _comb_table(px: int, py: int) -> _CombTable:
+    """Lim-Lee comb of the finite curve point (px, py), 8 teeth x 32 columns:
+    ``table[m]`` = the affine sum of ``2^(32j) * P`` over the set bits j of
+    m, for m in 1..255; ``table[0]`` is None.
+
+    No entry is infinity: each is ``c * P`` with 0 < c < 2^225 < N, and the
+    group has prime order N.
     """
-    points = []
-    bx, by = GX, GY
-    for _ in range(64):
-        row = [(bx, by, 1)]
-        for d in range(2, 16):
-            if d & 1:
-                row.append(_add_affine(*row[-1], bx, by))
-            else:
-                row.append(_double(*row[d // 2 - 1]))
-        points += row
-        ((bx, by),) = _batch_to_affine([_double(*row[7])])
-    affine = _batch_to_affine(points)
-    return tuple((None, *affine[i : i + 15]) for i in range(0, len(affine), 15))
+    teeth = [(px, py, 1)]
+    for _ in range(7):
+        x, y, z = teeth[-1]
+        for _ in range(32):
+            x, y, z = _double(x, y, z)
+        teeth.append((x, y, z))
+    sums: list = [None] * 256
+    for j, (tx, ty) in enumerate(_batch_to_affine(teeth)):
+        low = 1 << j
+        sums[low] = (tx, ty, 1)
+        for m in range(1, low):
+            sums[low + m] = _add_affine(*sums[m], tx, ty)
+    return (None, *_batch_to_affine(sums[1:]))
 
 
-def _add_generator_multiple(
-    k: int, x: int, y: int, z: int
-) -> tuple[int, int, int]:
-    """(x, y, z) + k*G for 0 <= k < 2^256: one mixed addition per nonzero
-    4-bit window of k, no doublings."""
-    for row in _generator_table():
-        digit = k & 15
-        if digit:
-            x, y, z = _add_affine(x, y, z, *row[digit])
-        k >>= 4
+@functools.cache
+def _generator_table() -> _CombTable:
+    """The comb table of G, built on first use (once per process)."""
+    return _comb_table(GX, GY)
+
+
+# Comb tables of the public keys ``double_scalar_mult`` has seen, least
+# recently used first.  A key's first sighting leaves None (a verification
+# key met once may never come back; an ephemeral one never does), its second
+# builds the table.  Keyed by the full (x, y): Q and -Q share x only.
+_KEY_TABLES_MAX = 16
+_key_tables: dict[tuple[int, int], Optional[_CombTable]] = {}
+
+
+def _key_table(px: int, py: int) -> Optional[_CombTable]:
+    """The comb table of the finite curve point (px, py) if this is at least
+    its second sighting, else None.  The caller has validated the point."""
+    key = (px, py)
+    if key in _key_tables:
+        table = _key_tables.pop(key) or _comb_table(px, py)
+    else:
+        table = None
+        if len(_key_tables) >= _KEY_TABLES_MAX:
+            del _key_tables[next(iter(_key_tables))]
+    _key_tables[key] = table
+    return table
+
+
+def _comb_columns(k: int) -> list[int]:
+    """The 32 comb indices of 0 <= k < 2^256, top column first: bit j of
+    entry 31 - c is bit ``32j + c`` of k."""
+    bits = f"{k:0256b}"
+    return [int(bits[i::32], 2) for i in range(32)]
+
+
+def _comb_mult(*terms: tuple[int, _CombTable]) -> tuple[int, int, int]:
+    """The sum of ``k * P`` over (k, comb table of P) terms with every k
+    below 2^256, as one ladder: 32 doublings in all, and one mixed addition
+    per nonzero column of each scalar."""
+    x = y = z = 0
+    for entries in zip(
+        *[[table[m] for m in _comb_columns(k)] for k, table in terms]
+    ):
+        x, y, z = _double(x, y, z)
+        for entry in entries:
+            if entry:
+                x, y, z = _add_affine(x, y, z, *entry)
     return (x, y, z)
 
 
@@ -250,23 +306,33 @@ class _P256:
             return INFINITY
         k %= N
         if point is cls.generator:
-            return _to_affine(*_add_generator_multiple(k, 0, 0, 0))
+            return _to_affine(*_comb_mult((k, _generator_table())))
         return _to_affine(*_wnaf_mult(k, point.x, point.y))
 
     @classmethod
     def double_scalar_mult(cls, u1: int, u2: int, point: ECPoint) -> ECPoint:
         """Compute u1 * G + u2 * point (the core of ECDSA verification).
 
-        The sum stays in Jacobian coordinates until the end, so the only
-        inversions are the two behind the odd multiples of ``point`` and the
-        one for the result.
+        A point met here before has a comb table (see ``_key_table``), and
+        the sum is then one 32-doubling ladder over it and G's.  On a first
+        sighting ``u2 * point`` is a wNAF ladder of its own, added affine
+        onto the comb for ``u1 * G``.  The point is validated on every call,
+        before any table is looked up.
         """
         if not cls.is_on_curve(point):
             raise CryptoError("double_scalar_mult on a point off the curve")
-        u2 = 0 if point.is_infinity else u2 % N  # k * infinity = 0 * anything
-        return _to_affine(
-            *_add_generator_multiple(u1 % N, *_wnaf_mult(u2, point.x, point.y))
-        )
+        terms = [(u1 % N, _generator_table())]
+        rest = INFINITY  # u2 * point, where no table covers it
+        if not point.is_infinity:
+            table = _key_table(point.x, point.y)
+            if table:
+                terms.append((u2 % N, table))
+            else:
+                rest = _to_affine(*_wnaf_mult(u2 % N, point.x, point.y))
+        total = _comb_mult(*terms)
+        if not rest.is_infinity:
+            total = _add_affine(*total, rest.x, rest.y)
+        return _to_affine(*total)
 
     @classmethod
     def negate(cls, point: ECPoint) -> ECPoint:

@@ -257,8 +257,11 @@ class ClientHandshake(_HandshakeBase):
 
     # -- flight 2 ------------------------------------------------------------
 
-    def process_server_flight(self, data: bytes) -> bytes:
-        """Consume SHLO + encrypted flight; return the client's final flight."""
+    def process_server_flight(self, data: bytes, now: float = 0.0) -> bytes:
+        """Consume SHLO + encrypted flight; return the client's final flight.
+
+        ``now`` is the caller's clock, for certificate validity windows.
+        """
         span = self._flight_begin("server_flight")
         cfg = self.config
         shlo, consumed = HandshakeMessage.decode(data)
@@ -312,7 +315,7 @@ class ClientHandshake(_HandshakeBase):
                     raise ProtocolError("certificate in a resumed handshake")
                 chain = CertificateChain.decode(msg.require(F_CERT_CHAIN))
                 self._note("C3.1")
-                peer_cert = chain.verify(cfg.trust_roots, now=0.0)
+                peer_cert = chain.verify(cfg.trust_roots, now)
                 if peer_cert.subject != cfg.server_name:
                     raise AuthenticationError(
                         f"certificate subject {peer_cert.subject!r} != "
@@ -549,8 +552,9 @@ class ServerHandshake(_HandshakeBase):
         self._flight_end(span, bytes=len(data), psk=psk_accepted, ecdhe=use_ecdhe)
         return shlo_encoded + sealer.seal(bytes(flight), CONTENT_HANDSHAKE)
 
-    def process_client_flight(self, data: bytes) -> None:
-        """Consume the client's (encrypted) auth + Finished flight."""
+    def process_client_flight(self, data: bytes, now: float = 0.0) -> None:
+        """Consume the client's (encrypted) auth + Finished flight; ``now`` as
+        in :meth:`ClientHandshake.process_server_flight`."""
         if self._schedule is None:
             raise ProtocolError("client flight before ClientHello")
         span = self._flight_begin("client_flight")
@@ -563,7 +567,7 @@ class ServerHandshake(_HandshakeBase):
         for msg in HandshakeMessage.decode_all(record.payload):
             if msg.msg_type == HS_CERTIFICATE:
                 chain = CertificateChain.decode(msg.require(F_CERT_CHAIN))
-                peer_cert = chain.verify(self.config.trust_roots, now=0.0)
+                peer_cert = chain.verify(self.config.trust_roots, now)
                 self._note("S-verify-cert", chain_len=len(chain))
                 self._absorb(msg.encode())
             elif msg.msg_type == HS_CERTIFICATE_VERIFY:

@@ -8,7 +8,7 @@ from repro.core.endpoint import SmtEndpoint
 from repro.crypto.ca import CertificateAuthority
 from repro.crypto.cert import KEY_ALG_ECDSA
 from repro.crypto.ecdsa import EcdsaKeyPair
-from repro.errors import ProtocolError
+from repro.errors import AuthenticationError, ProtocolError
 from repro.nic.tso import TsoMode
 from repro.testbed import Testbed
 from repro.tls.handshake import HandshakeConfig, ServerCredentials
@@ -83,6 +83,34 @@ class TestEstablishment:
         done = bed.loop.process(body())
         bed.loop.run(until=1.0)
         assert not done.ok and isinstance(done.value, ProtocolError)
+
+    def test_certificates_checked_at_virtual_time(self, pki):
+        # A leaf issued at t = 5 s for 10 s: rejected while the clock reads
+        # 0, accepted at 6 s, rejected again at 16 s.
+        ca, _ = pki
+        key = EcdsaKeyPair.generate(random.Random(9))
+        leaf = ca.issue(
+            "server", KEY_ALG_ECDSA, key.public_bytes(), now=5.0, validity=10.0
+        )
+        creds = ServerCredentials(chain=ca.chain_for(leaf), signing_key=key)
+        outcomes = []
+        for start in (0.0, 6.0, 16.0):
+            bed, cep, sep, roots = build((ca, creds))
+
+            def body():
+                t = bed.client.app_thread(0)
+                yield bed.loop.timeout(start)
+                yield from cep.connect(
+                    t, bed.server.addr, 7000,
+                    HandshakeConfig(rng=random.Random(4), server_name="server",
+                                    trust_roots=roots),
+                )
+
+            done = bed.loop.process(body())
+            bed.loop.run(until=start + 1.0)
+            assert done.triggered
+            outcomes.append(done.ok or type(done.value))
+        assert outcomes == [AuthenticationError, True, AuthenticationError]
 
 
 class TestEncryptedData:

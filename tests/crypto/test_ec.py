@@ -1,5 +1,6 @@
 """secp256r1 group tests: known vectors, group laws, and a differential
-suite that pins the windowed scalar multiplications against the textbook
+suite that pins the comb and wNAF scalar multiplications, and the per-key
+table cache behind ``double_scalar_mult``, against the textbook
 double-and-add ladder they replaced."""
 
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import ec
 from repro.crypto.ec import GX, GY, ECPoint, INFINITY, N, P, P256
 from repro.errors import CryptoError
 
@@ -267,3 +269,174 @@ class TestAgainstDoubleAndAdd:
             u1 = -u2 * q_scalar % N
             assert P256.double_scalar_mult(u1, u2, q).is_infinity
             assert not P256.double_scalar_mult(u1 + 1, u2, q).is_infinity
+
+
+# Where a comb column starts and the scalar just below it: 2^(32j) sets one
+# tooth alone, 2^(32j) - 1 fills every column of the teeth below it.
+COMB_EDGE_SCALARS = [0, 1, N - 1]
+COMB_EDGE_SCALARS += [1 << 32 * j for j in range(1, 8)]
+COMB_EDGE_SCALARS += [(1 << 32 * j) - 1 for j in range(1, 9)]
+
+
+@pytest.fixture
+def key_tables(monkeypatch):
+    """An empty per-key comb-table cache for the test alone."""
+    tables = {}
+    monkeypatch.setattr(ec, "_key_tables", tables)
+    return tables
+
+
+def tabled(point):
+    """``point`` after two sightings, so that the joint ladder reads its table."""
+    P256.double_scalar_mult(0, 0, point)
+    P256.double_scalar_mult(0, 0, point)
+    assert ec._key_tables[point.x, point.y] is not None
+    return point
+
+
+class TestCombTables:
+    """The two users of a comb table -- ``k*G`` and the joint ladder over a
+    public key seen before -- against the reference ladder, and the policy
+    of the cache that holds the per-key tables."""
+
+    def test_table_entries_are_the_subset_sums(self, key_tables):
+        q = RefP256.scalar_mult(0xBEEF, G)
+        table = ec._comb_table(q.x, q.y)
+        assert len(table) == 256 and table[0] is None
+        for m in (1, 2, 3, 128, 129, 0b10100101, 255):
+            c = sum(1 << 32 * j for j in range(8) if m >> j & 1)
+            assert ECPoint(*table[m]) == RefP256.scalar_mult(c, q)
+
+    def test_seeded_scalars_on_the_table_path(self, key_tables):
+        rng = random.Random(2107)
+        points = [
+            tabled(RefP256.scalar_mult(rng.randrange(1, N), G)) for _ in range(4)
+        ]
+        for i in range(100):
+            u1 = rng.getrandbits(rng.choice((256, 256, 64)))
+            u2 = rng.getrandbits(rng.choice((256, 256, 64)))
+            q = points[i % len(points)]
+            assert P256.double_scalar_mult(u1, u2, q) == RefP256.double_scalar_mult(
+                u1, u2, q
+            )
+        assert all(key_tables[q.x, q.y] is not None for q in points)
+
+    @pytest.mark.parametrize("k", COMB_EDGE_SCALARS)
+    def test_column_edges(self, key_tables, k):
+        q = tabled(RefP256.scalar_mult(0xC0FFEE, G))
+        k_g = RefP256.scalar_mult(k, G)
+        k_q = RefP256.scalar_mult(k, q)
+        assert P256.scalar_mult(k) == k_g
+        assert P256.double_scalar_mult(k, 0, q) == k_g
+        assert P256.double_scalar_mult(0, k, q) == k_q
+        assert P256.double_scalar_mult(k, k, q) == RefP256.add(k_g, k_q)
+        assert P256.double_scalar_mult(k, N - 1 - k, q) == RefP256.add(
+            k_g, RefP256.scalar_mult(N - 1 - k, q)
+        )
+
+    @pytest.mark.parametrize("q", [G_COPY, NEG_G], ids=["Q=G", "Q=-G"])
+    def test_generator_as_the_tabled_key(self, key_tables, q):
+        # Equal columns meet the same entry in both tables (Q = G: the
+        # doubling branch of the mixed addition) or its negation (Q = -G:
+        # cancel to infinity and carry on from there), in every column.
+        tabled(q)
+        rng = random.Random(7)
+        pairs = [(k, k) for k in COMB_EDGE_SCALARS + EDGE_SCALARS]
+        pairs += [(rng.randrange(N), rng.randrange(N)) for _ in range(20)]
+        for u1, u2 in pairs:
+            assert P256.double_scalar_mult(u1, u2, q) == RefP256.double_scalar_mult(
+                u1, u2, q
+            )
+        assert P256.double_scalar_mult(5, 5, NEG_G).is_infinity
+
+    def test_tabled_sum_cancels_to_infinity(self, key_tables):
+        rng = random.Random(11)
+        q_scalar = rng.randrange(1, N)
+        q = tabled(RefP256.scalar_mult(q_scalar, G))
+        for _ in range(10):
+            u2 = rng.randrange(1, N)
+            u1 = -u2 * q_scalar % N  # u1*G = -(u2*Q)
+            assert P256.double_scalar_mult(u1, u2, q).is_infinity
+            assert P256.double_scalar_mult(u1 + 1, u2, q) == G
+
+    def test_first_sighting_builds_nothing_and_agrees(self, key_tables, monkeypatch):
+        built = []
+        build = ec._comb_table
+        monkeypatch.setattr(
+            ec, "_comb_table", lambda x, y: built.append((x, y)) or build(x, y)
+        )
+        q = RefP256.scalar_mult(0xFACADE, G)
+        u1, u2 = 0x1234567890ABCDEF << 100, N - 0xFEEDFACE
+        first = P256.double_scalar_mult(u1, u2, q)
+        assert built == [] and key_tables == {(q.x, q.y): None}
+        second = P256.double_scalar_mult(u1, u2, q)
+        assert built == [(q.x, q.y)] and key_tables[q.x, q.y] is not None
+        third = P256.double_scalar_mult(u1, u2, q)
+        assert built == [(q.x, q.y)]
+        assert first == second == third == RefP256.double_scalar_mult(u1, u2, q)
+
+    def test_only_double_scalar_mult_fills_the_cache(self, key_tables):
+        q = RefP256.scalar_mult(77, G)
+        for _ in range(3):
+            P256.scalar_mult(5, q)
+            P256.scalar_mult(5)
+            P256.add(q, G)
+        assert key_tables == {}
+
+    def test_q_and_minus_q_never_share_a_table(self, key_tables):
+        q = RefP256.scalar_mult(0xABCDEF, G)
+        minus_q = P256.negate(q)
+        tabled(q)
+        assert (minus_q.x, minus_q.y) not in key_tables
+        u1, u2 = 3, 0x5DEECE66D << 70
+        expected = RefP256.double_scalar_mult(u1, u2, minus_q)
+        assert P256.double_scalar_mult(u1, u2, minus_q) == expected  # first sighting
+        assert P256.double_scalar_mult(u1, u2, minus_q) == expected  # own table
+        assert P256.double_scalar_mult(u1, u2, q) == RefP256.double_scalar_mult(u1, u2, q)
+        assert key_tables[q.x, q.y] is not key_tables[minus_q.x, minus_q.y]
+        assert key_tables[q.x, q.y][1] == (q.x, q.y)
+        assert key_tables[minus_q.x, minus_q.y][1] == (q.x, P - q.y)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [ECPoint(1, 1), ECPoint(GX, GY + 1), ECPoint(GX + P, GY), ECPoint(-1, GY)],
+        ids=["off-curve", "wrong-y", "x-unreduced", "x-negative"],
+    )
+    def test_invalid_points_never_reach_the_cache(self, monkeypatch, bad):
+        class Untouchable(dict):
+            def __contains__(self, key):
+                raise AssertionError("cache consulted for an unvalidated point")
+
+            __setitem__ = __getitem__ = __contains__
+
+        monkeypatch.setattr(ec, "_key_tables", Untouchable())
+        for _ in range(3):
+            with pytest.raises(CryptoError):
+                P256.double_scalar_mult(1, 1, bad)
+        assert len(ec._key_tables) == 0
+
+    def test_infinity_is_never_cached(self, key_tables):
+        for _ in range(3):
+            assert P256.double_scalar_mult(9, 7, INFINITY) == RefP256.scalar_mult(9, G)
+        assert key_tables == {}
+
+    def test_cache_stays_within_its_bound(self, key_tables):
+        hot = tabled(RefP256.scalar_mult(0x600D, G))
+        hot_table = key_tables[hot.x, hot.y]
+        point = G
+        for i in range(1000):
+            point = P256.add(point, G)  # 1 000 distinct keys: 2G, 3G, ...
+            P256.double_scalar_mult(1, 1, point)
+            assert len(key_tables) <= ec._KEY_TABLES_MAX
+            if i % 10 == 0:
+                # A key in steady use outlives any number of one-off keys.
+                P256.double_scalar_mult(1, 1, hot)
+                assert key_tables[hot.x, hot.y] is hot_table
+        # Seen once each: the scan left markers, not tables.
+        assert sum(t is not None for t in key_tables.values()) == 1
+        # Without use in between, the oldest entry goes first.
+        for _ in range(ec._KEY_TABLES_MAX):
+            point = P256.add(point, G)
+            P256.double_scalar_mult(1, 1, point)
+        assert (hot.x, hot.y) not in key_tables
+        assert len(key_tables) == ec._KEY_TABLES_MAX

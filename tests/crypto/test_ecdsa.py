@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import ec
 from repro.crypto.ec import ECPoint, INFINITY, N, P256
 from repro.crypto.ecdh import EcdhKeyPair
 from repro.crypto.ecdsa import EcdsaKeyPair, ecdsa_sign, ecdsa_verify
@@ -17,6 +18,12 @@ RFC6979_SAMPLE_R = 0xEFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EA
 RFC6979_SAMPLE_S = 0xF7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8
 RFC6979_TEST_R = 0xF1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367
 RFC6979_TEST_S = 0x019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083
+RFC6979_UX = 0x60FED4BA255A9D31C961EB74C6356D68C049B8923B61FA6CE669622E60F29FB6
+RFC6979_UY = 0x7903FE1008B8BC99A41AE9E95628BC64F2F1B20C2D7E9F5177A3C294D4462299
+RFC6979_SIGNATURES = {
+    b"sample": (RFC6979_SAMPLE_R, RFC6979_SAMPLE_S),
+    b"test": (RFC6979_TEST_R, RFC6979_TEST_S),
+}
 
 # RFC 5903 section 8.1, 256-bit random ECP group: initiator i, responder r.
 RFC5903_I = 0xC88F01F510D9AC3F70A292DAA2316DE544E9AAB8AFE84049C62A9C57862D1433
@@ -42,6 +49,27 @@ class TestRfc6979Vectors:
     def test_vectors_verify(self):
         public = P256.scalar_mult(RFC6979_KEY)
         ecdsa_verify(public, b"sample", ecdsa_sign(RFC6979_KEY, b"sample"))
+
+    def test_public_key(self):
+        assert P256.scalar_mult(RFC6979_KEY) == ECPoint(RFC6979_UX, RFC6979_UY)
+
+    def test_published_signatures_verify_with_and_without_a_table(self, monkeypatch):
+        # The RFC's own (r, s), not ours: first under a key never seen (the
+        # wNAF ladder), then over and over under its comb table.
+        monkeypatch.setattr(ec, "_key_tables", {})
+        public = ECPoint(RFC6979_UX, RFC6979_UY)
+        paths = []
+        for _ in range(3):
+            for message, (r, s) in RFC6979_SIGNATURES.items():
+                paths.append(ec._key_tables.get((public.x, public.y)) is not None)
+                signature = r.to_bytes(32, "big") + s.to_bytes(32, "big")
+                ecdsa_verify(public, message, signature)
+                forged = r.to_bytes(32, "big") + (s ^ 1).to_bytes(32, "big")
+                with pytest.raises(AuthenticationError):
+                    ecdsa_verify(public, message, forged)
+        # The forgery is a sighting too: the table exists from the second
+        # call on, so only the very first genuine verify ran without one.
+        assert paths == [False] + [True] * 5
 
 
 class TestSignVerify:
@@ -110,6 +138,54 @@ class TestSignVerify:
     def test_roundtrip_property(self, message):
         kp = EcdsaKeyPair.generate(random.Random(7))
         kp.verify(message, kp.sign(message))
+
+
+class TestOperationBudget:
+    """What a verification costs, counted in curve operations -- never in
+    wall-clock, which this suite does not assert on."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"double": 0, "add": 0}
+        double, add_affine = ec._double, ec._add_affine
+
+        def counted_double(*args):
+            counts["double"] += 1
+            return double(*args)
+
+        def counted_add(*args):
+            counts["add"] += 1
+            return add_affine(*args)
+
+        monkeypatch.setattr(ec, "_key_tables", {})
+        monkeypatch.setattr(ec, "_double", counted_double)
+        monkeypatch.setattr(ec, "_add_affine", counted_add)
+        return counts
+
+    def test_warmed_verify_is_one_32_doubling_ladder(self, counts):
+        rng = random.Random(31)
+        kp = EcdsaKeyPair.generate(rng)
+        messages = [rng.randbytes(40) for _ in range(12)]
+        signatures = [kp.sign(m) for m in messages]
+
+        counts.update(double=0, add=0)
+        kp.verify(messages[0], signatures[0])  # first sighting: a wNAF ladder
+        assert counts["double"] > 256
+
+        kp.verify(messages[1], signatures[1])  # second: builds the table
+        for message, signature in zip(messages[2:], signatures[2:]):
+            counts.update(double=0, add=0)
+            kp.verify(message, signature)
+            # + 1: an addition that meets its own operand doubles instead.
+            assert counts["double"] <= 32 + 1
+            assert counts["add"] <= 64
+            assert counts["add"] >= 48  # ... and it is a full double ladder
+
+    def test_key_generation_and_signing_budget(self, counts):
+        kp = EcdsaKeyPair.generate(random.Random(32))
+        counts.update(double=0, add=0)
+        kp.sign(b"budget")
+        assert counts["double"] <= 32 + 1 and counts["add"] <= 32
 
 
 class TestEcdh:

@@ -268,3 +268,67 @@ class TestAttacks:
         server = ServerHandshake(HandshakeConfig(rng=random.Random(3)), creds)
         with pytest.raises(ProtocolError):
             server.process_client_hello(b"\x01\x00\x00")
+
+
+class TestValidityWindow:
+    """Certificates are checked at the caller's clock, not at t = 0."""
+
+    def _pair(self, ca, creds, mutual=False, client_creds=None):
+        roots = (ca.certificate,)
+        client = ClientHandshake(
+            HandshakeConfig(rng=random.Random(2), server_name="server",
+                            trust_roots=roots, mutual_auth=mutual),
+            client_creds,
+        )
+        server = ServerHandshake(
+            HandshakeConfig(rng=random.Random(3), trust_roots=roots,
+                            mutual_auth=mutual),
+            creds,
+        )
+        return client, server
+
+    def _creds(self, ca, subject, seed, **issue_kw):
+        key = EcdsaKeyPair.generate(random.Random(seed))
+        leaf = ca.issue(subject, KEY_ALG_ECDSA, key.public_bytes(), **issue_kw)
+        return ServerCredentials(chain=ca.chain_for(leaf), signing_key=key)
+
+    def test_expired_server_leaf_rejected(self, pki):
+        ca, _, _ = pki
+        creds = self._creds(ca, "server", 21, validity=10.0)
+        client, server = self._pair(ca, creds)
+        flight = server.process_client_hello(client.start())
+        with pytest.raises(AuthenticationError, match="validity window"):
+            client.process_server_flight(flight, now=10.5)
+        # The same leaf is fine inside its window.
+        client, server = self._pair(ca, creds)
+        flight = server.process_client_hello(client.start())
+        server.process_client_flight(client.process_server_flight(flight, now=9.5))
+        assert client.result.peer_certificate.subject == "server"
+
+    def test_leaf_issued_later_accepted(self, pki):
+        ca, _, _ = pki
+        creds = self._creds(ca, "server", 22, now=100.0)
+        client, server = self._pair(ca, creds)
+        flight = server.process_client_hello(client.start())
+        server.process_client_flight(client.process_server_flight(flight, now=100.0))
+        assert client.result.client_app_secret == server.result.client_app_secret
+        # ... and is not yet valid before it was issued.
+        client, server = self._pair(ca, creds)
+        flight = server.process_client_hello(client.start())
+        with pytest.raises(AuthenticationError, match="validity window"):
+            client.process_server_flight(flight, now=99.0)
+
+    def test_server_checks_client_leaf_at_its_clock(self, pki):
+        ca, creds, _ = pki
+        client_creds = self._creds(ca, "client", 23, now=50.0, validity=10.0)
+        for now, accepted in ((49.0, False), (55.0, True), (60.5, False)):
+            client, server = self._pair(ca, creds, True, client_creds)
+            final = client.process_server_flight(
+                server.process_client_hello(client.start()), now=55.0
+            )
+            if accepted:
+                server.process_client_flight(final, now=now)
+                assert server.result.peer_certificate.subject == "client"
+            else:
+                with pytest.raises(AuthenticationError, match="validity window"):
+                    server.process_client_flight(final, now=now)
