@@ -28,9 +28,9 @@ from repro.apps.dcache.protocol import (
     decode_reply,
     encode_request,
 )
+from repro.core.codec import SmtCodec
 from repro.errors import ProtocolError, ReproError
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.load.cluster import smt_codec_provider
 from repro.net.headers import PROTO_SMT
 from repro.testbed import ClosTestbed
 from repro.tls.keyschedule import TrafficKeys
@@ -157,9 +157,10 @@ class DCacheCluster:
 
     def _make_socket(self, host_index: int, port: int) -> HomaSocket:
         host = self.hosts[host_index]
-        provider = smt_codec_provider(
+        provider = SmtCodec.per_peer(
             host, {},
             lambda addr: (_pair_keys(host.addr, addr), _pair_keys(addr, host.addr)),
+            "fast",  # host-time choice; virtual cost is AES-128-GCM either way
         )
         return HomaSocket(
             self._transports[host_index], port, codec_provider=provider

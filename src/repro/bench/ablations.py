@@ -19,12 +19,14 @@ from repro.bench.runner import (
     SERVER_PORT,
     _CLIENT_KEYS,
     _SERVER_KEYS,
+    build_rpc_harness,
     message_pair,
 )
 from repro.core.codec import SmtCodec
 from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
 from repro.errors import ProtocolError
+from repro.sim.trace import Histogram, RateMeter
 from repro.testbed import Testbed
 
 
@@ -84,9 +86,6 @@ def run_flow_context_ablation(
 
 
 def run_ack_batching_ablation(duration: float = 3e-3) -> ExperimentReport:
-    from repro.bench.runner import build_rpc_harness
-    from repro.sim.trace import Histogram, RateMeter
-
     report = ExperimentReport("Ablation: lazy batched ACKs vs per-message ACKs")
     rates = {}
     for batch in (1, 8):

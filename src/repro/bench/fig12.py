@@ -28,7 +28,7 @@ from repro.crypto.ecdh import EcdhKeyPair
 from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.dns.resolver import InternalDns
 from repro.testbed import Testbed
-from repro.tls.handshake import HandshakeConfig, SessionTicket
+from repro.tls.handshake import HandshakeConfig, ServerCredentials, SessionTicket
 from repro.units import USEC
 
 VARIANTS = ("Init-1RTT", "Init-FS", "Init", "Rsmp-FS", "Rsmp")
@@ -55,7 +55,6 @@ def _full_handshake(pregenerate: bool, ticket: SessionTicket | None = None,
                     seed: int = 5):
     """Run one handshake over the wire; returns (stats, issued tickets)."""
     ca, chain, key = _pki()
-    from repro.tls.handshake import ServerCredentials
 
     bed, cep, sep = _bed_with_endpoints()
     roots = (ca.certificate,)

@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.report import ExperimentReport
+from repro.core.codec import SmtCodec  # noqa: F401 - existence checks
+from repro.homa.engine import HomaTransport  # noqa: F401
+from repro.ktls.ktls import KtlsConnection
+from repro.net.headers import PROTO_HOMA, PROTO_SMT, PROTO_TCP
+from repro.tcpls.tcpls import TcplsConnection
 
 
 @dataclass(frozen=True)
@@ -44,12 +49,6 @@ def verify_implemented_rows() -> list[str]:
     Returns a list of inconsistencies (empty means the table is honest).
     """
     problems: list[str] = []
-    from repro.core.codec import SmtCodec  # noqa: F401 - existence checks
-    from repro.homa.engine import HomaTransport  # noqa: F401
-    from repro.ktls.ktls import KtlsConnection
-    from repro.net.headers import PROTO_HOMA, PROTO_SMT, PROTO_TCP
-    from repro.tcpls.tcpls import TcplsConnection
-
     # SMT: TLS encryption, message abstraction, new protocol number,
     # encryption + TSO offload.
     if PROTO_SMT in (PROTO_TCP, 17):

@@ -103,6 +103,25 @@ class SmtCodec(MessageCodec):
             **codec_kw,
         )
 
+    @classmethod
+    def per_peer(cls, host, codecs: dict, keys_for, aead_kind: str):
+        """``HomaSocket`` codec provider: one pre-keyed codec per peer.
+
+        ``keys_for(peer_addr)`` returns ``host``'s ``(tx, rx)`` traffic keys
+        toward that peer; it runs once per codec built.  ``codecs`` is the
+        per-socket cache, owned by the caller so an eviction policy (the
+        tenant session tables) can drop entries -- the next packet rebuilds.
+        """
+
+        def provider(addr: int, port: int) -> "SmtCodec":
+            codec = codecs.get(addr)
+            if codec is None:
+                tx, rx = keys_for(addr)
+                codec = codecs[addr] = cls.for_host(host, tx, rx, aead_kind=aead_kind)
+            return codec
+
+        return provider
+
     def bind_obs(self, obs, name: str = "smt") -> None:
         """Record codec spans/counters under ``name`` on ``obs``."""
         self.obs = obs

@@ -23,6 +23,8 @@ from typing import Any, Generator, Optional
 from repro.core.codec import SmtCodec
 from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
+from repro.crypto.ec import ECPoint
+from repro.crypto.ecdh import EcdhKeyPair
 from repro.errors import ProtocolError
 from repro.homa.constants import HomaConfig
 from repro.homa.engine import HomaTransport
@@ -225,7 +227,6 @@ class SmtEndpoint:
         resets with the keys.
         """
         from repro.core.zero_rtt import derive_fs_keys, derive_update_keys
-        from repro.crypto.ec import ECPoint
 
         session = self._sessions.get((rpc.peer_addr, peer_data_port))
         if session is None:
@@ -329,8 +330,6 @@ class ZeroRttMixin:
         to inline generation and charges S2.1.
         """
         from repro.core.zero_rtt import derive_fs_keys
-        from repro.crypto.ec import ECPoint
-        from repro.crypto.ecdh import EcdhKeyPair
 
         def responder() -> Generator[Any, Any, None]:
             while True:
@@ -405,7 +404,6 @@ class ZeroRttMixin:
 
         from repro.core.zero_rtt import ZeroRttClient, derive_fs_keys
         from repro.core.zero_rtt import share_fingerprint as _share_fp
-        from repro.crypto.ec import ECPoint
 
         started = self.loop.now
         # Ticket verification happened offline, "before the handshake

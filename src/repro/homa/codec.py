@@ -15,7 +15,7 @@ from typing import Optional
 from repro.errors import ProtocolError
 from repro.net.headers import PROTO_HOMA
 from repro.nic.tls_offload import ResyncDescriptor, TlsOffloadDescriptor
-from repro.nic.tso import MAX_TSO_PAYLOAD
+from repro.nic.tso import MAX_TSO_PAYLOAD, TsoMode
 
 
 @dataclass
@@ -132,8 +132,6 @@ class MessageCodec:
 
 def packets_per_segment_for(tso_mode) -> int:
     """Map a :class:`repro.nic.tso.TsoMode` to a segment packet budget."""
-    from repro.nic.tso import TsoMode
-
     return {TsoMode.FULL: 0, TsoMode.PAIRS: 2, TsoMode.OFF: 1}[tso_mode]
 
 

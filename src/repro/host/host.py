@@ -17,6 +17,7 @@ from typing import Callable, Optional, Protocol
 from repro.errors import SimulationError
 from repro.host.costs import CostModel
 from repro.host.cpu import AppThread, SoftirqCore
+from repro.net.addressing import FlowTuple
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
 from repro.sim.resources import Resource
@@ -104,8 +105,6 @@ class Host:
         self, peer_addr: int, peer_port: int, local_port: int, proto: int
     ) -> SoftirqCore:
         """The softirq core inbound packets of this flow would land on."""
-        from repro.net.addressing import FlowTuple
-
         flow = FlowTuple(peer_addr, peer_port, self.addr, local_port, proto)
         return self.softirq_cores[flow.rss_hash() % len(self.softirq_cores)]
 

@@ -12,8 +12,8 @@ What is sent, and over what:
 - :mod:`repro.load.cluster` — the integrity-verified echo protocol, the
   per-system any-to-any RPC mesh over a :class:`repro.testbed.ClosTestbed`
   (:class:`ClusterHarness`), and the mesh-building functions every
-  harness shares: the per-peer SMT codec provider, the one-socket-per-host
-  message mesh and the verifying echo-server loops.
+  harness shares: the one-socket-per-host message mesh and the verifying
+  echo-server loops.
 
 The engine:
 

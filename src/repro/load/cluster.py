@@ -21,11 +21,11 @@ segmentation, ECMP forwarding or reassembly surfaces as a counted
 integrity error instead of a silent pass — this is the check behind the
 ``loaded`` benchmark's "no cross-path reordering" band.
 
-The pieces of the message mesh -- the per-peer SMT codec provider, one
-socket per host, the verifying echo-server loops -- are module-level
-functions, because three harnesses build from them: :class:`ClusterHarness`
-here, the per-domain harness in :mod:`repro.load.shard`, and (the codec
-provider, with per-tenant keys) :class:`repro.tenancy.TenantFabric`.
+The pieces of the message mesh -- one socket per host, the verifying
+echo-server loops -- are module-level functions, because two harnesses
+build from them: :class:`ClusterHarness` here and the per-domain harness
+in :mod:`repro.load.shard`.  The per-peer codec cache behind an ``smt``
+socket is :meth:`SmtCodec.per_peer <repro.core.codec.SmtCodec.per_peer>`.
 """
 
 from __future__ import annotations
@@ -166,36 +166,16 @@ class _StreamRpcClient:
         self._reader_running = False
 
 
-def smt_codec_provider(host, codecs: dict, keys_for):
-    """``HomaSocket`` codec provider: one pre-keyed :class:`SmtCodec` per peer.
-
-    ``keys_for(peer_addr)`` returns this host's ``(tx, rx)`` traffic keys
-    toward that peer; it runs once per codec built.  ``codecs`` is the
-    per-socket cache, owned by the caller so an eviction policy (the
-    tenant session tables) can drop entries -- the next packet rebuilds.
-    """
-
-    def provider(addr: int, port: int) -> SmtCodec:
-        codec = codecs.get(addr)
-        if codec is None:
-            tx, rx = keys_for(addr)
-            codec = codecs[addr] = SmtCodec.for_host(
-                host, tx, rx, aead_kind=LOAD_AEAD
-            )
-        return codec
-
-    return provider
-
-
 def message_socket(host, system: str, config: Optional[HomaConfig]) -> HomaSocket:
     """``host``'s one socket for all peers on :data:`SERVER_PORT`."""
     encrypted = system == "smt"
     transport = HomaTransport(host, config, proto=PROTO_SMT if encrypted else PROTO_HOMA)
     if not encrypted:
         return HomaSocket(transport, SERVER_PORT)
-    provider = smt_codec_provider(
+    provider = SmtCodec.per_peer(
         host, {},
         lambda addr: (_pair_keys(host.addr, addr), _pair_keys(addr, host.addr)),
+        LOAD_AEAD,
     )
     return HomaSocket(transport, SERVER_PORT, codec_provider=provider)
 

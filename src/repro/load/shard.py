@@ -309,10 +309,7 @@ def measure_baselines(
     outside the real run keeps the denominators identical for every
     domain count.
     """
-    mini = replace(
-        plan, num_racks=2, hosts_per_rack=2, domains=1, observe=False,
-        _domain_of_rack=(),
-    )
+    mini = replace(plan, num_racks=2, hosts_per_rack=2, domains=1, observe=False)
     harness = ShardedClusterHarness(
         ShardDomain(mini, 0), system, config=config,
         num_server_threads=num_server_threads,

@@ -44,7 +44,7 @@ class PacketType(enum.IntEnum):
     GRANT = 1
     RESEND = 2
     ACK = 3
-    BUSY = 4
+    BUSY = 4  # reserved: nothing sends or handles it yet (ROADMAP item 2)
     CONTROL = 5  # handshake / session management payloads
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Optional
 
+from repro.errors import SimulationError
 from repro.host.host import Host
 from repro.sim.event_loop import EventLoop
 from repro.sim.shard.boundary import OutboundQueue, merge_batches
@@ -32,7 +33,13 @@ from repro.sim.shard.plan import ShardPlan
 def resolve_workload_factory(path: str):
     """``"pkg.mod:fn"`` -> the callable (importable in any process)."""
     module_name, _, attr = path.partition(":")
-    return getattr(import_module(module_name), attr)
+    try:
+        return getattr(import_module(module_name), attr)
+    except (ImportError, AttributeError, ValueError) as exc:
+        raise SimulationError(
+            f"workload factory {path!r} does not resolve ({exc}); "
+            "expected the form 'pkg.mod:fn'"
+        ) from exc
 
 
 @dataclass

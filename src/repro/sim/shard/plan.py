@@ -58,8 +58,8 @@ class ShardPlan:
     seed: int = 0
     #: Enable per-domain observability (metrics + spans, no packet taps).
     observe: bool = False
-    #: Rack index of each domain, derived; do not pass explicitly.
-    _domain_of_rack: tuple = field(default=(), repr=False)
+    #: Domain of each rack, derived in ``__post_init__``.
+    _domain_of_rack: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_racks < 1 or self.num_spines < 1:
@@ -131,7 +131,7 @@ class ShardPlan:
 
     def with_domains(self, domains: int) -> "ShardPlan":
         """The same cluster repartitioned into ``domains`` time domains."""
-        return replace(self, domains=domains, _domain_of_rack=())
+        return replace(self, domains=domains)
 
     def cost_model(self) -> CostModel:
         """The (deterministic) per-host cost model every domain shares."""

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.shard.domain import DomainResult, ShardDomain
+from repro.sim.shard.domain import DomainResult, ShardDomain, resolve_workload_factory
 from repro.sim.shard.plan import ShardPlan
 
 
@@ -188,6 +188,9 @@ class ShardRunner:
 
     def run(self) -> ShardRunResult:
         plan = self.plan
+        if self.workload_factory is not None:
+            # Fail here, in the caller's process, not once per worker.
+            resolve_workload_factory(self.workload_factory)
         carrier = _PipeDomain if self.use_processes else _InProcessDomain
         handles = [
             carrier(plan, d, self.workload_factory, self.workload_args)

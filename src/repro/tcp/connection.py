@@ -19,7 +19,7 @@ from typing import Any, Generator, Optional
 from repro.errors import TransportError
 from repro.host.cpu import AppThread
 from repro.net.addressing import FlowTuple
-from repro.net.headers import PROTO_TCP, PacketType, TransportHeader
+from repro.net.headers import PROTO_TCP, IPv4Header, PacketType, TransportHeader
 from repro.net.packet import Packet
 from repro.nic.tls_offload import ResyncDescriptor, TlsOffloadDescriptor
 from repro.nic.tso import MAX_TSO_PAYLOAD, TsoSegment
@@ -98,8 +98,6 @@ class TcpConnection:
 
     def _probe_packet(self) -> Packet:
         """A representative inbound packet for RSS core selection."""
-        from repro.net.headers import IPv4Header
-
         header = TransportHeader(self.peer_port, self.local_port, 0)
         ip = IPv4Header(self.peer_addr, self.host.addr, PROTO_TCP, 60)
         return Packet(ip, header)

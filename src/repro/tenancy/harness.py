@@ -44,7 +44,7 @@ from typing import Any, Generator, Optional
 from repro.core.codec import SmtCodec
 from repro.ctrl.partition import PartitionedKeyPool, PartitionedSessionTable
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.load.cluster import handle_request, smt_codec_provider
+from repro.load.cluster import LOAD_AEAD, handle_request
 from repro.load.engine import wire_bytes
 from repro.net.headers import PROTO_SMT
 from repro.tenancy.bulkhead import WeightedBulkhead
@@ -207,7 +207,7 @@ class TenantFabric:
     # -- codecs / sessions -----------------------------------------------------
 
     def _codec_provider(self, tenant: Tenant, h: int, host, codecs: dict):
-        """The load mesh's per-peer codec cache, keyed per tenant, with
+        """:meth:`SmtCodec.per_peer`'s codec cache, keyed per tenant, with
         every codec it builds registered in the host's session table."""
         name = tenant.name
 
@@ -219,7 +219,7 @@ class TenantFabric:
                 tenant_pair_keys(tenant.tid, addr, host.addr, theirs, mine),
             )
 
-        build = smt_codec_provider(host, codecs, keys_for)
+        build = SmtCodec.per_peer(host, codecs, keys_for, LOAD_AEAD)
 
         def provider(addr: int, port: int) -> SmtCodec:
             codec = codecs.get(addr)

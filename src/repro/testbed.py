@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from repro.host.costs import CostModel
 from repro.host.host import Host
 from repro.net.addressing import make_addr
+from repro.net.domain_faults import DomainFaultController
+from repro.net.fabric import SwitchFabric
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.link import Link
 from repro.nic.device import Nic
@@ -31,7 +33,6 @@ from repro.units import GBPS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.net.clos import ClosFabric
-    from repro.net.fabric import SwitchFabric
     from repro.obs import Observability
 
 
@@ -227,7 +228,7 @@ class StarTestbed(_Bed):
     """
 
     loop: EventLoop
-    fabric: "SwitchFabric"
+    fabric: SwitchFabric
     clients: list[Host]
     server: Host
 
@@ -247,8 +248,6 @@ class StarTestbed(_Bed):
         tso_mode: TsoMode = TsoMode.FULL,
         costs: Optional[CostModel] = None,
     ) -> "StarTestbed":
-        from repro.net.fabric import SwitchFabric
-
         loop = EventLoop()
         costs = costs or CostModel()
         fabric = SwitchFabric(
@@ -427,8 +426,6 @@ class ClosTestbed(_Bed):
         crashes only reach planes that exist when the crash happens.
         """
         if self.domains is None:
-            from repro.net.domain_faults import DomainFaultController
-
             self.domains = DomainFaultController(
                 self, auto_reroute_delay=auto_reroute_delay
             )

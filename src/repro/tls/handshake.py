@@ -33,6 +33,7 @@ from repro.crypto.cert import (
     CertificateChain,
     verify_with_key,
 )
+from repro.crypto.ec import ECPoint
 from repro.crypto.ecdh import EcdhKeyPair
 from repro.crypto.kdf import hmac_sha256, transcript_hash
 from repro.errors import AuthenticationError, ProtocolError
@@ -281,8 +282,6 @@ class ClientHandshake(_HandshakeBase):
         if used_ecdhe:
             if self._ecdh is None:
                 raise ProtocolError("server sent a key share but we offered none")
-            from repro.crypto.ec import ECPoint
-
             server_share = ECPoint.decode(shlo.require(F_KEY_SHARE))
             shared = self._ecdh.shared_secret(server_share)
             self._note("C2.2")
@@ -493,8 +492,6 @@ class ServerHandshake(_HandshakeBase):
             else:
                 ecdh = EcdhKeyPair.generate(cfg.rng)
                 self._note("S2.1")
-            from repro.crypto.ec import ECPoint
-
             client_share = ECPoint.decode(chlo.require(F_KEY_SHARE))
             shared = ecdh.shared_secret(client_share)
             self._note("S2.2")

@@ -1,7 +1,7 @@
 """Unit helpers for time and data sizes.
 
-The simulator's clock is a ``float`` in **seconds**.  These constants and
-converters keep the cost model readable: ``3.2 * USEC`` instead of
+The simulator's clock is a ``float`` in **seconds**.  These constants
+keep the cost model readable: ``3.2 * USEC`` instead of
 ``3.2e-6``.  Data sizes are plain ``int`` bytes; ``KB``/``MB`` follow the
 paper's usage (binary multiples, since TLS records are 16 KiB and TSO
 segments 64 KiB).
@@ -23,8 +23,3 @@ MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
 
 GBPS = 1e9  # bits per second
-
-
-def seconds_to_usec(t: float) -> float:
-    """Convert seconds to microseconds (for reporting)."""
-    return t / USEC

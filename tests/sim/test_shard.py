@@ -8,6 +8,9 @@ seeded workloads; on a mismatch they print a ``REPRODUCING SEED`` line
 naming the exact seed so the failure replays from one number.
 """
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import SimulationError
@@ -154,6 +157,22 @@ class TestShardPlan:
         assert [again.domain_of_rack(r) for r in range(4)] == [0, 1, 2, 3]
         assert plan.domains == 1  # original untouched
 
+    def test_domain_map_is_derived_never_passed(self):
+        plan = ShardPlan(num_racks=4, domains=4)
+        wider = dataclasses.replace(plan, num_racks=8)
+        assert [wider.domain_of_rack(r) for r in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
+        with pytest.raises(TypeError):
+            ShardPlan(num_racks=4, domains=2, _domain_of_rack=(0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            dataclasses.replace(plan, _domain_of_rack=(0, 0, 0, 0))
+
+    def test_plan_pickles_whole(self):
+        # The multiprocessing carrier ships the plan to every worker.
+        plan = ShardPlan(num_racks=6, hosts_per_rack=3, domains=3, mtu=9000)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan
+        assert clone.racks_of_domain(1) == plan.racks_of_domain(1) == [2, 3]
+
     def test_global_index_round_trip(self):
         plan = ShardPlan(num_racks=3, hosts_per_rack=4, domains=3)
         for rack in range(3):
@@ -265,6 +284,21 @@ class TestRunnerProtocol:
         assert run.final_barrier <= 2e-5 + plan.lookahead
         for domain in run.domains:
             assert domain.final_now <= 2e-5 + plan.lookahead
+
+    @pytest.mark.parametrize("use_processes", [False, True])
+    @pytest.mark.parametrize(
+        "path", ["repro.load.shard:nope", "repro.load.shard", "no.such.module:fn"]
+    )
+    def test_bad_factory_path_is_one_typed_error(self, path, use_processes):
+        # Used to be a bare AttributeError in-process and, with workers, an
+        # EOFError from the pipe of a worker that had already died.
+        runner = ShardRunner(
+            ShardPlan(num_racks=2, hosts_per_rack=1, domains=2),
+            workload_factory=path, use_processes=use_processes,
+        )
+        with pytest.raises(SimulationError, match="pkg.mod:fn") as caught:
+            runner.run()
+        assert repr(path) in str(caught.value)
 
     def test_domain_results_cover_all_racks(self):
         plan = ShardPlan(num_racks=4, hosts_per_rack=1, domains=4)
