@@ -62,26 +62,32 @@ EXPECTED_EVENTS = {
 }
 
 
-def collect(bench_dir: Path) -> list[tuple[str, int, object, str]]:
-    """(name, expected, actual, problem) per pinned bench; "" means OK."""
+def collect(bench_dir: Path) -> list[tuple[str, int, object, str, object]]:
+    """(name, expected, actual, problem, aead.in_flight_high_water_bytes) per
+    pinned bench; "" means OK.  The last is reported, never pinned: the most
+    bytes FastAead's in-flight table had held by the end of that bench, in
+    its process (benches run in one process share the mark, so it only
+    rises); at the 8 MiB budget, unopened records were being evicted."""
     rows = []
     for name, expected in EXPECTED_EVENTS.items():
         path = bench_dir / f"BENCH_{name}.json"
         if not path.exists():
-            rows.append((name, expected, None, "report file missing"))
+            rows.append((name, expected, None, "report file missing", None))
             continue
         perf = json.loads(path.read_text()).get("perf")
         if not perf:
-            rows.append((name, expected, None, "report has no 'perf' section"))
+            rows.append((name, expected, None, "report has no 'perf' section", None))
             continue
         events = perf.get("events")
         eps = perf.get("events_per_sec")
+        high_water = perf.get("aead", {}).get("high_water_bytes")
         if not isinstance(eps, int) or eps <= 0:
-            rows.append((name, expected, events, "events_per_sec not recorded"))
+            problem = "events_per_sec not recorded"
         elif events != expected:
-            rows.append((name, expected, events, f"drift {events - expected:+d}"))
+            problem = f"drift {events - expected:+d}"
         else:
-            rows.append((name, expected, events, ""))
+            problem = ""
+        rows.append((name, expected, events, problem, high_water))
     return rows
 
 
@@ -91,13 +97,15 @@ def main(argv: list[str]) -> int:
         return 2
     rows = collect(Path(argv[1]))
     failures = [r for r in rows if r[3]]
-    header = f"{'bench':<18} {'expected':>10} {'actual':>10}  status"
+    header = (f"{'bench':<18} {'expected':>10} {'actual':>10} "
+              f"{'aead.in_flight_high_water_bytes':>32}  status")
     print(header)
     print("-" * len(header))
-    for name, expected, actual, problem in rows:
+    for name, expected, actual, problem, high_water in rows:
         shown = "-" if actual is None else actual
+        memo = "-" if high_water is None else high_water
         status = problem if problem else "OK"
-        print(f"{name:<18} {expected:>10} {shown:>10}  {status}")
+        print(f"{name:<18} {expected:>10} {shown:>10} {memo:>32}  {status}")
     if failures:
         print(
             f"\n{len(failures)} bench(es) drifted; if intentional, update "

@@ -41,6 +41,7 @@ from repro.bench import (
     table2,
     tenant,
 )
+from repro.crypto.aead import in_flight_stats
 from repro.sim.event_loop import events_dispatched
 
 EXPERIMENTS = {
@@ -93,9 +94,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one registered experiment, timing it and counting loop events.
 
-    The returned JSON report carries a ``perf`` key with host wall time and
-    events/sec; everything else in the report is pure virtual-time output
-    and is identical no matter where or when the experiment runs.
+    The returned JSON report carries a ``perf`` key with host wall time,
+    events/sec and FastAead's in-flight counters (all since process start);
+    everything else is virtual-time output, identical wherever it runs.
     ``domains`` overrides the sharded-kernel partitioning for experiments
     that support it and is ignored by the rest.
     """
@@ -115,6 +116,7 @@ def run_experiment(
         "wall_s": round(wall_s, 4),
         "events": events,
         "events_per_sec": round(events / wall_s) if wall_s > 0 else 0,
+        "aead": in_flight_stats(),
     }
     return ExperimentResult(
         name=name,

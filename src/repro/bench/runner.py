@@ -120,13 +120,17 @@ def stream_pairs(bed: Testbed, system: str, port: int, n: int, channel=KtlsConne
     mode = _STREAM_MODES[system]
     for i in range(n):
         conn_c, conn_s = connect_pair(bed.client, bed.server, port + i)
+        # Keys of its own: every connection counts records from 0.
+        salt = (port + i).to_bytes(2, "big")
+        client_keys = TrafficKeys.from_secret(_CLIENT_KEYS.key + salt)
+        server_keys = TrafficKeys.from_secret(_SERVER_KEYS.key + salt)
         if system == "tcpls":
-            yield tcpls_pair(conn_c, conn_s, _CLIENT_KEYS, _SERVER_KEYS,
+            yield tcpls_pair(conn_c, conn_s, client_keys, server_keys,
                              aead_kind=BENCH_AEAD)
         else:
             yield (
-                channel(conn_c, mode, _CLIENT_KEYS, _SERVER_KEYS, BENCH_AEAD),
-                channel(conn_s, mode, _SERVER_KEYS, _CLIENT_KEYS, BENCH_AEAD),
+                channel(conn_c, mode, client_keys, server_keys, BENCH_AEAD),
+                channel(conn_s, mode, server_keys, client_keys, BENCH_AEAD),
             )
 
 

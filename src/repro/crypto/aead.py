@@ -11,7 +11,8 @@ AES-128-GCM.  Two implementations:
   *semantics* (tamper detection, nonce binding).  Long-running benchmarks
   may select it so host wall-clock time stays reasonable; virtual-time
   costs are charged identically for both because the cost model prices
-  AES-128-GCM, not the Python implementation.
+  AES-128-GCM, not the Python implementation.  Its one memo is a byte-bounded
+  process-wide table of records sealed and not yet opened; instances hold keys.
 
 Both ciphers accept any bytes-like object (``memoryview`` included) for
 plaintext, ciphertext and AAD: the seal/open boundary is where the
@@ -20,6 +21,7 @@ zero-copy framing path materialises wire bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 from typing import Protocol
@@ -48,6 +50,53 @@ class Aead(Protocol):
         ...
 
 
+#: Byte budget of the in-flight table (AAD + sealed record + plaintext per
+#: entry): a few MB of unopened records fit, 64 x 256 KB in flight do not.
+IN_FLIGHT_BUDGET = 8 << 20
+
+
+class _InFlight:
+    """``(mac key, nonce) -> (aad, sealed record, plaintext)`` of every
+    record sealed in this process and not yet opened, oldest first."""
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[bytes, bytes], tuple[bytes, bytes, bytes]] = {}
+        self.bytes = self.high_water_bytes = 0
+        self.hits = self.misses = self.evicted_unopened = 0
+
+    def _drop(self, key) -> tuple[bytes, bytes, bytes]:
+        entry = self.entries.pop(key)
+        self.bytes -= len(entry[0]) + len(entry[1]) + len(entry[2])
+        return entry
+
+    def put(self, key, aad: bytes, sealed: bytes, plaintext: bytes) -> None:
+        if key in self.entries:  # a re-seal replaces its entry, as the newest
+            self._drop(key)
+        self.entries[key] = (aad, sealed, plaintext)
+        self.bytes += len(aad) + len(sealed) + len(plaintext)
+        while self.bytes > IN_FLIGHT_BUDGET:  # oldest first, one at a time
+            self._drop(next(iter(self.entries)))
+            self.evicted_unopened += 1
+        self.high_water_bytes = max(self.high_water_bytes, self.bytes)
+
+    def take(self, key, aad: bytes, sealed: bytes) -> bytes | None:
+        """Plaintext of a byte-identical in-flight record, which it removes."""
+        hit = self.entries.get(key)
+        if hit is None or hit[0] != aad or hit[1] != sealed:
+            self.misses += 1  # the genuine entry, if any, stays
+            return None
+        self.hits += 1
+        return self._drop(key)[2]
+
+
+_IN_FLIGHT = _InFlight()
+
+
+def in_flight_stats() -> dict[str, int]:
+    """Entries, bytes, high-water bytes, hits, misses, evicted unopened."""
+    return {**vars(_IN_FLIGHT), "entries": len(_IN_FLIGHT.entries)}
+
+
 class FastAead:
     """Simulation AEAD: BLAKE2b-derived keystream, truncated HMAC-SHA1 tag.
 
@@ -63,13 +112,14 @@ class FastAead:
     A prefix-keyed truncated SHA-1 is not HMAC, and SHA-1 is not
     collision-resistant -- acceptable for a simulation stand-in, where the
     adversary is a fault injector flipping bytes, not a cryptanalyst.
-    Two memos exploit the simulation's loopback (sealer and opener share
-    one process, and with :func:`shared_aead` one instance): keystream
-    ints are cached per nonce, and ``seal`` remembers its exact output so
-    an ``open`` of the *unmodified* record returns the cached plaintext
-    without re-hashing.  Any difference in nonce, AAD, ciphertext or tag
-    misses the memo and takes the full verify-then-fail path, so fault
-    injection and tampering behave identically.
+
+    An instance holds two derived keys and nothing else.  One memo exploits
+    the simulation's loopback (sealer and opener share a process): ``seal``
+    files its exact output in the process-wide in-flight table, and ``open``
+    of the *unmodified* record -- same key, nonce, AAD, ciphertext and tag,
+    byte for byte -- takes the plaintext from it and removes the entry.  Any
+    difference, or a second ``open``, misses, leaves a genuine entry in place
+    and takes the full verify-then-decrypt path, as if there were no table.
     """
 
     nonce_size = 12
@@ -81,9 +131,6 @@ class FastAead:
         self.key_size = len(key)
         self._enc_key = hashlib.sha256(b"fastaead-enc" + key).digest()
         self._mac_key = hashlib.sha256(b"fastaead-mac" + key).digest()
-        self._ks_cache: dict[bytes, tuple[int, int]] = {}  # nonce -> (len, ks int)
-        # nonce -> (aad, sealed record, plaintext); see the class docstring.
-        self._seal_cache: dict[bytes, tuple[bytes, bytes, bytes]] = {}
 
     def _keystream(self, nonce: bytes, length: int) -> bytes:
         block = hashlib.blake2b(nonce, key=self._enc_key, digest_size=64).digest()
@@ -91,17 +138,6 @@ class FastAead:
             return block[:length]
         ks = block * ((length + 63) // 64)
         return ks if len(ks) == length else ks[:length]
-
-    def _ks_int(self, nonce: bytes, length: int) -> int:
-        cache = self._ks_cache
-        hit = cache.get(nonce)
-        if hit is not None and hit[0] == length:
-            return hit[1]
-        value = int.from_bytes(self._keystream(nonce, length), "little")
-        if len(cache) >= 512:  # wholesale eviction keeps the memo bounded
-            cache.clear()
-        cache[nonce] = (length, value)
-        return value
 
     def _tag(self, nonce, aad, ciphertext) -> bytes:
         msg = b"".join(
@@ -117,69 +153,36 @@ class FastAead:
         return hashlib.sha1(msg).digest()[: self.tag_size]
 
     def seal(self, nonce: bytes, plaintext, aad=b"") -> bytes:
-        if len(nonce) != self.nonce_size:
-            raise CryptoError(f"nonce must be {self.nonce_size} bytes")
-        nonce = bytes(nonce)
-        length = len(plaintext)
-        n = int.from_bytes(plaintext, "little") ^ self._ks_int(nonce, length)
-        ciphertext = n.to_bytes(length, "little")
-        sealed = ciphertext + self._tag(nonce, aad, ciphertext)
-        cache = self._seal_cache
-        if len(cache) >= 512:  # wholesale eviction keeps the memo bounded
-            cache.clear()
-        cache[nonce] = (
-            bytes(aad),
-            sealed,
-            plaintext if isinstance(plaintext, bytes) else bytes(plaintext),
-        )
-        return sealed
+        # Not self.seal_many: a tracer wrapping both would count the record twice.
+        return self._seal_records(((nonce, plaintext, aad),))[0]
 
     def seal_many(self, items: list) -> list[bytes]:
         """Seal a batch of ``(nonce, plaintext, aad)`` records in one pass.
 
-        Byte-identical to calling :meth:`seal` per record (same ciphertext,
-        same tag, same memo population), but the keystream tiles for every
-        record are generated up front and applied with a *single* big-int
-        XOR over the concatenated plaintexts -- one interpreter crossing
-        for the whole message instead of one per record.  Tags stay per
-        record (they bind nonce and AAD individually).
+        Byte-identical to :meth:`seal` per record, in-flight entries
+        included, but the keystream tiles of every record are generated up
+        front and applied with a *single* big-int XOR over the concatenated
+        plaintexts -- one interpreter crossing for the whole message, not one
+        per record.  Tags stay per record (they bind nonce and AAD).
         """
-        if not items:
-            return []
-        nonce_size = self.nonce_size
-        keystream = self._keystream
-        nonces: list[bytes] = []
-        lengths: list[int] = []
-        ks_parts: list[bytes] = []
-        pt_parts: list = []
-        for nonce, plaintext, _aad in items:
-            if len(nonce) != nonce_size:
-                raise CryptoError(f"nonce must be {nonce_size} bytes")
-            nonce = bytes(nonce)
-            length = len(plaintext)
-            nonces.append(nonce)
-            lengths.append(length)
-            ks_parts.append(keystream(nonce, length))
-            pt_parts.append(plaintext)
-        total_pt = b"".join(pt_parts)
-        n = int.from_bytes(total_pt, "little") ^ int.from_bytes(
-            b"".join(ks_parts), "little"
-        )
-        total_ct = n.to_bytes(len(total_pt), "little")
+        return self._seal_records(items)
+
+    def _seal_records(self, items) -> list[bytes]:
+        nonces = [bytes(nonce) for nonce, _plaintext, _aad in items]
+        if any(len(nonce) != self.nonce_size for nonce in nonces):
+            raise CryptoError(f"nonce must be {self.nonce_size} bytes")
+        lengths = [len(plaintext) for _nonce, plaintext, _aad in items]
+        all_pt = b"".join([plaintext for _nonce, plaintext, _aad in items])
+        all_ks = b"".join(map(self._keystream, nonces, lengths))
+        n = int.from_bytes(all_pt, "little") ^ int.from_bytes(all_ks, "little")
+        all_ct = n.to_bytes(len(all_pt), "little")
         out: list[bytes] = []
-        cache = self._seal_cache
         pos = 0
-        for i, (nonce, _plaintext, aad) in enumerate(items):
-            end = pos + lengths[i]
-            ciphertext = total_ct[pos:end]
+        for nonce, length, (_nonce, _plaintext, aad) in zip(nonces, lengths, items):
+            end = pos + length
+            ciphertext = all_ct[pos:end]
             sealed = ciphertext + self._tag(nonce, aad, ciphertext)
-            if len(cache) >= 512:  # wholesale eviction keeps the memo bounded
-                cache.clear()
-            cache[nonce] = (
-                bytes(aad),
-                sealed,
-                total_pt[pos:end],
-            )
+            _IN_FLIGHT.put((self._mac_key, nonce), bytes(aad), sealed, all_pt[pos:end])
             out.append(sealed)
             pos = end
         return out
@@ -196,16 +199,16 @@ class FastAead:
             ciphertext_and_tag = bytes(ciphertext_and_tag)
         if type(aad) is not bytes:
             aad = bytes(aad)
-        hit = self._seal_cache.get(nonce)
-        if hit is not None and hit[0] == aad and hit[1] == ciphertext_and_tag:
-            return hit[2]  # the record is byte-identical to what we sealed
+        plaintext = _IN_FLIGHT.take((self._mac_key, nonce), aad, ciphertext_and_tag)
+        if plaintext is not None:
+            return plaintext  # the record is byte-identical to what was sealed
         ciphertext = ciphertext_and_tag[: -self.tag_size]
         tag = ciphertext_and_tag[-self.tag_size :]
         if not _hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
             raise AuthenticationError("FastAead tag mismatch")
-        length = len(ciphertext)
-        n = int.from_bytes(ciphertext, "little") ^ self._ks_int(nonce, length)
-        return n.to_bytes(length, "little")
+        ks = self._keystream(nonce, len(ciphertext))
+        n = int.from_bytes(ciphertext, "little") ^ int.from_bytes(ks, "little")
+        return n.to_bytes(len(ciphertext), "little")
 
 
 _AEAD_KINDS = {
@@ -226,26 +229,16 @@ def new_aead(kind: str, key: bytes) -> Aead:
     return cls(key)
 
 
-_SHARED_AEADS: dict[tuple[str, bytes], Aead] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def shared_aead(kind: str, key: bytes) -> Aead:
     """A process-wide cached AEAD instance for ``(kind, key)``.
 
     Every AEAD here is stateless -- nonces and record sequence numbers live
-    in :class:`repro.tls.record.RecordProtection` -- so one instance per
-    key serves any number of sessions and directions concurrently.  Sharing
-    matters most for :class:`AesGcm`, whose per-key GHASH tables (16x256
-    128-bit entries) are otherwise rebuilt for every connection and rekey.
-
-    The cache is dropped whole once it holds 4 096 instances: simulations
-    key a handful of sessions, and a run that churns through more only
-    rebuilds the ones it still uses.
+    in :class:`repro.tls.record.RecordProtection`, FastAead's memo in the
+    in-flight table -- so one instance per key serves any number of sessions
+    and directions concurrently.  Sharing matters for :class:`AesGcm`, whose
+    per-key GHASH tables (16x256 128-bit entries: 210 KiB, 1.1 ms) are
+    otherwise rebuilt for every connection and rekey.  At the cap the least
+    recently used instance goes, alone: at most 256 x 210 KiB = 52.5 MiB.
     """
-    cache_key = (kind, bytes(key))
-    aead = _SHARED_AEADS.get(cache_key)
-    if aead is None:
-        if len(_SHARED_AEADS) >= 4096:  # safeguard for very long-lived processes
-            _SHARED_AEADS.clear()
-        aead = _SHARED_AEADS[cache_key] = new_aead(kind, cache_key[1])
-    return aead
+    return new_aead(kind, key)

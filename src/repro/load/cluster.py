@@ -109,9 +109,10 @@ def verify_response(payload: bytes, serial: int, response_size: int) -> bool:
     return payload[HEADER_SIZE:] == expected
 
 
-def _pair_keys(tx_addr: int, rx_addr: int) -> TrafficKeys:
-    """Deterministic per-direction traffic keys for a host pair."""
-    packed = struct.pack("!II", tx_addr, rx_addr)
+def _pair_keys(tx_addr: int, rx_addr: int, port: int = 0) -> TrafficKeys:
+    """Deterministic per-direction traffic keys for a host pair; a stream
+    connection adds its server ``port``, as each counts records from 0."""
+    packed = struct.pack("!IIH", tx_addr, rx_addr, port)
     return TrafficKeys(
         key=hashlib.blake2b(packed, digest_size=16, key=b"load-key").digest(),
         iv=hashlib.blake2b(packed, digest_size=12, key=b"load-iv").digest(),
@@ -270,8 +271,8 @@ class ClusterHarness:
                     continue
                 port += 1
                 conn_c, conn_s = connect_pair(src, dst, port)
-                client_keys = _pair_keys(src.addr, dst.addr)
-                server_keys = _pair_keys(dst.addr, src.addr)
+                client_keys = _pair_keys(src.addr, dst.addr, port)
+                server_keys = _pair_keys(dst.addr, src.addr, port)
                 chan_c, chan_s = ktls_pair(
                     conn_c, conn_s, mode, client_keys, server_keys,
                     aead_kind=LOAD_AEAD,

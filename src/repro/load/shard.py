@@ -132,10 +132,10 @@ class ShardedClusterHarness:
                 server_port = SERVER_PORT + 1 + ordinal
                 client_port = _CLIENT_PORT_BASE + ordinal
                 client_keys = _pair_keys(
-                    self._addr_of[src_g], self._addr_of[dst_g]
+                    self._addr_of[src_g], self._addr_of[dst_g], server_port
                 )
                 server_keys = _pair_keys(
-                    self._addr_of[dst_g], self._addr_of[src_g]
+                    self._addr_of[dst_g], self._addr_of[src_g], server_port
                 )
                 if src_i is not None:
                     src = self.hosts[src_i]

@@ -24,6 +24,9 @@ class TestRegistry:
         perf = result.report_json["perf"]
         assert perf["wall_s"] >= 0
         assert perf["events"] >= 0
+        assert set(perf["aead"]) == {
+            "entries", "bytes", "high_water_bytes", "hits", "misses", "evicted_unopened",
+        }
         assert result.report_json == json.loads(json.dumps(result.report_json))
 
 

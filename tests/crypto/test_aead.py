@@ -1,10 +1,15 @@
 """AEAD interface and the FastAead simulation cipher."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import FastAead, new_aead, shared_aead
+from repro.bench.runner import build_rpc_harness
+from repro.crypto import aead as aead_module
+from repro.crypto.aead import FastAead, in_flight_stats, new_aead, shared_aead
 from repro.crypto.gcm import AesGcm
 from repro.errors import AuthenticationError, CryptoError
 
@@ -114,7 +119,172 @@ class TestFastAeadMemo:
         )
 
 
+@pytest.fixture
+def table(monkeypatch):
+    """A fresh in-flight table in place of the process-wide one."""
+    monkeypatch.setattr(aead_module, "_IN_FLIGHT", aead_module._InFlight())
+    return aead_module._IN_FLIGHT
+
+
+def _nonce(i: int) -> bytes:
+    return i.to_bytes(12, "big")
+
+
+def _flip(data: bytes, index: int) -> bytes:
+    return data[:index] + bytes([data[index] ^ 1]) + data[index + 1 :]
+
+
+class TestInFlightTable:
+    """Sealed and not yet opened, and nothing else."""
+
+    def test_open_hits_and_consumes(self, table):
+        f = FastAead(bytes(16))
+        sealed = f.seal(NONCE, b"payload" * 50, b"aad")
+        assert in_flight_stats()["entries"] == 1
+        assert in_flight_stats()["bytes"] == 3 + len(sealed) + 350
+        assert f.open(NONCE, sealed, b"aad") == b"payload" * 50
+        stats = in_flight_stats()
+        assert (stats["hits"], stats["misses"], stats["entries"], stats["bytes"]) == (
+            1, 0, 0, 0,
+        )
+        # A replay finds nothing to hit and decrypts to the same bytes.
+        assert f.open(NONCE, sealed, b"aad") == b"payload" * 50
+        assert (in_flight_stats()["hits"], in_flight_stats()["misses"]) == (1, 1)
+        assert in_flight_stats()["high_water_bytes"] == 3 + len(sealed) + 350
+
+    def test_every_mismatch_fails_beside_the_genuine_entry(self, table):
+        f = FastAead(bytes(16))
+        sealed = f.seal(NONCE, b"payload" * 50, b"aad")
+        forged = [
+            (_flip(NONCE, 11), sealed, b"aad"),
+            (NONCE, sealed, b"aae"),
+            (NONCE, _flip(sealed, 0), b"aad"),  # ciphertext, genuine tag
+            (NONCE, _flip(sealed, len(sealed) - 1), b"aad"),  # tag
+        ]
+        for nonce, record, aad in forged:
+            with pytest.raises(AuthenticationError):
+                f.open(nonce, record, aad)
+            assert in_flight_stats()["entries"] == 1
+        assert in_flight_stats()["hits"] == 0
+        assert f.open(NONCE, sealed, b"aad") == b"payload" * 50
+        assert in_flight_stats()["hits"] == 1
+
+    def test_hit_needs_the_key_not_the_instance(self, table):
+        sealed = FastAead(b"k" * 16).seal(NONCE, b"one key, two instances")
+        assert FastAead(b"k" * 16).open(NONCE, sealed) == b"one key, two instances"
+        assert in_flight_stats()["hits"] == 1
+        sealed = FastAead(b"k" * 16).seal(NONCE, b"one nonce, two keys")
+        with pytest.raises(AuthenticationError):
+            FastAead(b"j" * 16).open(NONCE, sealed)
+        assert (in_flight_stats()["hits"], in_flight_stats()["entries"]) == (1, 1)
+
+    def test_reseal_replaces_its_entry(self, table):
+        f = FastAead(bytes(16))
+        first = f.seal(NONCE, b"first message")
+        second = f.seal(NONCE, b"second, longer message")
+        assert in_flight_stats()["entries"] == 1
+        assert in_flight_stats()["bytes"] == len(second) + 22
+        assert f.open(NONCE, first) == b"first message"  # slow path
+        assert f.open(NONCE, second) == b"second, longer message"
+        assert (in_flight_stats()["hits"], in_flight_stats()["misses"]) == (1, 1)
+
+    def test_seal_many_files_what_seal_files(self, table):
+        items = [(_nonce(i), bytes([i]) * (i * 37), b"h%d" % i) for i in range(6)]
+        f = FastAead(b"\x07" * 16)
+        batch = f.seal_many(items)
+        filed = dict(table.entries)
+        table.entries.clear()
+        assert [f.seal(*item) for item in items] == batch
+        assert list(table.entries.items()) == list(filed.items())
+        assert f.seal_many([]) == [] and len(table.entries) == 6
+
+    def test_random_walk_keeps_the_books(self, table, monkeypatch):
+        budget = 64 * 1024
+        monkeypatch.setattr(aead_module, "IN_FLIGHT_BUDGET", budget)
+        rng = random.Random(24)
+        aeads = [FastAead(bytes([k]) * 16) for k in range(3)]
+        # (key index, nonce) -> (aad, sealed, plaintext): what the network
+        # still carries, and what the table must hold, oldest first.
+        carried: dict = {}
+        filed: dict = {}
+        hits = misses = evicted = 0
+        for _ in range(10_000):
+            op = rng.random()
+            if op < 0.5:  # seal, or re-seal over a nonce still in flight
+                key = k, nonce = rng.randrange(3), _nonce(rng.randrange(300))
+                plaintext, aad = rng.randbytes(rng.randrange(3000)), rng.randbytes(5)
+                record = (aad, aeads[k].seal(nonce, plaintext, aad), plaintext)
+                filed.pop(key, None)
+                carried[key] = filed[key] = record
+                while sum(sum(map(len, r)) for r in filed.values()) > budget:
+                    del filed[next(iter(filed))]
+                    evicted += 1
+            elif carried:
+                key = k, nonce = rng.choice(list(carried))
+                aad, sealed, plaintext = record = carried.pop(key)
+                if op < 0.9:  # delivered; else dropped, and filed until evicted
+                    assert aeads[k].open(nonce, sealed, aad) == plaintext
+                    if filed.get(key) == record:
+                        del filed[key]
+                        hits += 1
+                    else:
+                        misses += 1
+            assert [(aeads[k]._mac_key, n) for k, n in filed] == list(table.entries)
+            assert table.bytes == sum(sum(map(len, e)) for e in table.entries.values())
+            assert table.bytes <= budget
+        stats = in_flight_stats()
+        assert (stats["hits"], stats["misses"]) == (hits, misses)
+        assert stats["evicted_unopened"] == evicted
+        assert hits > 1000 and misses > 100 and evicted > 100
+        assert budget - 6000 < stats["high_water_bytes"] <= budget
+
+    def test_quiesced_bed_leaves_nothing_filed(self, table):
+        harness = build_rpc_harness("smt-sw")
+        bed = harness.bed
+
+        def slot(i):
+            call = harness.call_factory(i)
+            for _ in range(250):
+                yield from call(bytes(64 + 200 * i), 64)
+
+        done = [bed.loop.process(slot(i)) for i in range(8)]  # 2 000 RPCs
+        bed.loop.run(until=5.0)
+        assert all(d.triggered and d.ok for d in done)
+        stats = in_flight_stats()
+        assert stats["hits"] >= 4000 and stats["misses"] == 0
+        assert (stats["entries"], stats["bytes"]) == (0, 0)
+
+    def test_opened_records_are_not_retained(self, table):
+        aeads = [FastAead(bytes([k]) * 16) for k in range(16)]
+        payload = bytes(16 * 1024)
+        tracemalloc.start()
+        try:
+            for i in range(100):
+                for f in aeads:
+                    f.open(_nonce(i), f.seal(_nonce(i), payload, b"hdr"), b"hdr")
+            live = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, aead_module.__file__)]
+            )
+        finally:
+            tracemalloc.stop()
+        assert sum(stat.size for stat in live.statistics("filename")) < 1 << 20
+
+
 class TestSharedAead:
+    def test_hot_key_survives_cold_keys(self):
+        cap = shared_aead.cache_parameters()["maxsize"]
+        hot = shared_aead("fast", b"hot key 16 bytes")
+        for i in range(10 * cap):
+            shared_aead("fast", i.to_bytes(16, "big"))
+            if i % (cap // 2) == 0:
+                assert shared_aead("fast", b"hot key 16 bytes") is hot
+        assert shared_aead("fast", b"hot key 16 bytes") is hot
+
+    def test_cap_holds(self):
+        for i in range(406):  # session_churn's distinct keys
+            shared_aead("fast", b"churn" + i.to_bytes(11, "big"))
+            assert shared_aead.cache_info().currsize <= shared_aead.cache_info().maxsize
+
     def test_same_key_shares_instance(self):
         assert shared_aead("fast", b"\x09" * 16) is shared_aead("fast", b"\x09" * 16)
 
