@@ -17,7 +17,7 @@ from typing import Callable, Optional, Protocol
 from repro.errors import SimulationError
 from repro.host.costs import CostModel
 from repro.host.cpu import AppThread, SoftirqCore
-from repro.net.addressing import FlowTuple
+from repro.net.addressing import flow_hash
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
 from repro.sim.resources import Resource
@@ -98,15 +98,19 @@ class Host:
 
     def softirq_core_for(self, packet: Packet) -> SoftirqCore:
         """RSS steering: hash the 5-tuple onto a softirq core."""
-        idx = packet.flow.rss_hash() % len(self.softirq_cores)
-        return self.softirq_cores[idx]
+        ip = packet.ip
+        t = packet.transport
+        cores = self.softirq_cores
+        h = flow_hash(ip.src_addr, t.src_port, ip.dst_addr, t.dst_port, ip.proto)
+        return cores[h % len(cores)]
 
     def softirq_core_for_flow(
         self, peer_addr: int, peer_port: int, local_port: int, proto: int
     ) -> SoftirqCore:
         """The softirq core inbound packets of this flow would land on."""
-        flow = FlowTuple(peer_addr, peer_port, self.addr, local_port, proto)
-        return self.softirq_cores[flow.rss_hash() % len(self.softirq_cores)]
+        cores = self.softirq_cores
+        h = flow_hash(peer_addr, peer_port, self.addr, local_port, proto)
+        return cores[h % len(cores)]
 
     # -- application helpers --------------------------------------------------------
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.net.addressing import FlowTuple
+from repro.net.addressing import flow_hash
 from repro.net.fabric import FabricPort
 from repro.net.packet import Packet
 from repro.net.switch import PortKey, Switch
@@ -46,12 +46,9 @@ from repro.units import GBPS
 
 def ecmp_hash(packet: Packet, salt: int = 0) -> int:
     """Deterministic per-flow hash: equal for every packet of one flow."""
+    ip = packet.ip
     t = packet.transport
-    flow = FlowTuple(
-        packet.ip.src_addr, t.src_port, packet.ip.dst_addr, t.dst_port,
-        packet.ip.proto,
-    )
-    h = flow.rss_hash()
+    h = flow_hash(ip.src_addr, t.src_port, ip.dst_addr, t.dst_port, ip.proto)
     if salt:
         # Mix the salt in nonlinearly (murmur-style finalizer): a plain
         # XOR would flip the same bits of every flow's hash, merely

@@ -18,13 +18,17 @@ generated by TSO").
 Homa, SMT and our TCP all use this same 40-byte layout; TCP simply
 interprets ``msg_id`` as its 32-bit sequence/ack pair, which is exactly
 the overlay trick the paper describes in reverse.
+
+Both headers are ``NamedTuple`` records: immutable, read through C
+descriptors, copied with ``_replace``.  A packet carries one of each, so no
+dataclass machinery sits on the per-packet path.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.errors import ProtocolError
 
@@ -50,10 +54,10 @@ class PacketType(enum.IntEnum):
 
 _IPV4_FMT = struct.Struct("!BBHHHBBHII")
 _TRANSPORT_FMT = struct.Struct("!HHQBBHHHIIIIBBH")
+_PACKET_TYPES = {int(t): t for t in PacketType}
 
 
-@dataclass(frozen=True)
-class IPv4Header:
+class IPv4Header(NamedTuple):
     """The subset of IPv4 the simulation needs (no fragmentation)."""
 
     src_addr: int
@@ -81,16 +85,15 @@ class IPv4Header:
     def decode(data: bytes) -> "IPv4Header":
         if len(data) < IPV4_HEADER_SIZE:
             raise ProtocolError("truncated IPv4 header")
-        (vihl, _tos, total_len, ipid, _frag, ttl, proto, _csum, src, dst) = _IPV4_FMT.unpack(
-            data[:IPV4_HEADER_SIZE]
+        (vihl, _tos, total_len, ipid, _frag, ttl, proto, _csum, src, dst) = (
+            _IPV4_FMT.unpack_from(data)
         )
         if vihl != 0x45:
             raise ProtocolError(f"unsupported IPv4 version/IHL {vihl:#x}")
         return IPv4Header(src, dst, proto, total_len, ipid, ttl)
 
 
-@dataclass(frozen=True)
-class TransportHeader:
+class TransportHeader(NamedTuple):
     """The overlaid-TCP transport header shared by Homa, SMT and TCP.
 
     Field placement (wire order):
@@ -168,14 +171,17 @@ class TransportHeader:
             priority,
             incast,
             _spare,
-        ) = _TRANSPORT_FMT.unpack(data[:TRANSPORT_HEADER_SIZE])
+        ) = _TRANSPORT_FMT.unpack_from(data)
         if doff != 10:
             raise ProtocolError(f"unexpected data offset {doff}")
+        kind = _PACKET_TYPES.get(pkt_type)
+        if kind is None:
+            raise ProtocolError(f"unknown packet type {pkt_type}")
         return TransportHeader(
             src_port,
             dst_port,
             msg_id,
-            PacketType(pkt_type),
+            kind,
             resend_packet_offset,
             msg_len,
             tso_offset,
@@ -186,5 +192,5 @@ class TransportHeader:
         )
 
     def with_fields(self, **kwargs: object) -> "TransportHeader":
-        """Copy with replaced fields (headers are frozen)."""
-        return replace(self, **kwargs)
+        """Copy with replaced fields (headers are immutable)."""
+        return self._replace(**kwargs)

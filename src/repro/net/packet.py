@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from repro.errors import ProtocolError
-from repro.net.addressing import FlowTuple
 from repro.net.headers import (
     HEADERS_SIZE,
     IPV4_HEADER_SIZE,
@@ -16,39 +15,52 @@ from repro.net.headers import (
 ETHERNET_OVERHEAD = 38  # preamble + MAC headers + FCS + IFG, charged on the wire
 
 
-@dataclass(frozen=True)
 class Packet:
     """One network packet: IPv4 header, transport header, payload bytes.
 
     ``meta`` carries simulation-only annotations (e.g. which NIC queue and
     TLS flow context produced the packet) that would not exist on a real
     wire; nothing protocol-visible may live there.
+
+    A slotted class, one instance per packet on the wire: no attribute is
+    reassigned after ``__init__``.  Equality and the hash cover ``ip``,
+    ``transport`` and ``payload``, never ``meta``; a packet whose payload
+    is a view of a mutable buffer is, like that view, unhashable.
     """
 
-    ip: IPv4Header
-    transport: TransportHeader
-    payload: bytes = b""
-    meta: dict = field(default_factory=dict, compare=False)
-    #: IP packet size in bytes (headers + payload); fixed at construction
-    #: (the payload buffer is never resized), so the hot path reads a
-    #: plain attribute instead of re-deriving it per queue/serialise step.
-    size: int = field(init=False, repr=False, compare=False)
-    #: Bytes occupying the link, including Ethernet overheads.
-    wire_size: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("ip", "transport", "payload", "meta", "size", "wire_size")
 
-    def __post_init__(self) -> None:
-        size = HEADERS_SIZE + len(self.payload)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "wire_size", size + ETHERNET_OVERHEAD)
+    def __init__(
+        self,
+        ip: IPv4Header,
+        transport: TransportHeader,
+        payload: bytes = b"",
+        meta: Optional[dict] = None,
+    ) -> None:
+        self.ip = ip
+        self.transport = transport
+        self.payload = payload
+        self.meta = {} if meta is None else meta
+        # IP size (headers + payload) and bytes on the link (plus Ethernet
+        # overheads): fixed here, as the payload buffer is never resized.
+        size = HEADERS_SIZE + len(payload)
+        self.size = size
+        self.wire_size = size + ETHERNET_OVERHEAD
 
-    @property
-    def flow(self) -> FlowTuple:
-        return FlowTuple(
-            self.ip.src_addr,
-            self.transport.src_port,
-            self.ip.dst_addr,
-            self.transport.dst_port,
-            self.ip.proto,
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ip, self.transport, self.payload) == (
+            other.ip, other.transport, other.payload
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ip, self.transport, self.payload))
+
+    def __repr__(self) -> str:
+        return (
+            f"Packet(ip={self.ip!r}, transport={self.transport!r}, "
+            f"payload={self.payload!r}, meta={self.meta!r})"
         )
 
     def encode(self) -> bytes:
@@ -57,7 +69,7 @@ class Packet:
         ``payload`` may be a memoryview slice from the zero-copy TX path;
         the join materialises it.
         """
-        ip = replace(self.ip, total_len=self.size)
+        ip = self.ip._replace(total_len=self.size)
         return b"".join((ip.encode(), self.transport.encode(), self.payload))
 
     @staticmethod
@@ -68,7 +80,7 @@ class Packet:
                 f"IPv4 total_len {ip.total_len} != packet size {len(data)}"
             )
         transport = TransportHeader.decode(data[IPV4_HEADER_SIZE:])
-        payload = data[IPV4_HEADER_SIZE + 40 :]
+        payload = data[HEADERS_SIZE:]
         return Packet(ip, transport, payload)
 
     def with_meta(self, **kwargs: object) -> "Packet":

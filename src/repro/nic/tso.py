@@ -80,23 +80,23 @@ def split_segment(
     payload = memoryview(segment.payload)
     mss = segment.mss
     count = segment.num_packets
+    last = count - 1
+    # Everything but (ipid, length, payload slice) belongs to the segment.
+    src, dst, proto = segment.src_addr, segment.dst_addr, segment.proto
+    header = template = segment.header
+    meta = segment.meta
+    # Real TSO advances the TCP sequence number per packet.  Our TCP
+    # carries its (unwrapped) sequence number in msg_id.
+    tcp = proto == PROTO_TCP
     for i in range(count):
         chunk = payload[i * mss : (i + 1) * mss]
-        header = segment.header
-        if segment.proto == PROTO_TCP and i > 0:
-            # Real TSO advances the TCP sequence number per packet.  Our
-            # TCP carries its (unwrapped) sequence number in msg_id.
-            header = header.with_fields(msg_id=header.msg_id + i * mss)
         ip = IPv4Header(
-            src_addr=segment.src_addr,
-            dst_addr=segment.dst_addr,
-            proto=segment.proto,
-            total_len=HEADERS_SIZE + len(chunk),
-            ipid=(start_ipid + i) & 0xFFFF,
+            src, dst, proto, HEADERS_SIZE + len(chunk), (start_ipid + i) & 0xFFFF
         )
-        meta = dict(segment.meta)
-        meta["segment_end"] = i == count - 1  # GRO flushes per TSO burst
-        packets.append(Packet(ip, header, chunk, meta))
+        if tcp and i:
+            header = template._replace(msg_id=template.msg_id + i * mss)
+        # GRO flushes per TSO burst.
+        packets.append(Packet(ip, header, chunk, {**meta, "segment_end": i == last}))
     if metrics is not None:
         metrics.counter(f"{prefix}.tso.segments").add()
         metrics.counter(f"{prefix}.tso.packets").add(count)

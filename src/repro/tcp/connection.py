@@ -18,8 +18,8 @@ from typing import Any, Generator, Optional
 
 from repro.errors import TransportError
 from repro.host.cpu import AppThread
-from repro.net.addressing import FlowTuple
-from repro.net.headers import PROTO_TCP, IPv4Header, PacketType, TransportHeader
+from repro.net.addressing import flow_hash
+from repro.net.headers import PROTO_TCP, PacketType, TransportHeader
 from repro.net.packet import Packet
 from repro.nic.tls_offload import ResyncDescriptor, TlsOffloadDescriptor
 from repro.nic.tso import MAX_TSO_PAYLOAD, TsoSegment
@@ -63,7 +63,6 @@ class TcpConnection:
         self.peer_port = peer_port
         self.window = window_bytes
         self.base_rto = rto
-        self.flow = FlowTuple(host.addr, local_port, peer_addr, peer_port, PROTO_TCP)
         # Transmit state.
         self.snd_nxt = 0
         self.snd_una = 0
@@ -88,19 +87,18 @@ class TcpConnection:
         self._ack_pending = False
         self._pkts_since_ack = 0
         # The softirq core all this connection's packets land on (RSS).
-        self._softirq = host.softirq_core_for(self._probe_packet())
+        self._softirq = host.softirq_core_for_flow(
+            peer_addr, peer_port, local_port, PROTO_TCP
+        )
         # The NIC tx queue this connection's segments use (XPS-style).
-        self.nic_queue = self.flow.rss_hash() % host.nic.num_queues
+        self.nic_queue = (
+            flow_hash(host.addr, local_port, peer_addr, peer_port, PROTO_TCP)
+            % host.nic.num_queues
+        )
         # Stats.
         self.retransmits = 0
         self.fast_retransmits = 0
         self.timeouts = 0
-
-    def _probe_packet(self) -> Packet:
-        """A representative inbound packet for RSS core selection."""
-        header = TransportHeader(self.peer_port, self.local_port, 0)
-        ip = IPv4Header(self.peer_addr, self.host.addr, PROTO_TCP, 60)
-        return Packet(ip, header)
 
     # -- application-side API (generators run on an AppThread) -----------------
 

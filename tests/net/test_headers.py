@@ -91,6 +91,21 @@ class TestTransportHeader:
         with pytest.raises(ProtocolError):
             TransportHeader.decode(bytes(20))
 
+    def test_unknown_packet_type_rejected(self):
+        # Every flags byte that names no PacketType, through both decoders
+        # (Packet.decode is the shard boundary's).
+        ip = IPv4Header(1, 2, PROTO_SMT, HEADERS_SIZE).encode()
+        known = {int(t) for t in PacketType}
+        unknown = [b for b in range(256) if b not in known]
+        assert len(unknown) == 256 - len(PacketType)
+        for pkt_type in unknown:
+            data = bytearray(TransportHeader(1, 2, 3).encode())
+            data[13] = pkt_type
+            with pytest.raises(ProtocolError):
+                TransportHeader.decode(bytes(data))
+            with pytest.raises(ProtocolError):
+                Packet.decode(ip + bytes(data))
+
     def test_with_fields(self):
         header = TransportHeader(1, 2, 3)
         modified = header.with_fields(tso_offset=500)
@@ -137,10 +152,6 @@ class TestPacket:
         data = self._packet().encode()
         with pytest.raises(ProtocolError):
             Packet.decode(data + b"extra")
-
-    def test_flow_extraction(self):
-        flow = self._packet().flow
-        assert flow.src_port == 5 and flow.dst_port == 6 and flow.proto == PROTO_SMT
 
     def test_meta_not_in_equality(self):
         a = self._packet().with_meta(queue=1)
