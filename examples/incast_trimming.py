@@ -37,7 +37,7 @@ def run(trimming: bool) -> tuple[float, dict, int]:
         bed.loop.process(sender(i, sock))
     bed.loop.run(until=2.0)
     assert len(done_at) == 6, "incast did not complete"
-    stats = bed.fabric.switch.stats(bed.server.addr)
+    stats = bed.fabric.leaves[0].stats(bed.server.addr)
     resends = bed.server._transports[PROTO_SMT].resend_requests
     return max(done_at.values()), stats, resends
 

@@ -9,7 +9,11 @@ into two count-based CI gates over ``BENCH_scale.json`` reports:
 
 - ``--identical A B``: the two reports (same command rerun) must be
   bit-identical except for the top-level ``perf`` key, whose wall-clock
-  fields legitimately vary between runs.
+  fields legitimately vary between runs.  Given two directories, every
+  ``BENCH_*.json`` in either is compared that way, one OK/FAIL line per
+  file; a report present in only one directory fails.  That is the
+  behaviour-held check for a refactor: the same benches run at two
+  commits must agree on everything but wall-clock.
 - ``--parity A B``: the two reports came from different ``--domains``
   settings.  Their band-check lists must be identical (every parity and
   band check equal and passing) and their ``perf.events`` totals must
@@ -20,6 +24,7 @@ gated on.
 
 Usage:
   python scripts/check_shard_parity.py --identical A.json B.json
+  python scripts/check_shard_parity.py --identical DIR_A DIR_B
   python scripts/check_shard_parity.py --parity A.json B.json
 """
 
@@ -53,6 +58,34 @@ def check_identical(path_a: str, path_b: str) -> int:
         "'perf'; a diff here means nondeterminism leaked into the report"
     )
     return 1
+
+
+def check_identical_dirs(dir_a: Path, dir_b: Path) -> int:
+    names = sorted(
+        {p.name for p in dir_a.glob("BENCH_*.json")}
+        | {p.name for p in dir_b.glob("BENCH_*.json")}
+    )
+    if not names:
+        print(f"[FAIL] no BENCH_*.json in {dir_a} or {dir_b}")
+        return 1
+    failed = 0
+    for name in names:
+        path_a, path_b = dir_a / name, dir_b / name
+        missing = [str(p.parent) for p in (path_a, path_b) if not p.exists()]
+        if missing:
+            print(f"[FAIL] {name}: missing from {', '.join(missing)}")
+            failed += 1
+            continue
+        a, _ = _load(str(path_a))
+        b, _ = _load(str(path_b))
+        if a == b:
+            print(f"[OK  ] {name} (minus perf)")
+        else:
+            sections = ", ".join(repr(k) for k in _diff_keys(a, b))
+            print(f"[FAIL] {name}: sections {sections} differ")
+            failed += 1
+    print(f"{len(names) - failed} of {len(names)} reports identical minus 'perf'")
+    return 1 if failed else 0
 
 
 def check_parity(path_a: str, path_b: str) -> int:
@@ -91,6 +124,13 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     if argv[1] == "--identical":
+        dirs = [Path(p).is_dir() for p in argv[2:]]
+        if all(dirs):
+            return check_identical_dirs(Path(argv[2]), Path(argv[3]))
+        if any(dirs):
+            print("--identical takes two report files or two directories",
+                  file=sys.stderr)
+            return 2
         return check_identical(argv[2], argv[3])
     return check_parity(argv[2], argv[3])
 

@@ -1,10 +1,13 @@
-"""Byte-exact packet formats and the wire: links and a simple switch.
+"""Byte-exact packet formats and the wire: links, switches, one fabric.
 
 Packets carry real header fields and payload bytes; ``encode``/``decode``
 give the exact on-wire layout (tested for round-trip identity), while the
-simulator moves the structured objects for speed.  Links model bandwidth,
-propagation delay, per-priority egress queues (Homa's network priorities)
-and optional loss injection.
+simulator moves the structured objects for speed.  Every wire is one
+:class:`~repro.net.link.Egress` -- per-priority queues (Homa's network
+priorities), serialisation at line rate, propagation delay, optional loss
+and fault injection: a :class:`Link` holds two, and every host uplink and
+switch port one.  :class:`ClosFabric` is the one multi-host fabric; the
+star bed is its one-rack case.
 """
 
 from repro.net.addressing import FlowTuple, format_addr

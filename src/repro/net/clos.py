@@ -1,12 +1,12 @@
 """Leaf-spine (two-tier Clos) fabric with deterministic flow-hash ECMP.
 
-The star topology (``repro.net.fabric``) funnels every host through one
-switch; datacenter transports are evaluated on multi-rack fabrics where
-cross-rack traffic load-balances over several spine switches (Homa's
-evaluation topology, and the environment the paper's §7 fabric-
-compatibility argument assumes).  This module wires ``N`` racks of hosts
-to per-rack leaf :class:`~repro.net.switch.Switch` instances and ``S``
-spine switches:
+With one rack this is the star bed (``StarTestbed.star``): every host
+behind one switch.  Datacenter transports are evaluated on multi-rack
+fabrics where cross-rack traffic load-balances over several spine
+switches (Homa's evaluation topology, and the environment the paper's
+§7 fabric-compatibility argument assumes).  This module wires ``N``
+racks of hosts to per-rack leaf :class:`~repro.net.switch.Switch`
+instances and ``S`` spine switches:
 
 - every host hangs off its rack's leaf via a :class:`FabricPort` access
   link (own serialisation, like a NIC cable);
@@ -162,7 +162,7 @@ class ClosFabric:
         if addr in self._ports:
             raise SimulationError(f"address {addr} already attached")
         self._rack_of[addr] = rack
-        port = self._ports[addr] = FabricPort(self, addr, switch=leaf)
+        port = self._ports[addr] = FabricPort(self, addr, leaf)
         return port
 
     def port(self, addr: int) -> FabricPort:

@@ -1,10 +1,11 @@
-"""Multi-host fabric: hosts attached to one switch.
+"""A host's attachment point to a switched fabric.
 
 The paper's testbed is back-to-back, but message-based transports are
 designed for fan-in (incast) traffic; this adapter lets any number of
 hosts share a :class:`repro.net.switch.Switch` through the same interface
-NICs use for point-to-point links, enabling star topologies
-(``Testbed.star``) for incast experiments -- including NDP-style packet
+NICs use for point-to-point links.  :class:`repro.net.clos.ClosFabric`
+hands one out per host -- including to the one-rack star bed
+(``StarTestbed.star``) built for incast experiments with NDP-style packet
 trimming, which SMT is compatible with because its transport metadata
 stays in plaintext (paper §7).
 """
@@ -13,52 +14,41 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import SimulationError
-from repro.net.link import LossFn, Receiver, _Direction
+from repro.net.link import Egress, LossFn, Receiver
 from repro.net.packet import Packet
 from repro.net.switch import Switch
-from repro.sim.event_loop import EventLoop
-from repro.units import GBPS
 
 
 class FabricPort:
     """A host's attachment point: looks like a Link to the NIC.
 
     ``fabric`` may be any object exposing ``loop``, ``mtu``, ``bandwidth``
-    and ``host_link_delay``; ``switch`` names the edge switch this host
-    hangs off (defaults to ``fabric.switch`` for single-switch fabrics,
-    and is the host's leaf in :class:`repro.net.clos.ClosFabric`).
+    and ``host_link_delay``; ``switch`` is the edge switch this host hangs
+    off (its leaf in :class:`repro.net.clos.ClosFabric`).
     """
 
-    def __init__(self, fabric, addr: int, switch: Optional[Switch] = None):
-        self._fabric = fabric
+    def __init__(self, fabric, addr: int, switch: Switch):
         self._addr = addr
-        self._switch = switch if switch is not None else fabric.switch
+        self._switch = switch
         self.mtu = fabric.mtu
         # Host -> switch egress with its own serialisation.
-        self._egress = _Direction(fabric.loop, fabric.bandwidth, fabric.host_link_delay)
-        self._egress.receiver = self._switch.inject
+        self._egress = Egress(
+            fabric.loop, fabric.bandwidth, fabric.host_link_delay, switch.inject
+        )
 
     def attach(self, side: str, receiver: Receiver) -> None:
         """Register this host's packet handler (side is ignored)."""
         self._switch.attach(self._addr, receiver)
 
     def send(self, side: str, packet: Packet) -> None:
-        if packet.size > self.mtu:
-            raise SimulationError(
-                f"packet of {packet.size} B exceeds MTU {self.mtu}; TSO missing?"
-            )
-        self._egress.enqueue(packet)
+        self._egress.send(packet, self.mtu)
 
     def send_burst(self, side: str, packets: list[Packet]) -> None:
         """Transmit a same-instant burst from this host via one callback."""
+        egress = self._egress
         mtu = self.mtu
         for packet in packets:
-            if packet.size > mtu:
-                raise SimulationError(
-                    f"packet of {packet.size} B exceeds MTU {mtu}; TSO missing?"
-                )
-        self._egress.enqueue_burst(packets)
+            egress.send(packet, mtu)
 
     def set_loss_fn(self, side: str, loss_fn: Optional[LossFn]) -> None:
         self._egress.loss_fn = loss_fn
@@ -72,43 +62,4 @@ class FabricPort:
         self._egress.fault_injector = injector
 
     def stats(self, side: str) -> dict:
-        return {
-            "tx_packets": self._egress.tx_packets,
-            "tx_bytes": self._egress.tx_bytes,
-            "dropped": self._egress.dropped,
-            "queued_bytes": self._egress.queued_bytes(),
-        }
-
-
-class SwitchFabric:
-    """One switch plus per-host access links."""
-
-    def __init__(
-        self,
-        loop: EventLoop,
-        bandwidth_bps: float = 100 * GBPS,
-        host_link_delay: float = 0.5e-6,
-        mtu: int = 1500,
-        buffer_bytes: int = 128 * 1024,
-        trimming: bool = False,
-    ):
-        self.loop = loop
-        self.bandwidth = bandwidth_bps
-        self.host_link_delay = host_link_delay
-        self.mtu = mtu
-        self.switch = Switch(
-            loop,
-            bandwidth_bps=bandwidth_bps,
-            delay=host_link_delay,
-            buffer_bytes=buffer_bytes,
-            trimming=trimming,
-        )
-        self._ports: dict[int, FabricPort] = {}
-
-    def port(self, addr: int) -> FabricPort:
-        """The (unique) port for host address ``addr``."""
-        port = self._ports.get(addr)
-        if port is None:
-            port = FabricPort(self, addr)
-            self._ports[addr] = port
-        return port
+        return self._egress.stats()

@@ -1,9 +1,11 @@
-"""Full-duplex point-to-point link with priority queues and loss injection.
+"""Egress ports, and the full-duplex link built from two of them.
 
-Models the paper's testbed wire: two hosts back-to-back over 100 Gb/s.
-Each direction has one transmitter that serialises packets at link
-bandwidth, draining 8 strict-priority egress queues (Homa's network
-priorities; priority 7 is highest, matching typical DSCP mappings).
+Every wire in the simulator is one :class:`Egress`: both directions of a
+back-to-back :class:`Link` (the paper's testbed, two hosts over 100 Gb/s),
+each host's uplink into a fabric, and every switch port and trunk.  An
+egress holds 8 strict-priority queues (Homa's network priorities; priority
+7 is highest, matching typical DSCP mappings), serialises one packet at a
+time at line rate, then adds the propagation delay.
 
 ``loss_fn`` lets tests inject deterministic loss: it sees every packet
 and returns True to drop it.  For richer adversarial conditions (reorder,
@@ -32,10 +34,24 @@ LossFn = Callable[[Packet], bool]
 Tap = Callable[[Packet, str], None]
 
 
-class _Direction:
-    """One direction of the link: priority queues + a serialising server."""
+class Egress:
+    """One egress port: priority queues, a serialiser, a propagation delay.
 
-    def __init__(self, loop: EventLoop, bandwidth_bps: float, delay: float):
+    The port only queues and transmits.  Whatever decides *whether* a
+    packet is queued -- a switch's routing, buffer bound, trimming and
+    down state -- is the owner's policy; the port carries the state that
+    policy reads and counts (``buffer_bytes``, ``down``, ``dropped``,
+    ``trimmed``, ``blackholed``).
+    """
+
+    def __init__(
+        self,
+        loop: EventLoop,
+        bandwidth_bps: float,
+        delay: float,
+        receiver: Optional[Receiver] = None,
+        buffer_bytes: Optional[int] = None,
+    ):
         self.loop = loop
         self.bandwidth = bandwidth_bps
         self.delay = delay
@@ -43,9 +59,15 @@ class _Direction:
         # Bitmask of non-empty priority queues: the serialiser finds the
         # highest-priority backlog with one bit_length() instead of an
         # 8-way scan per dequeue.
-        self._prio_mask = 0
+        self.prio_mask = 0
+        # Wire bytes waiting in the queues (not the packet on the wire).
+        self.queued = 0
         self.busy = False
-        self.receiver: Optional[Receiver] = None
+        self.receiver = receiver
+        # Domain-boundary sender (repro.sim.shard): when set, _finish hands
+        # the packet and its arrival time to this callable instead of
+        # scheduling the receiver locally.
+        self.boundary: Optional[Callable[[Packet, float], None]] = None
         self.loss_fn: Optional[LossFn] = None
         self.fault_injector: Optional["FaultInjector"] = None
         # Passive capture tap: a ``(packet, verdict)`` callback invoked at
@@ -54,62 +76,64 @@ class _Direction:
         self.tx_packets = 0
         self.tx_bytes = 0
         self.dropped = 0
+        # Switch policy state: the buffer bound admission checks against
+        # (None: unbounded), and a down port blackholes what is routed to it.
+        self.buffer_bytes = buffer_bytes
+        self.down = False
+        self.trimmed = 0
+        self.blackholed = 0
+
+    def send(self, packet: Packet, mtu: int) -> None:
+        """A host puts ``packet`` on this wire; TSO must have cut it to ``mtu``."""
+        if packet.size > mtu:
+            raise SimulationError(
+                f"packet of {packet.size} B exceeds MTU {mtu}; TSO missing?"
+            )
+        self.enqueue(packet)
 
     def enqueue(self, packet: Packet) -> None:
         prio = packet.transport.priority
         if not 0 <= prio < NUM_PRIORITIES:
             raise SimulationError(f"priority {prio} out of range")
         self.queues[prio].append(packet)
-        self._prio_mask |= 1 << prio
+        self.prio_mask |= 1 << prio
+        self.queued += packet.wire_size
         if not self.busy:
             self._start_next()
 
-    def enqueue_burst(self, packets: list[Packet]) -> None:
-        """Ingest a same-instant departure burst through one callback.
-
-        Semantically identical to enqueueing each packet in turn (the
-        serialiser is started as soon as the first packet lands, so a
-        lower-priority head of an idle link still transmits first); the
-        saving is upstream -- the NIC delivers the whole burst with a
-        single event instead of one per packet.
-        """
-        queues = self.queues
-        for packet in packets:
-            prio = packet.transport.priority
-            if not 0 <= prio < NUM_PRIORITIES:
-                raise SimulationError(f"priority {prio} out of range")
-            queues[prio].append(packet)
-            self._prio_mask |= 1 << prio
-            if not self.busy:
-                self._start_next()
-
     def _start_next(self) -> None:
-        packet = self._dequeue()
-        if packet is None:
+        mask = self.prio_mask
+        if not mask:
             self.busy = False
             return
-        self.busy = True
-        tx_time = (packet.wire_size * 8) / self.bandwidth
-        self.loop.call_later(tx_time, self._finish, packet)
-
-    def _dequeue(self) -> Optional[Packet]:
-        mask = self._prio_mask
-        if not mask:
-            return None
         prio = mask.bit_length() - 1
         queue = self.queues[prio]
         packet = queue.popleft()
         if not queue:
-            self._prio_mask = mask & ~(1 << prio)
-        return packet
+            self.prio_mask = mask & ~(1 << prio)
+        self.busy = True
+        size = packet.wire_size
+        self.queued -= size
+        self.loop.call_later((size * 8) / self.bandwidth, self._finish, packet)
 
     def _finish(self, packet: Packet) -> None:
         self.tx_packets += 1
         self.tx_bytes += packet.wire_size
+        # The span a switch opened at admission covers queueing and
+        # serialisation on this port; it closes here.
+        span = packet.meta.pop("obs_span", None)
+        if span is not None:
+            self.loop.obs.tracer.end(span)
         if self.loss_fn is not None and self.loss_fn(packet):
             self.dropped += 1
             if self.tap is not None:
                 self.tap(packet, "loss_fn_dropped")
+        elif self.boundary is not None:
+            # Propagation happens in the destination time domain.  The
+            # arrival time now + delay is the same float call_later would
+            # have produced, so a domain cut at this port is invisible to
+            # the virtual-time schedule.
+            self.boundary(packet, self.loop.now + self.delay)
         else:
             receiver = self.receiver
             if receiver is not None:
@@ -131,8 +155,35 @@ class _Direction:
         if self.tap is not None:
             self.tap(packet, verdict)
 
-    def queued_bytes(self) -> int:
-        return sum(p.wire_size for q in self.queues for p in q)
+    def flush(self) -> int:
+        """Blackhole everything queued, closing any open spans.
+
+        A packet mid-serialisation is already on the wire and still
+        delivers.  Returns how many packets were flushed.
+        """
+        flushed = 0
+        for queue in self.queues:
+            while queue:
+                packet = queue.popleft()
+                flushed += 1
+                span = packet.meta.pop("obs_span", None)
+                if span is not None:
+                    self.loop.obs.tracer.end(span, fate="blackholed")
+                if self.tap is not None:
+                    self.tap(packet, "blackholed")
+        self.blackholed += flushed
+        self.prio_mask = 0
+        self.queued = 0
+        return flushed
+
+    def stats(self) -> dict:
+        return {
+            "tx_packets": self.tx_packets,
+            "tx_bytes": self.tx_bytes,
+            "dropped": self.dropped,
+            "trimmed": self.trimmed,
+            "queued": self.queued,
+        }
 
 
 class Link:
@@ -147,43 +198,37 @@ class Link:
     ):
         self.loop = loop
         self.mtu = mtu
-        self._a_to_b = _Direction(loop, bandwidth_bps, delay)
-        self._b_to_a = _Direction(loop, bandwidth_bps, delay)
+        self._a_to_b = Egress(loop, bandwidth_bps, delay)
+        self._b_to_a = Egress(loop, bandwidth_bps, delay)
+
+    def _egress(self, side: str) -> Egress:
+        """The direction transmitting *from* endpoint ``side``."""
+        if side == "a":
+            return self._a_to_b
+        if side == "b":
+            return self._b_to_a
+        raise SimulationError(f"unknown link side {side!r}")
 
     def attach(self, side: str, receiver: Receiver) -> None:
         """Register the packet handler for endpoint ``side`` ('a' or 'b')."""
-        if side == "a":
-            self._b_to_a.receiver = receiver
-        elif side == "b":
-            self._a_to_b.receiver = receiver
-        else:
-            raise SimulationError(f"unknown link side {side!r}")
+        outbound = self._egress(side)
+        inbound = self._b_to_a if outbound is self._a_to_b else self._a_to_b
+        inbound.receiver = receiver
 
     def send(self, side: str, packet: Packet) -> None:
         """Transmit ``packet`` from endpoint ``side``."""
-        # ``mtu`` bounds the IP packet size; TSO must have split already.
-        if packet.size > self.mtu:
-            raise SimulationError(
-                f"packet of {packet.size} B exceeds MTU {self.mtu}; TSO missing?"
-            )
-        direction = self._a_to_b if side == "a" else self._b_to_a
-        direction.enqueue(packet)
+        self._egress(side).send(packet, self.mtu)
 
     def send_burst(self, side: str, packets: list[Packet]) -> None:
         """Transmit a same-instant burst from ``side`` via one callback."""
+        egress = self._egress(side)
         mtu = self.mtu
         for packet in packets:
-            if packet.size > mtu:
-                raise SimulationError(
-                    f"packet of {packet.size} B exceeds MTU {mtu}; TSO missing?"
-                )
-        direction = self._a_to_b if side == "a" else self._b_to_a
-        direction.enqueue_burst(packets)
+            egress.send(packet, mtu)
 
     def set_loss_fn(self, side: str, loss_fn: Optional[LossFn]) -> None:
         """Drop packets transmitted *from* ``side`` when loss_fn returns True."""
-        direction = self._a_to_b if side == "a" else self._b_to_a
-        direction.loss_fn = loss_fn
+        self._egress(side).loss_fn = loss_fn
 
     def inject_faults(self, side: str, injector: Optional["FaultInjector"]) -> None:
         """Adversarial conditions for packets transmitted *from* ``side``.
@@ -192,8 +237,7 @@ class Link:
         legacy ``loss_fn``, after the propagation delay; it may drop,
         corrupt, duplicate, or re-time delivery (``None`` uninstalls).
         """
-        direction = self._a_to_b if side == "a" else self._b_to_a
-        direction.fault_injector = injector
+        self._egress(side).fault_injector = injector
 
     def install_tap(self, side: str, tap: Optional[Tap]) -> None:
         """Passively observe packets transmitted *from* ``side``.
@@ -203,21 +247,13 @@ class Link:
         "delivered+corrupt", ... or "loss_fn_dropped"); it must not mutate
         the packet or touch the loop (``None`` uninstalls).
         """
-        direction = self._a_to_b if side == "a" else self._b_to_a
-        direction.tap = tap
+        self._egress(side).tap = tap
 
     def fault_stats(self, side: str) -> dict:
         """The installed injector's counters for ``side`` (empty if none)."""
-        direction = self._a_to_b if side == "a" else self._b_to_a
-        if direction.fault_injector is None:
-            return {}
-        return direction.fault_injector.stats()
+        injector = self._egress(side).fault_injector
+        return {} if injector is None else injector.stats()
 
     def stats(self, side: str) -> dict:
-        direction = self._a_to_b if side == "a" else self._b_to_a
-        return {
-            "tx_packets": direction.tx_packets,
-            "tx_bytes": direction.tx_bytes,
-            "dropped": direction.dropped,
-            "queued_bytes": direction.queued_bytes(),
-        }
+        """Counters of the direction transmitting from ``side``."""
+        return self._egress(side).stats()

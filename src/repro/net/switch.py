@@ -7,23 +7,25 @@ output queues, bounded buffers with optional NDP-style packet trimming
 (paper §7 notes SMT's compatibility with trimming because transport
 metadata stays in plaintext).
 
+Every port is an :class:`~repro.net.link.Egress`, the same serialising
+port a link direction is; the switch adds only policy in front of it:
+routing, buffer admission, trimming and the failure-domain down state.
 Two extensions turn the single switch into a building block for
-multi-tier fabrics (``repro.net.clos``): *trunk ports* — egress ports
+multi-tier fabrics (``repro.net.clos``): *trunk ports* -- egress ports
 named by string rather than bound to one destination address, feeding
-another switch's ``inject`` — and a pluggable *router* that maps each
+another switch's ``inject`` -- and a pluggable *router* that maps each
 packet to the port key it should leave through (per-destination by
-default).  Trunks reuse the exact same ``_Port`` machinery, so strict
-priorities and bounded buffers apply at every hop -- and trimming too,
-when the bed enables it (``trimming=True``; the default is to drop).
+default).  Strict priorities and bounded buffers apply at every hop --
+and trimming too, when the bed enables it (``trimming=True``; the
+default is to drop).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.errors import SimulationError
-from repro.net.link import NUM_PRIORITIES
+from repro.net.link import NUM_PRIORITIES, Egress, Receiver, Tap
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
 from repro.units import GBPS
@@ -31,38 +33,9 @@ from repro.units import GBPS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.faults import FaultInjector
 
-Receiver = Callable[[Packet], None]
-Tap = Callable[[Packet, str], None]
 #: Ports are keyed by host address (int) or trunk name (str).
 PortKey = Union[int, str]
 Router = Callable[[Packet], PortKey]
-
-
-class _Port:
-    def __init__(self, loop: EventLoop, bandwidth_bps: float, delay: float, buffer_bytes: int):
-        self.loop = loop
-        self.bandwidth = bandwidth_bps
-        self.delay = delay
-        self.buffer_bytes = buffer_bytes
-        self.queues: list[deque[Packet]] = [deque() for _ in range(NUM_PRIORITIES)]
-        # Bitmask of non-empty priority queues (see link._Direction).
-        self.prio_mask = 0
-        self.queued = 0
-        self.busy = False
-        self.receiver: Optional[Receiver] = None
-        # Domain-boundary sender (repro.sim.shard): when set, _finish hands
-        # the packet and its arrival time to this callable instead of
-        # scheduling the receiver locally.
-        self.boundary: Optional[Callable[[Packet, float], None]] = None
-        self.fault_injector: Optional["FaultInjector"] = None
-        # Passive capture tap: (packet, verdict) at delivery time.
-        self.tap: Optional[Tap] = None
-        self.dropped = 0
-        self.trimmed = 0
-        # Failure-domain state: a down port blackholes everything routed
-        # to it (replica crash: the leaf's egress toward a dead host).
-        self.down = False
-        self.blackholed = 0
 
 
 class Switch:
@@ -81,7 +54,7 @@ class Switch:
         self._delay = delay
         self._buffer_bytes = buffer_bytes
         self.trimming = trimming
-        self._ports: dict[PortKey, _Port] = {}
+        self._ports: dict[PortKey, Egress] = {}
         self._router: Optional[Router] = None
         # Failure-domain state: a down switch blackholes every injected
         # packet (spine/leaf kill).  Packets already serialising when the
@@ -92,9 +65,9 @@ class Switch:
 
     def attach(self, addr: int, receiver: Receiver) -> None:
         """Bind a host address to a switch port delivering via ``receiver``."""
-        port = _Port(self.loop, self._bandwidth, self._delay, self._buffer_bytes)
-        port.receiver = receiver
-        self._ports[addr] = port
+        self._ports[addr] = Egress(
+            self.loop, self._bandwidth, self._delay, receiver, self._buffer_bytes
+        )
 
     def add_trunk(
         self,
@@ -110,14 +83,13 @@ class Switch:
         router must be installed (:meth:`set_router`) for any packet to be
         steered onto a trunk; per-destination lookup never selects one.
         """
-        port = _Port(
+        self._ports[name] = Egress(
             self.loop,
             bandwidth_bps if bandwidth_bps is not None else self._bandwidth,
             delay if delay is not None else self._delay,
+            receiver,
             buffer_bytes if buffer_bytes is not None else self._buffer_bytes,
         )
-        port.receiver = receiver
-        self._ports[name] = port
 
     def set_router(self, router: Optional[Router]) -> None:
         """Map each injected packet to the port key it egresses through.
@@ -125,6 +97,12 @@ class Switch:
         ``None`` restores the default per-destination-address routing.
         """
         self._router = router
+
+    def _port(self, key: PortKey) -> Egress:
+        port = self._ports.get(key)
+        if port is None:
+            raise SimulationError(f"no port for {key!r}")
+        return port
 
     def inject(self, packet: Packet) -> None:
         """A host or upstream switch hands over a packet for forwarding."""
@@ -138,15 +116,15 @@ class Switch:
             key = packet.ip.dst_addr
         port = self._ports.get(key)
         if port is None:
-            raise SimulationError(f"no port for destination {key}")
+            port = self._port(key)  # raises: no such port
         if port.down:
             port.blackholed += 1
             self.blackholed += 1
             if port.tap is not None:
                 port.tap(packet, "blackholed")
             return
-        size = packet.wire_size
-        if port.queued + size > port.buffer_bytes:
+        if port.queued + packet.wire_size > port.buffer_bytes:
+            admit = False
             if self.trimming and packet.payload:
                 # NDP-style trimming: drop the payload, forward the headers
                 # at top priority so the receiver learns the sender's demand.
@@ -159,14 +137,8 @@ class Switch:
                     dict(packet.meta, trimmed=True),
                 )
                 port.trimmed += 1
-                size = packet.wire_size
-                headroom = port.buffer_bytes + 8192
-                if port.queued + size > headroom:
-                    port.dropped += 1
-                    if port.tap is not None:
-                        port.tap(packet, "buffer_dropped")
-                    return
-            else:
+                admit = port.queued + packet.wire_size <= port.buffer_bytes + 8192
+            if not admit:
                 port.dropped += 1
                 if port.tap is not None:
                     port.tap(packet, "buffer_dropped")
@@ -181,75 +153,17 @@ class Switch:
                 prio=packet.transport.priority,
                 qdepth=port.queued,
             )
-        prio = packet.transport.priority
-        port.queues[prio].append(packet)
-        port.prio_mask |= 1 << prio
-        port.queued += size
-        if not port.busy:
-            self._start_next(port)
+        port.enqueue(packet)
 
     def inject_burst(self, packets: list[Packet]) -> None:
-        """Forward a same-instant departure burst through one callback.
+        """Forward a same-instant burst, one :meth:`inject` per packet.
 
-        Routing, buffering, trimming and serialisation are identical to
-        per-packet :meth:`inject`; the saving is upstream, where the burst
-        rode a single event instead of one per packet.
+        Nothing in the simulator calls it: an uplink serialises a burst,
+        so the packets reach the switch one at a time.  It stays only
+        because the ledger's tracer wraps it as a network entry point.
         """
         for packet in packets:
             self.inject(packet)
-
-    def _start_next(self, port: _Port) -> None:
-        mask = port.prio_mask
-        if not mask:
-            port.busy = False
-            return
-        prio = mask.bit_length() - 1
-        queue = port.queues[prio]
-        packet = queue.popleft()
-        if not queue:
-            port.prio_mask = mask & ~(1 << prio)
-        port.busy = True
-        port.queued -= packet.wire_size
-        tx_time = (packet.wire_size * 8) / port.bandwidth
-        self.loop.call_later(tx_time, self._finish, (port, packet))
-
-    def _finish(self, port_and_packet: tuple) -> None:
-        port, pkt = port_and_packet
-        span = pkt.meta.pop("obs_span", None)
-        if span is not None:
-            self.loop.obs.tracer.end(span)
-        boundary = port.boundary
-        if boundary is not None:
-            # Serialisation is done; propagation happens in the destination
-            # time domain.  The arrival time now + delay is the same float
-            # call_later would have produced, so a domain cut at this port
-            # is invisible to the virtual-time schedule.
-            boundary(pkt, self.loop.now + port.delay)
-            self._start_next(port)
-            return
-        receiver = port.receiver
-        if receiver is not None:
-            injector = port.fault_injector
-            if injector is not None or port.tap is not None:
-                self.loop.call_later(port.delay, self._deliver_to, (port, pkt))
-            else:
-                self.loop.call_later(port.delay, receiver, pkt)
-        self._start_next(port)
-
-    def _deliver_to(self, port_and_packet: tuple) -> None:
-        self._deliver(*port_and_packet)
-
-    def _deliver(self, port: _Port, packet: Packet) -> None:
-        """Post-propagation delivery through the injector and/or tap."""
-        receiver = port.receiver
-        injector = port.fault_injector
-        if injector is not None:
-            verdict = injector.process(packet, receiver)
-        else:
-            verdict = "delivered"
-            receiver(packet)
-        if port.tap is not None:
-            port.tap(packet, verdict)
 
     # -- failure domains ----------------------------------------------------------
 
@@ -262,39 +176,19 @@ class Switch:
         """
         if down and not self.down:
             for port in self._ports.values():
-                self._flush_port(port)
+                self.blackholed += port.flush()
         self.down = down
 
     def set_port_down(self, key: PortKey, down: bool) -> None:
         """Kill or revive one egress port (replica crash: the downlink)."""
-        port = self._ports.get(key)
-        if port is None:
-            raise SimulationError(f"no port for address {key}")
+        port = self._port(key)
         if down and not port.down:
-            self._flush_port(port)
+            self.blackholed += port.flush()
         port.down = down
-
-    def _flush_port(self, port: _Port) -> None:
-        """Drop everything queued on ``port``, closing any open spans."""
-        for queue in port.queues:
-            while queue:
-                packet = queue.popleft()
-                port.blackholed += 1
-                self.blackholed += 1
-                span = packet.meta.pop("obs_span", None)
-                if span is not None:
-                    self.loop.obs.tracer.end(span, fate="blackholed")
-                if port.tap is not None:
-                    port.tap(packet, "blackholed")
-        port.prio_mask = 0
-        port.queued = 0
 
     def inject_faults(self, addr: PortKey, injector: Optional["FaultInjector"]) -> None:
         """Adversarial conditions on the egress port ``addr`` (host or trunk)."""
-        port = self._ports.get(addr)
-        if port is None:
-            raise SimulationError(f"no port for address {addr}")
-        port.fault_injector = injector
+        self._port(addr).fault_injector = injector
 
     def set_trunk_boundary(
         self, key: PortKey, sender: Optional[Callable[[Packet, float], None]]
@@ -306,21 +200,14 @@ class Switch:
         queueing the packet for the destination domain, where it is
         injected at ``arrival_time``.  ``None`` restores local delivery.
         """
-        port = self._ports.get(key)
-        if port is None:
-            raise SimulationError(f"no port for address {key}")
-        port.boundary = sender
+        self._port(key).boundary = sender
 
     def install_tap(self, addr: PortKey, tap: Optional[Tap]) -> None:
         """Passively observe the egress port ``addr`` (host or trunk)."""
-        port = self._ports.get(addr)
-        if port is None:
-            raise SimulationError(f"no port for address {addr}")
-        port.tap = tap
+        self._port(addr).tap = tap
 
     def stats(self, addr: PortKey) -> dict:
-        port = self._ports[addr]
-        return {"dropped": port.dropped, "trimmed": port.trimmed, "queued": port.queued}
+        return self._port(addr).stats()
 
     def totals(self) -> dict:
         """Drop/trim/queue/blackhole counters aggregated over every port."""

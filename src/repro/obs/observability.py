@@ -53,9 +53,12 @@ class Observability:
         for side, name in (("a", name_a), ("b", name_b)):
             link.install_tap(side, self.capture.tap(name))
             stats = link.stats  # read at snapshot time
-            for field in ("tx_packets", "tx_bytes", "dropped", "queued_bytes"):
+            for gauge, field in (
+                ("tx_packets", "tx_packets"), ("tx_bytes", "tx_bytes"),
+                ("dropped", "dropped"), ("queued_bytes", "queued"),
+            ):
                 self.metrics.gauge(
-                    f"link.{name}.{field}",
+                    f"link.{name}.{gauge}",
                     lambda side=side, field=field: stats(side)[field],
                 )
 

@@ -5,10 +5,11 @@ One call builds an event loop, two hosts with the paper's core counts
 Everything downstream (transports, sessions, applications, benchmarks)
 hangs off a :class:`Testbed`.
 
-:class:`StarTestbed` (one switch) and :class:`ClosTestbed` (leaf-spine,
-built from a :class:`~repro.sim.shard.ShardPlan`) are the multi-host
-topologies; all three share one base for the opt-in layers
-(``enable_obs``, ``enable_ctrl``, fault bookkeeping, ``run``).
+:class:`StarTestbed` (one switch: a one-rack leaf-spine) and
+:class:`ClosTestbed` (leaf-spine, built from a
+:class:`~repro.sim.shard.ShardPlan`) are the multi-host topologies; all
+three share one base for the opt-in layers (``enable_obs``,
+``enable_ctrl``, fault bookkeeping, ``run``).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from repro.host.costs import CostModel
 from repro.host.host import Host
 from repro.net.addressing import make_addr
+from repro.net.clos import ClosFabric
 from repro.net.domain_faults import DomainFaultController
-from repro.net.fabric import SwitchFabric
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.link import Link
 from repro.nic.device import Nic
@@ -32,7 +33,6 @@ from repro.sim.shard import ShardPlan, ShardRunner
 from repro.units import GBPS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from repro.net.clos import ClosFabric
     from repro.obs import Observability
 
 
@@ -224,11 +224,13 @@ class StarTestbed(_Bed):
 
     Built for incast experiments: the clients' combined load funnels into
     the server's port, where the switch's bounded buffer drops or -- with
-    ``trimming`` -- trims packets NDP-style (paper §7).
+    ``trimming`` -- trims packets NDP-style (paper §7).  The fabric is a
+    one-rack :class:`~repro.net.clos.ClosFabric`: every host hangs off
+    ``fabric.leaves[0]``, and its one spine carries no traffic.
     """
 
     loop: EventLoop
-    fabric: SwitchFabric
+    fabric: ClosFabric
     clients: list[Host]
     server: Host
 
@@ -250,16 +252,16 @@ class StarTestbed(_Bed):
     ) -> "StarTestbed":
         loop = EventLoop()
         costs = costs or CostModel()
-        fabric = SwitchFabric(
-            loop, bandwidth_bps=bandwidth_bps, mtu=mtu,
-            buffer_bytes=buffer_bytes, trimming=trimming,
+        fabric = ClosFabric(
+            loop, num_racks=1, num_spines=1, bandwidth_bps=bandwidth_bps,
+            mtu=mtu, buffer_bytes=buffer_bytes, trimming=trimming,
         )
         server = Host(
             loop, "server", make_addr(10, 0, 1, 1), costs,
             num_app_cores=num_app_cores, num_softirq_cores=num_softirq_cores,
         )
         server.attach_nic(
-            Nic(loop, fabric.port(server.addr), "a", costs, tso_mode=tso_mode)
+            Nic(loop, fabric.attach_host(0, server.addr), "a", costs, tso_mode=tso_mode)
         )
         clients = []
         for i in range(num_clients):
@@ -268,14 +270,15 @@ class StarTestbed(_Bed):
                 num_app_cores=num_app_cores, num_softirq_cores=num_softirq_cores,
             )
             client.attach_nic(
-                Nic(loop, fabric.port(client.addr), "a", costs, tso_mode=tso_mode)
+                Nic(loop, fabric.attach_host(0, client.addr), "a", costs,
+                    tso_mode=tso_mode)
             )
             clients.append(client)
         return StarTestbed(loop, fabric, clients, server)
 
     def _observe_wiring(self, obs: "Observability") -> None:
         obs.observe_switch(
-            self.fabric.switch, {host.addr: host.name for host in self.hosts}
+            self.fabric.leaves[0], {host.addr: host.name for host in self.hosts}
         )
 
 
@@ -327,7 +330,7 @@ class ClosTestbed(_Bed):
     """
 
     loop: EventLoop
-    fabric: "ClosFabric"
+    fabric: ClosFabric
     racks: list[list[Host]]
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     # Installed by :meth:`domain_controller`; kills whole failure domains.

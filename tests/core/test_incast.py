@@ -22,6 +22,10 @@ INCAST_CONFIG = dict(
 # granularity the switch buffer can absorb (NDP runs per-packet; full
 # 64 KB segments defeat receiver-driven pacing under heavy fan-in).
 INCAST_PPS = 4
+# Events each scenario dispatches: the star bed's whole virtual-time
+# schedule in one number (drops and trims included), pinned so a change
+# to the fabric under it cannot pass unnoticed.
+DISPATCHED = {"drop": 6831, "trim": 4577, "smt": 2218}
 
 
 def build_star(num_clients, trimming, encrypted=False, buffer_bytes=64 * 1024):
@@ -106,13 +110,15 @@ class TestIncastPlain:
         bed, ssock, socks = build_star(8, trimming=False)
         done, procs = run_incast(bed, socks, 60 * KB, until=0.5)
         assert sorted(done) == list(range(8))
-        assert bed.fabric.switch.stats(bed.server.addr)["dropped"] > 0
+        assert bed.fabric.leaves[0].stats(bed.server.addr)["dropped"] > 0
+        assert bed.loop.dispatched == DISPATCHED["drop"]
 
     def test_heavy_incast_with_trimming_recovers(self):
         bed, ssock, socks = build_star(8, trimming=True)
         done, procs = run_incast(bed, socks, 60 * KB, until=0.5)
         assert sorted(done) == list(range(8))
-        assert bed.fabric.switch.stats(bed.server.addr)["trimmed"] > 0
+        assert bed.fabric.leaves[0].stats(bed.server.addr)["trimmed"] > 0
+        assert bed.loop.dispatched == DISPATCHED["trim"]
 
     def test_trimming_triggers_fast_resends(self):
         bed, ssock, socks = build_star(8, trimming=True)
@@ -148,6 +154,7 @@ class TestIncastEncrypted:
         bed, ssock, socks = build_star(6, trimming=True, encrypted=True)
         done, procs = run_incast(bed, socks, 40 * KB, until=0.2)
         assert sorted(done) == list(range(6))
+        assert bed.loop.dispatched == DISPATCHED["smt"]
 
     def test_smt_incast_payload_intact(self):
         bed, ssock, socks = build_star(4, trimming=True, encrypted=True)

@@ -1,10 +1,10 @@
-"""Switch fabric tests: multi-host topologies."""
+"""Star-bed tests: hosts behind one switch (a one-rack leaf-spine)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.homa import HomaSocket, HomaTransport
-from repro.net.fabric import SwitchFabric
+from repro.net.clos import ClosFabric
 from repro.net.faults import FaultConfig, FaultInjector
 from repro.net.headers import HEADERS_SIZE, IPv4Header, TransportHeader
 from repro.net.packet import Packet
@@ -126,75 +126,75 @@ class TestStarTopology:
 
 
 class TestFabricEdgePaths:
-    """SwitchFabric/FabricPort behaviour off the happy path."""
+    """One-rack fabric and FabricPort behaviour off the happy path."""
 
     def _fabric(self, **kwargs):
         loop = EventLoop()
-        fabric = SwitchFabric(loop, **kwargs)
+        fabric = ClosFabric(loop, num_racks=1, num_spines=1, **kwargs)
         received = []
-        fabric.port(1).attach("x", lambda p: None)
-        fabric.port(2).attach("x", received.append)
-        return loop, fabric, received
+        fabric.attach_host(0, 1).attach("x", lambda p: None)
+        fabric.attach_host(0, 2).attach("x", received.append)
+        return loop, fabric, fabric.leaves[0], received
 
     def test_oversized_packet_raises(self):
-        loop, fabric, _ = self._fabric(mtu=1500)
+        loop, fabric, switch, _ = self._fabric(mtu=1500)
         with pytest.raises(SimulationError, match="exceeds MTU"):
             fabric.port(1).send("x", _packet(1, 2, payload=b"z" * 1600))
 
     def test_switch_rejects_unknown_destination(self):
-        loop, fabric, _ = self._fabric()
-        with pytest.raises(SimulationError, match="no port"):
-            fabric.switch.inject(_packet(1, 99))
+        loop, fabric, switch, _ = self._fabric()
+        with pytest.raises(SimulationError, match="destination 99"):
+            switch.inject(_packet(1, 99))
 
     def test_stats_after_trimming(self):
-        loop, fabric, received = self._fabric(buffer_bytes=4096, trimming=True)
+        loop, fabric, switch, received = self._fabric(buffer_bytes=4096, trimming=True)
         for _ in range(10):
-            fabric.switch.inject(_packet(1, 2, payload=b"z" * 1400))
+            switch.inject(_packet(1, 2, payload=b"z" * 1400))
         loop.run(until=1e-3)
-        stats = fabric.switch.stats(2)
+        stats = switch.stats(2)
         assert stats["trimmed"] > 0
         assert stats["queued"] == 0  # drained
         trimmed = [p for p in received if p.meta.get("trimmed")]
         assert len(trimmed) == stats["trimmed"]
         assert all(p.payload == b"" for p in trimmed)
-        totals = fabric.switch.totals()
+        totals = switch.totals()
         assert totals["trimmed"] == stats["trimmed"]
         assert len(received) == 10 - totals["dropped"]
 
     def test_stats_without_trimming_drops(self):
-        loop, fabric, received = self._fabric(buffer_bytes=4096, trimming=False)
+        loop, fabric, switch, received = self._fabric(buffer_bytes=4096, trimming=False)
         for _ in range(10):
-            fabric.switch.inject(_packet(1, 2, payload=b"z" * 1400))
+            switch.inject(_packet(1, 2, payload=b"z" * 1400))
         loop.run(until=1e-3)
-        stats = fabric.switch.stats(2)
+        stats = switch.stats(2)
         assert stats["trimmed"] == 0
         assert stats["dropped"] > 0
         assert len(received) == 10 - stats["dropped"]
 
     def test_fault_injector_on_switch_egress(self):
-        loop, fabric, received = self._fabric()
+        loop, fabric, switch, received = self._fabric()
         injector = FaultInjector(loop, FaultConfig(drop_rate=1.0), seed=1)
-        fabric.switch.inject_faults(2, injector)
-        fabric.switch.inject(_packet(1, 2, payload=b"hi"))
+        switch.inject_faults(2, injector)
+        switch.inject(_packet(1, 2, payload=b"hi"))
         loop.run(until=1e-3)
         assert received == []
         assert injector.stats()["dropped"] == 1
         # Uninstalling restores delivery.
-        fabric.switch.inject_faults(2, None)
-        fabric.switch.inject(_packet(1, 2, payload=b"hi"))
+        switch.inject_faults(2, None)
+        switch.inject(_packet(1, 2, payload=b"hi"))
         loop.run(until=2e-3)
         assert len(received) == 1
 
     def test_fault_injector_unknown_port_raises(self):
-        loop, fabric, _ = self._fabric()
+        loop, fabric, switch, _ = self._fabric()
         injector = FaultInjector(loop, FaultConfig(), seed=1)
         with pytest.raises(SimulationError, match="no port"):
-            fabric.switch.inject_faults(99, injector)
+            switch.inject_faults(99, injector)
         with pytest.raises(SimulationError, match="no port"):
-            fabric.switch.install_tap(99, lambda p, v: None)
+            switch.install_tap(99, lambda p, v: None)
 
     def test_fault_injector_on_host_uplink(self):
-        loop, fabric, received = self._fabric()
+        loop, fabric, switch, received = self._fabric()
         injector = FaultInjector(loop, FaultConfig(drop_rate=1.0), seed=1)
         port = fabric.port(1)
         port.inject_faults("x", injector)

@@ -113,3 +113,30 @@ class TestMtuAndLoss:
     def test_unknown_side_rejected(self):
         with pytest.raises(SimulationError):
             Link(EventLoop()).attach("c", lambda p: None)
+
+
+class TestSides:
+    """Every per-side call names "a" or "b"; anything else is an error,
+    never silently the b->a direction."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda link: link.send("c", make_packet(10)),
+            lambda link: link.send_burst("c", [make_packet(10)]),
+            lambda link: link.set_loss_fn("c", lambda p: True),
+            lambda link: link.inject_faults("c", None),
+            lambda link: link.install_tap("c", None),
+            lambda link: link.stats("c"),
+            lambda link: link.fault_stats("c"),
+        ],
+        ids=["send", "send_burst", "set_loss_fn", "inject_faults", "install_tap",
+             "stats", "fault_stats"],
+    )
+    def test_unknown_side_raises(self, call):
+        link = Link(EventLoop())
+        with pytest.raises(SimulationError, match="unknown link side 'c'"):
+            call(link)
+        # Nothing reached the b->a direction on the way.
+        assert link.stats("b")["tx_packets"] == 0
+        assert link._b_to_a.loss_fn is None and link._b_to_a.queued == 0
