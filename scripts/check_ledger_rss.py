@@ -3,11 +3,17 @@
 
 Prints each workload's ``peak_rss_mb`` from ``ledger/out/results.json`` as a
 Markdown table (appended to ``$GITHUB_STEP_SUMMARY`` when that is set) and
-fails if ``fabric_loaded`` peaks above 2.6 x ``rpc_small``.  A ratio inside
-one job is independent of the allocator and the Python build, where an
-absolute ceiling is not: both workloads import the same code, so what is
-left is what the loaded fabric *holds* -- 3.1 x when FastAead kept every
-record it had ever sealed, 2.1 x now that it keeps the ones in flight.
+fails if ``fabric_loaded`` or ``rpc_bulk`` peaks above 2.6 x ``rpc_small``.
+A ratio inside one job is independent of the allocator and the Python
+build, where an absolute ceiling is not: every workload imports the same
+code, so what is left is what the workload *holds*.
+
+- ``fabric_loaded`` was 3.1 x while FastAead kept every record it had ever
+  sealed and is 2.1 x now that it keeps the ones in flight.
+- ``rpc_bulk`` was 2.7 x while three per-message timer closures made every
+  message a reference cycle, so sealed segments and reassembly buffers
+  waited for the cyclic GC; it is 2.5 x now that they are freed when their
+  message completes.  A new cycle on the per-message path fails here.
 
 Usage: python scripts/check_ledger_rss.py [RESULTS_JSON]
 """
@@ -18,7 +24,9 @@ import json
 import os
 import sys
 
-MAX_LOADED_OVER_SMALL = 2.6
+BASELINE = "rpc_small"
+#: workload -> the most it may peak at, as a multiple of ``BASELINE``.
+MAX_OVER_SMALL = {"fabric_loaded": 2.6, "rpc_bulk": 2.6}
 
 
 def main(argv: list[str]) -> int:
@@ -26,14 +34,17 @@ def main(argv: list[str]) -> int:
     with open(path) as fh:
         results = json.load(fh)
     rss = {w["workload"]: w["end_to_end"]["peak_rss_mb"] for w in results["workloads"]}
-    ratio = rss["fabric_loaded"] / rss["rpc_small"]
-    ok = ratio <= MAX_LOADED_OVER_SMALL
     lines = ["| workload | peak_rss_mb |", "|---|---:|"]
     lines += [f"| `{name}` | {mb:.1f} |" for name, mb in rss.items()]
-    lines.append(
-        f"\n`fabric_loaded` / `rpc_small` = {ratio:.2f} "
-        f"(limit {MAX_LOADED_OVER_SMALL}): {'OK' if ok else 'FAIL'}"
-    )
+    lines.append("")
+    ok = True
+    for name, limit in MAX_OVER_SMALL.items():
+        ratio = rss[name] / rss[BASELINE]
+        ok &= ratio <= limit
+        lines.append(
+            f"`{name}` / `{BASELINE}` = {ratio:.2f} "
+            f"(limit {limit}): {'OK' if ratio <= limit else 'FAIL'}"
+        )
     text = "\n".join(lines)
     print(text)
     summary = os.environ.get("GITHUB_STEP_SUMMARY")

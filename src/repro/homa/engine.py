@@ -247,37 +247,43 @@ class HomaTransport:
             ),
         )
 
+    # Per-message timers are bound methods that get their message through
+    # the timer's argument slot.  A closure that re-arms itself refers to
+    # itself, so it and the message it holds would wait for the cyclic GC
+    # instead of being freed when the message completes.
+
     def _arm_sender_timeout(self, msg: OutboundMessage) -> None:
+        msg.sender_timer = self.loop.timer_later(
+            self.config.sender_timeout, self._sender_timeout, msg
+        )
+
+    def _sender_timeout(self, msg: OutboundMessage) -> None:
+        msg.sender_timer = None
         key = (msg.dest_addr, msg.msg_id)
-
-        def check() -> None:
-            msg.sender_timer = None
-            if msg.acked or key not in self._outbound:
-                return
-            # An *inactivity* timeout, not a deadline since send: a large
-            # message can legitimately be grant-starved past the window
-            # under overload, and freeing live state turns a slow RPC into
-            # an unrecoverable one (the receiver's RESENDs and the RPC
-            # layer's retransmissions then find nothing).  Re-arm while
-            # grants show the receiver making forward progress; free after
-            # a full window without one (dead receiver or broken path --
-            # RESENDs deliberately do not count, or a peer re-requesting a
-            # blackholed message would pin state alive while every RESEND
-            # triggers a multi-packet retransmit burst).
-            # The 1 ns floor absorbs float rounding: ``now - last_activity``
-            # can land an epsilon short of the timeout, and re-arming for
-            # that epsilon would fire at the same virtual instant forever.
-            remaining = self.config.sender_timeout - (
-                self.loop.now - msg.last_activity
-            )
-            if remaining > 1e-9:
-                msg.sender_timer = self.loop.timer_later(remaining, check)
-                return
-            del self._outbound[key]
-            self._encoded.pop(key, None)
-            self._end_tx_span(msg, "timeout")
-
-        msg.sender_timer = self.loop.timer_later(self.config.sender_timeout, check)
+        if msg.acked or key not in self._outbound:
+            return
+        # An *inactivity* timeout, not a deadline since send: a large
+        # message can legitimately be grant-starved past the window
+        # under overload, and freeing live state turns a slow RPC into
+        # an unrecoverable one (the receiver's RESENDs and the RPC
+        # layer's retransmissions then find nothing).  Re-arm while
+        # grants show the receiver making forward progress; free after
+        # a full window without one (dead receiver or broken path --
+        # RESENDs deliberately do not count, or a peer re-requesting a
+        # blackholed message would pin state alive while every RESEND
+        # triggers a multi-packet retransmit burst).
+        # The 1 ns floor absorbs float rounding: ``now - last_activity``
+        # can land an epsilon short of the timeout, and re-arming for
+        # that epsilon would fire at the same virtual instant forever.
+        remaining = self.config.sender_timeout - (
+            self.loop.now - msg.last_activity
+        )
+        if remaining > 1e-9:
+            msg.sender_timer = self.loop.timer_later(remaining, self._sender_timeout, msg)
+            return
+        del self._outbound[key]
+        self._encoded.pop(key, None)
+        self._end_tx_span(msg, "timeout")
 
     def _cancel_sender_timeout(self, msg: OutboundMessage) -> None:
         """Ack arrived: cancel the timeout instead of letting it fire dead."""
@@ -370,7 +376,7 @@ class HomaTransport:
                     bytes=t.msg_len,
                 )
             if not inbound.complete:
-                self._arm_resend_timer(key, inbound)
+                self._arm_resend_timer(inbound)
         if not packet.payload and t.msg_len:
             # A trimmed packet (NDP-style, paper §7): the payload was cut
             # at an overloaded switch but the plaintext transport metadata
@@ -539,38 +545,44 @@ class HomaTransport:
 
     # .. resend ..
 
-    def _arm_resend_timer(self, key: tuple, inbound: InboundMessage) -> None:
+    def _resend_interval(self, inbound: InboundMessage) -> float:
         # Deterministic per-message jitter: synchronized retry storms from
         # many senders would otherwise collide at the same switch buffer
         # forever (the simulation is deterministic, so symmetry never
         # breaks by chance).
         jitter = 1.0 + ((inbound.msg_id * 2654435761) % 64) / 128.0
-        interval = self.config.resend_interval * jitter
+        return self.config.resend_interval * jitter
 
-        def next_interval() -> float:
-            # Exponential backoff (resend_backoff > 1) bounded by the
-            # configured ceiling -- but never below the base interval, so
-            # the default backoff of 1.0 reproduces the fixed timer.
-            grown = interval * self.config.resend_backoff ** min(inbound.resends, 16)
-            return min(grown, max(interval, self.config.max_resend_interval))
+    def _arm_resend_timer(self, inbound: InboundMessage) -> None:
+        inbound.resend_timer = self.loop.timer_later(
+            self._resend_interval(inbound), self._resend_check, inbound
+        )
 
-        def check() -> None:
-            inbound.resend_timer = None
-            if inbound.delivered or self._inbound.get(key) is not inbound:
+    def _resend_check(self, inbound: InboundMessage) -> None:
+        inbound.resend_timer = None
+        key = (inbound.peer_addr, inbound.peer_port, inbound.msg_id)
+        if inbound.delivered or self._inbound.get(key) is not inbound:
+            return
+        interval = self._resend_interval(inbound)
+        if self.loop.now - inbound.last_progress >= interval * 0.9:
+            inbound.resends += 1
+            if inbound.resends > self.config.max_resends:
+                del self._inbound[key]  # give up
                 return
-            if self.loop.now - inbound.last_progress >= interval * 0.9:
-                inbound.resends += 1
-                if inbound.resends > self.config.max_resends:
-                    del self._inbound[key]  # give up
-                    return
-                core = self.host.softirq_core_for_flow(
-                    inbound.peer_addr, inbound.peer_port,
-                    inbound.local_port, self.proto,
-                )
-                core.submit(self.costs.homa_grant_tx, lambda: self._request_resend(inbound))
-            inbound.resend_timer = self.loop.timer_later(next_interval(), check)
-
-        inbound.resend_timer = self.loop.timer_later(interval, check)
+            core = self.host.softirq_core_for_flow(
+                inbound.peer_addr, inbound.peer_port,
+                inbound.local_port, self.proto,
+            )
+            core.submit(self.costs.homa_grant_tx, lambda: self._request_resend(inbound))
+        # Exponential backoff (resend_backoff > 1) bounded by the
+        # configured ceiling -- but never below the base interval, so
+        # the default backoff of 1.0 reproduces the fixed timer.
+        grown = interval * self.config.resend_backoff ** min(inbound.resends, 16)
+        inbound.resend_timer = self.loop.timer_later(
+            min(grown, max(interval, self.config.max_resend_interval)),
+            self._resend_check,
+            inbound,
+        )
 
     def _request_resend(self, inbound: InboundMessage) -> None:
         self.resend_requests += 1

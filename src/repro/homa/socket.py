@@ -38,6 +38,23 @@ class InboundRpc:
     payload: bytes
 
 
+class _RetryChain:
+    """One RPC's response-timer chain: its current timer and attempt count.
+
+    The timer gets the chain through its argument slot, so nothing here
+    refers back to itself and the chain is freed with its RPC.
+    """
+
+    __slots__ = ("msg_id", "dest_addr", "dest_port", "attempts", "timer")
+
+    def __init__(self, msg_id: int, dest_addr: int, dest_port: int):
+        self.msg_id = msg_id
+        self.dest_addr = dest_addr
+        self.dest_port = dest_port
+        self.attempts = 0
+        self.timer = None
+
+
 class HomaSocket:
     """A bound message socket."""
 
@@ -58,9 +75,8 @@ class HomaSocket:
         self._codec_provider = codec_provider or (lambda addr, port_: default_codec)
         self._rx_requests: Store = Store(self.loop, f"homa.{port}.rx")
         self._pending: dict[int, Any] = {}  # request msg_id -> Event
-        # request msg_id -> list of live retry-timer chains, each a
-        # one-element list holding that chain's current Timer handle
-        # (corruption recovery can arm a second chain for the same RPC).
+        # request msg_id -> list of live retry-timer chains (corruption
+        # recovery can arm a second chain for the same RPC).
         self._response_timers: dict[int, list] = {}
         # (peer_addr, msg_id) -> failed-decode count (corruption recovery).
         self._corrupt_attempts: dict[tuple[int, int], int] = {}
@@ -223,50 +239,52 @@ class HomaSocket:
         """RPC timeout: if the response never shows, RESEND it (Homa's
         client-side retry -- covers the all-packets-lost case where the
         receiver has no inbound state to drive its own resend timer)."""
-        config = self.transport.config
-        interval = config.resend_interval
-        attempts = [0]
-        chain: list = [None]  # this chain's current Timer handle
-
-        def check() -> None:
-            event = self._pending.get(msg_id)
-            if event is None:
-                return  # response arrived
-            attempts[0] += 1
-            if attempts[0] > config.max_resends:
-                self._pending.pop(msg_id, None)
-                self._response_timers.pop(msg_id, None)
-                event.fail(TransportError(f"RPC {msg_id} timed out"))
-                return
-            core = self.transport.host.softirq_core_for_flow(
-                dest_addr, dest_port, self.port, self.transport.proto
-            )
-
-            def retry() -> float:
-                # The request itself may have vanished entirely: resend it
-                # alongside asking for the response.
-                cost = self.transport.retransmit_outbound(dest_addr, msg_id)
-                self.transport.request_response_resend(
-                    dest_addr, dest_port, msg_id | 1
-                )
-                return cost
-
-            core.submit(self.costs.homa_grant_tx, retry)
-            grown = interval * config.resend_backoff ** min(attempts[0], 16)
-            chain[0] = self.loop.timer_later(
-                min(grown, max(interval, config.max_resend_interval)), check
-            )
-
+        chain = _RetryChain(msg_id, dest_addr, dest_port)
         # First check after 2 intervals: give the RPC a full round trip.
-        chain[0] = self.loop.timer_later(2 * interval, check)
+        chain.timer = self.loop.timer_later(
+            2 * self.transport.config.resend_interval, self._response_check, chain
+        )
         self._response_timers.setdefault(msg_id, []).append(chain)
+
+    def _response_check(self, chain: "_RetryChain") -> None:
+        msg_id = chain.msg_id
+        event = self._pending.get(msg_id)
+        if event is None:
+            return  # response arrived
+        config = self.transport.config
+        chain.attempts += 1
+        if chain.attempts > config.max_resends:
+            self._pending.pop(msg_id, None)
+            self._response_timers.pop(msg_id, None)
+            event.fail(TransportError(f"RPC {msg_id} timed out"))
+            return
+        dest_addr, dest_port = chain.dest_addr, chain.dest_port
+        core = self.transport.host.softirq_core_for_flow(
+            dest_addr, dest_port, self.port, self.transport.proto
+        )
+
+        def retry() -> float:
+            # The request itself may have vanished entirely: resend it
+            # alongside asking for the response.
+            cost = self.transport.retransmit_outbound(dest_addr, msg_id)
+            self.transport.request_response_resend(
+                dest_addr, dest_port, msg_id | 1
+            )
+            return cost
+
+        core.submit(self.costs.homa_grant_tx, retry)
+        interval = config.resend_interval
+        grown = interval * config.resend_backoff ** min(chain.attempts, 16)
+        chain.timer = self.loop.timer_later(
+            min(grown, max(interval, config.max_resend_interval)),
+            self._response_check,
+            chain,
+        )
 
     def _cancel_response_timers(self, msg_id: int) -> None:
         """RPC completed: every remaining fire would be a no-op, so cancel."""
         for chain in self._response_timers.pop(msg_id, ()):
-            timer = chain[0]
-            if timer is not None:
-                timer.cancel()
+            chain.timer.cancel()
 
     def recv_request(self, thread: AppThread) -> Generator[Any, Any, InboundRpc]:
         """Wait for the next inbound request (decrypt/copy on this thread).

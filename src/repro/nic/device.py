@@ -11,7 +11,7 @@ crypto-engine latency.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import SimulationError
 from repro.host.costs import CostModel
@@ -21,7 +21,6 @@ from repro.net.packet import Packet
 from repro.nic.tls_offload import FlowContextTable, ResyncDescriptor
 from repro.nic.tso import TsoMode, TsoSegment, gso_split, split_segment
 from repro.sim.event_loop import EventLoop
-from repro.sim.resources import Store
 
 RingItem = Union[ResyncDescriptor, TsoSegment]
 RxHandler = Callable[[Packet], None]
@@ -48,9 +47,12 @@ class Nic:
         self.tso_mode = tso_mode
         self.flow_contexts = FlowContextTable(context_capacity)
         self._rings: list[deque[RingItem]] = [deque() for _ in range(num_queues)]
-        # One doorbell token per posted descriptor: the engine wakes exactly
-        # once per item and scans rings round-robin.
-        self._doorbell: Store = Store(loop, f"nic.{side}.doorbell")
+        # One doorbell per posted descriptor: the engine takes exactly one
+        # item per doorbell and scans rings round-robin.  ``_doorbells``
+        # counts those it has not answered yet; it is 0 while idle.
+        self._doorbells = 0
+        self._idle = False
+        self._next_ring = 0
         self._rx_handler: Optional[RxHandler] = None
         self._ipid: dict = {}
         self.segments_sent = 0
@@ -59,7 +61,9 @@ class Nic:
         self.obs = None
         self.obs_name = f"nic.{side}"
         link.attach(side, self._on_wire_rx)
-        loop.process(self._engine())
+        # The engine's first look at the doorbell is one dispatch away, as
+        # a process start would be.
+        loop.call_soon(self._next)
 
     def bind_obs(self, obs, name: Optional[str] = None) -> None:
         """Count TSO/GSO activity under ``name`` (also binds the TLS table)."""
@@ -78,7 +82,11 @@ class Nic:
         if not 0 <= queue_id < self.num_queues:
             raise SimulationError(f"queue {queue_id} out of range")
         self._rings[queue_id].append(item)
-        self._doorbell.put(None)
+        if self._idle:
+            self._idle = False
+            self.loop.call_soon(self._take)
+        else:
+            self._doorbells += 1
 
     @property
     def mtu_payload(self) -> int:
@@ -86,26 +94,39 @@ class Nic:
         return self.link.mtu - HEADERS_SIZE
 
     # -- engine ------------------------------------------------------------------
+    #
+    # A callback state machine that drains the rings round-robin, one
+    # descriptor per doorbell.  It files the loop entries the generator
+    # loop it replaced did: a ``call_soon`` per descriptor taken (at
+    # ``post`` when idle, after the previous descriptor otherwise) and a
+    # zero-time gap between descriptors.  An exception from ``_process``
+    # propagates out of ``loop.run()``.
 
-    def _engine(self) -> Generator[Any, Any, None]:
-        """Drain rings round-robin, one descriptor per doorbell token."""
-        next_ring = 0
-        while True:
-            yield self._doorbell.get()
-            item = None
-            for i in range(self.num_queues):
-                idx = (next_ring + i) % self.num_queues
-                if self._rings[idx]:
-                    item = self._rings[idx].popleft()
-                    next_ring = (idx + 1) % self.num_queues
-                    break
-            if item is None:
-                raise SimulationError("doorbell rang with empty rings")
-            self._process(item)
-            # Yield a zero-time slot so descriptors posted by other CPU
-            # cores at the same instant interleave across rings -- the
-            # cross-queue non-atomicity of §3.2.
-            yield self.loop.timeout(0)
+    def _next(self) -> None:
+        """Answer the next doorbell, or go idle until ``post`` rings one."""
+        if self._doorbells:
+            self._doorbells -= 1
+            self.loop.call_soon(self._take)
+        else:
+            self._idle = True
+
+    def _take(self) -> None:
+        item = None
+        n = self.num_queues
+        for i in range(n):
+            idx = (self._next_ring + i) % n
+            ring = self._rings[idx]
+            if ring:
+                item = ring.popleft()
+                self._next_ring = (idx + 1) % n
+                break
+        if item is None:
+            raise SimulationError("doorbell rang with empty rings")
+        self._process(item)
+        # A zero-time gap so descriptors posted by other CPU cores at the
+        # same instant interleave across rings -- the cross-queue
+        # non-atomicity of §3.2.
+        self.loop.call_later(0, self.loop.call_soon, self._next)
 
     def _process(self, item: RingItem) -> None:
         if isinstance(item, ResyncDescriptor):

@@ -34,6 +34,12 @@ Fast-path internals (all behaviour-preserving):
 - ``timeout()`` returns a slotted :class:`Event` subclass fired by a
   module-level function -- no per-timeout closure allocation, which
   matters because every modelled packet delay and CPU slice is a timeout.
+- A process step is one call: :meth:`Process._resume` reads the event's
+  outcome and drives the generator itself, and triggering an event
+  appends its waiters to the ready deque without a ``call_soon`` each.
+  The kernel's own infinite loops (the softirq core, the NIC engine) and
+  :meth:`Resource.service`'s hold are callbacks, not processes at all
+  (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -122,11 +128,17 @@ class Event:
         self._triggered = True
         self._ok = ok
         self.value = value
-        callbacks, self._callbacks = self._callbacks, None
+        callbacks = self._callbacks
         if callbacks:
-            call_soon = self.loop.call_soon
+            self._callbacks = None
+            # ``call_soon(fn, self)`` per callback, inlined.
+            loop = self.loop
+            ready = loop._ready
+            seq = loop._seq
             for fn in callbacks:
-                call_soon(fn, self)
+                seq += 1
+                ready.append((seq, fn, self))
+            loop._seq = seq
 
 
 class _Timeout(Event):
@@ -137,6 +149,12 @@ class _Timeout(Event):
 
 def _fire_timeout(ev: _Timeout) -> None:
     ev._trigger(True, ev._value)
+
+
+# What a process is resumed with on its first step: a succeeded event
+# whose value ``None`` is the only thing ``send`` accepts before the
+# generator has run.
+_START = Event(None).succeed()
 
 
 class Interrupt(Exception):
@@ -161,10 +179,10 @@ class Process(Event):
         super().__init__(loop)
         self._gen = gen
         self._waiting_on: Optional[Event] = None
-        loop.call_soon(self._start)
-
-    def _start(self) -> None:
-        self._step(None, None)
+        # ``self._resume`` is bound afresh wherever it is filed, never
+        # cached on the instance: a cached bound method is a reference
+        # cycle through every process.
+        loop.call_soon(self._resume, _START)
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
@@ -180,23 +198,19 @@ class Process(Event):
                 except ValueError:
                     pass
         self._waiting_on = None
-        self.loop.call_soon(lambda: self._step(None, Interrupt(cause)))
+        self.loop.call_soon(self._resume, Event(self.loop).fail(Interrupt(cause)))
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        if event.ok:
-            self._step(event.value, None)
-        else:
-            self._step(None, event.value)
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Step the generator with ``event``'s outcome, then wait on what
+        it yields next."""
         if self._triggered:
             return
+        self._waiting_on = None
         try:
-            if exc is not None:
-                target = self._gen.throw(exc)
+            if event._ok:
+                target = self._gen.send(event.value)
             else:
-                target = self._gen.send(value)
+                target = self._gen.throw(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -212,7 +226,15 @@ class Process(Event):
                 f"process yielded {target!r}; processes must yield Events"
             )
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # ``target.add_callback(self._resume)``, inlined.
+        if target._triggered:
+            loop = self.loop
+            loop._seq = seq = loop._seq + 1
+            loop._ready.append((seq, self._resume, target))
+        elif target._callbacks is None:
+            target._callbacks = [self._resume]
+        else:
+            target._callbacks.append(self._resume)
 
 
 class Timer:
@@ -442,9 +464,17 @@ class EventLoop:
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that succeeds ``delay`` seconds from now."""
-        ev = _Timeout(self)
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"negative or non-finite delay {delay}")
+        ev = _Timeout.__new__(_Timeout)  # skip __init__: this path is hot
+        ev.loop = self
+        ev._callbacks = None
+        ev._ok = None
+        ev.value = None
+        ev._triggered = False
         ev._value = value
-        self.call_later(delay, _fire_timeout, ev)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, [self._now + delay, seq, _fire_timeout, ev])
         return ev
 
     def process(self, gen: Generator[Event, Any, Any]) -> Process:

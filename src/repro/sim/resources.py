@@ -15,6 +15,12 @@ from repro.errors import SimulationError
 from repro.sim.event_loop import Event, EventLoop
 
 
+class _Hold(Event):
+    """One :meth:`Resource.service` request: succeeds when its hold ends."""
+
+    __slots__ = ("duration",)
+
+
 class Resource:
     """A FIFO resource with ``capacity`` concurrent holders.
 
@@ -57,10 +63,17 @@ class Resource:
         if self._in_use <= 0:
             raise SimulationError(f"release() without acquire() on {self.name!r}")
         if self._waiters:
-            ev = self._waiters.popleft()
-            ev.succeed(self)
+            self._hand_over(self._waiters.popleft())
         else:
             self._in_use -= 1
+
+    def _hand_over(self, ev: Event) -> None:
+        """Give a slot to ``ev``: a hold with a duration is granted one
+        dispatch later, anything else wakes now."""
+        if ev.__class__ is _Hold and ev.duration > 0:
+            self.loop.call_soon(self._granted, ev)
+        else:
+            ev.succeed(self)
 
     def service(self, duration: float) -> Generator[Event, Any, None]:
         """Process helper: acquire, hold for ``duration``, release.
@@ -68,14 +81,37 @@ class Resource:
         Usage inside a process::
 
             yield from core.service(cost)
+
+        The caller waits on one event that covers the grant, the hold and
+        the wake-up: the grant is a callback filed when the slot is free
+        (here, or in the releasing holder's ``release``), it files the
+        hold's timer, and the timer wakes the caller.  A zero-length hold
+        wakes the caller at the grant.  The slot is released here, in the
+        resumed caller, so the next holder's grant is filed after the
+        caller's wake-up and before anything the caller does next.
         """
-        yield self.acquire()
+        hold = _Hold(self.loop)
+        hold.duration = duration
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            self._hand_over(hold)
+        else:
+            self._waiters.append(hold)
         try:
-            if duration > 0:
-                yield self.loop.timeout(duration)
-            self.busy_time += duration
-        finally:
-            self.release()
+            yield hold
+        except BaseException:
+            # Interrupted or closed: a request still queued leaves the
+            # queue; a granted one gives its slot back.
+            try:
+                self._waiters.remove(hold)
+            except ValueError:
+                self.release()
+            raise
+        self.busy_time += duration
+        self.release()
+
+    def _granted(self, hold: "_Hold") -> None:
+        self.loop.call_later(hold.duration, hold.succeed)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of capacity-time spent busy over ``elapsed`` seconds."""

@@ -79,6 +79,23 @@ class TestSoftirqCore:
         assert core.batches == 2
         assert core.busy_time == pytest.approx(2.0)
 
+    def test_raising_handler_propagates_out_of_run(self):
+        # A handler's exception must not stop the core quietly, with
+        # run() returning and every later item queued forever.
+        loop = EventLoop()
+        core = SoftirqCore(loop)
+        ran = []
+
+        def raises():
+            raise RuntimeError("handler bug")
+
+        core.submit(1.0, raises)
+        core.submit(1.0, lambda: ran.append(loop.now))
+        with pytest.raises(RuntimeError, match="handler bug"):
+            loop.run()
+        assert loop.now == 1.0
+        assert ran == []
+
     def test_utilization(self):
         loop = EventLoop()
         core = SoftirqCore(loop)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ProtocolError, SimulationError
 from repro.net.headers import PROTO_SMT, TransportHeader
+from repro.nic.tls_offload import ResyncDescriptor
 from repro.nic.tso import TsoSegment
 from repro.testbed import Testbed
 
@@ -66,6 +67,18 @@ class TestTransmit:
         bed.run()
         ipids = [p.ip.ipid for p in received]
         assert ipids == list(range(len(ipids)))  # continuous across segments
+
+    def test_raising_descriptor_propagates_out_of_run(self):
+        # A descriptor whose processing raises must not stop the engine
+        # quietly, leaving every later descriptor in its ring.
+        bed = Testbed.back_to_back()
+        received = collect_packets(bed)
+        nic = bed.client.nic
+        nic.post(0, ResyncDescriptor(context_key="no such flow", seqno=0))
+        nic.post(0, make_segment(bed, b"x" * 100))
+        with pytest.raises(ProtocolError, match="unknown context"):
+            bed.run()
+        assert received == []
 
     def test_stats_counters(self):
         bed = Testbed.back_to_back()

@@ -87,6 +87,41 @@ class TestResource:
         loop.run()
         assert res.utilization(elapsed=4.0) == pytest.approx(0.25)
 
+    def test_zero_service_wakes_at_the_grant(self):
+        loop = EventLoop()
+        res = Resource(loop)
+        order = []
+
+        def worker(name, hold):
+            yield from res.service(hold)
+            order.append((name, loop.now))
+
+        loop.process(worker("a", 1.0))
+        loop.process(worker("b", 0.0))
+        loop.run()
+        assert order == [("a", 1.0), ("b", 1.0)]
+        assert res.in_use == 0
+
+    def test_interrupted_service_gives_up_its_place(self):
+        loop = EventLoop()
+        res = Resource(loop)
+        done = []
+
+        def worker(name, hold):
+            yield from res.service(hold)
+            done.append((name, loop.now))
+
+        holder = loop.process(worker("holder", 2.0))
+        queued = loop.process(worker("queued", 1.0))
+        loop.process(worker("last", 1.0))
+        # One interrupted while queued, one while holding the slot.
+        loop.call_later(0.5, queued.interrupt)
+        loop.call_later(1.0, holder.interrupt)
+        loop.run()
+        assert done == [("last", 2.0)]
+        assert res.in_use == 0 and res.queue_length == 0
+        assert res.busy_time == pytest.approx(1.0)
+
     def test_queue_length_reporting(self):
         loop = EventLoop()
         res = Resource(loop)
