@@ -46,9 +46,6 @@ class EncodedMessage:
     # Pin all segments to one NIC queue (SMT's per-queue flow contexts);
     # None lets the engine pick its default.
     nic_queue: Optional[int] = None
-    # Back-reference set by the engine so post-time hooks can reach the
-    # codec (resync decisions happen when a segment hits its ring).
-    codec: Optional["MessageCodec"] = None
 
 
 @dataclass
@@ -153,15 +150,14 @@ class PlainCodec(MessageCodec):
         return 1 << 64
 
     def encode(self, msg_id: int, payload: bytes, mss: int) -> EncodedMessage:
+        if not payload:
+            raise ProtocolError("cannot send an empty message")
         cap = self.segment_capacity(mss)
         # Zero-copy: plans hold memoryview slices of the payload.
         view = memoryview(payload)
         plans = [
-            SegmentPlan(off, view[off : off + cap])
-            for off in range(0, len(payload), cap)
-        ] or [SegmentPlan(0, b"")]
-        if not payload:
-            raise ProtocolError("cannot send an empty message")
+            SegmentPlan(off, view[off : off + cap]) for off in range(0, len(payload), cap)
+        ]
         return EncodedMessage(wire_len=len(payload), plans=plans)
 
     def decode(self, msg_id: int, wire: bytes) -> DecodedMessage:

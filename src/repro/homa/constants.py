@@ -53,3 +53,13 @@ class HomaConfig:
     # Network priority levels (strict; 7 highest).
     control_priority: int = 7
     unscheduled_priority: int = 6
+
+    def resend_delay(self, interval: float, attempts: int) -> float:
+        """Wait before the next resend check after ``attempts`` resends.
+
+        Exponential backoff (``resend_backoff`` > 1) bounded by the
+        ceiling -- but never below ``interval``, so the default backoff
+        of 1.0 reproduces the fixed timer.
+        """
+        grown = interval * self.resend_backoff ** min(attempts, 16)
+        return min(grown, max(interval, self.max_resend_interval))

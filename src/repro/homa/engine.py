@@ -20,6 +20,10 @@ from repro.net.headers import PROTO_HOMA, PacketType, TransportHeader
 from repro.net.packet import Packet
 from repro.nic.tso import TsoSegment
 
+#: Delivered message IDs a transport remembers.  The oldest is forgotten
+#: first, so a late duplicate of any of the newest this many is ignored.
+DELIVERED_MEMORY = 100_000
+
 
 class HomaTransport:
     """Protocol engine shared by all Homa (or SMT) sockets on a host."""
@@ -32,11 +36,12 @@ class HomaTransport:
         self.proto = proto
         host.register_transport(proto, self)
         self._sockets: dict[int, "HomaSocket"] = {}  # noqa: F821
-        # Outbound keyed by msg_id (sender-unique); inbound by (peer, port, id).
-        self._outbound: dict[int, OutboundMessage] = {}
-        self._encoded: dict[int, EncodedMessage] = {}
+        # Outbound keyed by (peer, msg_id); inbound by (peer, port, id).
+        self._outbound: dict[tuple[int, int], OutboundMessage] = {}
         self._inbound: dict[tuple[int, int, int], InboundMessage] = {}
-        self._delivered: set[tuple[int, int, int]] = set()
+        # Insertion-ordered, bounded at DELIVERED_MEMORY keys (a plain dict:
+        # an OrderedDict's linked list more than doubles its size).
+        self._delivered: dict[tuple[int, int, int], None] = {}
         self._next_msg_id = 2
         # Lazily-batched ACKs (Homa/Linux acks lazily; responses implicitly
         # ack their requests): peer -> (local_port, peer_port, [msg ids]).
@@ -80,8 +85,44 @@ class HomaTransport:
         """
         stale = [k for k in self._delivered if k[0] == peer_addr and k[1] == peer_port]
         for key in stale:
-            self._delivered.discard(key)
+            del self._delivered[key]
         return len(stale)
+
+    # -- packet path -----------------------------------------------------------------
+    #
+    # Every packet this engine sends is one TsoSegment posted by _post;
+    # every RESEND is built by _send_resend.  Work happens in a fixed
+    # order -- NIC posts, timer arms and each ``cost +=`` -- because the
+    # pinned virtual times depend on it, float bits included.
+
+    def _post(
+        self, queue: int, dest: int, header: TransportHeader, payload=b"", tls=None
+    ) -> None:
+        nic = self.host.nic
+        mss = nic.mtu_payload
+        nic.post(queue, TsoSegment(self.host.addr, dest, self.proto, header, payload, mss, tls))
+
+    def _send_resend(
+        self, peer: int, port: int, msg_id: int, tso_offset: int = 0, length: int = 0
+    ) -> None:
+        """Ask ``peer`` to resend ``length`` bytes at ``tso_offset``.
+
+        ``length == 0`` means "the whole message" -- used when the
+        requester holds no usable copy of any of it.
+        """
+        self._post(
+            0,
+            peer,
+            TransportHeader(
+                src_port=0,
+                dst_port=port,
+                msg_id=msg_id,
+                pkt_type=PacketType.RESEND,
+                tso_offset=tso_offset,
+                msg_len=length,
+                priority=self.config.control_priority,
+            ),
+        )
 
     # -- transmit path ---------------------------------------------------------------
 
@@ -103,22 +144,22 @@ class HomaTransport:
             raise TransportError(
                 f"message of {encoded.wire_len} wire bytes exceeds the maximum"
             )
+        queue = encoded.nic_queue
+        if queue is None:
+            queue = (msg_id >> 1) % self.host.nic.num_queues
         msg = OutboundMessage(
             msg_id=msg_id,
             dest_addr=dest_addr,
             dest_port=dest_port,
             src_port=src_port,
             wire_len=encoded.wire_len,
-            segment_capacity=codec.segment_capacity(self.host.nic.mtu_payload),
-            plans=encoded.plans,
+            codec=codec,
+            encoded=encoded,
+            queue=queue,
             granted=min(encoded.wire_len, self.config.unscheduled_bytes),
-            created_at=self.loop.now,
             last_activity=self.loop.now,
         )
-        key = (dest_addr, msg_id)
-        encoded.codec = codec
-        self._outbound[key] = msg
-        self._encoded[key] = encoded
+        self._outbound[(dest_addr, msg_id)] = msg
         self.messages_sent += 1
         obs = self.loop.obs
         if obs is not None:
@@ -133,8 +174,10 @@ class HomaTransport:
                 bytes=encoded.wire_len,
             )
         cost = self.costs.homa_tx_per_message + encoded.tx_cpu_cost
-        cost += self._granted_cost(msg, encoded)
-        self._arm_sender_timeout(msg)
+        cost += self._granted_cost(msg)
+        msg.sender_timer = self.loop.timer_later(
+            self.config.sender_timeout, self._sender_timeout, msg
+        )
         return cost
 
     def kick(self, dest_addr: int, msg_id: int) -> None:
@@ -144,123 +187,69 @@ class HomaTransport:
         thread *before* kicking, so transmission correctly waits for the
         send-side work (encode, crypto, descriptor setup).
         """
-        key = (dest_addr, msg_id)
-        msg = self._outbound.get(key)
-        encoded = self._encoded.get(key)
-        if msg is None or encoded is None:
-            return
-        self._transmit_granted(msg, encoded)
+        msg = self._outbound.get((dest_addr, msg_id))
+        if msg is not None:
+            self._transmit_granted(msg)
 
-    def _granted_cost(self, msg: OutboundMessage, encoded: EncodedMessage) -> float:
+    def _plan_cost(self, cost: float, plan: SegmentPlan, mss: int) -> float:
+        """``cost`` plus the CPU cost of transmitting ``plan``."""
+        npkts = max(1, (plan.length + mss - 1) // mss)
+        cost += self.costs.homa_tx_per_packet * npkts + self.costs.driver_tx_per_segment
+        if plan.tls is not None:
+            cost += self.costs.offload_meta_per_segment
+        return cost
+
+    def _granted_cost(self, msg: OutboundMessage) -> float:
         """CPU cost of transmitting the not-yet-sent plans below the grant."""
         cost = 0.0
         mss = self.host.nic.mtu_payload
-        for plan in encoded.plans:
-            if plan.sent or plan.tso_offset >= msg.granted:
-                continue
-            npkts = max(1, (plan.length + mss - 1) // mss)
-            cost += (
-                self.costs.homa_tx_per_packet * npkts
-                + self.costs.driver_tx_per_segment
-            )
-            if plan.tls is not None:
-                cost += self.costs.offload_meta_per_segment
+        for plan in msg.encoded.plans:
+            if not plan.sent and plan.tso_offset < msg.granted:
+                cost = self._plan_cost(cost, plan, mss)
         return cost
 
-    def _transmit_granted(self, msg: OutboundMessage, encoded: EncodedMessage) -> float:
-        """Send every unsent plan below the grant limit; returns CPU cost."""
+    def _transmit_granted(self, msg: OutboundMessage) -> float:
+        """Send every unsent plan below the grant limit; returns CPU cost.
+
+        Each segment's resyncs go to its ring first, then the segment.
+        """
         cost = 0.0
-        mss = self.host.nic.mtu_payload
-        for plan in encoded.plans:
+        nic = self.host.nic
+        mss = nic.mtu_payload
+        queue = msg.queue
+        priority = self.config.unscheduled_priority
+        if msg.wire_len > self.config.unscheduled_bytes:
+            priority -= 1  # scheduled data, refined by grants
+        for plan in msg.encoded.plans:
             if plan.sent or plan.tso_offset >= msg.granted:
                 continue
             plan.sent = True
-            msg.sent_bytes += plan.length
-            npkts = max(1, (plan.length + mss - 1) // mss)
-            cost += (
-                self.costs.homa_tx_per_packet * npkts
-                + self.costs.driver_tx_per_segment
+            cost = self._plan_cost(cost, plan, mss)
+            pres = msg.codec.segment_pre_descriptors(plan, queue)
+            for pre in pres:
+                nic.post(queue, pre)
+            header = TransportHeader(
+                src_port=msg.src_port,
+                dst_port=msg.dest_port,
+                msg_id=msg.msg_id,
+                pkt_type=PacketType.DATA,
+                msg_len=msg.wire_len,
+                tso_offset=plan.tso_offset,
+                priority=priority,
             )
-            if plan.tls is not None:
-                cost += self.costs.offload_meta_per_segment
-            cost += self.costs.offload_resync * self._post_plan(msg, encoded, plan)
+            self._post(queue, msg.dest_addr, header, plan.payload, plan.tls)
+            cost += self.costs.offload_resync * len(pres)
         return cost
-
-    def _post_plan(self, msg: OutboundMessage, encoded: EncodedMessage, plan: SegmentPlan) -> int:
-        """Post one segment (plus any resyncs); returns the resync count."""
-        nic = self.host.nic
-        queue = encoded.nic_queue
-        if queue is None:
-            queue = (msg.msg_id >> 1) % nic.num_queues
-        pres = []
-        if encoded.codec is not None:
-            pres = encoded.codec.segment_pre_descriptors(plan, queue)
-        for pre in pres:
-            nic.post(queue, pre)
-        header = TransportHeader(
-            src_port=msg.src_port,
-            dst_port=msg.dest_port,
-            msg_id=msg.msg_id,
-            pkt_type=PacketType.DATA,
-            msg_len=msg.wire_len,
-            tso_offset=plan.tso_offset,
-            priority=self._data_priority(msg.wire_len),
-        )
-        nic.post(
-            queue,
-            TsoSegment(
-                src_addr=self.host.addr,
-                dst_addr=msg.dest_addr,
-                proto=self.proto,
-                header=header,
-                payload=plan.payload,
-                mss=nic.mtu_payload,
-                tls=plan.tls,
-            ),
-        )
-        return len(pres)
-
-    def _data_priority(self, wire_len: int) -> int:
-        cfg = self.config
-        if wire_len <= cfg.unscheduled_bytes:
-            return cfg.unscheduled_priority
-        return cfg.unscheduled_priority - 1  # scheduled data, refined by grants
-
-    def _send_control(
-        self,
-        dest_addr: int,
-        header: TransportHeader,
-        queue: Optional[int] = None,
-    ) -> None:
-        nic = self.host.nic
-        if queue is None:
-            queue = 0
-        nic.post(
-            queue,
-            TsoSegment(
-                src_addr=self.host.addr,
-                dst_addr=dest_addr,
-                proto=self.proto,
-                header=header,
-                payload=b"",
-                mss=nic.mtu_payload,
-            ),
-        )
 
     # Per-message timers are bound methods that get their message through
     # the timer's argument slot.  A closure that re-arms itself refers to
     # itself, so it and the message it holds would wait for the cyclic GC
     # instead of being freed when the message completes.
 
-    def _arm_sender_timeout(self, msg: OutboundMessage) -> None:
-        msg.sender_timer = self.loop.timer_later(
-            self.config.sender_timeout, self._sender_timeout, msg
-        )
-
     def _sender_timeout(self, msg: OutboundMessage) -> None:
         msg.sender_timer = None
         key = (msg.dest_addr, msg.msg_id)
-        if msg.acked or key not in self._outbound:
+        if key not in self._outbound:  # an ack cancels this timer first
             return
         # An *inactivity* timeout, not a deadline since send: a large
         # message can legitimately be grant-starved past the window
@@ -282,15 +271,15 @@ class HomaTransport:
             msg.sender_timer = self.loop.timer_later(remaining, self._sender_timeout, msg)
             return
         del self._outbound[key]
-        self._encoded.pop(key, None)
         self._end_tx_span(msg, "timeout")
 
-    def _cancel_sender_timeout(self, msg: OutboundMessage) -> None:
+    def _acked(self, msg: OutboundMessage, outcome: str) -> None:
         """Ack arrived: cancel the timeout instead of letting it fire dead."""
         timer = msg.sender_timer
         if timer is not None:
             timer.cancel()
             msg.sender_timer = None
+        self._end_tx_span(msg, outcome)
 
     def _end_tx_span(self, msg: OutboundMessage, outcome: str) -> None:
         if msg.obs_span is not None:
@@ -376,7 +365,9 @@ class HomaTransport:
                     bytes=t.msg_len,
                 )
             if not inbound.complete:
-                self._arm_resend_timer(inbound)
+                inbound.resend_timer = self.loop.timer_later(
+                    self._resend_interval(inbound), self._resend_check, inbound
+                )
         if not packet.payload and t.msg_len:
             # A trimmed packet (NDP-style, paper §7): the payload was cut
             # at an overloaded switch but the plaintext transport metadata
@@ -388,17 +379,9 @@ class HomaTransport:
             ):
                 inbound.trim_requested.add(t.tso_offset)
                 self.resend_requests += 1
-                self._send_control(
-                    inbound.peer_addr,
-                    TransportHeader(
-                        src_port=0,
-                        dst_port=inbound.peer_port,
-                        msg_id=inbound.msg_id,
-                        pkt_type=PacketType.RESEND,
-                        tso_offset=t.tso_offset,
-                        msg_len=inbound.segment_length(t.tso_offset),
-                        priority=self.config.control_priority,
-                    ),
+                self._send_resend(
+                    inbound.peer_addr, inbound.peer_port, inbound.msg_id,
+                    t.tso_offset, inbound.segment_length(t.tso_offset),
                 )
                 return (extra + self.costs.homa_grant_tx) or None
             return extra or None
@@ -428,9 +411,14 @@ class HomaTransport:
         if timer is not None:  # delivered: the RESEND timer has no work left
             timer.cancel()
             inbound.resend_timer = None
-        self._delivered.add(key)
-        if len(self._delivered) > 100_000:
-            self._delivered.clear()  # bounded memory; late dupes hit codec filter
+        delivered = self._delivered
+        delivered[key] = None
+        if len(delivered) > DELIVERED_MEMORY:
+            # Forget the oldest.  Each eviction leaves a hole that the next
+            # ``iter`` walks over, so a periodic copy drops them.
+            del delivered[next(iter(delivered))]
+            if self.messages_delivered % 4096 == 0:
+                self._delivered = dict(delivered)
         self.messages_delivered += 1
         obs = self.loop.obs
         if obs is not None:
@@ -442,25 +430,25 @@ class HomaTransport:
             # A response implicitly acknowledges its request (Homa's RPC
             # semantics): free our outbound request state now, and queue a
             # lazy batched ACK so the responder frees the response.
-            request_key = (inbound.peer_addr, inbound.msg_id & ~1)
-            freed = self._outbound.pop(request_key, None)
+            freed = self._outbound.pop((inbound.peer_addr, inbound.msg_id & ~1), None)
             if freed is not None:
-                freed.acked = True
-                self._cancel_sender_timeout(freed)
-                self._encoded.pop(request_key, None)
-                self._end_tx_span(freed, "implicit_ack")
+                self._acked(freed, "implicit_ack")
             # Under corruption recovery the ACK must wait until the bytes
             # actually authenticate (it frees the responder's retransmit
-            # state); the socket calls confirm_response() after decode.
+            # state); the socket calls queue_ack() after decode.
             if not self.config.corruption_recovery:
-                cost += self._queue_ack(inbound, socket)
+                cost += self.queue_ack(inbound, socket)
         # Requests need no explicit ACK: the response implies it; sender
         # timeouts clean up one-way messages.
         socket.deliver(inbound, wire)
         return cost
 
-    def _queue_ack(self, inbound: InboundMessage, socket) -> float:
-        """Batch an ACK for a delivered response; flush per 8 or on timer."""
+    def queue_ack(self, inbound: InboundMessage, socket) -> float:
+        """Batch an ACK for a delivered response; flush per 8 or on timer.
+
+        Returns the CPU cost.  Called on delivery, or -- in corruption
+        recovery mode -- by the socket once the response authenticates.
+        """
         batch = self._ack_batch.get(inbound.peer_addr)
         if batch is None:
             batch = (socket.port, inbound.peer_port, [inbound.msg_id])
@@ -479,7 +467,6 @@ class HomaTransport:
         if batch is None:
             return 0.0
         local_port, peer_port, ids = batch
-        payload = b"".join(i.to_bytes(8, "big") for i in ids)
         header = TransportHeader(
             src_port=local_port,
             dst_port=peer_port,
@@ -488,18 +475,7 @@ class HomaTransport:
             msg_len=len(ids),
             priority=self.config.control_priority,
         )
-        nic = self.host.nic
-        nic.post(
-            0,
-            TsoSegment(
-                src_addr=self.host.addr,
-                dst_addr=peer_addr,
-                proto=self.proto,
-                header=header,
-                payload=payload,
-                mss=nic.mtu_payload,
-            ),
-        )
+        self._post(0, peer_addr, header, b"".join(i.to_bytes(8, "big") for i in ids))
         return self.costs.homa_grant_tx
 
     def _maybe_grant(self, inbound: InboundMessage) -> float:
@@ -513,7 +489,8 @@ class HomaTransport:
         if new_grant <= inbound.granted:
             return 0.0
         inbound.granted = new_grant
-        self._send_control(
+        self._post(
+            0,
             inbound.peer_addr,
             TransportHeader(
                 src_port=0,
@@ -530,17 +507,14 @@ class HomaTransport:
 
     def _handle_grant(self, packet: Packet) -> Optional[float]:
         t = packet.transport
-        key = (packet.ip.src_addr, t.msg_id)
-        msg = self._outbound.get(key)
+        msg = self._outbound.get((packet.ip.src_addr, t.msg_id))
         if msg is None:
             return None
         msg.last_activity = self.loop.now
         if t.grant_offset > msg.granted:
             msg.granted = min(t.grant_offset, msg.wire_len)
-            encoded = self._encoded.get(key)
-            if encoded is not None:
-                # Granted data is pushed from softirq context (paper §3.2).
-                return self._transmit_granted(msg, encoded) or None
+            # Granted data is pushed from softirq context (paper §3.2).
+            return self._transmit_granted(msg) or None
         return None
 
     # .. resend ..
@@ -553,11 +527,6 @@ class HomaTransport:
         jitter = 1.0 + ((inbound.msg_id * 2654435761) % 64) / 128.0
         return self.config.resend_interval * jitter
 
-    def _arm_resend_timer(self, inbound: InboundMessage) -> None:
-        inbound.resend_timer = self.loop.timer_later(
-            self._resend_interval(inbound), self._resend_check, inbound
-        )
-
     def _resend_check(self, inbound: InboundMessage) -> None:
         inbound.resend_timer = None
         key = (inbound.peer_addr, inbound.peer_port, inbound.msg_id)
@@ -568,18 +537,18 @@ class HomaTransport:
             inbound.resends += 1
             if inbound.resends > self.config.max_resends:
                 del self._inbound[key]  # give up
+                if inbound.obs_span is not None:
+                    self.loop.obs.tracer.end(
+                        inbound.obs_span, outcome="abandoned", resends=inbound.resends
+                    )
                 return
             core = self.host.softirq_core_for_flow(
                 inbound.peer_addr, inbound.peer_port,
                 inbound.local_port, self.proto,
             )
             core.submit(self.costs.homa_grant_tx, lambda: self._request_resend(inbound))
-        # Exponential backoff (resend_backoff > 1) bounded by the
-        # configured ceiling -- but never below the base interval, so
-        # the default backoff of 1.0 reproduces the fixed timer.
-        grown = interval * self.config.resend_backoff ** min(inbound.resends, 16)
         inbound.resend_timer = self.loop.timer_later(
-            min(grown, max(interval, self.config.max_resend_interval)),
+            self.config.resend_delay(interval, inbound.resends),
             self._resend_check,
             inbound,
         )
@@ -590,17 +559,8 @@ class HomaTransport:
         # segments (the previous retransmission may itself have been cut).
         inbound.trim_requested.clear()
         for offset, length in inbound.missing_ranges():
-            self._send_control(
-                inbound.peer_addr,
-                TransportHeader(
-                    src_port=0,
-                    dst_port=inbound.peer_port,
-                    msg_id=inbound.msg_id,
-                    pkt_type=PacketType.RESEND,
-                    tso_offset=offset,
-                    msg_len=length,
-                    priority=self.config.control_priority,
-                ),
+            self._send_resend(
+                inbound.peer_addr, inbound.peer_port, inbound.msg_id, offset, length
             )
 
     def retransmit_outbound(self, dest_addr: int, msg_id: int) -> float:
@@ -611,41 +571,31 @@ class HomaTransport:
         explicit per-packet offsets -- duplicating rank-unknown TSO packets
         with fresh IPIDs would poison the receiver's IPID-rank inference.
         """
-        key = (dest_addr, msg_id)
-        msg = self._outbound.get(key)
-        encoded = self._encoded.get(key)
-        if msg is None or encoded is None:
+        msg = self._outbound.get((dest_addr, msg_id))
+        if msg is None:
             return 0.0
         cost = 0.0
-        for plan in encoded.plans:
+        for plan in msg.encoded.plans:
             if plan.sent:
-                cost += self._retransmit_segment_explicit(msg, encoded, plan.tso_offset)
+                cost += self._retransmit_segment_explicit(msg, plan.tso_offset)
         return cost
 
-    def _retransmit_segment_explicit(
-        self, msg: OutboundMessage, encoded: EncodedMessage, tso_offset: int
-    ) -> float:
+    def _retransmit_segment_explicit(self, msg: OutboundMessage, tso_offset: int) -> float:
         """Resend one segment as explicit-offset single packets."""
-        codec = encoded.codec
-        if codec is None:
-            return 0.0
         try:
-            wire = codec.reseal_range(encoded, tso_offset)
+            wire = msg.codec.reseal_range(msg.encoded, tso_offset)
         except ProtocolError:
             return 0.0
         mss = self.host.nic.mtu_payload
-        queue = encoded.nic_queue if encoded.nic_queue is not None else (
-            (msg.msg_id >> 1) % self.host.nic.num_queues
-        )
         obs = self.loop.obs
+        counter = None
+        if obs is not None:
+            counter = obs.metrics.counter(f"{self.host.name}.homa.tx.packets_retransmitted")
         cost = 0.0
         for off in range(0, len(wire), mss):
-            chunk = wire[off : off + mss]
             self.packets_retransmitted += 1
-            if obs is not None:
-                obs.metrics.counter(
-                    f"{self.host.name}.homa.tx.packets_retransmitted"
-                ).add()
+            if counter is not None:
+                counter.add()
             header = TransportHeader(
                 src_port=msg.src_port,
                 dst_port=msg.dest_port,
@@ -656,39 +606,16 @@ class HomaTransport:
                 retransmit_offset=off + 1,  # explicit in-segment byte offset
                 priority=self.config.control_priority,
             )
-            self.host.nic.post(
-                queue,
-                TsoSegment(
-                    src_addr=self.host.addr,
-                    dst_addr=msg.dest_addr,
-                    proto=self.proto,
-                    header=header,
-                    payload=chunk,
-                    mss=mss,
-                ),
-            )
+            self._post(msg.queue, msg.dest_addr, header, wire[off : off + mss])
             cost += self.costs.homa_tx_per_packet + self.costs.driver_tx_per_segment
         return cost
 
     def request_response_resend(self, dest_addr: int, dest_port: int, response_id: int) -> None:
-        """Client-side RPC timeout: ask the server to resend a response.
-
-        ``msg_len == 0`` in a RESEND means "the whole message" -- used when
-        the requester has no inbound state at all (every packet lost).
+        """Client-side RPC timeout: ask the server to resend a whole response
+        (the requester may hold no inbound state at all: every packet lost).
         """
         self.resend_requests += 1
-        self._send_control(
-            dest_addr,
-            TransportHeader(
-                src_port=0,
-                dst_port=dest_port,
-                msg_id=response_id,
-                pkt_type=PacketType.RESEND,
-                tso_offset=0,
-                msg_len=0,
-                priority=self.config.control_priority,
-            ),
-        )
+        self._send_resend(dest_addr, dest_port, response_id)
 
     # .. corruption recovery ..
 
@@ -702,8 +629,7 @@ class HomaTransport:
         the sender's retransmission -- byte-identical ciphertext: same
         key, same nonces -- can be reassembled and delivered afresh.
         """
-        key = (inbound.peer_addr, inbound.peer_port, inbound.msg_id)
-        self._delivered.discard(key)
+        self._delivered.pop((inbound.peer_addr, inbound.peer_port, inbound.msg_id), None)
         socket = self._sockets.get(inbound.local_port)
         if socket is not None:
             codec = socket.codec_for(inbound.peer_addr, inbound.peer_port)
@@ -713,47 +639,24 @@ class HomaTransport:
         obs = self.loop.obs
         if obs is not None:
             obs.metrics.counter(f"{self.host.name}.homa.rx.corrupt_recoveries").add()
-        # Whole-message RESEND (msg_len == 0): any packet of the original
-        # delivery may have carried the flipped bits.
-        self._send_control(
-            inbound.peer_addr,
-            TransportHeader(
-                src_port=0,
-                dst_port=inbound.peer_port,
-                msg_id=inbound.msg_id,
-                pkt_type=PacketType.RESEND,
-                tso_offset=0,
-                msg_len=0,
-                priority=self.config.control_priority,
-            ),
-        )
-
-    def confirm_response(self, inbound, socket) -> float:
-        """ACK a response whose decode succeeded (corruption-recovery mode).
-
-        In that mode :meth:`_deliver` defers the lazy ACK so the responder
-        keeps its retransmit state until the bytes authenticate.
-        """
-        return self._queue_ack(inbound, socket)
+        # Whole-message RESEND: any packet of the original delivery may
+        # have carried the flipped bits.
+        self._send_resend(inbound.peer_addr, inbound.peer_port, inbound.msg_id)
 
     def _handle_resend(self, packet: Packet) -> Optional[float]:
         """Sender side: retransmit one segment as explicit-offset packets."""
         t = packet.transport
-        key = (packet.ip.src_addr, t.msg_id)
-        msg = self._outbound.get(key)
-        encoded = self._encoded.get(key)
-        if msg is None or encoded is None:
+        msg = self._outbound.get((packet.ip.src_addr, t.msg_id))
+        if msg is None:
             return None
         if t.msg_len == 0:
             # Whole-message resend: every granted segment, explicit offsets.
             cost = 0.0
-            for plan in encoded.plans:
+            for plan in msg.encoded.plans:
                 if plan.tso_offset < msg.granted:
-                    cost += self._retransmit_segment_explicit(
-                        msg, encoded, plan.tso_offset
-                    )
+                    cost += self._retransmit_segment_explicit(msg, plan.tso_offset)
             return cost or None
-        return self._retransmit_segment_explicit(msg, encoded, t.tso_offset) or None
+        return self._retransmit_segment_explicit(msg, t.tso_offset) or None
 
     # .. ack ..
 
@@ -766,11 +669,7 @@ class HomaTransport:
         else:
             ids = [packet.transport.msg_id]
         for msg_id in ids:
-            key = (packet.ip.src_addr, msg_id)
-            msg = self._outbound.pop(key, None)
+            msg = self._outbound.pop((packet.ip.src_addr, msg_id), None)
             if msg is not None:
-                msg.acked = True
-                self._cancel_sender_timeout(msg)
-                self._encoded.pop(key, None)
-                self._end_tx_span(msg, "acked")
+                self._acked(msg, "acked")
         return None

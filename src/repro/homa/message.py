@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ProtocolError
+from repro.homa.codec import EncodedMessage, MessageCodec
 
 
 def sort_circular_ipids(ipids: list[int]) -> list[int]:
@@ -205,20 +206,19 @@ class InboundMessage:
 
 @dataclass
 class OutboundMessage:
-    """One message being transmitted."""
+    """One message being transmitted: the engine's one record of it."""
 
     msg_id: int
     dest_addr: int
     dest_port: int
     src_port: int
     wire_len: int
-    segment_capacity: int
-    # Filled by the codec: per-segment plans in TSO-offset order.
-    plans: list = field(default_factory=list)
-    sent_bytes: int = 0  # wire bytes handed to the NIC so far
+    # The codec that encoded it (post-time resyncs, retransmit re-seals),
+    # its per-segment plans, and the NIC ring every segment rides.
+    codec: MessageCodec
+    encoded: EncodedMessage
+    queue: int
     granted: int = 0
-    acked: bool = False
-    created_at: float = 0.0
     #: Last moment the receiver showed forward progress (a grant
     #: arrived).  The sender timeout frees state only after a full quiet
     #: window, not a fixed time since send -- a grant-starved large

@@ -81,7 +81,6 @@ class HomaSocket:
         # (peer_addr, msg_id) -> failed-decode count (corruption recovery).
         self._corrupt_attempts: dict[tuple[int, int], int] = {}
         transport.bind(self, port)
-        self._reader_blocked = False
 
     def codec_for(self, peer_addr: int, peer_port: int) -> MessageCodec:
         """The codec governing messages to/from this peer."""
@@ -144,19 +143,8 @@ class HomaSocket:
         timeout: Optional[float] = None,
     ) -> Generator[Any, Any, bytes]:
         msg_id = self.transport.alloc_msg_id(codec)
-        mss = self.transport.host.nic.mtu_payload
-        encoded = codec.encode(msg_id, payload, mss)
-        event = self.loop.event()
-        self._pending[msg_id] = event
-        cost = (
-            self.costs.syscall
-            + self.costs.homa_send_extra
-            + self.costs.copy_cost(len(payload))
-            + self.transport.send_message(
-                codec, self.port, dest_addr, dest_port, msg_id, encoded
-            )
-        )
-        self._arm_response_timer(msg_id, dest_addr, dest_port)
+        cost = self._send(codec, dest_addr, dest_port, msg_id, payload)
+        event = self._await_response(msg_id, dest_addr, dest_port)
         deadline = None
         if timeout is not None:
 
@@ -198,9 +186,7 @@ class HomaSocket:
                         )
                     # Re-arm the wait before asking the server to resend, so
                     # the redelivery finds a pending event to succeed.
-                    event = self.loop.event()
-                    self._pending[msg_id] = event
-                    self._arm_response_timer(msg_id, dest_addr, dest_port)
+                    event = self._await_response(msg_id, dest_addr, dest_port)
                     self.transport.recover_inbound(inbound)
         finally:
             if deadline is not None:
@@ -210,7 +196,7 @@ class HomaSocket:
         if config.corruption_recovery:
             # Deferred lazy ACK: only bytes that authenticate may free the
             # responder's retransmit state.
-            ack_cost = self.transport.confirm_response(inbound, self)
+            ack_cost = self.transport.queue_ack(inbound, self)
         yield from thread.work(
             self.costs.wakeup
             + self.costs.syscall
@@ -235,16 +221,19 @@ class HomaSocket:
             + self.costs.crypto_cost(len(wire))
         )
 
-    def _arm_response_timer(self, msg_id: int, dest_addr: int, dest_port: int) -> None:
-        """RPC timeout: if the response never shows, RESEND it (Homa's
-        client-side retry -- covers the all-packets-lost case where the
-        receiver has no inbound state to drive its own resend timer)."""
+    def _await_response(self, msg_id: int, dest_addr: int, dest_port: int):
+        """The event a response to ``msg_id`` succeeds, with its RPC timeout
+        armed: if the response never shows, RESEND it (Homa's client-side
+        retry -- covers the all-packets-lost case where the receiver has
+        no inbound state to drive its own resend timer)."""
+        event = self._pending[msg_id] = self.loop.event()
         chain = _RetryChain(msg_id, dest_addr, dest_port)
         # First check after 2 intervals: give the RPC a full round trip.
         chain.timer = self.loop.timer_later(
             2 * self.transport.config.resend_interval, self._response_check, chain
         )
         self._response_timers.setdefault(msg_id, []).append(chain)
+        return event
 
     def _response_check(self, chain: "_RetryChain") -> None:
         msg_id = chain.msg_id
@@ -273,10 +262,8 @@ class HomaSocket:
             return cost
 
         core.submit(self.costs.homa_grant_tx, retry)
-        interval = config.resend_interval
-        grown = interval * config.resend_backoff ** min(chain.attempts, 16)
         chain.timer = self.loop.timer_later(
-            min(grown, max(interval, config.max_resend_interval)),
+            config.resend_delay(config.resend_interval, chain.attempts),
             self._response_check,
             chain,
         )
@@ -299,9 +286,7 @@ class HomaSocket:
             item = self._rx_requests.try_get()
             woke = False
             if item is None:
-                self._reader_blocked = True
                 item = yield self._rx_requests.get()
-                self._reader_blocked = False
                 woke = True
             inbound, wire = item
             codec = self.codec_for(inbound.peer_addr, inbound.peer_port)
@@ -346,18 +331,27 @@ class HomaSocket:
             raise TransportError("cannot reply to a response")
         codec = self.codec_for(rpc.peer_addr, rpc.peer_port)
         msg_id = rpc.msg_id | 1
-        mss = self.transport.host.nic.mtu_payload
-        encoded = codec.encode(msg_id, payload, mss)
-        cost = (
+        cost = self._send(codec, rpc.peer_addr, rpc.peer_port, msg_id, payload)
+        yield from thread.work(cost)
+        self.transport.kick(rpc.peer_addr, msg_id)
+
+    def _send(
+        self, codec: MessageCodec, dest_addr: int, dest_port: int, msg_id: int,
+        payload: bytes,
+    ) -> float:
+        """Encode ``payload`` and register it with the transport.
+
+        Returns the app-thread CPU cost; the caller charges it, then kicks.
+        """
+        encoded = codec.encode(msg_id, payload, self.transport.host.nic.mtu_payload)
+        return (
             self.costs.syscall
             + self.costs.homa_send_extra
             + self.costs.copy_cost(len(payload))
             + self.transport.send_message(
-                codec, self.port, rpc.peer_addr, rpc.peer_port, msg_id, encoded
+                codec, self.port, dest_addr, dest_port, msg_id, encoded
             )
         )
-        yield from thread.work(cost)
-        self.transport.kick(rpc.peer_addr, msg_id)
 
     @property
     def pending_requests(self) -> int:

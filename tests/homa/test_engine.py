@@ -183,6 +183,61 @@ class TestLossRecovery:
         assert ct.resend_requests >= 1
 
 
+class TestStateLimits:
+    def test_abandoned_inbound_closes_its_rx_span(self):
+        # Every DATA packet past the first segment is lost, retransmissions
+        # included: the server gives up after max_resends, and each
+        # abandoned message's homa.rx span must close, not stay open.
+        bed, ct, st, csock, ssock = make_bed(resend_interval=50e-6, max_resends=3)
+        obs = bed.enable_obs()
+        bed.link.set_loss_fn(
+            "a",
+            lambda p: p.transport.pkt_type == PacketType.DATA and p.transport.tso_offset > 0,
+        )
+        echo_server(bed, ssock)
+        failures = []
+
+        def client():
+            t = bed.client.app_thread(0)
+            try:
+                yield from csock.call(t, bed.server.addr, 6000, bytes(100 * KB))
+            except TransportError as exc:
+                failures.append(exc)
+
+        bed.loop.process(client())
+        bed.loop.run(until=1.0)
+        assert failures and st.messages_delivered == 0
+        rx = [s for s in obs.tracer.spans() if s.layer == "homa.rx"]
+        assert rx and all(s.attrs.get("outcome") == "abandoned" for s in rx)
+        assert all(s.attrs["resends"] == 4 for s in rx)
+        assert obs.tracer.layer_summary()["homa.rx"]["open"] == 0
+
+    def test_delivered_memory_keeps_the_newest_ids(self):
+        # A full delivered-ID memory forgets its oldest entry, not all of
+        # them: a late copy of the newest request is still a duplicate,
+        # so plain Homa (whose codec accepts every ID) runs it only once.
+        bed, ct, st, csock, ssock = make_bed()
+        st._delivered.update(dict.fromkeys((0, 0, 2 * i) for i in range(100_000)))
+        requests = []
+        original = bed.link._a_to_b.receiver
+
+        def capture(packet):
+            if packet.transport.pkt_type == PacketType.DATA:
+                requests.append(packet)
+            original(packet)
+
+        bed.link._a_to_b.receiver = capture
+        echo_server(bed, ssock)
+        [(response, _)] = run_client(bed, csock, [b"r" * 64])
+        assert response == b"r" * 64 and len(requests) == 1
+        delivered, spurious = st.messages_delivered, st.spurious_ignored
+        original(requests[0])  # the network delivers a late duplicate
+        bed.loop.run()
+        assert st.messages_delivered == delivered == 1
+        assert st.spurious_ignored == spurious + 1
+        assert len(st._delivered) == 100_000
+
+
 class TestReceiverDriven:
     def test_grants_pace_large_messages(self):
         bed, ct, st, csock, ssock = make_bed(
