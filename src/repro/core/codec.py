@@ -25,7 +25,7 @@ from repro.homa.codec import (
 )
 from repro.host.costs import CostModel
 from repro.net.headers import PROTO_SMT
-from repro.nic.tls_offload import ResyncDescriptor, TlsOffloadDescriptor
+from repro.nic.tls_offload import ResyncDescriptor, TlsOffloadDescriptor, seal_layout
 from repro.tls.constants import (
     CONTENT_APPLICATION_DATA,
     MAX_RECORD_PAYLOAD,
@@ -200,12 +200,12 @@ class SmtCodec(MessageCodec):
         offload = self.session.offload
         queue = (msg_id >> 1) % self.num_nic_queues if offload else None
         # Zero-copy: record plaintexts are memoryview slices; they become
-        # bytes only inside seal() (or the join building the NIC layout).
+        # bytes only inside seal_batch() (or the join building the NIC
+        # layout).
         view = memoryview(payload)
         if not offload:
             # Software seal: gather every record of the message first, then
-            # seal the whole message in one batch so the AEAD generates its
-            # keystream tiles across all records in a single pass.
+            # seal the whole message in one record-layer batch.
             items: list[tuple] = []
             seg_counts: list[int] = []
             for seg in frame.segments:
@@ -228,11 +228,12 @@ class SmtCodec(MessageCodec):
                     self.records_sealed += 1
                     count += 1
                 seg_counts.append(count)
-            sealed = self.session.write_protection.seal_batch(items)
+            # ``[header, sealed, header, sealed, ...]``: one gather per segment.
+            pieces = self.session.write_protection.seal_batch(items)
             start = 0
             for seg, count in zip(frame.segments, seg_counts):
-                seg_payload = b"".join(sealed[start : start + count])
-                start += count
+                seg_payload = b"".join(pieces[start : start + 2 * count])
+                start += 2 * count
                 if len(seg_payload) != seg.wire_len:
                     raise ProtocolError("framing plan and wire bytes disagree")
                 plans.append(SegmentPlan(seg.tso_offset, seg_payload, tls=None))
@@ -243,7 +244,7 @@ class SmtCodec(MessageCodec):
                 nic_queue=queue,
             )
         for seg in frame.segments:
-            chunks: list[bytes] = []
+            parts: list = []
             descriptors = []
             for rec in seg.records:
                 if rec.index >= max_records:
@@ -255,14 +256,10 @@ class SmtCodec(MessageCodec):
                 cpu += self.costs.smt_frame_per_record
                 # Plaintext layout the NIC encrypts in place: header,
                 # plaintext, content-type placeholder, zero tag.
-                chunks.append(
-                    b"".join(
-                        (
-                            encode_record_header(rec.plaintext_len + 1 + TAG_SIZE),
-                            plaintext,
-                            bytes(1 + TAG_SIZE),
-                        )
-                    )
+                parts += (
+                    encode_record_header(rec.plaintext_len + 1 + TAG_SIZE),
+                    plaintext,
+                    bytes(1 + TAG_SIZE),
                 )
                 descriptors.append(
                     self.session.record_descriptor(
@@ -276,7 +273,7 @@ class SmtCodec(MessageCodec):
                 else self.session.context_key(queue)
             )
             tls = TlsOffloadDescriptor(context_key, descriptors)
-            seg_payload = b"".join(chunks)
+            seg_payload = b"".join(parts)
             if len(seg_payload) != seg.wire_len:
                 raise ProtocolError("framing plan and wire bytes disagree")
             plans.append(SegmentPlan(seg.tso_offset, seg_payload, tls=tls))
@@ -314,9 +311,9 @@ class SmtCodec(MessageCodec):
         out: list[bytes] = []
         cpu = self.costs.smt_session_lookup
         total = len(wire)
-        # Zero-copy: records are handed to the record layer as memoryview
-        # slices, so decode copies each byte once (inside AEAD open)
-        # instead of re-slicing the remaining wire per record.
+        # Zero-copy: records go to the record layer as memoryview slices of
+        # the wire and come back as views of the opened plaintexts, so the
+        # final join is the one copy of each byte after the AEAD.
         view = memoryview(wire)
         off = 0
         index = 0
@@ -373,14 +370,9 @@ class SmtCodec(MessageCodec):
                 continue
             if plan.tls is None:
                 return plan.payload
-            out = bytearray(plan.payload)
-            for rec in plan.tls.records:
-                start = rec.offset
-                header_end = start + RECORD_HEADER_SIZE
-                plaintext = bytes(out[header_end : header_end + rec.plaintext_len])
-                sealed = self.session.write_protection.seal(
-                    plaintext, rec.content_type, seqno=rec.seqno
-                )
-                out[start : start + len(sealed)] = sealed
-            return bytes(out)
+            records = plan.tls.records
+            return seal_layout(
+                self.session.write_protection, plan.payload, records,
+                [rec.seqno for rec in records],
+            )
         raise ProtocolError(f"no segment at TSO offset {tso_offset}")

@@ -6,13 +6,14 @@ AES-128-GCM.  Two implementations:
 
 - :class:`repro.crypto.gcm.AesGcm` -- the real cipher, used by default and
   in every security test.
-- :class:`FastAead` -- a stdlib-backed stand-in (BLAKE2b-derived keystream
-  + truncated HMAC-SHA1 tag) with identical interface and security
-  *semantics* (tamper detection, nonce binding).  Long-running benchmarks
-  may select it so host wall-clock time stays reasonable; virtual-time
-  costs are charged identically for both because the cost model prices
-  AES-128-GCM, not the Python implementation.  Its one memo is a byte-bounded
-  process-wide table of records sealed and not yet opened; instances hold keys.
+- :class:`FastAead` -- a hashlib + numpy stand-in (BLAKE2b-derived
+  keystream, prefix-keyed truncated SHA-1 tag) with identical interface
+  and security *semantics* (tamper detection, nonce binding).
+  Long-running benchmarks may select it so host wall-clock time stays
+  reasonable; virtual-time costs are charged identically for both because
+  the cost model prices AES-128-GCM, not the Python implementation.  Its
+  one memo is a byte-bounded process-wide table of records sealed and not
+  yet opened; instances hold keys.
 
 Both ciphers accept any bytes-like object (``memoryview`` included) for
 plaintext, ciphertext and AAD: the seal/open boundary is where the
@@ -25,6 +26,8 @@ import functools
 import hashlib
 import hmac as _hmac
 from typing import Protocol
+
+import numpy as np
 
 from repro.crypto.gcm import AesGcm
 from repro.errors import AuthenticationError, CryptoError
@@ -79,10 +82,19 @@ class _InFlight:
             self.evicted_unopened += 1
         self.high_water_bytes = max(self.high_water_bytes, self.bytes)
 
-    def take(self, key, aad: bytes, sealed: bytes) -> bytes | None:
-        """Plaintext of a byte-identical in-flight record, which it removes."""
+    def take(self, key, aad: bytes, sealed) -> bytes | None:
+        """Plaintext of a byte-identical in-flight record, which it removes.
+
+        ``sealed`` may be any bytes-like object: ``startswith`` at equal
+        length is one ``memcmp`` against the filed bytes, with no copy.
+        """
         hit = self.entries.get(key)
-        if hit is None or hit[0] != aad or hit[1] != sealed:
+        if (
+            hit is None
+            or hit[0] != aad
+            or len(hit[1]) != len(sealed)
+            or not hit[1].startswith(sealed)
+        ):
             self.misses += 1  # the genuine entry, if any, stays
             return None
         self.hits += 1
@@ -98,7 +110,7 @@ def in_flight_stats() -> dict[str, int]:
 
 
 class FastAead:
-    """Simulation AEAD: BLAKE2b-derived keystream, truncated HMAC-SHA1 tag.
+    """Simulation AEAD: BLAKE2b-derived keystream, prefix-keyed SHA-1 tag.
 
     Not a vetted cipher -- it exists so multi-gigabyte benchmark runs do not
     spend wall-clock hours inside pure-Python AES.  It preserves everything
@@ -107,11 +119,13 @@ class FastAead:
     same ciphertext.
 
     The keystream is one keyed BLAKE2b block per nonce, tiled across the
-    record and applied with a single big-int XOR; the MAC is a single
-    SHA-1 pass over the key and length-prefixed (nonce, aad, ciphertext).
-    A prefix-keyed truncated SHA-1 is not HMAC, and SHA-1 is not
-    collision-resistant -- acceptable for a simulation stand-in, where the
-    adversary is a fault injector flipping bytes, not a cryptanalyst.
+    record and applied with one numpy XOR per record (:meth:`_xor`, the
+    only XOR, shared by seal and open); the tag is one SHA-1 pass, fed
+    field by field, over the key and length-prefixed (nonce, aad,
+    ciphertext), truncated to 16 bytes.  A prefix-keyed truncated SHA-1 is
+    not HMAC, and SHA-1 is not collision-resistant -- acceptable for a
+    simulation stand-in, where the adversary is a fault injector flipping
+    bytes, not a cryptanalyst.
 
     An instance holds two derived keys and nothing else.  One memo exploits
     the simulation's loopback (sealer and opener share a process): ``seal``
@@ -131,39 +145,37 @@ class FastAead:
         self.key_size = len(key)
         self._enc_key = hashlib.sha256(b"fastaead-enc" + key).digest()
         self._mac_key = hashlib.sha256(b"fastaead-mac" + key).digest()
+        # Every tag hashes the MAC key first: hash it once, copy the state.
+        self._mac = hashlib.sha1(self._mac_key)
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
+    def _xor(self, nonce: bytes, data) -> np.ndarray:
+        """``data`` (any bytes-like) XOR the nonce's tiled keystream."""
+        length = len(data)
         block = hashlib.blake2b(nonce, key=self._enc_key, digest_size=64).digest()
-        if length <= 64:
-            return block[:length]
-        ks = block * ((length + 63) // 64)
-        return ks if len(ks) == length else ks[:length]
+        keystream = np.frombuffer(block * ((length + 63) >> 6), np.uint8, count=length)
+        return np.bitwise_xor(np.frombuffer(data, np.uint8), keystream)
 
     def _tag(self, nonce, aad, ciphertext) -> bytes:
-        msg = b"".join(
-            (
-                self._mac_key,
-                nonce,
-                len(aad).to_bytes(8, "big"),
-                aad,
-                len(ciphertext).to_bytes(8, "big"),
-                ciphertext,
+        h = self._mac.copy()
+        # The short fields go in as one join; the ciphertext is hashed in
+        # place (any bytes-like), never copied into the message.
+        h.update(
+            b"".join(
+                (nonce, len(aad).to_bytes(8, "big"), aad, len(ciphertext).to_bytes(8, "big"))
             )
         )
-        return hashlib.sha1(msg).digest()[: self.tag_size]
+        h.update(ciphertext)
+        return h.digest()[: self.tag_size]
 
     def seal(self, nonce: bytes, plaintext, aad=b"") -> bytes:
         # Not self.seal_many: a tracer wrapping both would count the record twice.
         return self._seal_records(((nonce, plaintext, aad),))[0]
 
     def seal_many(self, items: list) -> list[bytes]:
-        """Seal a batch of ``(nonce, plaintext, aad)`` records in one pass.
+        """Seal a batch of ``(nonce, plaintext, aad)`` records.
 
         Byte-identical to :meth:`seal` per record, in-flight entries
-        included, but the keystream tiles of every record are generated up
-        front and applied with a *single* big-int XOR over the concatenated
-        plaintexts -- one interpreter crossing for the whole message, not one
-        per record.  Tags stay per record (they bind nonce and AAD).
+        included; every nonce is checked before anything is sealed.
         """
         return self._seal_records(items)
 
@@ -171,20 +183,15 @@ class FastAead:
         nonces = [bytes(nonce) for nonce, _plaintext, _aad in items]
         if any(len(nonce) != self.nonce_size for nonce in nonces):
             raise CryptoError(f"nonce must be {self.nonce_size} bytes")
-        lengths = [len(plaintext) for _nonce, plaintext, _aad in items]
-        all_pt = b"".join([plaintext for _nonce, plaintext, _aad in items])
-        all_ks = b"".join(map(self._keystream, nonces, lengths))
-        n = int.from_bytes(all_pt, "little") ^ int.from_bytes(all_ks, "little")
-        all_ct = n.to_bytes(len(all_pt), "little")
         out: list[bytes] = []
-        pos = 0
-        for nonce, length, (_nonce, _plaintext, aad) in zip(nonces, lengths, items):
-            end = pos + length
-            ciphertext = all_ct[pos:end]
-            sealed = ciphertext + self._tag(nonce, aad, ciphertext)
-            _IN_FLIGHT.put((self._mac_key, nonce), bytes(aad), sealed, all_pt[pos:end])
+        for nonce, (_nonce, plaintext, aad) in zip(nonces, items):
+            ciphertext = self._xor(nonce, plaintext)
+            # The one copy after the XOR: ciphertext and tag into the record.
+            sealed = b"".join((ciphertext, self._tag(nonce, aad, ciphertext)))
+            if type(plaintext) is not bytes:
+                plaintext = bytes(plaintext)  # the table keeps its own
+            _IN_FLIGHT.put((self._mac_key, nonce), bytes(aad), sealed, plaintext)
             out.append(sealed)
-            pos = end
         return out
 
     def open(self, nonce: bytes, ciphertext_and_tag, aad=b"") -> bytes:
@@ -193,22 +200,18 @@ class FastAead:
         if len(ciphertext_and_tag) < self.tag_size:
             raise AuthenticationError("ciphertext shorter than the tag")
         nonce = bytes(nonce)
-        # Materialise bytes-like inputs here (the zero-copy boundary);
-        # bytes-to-bytes comparison below is memcmp, memoryview's is not.
-        if type(ciphertext_and_tag) is not bytes:
-            ciphertext_and_tag = bytes(ciphertext_and_tag)
         if type(aad) is not bytes:
             aad = bytes(aad)
         plaintext = _IN_FLIGHT.take((self._mac_key, nonce), aad, ciphertext_and_tag)
         if plaintext is not None:
             return plaintext  # the record is byte-identical to what was sealed
-        ciphertext = ciphertext_and_tag[: -self.tag_size]
-        tag = ciphertext_and_tag[-self.tag_size :]
+        # Verify, then decrypt, both reading the caller's buffer in place.
+        record = memoryview(ciphertext_and_tag)
+        ciphertext = record[: -self.tag_size]
+        tag = record[-self.tag_size :]
         if not _hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
             raise AuthenticationError("FastAead tag mismatch")
-        ks = self._keystream(nonce, len(ciphertext))
-        n = int.from_bytes(ciphertext, "little") ^ int.from_bytes(ks, "little")
-        return n.to_bytes(len(ciphertext), "little")
+        return self._xor(nonce, ciphertext).tobytes()
 
 
 _AEAD_KINDS = {

@@ -78,48 +78,47 @@ class KtlsConnection:
             yield from self.conn.send(thread, payload)
             return
         crypto_cost = 0.0
+        view = memoryview(payload)  # records are zero-copy slices until sealed
         off = 0
         while off < len(payload):
             # Pack up to a TSO segment's worth of records per TCP chunk so
             # segments align with record boundaries (offload requirement).
-            chunk_records: list[bytes] = []
-            descriptors: list[RecordDescriptor] = []
-            chunk_off = 0
-            while off < len(payload) and len(chunk_records) < max(1, _RECORDS_PER_CHUNK):
-                plaintext = payload[off : off + self.max_record_payload]
+            records: list[tuple] = []
+            while off < len(payload) and len(records) < max(1, _RECORDS_PER_CHUNK):
+                plaintext = view[off : off + self.max_record_payload]
                 off += len(plaintext)
-                if self.mode == "sw":
-                    chunk_records.append(
-                        self._write.seal(plaintext, CONTENT_APPLICATION_DATA)
-                    )
-                    crypto_cost += self.costs.crypto_cost(len(plaintext))
-                else:
-                    descriptors.append(
-                        RecordDescriptor(
-                            offset=chunk_off,
-                            plaintext_len=len(plaintext),
-                            seqno=self._tx_seq,
-                        )
-                    )
-                    self._tx_seq += 1
-                    chunk_records.append(
-                        encode_record_header(len(plaintext) + 1 + TAG_SIZE)
-                        + plaintext
-                        + bytes(1 + TAG_SIZE)
-                    )
-                chunk_off += len(chunk_records[-1])
+                records.append((plaintext, CONTENT_APPLICATION_DATA, self._tx_seq))
+                self._tx_seq += 1
                 self.records_sealed += 1
-            if self.mode == "hw":
+                if self.mode == "sw":
+                    crypto_cost += self.costs.crypto_cost(len(plaintext))
+            if self.mode == "sw":
+                chunk = b"".join(self._write.seal_batch(records))
+                tls = None
+            else:
+                chunk, tls = self._offload_layout(records)
                 crypto_cost += self.costs.offload_meta_per_segment
-            tls = (
-                TlsOffloadDescriptor(self._context_key, descriptors)
-                if self.mode == "hw"
-                else None
-            )
             if crypto_cost:
                 yield from thread.work(crypto_cost)
                 crypto_cost = 0.0
-            yield from self.conn.send(thread, b"".join(chunk_records), tls=tls)
+            yield from self.conn.send(thread, chunk, tls=tls)
+
+    def _offload_layout(self, records: list) -> tuple[bytes, TlsOffloadDescriptor]:
+        """Plaintext layout of a chunk plus the descriptors the NIC seals by."""
+        parts: list = []
+        descriptors: list[RecordDescriptor] = []
+        chunk_off = 0
+        for plaintext, _content_type, seqno in records:
+            descriptors.append(
+                RecordDescriptor(offset=chunk_off, plaintext_len=len(plaintext), seqno=seqno)
+            )
+            parts += (
+                encode_record_header(len(plaintext) + 1 + TAG_SIZE),
+                plaintext,
+                bytes(1 + TAG_SIZE),
+            )
+            chunk_off += descriptors[-1].wire_len
+        return b"".join(parts), TlsOffloadDescriptor(self._context_key, descriptors)
 
     # -- receive -----------------------------------------------------------------
 
@@ -131,23 +130,33 @@ class KtlsConnection:
         """
         out: list[bytes] = []
         cost = 0.0
-        while len(self._rx_buf) >= RECORD_HEADER_SIZE:
-            _t, ct_len = parse_record_header(bytes(self._rx_buf[:RECORD_HEADER_SIZE]))
-            total = RECORD_HEADER_SIZE + ct_len
-            if len(self._rx_buf) < total:
-                break
-            record = bytes(self._rx_buf[:total])
-            del self._rx_buf[:total]
-            opened = self._read.open(record)
-            if opened.content_type != CONTENT_APPLICATION_DATA:
-                raise ProtocolError("unexpected TLS content type on data path")
-            out.append(opened.payload)
-            self.records_opened += 1
-            cost += (
-                self.costs.record_parse
-                + self.costs.stream_gather_per_byte * total
-                + self.costs.crypto_cost(len(opened.payload))
-            )
+        buf = self._rx_buf
+        view = memoryview(buf)
+        off = 0
+        try:
+            while len(buf) - off >= RECORD_HEADER_SIZE:
+                _t, ct_len = parse_record_header(view[off : off + RECORD_HEADER_SIZE])
+                total = RECORD_HEADER_SIZE + ct_len
+                if len(buf) - off < total:
+                    break
+                # Each record is copied out of the stream once, so nothing
+                # the AEAD holds (a traceback included) pins the buffer, and
+                # the consumed prefix is dropped once, in ``finally``.
+                record = bytes(view[off : off + total])
+                off += total
+                opened = self._read.open(record)
+                if opened.content_type != CONTENT_APPLICATION_DATA:
+                    raise ProtocolError("unexpected TLS content type on data path")
+                out.append(opened.payload)
+                self.records_opened += 1
+                cost += (
+                    self.costs.record_parse
+                    + self.costs.stream_gather_per_byte * total
+                    + self.costs.crypto_cost(len(opened.payload))
+                )
+        finally:
+            view.release()
+            del buf[:off]
         return out, cost
 
     def recv(self, thread: AppThread) -> Generator[Any, Any, bytes]:

@@ -151,10 +151,8 @@ class FlowContextTable:
         if self.obs is not None:
             self.obs.metrics.counter(f"{self.obs_name}.resyncs_applied").add()
 
-    def encrypt_segment(
-        self, payload: bytes, descriptor: TlsOffloadDescriptor
-    ) -> bytearray:
-        """Encrypt every described record in ``payload`` in place.
+    def encrypt_segment(self, payload, descriptor: TlsOffloadDescriptor) -> bytes:
+        """Encrypt every described record in ``payload``.
 
         The engine uses its *expected* sequence number, not the one the
         host intended: if they disagree (and no resync fixed it), the
@@ -174,12 +172,7 @@ class FlowContextTable:
                 "nic.tls_offload", self.obs_name, records=len(descriptor.records)
             )
         out_of_sync = 0
-        out = bytearray(payload)
-        # Zero-copy within the engine: records are read through one
-        # memoryview of the working buffer (the AEAD materialises at its
-        # own boundary); every splice below is same-length, so the view
-        # never blocks a resize.
-        mv = memoryview(out)
+        seqnos: list[int] = []
         for rec in descriptor.records:
             if ctx.expected_seqno is None:
                 # First record ever seen on this context defines the start.
@@ -188,19 +181,12 @@ class FlowContextTable:
             if use_seqno != rec.seqno:
                 ctx.out_of_sync_records += 1
                 out_of_sync += 1
-            start = rec.offset
-            header_end = start + RECORD_HEADER_SIZE
-            body_end = header_end + rec.plaintext_len + 1 + TAG_SIZE
-            if body_end > len(payload):
+            if rec.offset + rec.wire_len > len(payload):
                 raise ProtocolError("record descriptor exceeds segment payload")
-            plaintext = mv[header_end : header_end + rec.plaintext_len]
-            sealed = ctx.protection.seal(
-                plaintext, rec.content_type, seqno=use_seqno
-            )
-            # seal() returns header + ciphertext; splice the whole record.
-            out[start:body_end] = sealed
+            seqnos.append(use_seqno)
             ctx.records_encrypted += 1
             ctx.expected_seqno = use_seqno + 1
+        out = seal_layout(ctx.protection, payload, descriptor.records, seqnos)
         if obs is not None:
             obs.metrics.counter(f"{self.obs_name}.records_encrypted").add(
                 len(descriptor.records)
@@ -210,8 +196,31 @@ class FlowContextTable:
                     out_of_sync
                 )
             obs.tracer.end(span, out_of_sync=out_of_sync)
-        mv.release()
-        # The working buffer is returned as-is (no final 64 KB copy): it is
-        # freshly allocated per segment and downstream consumers only slice
-        # it through memoryviews.
         return out
+
+
+def seal_layout(protection: RecordProtection, payload, records, seqnos) -> bytes:
+    """``payload``, a plaintext-layout segment, with ``records`` sealed.
+
+    Each described region (header, plaintext, content-type and tag
+    placeholders) becomes the record sealed under its entry of ``seqnos``;
+    the bytes between regions pass through.  The records are sealed as one
+    batch and the segment is gathered once, straight from the pieces, so
+    each byte is copied once after the AEAD.  Records must be in offset
+    order and must not overlap (every layout here is built that way).
+    """
+    view = memoryview(payload)
+    items = []
+    for rec, seqno in zip(records, seqnos):
+        start = rec.offset + RECORD_HEADER_SIZE
+        items.append((view[start : start + rec.plaintext_len], rec.content_type, seqno))
+    pieces = protection.seal_batch(items)
+    parts: list = []
+    pos = 0
+    for i, rec in enumerate(records):
+        if rec.offset < pos:
+            raise ProtocolError("record descriptors overlap or are out of order")
+        parts += (view[pos : rec.offset], pieces[2 * i], pieces[2 * i + 1])
+        pos = rec.offset + rec.wire_len
+    parts.append(view[pos:])
+    return b"".join(parts)

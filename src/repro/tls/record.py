@@ -113,13 +113,15 @@ class RecordProtection:
         return header + ciphertext
 
     def seal_batch(self, items: list) -> list[bytes]:
-        """Seal ``(payload, content_type, seqno)`` records in one pass.
+        """Seal ``(payload, content_type, seqno)`` records in one call.
 
-        Byte-identical to calling :meth:`seal` per record with explicit
-        seqnos and no padding.  The AEAD's ``seal_many`` decides how: the
-        simulation :class:`~repro.crypto.aead.FastAead` generates and
-        applies the keystream tiles of every record in a single pass,
-        AES-GCM seals record by record.
+        Returns the records as wire pieces, ``[header_0, sealed_0,
+        header_1, sealed_1, ...]``: ``header_i + sealed_i`` is
+        byte-identical to :meth:`seal` with that seqno and no padding, so
+        ``b"".join(pieces[2 * i : 2 * j])`` is records ``i`` to ``j - 1`` on
+        the wire -- one gather by the caller, no per-record
+        ``header + ciphertext`` copy before it.  The AEAD's ``seal_many``
+        seals the batch.
         """
         headers: list[bytes] = []
         batch: list[tuple] = []
@@ -129,12 +131,17 @@ class RecordProtection:
                 raise ProtocolError(
                     f"record payload {len(payload)} exceeds {MAX_RECORD_PAYLOAD}"
                 )
+            # The seal side's one plaintext copy: it materialises the
+            # zero-copy payload slice, and FastAead files this very object.
             inner = b"".join((payload, bytes((content_type,))))
             header = encode_record_header(len(inner) + TAG_SIZE)
             headers.append(header)
             batch.append((nonce_for(seqno), inner, header))
         sealed = self._aead.seal_many(batch)
-        return [header + ct for header, ct in zip(headers, sealed)]
+        pieces: list[bytes] = [b""] * (2 * len(sealed))
+        pieces[0::2] = headers
+        pieces[1::2] = sealed
+        return pieces
 
     def open_parsed(self, header, body, seqno: int) -> TLSRecord:
         """Open one record whose header the caller already parsed.
@@ -144,15 +151,15 @@ class RecordProtection:
         entry point skips :meth:`open`'s re-parse.  ``header`` and
         ``body`` may be memoryview slices; the caller has verified the
         outer content type and that ``len(body)`` matches the header's
-        length field.
+        length field.  The returned ``payload`` is a read-only
+        ``memoryview`` of the opened plaintext, so the caller's gather of
+        a message's records is the one copy of each byte after the AEAD.
         """
         inner = self._aead.open(self.nonce_for(seqno), body, aad=header)
-        end = len(inner)
-        while end > 0 and inner[end - 1] == 0:
-            end -= 1
-        if end == 0:
-            raise ProtocolError("record with no content type")
-        return TLSRecord(content_type=inner[end - 1], payload=inner[: end - 1], seqno=seqno)
+        content = _strip_padding(inner)
+        return TLSRecord(
+            content_type=content[-1], payload=memoryview(content)[:-1], seqno=seqno
+        )
 
     def open(self, record, seqno: Optional[int] = None) -> TLSRecord:
         """Decrypt one full record; raises AuthenticationError on tampering.
@@ -169,17 +176,25 @@ class RecordProtection:
         outer_type, ct_len = parse_record_header(record)
         if outer_type != CONTENT_APPLICATION_DATA:
             raise ProtocolError(f"unexpected outer content type {outer_type}")
-        body = record[RECORD_HEADER_SIZE:]
+        view = memoryview(record)  # the AEAD reads the body in place
+        body = view[RECORD_HEADER_SIZE:]
         if len(body) != ct_len:
             raise ProtocolError("record length field mismatch")
-        header = record[:RECORD_HEADER_SIZE]
+        header = bytes(view[:RECORD_HEADER_SIZE])
         inner = self._aead.open(self.nonce_for(seqno), body, aad=header)
         if not explicit:
             self._next_seqno += 1
-        # Strip zero padding back to the content-type byte.
-        end = len(inner)
-        while end > 0 and inner[end - 1] == 0:
-            end -= 1
-        if end == 0:
-            raise ProtocolError("record with no content type")
-        return TLSRecord(content_type=inner[end - 1], payload=inner[: end - 1], seqno=seqno)
+        content = _strip_padding(inner)
+        return TLSRecord(content_type=content[-1], payload=content[:-1], seqno=seqno)
+
+
+def _strip_padding(inner: bytes) -> bytes:
+    """``content || content_type`` of an opened inner plaintext.
+
+    TLS 1.3 padding is the zero bytes after the content-type byte; one C
+    scan strips them, and returns ``inner`` itself when there are none.
+    """
+    content = inner.rstrip(b"\x00")
+    if not content:
+        raise ProtocolError("record with no content type")
+    return content

@@ -159,6 +159,58 @@ class TestSealOpen:
         assert opener.open(sealer.seal(b"\x02\x28", CONTENT_ALERT)).content_type == CONTENT_ALERT
 
 
+def _strip_reference(inner: bytes):
+    """The byte-at-a-time padding strip the C scan replaced."""
+    end = len(inner)
+    while end > 0 and inner[end - 1] == 0:
+        end -= 1
+    if end == 0:
+        raise ProtocolError("record with no content type")
+    return inner[end - 1], inner[: end - 1]
+
+
+class TestPaddingStrip:
+    """open and open_parsed strip padding like the byte loop they replaced."""
+
+    @staticmethod
+    def _open_both(kind, record, seqno):
+        opener = RecordProtection(new_aead(kind, KEY), IV)
+        full = opener.open(record, seqno=seqno)
+        view = memoryview(record)
+        parsed = opener.open_parsed(
+            view[:RECORD_HEADER_SIZE], view[RECORD_HEADER_SIZE:], seqno
+        )
+        return full, parsed
+
+    @pytest.mark.parametrize("kind", ["fast", "aes-128-gcm"])
+    @pytest.mark.parametrize("padding", [0, 1, 16_000])
+    @pytest.mark.parametrize(
+        "payload", [b"", b"data", b"data\x00\x00\x00", b"\x00" * 7], ids=repr
+    )
+    def test_same_record_as_the_byte_loop(self, kind, padding, payload):
+        sealer = RecordProtection(new_aead(kind, KEY), IV)
+        record = sealer.seal(payload, CONTENT_HANDSHAKE, seqno=9, padding=padding)
+        inner = payload + bytes((CONTENT_HANDSHAKE,)) + bytes(padding)
+        assert _strip_reference(inner) == (CONTENT_HANDSHAKE, payload)
+        for opened in self._open_both(kind, record, 9):
+            assert (opened.content_type, bytes(opened.payload)) == (
+                CONTENT_HANDSHAKE, payload,
+            )
+
+    @pytest.mark.parametrize("padding", [0, 1, 16_000])
+    def test_all_zero_inner_has_no_content_type(self, padding):
+        sealer = RecordProtection(new_aead("fast", KEY), IV)
+        record = sealer.seal(b"\x00" * 3, content_type=0, seqno=4, padding=padding)
+        with pytest.raises(ProtocolError, match="no content type"):
+            _strip_reference(bytes(4 + padding))
+        opener = RecordProtection(new_aead("fast", KEY), IV)
+        with pytest.raises(ProtocolError, match="no content type"):
+            opener.open(record, seqno=4)
+        view = memoryview(record)
+        with pytest.raises(ProtocolError, match="no content type"):
+            opener.open_parsed(view[:RECORD_HEADER_SIZE], view[RECORD_HEADER_SIZE:], 4)
+
+
 class TestNonceDerivation:
     def test_nonce_xors_seqno_into_iv(self):
         protection = RecordProtection(new_aead("aes-128-gcm", KEY), b"\xff" * 12)
