@@ -16,6 +16,7 @@ from repro.errors import ProtocolError, TransportError
 from repro.homa.codec import EncodedMessage, MessageCodec, SegmentPlan
 from repro.homa.constants import HomaConfig
 from repro.homa.message import InboundMessage, OutboundMessage
+from repro.host.cpu import discard, per_item
 from repro.net.headers import PROTO_HOMA, PacketType, TransportHeader
 from repro.net.packet import Packet
 from repro.nic.tso import TsoSegment
@@ -56,6 +57,18 @@ class HomaTransport:
         self.resend_requests = 0
         self.packets_retransmitted = 0
         self.corrupt_recoveries = 0
+        # Softirq batch handlers, built once; only DATA batches (GRO).
+        self._on_data = per_item(self._handle_data)
+        self._on_control = {
+            PacketType.GRANT: per_item(self._handle_grant),
+            PacketType.RESEND: per_item(self._handle_resend),
+            PacketType.ACK: per_item(self._handle_ack),
+        }
+        self._on_resend_due = per_item(self._request_resend)
+        # Receive counters bound per packet type on the loop's current
+        # observability (see _rx_counters).
+        self._rx_obs = None
+        self._rx_bound: dict = {}
 
     # -- socket registry ---------------------------------------------------------
 
@@ -292,25 +305,44 @@ class HomaTransport:
         c = self.costs
         obs = self.loop.obs
         if obs is not None:
-            m = obs.metrics
-            m.counter(f"{self.host.name}.homa.rx.packets").add()
-            m.counter(f"{self.host.name}.homa.rx.{t.pkt_type.name.lower()}").add()
+            packets, by_type = self._rx_counters(obs, t.pkt_type)
+            packets.add()
+            by_type.add()
         if t.pkt_type == PacketType.DATA:
             # Softirq only queues packet buffers; the gather/copy into the
             # user message happens at recvmsg on the app thread (the paper's
             # full-message-then-copy receive, §5.1).
             per_byte = c.homa_rx_per_byte * len(packet.payload)
-            cost = c.homa_rx_per_packet + per_byte
-            merge_key = (id(self), packet.ip.src_addr, t.src_port, "data")
-            merge_cost = c.homa_rx_merged_per_packet + per_byte
-            return cost, (lambda: self._handle_data(packet)), merge_key, merge_cost
-        if t.pkt_type == PacketType.GRANT:
-            return c.homa_grant_rx, (lambda: self._handle_grant(packet)), None, 0.0
-        if t.pkt_type == PacketType.RESEND:
-            return c.homa_grant_rx, (lambda: self._handle_resend(packet)), None, 0.0
-        if t.pkt_type == PacketType.ACK:
-            return c.homa_grant_rx, (lambda: self._handle_ack(packet)), None, 0.0
-        return 0.1e-6, (lambda: None), None, 0.0
+            return (
+                c.homa_rx_per_packet + per_byte,
+                self._on_data,
+                packet,
+                (self, packet.ip.src_addr, t.src_port),
+                c.homa_rx_merged_per_packet + per_byte,
+            )
+        handler = self._on_control.get(t.pkt_type)
+        if handler is not None:
+            return c.homa_grant_rx, handler, packet, None, 0.0
+        return 0.1e-6, discard, packet, None, 0.0
+
+    def _rx_counters(self, obs, pkt_type: PacketType):
+        """The (all packets, this type) receive counters on ``obs``.
+
+        Bound on first use per type, in the order a by-name lookup per
+        packet would create them, so the registry is the same.
+        """
+        if obs is not self._rx_obs:
+            self._rx_obs = obs
+            self._rx_bound = {}
+        pair = self._rx_bound.get(pkt_type)
+        if pair is None:
+            m = obs.metrics
+            name = self.host.name
+            pair = self._rx_bound[pkt_type] = (
+                m.counter(f"{name}.homa.rx.packets"),
+                m.counter(f"{name}.homa.rx.{pkt_type.name.lower()}"),
+            )
+        return pair
 
     # .. data ..
 
@@ -385,7 +417,9 @@ class HomaTransport:
                 )
                 return (extra + self.costs.homa_grant_tx) or None
             return extra or None
-        asm = inbound.assembler(t.tso_offset)
+        asm = inbound.segments.get(t.tso_offset)
+        if asm is None:
+            asm = inbound.assembler(t.tso_offset)
         was_complete = asm.complete
         if t.retransmit_offset:
             asm.add_explicit_packet(t.retransmit_offset - 1, packet.payload)
@@ -397,11 +431,12 @@ class HomaTransport:
         if asm.complete and not was_complete:
             inbound.received_bytes += asm.seg_len
             inbound.last_progress = self.loop.now
-        if inbound.complete and not inbound.delivered:
+        # ``inbound.complete``, read once per packet without the property.
+        if inbound.received_bytes < inbound.wire_len:
+            extra += self._maybe_grant(inbound)
+        elif not inbound.delivered:
             inbound.delivered = True
             extra += self._deliver(key, inbound, socket)
-        elif not inbound.complete:
-            extra += self._maybe_grant(inbound)
         return extra or None
 
     def _deliver(self, key: tuple, inbound: InboundMessage, socket) -> float:
@@ -546,7 +581,7 @@ class HomaTransport:
                 inbound.peer_addr, inbound.peer_port,
                 inbound.local_port, self.proto,
             )
-            core.submit(self.costs.homa_grant_tx, lambda: self._request_resend(inbound))
+            core.submit(self.costs.homa_grant_tx, self._on_resend_due, inbound)
         inbound.resend_timer = self.loop.timer_later(
             self.config.resend_delay(interval, inbound.resends),
             self._resend_check,

@@ -21,13 +21,13 @@ retransmissions that complete the segment unambiguously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 from repro.errors import ProtocolError
 from repro.homa.codec import EncodedMessage, MessageCodec
 
 
-def sort_circular_ipids(ipids: list[int]) -> list[int]:
+def sort_circular_ipids(ipids: Collection[int]) -> list[int]:
     """Order IPIDs that form one consecutive run modulo 2^16."""
     if not ipids:
         return []
@@ -60,8 +60,7 @@ class SegmentAssembler:
         "complete",
         "spurious",
         "_view",
-        "_ipids",
-        "_tso_payloads",
+        "_by_ipid",
         "_by_offset",
     )
 
@@ -72,8 +71,8 @@ class SegmentAssembler:
         if view is None:
             view = memoryview(bytearray(seg_len))
         self._view = view
-        self._ipids: list[int] = []
-        self._tso_payloads: list[bytes] = []
+        # Rank-unknown TSO packets by IPID; explicit ones by byte offset.
+        self._by_ipid: dict[int, bytes] = {}
         self._by_offset: dict[int, bytes] = {}
         self.complete = False
         self.spurious = 0
@@ -84,16 +83,14 @@ class SegmentAssembler:
 
     def add_tso_packet(self, ipid: int, payload: bytes) -> None:
         """A normal (rank-unknown) packet cut by TSO."""
-        if self.complete or ipid in self._ipids:
+        by_ipid = self._by_ipid
+        if self.complete or ipid in by_ipid:
             self.spurious += 1
             return
-        self._ipids.append(ipid)
-        self._tso_payloads.append(payload)
+        by_ipid[ipid] = payload
         # Pure-TSO completion: every packet arrived normally.
-        if len(self._ipids) == self.num_packets:
-            order = sort_circular_ipids(self._ipids)
-            by_ipid = dict(zip(self._ipids, self._tso_payloads))
-            self._finish([by_ipid[ipid] for ipid in order])
+        if len(by_ipid) == self.num_packets:
+            self._finish([by_ipid[ipid] for ipid in sort_circular_ipids(by_ipid)])
 
     def add_explicit_packet(self, offset: int, payload: bytes) -> None:
         """A retransmitted packet carrying its in-segment byte offset."""
@@ -128,8 +125,7 @@ class SegmentAssembler:
             view[pos:end] = chunk
             pos = end
         self.complete = True
-        self._ipids = []
-        self._tso_payloads = []
+        self._by_ipid.clear()
         self._by_offset.clear()
 
 

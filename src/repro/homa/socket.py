@@ -24,7 +24,7 @@ from repro.errors import (
 from repro.homa.codec import MessageCodec, PlainCodec, packets_per_segment_for
 from repro.homa.engine import HomaTransport
 from repro.homa.message import InboundMessage
-from repro.host.cpu import AppThread
+from repro.host.cpu import AppThread, per_item
 from repro.sim.resources import Store
 
 
@@ -80,6 +80,7 @@ class HomaSocket:
         self._response_timers: dict[int, list] = {}
         # (peer_addr, msg_id) -> failed-decode count (corruption recovery).
         self._corrupt_attempts: dict[tuple[int, int], int] = {}
+        self._on_retry_due = per_item(self._retry)  # softirq batch handler
         transport.bind(self, port)
 
     def codec_for(self, peer_addr: int, peer_port: int) -> MessageCodec:
@@ -247,26 +248,25 @@ class HomaSocket:
             self._response_timers.pop(msg_id, None)
             event.fail(TransportError(f"RPC {msg_id} timed out"))
             return
-        dest_addr, dest_port = chain.dest_addr, chain.dest_port
         core = self.transport.host.softirq_core_for_flow(
-            dest_addr, dest_port, self.port, self.transport.proto
+            chain.dest_addr, chain.dest_port, self.port, self.transport.proto
         )
-
-        def retry() -> float:
-            # The request itself may have vanished entirely: resend it
-            # alongside asking for the response.
-            cost = self.transport.retransmit_outbound(dest_addr, msg_id)
-            self.transport.request_response_resend(
-                dest_addr, dest_port, msg_id | 1
-            )
-            return cost
-
-        core.submit(self.costs.homa_grant_tx, retry)
+        core.submit(self.costs.homa_grant_tx, self._on_retry_due, chain)
         chain.timer = self.loop.timer_later(
             config.resend_delay(config.resend_interval, chain.attempts),
             self._response_check,
             chain,
         )
+
+    def _retry(self, chain: "_RetryChain") -> float:
+        """Softirq work of one RPC timeout; returns its CPU cost."""
+        # The request itself may have vanished entirely: resend it
+        # alongside asking for the response.
+        cost = self.transport.retransmit_outbound(chain.dest_addr, chain.msg_id)
+        self.transport.request_response_resend(
+            chain.dest_addr, chain.dest_port, chain.msg_id | 1
+        )
+        return cost
 
     def _cancel_response_timers(self, msg_id: int) -> None:
         """RPC completed: every remaining fire would be a no-op, so cancel."""

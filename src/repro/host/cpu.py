@@ -8,9 +8,10 @@ message's packets when both land on the same core.
 
 GRO/NAPI batching is modelled through *merge keys*: consecutive queued
 items with the same key are drained together, the first at full cost and
-the rest at their (cheaper) merge cost.  Under load batches form
-naturally; an unloaded core sees no batching, so latency is unaffected --
-matching how GRO behaves.
+the rest at their (cheaper) merge cost, and handed to their handler in
+one call, as GRO hands the stack one merged batch.  Under load batches
+form naturally; an unloaded core sees no batching, so latency is
+unaffected -- matching how GRO behaves.
 
 An :class:`AppThread` pins an application-level process to one app core.
 """
@@ -24,20 +25,41 @@ from repro.sim.event_loop import Event, EventLoop
 from repro.sim.resources import Resource
 
 
-class _Work:
-    __slots__ = ("cost", "handler", "merge_key", "merge_cost")
+#: Receive work's one handler shape: called once per batch with the
+#: batch's per-item arguments in submission order; returns the batch's
+#: extra CPU seconds (see :meth:`SoftirqCore.submit`).
+BatchHandler = Callable[[list], Optional[float]]
 
-    def __init__(
-        self,
-        cost: float,
-        handler: Callable[[], Optional[float]],
-        merge_key: Optional[object],
-        merge_cost: float,
-    ):
-        self.cost = cost
-        self.handler = handler
-        self.merge_key = merge_key
-        self.merge_cost = merge_cost
+
+def is_charge(extra: object) -> bool:
+    """True if a handler's return value is extra CPU seconds to charge.
+
+    Only a positive int or float is a charge; ``None``, a ``bool`` or any
+    other accidental return value is not.
+    """
+    return isinstance(extra, (int, float)) and not isinstance(extra, bool) and extra > 0
+
+
+def per_item(fn: Callable[[Any], object]) -> BatchHandler:
+    """The batch handler that runs ``fn`` on each item in order.
+
+    Each item's charge is added to the batch's extra in item order, the
+    way the core summed one handler per item.
+    """
+
+    def handle(items: list) -> float:
+        extra_total = 0.0
+        for item in items:
+            extra = fn(item)
+            if extra is not None and is_charge(extra):
+                extra_total += extra
+        return extra_total
+
+    return handle
+
+
+def discard(items: list) -> None:
+    """The batch handler of work that does nothing (packets nobody takes)."""
 
 
 class SoftirqCore:
@@ -48,19 +70,23 @@ class SoftirqCore:
     ``seq`` values and event counts are unchanged: a wake-up is filed
     with ``call_soon`` when work is taken (at ``submit`` if the core is
     idle, at the end of the previous batch otherwise); a batch's cost and
-    the extra cost its handlers return each run on a ``call_later`` whose
-    firing files one ``call_soon``; zero-cost handlers run in the wake-up
-    itself.  An exception from a handler propagates out of ``loop.run()``.
+    the extra cost its handler returns each run on a ``call_later`` whose
+    firing files one ``call_soon``; a zero-cost batch's handler runs in
+    the wake-up itself.  An exception from a handler propagates out of
+    ``loop.run()``.
     """
 
     def __init__(self, loop: EventLoop, name: str = "softirq"):
         self.loop = loop
         self.name = name
-        self._queue: deque[_Work] = deque()
+        # Queued work: (cost, handler, arg, merge_key, merge_cost) tuples.
+        self._queue: deque[tuple] = deque()
         # True while nothing is queued and no batch is in service.
         self._idle = False
-        # The batch in service, its cost, its handlers' extra cost, its span.
-        self._batch: list[_Work] = []
+        # The batch in service: its handler and arguments, its cost, the
+        # extra cost the handler returned, its span.
+        self._handler: Optional[BatchHandler] = None
+        self._args: list = []
         self._cost = 0.0
         self._extra = 0.0
         self._span = None
@@ -74,12 +100,22 @@ class SoftirqCore:
     def submit(
         self,
         cost: float,
-        handler: Callable[[], Optional[float]],
+        handler: BatchHandler,
+        arg: Any = None,
         merge_key: Optional[object] = None,
         merge_cost: float = 0.0,
     ) -> None:
-        """Queue work; consecutive items sharing ``merge_key`` batch (GRO)."""
-        work = _Work(cost, handler, merge_key, merge_cost)
+        """Queue one item of work: ``handler`` will see ``arg`` in a batch.
+
+        Consecutive queued items sharing a non-None ``merge_key`` drain as
+        one batch (GRO): the first at ``cost``, the rest at their
+        ``merge_cost``, and the first item's ``handler`` is called once
+        with every item's ``arg`` -- so items sharing a key must share a
+        handler.  An item without a key is a batch of one.  The handler
+        returns the batch's extra CPU seconds, charged after it runs;
+        only a positive int or float counts (see :func:`is_charge`).
+        """
+        work = (cost, handler, arg, merge_key, merge_cost)
         if self._idle:
             self._idle = False
             self.loop.call_soon(self._serve, work)
@@ -93,21 +129,26 @@ class SoftirqCore:
         else:
             self._idle = True
 
-    def _serve(self, work: _Work) -> None:
-        batch = [work]
+    def _serve(self, work: tuple) -> None:
+        cost, handler, arg, merge_key, _ = work
+        args = [arg]
         queue = self._queue
-        if work.merge_key is not None:
+        if merge_key is not None and queue and queue[0][3] == merge_key:
             # Drain consecutive same-key items already queued.
-            while queue and queue[0].merge_key == work.merge_key:
-                batch.append(queue.popleft())
-        cost = batch[0].cost + sum(w.merge_cost for w in batch[1:])
-        self._batch = batch
+            merge_costs = []
+            while queue and queue[0][3] == merge_key:
+                _, _, arg, _, merge_cost = queue.popleft()
+                args.append(arg)
+                merge_costs.append(merge_cost)
+            cost += sum(merge_costs)
+        self._handler = handler
+        self._args = args
         self._cost = cost
         obs = self.loop.obs
         if obs is not None:
             # Explicit begin/end (not the context manager): the span
             # covers the cost timers, so stack-based parenting cannot apply.
-            self._span = obs.tracer.begin("host.softirq", self.name, items=len(batch))
+            self._span = obs.tracer.begin("host.softirq", self.name, items=len(args))
         if cost > 0:
             self.loop.call_later(cost, self.loop.call_soon, self._charged)
         else:
@@ -118,17 +159,12 @@ class SoftirqCore:
         self._handle()
 
     def _handle(self) -> None:
-        extra_total = 0.0
-        for w in self._batch:
-            extra = w.handler()
-            # Only numeric returns are extra CPU cost; anything else is
-            # an accidental return value, not a charge.
-            if isinstance(extra, (int, float)) and extra > 0:
-                extra_total += extra
-        self._extra = extra_total
-        if extra_total > 0:
-            self.loop.call_later(extra_total, self.loop.call_soon, self._extra_charged)
+        extra = self._handler(self._args)
+        if is_charge(extra):
+            self._extra = extra
+            self.loop.call_later(extra, self.loop.call_soon, self._extra_charged)
         else:
+            self._extra = 0.0
             self._finish()
 
     def _extra_charged(self) -> None:
@@ -136,9 +172,10 @@ class SoftirqCore:
         self._finish()
 
     def _finish(self) -> None:
-        self.items_processed += len(self._batch)
+        self.items_processed += len(self._args)
         self.batches += 1
-        self._batch = []
+        self._handler = None
+        self._args = []
         span = self._span
         if span is not None:
             self._span = None

@@ -12,11 +12,11 @@ application threads.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Any, Optional, Protocol
 
 from repro.errors import SimulationError
 from repro.host.costs import CostModel
-from repro.host.cpu import AppThread, SoftirqCore
+from repro.host.cpu import AppThread, BatchHandler, SoftirqCore
 from repro.net.addressing import flow_hash
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
@@ -28,11 +28,16 @@ class Transport(Protocol):
 
     def classify(
         self, packet: Packet
-    ) -> tuple[float, Callable[[], Optional[float]], Optional[object], float]:
-        """Return (cost, handler, merge_key, merge_cost) for one packet.
+    ) -> tuple[float, BatchHandler, Any, Optional[object], float]:
+        """Return (cost, handler, arg, merge_key, merge_cost) for one packet.
 
+        ``handler`` is a batch handler (:meth:`SoftirqCore.submit`): the
+        softirq core calls it once per batch with every batched packet's
+        ``arg``, and it returns the batch's extra CPU cost.  Handlers are
+        built once per transport (or connection), not per packet.
         ``merge_key``/``merge_cost`` enable GRO-style batching on the
-        softirq core (None disables it for this packet).
+        softirq core (None disables it for this packet); packets sharing
+        a merge key must share a handler.
         """
         ...
 
@@ -88,12 +93,13 @@ class Host:
             self.rx_dropped += 1
             return
         core = self.softirq_core_for(packet)
-        cost, handler, merge_key, merge_cost = transport.classify(packet)
+        cost, handler, arg, merge_key, merge_cost = transport.classify(packet)
         core.submit(
             cost + self.costs.driver_rx_per_packet,
             handler,
-            merge_key=merge_key,
-            merge_cost=merge_cost + self.costs.driver_rx_per_packet,
+            arg,
+            merge_key,
+            merge_cost + self.costs.driver_rx_per_packet,
         )
 
     def softirq_core_for(self, packet: Packet) -> SoftirqCore:

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Any, Generator, Optional
 
 from repro.errors import TransportError
-from repro.host.cpu import AppThread
+from repro.host.cpu import AppThread, per_item
 from repro.net.addressing import flow_hash
 from repro.net.headers import PROTO_TCP, PacketType, TransportHeader
 from repro.net.packet import Packet
@@ -86,10 +86,13 @@ class TcpConnection:
         self._readable_cb = None  # epoll-style edge notification
         self._ack_pending = False
         self._pkts_since_ack = 0
-        # The softirq core all this connection's packets land on (RSS).
+        # The softirq core all this connection's packets land on (RSS),
+        # and the batch handlers its work runs as there.
         self._softirq = host.softirq_core_for_flow(
             peer_addr, peer_port, local_port, PROTO_TCP
         )
+        self.on_packets = per_item(self.handle_packet)
+        self._on_retransmit_due = per_item(self._retransmit)
         # The NIC tx queue this connection's segments use (XPS-style).
         self.nic_queue = (
             flow_hash(host.addr, local_port, peer_addr, peer_port, PROTO_TCP)
@@ -246,7 +249,7 @@ class TcpConnection:
                 self.timeouts += 1
                 self._rto = min(self._rto * 2, 0.2)
                 self._softirq.submit(self._tx_cpu_cost([self._unacked[0]]),
-                                     self._make_retransmit(self._unacked[0]))
+                                     self._on_retransmit_due, self._unacked[0])
             else:
                 self._rto = self.base_rto
             self._arm_rto()
@@ -284,13 +287,11 @@ class TcpConnection:
             self._rto_armed = False
             self._rto_resume_at = self._rto_deadline
 
-    def _make_retransmit(self, chunk: TxChunk):
-        def do() -> None:
-            if self._unacked and self._unacked[0] is chunk:
-                self.retransmits += 1
-                self._transmit_chunk(chunk, resync=chunk.tls is not None)
-
-        return do
+    def _retransmit(self, chunk: TxChunk) -> None:
+        """Softirq work of an RTO: resend ``chunk`` if still first unacked."""
+        if self._unacked and self._unacked[0] is chunk:
+            self.retransmits += 1
+            self._transmit_chunk(chunk, resync=chunk.tls is not None)
 
     # -- receive machinery (runs in softirq context) -----------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import TransportError
+from repro.host.cpu import discard
 from repro.host.host import Host
 from repro.net.headers import PROTO_TCP, PacketType
 from repro.net.packet import Packet
@@ -39,14 +40,13 @@ class TcpTransport:
     def classify(self, packet: Packet):
         conn = self.lookup(packet)
         if conn is None:
-            return 0.1e-6, (lambda: None), None, 0.0  # RST territory
+            return 0.1e-6, discard, packet, None, 0.0  # RST territory
         cost = conn.rx_cost(packet)
-        handler = lambda: conn.handle_packet(packet)  # noqa: E731
         if packet.transport.pkt_type == PacketType.DATA:
-            merge_key = (id(conn), "data")
+            # One connection's data batches; its handler is per connection.
             merge_cost = self.host.costs.tcp_rx_merged_per_packet
-            return cost, handler, merge_key, merge_cost
-        return cost, handler, None, 0.0
+            return cost, conn.on_packets, packet, conn, merge_cost
+        return cost, conn.on_packets, packet, None, 0.0
 
     @staticmethod
     def for_host(host: Host) -> "TcpTransport":

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.host.cpu import AppThread, SoftirqCore
+from repro.host.cpu import AppThread, SoftirqCore, per_item
 from repro.sim.event_loop import EventLoop
 from repro.sim.resources import Resource
 
@@ -12,8 +12,8 @@ class TestSoftirqCore:
         loop = EventLoop()
         core = SoftirqCore(loop)
         times = []
-        core.submit(1.0, lambda: times.append(loop.now))
-        core.submit(1.0, lambda: times.append(loop.now))
+        core.submit(1.0, lambda _: times.append(loop.now))
+        core.submit(1.0, lambda _: times.append(loop.now))
         loop.run()
         assert times == [1.0, 2.0]
 
@@ -22,16 +22,16 @@ class TestSoftirqCore:
         core = SoftirqCore(loop)
         order = []
         for i in range(5):
-            core.submit(0.1, lambda i=i: order.append(i))
+            core.submit(0.1, order.extend, i)
         loop.run()
         assert order == [0, 1, 2, 3, 4]
 
     def test_extra_cost_from_handler(self):
         loop = EventLoop()
         core = SoftirqCore(loop)
-        core.submit(1.0, lambda: 2.0)  # handler reports 2s of extra work
+        core.submit(1.0, lambda _: 2.0)  # handler reports 2s of extra work
         done = []
-        core.submit(0.5, lambda: done.append(loop.now))
+        core.submit(0.5, lambda _: done.append(loop.now))
         loop.run()
         assert done == [3.5]
         assert core.busy_time == pytest.approx(3.5)
@@ -42,29 +42,29 @@ class TestSoftirqCore:
         loop = EventLoop()
         core = SoftirqCore(loop)
         finished = {}
-        core.submit(10.0, lambda: finished.update(large=loop.now) and None)
-        core.submit(0.1, lambda: finished.update(small=loop.now) and None)
+        core.submit(10.0, lambda _: finished.update(large=loop.now))
+        core.submit(0.1, lambda _: finished.update(small=loop.now))
         loop.run()
         assert finished["small"] == pytest.approx(10.1)
 
     def test_merge_batches_consecutive_same_key(self):
         loop = EventLoop()
         core = SoftirqCore(loop)
-        seen = []
+        calls = []
         for i in range(4):
-            core.submit(1.0, lambda i=i: seen.append(i), merge_key="flow", merge_cost=0.1)
+            core.submit(1.0, calls.append, i, merge_key="flow", merge_cost=0.1)
         loop.run()
-        # One full cost + three merged costs, all handlers run.
-        assert seen == [0, 1, 2, 3]
+        # One full cost + three merged costs, one handler call for all four.
+        assert calls == [[0, 1, 2, 3]]
         assert core.busy_time == pytest.approx(1.3)
         assert core.batches == 1
 
     def test_merge_stops_at_different_key(self):
         loop = EventLoop()
         core = SoftirqCore(loop)
-        core.submit(1.0, lambda: None, merge_key="a", merge_cost=0.1)
-        core.submit(1.0, lambda: None, merge_key="b", merge_cost=0.1)
-        core.submit(1.0, lambda: None, merge_key="b", merge_cost=0.1)
+        core.submit(1.0, lambda _: None, merge_key="a", merge_cost=0.1)
+        core.submit(1.0, lambda _: None, merge_key="b", merge_cost=0.1)
+        core.submit(1.0, lambda _: None, merge_key="b", merge_cost=0.1)
         loop.run()
         assert core.batches == 2
         assert core.busy_time == pytest.approx(2.1)
@@ -73,8 +73,10 @@ class TestSoftirqCore:
         # Items arriving after processing started do not retroactively merge.
         loop = EventLoop()
         core = SoftirqCore(loop)
-        core.submit(1.0, lambda: None, merge_key="k", merge_cost=0.1)
-        loop.call_later(5.0, lambda: core.submit(1.0, lambda: None, merge_key="k", merge_cost=0.1))
+        core.submit(1.0, lambda _: None, merge_key="k", merge_cost=0.1)
+        loop.call_later(
+            5.0, lambda: core.submit(1.0, lambda _: None, merge_key="k", merge_cost=0.1)
+        )
         loop.run()
         assert core.batches == 2
         assert core.busy_time == pytest.approx(2.0)
@@ -86,11 +88,11 @@ class TestSoftirqCore:
         core = SoftirqCore(loop)
         ran = []
 
-        def raises():
+        def raises(_):
             raise RuntimeError("handler bug")
 
         core.submit(1.0, raises)
-        core.submit(1.0, lambda: ran.append(loop.now))
+        core.submit(1.0, lambda _: ran.append(loop.now))
         with pytest.raises(RuntimeError, match="handler bug"):
             loop.run()
         assert loop.now == 1.0
@@ -99,9 +101,30 @@ class TestSoftirqCore:
     def test_utilization(self):
         loop = EventLoop()
         core = SoftirqCore(loop)
-        core.submit(2.0, lambda: None)
+        core.submit(2.0, lambda _: None)
         loop.run()
         assert core.utilization(elapsed=4.0) == pytest.approx(0.5)
+
+    def test_bool_return_is_not_a_charge(self):
+        # A handler that happens to return True (a set's ``add`` result,
+        # say) must not charge one second of softirq time.
+        loop = EventLoop()
+        core = SoftirqCore(loop)
+        core.submit(1.0, lambda _: True)
+        core.submit(1.0, per_item(lambda _: True))
+        loop.run()
+        assert core.busy_time == 2.0
+        assert loop.now == 2.0
+
+    def test_per_item_sums_charges_in_item_order(self):
+        # Extras are added one at a time, in item order, as the core added
+        # one handler's return per item: the float bits depend on it.
+        extras = [0.1, None, 0.2, -1.0, "no", 0.3, False, 1e-17]
+        handler = per_item(lambda i: extras[i])
+        expected = 0.0
+        for extra in (0.1, 0.2, 0.3, 1e-17):
+            expected += extra
+        assert handler(list(range(len(extras)))) == expected
 
 
 class TestAppThread:

@@ -67,7 +67,7 @@ class TestRegistration:
 class TestAccounting:
     def test_cpu_busy_time_groups(self):
         host = make_host()
-        host.softirq_cores[0].submit(2.0, lambda: None)
+        host.softirq_cores[0].submit(2.0, lambda _: None)
         host.loop.run()
         busy = host.cpu_busy_time()
         assert busy["softirq"] == pytest.approx(2.0)
@@ -75,7 +75,7 @@ class TestAccounting:
 
     def test_utilization(self):
         host = make_host()
-        host.softirq_cores[0].submit(4.0, lambda: None)
+        host.softirq_cores[0].submit(4.0, lambda _: None)
         host.loop.run()
         # 4 seconds busy over 8 cores * 4 seconds elapsed.
         assert host.utilization(elapsed=4.0) == pytest.approx(4.0 / 32.0)

@@ -23,7 +23,7 @@ import random
 from collections import deque
 
 from repro.host.costs import CostModel
-from repro.host.cpu import SoftirqCore
+from repro.host.cpu import SoftirqCore, per_item
 from repro.net.link import Link
 from repro.nic.device import Nic
 from repro.sim.event_loop import Event, EventLoop
@@ -169,14 +169,28 @@ def _real_nic(loop, process):
     return nic
 
 
+def _ref_work(handler, item):
+    """The reference core's work: one zero-argument handler per item."""
+    return (lambda: handler(*item),)
+
+
+def _real_work(handler, item):
+    """The real core's work: a batch handler and the item it is handed.
+
+    ``per_item`` sums the items' extras in order, as the reference core
+    did across its per-item handlers.
+    """
+    return per_item(lambda each: handler(*each)), item
+
+
 REFERENCE = (RefSoftirqCore, lambda loop, process: RefNicEngine(loop, NUM_RINGS, process),
-             RefResource)
-REAL = (SoftirqCore, _real_nic, Resource)
+             RefResource, _ref_work)
+REAL = (SoftirqCore, _real_nic, Resource, _real_work)
 
 
 def _world(seed, impl):
     """Run one seeded schedule; returns (log, dispatched, final seq, books)."""
-    core_cls, nic_factory, resource_cls = impl
+    core_cls, nic_factory, resource_cls, work = impl
     rng = random.Random(seed)
     loop = EventLoop()
     log = []
@@ -194,7 +208,7 @@ def _world(seed, impl):
         key = rng.choice([None, None, "a", "b"])
         cores[core_index].submit(
             rng.choice(COSTS),
-            lambda: handler(tag, core_index),
+            *work(handler, (tag, core_index)),
             merge_key=key,
             merge_cost=rng.choice([0.0, 1e-7]) if key else 0.0,
         )
