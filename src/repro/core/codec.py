@@ -199,17 +199,17 @@ class SmtCodec(MessageCodec):
         cpu = 0.0
         offload = self.session.offload
         queue = (msg_id >> 1) % self.num_nic_queues if offload else None
-        # Zero-copy: record plaintexts are memoryview slices; they become
-        # bytes only inside seal_batch() (or the join building the NIC
-        # layout).
+        # Zero-copy: record plaintexts are memoryview slices until the
+        # record layer copies each into place (or the join building the NIC
+        # layout does).
         view = memoryview(payload)
         if not offload:
-            # Software seal: gather every record of the message first, then
-            # seal the whole message in one record-layer batch.
+            # Software seal: every record of the message into one wire
+            # buffer, in one record-layer batch; each segment is a
+            # read-only window on it.
             items: list[tuple] = []
-            seg_counts: list[int] = []
+            offsets: list[int] = []
             for seg in frame.segments:
-                count = 0
                 for rec in seg.records:
                     if rec.index >= max_records:
                         alloc.encode(msg_id, rec.index)  # raises the canonical error
@@ -223,20 +223,19 @@ class SmtCodec(MessageCodec):
                             seq_base | rec.index,
                         )
                     )
+                    offsets.append(seg.tso_offset + rec.segment_offset)
                     cpu += self.costs.smt_frame_per_record
                     cpu += self.costs.crypto_cost(rec.plaintext_len)
                     self.records_sealed += 1
-                    count += 1
-                seg_counts.append(count)
-            # ``[header, sealed, header, sealed, ...]``: one gather per segment.
-            pieces = self.session.write_protection.seal_batch(items)
-            start = 0
-            for seg, count in zip(frame.segments, seg_counts):
-                seg_payload = b"".join(pieces[start : start + 2 * count])
-                start += 2 * count
-                if len(seg_payload) != seg.wire_len:
-                    raise ProtocolError("framing plan and wire bytes disagree")
-                plans.append(SegmentPlan(seg.tso_offset, seg_payload, tls=None))
+            wire = bytearray(frame.wire_len)
+            self.session.write_protection.seal_batch(items, wire, offsets)
+            sealed = memoryview(wire).toreadonly()
+            plans = [
+                SegmentPlan(
+                    seg.tso_offset, sealed[seg.tso_offset : seg.tso_offset + seg.wire_len]
+                )
+                for seg in frame.segments
+            ]
             return EncodedMessage(
                 wire_len=frame.wire_len,
                 plans=plans,

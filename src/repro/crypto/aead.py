@@ -12,12 +12,13 @@ AES-128-GCM.  Two implementations:
   Long-running benchmarks may select it so host wall-clock time stays
   reasonable; virtual-time costs are charged identically for both because
   the cost model prices AES-128-GCM, not the Python implementation.  Its
-  one memo is a byte-bounded process-wide table of records sealed and not
-  yet opened; instances hold keys.
+  one memo is a byte-bounded process-wide table of views of records sealed
+  and not yet opened; instances hold keys.
 
 Both ciphers accept any bytes-like object (``memoryview`` included) for
-plaintext, ciphertext and AAD: the seal/open boundary is where the
-zero-copy framing path materialises wire bytes.
+plaintext, ciphertext and AAD.  ``seal_many`` -- the record paths' one
+seal -- writes each sealed record into a ``bytearray`` the caller
+allocated: the wire buffer it then sends.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class Aead(Protocol):
         """Encrypt + authenticate, returning ciphertext || tag."""
         ...
 
-    def seal_many(self, items: list) -> list[bytes]:
-        """:meth:`seal` over a batch of ``(nonce, plaintext, aad)`` records."""
+    def seal_many(self, items: list, out: bytearray, offsets) -> None:
+        """:meth:`seal` over a batch of ``(nonce, plaintext, aad)`` records,
+        writing record ``i`` (ciphertext || tag) at ``out[offsets[i]:]``."""
         ...
 
     def open(self, nonce: bytes, ciphertext_and_tag: bytes, aad: bytes = b"") -> bytes:
@@ -53,52 +55,60 @@ class Aead(Protocol):
         ...
 
 
-#: Byte budget of the in-flight table (AAD + sealed record + plaintext per
-#: entry): a few MB of unopened records fit, 64 x 256 KB in flight do not.
+#: Byte budget of the in-flight table: the wire bytes its entries pin (AAD
+#: + sealed record per entry).  A few MB of unopened records fit, 64 x
+#: 256 KB in flight do not.
 IN_FLIGHT_BUDGET = 8 << 20
 
 
 class _InFlight:
-    """``(mac key, nonce) -> (aad, sealed record, plaintext)`` of every
-    record sealed in this process and not yet opened, oldest first."""
+    """``(mac key, nonce) -> (aad, buf, offset, length)`` of every record
+    sealed in this process and not yet opened, oldest first.
+
+    An entry is a window on the ``bytearray`` the record was sealed into
+    -- the very wire buffer its sender transmits -- not a copy of it, and
+    it holds no plaintext: a hit only spares ``open`` the tag check.
+    """
 
     def __init__(self) -> None:
-        self.entries: dict[tuple[bytes, bytes], tuple[bytes, bytes, bytes]] = {}
+        self.entries: dict[tuple[bytes, bytes], tuple[bytes, bytearray, int, int]] = {}
         self.bytes = self.high_water_bytes = 0
         self.hits = self.misses = self.evicted_unopened = 0
 
-    def _drop(self, key) -> tuple[bytes, bytes, bytes]:
-        entry = self.entries.pop(key)
-        self.bytes -= len(entry[0]) + len(entry[1]) + len(entry[2])
-        return entry
+    def _drop(self, key) -> None:
+        aad, _buf, _offset, length = self.entries.pop(key)
+        self.bytes -= len(aad) + length
 
-    def put(self, key, aad: bytes, sealed: bytes, plaintext: bytes) -> None:
+    def put(self, key, aad: bytes, buf: bytearray, offset: int, length: int) -> None:
         if key in self.entries:  # a re-seal replaces its entry, as the newest
             self._drop(key)
-        self.entries[key] = (aad, sealed, plaintext)
-        self.bytes += len(aad) + len(sealed) + len(plaintext)
+        self.entries[key] = (aad, buf, offset, length)
+        self.bytes += len(aad) + length
         while self.bytes > IN_FLIGHT_BUDGET:  # oldest first, one at a time
             self._drop(next(iter(self.entries)))
             self.evicted_unopened += 1
         self.high_water_bytes = max(self.high_water_bytes, self.bytes)
 
-    def take(self, key, aad: bytes, sealed) -> bytes | None:
-        """Plaintext of a byte-identical in-flight record, which it removes.
+    def take(self, key, aad: bytes, sealed) -> bool:
+        """Whether ``sealed`` is the filed record byte for byte; a hit
+        removes the entry.
 
-        ``sealed`` may be any bytes-like object: ``startswith`` at equal
-        length is one ``memcmp`` against the filed bytes, with no copy.
+        ``sealed`` may be any bytes-like object: ``startswith`` at the
+        filed offset and equal length is one ``memcmp`` against the
+        sealer's buffer, with no copy.
         """
         hit = self.entries.get(key)
         if (
             hit is None
             or hit[0] != aad
-            or len(hit[1]) != len(sealed)
-            or not hit[1].startswith(sealed)
+            or hit[3] != len(sealed)
+            or not hit[1].startswith(sealed, hit[2])
         ):
             self.misses += 1  # the genuine entry, if any, stays
-            return None
+            return False
         self.hits += 1
-        return self._drop(key)[2]
+        self._drop(key)
+        return True
 
 
 _IN_FLIGHT = _InFlight()
@@ -120,20 +130,24 @@ class FastAead:
 
     The keystream is one keyed BLAKE2b block per nonce, tiled across the
     record and applied with one numpy XOR per record (:meth:`_xor`, the
-    only XOR, shared by seal and open); the tag is one SHA-1 pass, fed
-    field by field, over the key and length-prefixed (nonce, aad,
-    ciphertext), truncated to 16 bytes.  A prefix-keyed truncated SHA-1 is
-    not HMAC, and SHA-1 is not collision-resistant -- acceptable for a
-    simulation stand-in, where the adversary is a fault injector flipping
-    bytes, not a cryptanalyst.
+    only XOR, shared by seal and open; a seal XORs straight into the
+    caller's buffer); the tag is one SHA-1 pass, fed field by field, over
+    the key and length-prefixed (nonce, aad, ciphertext), truncated to 16
+    bytes.  A prefix-keyed truncated SHA-1 is not HMAC, and SHA-1 is not
+    collision-resistant -- acceptable for a simulation stand-in, where the
+    adversary is a fault injector flipping bytes, not a cryptanalyst.
 
     An instance holds two derived keys and nothing else.  One memo exploits
-    the simulation's loopback (sealer and opener share a process): ``seal``
-    files its exact output in the process-wide in-flight table, and ``open``
-    of the *unmodified* record -- same key, nonce, AAD, ciphertext and tag,
-    byte for byte -- takes the plaintext from it and removes the entry.  Any
-    difference, or a second ``open``, misses, leaves a genuine entry in place
-    and takes the full verify-then-decrypt path, as if there were no table.
+    the simulation's loopback (sealer and opener share a process):
+    :meth:`seal_many` files a view of each record it seals -- ``(aad,
+    buffer, offset, length)``, no copy and no plaintext -- in the
+    process-wide in-flight table, and ``open`` of the *unmodified* record
+    -- same key, nonce, AAD, ciphertext and tag, byte for byte -- skips
+    the tag check, removes the entry and decrypts with the one XOR.  Any
+    difference, or a second ``open``, misses, leaves a genuine entry in
+    place and verifies before it decrypts, as if there were no table.
+    Nothing may write a buffer after sealing into it: the record paths
+    hand out read-only views of it only.
     """
 
     nonce_size = 12
@@ -148,12 +162,13 @@ class FastAead:
         # Every tag hashes the MAC key first: hash it once, copy the state.
         self._mac = hashlib.sha1(self._mac_key)
 
-    def _xor(self, nonce: bytes, data) -> np.ndarray:
-        """``data`` (any bytes-like) XOR the nonce's tiled keystream."""
+    def _xor(self, nonce: bytes, data, out=None) -> np.ndarray:
+        """``data`` (any bytes-like) XOR the nonce's tiled keystream, written
+        to ``out`` (a ``uint8`` array of ``data``'s length) when given."""
         length = len(data)
         block = hashlib.blake2b(nonce, key=self._enc_key, digest_size=64).digest()
         keystream = np.frombuffer(block * ((length + 63) >> 6), np.uint8, count=length)
-        return np.bitwise_xor(np.frombuffer(data, np.uint8), keystream)
+        return np.bitwise_xor(np.frombuffer(data, np.uint8), keystream, out=out)
 
     def _tag(self, nonce, aad, ciphertext) -> bytes:
         h = self._mac.copy()
@@ -168,31 +183,36 @@ class FastAead:
         return h.digest()[: self.tag_size]
 
     def seal(self, nonce: bytes, plaintext, aad=b"") -> bytes:
+        out = bytearray(len(plaintext) + self.tag_size)
         # Not self.seal_many: a tracer wrapping both would count the record twice.
-        return self._seal_records(((nonce, plaintext, aad),))[0]
+        self._seal_into(((nonce, plaintext, aad),), out, (0,))
+        return bytes(out)
 
-    def seal_many(self, items: list) -> list[bytes]:
-        """Seal a batch of ``(nonce, plaintext, aad)`` records.
+    def seal_many(self, items: list, out: bytearray, offsets) -> None:
+        """Seal ``(nonce, plaintext, aad)`` records into the ``bytearray`` ``out``.
 
+        Record ``i`` -- ciphertext, then tag -- goes to ``out[offsets[i]:]``;
+        a plaintext may be the very bytes of ``out`` it is sealed over.
         Byte-identical to :meth:`seal` per record, in-flight entries
-        included; every nonce is checked before anything is sealed.
+        included; every nonce is checked before anything is written.
         """
-        return self._seal_records(items)
+        self._seal_into(items, out, offsets)
 
-    def _seal_records(self, items) -> list[bytes]:
+    def _seal_into(self, items, out: bytearray, offsets) -> None:
         nonces = [bytes(nonce) for nonce, _plaintext, _aad in items]
         if any(len(nonce) != self.nonce_size for nonce in nonces):
             raise CryptoError(f"nonce must be {self.nonce_size} bytes")
-        out: list[bytes] = []
-        for nonce, (_nonce, plaintext, aad) in zip(nonces, items):
-            ciphertext = self._xor(nonce, plaintext)
-            # The one copy after the XOR: ciphertext and tag into the record.
-            sealed = b"".join((ciphertext, self._tag(nonce, aad, ciphertext)))
-            if type(plaintext) is not bytes:
-                plaintext = bytes(plaintext)  # the table keeps its own
-            _IN_FLIGHT.put((self._mac_key, nonce), bytes(aad), sealed, plaintext)
-            out.append(sealed)
-        return out
+        view = memoryview(out)  # bounds-checked: nothing lands past the end
+        for nonce, (_nonce, plaintext, aad), offset in zip(nonces, items, offsets):
+            end = offset + len(plaintext)
+            ciphertext = view[offset:end]
+            # The XOR writes straight into ``out``: no ciphertext array, no join.
+            self._xor(nonce, plaintext, np.frombuffer(ciphertext, np.uint8))
+            view[end : end + self.tag_size] = self._tag(nonce, aad, ciphertext)
+            _IN_FLIGHT.put(
+                (self._mac_key, nonce), bytes(aad), out, offset,
+                end + self.tag_size - offset,
+            )
 
     def open(self, nonce: bytes, ciphertext_and_tag, aad=b"") -> bytes:
         if len(nonce) != self.nonce_size:
@@ -202,15 +222,14 @@ class FastAead:
         nonce = bytes(nonce)
         if type(aad) is not bytes:
             aad = bytes(aad)
-        plaintext = _IN_FLIGHT.take((self._mac_key, nonce), aad, ciphertext_and_tag)
-        if plaintext is not None:
-            return plaintext  # the record is byte-identical to what was sealed
-        # Verify, then decrypt, both reading the caller's buffer in place.
+        # Verify, then decrypt, both reading the caller's buffer in place;
+        # a byte-identical in-flight record has nothing to verify.
         record = memoryview(ciphertext_and_tag)
         ciphertext = record[: -self.tag_size]
-        tag = record[-self.tag_size :]
-        if not _hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
-            raise AuthenticationError("FastAead tag mismatch")
+        if not _IN_FLIGHT.take((self._mac_key, nonce), aad, record):
+            tag = record[-self.tag_size :]
+            if not _hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
+                raise AuthenticationError("FastAead tag mismatch")
         return self._xor(nonce, ciphertext).tobytes()
 
 

@@ -40,13 +40,16 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> tuple[list[int], list[int]]:
-    # Multiplicative inverse table via exhaustive search is fine at 256.
-    inv = [0] * 256
-    for i in range(1, 256):
-        for j in range(1, 256):
-            if _gf_mul(i, j) == 1:
-                inv[i] = j
-                break
+    # Multiplicative inverses from log/antilog tables over the generator 3:
+    # the inverse of 3^k is 3^(255 - k), and 0 maps to 0.
+    exp = [0] * 255
+    log = [0] * 256
+    x = 1
+    for k in range(255):
+        exp[k] = x
+        log[x] = k
+        x ^= _xtime(x)  # x * 3 = x * 2 + x
+    inv = [0] + [exp[-log[i] % 255] for i in range(1, 256)]
     sbox = [0] * 256
     for i in range(256):
         x = inv[i]

@@ -164,9 +164,13 @@ class AesGcm:
         ciphertext = self._crypt(nonce, plaintext)
         return ciphertext + self._tag(nonce, aad, ciphertext)
 
-    def seal_many(self, items: list) -> list[bytes]:
-        """Seal ``(nonce, plaintext, aad)`` records one by one."""
-        return [self.seal(nonce, plaintext, aad) for nonce, plaintext, aad in items]
+    def seal_many(self, items: list, out: bytearray, offsets) -> None:
+        """Seal ``(nonce, plaintext, aad)`` records one by one, copying
+        record ``i`` (ciphertext || tag) to ``out[offsets[i]:]``."""
+        view = memoryview(out)  # bounds-checked: nothing lands past the end
+        for (nonce, plaintext, aad), offset in zip(items, offsets):
+            sealed = self.seal(nonce, plaintext, aad)
+            view[offset : offset + len(sealed)] = sealed
 
     def open(self, nonce: bytes, ciphertext_and_tag, aad=b"") -> bytes:
         """Verify the tag and decrypt; raises AuthenticationError on mismatch.

@@ -23,7 +23,9 @@ class SegmentPlan:
     """One TSO segment of an outbound message."""
 
     tso_offset: int
-    payload: bytes  # wire payload (ciphertext, or plaintext layout when offloaded)
+    # Wire payload, bytes-like: a read-only view of the sealed message
+    # (SMT), its plaintext layout (NIC offload) or of the payload (plain).
+    payload: bytes
     tls: Optional[TlsOffloadDescriptor] = None
     # Descriptors that must precede this segment in its NIC ring (resyncs).
     pre_descriptors: list[ResyncDescriptor] = field(default_factory=list)

@@ -627,6 +627,7 @@ class HomaTransport:
         if obs is not None:
             counter = obs.metrics.counter(f"{self.host.name}.homa.tx.packets_retransmitted")
         cost = 0.0
+        wire = memoryview(wire)  # packets carry slices of it, never copies
         for off in range(0, len(wire), mss):
             self.packets_retransmitted += 1
             if counter is not None:

@@ -28,6 +28,7 @@ from repro.tls.constants import (
     CONTENT_APPLICATION_DATA,
     MAX_RECORD_PAYLOAD,
     RECORD_HEADER_SIZE,
+    RECORD_OVERHEAD,
     TAG_SIZE,
 )
 from repro.tls.keyschedule import TrafficKeys
@@ -84,40 +85,47 @@ class KtlsConnection:
             # Pack up to a TSO segment's worth of records per TCP chunk so
             # segments align with record boundaries (offload requirement).
             records: list[tuple] = []
+            offsets: list[int] = []
+            chunk_len = 0
             while off < len(payload) and len(records) < max(1, _RECORDS_PER_CHUNK):
                 plaintext = view[off : off + self.max_record_payload]
                 off += len(plaintext)
                 records.append((plaintext, CONTENT_APPLICATION_DATA, self._tx_seq))
+                offsets.append(chunk_len)
+                chunk_len += len(plaintext) + RECORD_OVERHEAD
                 self._tx_seq += 1
                 self.records_sealed += 1
                 if self.mode == "sw":
                     crypto_cost += self.costs.crypto_cost(len(plaintext))
             if self.mode == "sw":
-                chunk = b"".join(self._write.seal_batch(records))
+                # One wire buffer per chunk, every record sealed in place.
+                buf = bytearray(chunk_len)
+                self._write.seal_batch(records, buf, offsets)
+                chunk = memoryview(buf).toreadonly()
                 tls = None
             else:
-                chunk, tls = self._offload_layout(records)
+                chunk, tls = self._offload_layout(records, offsets)
                 crypto_cost += self.costs.offload_meta_per_segment
             if crypto_cost:
                 yield from thread.work(crypto_cost)
                 crypto_cost = 0.0
             yield from self.conn.send(thread, chunk, tls=tls)
 
-    def _offload_layout(self, records: list) -> tuple[bytes, TlsOffloadDescriptor]:
+    def _offload_layout(
+        self, records: list, offsets: list[int]
+    ) -> tuple[bytes, TlsOffloadDescriptor]:
         """Plaintext layout of a chunk plus the descriptors the NIC seals by."""
         parts: list = []
         descriptors: list[RecordDescriptor] = []
-        chunk_off = 0
-        for plaintext, _content_type, seqno in records:
+        for (plaintext, _content_type, seqno), offset in zip(records, offsets):
             descriptors.append(
-                RecordDescriptor(offset=chunk_off, plaintext_len=len(plaintext), seqno=seqno)
+                RecordDescriptor(offset=offset, plaintext_len=len(plaintext), seqno=seqno)
             )
             parts += (
                 encode_record_header(len(plaintext) + 1 + TAG_SIZE),
                 plaintext,
                 bytes(1 + TAG_SIZE),
             )
-            chunk_off += descriptors[-1].wire_len
         return b"".join(parts), TlsOffloadDescriptor(self._context_key, descriptors)
 
     # -- receive -----------------------------------------------------------------

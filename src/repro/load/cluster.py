@@ -34,6 +34,8 @@ import hashlib
 import struct
 from typing import Any, Generator, Optional
 
+import numpy as np
+
 from repro.apps.rpc import RpcChannel
 from repro.core.codec import SmtCodec
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
@@ -57,33 +59,54 @@ HEADER_SIZE = _HDR.size
 MIN_MESSAGE = HEADER_SIZE + 8
 _RESP_SALT = 0xA5A5_5A5A_0F0F_F0F0
 
-_POS_CACHE: dict[int, int] = {}
+#: Block positions 0, 1, 2, ... as big-endian 8-byte words, viewed as
+#: ``uint64`` so that one XOR with a serial's big-endian word is the fill;
+#: grown (doubling) to the longest message asked for.
+_POSITIONS = np.arange(0, dtype=">u8").view(np.uint64)
+
+
+def _fill_array(serial: int, n: int) -> np.ndarray:
+    """:func:`_fill` as a fresh, writable ``uint8`` array."""
+    global _POSITIONS
+    blocks = (n + 7) >> 3
+    if len(_POSITIONS) < blocks:
+        size = max(blocks, 2 * len(_POSITIONS))
+        _POSITIONS = np.arange(size, dtype=">u8").view(np.uint64)
+    word = np.frombuffer(serial.to_bytes(8, "big"), np.uint64)[0]
+    return np.bitwise_xor(_POSITIONS[:blocks], word).view(np.uint8)[:n]
 
 
 def _fill(serial: int, n: int) -> bytes:
     """``n`` bytes where every 8-byte block depends on position and serial.
 
+    Block ``i`` is ``i XOR serial``, both as big-endian 8-byte words.
     Position dependence means a swapped pair of blocks anywhere in the
     message changes the bytes — reassembly must put every record at its
     exact offset for the fill to verify.
     """
-    blocks = (n + 7) // 8
-    nb = blocks * 8
-    pos = _POS_CACHE.get(nb)
-    if pos is None:
-        pos = int.from_bytes(
-            b"".join(i.to_bytes(8, "big") for i in range(blocks)), "big"
-        )
-        _POS_CACHE[nb] = pos
-    rep = int.from_bytes(serial.to_bytes(8, "big") * blocks, "big")
-    return (pos ^ rep).to_bytes(nb, "big")[:n]
+    return _fill_array(serial, n).tobytes()
+
+
+def _message(header: bytes, serial: int, n: int) -> bytes:
+    """``header`` then the fill of ``(serial, n)`` past it: one XOR, one copy."""
+    body = _fill_array(serial, max(n, HEADER_SIZE))
+    body[:HEADER_SIZE] = np.frombuffer(header, np.uint8)
+    return body.tobytes()
+
+
+def _fill_follows(payload, serial: int) -> bool:
+    """Whether ``payload`` past its header is the fill of ``(serial,
+    len(payload))``: one ``memcmp``, no slice copied."""
+    return _fill(serial, len(payload)).startswith(
+        memoryview(payload)[HEADER_SIZE:], HEADER_SIZE
+    )
 
 
 def build_request(serial: int, size: int, response_size: int) -> bytes:
     """A ``size``-byte request asking for a ``response_size``-byte reply."""
     if size < MIN_MESSAGE or response_size < MIN_MESSAGE:
         raise ValueError(f"message sizes below {MIN_MESSAGE} B")
-    return _HDR.pack(serial, response_size, 0) + _fill(serial, size)[HEADER_SIZE:]
+    return _message(_HDR.pack(serial, response_size, 0), serial, size)
 
 
 def handle_request(payload: bytes) -> tuple[bytes, bool]:
@@ -93,9 +116,9 @@ def handle_request(payload: bytes) -> tuple[bytes, bool]:
     answered (status 2) so the client can count it rather than time out.
     """
     serial, response_size, _status = _HDR.unpack_from(payload)
-    ok = payload[HEADER_SIZE:] == _fill(serial, len(payload))[HEADER_SIZE:]
-    body = _fill(serial ^ _RESP_SALT, response_size)[HEADER_SIZE:]
-    return _HDR.pack(serial, response_size, 1 if ok else 2) + body, ok
+    ok = _fill_follows(payload, serial)
+    header = _HDR.pack(serial, response_size, 1 if ok else 2)
+    return _message(header, serial ^ _RESP_SALT, response_size), ok
 
 
 def verify_response(payload: bytes, serial: int, response_size: int) -> bool:
@@ -105,8 +128,7 @@ def verify_response(payload: bytes, serial: int, response_size: int) -> bool:
     got_serial, got_size, status = _HDR.unpack_from(payload)
     if got_serial != serial or got_size != response_size or status != 1:
         return False
-    expected = _fill(serial ^ _RESP_SALT, response_size)[HEADER_SIZE:]
-    return payload[HEADER_SIZE:] == expected
+    return _fill_follows(payload, serial ^ _RESP_SALT)
 
 
 def _pair_keys(tx_addr: int, rx_addr: int, port: int = 0) -> TrafficKeys:

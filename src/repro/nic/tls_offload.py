@@ -151,8 +151,8 @@ class FlowContextTable:
         if self.obs is not None:
             self.obs.metrics.counter(f"{self.obs_name}.resyncs_applied").add()
 
-    def encrypt_segment(self, payload, descriptor: TlsOffloadDescriptor) -> bytes:
-        """Encrypt every described record in ``payload``.
+    def encrypt_segment(self, payload, descriptor: TlsOffloadDescriptor) -> memoryview:
+        """Encrypt every described record in ``payload``, into a new buffer.
 
         The engine uses its *expected* sequence number, not the one the
         host intended: if they disagree (and no resync fixed it), the
@@ -171,22 +171,25 @@ class FlowContextTable:
             span = obs.tracer.begin(
                 "nic.tls_offload", self.obs_name, records=len(descriptor.records)
             )
+        # The engine's sequence numbers, worked out on a copy of the
+        # expectation: a layout seal_layout rejects leaves the context, its
+        # counters and the in-flight table as they were.
         out_of_sync = 0
         seqnos: list[int] = []
+        expected = ctx.expected_seqno
         for rec in descriptor.records:
-            if ctx.expected_seqno is None:
+            if expected is None:
                 # First record ever seen on this context defines the start.
-                ctx.expected_seqno = rec.seqno
-            use_seqno = ctx.expected_seqno
-            if use_seqno != rec.seqno:
-                ctx.out_of_sync_records += 1
+                expected = rec.seqno
+            if expected != rec.seqno:
                 out_of_sync += 1
-            if rec.offset + rec.wire_len > len(payload):
-                raise ProtocolError("record descriptor exceeds segment payload")
-            seqnos.append(use_seqno)
-            ctx.records_encrypted += 1
-            ctx.expected_seqno = use_seqno + 1
+            seqnos.append(expected)
+            expected += 1
         out = seal_layout(ctx.protection, payload, descriptor.records, seqnos)
+        if seqnos:
+            ctx.expected_seqno = expected
+        ctx.records_encrypted += len(seqnos)
+        ctx.out_of_sync_records += out_of_sync
         if obs is not None:
             obs.metrics.counter(f"{self.obs_name}.records_encrypted").add(
                 len(descriptor.records)
@@ -199,28 +202,35 @@ class FlowContextTable:
         return out
 
 
-def seal_layout(protection: RecordProtection, payload, records, seqnos) -> bytes:
+def seal_layout(protection: RecordProtection, payload, records, seqnos) -> memoryview:
     """``payload``, a plaintext-layout segment, with ``records`` sealed.
 
     Each described region (header, plaintext, content-type and tag
     placeholders) becomes the record sealed under its entry of ``seqnos``;
-    the bytes between regions pass through.  The records are sealed as one
-    batch and the segment is gathered once, straight from the pieces, so
-    each byte is copied once after the AEAD.  Records must be in offset
-    order and must not overlap (every layout here is built that way).
+    the bytes between regions pass through.  The whole layout is checked
+    first -- records in offset order, not overlapping, inside ``payload``
+    -- so a rejected one seals nothing.  One buffer per segment: the bytes
+    between records are copied in, the record layer seals every record in
+    place as one batch, and the segment comes back as a read-only view.
     """
-    view = memoryview(payload)
-    items = []
-    for rec, seqno in zip(records, seqnos):
-        start = rec.offset + RECORD_HEADER_SIZE
-        items.append((view[start : start + rec.plaintext_len], rec.content_type, seqno))
-    pieces = protection.seal_batch(items)
-    parts: list = []
     pos = 0
-    for i, rec in enumerate(records):
+    for rec in records:
         if rec.offset < pos:
             raise ProtocolError("record descriptors overlap or are out of order")
-        parts += (view[pos : rec.offset], pieces[2 * i], pieces[2 * i + 1])
         pos = rec.offset + rec.wire_len
-    parts.append(view[pos:])
-    return b"".join(parts)
+    if pos > len(payload):
+        raise ProtocolError("record descriptor exceeds segment payload")
+    view = memoryview(payload)
+    out = bytearray(len(payload))
+    items = []
+    offsets = []
+    pos = 0
+    for rec, seqno in zip(records, seqnos):
+        out[pos : rec.offset] = view[pos : rec.offset]
+        start = rec.offset + RECORD_HEADER_SIZE
+        items.append((view[start : start + rec.plaintext_len], rec.content_type, seqno))
+        offsets.append(rec.offset)
+        pos = rec.offset + rec.wire_len
+    out[pos:] = view[pos:]
+    protection.seal_batch(items, out, offsets)
+    return memoryview(out).toreadonly()

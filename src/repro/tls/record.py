@@ -112,36 +112,37 @@ class RecordProtection:
         ciphertext = self._aead.seal(self.nonce_for(seqno), inner, aad=header)
         return header + ciphertext
 
-    def seal_batch(self, items: list) -> list[bytes]:
-        """Seal ``(payload, content_type, seqno)`` records in one call.
+    def seal_batch(self, items: list, out: bytearray, offsets) -> None:
+        """Seal ``(payload, content_type, seqno)`` records into ``out``.
 
-        Returns the records as wire pieces, ``[header_0, sealed_0,
-        header_1, sealed_1, ...]``: ``header_i + sealed_i`` is
-        byte-identical to :meth:`seal` with that seqno and no padding, so
-        ``b"".join(pieces[2 * i : 2 * j])`` is records ``i`` to ``j - 1`` on
-        the wire -- one gather by the caller, no per-record
-        ``header + ciphertext`` copy before it.  The AEAD's ``seal_many``
-        seals the batch.
+        Record ``i`` -- header, ciphertext, tag -- is written at
+        ``out[offsets[i]:]``, byte-identical to :meth:`seal` with that
+        seqno and no padding; ``out`` is the ``bytearray`` the caller
+        sends.  Each payload is copied once, into place beside its
+        content-type byte, and the AEAD's ``seal_many`` seals the batch
+        there, in place.  Writes go through a view, so a record that would
+        run past the end of ``out`` raises instead of growing it.
         """
-        headers: list[bytes] = []
         batch: list[tuple] = []
+        bodies: list[int] = []
         nonce_for = self.nonce_for
-        for payload, content_type, seqno in items:
-            if len(payload) > MAX_RECORD_PAYLOAD:
+        view = memoryview(out)
+        for (payload, content_type, seqno), offset in zip(items, offsets):
+            length = len(payload)
+            if length > MAX_RECORD_PAYLOAD:
                 raise ProtocolError(
-                    f"record payload {len(payload)} exceeds {MAX_RECORD_PAYLOAD}"
+                    f"record payload {length} exceeds {MAX_RECORD_PAYLOAD}"
                 )
-            # The seal side's one plaintext copy: it materialises the
-            # zero-copy payload slice, and FastAead files this very object.
-            inner = b"".join((payload, bytes((content_type,))))
-            header = encode_record_header(len(inner) + TAG_SIZE)
-            headers.append(header)
-            batch.append((nonce_for(seqno), inner, header))
-        sealed = self._aead.seal_many(batch)
-        pieces: list[bytes] = [b""] * (2 * len(sealed))
-        pieces[0::2] = headers
-        pieces[1::2] = sealed
-        return pieces
+            header = encode_record_header(length + 1 + TAG_SIZE)
+            body = offset + RECORD_HEADER_SIZE
+            view[offset:body] = header
+            # The seal side's one plaintext copy: the payload slice into
+            # place, where the cipher overwrites it with ciphertext.
+            view[body : body + length] = payload
+            view[body + length] = content_type
+            batch.append((nonce_for(seqno), view[body : body + length + 1], header))
+            bodies.append(body)
+        self._aead.seal_many(batch, out, bodies)
 
     def open_parsed(self, header, body, seqno: int) -> TLSRecord:
         """Open one record whose header the caller already parsed.

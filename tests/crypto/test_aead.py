@@ -141,7 +141,8 @@ class TestInFlightTable:
         f = FastAead(bytes(16))
         sealed = f.seal(NONCE, b"payload" * 50, b"aad")
         assert in_flight_stats()["entries"] == 1
-        assert in_flight_stats()["bytes"] == 3 + len(sealed) + 350
+        # The wire bytes the entry pins: AAD and sealed record, no plaintext.
+        assert in_flight_stats()["bytes"] == 3 + len(sealed)
         assert f.open(NONCE, sealed, b"aad") == b"payload" * 50
         stats = in_flight_stats()
         assert (stats["hits"], stats["misses"], stats["entries"], stats["bytes"]) == (
@@ -150,7 +151,7 @@ class TestInFlightTable:
         # A replay finds nothing to hit and decrypts to the same bytes.
         assert f.open(NONCE, sealed, b"aad") == b"payload" * 50
         assert (in_flight_stats()["hits"], in_flight_stats()["misses"]) == (1, 1)
-        assert in_flight_stats()["high_water_bytes"] == 3 + len(sealed) + 350
+        assert in_flight_stats()["high_water_bytes"] == 3 + len(sealed)
 
     def test_every_mismatch_fails_beside_the_genuine_entry(self, table):
         f = FastAead(bytes(16))
@@ -183,20 +184,33 @@ class TestInFlightTable:
         first = f.seal(NONCE, b"first message")
         second = f.seal(NONCE, b"second, longer message")
         assert in_flight_stats()["entries"] == 1
-        assert in_flight_stats()["bytes"] == len(second) + 22
+        assert in_flight_stats()["bytes"] == len(second)
         assert f.open(NONCE, first) == b"first message"  # slow path
         assert f.open(NONCE, second) == b"second, longer message"
         assert (in_flight_stats()["hits"], in_flight_stats()["misses"]) == (1, 1)
 
     def test_seal_many_files_what_seal_files(self, table):
         items = [(_nonce(i), bytes([i]) * (i * 37), b"h%d" % i) for i in range(6)]
+        offsets = [sum(i * 37 + 16 + 3 for i in range(j)) for j in range(6)]
+        out = bytearray(offsets[-1] + 5 * 37 + 16 + 3)
         f = FastAead(b"\x07" * 16)
-        batch = f.seal_many(items)
-        filed = dict(table.entries)
+        f.seal_many(items, out, offsets)
+        batch = [bytes(out[o : o + len(p) + 16]) for o, (_n, p, _a) in zip(offsets, items)]
+        assert out[offsets[1] - 3 : offsets[1]] == bytes(3)  # the gaps untouched
+
+        def filed():
+            return [
+                (key, aad, bytes(buf[off : off + length]))
+                for key, (aad, buf, off, length) in table.entries.items()
+            ]
+
+        by_batch = filed()
+        assert all(entry[1] is out for entry in table.entries.values())
         table.entries.clear()
         assert [f.seal(*item) for item in items] == batch
-        assert list(table.entries.items()) == list(filed.items())
-        assert f.seal_many([]) == [] and len(table.entries) == 6
+        assert filed() == by_batch
+        f.seal_many([], bytearray(), [])
+        assert len(table.entries) == 6
 
     def test_random_walk_keeps_the_books(self, table, monkeypatch):
         budget = 64 * 1024
@@ -204,7 +218,8 @@ class TestInFlightTable:
         rng = random.Random(24)
         aeads = [FastAead(bytes([k]) * 16) for k in range(3)]
         # (key index, nonce) -> (aad, sealed, plaintext): what the network
-        # still carries, and what the table must hold, oldest first.
+        # still carries, and what the table must file, oldest first; an
+        # entry pins its AAD and sealed record, not the plaintext.
         carried: dict = {}
         filed: dict = {}
         hits = misses = evicted = 0
@@ -216,7 +231,7 @@ class TestInFlightTable:
                 record = (aad, aeads[k].seal(nonce, plaintext, aad), plaintext)
                 filed.pop(key, None)
                 carried[key] = filed[key] = record
-                while sum(sum(map(len, r)) for r in filed.values()) > budget:
+                while sum(len(a) + len(s) for a, s, _p in filed.values()) > budget:
                     del filed[next(iter(filed))]
                     evicted += 1
             elif carried:
@@ -230,7 +245,7 @@ class TestInFlightTable:
                     else:
                         misses += 1
             assert [(aeads[k]._mac_key, n) for k, n in filed] == list(table.entries)
-            assert table.bytes == sum(sum(map(len, e)) for e in table.entries.values())
+            assert table.bytes == sum(len(e[0]) + e[3] for e in table.entries.values())
             assert table.bytes <= budget
         stats = in_flight_stats()
         assert (stats["hits"], stats["misses"]) == (hits, misses)

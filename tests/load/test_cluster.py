@@ -1,5 +1,7 @@
 """The RPC integrity protocol and cluster harness plumbing."""
 
+import random
+
 import pytest
 
 from repro.load.cluster import (
@@ -10,7 +12,8 @@ from repro.load.cluster import (
     handle_request,
     verify_response,
 )
-from repro.load.cluster import _fill
+from repro.load.cluster import _HDR as HEADER
+from repro.load.cluster import _RESP_SALT, _fill
 
 
 class TestFill:
@@ -74,3 +77,45 @@ class TestHarnessValidation:
     def test_unknown_system_rejected(self):
         with pytest.raises(ValueError):
             ClusterHarness(None, "quic")
+
+
+def _reference_fill(serial: int, n: int) -> bytes:
+    """The big-int fill the numpy XOR replaced: position words XOR the
+    serial repeated, as one integer each."""
+    blocks = (n + 7) // 8
+    pos = int.from_bytes(b"".join(i.to_bytes(8, "big") for i in range(blocks)), "big")
+    rep = int.from_bytes(serial.to_bytes(8, "big") * blocks, "big")
+    return (pos ^ rep).to_bytes(blocks * 8, "big")[:n]
+
+
+def _reference_request(serial: int, size: int, response_size: int) -> bytes:
+    header = HEADER.pack(serial, response_size, 0)
+    return header + _reference_fill(serial, size)[HEADER_SIZE:]
+
+
+class TestFillMatchesReference:
+    def test_random_serials_and_lengths(self):
+        rng = random.Random(32)
+        cases = [(0, 0), (1, 1), (2**64 - 1, 70_000)]
+        cases += [(rng.getrandbits(64), rng.randrange(1, 300_000)) for _ in range(300)]
+        for serial, n in cases:
+            assert _fill(serial, n) == _reference_fill(serial, n), (serial, n)
+
+    def test_messages_match_reference(self):
+        rng = random.Random(33)
+        for _ in range(100):
+            serial = rng.getrandbits(64)
+            size, response_size = rng.randrange(MIN_MESSAGE, 20_000), rng.randrange(
+                MIN_MESSAGE, 20_000
+            )
+            request = build_request(serial, size, response_size)
+            assert request == _reference_request(serial, size, response_size)
+            response, ok = handle_request(request)
+            assert ok
+            assert response == HEADER.pack(serial, response_size, 1) + _reference_fill(
+                serial ^ _RESP_SALT, response_size
+            )[HEADER_SIZE:]
+            assert verify_response(memoryview(response), serial, response_size)
+            bad = bytearray(request)
+            bad[rng.randrange(HEADER_SIZE, size)] ^= 0x40
+            assert handle_request(bytes(bad))[1] is False

@@ -29,10 +29,10 @@ def sealed(monkeypatch):
         note(self, nonce, plaintext)
         return seal(self, nonce, plaintext, aad)
 
-    def noting_seal_many(self, items):
+    def noting_seal_many(self, items, out, offsets):
         for nonce, plaintext, _aad in items:
             note(self, nonce, plaintext)
-        return seal_many(self, items)
+        return seal_many(self, items, out, offsets)
 
     monkeypatch.setattr(FastAead, "seal", noting_seal)
     monkeypatch.setattr(FastAead, "seal_many", noting_seal_many)

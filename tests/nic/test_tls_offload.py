@@ -8,7 +8,8 @@ receiver cannot authenticate.
 
 import pytest
 
-from repro.crypto.aead import new_aead
+from repro.crypto import aead as aead_module
+from repro.crypto.aead import in_flight_stats, new_aead
 from repro.errors import AuthenticationError, ProtocolError
 from repro.nic.tls_offload import (
     FlowContextTable,
@@ -205,3 +206,49 @@ class TestContextManagement:
         desc = TlsOffloadDescriptor("ctx", [RecordDescriptor(0, 4, 0)])
         with pytest.raises(ProtocolError):
             desc.slice(5, len(r0))
+
+
+class TestRejectedLayoutChangesNothing:
+    """A layout the engine rejects leaves the context, its counters and the
+    in-flight table exactly as they were."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        monkeypatch.setattr(aead_module, "_IN_FLIGHT", aead_module._InFlight())
+        table = FlowContextTable()
+        table.install("ctx", new_aead("fast", KEY), IV)
+        # One good segment first, so the context has an expectation to keep.
+        table.encrypt_segment(
+            layout_record(b"warm"), TlsOffloadDescriptor("ctx", [RecordDescriptor(0, 4, 0)])
+        )
+        return table
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            pytest.param((0, 10), id="overlapping"),
+            pytest.param((40, 0), id="out-of-order"),
+        ],
+    )
+    def test_bad_layout_raises_before_any_state_moves(self, table, offsets):
+        payload = layout_record(b"x" * 10) + layout_record(b"y" * 10) + bytes(40)
+        desc = TlsOffloadDescriptor(
+            "ctx",
+            [RecordDescriptor(off, 10, seqno) for seqno, off in enumerate(offsets, 1)],
+        )
+        context, books = table.context_stats("ctx"), in_flight_stats()
+        with pytest.raises(ProtocolError, match="overlap or are out of order"):
+            table.encrypt_segment(payload, desc)
+        assert table.context_stats("ctx") == context
+        assert in_flight_stats() == books
+        assert context["records_encrypted"] == 1 and context["expected_seqno"] == 1
+
+    def test_descriptor_past_the_end_moves_nothing(self, table):
+        context, books = table.context_stats("ctx"), in_flight_stats()
+        desc = TlsOffloadDescriptor(
+            "ctx", [RecordDescriptor(0, 2, 1), RecordDescriptor(24, 100, 2)]
+        )
+        with pytest.raises(ProtocolError, match="exceeds segment payload"):
+            table.encrypt_segment(layout_record(b"ab") * 2, desc)
+        assert table.context_stats("ctx") == context
+        assert in_flight_stats() == books
