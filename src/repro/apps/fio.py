@@ -48,14 +48,12 @@ class MessageFioDriver:
         target_port: int,
         num_blocks: int,
         rng: random.Random,
-        extra_copy: bool = True,
     ):
         self.socket = socket
         self.target_addr = target_addr
         self.target_port = target_port
         self.num_blocks = num_blocks
         self.rng = rng
-        self.extra_copy = extra_copy
         self.result = FioResult()
         self._next_cid = 0
 
@@ -74,10 +72,8 @@ class MessageFioDriver:
                 thread, self.target_addr, self.target_port, encode_read_cmd(cid, lba)
             )
             status, _cid, data = decode_completion(payload)
-            cost = costs.nvme_completion
-            if self.extra_copy:
-                cost += costs.copy_cost(len(data))
-            yield from thread.work(cost)
+            # As at the target, the early port copies each block once more.
+            yield from thread.work(costs.nvme_completion + costs.copy_cost(len(data)))
             if status != STATUS_SUCCESS or len(data) != 4096:
                 self.result.errors += 1
                 raise ProtocolError("NVMe read failed")

@@ -25,10 +25,9 @@ from repro.host.cpu import AppThread
 class MessageNvmeTarget:
     """Serves read commands arriving as Homa/SMT messages."""
 
-    def __init__(self, socket: HomaSocket, device: NvmeDevice, extra_copy: bool = True):
+    def __init__(self, socket: HomaSocket, device: NvmeDevice):
         self.socket = socket
         self.device = device
-        self.extra_copy = extra_copy
         self.commands_served = 0
 
     def run(self, thread: AppThread) -> Generator[Any, Any, None]:
@@ -45,12 +44,9 @@ class MessageNvmeTarget:
         for i in range(blocks):
             block = yield from self.device.read_block(lba + i)
             data += block
-        cost = costs.nvme_completion
-        if self.extra_copy:
-            # The paper's early port moves the block once more between the
-            # block layer and the message transport.
-            cost += costs.copy_cost(len(data))
-        yield from thread.work(cost)
+        # The paper's early port moves the block once more between the
+        # block layer and the message transport.
+        yield from thread.work(costs.nvme_completion + costs.copy_cost(len(data)))
         yield from self.socket.reply(thread, rpc, encode_completion(cid, data))
         self.commands_served += 1
 

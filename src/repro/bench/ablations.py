@@ -16,9 +16,9 @@ from __future__ import annotations
 from repro.bench.report import ExperimentReport
 from repro.bench.runner import (
     BENCH_AEAD,
+    CLIENT_KEYS,
+    SERVER_KEYS,
     SERVER_PORT,
-    _CLIENT_KEYS,
-    _SERVER_KEYS,
     build_rpc_harness,
     message_pair,
 )
@@ -26,6 +26,7 @@ from repro.core.codec import SmtCodec
 from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
 from repro.errors import ProtocolError
+from repro.net.headers import PROTO_SMT
 from repro.sim.trace import Histogram, RateMeter
 from repro.testbed import Testbed
 
@@ -90,10 +91,8 @@ def run_ack_batching_ablation(duration: float = 3e-3) -> ExperimentReport:
     rates = {}
     for batch in (1, 8):
         harness = build_rpc_harness("smt-sw")
-        for transport in harness.bed.client._transports.values():
-            transport.ack_batch_size = batch
-        for transport in harness.bed.server._transports.values():
-            transport.ack_batch_size = batch
+        for host in (harness.bed.client, harness.bed.server):
+            host.transport(PROTO_SMT).ack_batch_size = batch
         meter = RateMeter()
         lat = Histogram()
         end = 1e-3 + duration
@@ -120,7 +119,7 @@ def run_bit_split_ablation() -> ExperimentReport:
     # A 60/4 split leaves 16 records/message: a 1 MB message cannot frame.
     tiny_index = BitAllocation(60)
     bed = Testbed.back_to_back()
-    session = SmtSession(_CLIENT_KEYS, _SERVER_KEYS, allocation=tiny_index,
+    session = SmtSession(CLIENT_KEYS, SERVER_KEYS, allocation=tiny_index,
                          aead_kind=BENCH_AEAD)
     codec = SmtCodec(session, bed.client.costs)
     big_failed = 0.0
@@ -133,7 +132,7 @@ def run_bit_split_ablation() -> ExperimentReport:
     try:
         encoded = codec.encode(2, bytes(16 * 1024), 1440)
         receiver = SmtCodec(
-            SmtSession(_SERVER_KEYS, _CLIENT_KEYS, allocation=tiny_index,
+            SmtSession(SERVER_KEYS, CLIENT_KEYS, allocation=tiny_index,
                        aead_kind=BENCH_AEAD),
             bed.client.costs,
         )

@@ -38,8 +38,8 @@ BENCH_AEAD = "fast"
 # kTLS mode per bytestream system (tcpls carries its own record layer).
 _STREAM_MODES = {"tcp": None, "tcpls": None, "ktls-sw": "sw", "ktls-hw": "hw"}
 
-_CLIENT_KEYS = TrafficKeys(key=b"\xc1" * 16, iv=b"\xc2" * 12)
-_SERVER_KEYS = TrafficKeys(key=b"\xd1" * 16, iv=b"\xd2" * 12)
+CLIENT_KEYS = TrafficKeys(key=b"\xc1" * 16, iv=b"\xc2" * 12)
+SERVER_KEYS = TrafficKeys(key=b"\xd1" * 16, iv=b"\xd2" * 12)
 
 
 @dataclass
@@ -93,11 +93,11 @@ def message_pair(
         return HomaSocket(ct, bed.client.alloc_port()), HomaSocket(st, port)
     offload = system == "smt-hw"
     client_codec = SmtCodec.for_host(
-        bed.client, _CLIENT_KEYS, _SERVER_KEYS, offload=offload,
+        bed.client, CLIENT_KEYS, SERVER_KEYS, offload=offload,
         aead_kind=BENCH_AEAD, **client_codec_kw,
     )
     server_codec = SmtCodec.for_host(
-        bed.server, _SERVER_KEYS, _CLIENT_KEYS, offload=offload,
+        bed.server, SERVER_KEYS, CLIENT_KEYS, offload=offload,
         aead_kind=BENCH_AEAD,
     )
     if bed.obs is not None:
@@ -122,8 +122,8 @@ def stream_pairs(bed: Testbed, system: str, port: int, n: int, channel=KtlsConne
         conn_c, conn_s = connect_pair(bed.client, bed.server, port + i)
         # Keys of its own: every connection counts records from 0.
         salt = (port + i).to_bytes(2, "big")
-        client_keys = TrafficKeys.from_secret(_CLIENT_KEYS.key + salt)
-        server_keys = TrafficKeys.from_secret(_SERVER_KEYS.key + salt)
+        client_keys = TrafficKeys.from_secret(CLIENT_KEYS.key + salt)
+        server_keys = TrafficKeys.from_secret(SERVER_KEYS.key + salt)
         if system == "tcpls":
             yield tcpls_pair(conn_c, conn_s, client_keys, server_keys,
                              aead_kind=BENCH_AEAD)

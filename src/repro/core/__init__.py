@@ -15,7 +15,7 @@
 """
 
 from repro.core.codec import SmtCodec
-from repro.core.endpoint import SmtEndpoint, SmtSocket
+from repro.core.endpoint import SmtEndpoint
 from repro.core.framing import RECORD_OVERHEAD, FramePlan, plan_message
 from repro.core.seqspace import BitAllocation, CompositeSeqno
 from repro.core.session import SmtSession
@@ -29,5 +29,4 @@ __all__ = [
     "SmtSession",
     "SmtCodec",
     "SmtEndpoint",
-    "SmtSocket",
 ]

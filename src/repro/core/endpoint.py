@@ -8,6 +8,10 @@ has processed the server's flight it can already send encrypted data --
 the Finished flight and the first data message race down the same pipe,
 which is how TLS 1.3 achieves its 1-RTT setup.
 
+:class:`SmtEndpoint` owns the handshake port: its wire format, the one
+server responder, and the client side of every exchange -- including the
+rekey that :mod:`repro.ctrl` schedules through :meth:`SmtEndpoint.rekey`.
+
 Handshake CPU is charged from :class:`repro.tls.timing.HandshakeCostModel`
 (Table 2 costs); handshake *bytes* travel through the full simulated
 stack, so Figure 12's latencies combine real transport RTTs with costed
@@ -16,6 +20,7 @@ crypto operations.
 
 from __future__ import annotations
 
+import random
 import struct
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
@@ -23,9 +28,11 @@ from typing import Any, Generator, Optional
 from repro.core.codec import SmtCodec
 from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
+from repro.core.zero_rtt import ZeroRttClient, derive_fs_keys, derive_update_keys
+from repro.core.zero_rtt import share_fingerprint as fingerprint_of
 from repro.crypto.ec import ECPoint
 from repro.crypto.ecdh import EcdhKeyPair
-from repro.errors import ProtocolError
+from repro.errors import CryptoError, ProtocolError
 from repro.homa.constants import HomaConfig
 from repro.homa.engine import HomaTransport
 from repro.homa.socket import HomaSocket
@@ -44,9 +51,23 @@ from repro.tls.timing import HandshakeCostModel
 
 HANDSHAKE_PORT = 443
 
+# -- the handshake port's wire format: kind (1 B), client data port (2 B), body --
 
-class SmtSocket(HomaSocket):
-    """A message socket whose per-peer codecs encrypt (SMT data socket)."""
+_MSG_CHLO = 1
+_MSG_FINISHED = 2
+_MSG_ZRTT = 3
+_MSG_REKEY = 4
+_HELLOS = (_MSG_CHLO, _MSG_ZRTT)  # the kinds admission control may refuse
+
+# Rekey modes (body[0] of a _MSG_REKEY request).
+REKEY_UPDATE = 0  # deterministic key-update derivation, no extra ECDH
+REKEY_FS = 1  # fresh ECDH exchange for a forward-secret key
+
+# What a server returns instead of an answer: a hello its session table
+# refuses (admission backpressure), or a flight that fails -- malformed,
+# replayed, out of order, for an unknown session or an unserved kind.
+_HS_REFUSED = b"\x00SMT-HS-REFUSED"
+_HS_REJECTED = b"\x00SMT-HS-REJECTED"
 
 
 @dataclass
@@ -89,24 +110,25 @@ class SmtEndpoint:
         self.cost_model = cost_model or HandshakeCostModel()
         # Endpoints on one host share the single SMT transport instance
         # (one protocol number per host), like sockets share a kernel stack.
-        existing = host._transports.get(PROTO_SMT)
+        existing = host.transport(PROTO_SMT)
         self.transport = existing if existing is not None else HomaTransport(
             host, config, proto=PROTO_SMT
         )
         self._sessions: dict[tuple[int, int], SmtSession] = {}
         self._codecs: dict[tuple[int, int], SmtCodec] = {}
-        self.socket = SmtSocket(self.transport, port, codec_provider=self._codec_for)
+        self.socket = HomaSocket(self.transport, port, codec_provider=self._codec_for)
         # Servers answer handshakes on the well-known port; additional
         # endpoints on the same host fall back to an ephemeral one (they
         # only ever originate handshakes).
         hs_port = (
             HANDSHAKE_PORT
-            if HANDSHAKE_PORT not in self.transport._sockets
+            if not self.transport.is_bound(HANDSHAKE_PORT)
             else host.alloc_port()
         )
         self._handshake_socket = HomaSocket(self.transport, hs_port)
         self._pending_server_hs: dict[tuple[int, int], tuple[ServerHandshake, int]] = {}
         self.tickets: dict[tuple[int, int], list[SessionTicket]] = {}
+        self.handshakes_rejected = 0
         if ctrl is not None:
             ctrl.adopt(self)
 
@@ -168,93 +190,147 @@ class SmtEndpoint:
         issue_tickets: int = 0,
         session_cache: Optional[dict] = None,
     ):
-        """Start the handshake responder process on ``thread``.
+        """Start the 1-RTT handshake responder process on ``thread``.
 
         ``hs_config_factory()`` returns a fresh :class:`HandshakeConfig`
         per handshake (so each uses fresh randomness/pre-generated keys).
         """
         cache = session_cache if session_cache is not None else {}
+        sock = self._handshake_socket
+
+        def hello(thread, rpc, peer_port, body) -> Generator[Any, Any, None]:
+            server_hs = ServerHandshake(hs_config_factory(), credentials, cache)
+            obs = self.loop.obs
+            if obs is not None:
+                server_hs.bind_obs(obs, f"{self.host.name}.tls")
+            flight = server_hs.process_client_hello(body)
+            yield from thread.work(self.cost_model.total(server_hs.trace))
+            self._pending_server_hs[(rpc.peer_addr, peer_port)] = (
+                server_hs, len(server_hs.trace)
+            )
+            yield from sock.reply(thread, rpc, flight)
+
+        def finished(thread, rpc, peer_port, body) -> Generator[Any, Any, None]:
+            pending = self._pending_server_hs.pop((rpc.peer_addr, peer_port), None)
+            if pending is None:
+                raise ProtocolError("Finished flight without a pending handshake")
+            server_hs, charged = pending
+            server_hs.process_client_flight(body, self.loop.now)
+            yield from thread.work(self.cost_model.total(server_hs.trace[charged:]))
+            client_keys, server_keys = server_hs.result.traffic_keys()
+            self.register_session(rpc.peer_addr, peer_port, server_keys, client_keys)
+            tickets = [server_hs.issue_ticket() for _ in range(issue_tickets)]
+            blob = b"".join(struct.pack("!I", len(t)) + t for t in tickets)
+            yield from sock.reply(thread, rpc, blob or b"\x00")
+
+        return self._respond(thread, {_MSG_CHLO: hello, _MSG_FINISHED: finished})
+
+    def serve_zero_rtt(
+        self, thread: AppThread, zserver, pregenerate: bool = True, keypool=None
+    ):
+        """Answer 0-RTT ClientHellos with ``zserver`` (ZeroRttServer).
+
+        ``keypool`` (optional, duck-typed ``take()``) supplies the
+        forward-secrecy ephemeral off the critical path; a miss falls back
+        to inline generation and charges S2.1.
+        """
+
+        def hello(thread, rpc, peer_port, body) -> Generator[Any, Any, None]:
+            client_share = body[33:98]
+            cw, sw, trace = zserver.accept_zero_rtt(
+                client_share, body[1:33], now=self.loop.now,
+                client_share_fp=body[98:106] if len(body) > 98 else None,
+            )
+            # Reply generation and key-confirmation bookkeeping happen
+            # for both variants (SHLO-style reply + Finished-style
+            # confirmation of the 0-RTT keys).
+            yield from thread.work(
+                self.cost_model.total(trace)
+                + self.cost_model.op_cost_for("S2.3")
+                + self.cost_model.op_cost_for("S3")
+            )
+            session = self.register_session(rpc.peer_addr, peer_port, sw, cw)
+            if not body[0]:  # no forward secrecy wanted
+                yield from self._handshake_socket.reply(thread, rpc, b"\x00")
+                return
+            eph = keypool.take() if keypool is not None else None
+            if eph is None:
+                eph = zserver.generate_ephemeral()
+                if not pregenerate:
+                    # §4.5.1 pre-generation eliminates S2.1 otherwise.
+                    yield from thread.work(self.cost_model.op_cost_for("S2.1"))
+            session.rekey(*(yield from self._fs_reply(thread, rpc, eph, client_share)))
+
+        return self._respond(thread, {_MSG_ZRTT: hello})
+
+    def _respond(self, thread: AppThread, handlers: dict):
+        """Start the one handshake responder process on ``thread``.
+
+        ``handlers`` maps each served kind to a generator ``(thread, rpc,
+        peer_data_port, body)`` that replies; rekeys are always served and
+        hellos pass admission control first.  A flight that fails gets the
+        rejection sentinel and counts in :attr:`handshakes_rejected`.
+        """
+        handlers = {**handlers, _MSG_REKEY: self._serve_rekey}
+        sock = self._handshake_socket
 
         def responder() -> Generator[Any, Any, None]:
             while True:
-                rpc = yield from self._handshake_socket.recv_request(thread)
-                kind, peer_data_port, body = _unwrap(rpc.payload)
-                hs_key = (rpc.peer_addr, peer_data_port)
-                if kind == _MSG_REKEY:
-                    yield from self._serve_rekey(thread, rpc, peer_data_port, body)
-                elif kind == _MSG_CHLO:
-                    if self.ctrl is not None and not self.ctrl.admit_handshake():
-                        yield from self._handshake_socket.reply(thread, rpc, _HS_REFUSED)
-                        continue
-                    server_hs = ServerHandshake(hs_config_factory(), credentials, cache)
-                    obs = self.loop.obs
-                    if obs is not None:
-                        server_hs.bind_obs(obs, f"{self.host.name}.tls")
-                    flight = server_hs.process_client_hello(body)
-                    yield from thread.work(self.cost_model.total(server_hs.trace))
-                    self._pending_server_hs[hs_key] = (server_hs, len(server_hs.trace))
-                    yield from self._handshake_socket.reply(thread, rpc, flight)
-                elif kind == _MSG_FINISHED:
-                    pending = self._pending_server_hs.pop(hs_key, None)
-                    if pending is None:
-                        raise ProtocolError("Finished flight without a pending handshake")
-                    server_hs, charged = pending
-                    server_hs.process_client_flight(body, self.loop.now)
-                    yield from thread.work(
-                        self.cost_model.total(server_hs.trace[charged:])
-                    )
-                    client_keys, server_keys = server_hs.result.traffic_keys()
-                    self.register_session(
-                        rpc.peer_addr, peer_data_port, server_keys, client_keys
-                    )
-                    tickets = b""
-                    for _ in range(issue_tickets):
-                        tickets += _pack_bytes(server_hs.issue_ticket())
-                    yield from self._handshake_socket.reply(thread, rpc, tickets or b"\x00")
-                else:
-                    raise ProtocolError(f"unknown handshake message kind {kind}")
+                rpc = yield from sock.recv_request(thread)
+                try:
+                    if len(rpc.payload) < 3:
+                        raise ProtocolError("short handshake wrapper")
+                    kind, peer_port = struct.unpack_from("!BH", rpc.payload)
+                    handler = handlers.get(kind)
+                    if handler is None:
+                        raise ProtocolError(f"unserved handshake kind {kind}")
+                    if (
+                        kind in _HELLOS
+                        and self.ctrl is not None
+                        and not self.ctrl.admit_handshake()
+                    ):
+                        yield from sock.reply(thread, rpc, _HS_REFUSED)
+                    else:
+                        yield from handler(thread, rpc, peer_port, rpc.payload[3:])
+                except (ProtocolError, CryptoError):
+                    self.handshakes_rejected += 1
+                    yield from sock.reply(thread, rpc, _HS_REJECTED)
 
         return self.loop.process(responder())
 
     def _serve_rekey(
-        self, thread: AppThread, rpc, peer_data_port: int, body: bytes
+        self, thread: AppThread, rpc, peer_port: int, body: bytes
     ) -> Generator[Any, Any, None]:
-        """Answer a client-initiated rekey on a drained session (§4.5.2).
-
-        Mode ``REKEY_UPDATE`` rolls both directions forward with the
-        deterministic key-update derivation; ``REKEY_FS`` performs a fresh
-        ECDH for a forward-secret key.  Either way the message-ID space
-        resets with the keys.
-        """
-        from repro.core.zero_rtt import derive_fs_keys, derive_update_keys
-
-        session = self._sessions.get((rpc.peer_addr, peer_data_port))
+        """Answer :meth:`rekey`; an fs rekey's share comes from the ctrl plane."""
+        session = self._sessions.get((rpc.peer_addr, peer_port))
         if session is None:
             raise ProtocolError(
-                f"rekey request for unknown session {rpc.peer_addr}:{peer_data_port}"
+                f"rekey request for unknown session {rpc.peer_addr}:{peer_port}"
             )
-        mode = body[0]
+        mode = body[0] if body else None
         if mode == REKEY_UPDATE:
-            new_write = derive_update_keys(session.write_keys)
-            new_read = derive_update_keys(session.read_keys)
+            keys = map(derive_update_keys, (session.write_keys, session.read_keys))
             yield from self._handshake_socket.reply(thread, rpc, b"\x01")
-            self.transport.forget_delivered(rpc.peer_addr, peer_data_port)
-            session.rekey(new_write, new_read)
-        elif mode == REKEY_FS:
-            if self.ctrl is None:
-                raise ProtocolError("fs rekey needs a control plane as key source")
-            client_share = bytes(body[1:])
+        elif mode == REKEY_FS and self.ctrl is not None:
             eph, pooled = self.ctrl.take_ecdh()
             if not pooled:
                 yield from thread.work(self.cost_model.op_cost_for("S2.1"))
-            shared = eph.shared_secret(ECPoint.decode(client_share))
-            yield from thread.work(self.cost_model.op_cost_for("S2.2"))
-            fs_cw, fs_sw = derive_fs_keys(shared, client_share, eph.public_bytes())
-            yield from self._handshake_socket.reply(thread, rpc, eph.public_bytes())
-            self.transport.forget_delivered(rpc.peer_addr, peer_data_port)
-            session.rekey(fs_sw, fs_cw)
+            keys = yield from self._fs_reply(thread, rpc, eph, body[1:])
         else:
-            raise ProtocolError(f"unknown rekey mode {mode}")
+            raise ProtocolError(f"cannot serve rekey mode {mode}")
+        self.transport.forget_delivered(rpc.peer_addr, peer_port)
+        session.rekey(*keys)
+
+    def _fs_reply(
+        self, thread: AppThread, rpc, eph: EcdhKeyPair, client_share: bytes
+    ) -> Generator[Any, Any, tuple[TrafficKeys, TrafficKeys]]:
+        """Reply with ``eph``'s share; returns the server's (write, read) fs keys."""
+        shared = eph.shared_secret(ECPoint.decode(client_share))
+        # The fs upgrade costs one extra server-side ECDH.
+        yield from thread.work(self.cost_model.op_cost_for("S2.2"))
+        fs_cw, fs_sw = derive_fs_keys(shared, client_share, eph.public_bytes())
+        yield from self._handshake_socket.reply(thread, rpc, eph.public_bytes())
+        return fs_sw, fs_cw
 
     # -- client side ------------------------------------------------------------------
 
@@ -279,27 +355,20 @@ class SmtEndpoint:
         chlo = client_hs.start()
         yield from thread.work(self.cost_model.total(client_hs.trace))
         charged = len(client_hs.trace)
-        server_flight = yield from self._handshake_socket.call(
-            thread, server_addr, HANDSHAKE_PORT, _wrap(_MSG_CHLO, self.port, chlo)
-        )
-        if server_flight == _HS_REFUSED:
-            raise ProtocolError(
-                f"server {server_addr} refused handshake (admission backpressure)"
-            )
+        server_flight = yield from self._exchange(thread, server_addr, _MSG_CHLO, chlo)
         finished = client_hs.process_server_flight(server_flight, self.loop.now)
         yield from thread.work(self.cost_model.total(client_hs.trace[charged:]))
         client_keys, server_keys = client_hs.result.traffic_keys()
         self.register_session(server_addr, server_data_port, client_keys, server_keys)
         keys_ready = self.loop.now
-        ticket_blob = yield from self._handshake_socket.call(
-            thread, server_addr, HANDSHAKE_PORT, _wrap(_MSG_FINISHED, self.port, finished)
+        ticket_blob = yield from self._exchange(
+            thread, server_addr, _MSG_FINISHED, finished
         )
-        tickets = []
-        if ticket_blob != b"\x00":
-            off = 0
-            while off < len(ticket_blob):
-                blob, off = _unpack_bytes(ticket_blob, off)
-                tickets.extend(client_hs.process_tickets(blob))
+        tickets, off = [], 0
+        while ticket_blob != b"\x00" and off < len(ticket_blob):
+            (n,) = struct.unpack_from("!I", ticket_blob, off)
+            off += 4 + n
+            tickets.extend(client_hs.process_tickets(ticket_blob[off - n : off]))
         if tickets:
             self.tickets[(server_addr, server_data_port)] = tickets
         if hs_span is not None:
@@ -307,80 +376,6 @@ class SmtEndpoint:
                 hs_span, setup_latency=keys_ready - started, tickets=len(tickets)
             )
         return HandshakeStats(started, keys_ready, self.loop.now)
-
-
-class ZeroRttMixin:
-    """0-RTT session establishment over the transport (paper §4.5.2).
-
-    The client must hold a verified :class:`repro.core.zero_rtt.SmtTicket`
-    (from the internal DNS, fetched and checked before the handshake
-    begins).  ``connect_zero_rtt`` derives the SMT-key, registers the
-    session immediately -- encrypted data can flow from virtual time
-    "now" -- and optionally upgrades to a forward-secret key when the
-    server's ephemeral share arrives.
-    """
-
-    def serve_zero_rtt(
-        self, thread: AppThread, zserver, pregenerate: bool = True, keypool=None
-    ):
-        """Answer 0-RTT ClientHellos with ``zserver`` (ZeroRttServer).
-
-        ``keypool`` (optional, duck-typed ``take()``) supplies the
-        forward-secrecy ephemeral off the critical path; a miss falls back
-        to inline generation and charges S2.1.
-        """
-        from repro.core.zero_rtt import derive_fs_keys
-
-        def responder() -> Generator[Any, Any, None]:
-            while True:
-                rpc = yield from self._handshake_socket.recv_request(thread)
-                kind, peer_data_port, body = _unwrap(rpc.payload)
-                if kind == _MSG_REKEY:
-                    yield from self._serve_rekey(thread, rpc, peer_data_port, body)
-                    continue
-                if kind != _MSG_ZRTT:
-                    raise ProtocolError(f"unexpected handshake kind {kind}")
-                if self.ctrl is not None and not self.ctrl.admit_handshake():
-                    yield from self._handshake_socket.reply(thread, rpc, _HS_REFUSED)
-                    continue
-                want_fs = bool(body[0])
-                chlo_random = body[1:33]
-                client_share = body[33:98]
-                client_share_fp = bytes(body[98:106]) if len(body) > 98 else None
-                cw, sw, trace = zserver.accept_zero_rtt(
-                    client_share, chlo_random, now=self.loop.now,
-                    client_share_fp=client_share_fp,
-                )
-                # Reply generation and key-confirmation bookkeeping happen
-                # for both variants (SHLO-style reply + Finished-style
-                # confirmation of the 0-RTT keys).
-                yield from thread.work(
-                    self.cost_model.total(trace)
-                    + self.cost_model.op_cost_for("S2.3")
-                    + self.cost_model.op_cost_for("S3")
-                )
-                session = self.register_session(rpc.peer_addr, peer_data_port, sw, cw)
-                if want_fs:
-                    eph = keypool.take() if keypool is not None else None
-                    if eph is None:
-                        eph = EcdhKeyPair.generate(zserver._rng)
-                        if not pregenerate:
-                            # §4.5.1 pre-generation eliminates S2.1 otherwise.
-                            yield from thread.work(self.cost_model.op_cost_for("S2.1"))
-                    shared = eph.shared_secret(ECPoint.decode(client_share))
-                    # The fs upgrade costs one extra server-side ECDH.
-                    yield from thread.work(self.cost_model.op_cost_for("S2.2"))
-                    fs_cw, fs_sw = derive_fs_keys(
-                        shared, client_share, eph.public_bytes()
-                    )
-                    yield from self._handshake_socket.reply(
-                        thread, rpc, eph.public_bytes()
-                    )
-                    session.rekey(fs_sw, fs_cw)
-                else:
-                    yield from self._handshake_socket.reply(thread, rpc, b"\x00")
-
-        return self.loop.process(responder())
 
     def connect_zero_rtt(
         self,
@@ -394,22 +389,19 @@ class ZeroRttMixin:
         pregenerated=None,
         share_fingerprint: bool = False,
     ) -> Generator[Any, Any, HandshakeStats]:
-        """Derive the SMT-key and (optionally) upgrade to forward secrecy.
+        """0-RTT session establishment with an SMT-ticket (paper §4.5.2).
 
-        ``share_fingerprint=True`` appends the ticket share's fingerprint
-        to the ClientHello so a freshly-rotated server can honour the
-        previous share inside its grace window (§4.5.3).
+        The session is registered at once -- encrypted data may flow from
+        "now" -- and ``forward_secrecy`` upgrades it to an fs-key when the
+        server's ephemeral share arrives.  ``share_fingerprint=True`` names
+        the ticket's share so a freshly-rotated server can honour the
+        previous one inside its grace window (§4.5.3).
         """
-        import random as _random
-
-        from repro.core.zero_rtt import ZeroRttClient, derive_fs_keys
-        from repro.core.zero_rtt import share_fingerprint as _share_fp
-
         started = self.loop.now
         # Ticket verification happened offline, "before the handshake
         # begins" (§4.5.2) -- it is not on the connect latency path.
         client = ZeroRttClient(
-            ticket, trust_roots, now=self.loop.now, rng=rng or _random.Random(0)
+            ticket, trust_roots, now=self.loop.now, rng=rng or random.Random(0)
         )
         share, chlo_random, cw, sw, trace = client.start(pregenerated=pregenerated)
         yield from thread.work(
@@ -419,68 +411,64 @@ class ZeroRttMixin:
         keys_ready = self.loop.now  # 0-RTT: encrypted data may flow already
         body = bytes([int(forward_secrecy)]) + chlo_random + share
         if share_fingerprint:
-            body += _share_fp(ticket.long_term_share)
-        reply = yield from self._handshake_socket.call(
-            thread, server_addr, HANDSHAKE_PORT,
-            _wrap(_MSG_ZRTT, self.port, body),
-        )
-        if reply == _HS_REFUSED:
-            raise ProtocolError(
-                f"server {server_addr} refused handshake (admission backpressure)"
-            )
+            body += fingerprint_of(ticket.long_term_share)
+        reply = yield from self._exchange(thread, server_addr, _MSG_ZRTT, body)
         # Processing the server's confirming flight (SHLO-style reply +
         # Finished-style confirmation) happens for both variants.
         yield from thread.work(
             self.cost_model.op_cost_for("C2.1") + self.cost_model.op_cost_for("C5")
         )
         if forward_secrecy:
-            server_share = ECPoint.decode(reply)
-            eph = pregenerated or client._eph_used
-            shared = eph.shared_secret(server_share)
-            yield from thread.work(self.cost_model.op_cost_for("C2.2"))
-            fs_cw, fs_sw = derive_fs_keys(shared, share, reply)
-            session.rekey(fs_cw, fs_sw)
+            session.rekey(*(yield from self._fs_keys(thread, client.ephemeral, reply)))
         return HandshakeStats(started, keys_ready, self.loop.now)
 
+    def rekey(
+        self,
+        thread: AppThread,
+        peer_addr: int,
+        peer_port: int,
+        ephemeral: Optional[EcdhKeyPair] = None,
+    ) -> Generator[Any, Any, None]:
+        """Roll the drained session with a peer to new keys (§4.5.2).
 
-# SmtEndpoint gains the 0-RTT flows (the mixin is defined below the class
-# for readability; attach its methods here).
-SmtEndpoint.serve_zero_rtt = ZeroRttMixin.serve_zero_rtt
-SmtEndpoint.connect_zero_rtt = ZeroRttMixin.connect_zero_rtt
+        Without ``ephemeral`` both sides apply the deterministic key
+        update; with one, the server answers with a fresh share and both
+        derive forward-secret keys.  Either way the message-ID space
+        resets with the keys.
+        """
+        session = self._sessions[(peer_addr, peer_port)]
+        if ephemeral is None:
+            update = bytes([REKEY_UPDATE])
+            yield from self._exchange(thread, peer_addr, _MSG_REKEY, update)
+            keys = map(derive_update_keys, (session.write_keys, session.read_keys))
+        else:
+            body = bytes([REKEY_FS]) + ephemeral.public_bytes()
+            reply = yield from self._exchange(thread, peer_addr, _MSG_REKEY, body)
+            keys = yield from self._fs_keys(thread, ephemeral, reply)
+        self.transport.forget_delivered(peer_addr, peer_port)
+        session.rekey(*keys)
 
+    def _exchange(
+        self, thread: AppThread, server_addr: int, kind: int, body: bytes
+    ) -> Generator[Any, Any, bytes]:
+        """One handshake-port request; a refusal or rejection raises."""
+        reply = yield from self._handshake_socket.call(
+            thread, server_addr, HANDSHAKE_PORT,
+            struct.pack("!BH", kind, self.port) + body,
+        )
+        if reply == _HS_REFUSED:
+            raise ProtocolError(
+                f"server {server_addr} refused handshake (admission backpressure)"
+            )
+        if reply == _HS_REJECTED:
+            raise ProtocolError(f"server {server_addr} rejected the handshake flight")
+        return reply
 
-# -- wire helpers for handshake-over-transport ------------------------------------
+    def _fs_keys(
+        self, thread: AppThread, eph: EcdhKeyPair, server_share: bytes
+    ) -> Generator[Any, Any, tuple[TrafficKeys, TrafficKeys]]:
+        """The client half of an fs upgrade: its (write, read) fs keys."""
+        shared = eph.shared_secret(ECPoint.decode(server_share))
+        yield from thread.work(self.cost_model.op_cost_for("C2.2"))
+        return derive_fs_keys(shared, eph.public_bytes(), server_share)
 
-_MSG_CHLO = 1
-_MSG_FINISHED = 2
-_MSG_ZRTT = 3
-_MSG_REKEY = 4
-
-# Rekey modes (body[0] of a _MSG_REKEY request).
-REKEY_UPDATE = 0  # deterministic key-update derivation, no extra ECDH
-REKEY_FS = 1  # fresh ECDH exchange for a forward-secret key
-
-# Admission backpressure: the sentinel flight a server returns instead of
-# a ServerHello when its session table refuses new handshakes.
-_HS_REFUSED = b"\x00SMT-HS-REFUSED"
-
-
-def _wrap(kind: int, data_port: int, body: bytes) -> bytes:
-    return struct.pack("!BH", kind, data_port) + body
-
-
-def _unwrap(payload: bytes) -> tuple[int, int, bytes]:
-    if len(payload) < 3:
-        raise ProtocolError("short handshake wrapper")
-    kind, data_port = struct.unpack("!BH", payload[:3])
-    return kind, data_port, payload[3:]
-
-
-def _pack_bytes(blob: bytes) -> bytes:
-    return struct.pack("!I", len(blob)) + blob
-
-
-def _unpack_bytes(data: bytes, off: int) -> tuple[bytes, int]:
-    (n,) = struct.unpack_from("!I", data, off)
-    off += 4
-    return data[off : off + n], off + n

@@ -141,9 +141,7 @@ class ZeroRttServer:
         if self.long_term is not None and self.grace_window > 0:
             self.previous = self.long_term
             self.previous_grace_until = now + self.grace_window
-        self.long_term = keypair if keypair is not None else EcdhKeyPair.generate(
-            self._rng
-        )
+        self.long_term = keypair if keypair is not None else self.generate_ephemeral()
         self.rotated_at = now
         self._seen_chlo_randoms.clear()
         ticket = SmtTicket(
@@ -158,6 +156,10 @@ class ZeroRttServer:
             ticket.server_name, ticket.long_term_share, ticket.chain,
             ticket.not_after, signature,
         )
+
+    def generate_ephemeral(self) -> EcdhKeyPair:
+        """A fresh keypair from this server's RNG (e.g. an fs reply share)."""
+        return EcdhKeyPair.generate(self._rng)
 
     def forget_share(self) -> None:
         """The server process died: its in-memory shares vanish.
@@ -226,6 +228,7 @@ class ZeroRttClient:
         self.ticket = ticket
         self.leaf = ticket.verify(trust_roots, now)
         self._rng = rng
+        self.ephemeral: Optional[EcdhKeyPair] = None  # set by start()
 
     def start(
         self, pregenerated: Optional[EcdhKeyPair] = None
@@ -238,7 +241,7 @@ class ZeroRttClient:
             eph = EcdhKeyPair.generate(self._rng)
             trace.append(TraceOp("C1.1", {}))
         trace.append(TraceOp("C1.2", {}))
-        self._eph_used = eph  # kept for the forward-secrecy upgrade
+        self.ephemeral = eph  # kept for the forward-secrecy upgrade
         server_share = ECPoint.decode(self.ticket.long_term_share)
         shared = eph.shared_secret(server_share)
         trace.append(TraceOp("C2.2", {}))

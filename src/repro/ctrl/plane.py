@@ -104,6 +104,8 @@ class ControlPlane:
         # replica rejects 0-RTT until the service's SharedShareRotator
         # resyncs it -- the ticket-portability gap the frontend measures.
         self.zero_rtt = None
+        self.crashes = 0
+        self.restarts = 0
         host.ctrl = self
         obs = self.loop.obs
         if obs is not None:
@@ -191,7 +193,7 @@ class ControlPlane:
             self.ecdsa_pool.clear()
         if self.zero_rtt is not None:
             self.zero_rtt.forget_share()
-        self.crashes = getattr(self, "crashes", 0) + 1
+        self.crashes += 1
 
     def restart(self) -> None:
         """Cold restart after :meth:`crash`: pools start *empty*.
@@ -202,15 +204,8 @@ class ControlPlane:
         refill timers catch up -- the control-plane pressure the incident
         bench measures.
         """
-        cfg = self.config
-        if cfg.idle_timeout is not None and self.table._sweeper is None:
-            self.table._sweeper = self.loop.every(
-                cfg.sweep_interval
-                if cfg.sweep_interval is not None
-                else cfg.idle_timeout / 4,
-                self.table._sweep_idle,
-            )
-        self.restarts = getattr(self, "restarts", 0) + 1
+        self.table.start()
+        self.restarts += 1
 
     # -- observability ---------------------------------------------------------
 

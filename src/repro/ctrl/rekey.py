@@ -4,9 +4,11 @@ The 48-bit composite message-ID space is finite; the paper notes that
 session resumption "updates cryptographic keys and thus resets the
 message ID space".  :class:`RekeyManager` watches each managed session's
 :class:`~repro.core.seqspace.MessageIdSpace` high watermark and, before
-the space runs out, drains in-flight RPCs, runs a rekey exchange over the
-handshake socket, and resets the ID space -- all invisible to callers
-(new calls briefly park on the session's tx gate).
+the space runs out, drains in-flight RPCs and asks the endpoint for a
+rekey (:meth:`repro.core.endpoint.SmtEndpoint.rekey`, which resets the ID
+space) -- all invisible to callers (new calls briefly park on the
+session's tx gate).  This module only schedules; the exchange itself
+belongs to the endpoint.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro.core.endpoint import HANDSHAKE_PORT, REKEY_FS, REKEY_UPDATE, _MSG_REKEY, _wrap
-from repro.core.zero_rtt import derive_fs_keys, derive_update_keys
-from repro.crypto.ec import ECPoint
 from repro.crypto.ecdh import EcdhKeyPair
 from repro.errors import ProtocolError
 
@@ -63,43 +62,7 @@ class RekeyManager:
         if entry.session.tx_gate_event is not None:
             return
         self.scheduled += 1
-        self.inflight += 1
-        entry.session.tx_gate_event = self.loop.event()
-        self.loop.process(self._run(entry))
-
-    def _drain(self, entry: ManagedSession) -> Generator[Any, Any, None]:
-        session = entry.session
-        while session.inflight_rpcs > 0:
-            waiter = self.loop.event()
-            session.drain_waiter = waiter
-            yield waiter
-        # Push any batched ACKs out before the ID space resets, so stale
-        # acknowledgements cannot land on a reused message ID.
-        entry.endpoint.transport._flush_acks(entry.peer_addr)
-
-    def _run(self, entry: ManagedSession) -> Generator[Any, Any, None]:
-        session = entry.session
-        try:
-            yield from self._drain(entry)
-            reply = yield from entry.endpoint._handshake_socket.call(
-                entry.thread,
-                entry.peer_addr,
-                HANDSHAKE_PORT,
-                _wrap(_MSG_REKEY, entry.endpoint.port, bytes([REKEY_UPDATE])),
-            )
-            if reply != b"\x01":
-                raise ProtocolError("rekey exchange rejected by server")
-            new_write = derive_update_keys(session.write_keys)
-            new_read = derive_update_keys(session.read_keys)
-            entry.endpoint.transport.forget_delivered(entry.peer_addr, entry.peer_port)
-            session.rekey(new_write, new_read)
-            entry.rekeys_run += 1
-            self.completed += 1
-        finally:
-            self.inflight -= 1
-            gate, session.tx_gate_event = session.tx_gate_event, None
-            if gate is not None:
-                gate.succeed()
+        self.loop.process(self._gated(entry))
 
     def upgrade_to_fs(
         self, entry: ManagedSession, pregenerated: Optional[EcdhKeyPair] = None
@@ -110,40 +73,44 @@ class RekeyManager:
         watermark rekey.  The ephemeral comes from ``pregenerated``, the
         manager's keypool, or (charging C1.1) inline generation.
         """
-        session = entry.session
-        if session.tx_gate_event is not None:
+        if entry.session.tx_gate_event is not None:
             raise ProtocolError("session is already rekeying")
-        session.tx_gate_event = self.loop.event()
+        return self._gated(entry, fs=True, pregenerated=pregenerated)
+
+    def _gated(
+        self, entry: ManagedSession, fs: bool = False, pregenerated=None
+    ) -> Generator[Any, Any, None]:
+        """Close ``entry``'s tx gate now; the returned rekey reopens it."""
+        session = entry.session
         self.inflight += 1
-        try:
-            yield from self._drain(entry)
-            eph = pregenerated
-            if eph is None and self.keypool is not None:
-                eph = self.keypool.take()
-            if eph is None:
-                eph = EcdhKeyPair.generate(self.rng)
-                yield from entry.thread.work(
-                    entry.endpoint.cost_model.op_cost_for("C1.1")
+        session.tx_gate_event = self.loop.event()
+
+        def rekey() -> Generator[Any, Any, None]:
+            try:
+                while session.inflight_rpcs > 0:  # drain
+                    session.drain_waiter = waiter = self.loop.event()
+                    yield waiter
+                # Push any batched ACKs out before the ID space resets, so
+                # stale acknowledgements cannot land on a reused message ID.
+                entry.endpoint.transport.flush_acks(entry.peer_addr)
+                eph = pregenerated
+                if fs and eph is None and self.keypool is not None:
+                    eph = self.keypool.take()
+                if fs and eph is None:
+                    eph = EcdhKeyPair.generate(self.rng)
+                    yield from entry.thread.work(
+                        entry.endpoint.cost_model.op_cost_for("C1.1")
+                    )
+                yield from entry.endpoint.rekey(
+                    entry.thread, entry.peer_addr, entry.peer_port, eph
                 )
-            body = bytes([REKEY_FS]) + eph.public_bytes()
-            reply = yield from entry.endpoint._handshake_socket.call(
-                entry.thread,
-                entry.peer_addr,
-                HANDSHAKE_PORT,
-                _wrap(_MSG_REKEY, entry.endpoint.port, body),
-            )
-            shared = eph.shared_secret(ECPoint.decode(reply))
-            yield from entry.thread.work(
-                entry.endpoint.cost_model.op_cost_for("C2.2")
-            )
-            fs_cw, fs_sw = derive_fs_keys(shared, eph.public_bytes(), reply)
-            entry.endpoint.transport.forget_delivered(entry.peer_addr, entry.peer_port)
-            session.rekey(fs_cw, fs_sw)
-            entry.rekeys_run += 1
-            self.fs_upgrades += 1
-            self.completed += 1
-        finally:
-            self.inflight -= 1
-            gate, session.tx_gate_event = session.tx_gate_event, None
-            if gate is not None:
-                gate.succeed()
+                entry.rekeys_run += 1
+                self.fs_upgrades += fs
+                self.completed += 1
+            finally:
+                self.inflight -= 1
+                gate, session.tx_gate_event = session.tx_gate_event, None
+                if gate is not None:
+                    gate.succeed()
+
+        return rekey()

@@ -40,13 +40,10 @@ class SessionTable:
         self.loop = loop
         self.capacity = capacity
         self.idle_timeout = idle_timeout
+        self.sweep_interval = sweep_interval
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._sweeper = None
-        if idle_timeout is not None:
-            self._sweeper = loop.every(
-                sweep_interval if sweep_interval is not None else idle_timeout / 4,
-                self._sweep_idle,
-            )
+        self.start()
         self.inserted = 0
         self.evicted_lru = 0
         self.evicted_idle = 0
@@ -131,6 +128,15 @@ class SessionTable:
         for entry in entries:
             entry.on_evict()
         return dropped
+
+    def start(self) -> None:
+        """Arm the idle sweep (if idle eviction is on and it is not armed)."""
+        if self.idle_timeout is not None and self._sweeper is None:
+            interval = self.sweep_interval
+            self._sweeper = self.loop.every(
+                interval if interval is not None else self.idle_timeout / 4,
+                self._sweep_idle,
+            )
 
     def stop(self) -> None:
         if self._sweeper is not None:

@@ -77,6 +77,9 @@ class HomaTransport:
             raise TransportError(f"port {port} already bound")
         self._sockets[port] = socket
 
+    def is_bound(self, port: int) -> bool:
+        return port in self._sockets
+
     def alloc_msg_id(self, codec: MessageCodec) -> int:
         # Managed sessions (repro.ctrl) carve per-session lanes out of the
         # ID space; unmanaged codecs fall through to the shared counter.
@@ -489,15 +492,16 @@ class HomaTransport:
             batch = (socket.port, inbound.peer_port, [inbound.msg_id])
             self._ack_batch[inbound.peer_addr] = batch
             self.loop.call_later(
-                self.ack_flush_interval, self._flush_acks, inbound.peer_addr
+                self.ack_flush_interval, self.flush_acks, inbound.peer_addr
             )
         else:
             batch[2].append(inbound.msg_id)
         if len(batch[2]) >= self.ack_batch_size:
-            return self._flush_acks(inbound.peer_addr)
+            return self.flush_acks(inbound.peer_addr)
         return 0.0
 
-    def _flush_acks(self, peer_addr: int) -> float:
+    def flush_acks(self, peer_addr: int) -> float:
+        """Send ``peer_addr``'s batched ACKs now; returns the CPU cost."""
         batch = self._ack_batch.pop(peer_addr, None)
         if batch is None:
             return 0.0

@@ -80,6 +80,10 @@ class Host:
             raise SimulationError(f"transport for proto {proto} already registered")
         self._transports[proto] = transport
 
+    def transport(self, proto: int) -> Optional[Transport]:
+        """The transport registered for ``proto``, if any."""
+        return self._transports.get(proto)
+
     def alloc_port(self) -> int:
         port = self._next_port
         self._next_port += 1

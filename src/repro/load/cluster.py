@@ -131,7 +131,7 @@ def verify_response(payload: bytes, serial: int, response_size: int) -> bool:
     return _fill_follows(payload, serial ^ _RESP_SALT)
 
 
-def _pair_keys(tx_addr: int, rx_addr: int, port: int = 0) -> TrafficKeys:
+def pair_keys(tx_addr: int, rx_addr: int, port: int = 0) -> TrafficKeys:
     """Deterministic per-direction traffic keys for a host pair; a stream
     connection adds its server ``port``, as each counts records from 0."""
     packed = struct.pack("!IIH", tx_addr, rx_addr, port)
@@ -141,7 +141,7 @@ def _pair_keys(tx_addr: int, rx_addr: int, port: int = 0) -> TrafficKeys:
     )
 
 
-class _StreamRpcClient:
+class StreamRpcClient:
     """Pipelined RPCs over one bytestream channel (one reader loop).
 
     Sends are serialised through a tiny cooperative mutex: a kTLS
@@ -197,7 +197,7 @@ def message_socket(host, system: str, config: Optional[HomaConfig]) -> HomaSocke
         return HomaSocket(transport, SERVER_PORT)
     provider = SmtCodec.per_peer(
         host, {},
-        lambda addr: (_pair_keys(host.addr, addr), _pair_keys(addr, host.addr)),
+        lambda addr: (pair_keys(host.addr, addr), pair_keys(addr, host.addr)),
         LOAD_AEAD,
     )
     return HomaSocket(transport, SERVER_PORT, codec_provider=provider)
@@ -271,7 +271,7 @@ class ClusterHarness:
         self.requests_served = [0] * len(self.hosts)
         self._index_of = {host.addr: i for i, host in enumerate(self.hosts)}
         self._socks: dict[int, HomaSocket] = {}
-        self._stream_clients: dict[tuple[int, int], _StreamRpcClient] = {}
+        self._stream_clients: dict[tuple[int, int], StreamRpcClient] = {}
         if system in ("homa", "smt"):
             self._socks = start_message_mesh(
                 self, range(len(self.hosts)), config, num_server_threads
@@ -293,14 +293,14 @@ class ClusterHarness:
                     continue
                 port += 1
                 conn_c, conn_s = connect_pair(src, dst, port)
-                client_keys = _pair_keys(src.addr, dst.addr, port)
-                server_keys = _pair_keys(dst.addr, src.addr, port)
+                client_keys = pair_keys(src.addr, dst.addr, port)
+                server_keys = pair_keys(dst.addr, src.addr, port)
                 chan_c, chan_s = ktls_pair(
                     conn_c, conn_s, mode, client_keys, server_keys,
                     aead_kind=LOAD_AEAD,
                 )
                 ordinal = len(self._stream_clients)
-                self._stream_clients[(i, j)] = _StreamRpcClient(
+                self._stream_clients[(i, j)] = StreamRpcClient(
                     self.bed.loop, src.app_thread(ordinal), chan_c
                 )
                 self.bed.loop.process(

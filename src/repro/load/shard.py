@@ -40,8 +40,8 @@ from repro.load.cluster import (
     LOAD_AEAD,
     SERVER_PORT,
     SYSTEMS,
-    _pair_keys,
-    _StreamRpcClient,
+    StreamRpcClient,
+    pair_keys,
     serve_stream,
     start_message_mesh,
 )
@@ -102,7 +102,7 @@ class ShardedClusterHarness:
         #: Served-request counts by *global* host index (local hosts only).
         self.requests_served = {g: 0 for g in self.global_indices}
         self._socks: dict[int, HomaSocket] = {}
-        self._stream_clients: dict[tuple[int, int], _StreamRpcClient] = {}
+        self._stream_clients: dict[tuple[int, int], StreamRpcClient] = {}
         if system in ("homa", "smt"):
             self._socks = start_message_mesh(
                 self, self.global_indices, config, num_server_threads
@@ -131,10 +131,10 @@ class ShardedClusterHarness:
                 ordinal = _pair_ordinal(src_g, dst_g, n)
                 server_port = SERVER_PORT + 1 + ordinal
                 client_port = _CLIENT_PORT_BASE + ordinal
-                client_keys = _pair_keys(
+                client_keys = pair_keys(
                     self._addr_of[src_g], self._addr_of[dst_g], server_port
                 )
-                server_keys = _pair_keys(
+                server_keys = pair_keys(
                     self._addr_of[dst_g], self._addr_of[src_g], server_port
                 )
                 if src_i is not None:
@@ -146,7 +146,7 @@ class ShardedClusterHarness:
                     chan = KtlsConnection(
                         conn, mode, client_keys, server_keys, LOAD_AEAD
                     )
-                    self._stream_clients[(src_g, dst_g)] = _StreamRpcClient(
+                    self._stream_clients[(src_g, dst_g)] = StreamRpcClient(
                         self.loop, src.app_thread(ordinal), chan
                     )
                 if dst_i is not None:

@@ -51,7 +51,7 @@ class TcpTransport:
     @staticmethod
     def for_host(host: Host) -> "TcpTransport":
         """The host's TcpTransport, creating and registering it on demand."""
-        existing = host._transports.get(PROTO_TCP)
+        existing = host.transport(PROTO_TCP)
         if existing is not None:
             return existing  # type: ignore[return-value]
         return TcpTransport(host)

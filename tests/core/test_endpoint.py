@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from repro.core.endpoint import SmtEndpoint
+from repro.core.endpoint import HANDSHAKE_PORT, SmtEndpoint
 from repro.crypto.ca import CertificateAuthority
 from repro.crypto.cert import KEY_ALG_ECDSA
 from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.errors import AuthenticationError, ProtocolError
+from repro.homa.socket import HomaSocket
 from repro.nic.tso import TsoMode
 from repro.testbed import Testbed
 from repro.tls.handshake import HandshakeConfig, ServerCredentials
@@ -111,6 +112,38 @@ class TestEstablishment:
             assert done.triggered
             outcomes.append(done.ok or type(done.value))
         assert outcomes == [AuthenticationError, True, AuthenticationError]
+
+
+class TestBadFlights:
+    """A flight the responder cannot serve is rejected, and serving goes on."""
+
+    @pytest.mark.parametrize(
+        "flight",
+        [
+            b"\x01\x00",  # shorter than the 3-byte wrapper
+            b"\x02\x1b\x58finished",  # a Finished with no pending handshake
+            b"\x03\x1b\x58",  # a 0-RTT hello this listener does not serve
+            b"\x04\x1b\x58\x00",  # a rekey for an unknown session
+            b"\x09\x1b\x58",  # no such kind
+        ],
+    )
+    def test_rejected_then_honest_connect_completes(self, pki, flight):
+        bed, cep, sep, roots = build(pki)
+        raw = HomaSocket(cep.transport, bed.client.alloc_port())
+        replies = []
+
+        def body():
+            t = bed.client.app_thread(0)
+            replies.append((yield from raw.call(t, bed.server.addr, HANDSHAKE_PORT,
+                                                flight)))
+
+        done = bed.loop.process(body())
+        bed.loop.run(until=0.5)
+        assert done.triggered and done.ok, getattr(done, "value", None)
+        assert replies == [b"\x00SMT-HS-REJECTED"]
+        assert sep.handshakes_rejected == 1
+        connect(bed, cep, roots)
+        assert sep.session_for(bed.client.addr, cep.port) is not None
 
 
 class TestEncryptedData:

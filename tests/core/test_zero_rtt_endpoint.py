@@ -10,6 +10,7 @@ from repro.crypto.ca import CertificateAuthority
 from repro.crypto.cert import KEY_ALG_ECDSA
 from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.dns.resolver import InternalDns
+from repro.errors import ProtocolError
 from repro.testbed import Testbed
 
 PORT = 7000
@@ -44,7 +45,9 @@ def build(pki, forward_secrecy, seed=10):
     return bed, cep, sep, dns, zserver, (ca.certificate,)
 
 
-def connect_and_call(bed, cep, dns, roots, forward_secrecy, payload=b"zrtt"):
+def connect_and_call(
+    bed, cep, dns, roots, forward_secrecy, payload=b"zrtt", rng_seed=42
+):
     out = {}
 
     def client():
@@ -52,14 +55,14 @@ def connect_and_call(bed, cep, dns, roots, forward_secrecy, payload=b"zrtt"):
         ticket = dns.query("server", now=bed.loop.now)
         out["stats"] = yield from cep.connect_zero_rtt(
             thread, bed.server.addr, PORT, ticket, roots,
-            forward_secrecy=forward_secrecy, rng=random.Random(42),
+            forward_secrecy=forward_secrecy, rng=random.Random(rng_seed),
         )
         out["reply"] = yield from cep.socket.call(
             thread, bed.server.addr, PORT, payload
         )
 
     done = bed.loop.process(client())
-    bed.loop.run(until=1.0)
+    bed.loop.run(until=bed.loop.now + 1.0)
     assert done.triggered, "deadlock"
     if not done.ok:
         raise done.value
@@ -132,6 +135,19 @@ class TestZeroRttOverWire:
 
         done = bed.loop.process(replayer())
         bed.loop.run(until=bed.loop.now + 0.5)
-        # The server-side responder raised AuthenticationError.
+        # The server rejected the replay (its AuthenticationError became a
+        # rejected flight), and the client's connect raised.
         assert zserver.replayed_chlos >= 1
         assert not done.triggered or not done.ok
+
+    def test_responder_survives_a_replay(self, pki):
+        bed, cep, sep, dns, zserver, roots = build(pki, False)
+        connect_and_call(bed, cep, dns, roots, False)
+        replayed = SmtEndpoint(bed.client, bed.client.alloc_port())
+        with pytest.raises(ProtocolError, match="rejected"):
+            connect_and_call(bed, replayed, dns, roots, False)
+        assert zserver.replayed_chlos == 1 and sep.handshakes_rejected == 1
+        # A third, honest client on the same server still completes.
+        honest = SmtEndpoint(bed.client, bed.client.alloc_port())
+        out = connect_and_call(bed, honest, dns, roots, True, rng_seed=43)
+        assert out["reply"] == b"zrtt"

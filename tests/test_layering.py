@@ -10,7 +10,9 @@ place ranks are written down; this file parses it):
 - every package has a rank;
 - an import inside a function is either of the same package or listed in
   :data:`DEFERRED` with the reason it stays deferred;
-- the table's "imports" column is what the code imports, no more, no less.
+- the table's "imports" column is what the code imports, no more, no less;
+- no module imports a ``_``-prefixed name from another module, in or
+  across packages: what a module shares, it names publicly.
 
 ``repro.sim.shard`` is a node of its own: it builds hosts, NICs and fabric
 slices, so it sits above ``nic`` while the kernel it is named after sits
@@ -64,6 +66,7 @@ class Import(NamedTuple):
     lineno: int
     target: str  # imported module, dotted
     kind: str  # "module" | "function" | "type_checking"
+    names: tuple[str, ...] = ()  # what ``from target import ...`` takes
 
     @property
     def site(self) -> str:
@@ -98,24 +101,31 @@ def imports_of(root: Path, path: Path) -> Iterator[Import]:
         parts = package
     module = ".".join(parts)
 
-    def targets(stmt: ast.stmt) -> Iterator[str]:
+    def targets(stmt: ast.stmt) -> dict[str, tuple[str, ...]]:
+        """Each module one statement imports, with the names taken from it."""
+        found: dict[str, tuple[str, ...]] = {}
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
-                yield alias.name
-        elif isinstance(stmt, ast.ImportFrom):
-            base = package[: len(package) - stmt.level + 1] if stmt.level else []
-            if stmt.module:
-                base = base + stmt.module.split(".")
-            for alias in stmt.names:
-                # ``from pkg import name``: name may itself be a submodule.
-                sub = ".".join(base + [alias.name])
-                yield sub if _is_module(root, sub) else ".".join(base)
+                found.setdefault(alias.name, ())
+            return found
+        base = package[: len(package) - stmt.level + 1] if stmt.level else []
+        if stmt.module:
+            base = base + stmt.module.split(".")
+        for alias in stmt.names:
+            # ``from pkg import name``: name may itself be a submodule.
+            sub = ".".join(base + [alias.name])
+            if _is_module(root, sub):
+                found.setdefault(sub, ())
+            else:
+                parent = ".".join(base)
+                found[parent] = found.get(parent, ()) + (alias.name,)
+        return found
 
     def walk(node: ast.AST, kind: str) -> Iterator[Import]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.Import, ast.ImportFrom)):
-                for target in dict.fromkeys(targets(child)):  # once per statement
-                    yield Import(module, child.lineno, target, kind)
+                for target, names in targets(child).items():  # once per statement
+                    yield Import(module, child.lineno, target, kind, names)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from walk(child, "function" if kind == "module" else kind)
             elif isinstance(child, ast.If) and _is_type_checking(child.test):
@@ -127,15 +137,34 @@ def imports_of(root: Path, path: Path) -> Iterator[Import]:
     yield from walk(ast.parse(path.read_text()), "module")
 
 
+def all_imports(root: Path) -> list[Import]:
+    """Every import statement under ``root/repro``."""
+    return [
+        imp
+        for path in sorted((root / "repro").rglob("*.py"))
+        for imp in imports_of(root, path)
+    ]
+
+
 def cross_package_imports(root: Path) -> list[Import]:
     """All imports under ``root/repro`` that cross a layering node."""
     found = []
-    for path in sorted((root / "repro").rglob("*.py")):
-        for imp in imports_of(root, path):
-            src, dst = node_of(imp.module), node_of(imp.target)
-            if src is not None and dst is not None and src != dst:
-                found.append(imp)
+    for imp in all_imports(root):
+        src, dst = node_of(imp.module), node_of(imp.target)
+        if src is not None and dst is not None and src != dst:
+            found.append(imp)
     return found
+
+
+def private_imports(imports: list[Import]) -> list[str]:
+    """Each ``_``-prefixed name one ``repro`` module takes from another."""
+    return [
+        f"private: {imp.site} imports {name} from {imp.target}"
+        for imp in imports
+        if imp.target != imp.module and imp.target.startswith("repro.")
+        for name in imp.names
+        if name.startswith("_") and not name.startswith("__")
+    ]
 
 
 def nodes_under(root: Path) -> set[str]:
@@ -222,6 +251,11 @@ def test_design_table_lists_what_the_code_imports(imports):
     assert documented == actual
 
 
+def test_no_private_name_crosses_modules():
+    problems = private_imports(all_imports(SRC))
+    assert not problems, "\n" + "\n".join(problems)
+
+
 def test_exemption_lists_hold_nothing_stale(imports):
     deferred = {(i.module, i.target) for i in imports if i.kind == "function"}
     assert deferred == set(DEFERRED)
@@ -232,11 +266,13 @@ def test_exemption_lists_hold_nothing_stale(imports):
 
 
 def test_the_gate_bites(tmp_path):
-    """A synthetic tree with one offence of each kind yields three lines."""
+    """A synthetic tree with one offence of each kind yields four lines."""
     files = {
         "low/__init__.py": "from repro.high import thing\n",  # upward
-        "high/__init__.py": "thing = 1\n",
+        "high/__init__.py": "thing = 1\n_hidden = 2\n",
         "high/lazy.py": "def f():\n    from repro.low import x\n",  # undeclared
+        # private, within a package; a dunder and a module's own names pass
+        "high/leak.py": "from . import _hidden, __doc__, lazy\n_own = 1\n",
         "stray/__init__.py": "",  # unranked
         "sim/shard/__init__.py": "from .. import kernel\nfrom ...low import x\n",
         "sim/kernel.py": "",
@@ -253,6 +289,9 @@ def test_the_gate_bites(tmp_path):
     problems = violations(found, nodes_under(tmp_path), ranks, deferred={})
     kinds = sorted(p.split(":")[0] for p in problems)
     assert kinds == ["deferred", "unranked", "upward"], problems
+    assert private_imports(all_imports(tmp_path)) == [
+        "private: repro.high.leak:1 imports _hidden from repro.high"
+    ]
 
 
 # -- cycle 1, cut by declaration: the kernel stays a kernel -----------------------
