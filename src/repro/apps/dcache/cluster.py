@@ -38,6 +38,8 @@ from repro.tls.keyschedule import TrafficKeys
 CACHE_PORT = 7200
 ORIGIN_PORT = 7300
 CLIENT_PORT = 7400
+#: Index, in the testbed's host order, of the host that runs the origin.
+ORIGIN_HOST = 0
 
 
 def shard_of(key: bytes, num_shards: int) -> int:
@@ -111,7 +113,6 @@ class DCacheCluster:
     def __init__(
         self,
         bed: ClosTestbed,
-        origin_host: int = 0,
         cache_capacity: int = 64,
         flush_interval: float = 200e-6,
         flush_batch: int = 16,
@@ -122,21 +123,20 @@ class DCacheCluster:
             raise ReproError("dcache needs an origin host plus >= 1 shard")
         self.bed = bed
         self.hosts = bed.hosts
-        self.origin_host = origin_host
         self._transports: list[HomaTransport] = []
         self._client_socks: dict[int, HomaSocket] = {}
         for host in self.hosts:
             transport = HomaTransport(host, config, proto=PROTO_SMT)
             self._transports.append(transport)
         self.origin = OriginServer(
-            self._make_socket(origin_host, ORIGIN_PORT),
+            self._make_socket(ORIGIN_HOST, ORIGIN_PORT),
             write_penalty=write_penalty,
         )
-        origin_addr = self.hosts[origin_host].addr
+        origin_addr = self.hosts[ORIGIN_HOST].addr
         self.nodes: list[DCacheNode] = []
         self.shard_addrs: list[int] = []
         for i, host in enumerate(self.hosts):
-            if i == origin_host:
+            if i == ORIGIN_HOST:
                 continue
             node = DCacheNode(
                 self._make_socket(i, CACHE_PORT),
@@ -149,7 +149,7 @@ class DCacheCluster:
             self.nodes.append(node)
             self.shard_addrs.append(host.addr)
         loop = bed.loop
-        loop.process(self.origin.run(self.hosts[origin_host].app_thread(0)))
+        loop.process(self.origin.run(self.hosts[ORIGIN_HOST].app_thread(0)))
         for node in self.nodes:
             host = node.socket.transport.host
             loop.process(node.run(host.app_thread(0)))

@@ -64,13 +64,14 @@ AGGRESSOR_ENTITLEMENT = 0.40
 #: rather than fail.  Backoff stretches the same resend count over ~2 s
 #: of virtual time while bounding retransmission amplification: a
 #: grant-starved 128 KB message is re-requested at most once per
-#: ``max_resend_interval`` instead of 5000 times per second.
+#: :data:`~repro.homa.constants.MAX_RESEND_INTERVAL` instead of 5000 times
+#: per second.
 #: The sender frees unacked outbound state only after ``sender_timeout``
 #: with no receiver forward progress (no grant).  Under backoff the gap
 #: between consecutive grants on a backlogged message can approach the
-#: 20 ms ``max_resend_interval``, so the quiet window must comfortably
-#: exceed that gap or a grant-starved message would be freed alive
-#: between two backed-off resend rounds.
+#: 20 ms :data:`~repro.homa.constants.MAX_RESEND_INTERVAL`, so the quiet
+#: window must comfortably exceed that gap or a grant-starved message
+#: would be freed alive between two backed-off resend rounds.
 TENANT_HOMA_CONFIG = HomaConfig(
     unscheduled_bytes=16 * KB,
     grant_window=16 * KB,

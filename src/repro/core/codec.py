@@ -284,22 +284,33 @@ class SmtCodec(MessageCodec):
         )
 
     def decode(self, msg_id: int, wire: bytes) -> DecodedMessage:
-        """Decrypt and authenticate all records of a reassembled message."""
+        """Decrypt and authenticate all records of a reassembled message.
+
+        Any failure -- a bad record header, a truncated record, an
+        out-of-range ``msg_id``, a tag that does not verify -- counts once
+        in :attr:`auth_failures` and, with obs bound, once in the
+        ``codec.auth_failures`` metric.
+        """
         obs = self.obs
-        if obs is None:
-            return self._decode(msg_id, wire)
-        with obs.tracer.trace_span(
-            "smt.codec", f"{self.obs_name}.decode", msg_id=msg_id, bytes=len(wire)
-        ) as span:
-            try:
-                decoded = self._decode(msg_id, wire)
-            except Exception:
-                span.attrs["auth_failure"] = True
+        try:
+            if obs is None:
+                return self._decode(msg_id, wire)
+            with obs.tracer.trace_span(
+                "smt.codec", f"{self.obs_name}.decode", msg_id=msg_id, bytes=len(wire)
+            ) as span:
+                try:
+                    decoded = self._decode(msg_id, wire)
+                except Exception:
+                    span.attrs["auth_failure"] = True
+                    raise
+                span.attrs["cpu"] = decoded.rx_cpu_cost
+                obs.metrics.counter(f"{self.obs_name}.codec.messages_decoded").add()
+            return decoded
+        except Exception:
+            self.auth_failures += 1
+            if obs is not None:
                 obs.metrics.counter(f"{self.obs_name}.codec.auth_failures").add()
-                raise
-            span.attrs["cpu"] = decoded.rx_cpu_cost
-            obs.metrics.counter(f"{self.obs_name}.codec.messages_decoded").add()
-        return decoded
+            raise
 
     def _decode(self, msg_id: int, wire: bytes) -> DecodedMessage:
         alloc = self.session.allocation
@@ -326,16 +337,11 @@ class SmtCodec(MessageCodec):
                 raise ProtocolError("truncated record in reassembled message")
             if index >= max_records:
                 alloc.encode(msg_id, index)  # raises the canonical error
-            seqno = seq_base | index
-            try:
-                if outer != CONTENT_APPLICATION_DATA:
-                    raise ProtocolError(f"unexpected outer content type {outer}")
-                # The boundary walk just parsed the header, so hand the
-                # pre-split slices straight to the record layer.
-                record = open_parsed(header, view[body_start:end], seqno)
-            except Exception:
-                self.auth_failures += 1
-                raise
+            if outer != CONTENT_APPLICATION_DATA:
+                raise ProtocolError(f"unexpected outer content type {outer}")
+            # The boundary walk just parsed the header, so hand the
+            # pre-split slices straight to the record layer.
+            record = open_parsed(header, view[body_start:end], seq_base | index)
             out.append(record.payload)
             cpu += self.costs.record_parse + self.costs.crypto_cost(len(record.payload))
             self.records_opened += 1

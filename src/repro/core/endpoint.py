@@ -94,7 +94,6 @@ class SmtEndpoint:
         config: Optional[HomaConfig] = None,
         allocation: BitAllocation = BitAllocation(),
         aead_kind: str = "aes-128-gcm",
-        cost_model: Optional[HandshakeCostModel] = None,
         ctrl=None,
     ):
         self.host = host
@@ -107,7 +106,7 @@ class SmtEndpoint:
         self.offload = offload
         self.allocation = allocation
         self.aead_kind = aead_kind
-        self.cost_model = cost_model or HandshakeCostModel()
+        self.cost_model = HandshakeCostModel()
         # Endpoints on one host share the single SMT transport instance
         # (one protocol number per host), like sockets share a kernel stack.
         existing = host.transport(PROTO_SMT)

@@ -15,43 +15,36 @@ import random
 from collections import deque
 
 from repro.crypto.ecdh import EcdhKeyPair
-from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.errors import ProtocolError
-
-_GENERATORS = {
-    "ecdh": EcdhKeyPair.generate,
-    "ecdsa": EcdsaKeyPair.generate,
-}
 
 
 class KeyPool:
-    """A bounded stock of pre-generated keypairs with timer-driven refill."""
+    """A bounded stock of pre-generated ECDH keypairs with timer-driven refill.
+
+    Only ephemeral (ECDH) keys are pooled: signing keys are long-lived, so
+    their generation is never on a handshake's critical path.
+    """
 
     def __init__(
         self,
         loop,
         rng: random.Random,
-        kind: str = "ecdh",
         capacity: int = 32,
         low_watermark: int = 8,
         refill_batch: int = 8,
         refill_interval: float = 100e-6,
         prefill: bool = True,
     ):
-        if kind not in _GENERATORS:
-            raise ProtocolError(f"unknown keypool kind {kind!r}")
         if not 0 <= low_watermark < capacity:
             raise ProtocolError(
                 f"low watermark {low_watermark} must sit below capacity {capacity}"
             )
         self.loop = loop
         self.rng = rng
-        self.kind = kind
         self.capacity = capacity
         self.low_watermark = low_watermark
         self.refill_batch = refill_batch
         self.refill_interval = refill_interval
-        self._generate = _GENERATORS[kind]
         self._keys: deque = deque()
         self._refill_timer = None
         self.taken = 0
@@ -60,7 +53,7 @@ class KeyPool:
         self.refill_ticks = 0
         if prefill:
             while len(self._keys) < capacity:
-                self._keys.append(self._generate(rng))
+                self._keys.append(EcdhKeyPair.generate(rng))
 
     @property
     def size(self) -> int:
@@ -81,7 +74,7 @@ class KeyPool:
     def take_or_generate(self):
         """Pop a standby keypair, generating inline on a miss."""
         key = self.take()
-        return key if key is not None else self._generate(self.rng)
+        return key if key is not None else EcdhKeyPair.generate(self.rng)
 
     def _arm_refill(self) -> None:
         if self._refill_timer is None:
@@ -94,7 +87,7 @@ class KeyPool:
         self.refill_ticks += 1
         batch = min(self.refill_batch, self.capacity - len(self._keys))
         for _ in range(batch):
-            self._keys.append(self._generate(self.rng))
+            self._keys.append(EcdhKeyPair.generate(self.rng))
         self.refilled += batch
         if len(self._keys) < self.capacity:
             self._arm_refill()

@@ -28,11 +28,15 @@ from __future__ import annotations
 
 import random
 from math import floor
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.ctrl.keypool import KeyPool
 from repro.ctrl.session_table import SessionTable
 from repro.errors import ProtocolError
+
+#: Each tenant's key pool refills once its stock falls to this fraction of
+#: its compartment (the single-tenant pool's 8 of 32).
+LOW_WATERMARK_FRACTION = 0.25
 
 
 def split_slots(total: int, weights: dict[str, float]) -> dict[str, int]:
@@ -71,26 +75,14 @@ def split_slots(total: int, weights: dict[str, float]) -> dict[str, int]:
 class PartitionedSessionTable:
     """Weighted per-tenant compartments over one session-table budget."""
 
-    def __init__(
-        self,
-        loop,
-        weights: dict[str, float],
-        capacity: int = 1024,
-        idle_timeout: Optional[float] = None,
-        sweep_interval: Optional[float] = None,
-    ):
+    def __init__(self, loop, weights: dict[str, float], capacity: int = 1024):
         if not weights:
             raise ProtocolError("need at least one tenant")
         self.loop = loop
         self.capacity = capacity
         self._alloc = split_slots(capacity, weights)
         self._tables = {
-            tenant: SessionTable(
-                loop,
-                capacity=slots,
-                idle_timeout=idle_timeout,
-                sweep_interval=sweep_interval,
-            )
+            tenant: SessionTable(loop, capacity=slots)
             for tenant, slots in self._alloc.items()
         }
 
@@ -160,16 +152,7 @@ class PartitionedKeyPool:
     """
 
     def __init__(
-        self,
-        loop,
-        weights: dict[str, float],
-        seed: int = 0,
-        kind: str = "ecdh",
-        capacity: int = 32,
-        low_watermark_fraction: float = 0.25,
-        refill_batch: int = 8,
-        refill_interval: float = 100e-6,
-        prefill: bool = True,
+        self, loop, weights: dict[str, float], seed: int = 0, capacity: int = 32
     ):
         if not weights:
             raise ProtocolError("need at least one tenant")
@@ -181,14 +164,10 @@ class PartitionedKeyPool:
             self._pools[tenant] = KeyPool(
                 loop,
                 random.Random(seed * 1_000_003 + offset),
-                kind=kind,
                 capacity=slots,
                 low_watermark=min(
-                    max(0, int(slots * low_watermark_fraction)), slots - 1
+                    max(0, int(slots * LOW_WATERMARK_FRACTION)), slots - 1
                 ),
-                refill_batch=refill_batch,
-                refill_interval=refill_interval,
-                prefill=prefill,
             )
 
     def partition(self, tenant: str) -> KeyPool:

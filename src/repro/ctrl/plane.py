@@ -36,11 +36,9 @@ class CtrlConfig:
 
     ecdh_pool_capacity: int = 32
     ecdh_low_watermark: int = 8
-    ecdsa_pool_capacity: int = 0  # signing keys are long-lived; off by default
     refill_batch: int = 8
     refill_interval: float = 100e-6
     prefill: bool = True
-    rekey_enabled: bool = True
     rekey_watermark_fraction: float = 0.75
     lane_size: int = 1 << 32  # message IDs per managed session before rekey
     session_capacity: int = 1024
@@ -66,28 +64,11 @@ class ControlPlane:
         self.ecdh_pool = KeyPool(
             self.loop,
             rng,
-            kind="ecdh",
             capacity=cfg.ecdh_pool_capacity,
             low_watermark=cfg.ecdh_low_watermark,
             refill_batch=cfg.refill_batch,
             refill_interval=cfg.refill_interval,
             prefill=cfg.prefill,
-        )
-        self.ecdsa_pool = (
-            KeyPool(
-                self.loop,
-                rng,
-                kind="ecdsa",
-                capacity=cfg.ecdsa_pool_capacity,
-                low_watermark=min(
-                    cfg.ecdh_low_watermark, cfg.ecdsa_pool_capacity - 1
-                ),
-                refill_batch=cfg.refill_batch,
-                refill_interval=cfg.refill_interval,
-                prefill=cfg.prefill,
-            )
-            if cfg.ecdsa_pool_capacity > 0
-            else None
         )
         self.table = SessionTable(
             self.loop,
@@ -160,7 +141,7 @@ class ControlPlane:
         )
         self._managed.append(session)
         thread = self._rekey_threads.get(id(endpoint))
-        if self.config.rekey_enabled and thread is not None:
+        if thread is not None:
             self.rekeys.manage(endpoint, peer_addr, peer_port, session, thread)
         key = (id(endpoint), peer_addr, peer_port)
         self.table.insert(
@@ -189,8 +170,6 @@ class ControlPlane:
         self.table.clear(notify=False)
         self.table.stop()
         self.ecdh_pool.clear()
-        if self.ecdsa_pool is not None:
-            self.ecdsa_pool.clear()
         if self.zero_rtt is not None:
             self.zero_rtt.forget_share()
         self.crashes += 1

@@ -1,16 +1,20 @@
 """Homa protocol parameters.
 
 Defaults follow Homa/Linux's shipping configuration scaled to the paper's
-100 Gb/s testbed: ~60 KB of unscheduled data (one bandwidth-delay product),
-1 MB default maximum message size (paper §4.4.1 mentions it), and grant
-windows of one RTT-bytes.
+100 Gb/s testbed: ~60 KB of unscheduled data (one bandwidth-delay product)
+and grant windows of one RTT-bytes.  What one deployment fixes -- the
+maximum message size, priority levels, the grant refill point -- are
+constants beside their one reader in :mod:`repro.homa.engine`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import KB, MB, USEC
+from repro.units import KB, USEC
+
+#: Ceiling on the backed-off resend interval.
+MAX_RESEND_INTERVAL = 20_000 * USEC
 
 
 @dataclass
@@ -22,10 +26,6 @@ class HomaConfig:
     unscheduled_bytes: int = 72 * KB
     # The receiver keeps this many granted-but-unreceived bytes per message.
     grant_window: int = 72 * KB
-    # Re-grant when outstanding authorisation falls below this fraction.
-    grant_refill_fraction: float = 0.5
-    # Maximum message size (Homa's default, paper §4.4.1).
-    max_message_size: int = 1 * MB
     # Receiver asks for retransmission after this much silence on an
     # incomplete message (Homa/Linux uses ~10 ms; the simulated testbed's
     # RTT is microseconds so a tighter timer keeps loss recovery quick
@@ -37,22 +37,14 @@ class HomaConfig:
     # the fixed interval; adversarial-network runs use >1 so persistent
     # outages -- link flaps, burst loss -- do not cause retry storms).
     resend_backoff: float = 1.0
-    # Ceiling on the backed-off resend interval.
-    max_resend_interval: float = 20_000 * USEC
     # Recover messages whose reassembled bytes fail AEAD verification by
     # re-requesting them from the sender (the corrupted-wire case, paper
     # §7: SMT's AEAD replaces the transport checksum).  Off by default:
     # without it a bad record surfaces AuthenticationError to the
     # application, the TLS-like fail-closed behaviour.
     corruption_recovery: bool = False
-    # After this many failed decodes of one message the session fails
-    # closed with SessionFailedError instead of retrying forever.
-    max_corrupt_recoveries: int = 8
     # Sender frees an unacknowledged fully-sent message after this long.
     sender_timeout: float = 10_000 * USEC
-    # Network priority levels (strict; 7 highest).
-    control_priority: int = 7
-    unscheduled_priority: int = 6
 
     def resend_delay(self, interval: float, attempts: int) -> float:
         """Wait before the next resend check after ``attempts`` resends.
@@ -62,4 +54,4 @@ class HomaConfig:
         of 1.0 reproduces the fixed timer.
         """
         grown = interval * self.resend_backoff ** min(attempts, 16)
-        return min(grown, max(interval, self.max_resend_interval))
+        return min(grown, max(interval, MAX_RESEND_INTERVAL))

@@ -20,6 +20,15 @@ from repro.host.cpu import discard, per_item
 from repro.net.headers import PROTO_HOMA, PacketType, TransportHeader
 from repro.net.packet import Packet
 from repro.nic.tso import TsoSegment
+from repro.units import MB
+
+#: Maximum message size (Homa's default, paper §4.4.1).
+MAX_MESSAGE_SIZE = 1 * MB
+#: Re-grant when outstanding authorisation falls below this fraction.
+GRANT_REFILL_FRACTION = 0.5
+#: Network priority levels (strict; 7 highest).
+CONTROL_PRIORITY = 7
+UNSCHEDULED_PRIORITY = 6
 
 #: Delivered message IDs a transport remembers.  The oldest is forgotten
 #: first, so a late duplicate of any of the newest this many is ignored.
@@ -136,7 +145,7 @@ class HomaTransport:
                 pkt_type=PacketType.RESEND,
                 tso_offset=tso_offset,
                 msg_len=length,
-                priority=self.config.control_priority,
+                priority=CONTROL_PRIORITY,
             ),
         )
 
@@ -156,7 +165,7 @@ class HomaTransport:
         Returns the CPU cost of the transmission work (the caller charges
         it to the right context: app thread for new messages).
         """
-        if encoded.wire_len > self.config.max_message_size * 2:
+        if encoded.wire_len > MAX_MESSAGE_SIZE * 2:
             raise TransportError(
                 f"message of {encoded.wire_len} wire bytes exceeds the maximum"
             )
@@ -233,7 +242,7 @@ class HomaTransport:
         nic = self.host.nic
         mss = nic.mtu_payload
         queue = msg.queue
-        priority = self.config.unscheduled_priority
+        priority = UNSCHEDULED_PRIORITY
         if msg.wire_len > self.config.unscheduled_bytes:
             priority -= 1  # scheduled data, refined by grants
         for plan in msg.encoded.plans:
@@ -512,7 +521,7 @@ class HomaTransport:
             msg_id=ids[0],
             pkt_type=PacketType.ACK,
             msg_len=len(ids),
-            priority=self.config.control_priority,
+            priority=CONTROL_PRIORITY,
         )
         self._post(0, peer_addr, header, b"".join(i.to_bytes(8, "big") for i in ids))
         return self.costs.homa_grant_tx
@@ -522,7 +531,7 @@ class HomaTransport:
         if inbound.wire_len <= cfg.unscheduled_bytes:
             return 0.0
         outstanding = inbound.granted - inbound.received_bytes
-        if outstanding > cfg.grant_window * cfg.grant_refill_fraction:
+        if outstanding > cfg.grant_window * GRANT_REFILL_FRACTION:
             return 0.0
         new_grant = min(inbound.wire_len, inbound.received_bytes + cfg.grant_window)
         if new_grant <= inbound.granted:
@@ -537,7 +546,7 @@ class HomaTransport:
                 msg_id=inbound.msg_id,
                 pkt_type=PacketType.GRANT,
                 grant_offset=new_grant,
-                priority=cfg.control_priority,
+                priority=CONTROL_PRIORITY,
             ),
         )
         return self.costs.homa_grant_tx
@@ -644,7 +653,7 @@ class HomaTransport:
                 msg_len=msg.wire_len,
                 tso_offset=tso_offset,
                 retransmit_offset=off + 1,  # explicit in-segment byte offset
-                priority=self.config.control_priority,
+                priority=CONTROL_PRIORITY,
             )
             self._post(msg.queue, msg.dest_addr, header, wire[off : off + mss])
             cost += self.costs.homa_tx_per_packet + self.costs.driver_tx_per_segment

@@ -27,6 +27,10 @@ from repro.homa.message import InboundMessage
 from repro.host.cpu import AppThread, per_item
 from repro.sim.resources import Store
 
+#: After this many failed decodes of one message the session fails closed
+#: with SessionFailedError instead of retrying forever.
+MAX_CORRUPT_RECOVERIES = 8
+
 
 @dataclass
 class InboundRpc:
@@ -180,7 +184,7 @@ class HomaSocket:
                         raise
                     attempts += 1
                     yield from thread.work(self._failed_decode_cost(wire))
-                    if attempts > config.max_corrupt_recoveries:
+                    if attempts > MAX_CORRUPT_RECOVERIES:
                         raise SessionFailedError(
                             f"response {msg_id | 1} failed authentication "
                             f"{attempts} times; session fails closed"
@@ -278,7 +282,7 @@ class HomaSocket:
 
         With ``corruption_recovery`` enabled, a request whose reassembled
         bytes fail authentication is silently re-requested from the sender
-        and the wait continues; after ``max_corrupt_recoveries`` failures
+        and the wait continues; after :data:`MAX_CORRUPT_RECOVERIES` failures
         for one message the session fails closed with
         :class:`SessionFailedError`.
         """
@@ -300,7 +304,7 @@ class HomaSocket:
                 attempts = self._corrupt_attempts.get(key, 0) + 1
                 self._corrupt_attempts[key] = attempts
                 yield from thread.work(self._failed_decode_cost(wire))
-                if attempts > config.max_corrupt_recoveries:
+                if attempts > MAX_CORRUPT_RECOVERIES:
                     self._corrupt_attempts.pop(key, None)
                     raise SessionFailedError(
                         f"request {inbound.msg_id} failed authentication "

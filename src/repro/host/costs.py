@@ -108,9 +108,9 @@ class CostModel:
     nvme_cmd: float = 1.00 * USEC  # NVMe command processing (each side)
     nvme_completion: float = 0.80 * USEC  # block-layer completion path
 
-    def crypto_cost(self, nbytes: int, nrecords: int = 1) -> float:
-        """CPU cost of sealing/opening ``nbytes`` across ``nrecords``."""
-        return nbytes * self.crypto_per_byte + nrecords * self.crypto_per_record
+    def crypto_cost(self, nbytes: int) -> float:
+        """CPU cost of sealing/opening one record of ``nbytes``."""
+        return nbytes * self.crypto_per_byte + self.crypto_per_record
 
     def copy_cost(self, nbytes: int) -> float:
         return nbytes * self.copy_per_byte

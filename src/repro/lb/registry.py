@@ -15,7 +15,6 @@ replica within one TTL + detection bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 def record_name(service: str) -> str:
@@ -35,21 +34,14 @@ class ServiceRecord:
 class ServiceRegistry:
     """Publishes health-gated membership for one service through DNS."""
 
-    def __init__(
-        self,
-        loop,
-        dns,
-        service: str,
-        ttl: float = 400e-6,
-        publish_period: Optional[float] = None,
-    ):
+    def __init__(self, loop, dns, service: str, ttl: float = 400e-6):
         self.loop = loop
         self.dns = dns
         self.service = service
         self.ttl = ttl
         # Refresh well inside the TTL so a quiet (change-free) service
         # never lets its membership record expire.
-        self.publish_period = ttl / 2 if publish_period is None else publish_period
+        self.publish_period = ttl / 2
         self._order: list = []  # registration order
         self._healthy: dict = {}  # rid -> bool
         self.version = 0

@@ -10,17 +10,13 @@ consistent-hash vs least-loaded trade-off becomes measurable: under a
 skewed key distribution the hash ring concentrates the hot keys' traffic
 on one replica (queueing blows up its p99 slowdown) while
 power-of-two-choices spreads it.
-
-``live_fn`` optionally health-gates the candidate set per arrival (the
-fuzz suite wires it to HealthChecker verdicts), so a declared-down
-replica stops receiving new work the instant membership changes.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.load.engine import OpenLoopEngine
@@ -70,7 +66,6 @@ class FrontendEngine(OpenLoopEngine):
         clients: Sequence[int],
         replicas: Sequence[int],
         keys: SkewedKeys,
-        live_fn: Optional[Callable[[], Sequence[int]]] = None,
         seed: int = 0,
         **kwargs,
     ):
@@ -83,7 +78,6 @@ class FrontendEngine(OpenLoopEngine):
         self.replica_indices = list(replicas)
         self.balancer = balancer
         self.keys = keys
-        self.live_fn = live_fn
         self.replica_outstanding: dict[int, int] = {r: 0 for r in replicas}
         self.replica_issued: dict[int, int] = {r: 0 for r in replicas}
         self.replica_slowdowns: dict[int, Histogram] = {
@@ -93,10 +87,7 @@ class FrontendEngine(OpenLoopEngine):
 
     def _pick_dst(self, src: int, rng: random.Random) -> Optional[int]:
         key = self.keys.sample(rng)
-        cands = (
-            list(self.live_fn()) if self.live_fn is not None
-            else self.replica_indices
-        )
+        cands = self.replica_indices
         if not cands:
             self.unroutable += 1
             return None

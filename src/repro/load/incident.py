@@ -41,6 +41,10 @@ from repro.resilience.kit import ResilienceKit
 from repro.sim.trace import Histogram
 
 PHASES = ("before", "during", "after")
+#: Per-attempt deadline = max(kit's floor, this x baseline RTT): a big
+#: message's legitimate RTT scales with its size, so a flat deadline would
+#: false-fire on the largest healthy messages.
+DEADLINE_BASELINE_FACTOR = 6.0
 
 
 @dataclass
@@ -85,7 +89,6 @@ class IncidentEngine(OpenLoopEngine):
         timeline: list[IncidentEvent],
         kit: Optional[ResilienceKit] = None,
         reestablish_sessions: bool = False,
-        deadline_baseline_factor: float = 6.0,
         seed: int = 0,
         **kwargs,
     ):
@@ -101,10 +104,6 @@ class IncidentEngine(OpenLoopEngine):
         self.controller = controller
         self.timeline = timeline
         self.kit = kit
-        #: Per-attempt deadline = max(kit's floor, this x baseline RTT):
-        #: a big message's legitimate RTT scales with its size, so a flat
-        #: deadline would false-fire on the largest healthy messages.
-        self.deadline_baseline_factor = deadline_baseline_factor
         self.reestablish_sessions = reestablish_sessions
         self.metrics = IncidentMetrics(fault_at=min(downs), revive_at=max(ups))
         for phase in PHASES:
@@ -186,7 +185,7 @@ class IncidentEngine(OpenLoopEngine):
             on_open="wait",
             timeout=max(
                 self.kit.config.attempt_timeout,
-                self.deadline_baseline_factor * base,
+                DEADLINE_BASELINE_FACTOR * base,
             ),
         )
 

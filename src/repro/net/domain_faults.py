@@ -44,6 +44,9 @@ from repro.errors import SimulationError
 #: Actions that open an incident window / close it again.
 DOWN_ACTIONS = ("spine_down", "leaf_down", "replica_crash")
 UP_ACTIONS = ("spine_up", "leaf_up", "replica_revive")
+#: Delay between a spine-state detection and the leaves' reprogrammed
+#: tables (zero: the routing plane pushes the new tables at once).
+SPINE_PROGRAM_DELAY = 0.0
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,6 @@ class DomainFaultController:
         self,
         interval: float,
         miss_threshold: int = 2,
-        program_delay: float = 0.0,
         resalt: bool = False,
     ) -> list:
         """Heartbeat-driven spine failure detection and re-convergence.
@@ -145,7 +147,7 @@ class DomainFaultController:
         Models the routing plane's hello timers: every spine is probed
         each ``interval``; after ``miss_threshold`` consecutive misses the
         spine is declared down (detection recorded) and the leaves'
-        tables are reprogrammed ``program_delay`` later.  Recovery is
+        tables are reprogrammed :data:`SPINE_PROGRAM_DELAY` later.  Recovery is
         detected the same way and folds the spine back in.  With
         ``resalt`` each re-convergence also rotates the ECMP salt, so the
         whole flow population reshuffles instead of only migrating the
@@ -161,13 +163,13 @@ class DomainFaultController:
                 self.detections[label] = self.loop.now
                 self._record("detected_down", label)
                 self.loop.timer_later(
-                    program_delay, self._programmed_reroute, resalt
+                    SPINE_PROGRAM_DELAY, self._programmed_reroute, resalt
                 )
 
             def on_up(label=label) -> None:
                 self._record("detected_up", label)
                 self.loop.timer_later(
-                    program_delay, self._programmed_reroute, resalt
+                    SPINE_PROGRAM_DELAY, self._programmed_reroute, resalt
                 )
 
             monitors.append(

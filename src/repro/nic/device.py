@@ -37,7 +37,6 @@ class Nic:
         costs: CostModel,
         num_queues: int = 4,
         tso_mode: TsoMode = TsoMode.FULL,
-        context_capacity: int = 1024,
     ):
         self.loop = loop
         self.link = link
@@ -45,7 +44,7 @@ class Nic:
         self.costs = costs
         self.num_queues = num_queues
         self.tso_mode = tso_mode
-        self.flow_contexts = FlowContextTable(context_capacity)
+        self.flow_contexts = FlowContextTable()
         self._rings: list[deque[RingItem]] = [deque() for _ in range(num_queues)]
         # One doorbell per posted descriptor: the engine takes exactly one
         # item per doorbell and scans rings round-robin.  ``_doorbells``

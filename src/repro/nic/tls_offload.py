@@ -99,8 +99,10 @@ class FlowContextTable:
     """The NIC's flow-context memory plus the encryption engine.
 
     ``capacity`` bounds live contexts (in-NIC memory is finite, §4.4.2);
-    allocation beyond it evicts the least recently used context, modelling
-    the admission/eviction the paper says transmissions usually hide.
+    allocation beyond it evicts the context installed longest ago -- first
+    in, first out: re-installing a key counts as a fresh install, and use
+    does not refresh a context -- modelling the admission/eviction the
+    paper says transmissions usually hide.
     """
 
     def __init__(self, capacity: int = 1024):

@@ -24,6 +24,7 @@ from typing import Optional
 from repro.errors import ProtocolError
 from repro.net.headers import HEADERS_SIZE, IPv4Header, PROTO_TCP, TransportHeader
 from repro.net.packet import Packet
+from repro.nic.tls_offload import TlsOffloadDescriptor
 
 MAX_TSO_PAYLOAD = 65536 - HEADERS_SIZE  # classic 64 KB TSO limit
 
@@ -50,7 +51,7 @@ class TsoSegment:
     header: TransportHeader
     payload: bytes
     mss: int
-    tls: Optional["TlsOffloadDescriptor"] = None  # noqa: F821 (import cycle)
+    tls: Optional[TlsOffloadDescriptor] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:

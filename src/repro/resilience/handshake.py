@@ -22,7 +22,7 @@ afterwards as the "handshake-storm load on the control plane" metric.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.errors import TransportError
 from repro.resilience.retry import BackoffPolicy
@@ -35,25 +35,18 @@ SERVER_KEYGEN = 67.9 * USEC  # S2.1
 #: part pools cannot remove -- key derivation, transcript hashing, AEAD
 #: of the flight.  Kept deliberately small and symmetric.
 HANDSHAKE_CPU = 12.0 * USEC
+#: One network round trip of the re-handshake.
+HANDSHAKE_RTT = 10e-6
+#: Admission refusals a re-handshake absorbs before it gives up.
+MAX_ADMISSION_RETRIES = 64
 
 
 class SessionReestablisher:
     """Drives one client's re-handshakes against a revived replica."""
 
-    def __init__(
-        self,
-        loop,
-        rtt: float = 10e-6,
-        max_admission_retries: int = 64,
-        backoff: Optional[BackoffPolicy] = None,
-        seed: int = 0,
-    ):
+    def __init__(self, loop, seed: int = 0):
         self.loop = loop
-        self.rtt = rtt
-        self.max_admission_retries = max_admission_retries
-        self.backoff = backoff or BackoffPolicy(
-            base=20e-6, cap=200e-6, jitter=0.3, seed=seed
-        )
+        self.backoff = BackoffPolicy(base=20e-6, cap=200e-6, jitter=0.3, seed=seed)
         self.completed = 0
         self.admission_retries = 0
         self.client_inline_keygens = 0
@@ -73,21 +66,21 @@ class SessionReestablisher:
         ``key`` identifies the session in the server's table (any
         hashable -- the incident engine uses ``(client_addr,
         server_addr)``).  Raises :class:`TransportError` if the server
-        refuses admission ``max_admission_retries`` times.
+        refuses admission more than :data:`MAX_ADMISSION_RETRIES` times.
         """
         started = self.loop.now
         refusals = 0
         while not server_plane.admit_handshake():
             refusals += 1
             self.admission_retries += 1
-            if refusals > self.max_admission_retries:
+            if refusals > MAX_ADMISSION_RETRIES:
                 raise TransportError(
                     f"handshake admission refused {refusals} times by "
                     f"{server_plane.name}"
                 )
             # An admission refusal is learned after a round trip, then the
             # client backs off before re-flighting.
-            yield self.loop.timeout(self.rtt + self.backoff.delay(refusals - 1))
+            yield self.loop.timeout(HANDSHAKE_RTT + self.backoff.delay(refusals - 1))
         client_key, client_pooled = client_plane.take_ecdh()
         cost = HANDSHAKE_CPU
         if not client_pooled:
@@ -102,7 +95,7 @@ class SessionReestablisher:
             cost += SERVER_KEYGEN
             self.server_inline_keygens += 1
         yield from thread.work(cost)
-        yield self.loop.timeout(self.rtt)
+        yield self.loop.timeout(HANDSHAKE_RTT)
         server_plane.table.insert(
             key,
             on_evict=lambda: None,

@@ -35,6 +35,16 @@ from repro.resilience.retry import BackoffPolicy, RetryBudget
 #: Failures the kit treats as retryable transport trouble.
 RETRYABLE = (TransportError, SessionFailedError)
 
+#: Retry spacing: 15us doubling to a 120us cap, with +-20 % seeded jitter.
+BACKOFF_BASE = 15e-6
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP = 120e-6
+BACKOFF_JITTER = 0.2
+#: Concurrent probes a half-open breaker lets through.
+BREAKER_HALF_OPEN_PROBES = 2
+#: Longest a ``wait`` call parks for recovery before giving up.
+MAX_RECOVERY_WAIT = 5e-3
+
 
 @dataclass
 class KitConfig:
@@ -55,19 +65,12 @@ class KitConfig:
     #: backlog -- growing deadlines absorb the post-recovery mess instead
     #: of amplifying it.
     timeout_growth: float = 2.0
-    backoff_base: float = 15e-6
-    backoff_multiplier: float = 2.0
-    backoff_cap: float = 120e-6
-    backoff_jitter: float = 0.2
     budget_capacity: float = 64.0
     budget_refund: float = 0.2
     breaker_failure_threshold: int = 6
     breaker_recovery_timeout: float = 150e-6
-    breaker_half_open_probes: int = 2
     heartbeat_interval: float = 25e-6
     heartbeat_miss_threshold: int = 3
-    #: Longest a ``wait`` call parks for recovery before giving up.
-    max_recovery_wait: float = 5e-3
     #: When a detected outage clears, every blocked call wants to fire in
     #: the same instant -- a thundering herd that saturates the revived
     #: target and blows per-attempt deadlines all over again.  Calls that
@@ -85,10 +88,10 @@ class ResilienceKit:
         self.config = cfg = config or KitConfig()
         self.budget = RetryBudget(cfg.budget_capacity, cfg.budget_refund)
         self.backoff = BackoffPolicy(
-            base=cfg.backoff_base,
-            multiplier=cfg.backoff_multiplier,
-            cap=cfg.backoff_cap,
-            jitter=cfg.backoff_jitter,
+            base=BACKOFF_BASE,
+            multiplier=BACKOFF_MULTIPLIER,
+            cap=BACKOFF_CAP,
+            jitter=BACKOFF_JITTER,
             seed=seed,
         )
         self._breakers: dict[Any, CircuitBreaker] = {}
@@ -113,7 +116,7 @@ class ResilienceKit:
                 self.loop,
                 failure_threshold=cfg.breaker_failure_threshold,
                 recovery_timeout=cfg.breaker_recovery_timeout,
-                half_open_max_probes=cfg.breaker_half_open_probes,
+                half_open_max_probes=BREAKER_HALF_OPEN_PROBES,
                 name=f"breaker.{dst}",
             )
             self._breakers[dst] = breaker
@@ -195,7 +198,7 @@ class ResilienceKit:
         the heartbeat verdict refuses the call: ``"raise"`` surfaces
         :class:`CircuitOpenError` immediately (or diverts to
         ``fallback``), ``"wait"`` parks until the destination looks
-        callable again -- bounded by ``max_recovery_wait``, after which
+        callable again -- bounded by :data:`MAX_RECOVERY_WAIT`, after which
         it raises/falls back anyway.  Retryable failures are
         :data:`RETRYABLE`; anything else propagates untouched (an
         authentication failure is not cured by retrying).
@@ -220,7 +223,7 @@ class ResilienceKit:
                 and (caller is None or self.destination_up(caller))
                 and breaker.allow()
             ):
-                if on_open != "wait" or waited >= cfg.max_recovery_wait:
+                if on_open != "wait" or waited >= MAX_RECOVERY_WAIT:
                     self.fail_fast += 1
                     exc = CircuitOpenError(
                         f"destination {dst} refused fail-fast "
@@ -237,7 +240,7 @@ class ResilienceKit:
                 pause = max(
                     breaker.remaining_open_time(), cfg.heartbeat_interval
                 ) * (1.0 + 0.1 * self._rng.random())
-                pause = min(pause, cfg.max_recovery_wait - waited)
+                pause = min(pause, MAX_RECOVERY_WAIT - waited)
                 waited += pause
                 self.parked += 1
                 if not (

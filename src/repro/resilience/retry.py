@@ -26,21 +26,14 @@ class RetryBudget:
     spends and refunds.  First attempts are free -- only retries spend.
     """
 
-    def __init__(
-        self,
-        capacity: float = 32.0,
-        refund: float = 0.1,
-        initial: float | None = None,
-    ):
+    def __init__(self, capacity: float = 32.0, refund: float = 0.1):
         if capacity <= 0:
             raise SimulationError(f"retry budget capacity must be > 0, got {capacity}")
         if refund < 0:
             raise SimulationError(f"retry refund must be >= 0, got {refund}")
         self.capacity = float(capacity)
         self.refund = float(refund)
-        self.tokens = self.capacity if initial is None else min(float(initial), self.capacity)
-        if self.tokens < 0:
-            raise SimulationError("initial tokens must be >= 0")
+        self.tokens = self.capacity
         self.spent = 0
         self.denied = 0
         self.refunded = 0.0

@@ -6,7 +6,7 @@ serial devices.  All latency/throughput numbers reported by the benchmarks
 come from this virtual clock, never from wall time.
 """
 
-from repro.sim.event_loop import Event, EventLoop, Interrupt, Process, Timer
+from repro.sim.event_loop import Event, EventLoop, Process, Timer
 from repro.sim.resources import Resource, Store
 from repro.sim.trace import Counter, CounterSet, Histogram, RateMeter
 
@@ -14,7 +14,6 @@ __all__ = [
     "Event",
     "EventLoop",
     "Process",
-    "Interrupt",
     "Timer",
     "Resource",
     "Store",

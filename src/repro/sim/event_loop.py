@@ -157,14 +157,6 @@ def _fire_timeout(ev: _Timeout) -> None:
 _START = Event(None).succeed()
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """Drives a generator, resuming it whenever the yielded event fires.
 
@@ -173,39 +165,21 @@ class Process(Event):
     with -- so processes compose (a process can yield another process).
     """
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, loop: "EventLoop", gen: Generator[Event, Any, Any]):
         super().__init__(loop)
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
         # ``self._resume`` is bound afresh wherever it is filed, never
         # cached on the instance: a cached bound method is a reference
         # cycle through every process.
         loop.call_soon(self._resume, _START)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if self._triggered:
-            return
-        target = self._waiting_on
-        if target is not None and not target._triggered:
-            # Detach from the event we were waiting for; it may still fire
-            # later but must no longer resume us.
-            if target._callbacks is not None:
-                try:
-                    target._callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._waiting_on = None
-        self.loop.call_soon(self._resume, Event(self.loop).fail(Interrupt(cause)))
 
     def _resume(self, event: Event) -> None:
         """Step the generator with ``event``'s outcome, then wait on what
         it yields next."""
         if self._triggered:
             return
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._gen.send(event.value)
@@ -214,10 +188,6 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except Interrupt:
-            # Process chose not to handle its interrupt: treat as clean exit.
-            self.succeed(None)
-            return
         except BaseException as failure:  # noqa: BLE001 - fail the process event
             self.fail(failure)
             return
@@ -225,7 +195,6 @@ class Process(Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Events"
             )
-        self._waiting_on = target
         # ``target.add_callback(self._resume)``, inlined.
         if target._triggered:
             loop = self.loop

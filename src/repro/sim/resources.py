@@ -100,7 +100,7 @@ class Resource:
         try:
             yield hold
         except BaseException:
-            # Interrupted or closed: a request still queued leaves the
+            # Closed or thrown into: a request still queued leaves the
             # queue; a granted one gives its slot back.
             try:
                 self._waiters.remove(hold)

@@ -110,7 +110,6 @@ class TcpConnection:
         thread: AppThread,
         data: bytes,
         tls: Optional[TlsOffloadDescriptor] = None,
-        charge: bool = True,
     ) -> Generator[Any, Any, None]:
         """Queue ``data`` (one chunk per <=64 KB) and push what the window allows.
 
@@ -128,15 +127,14 @@ class TcpConnection:
             chunks.append(TxChunk(self.snd_nxt + off, piece, tls if off == 0 else None))
         self.snd_nxt += len(data)
         self._tx_queue.extend(chunks)
-        if charge:
-            # Charge the send-side CPU *before* packets hit the NIC, so
-            # transmission waits for the work that produces it.
-            cost = (
-                self.costs.syscall
-                + self.costs.copy_cost(len(data))
-                + self._tx_cpu_cost(self._sendable())
-            )
-            yield from thread.work(cost)
+        # Charge the send-side CPU *before* packets hit the NIC, so
+        # transmission waits for the work that produces it.
+        cost = (
+            self.costs.syscall
+            + self.costs.copy_cost(len(data))
+            + self._tx_cpu_cost(self._sendable())
+        )
+        yield from thread.work(cost)
         self._push()
 
     def recv(self, thread: AppThread) -> Generator[Any, Any, bytes]:

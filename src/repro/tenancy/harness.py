@@ -75,24 +75,28 @@ def tenant_pair_keys(
     )
 
 
+#: Concurrent request-service slots per host (shared or partitioned).
+SERVICE_SLOTS = 4
+#: Per-host standby-key budget, split across tenant compartments.
+KEYPOOL_CAPACITY = 8
+#: Server reader loops per (host, tenant).
+READERS_PER_TENANT = 4
+
+
 @dataclass
 class IsolationConfig:
     """Host-side isolation knobs shared by every host of the fabric.
 
-    ``service_slots`` bounds concurrent request service per host in both
-    modes; ``enabled`` decides whether the slots and the uplink are
+    :data:`SERVICE_SLOTS` bounds concurrent request service per host in
+    both modes; ``enabled`` decides whether the slots and the uplink are
     partitioned per tenant (bulkhead + token bucket) or contended freely.
     """
 
     enabled: bool = False
     #: Token-bucket burst, in bytes, for each (host, tenant) egress shaper.
     burst_bytes: int = 64 * 1024
-    #: Concurrent request-service slots per host (shared or partitioned).
-    service_slots: int = 4
     #: Per-host session-table budget, split across tenant compartments.
     session_capacity: int = 64
-    #: Per-host standby-key budget, split across tenant compartments.
-    keypool_capacity: int = 8
 
 
 class _TenantMesh:
@@ -116,7 +120,6 @@ class TenantFabric:
         tenants: list[Tenant],
         isolation: Optional[IsolationConfig] = None,
         config: Optional[HomaConfig] = None,
-        readers_per_tenant: int = 4,
         seed: int = 0,
     ):
         self.bed = bed
@@ -124,7 +127,6 @@ class TenantFabric:
         self.hosts = bed.hosts
         self.registry = TenantRegistry(tenants)
         self.isolation = isolation or IsolationConfig()
-        self.readers_per_tenant = readers_per_tenant
         weights = self.registry.weights()
         num_tenants = len(self.registry)
 
@@ -146,14 +148,14 @@ class TenantFabric:
                 self.loop,
                 weights,
                 seed=seed * 7919 + h,
-                capacity=iso.keypool_capacity,
+                capacity=KEYPOOL_CAPACITY,
             )
             for h in range(len(self.hosts))
         ]
         self.bulkheads = [
             WeightedBulkhead(
                 self.loop,
-                iso.service_slots,
+                SERVICE_SLOTS,
                 weights,
                 partitioned=iso.enabled,
                 name=f"{host.name}.svc",
@@ -199,7 +201,7 @@ class TenantFabric:
             self._meshes[tenant.name] = mesh
         for tenant in self.registry:
             for h in range(len(self.hosts)):
-                for k in range(readers_per_tenant):
+                for k in range(READERS_PER_TENANT):
                     self.loop.process(self._serve(tenant, h, k))
         self._num_tenants = num_tenants
         self.obs = None
@@ -257,9 +259,7 @@ class TenantFabric:
         """One reader loop: recv, acquire a service slot, serve, release."""
         mesh = self._meshes[tenant.name]
         sock = mesh.socks[h]
-        thread = self.hosts[h].app_thread(
-            tenant.tid * self.readers_per_tenant + k
-        )
+        thread = self.hosts[h].app_thread(tenant.tid * READERS_PER_TENANT + k)
         bulkhead = self.bulkheads[h]
         name = tenant.name
         while True:
@@ -283,7 +283,7 @@ class TenantFabric:
         different cores when cores are plentiful and in honest contention
         when they are scarce.
         """
-        base = self._num_tenants * self.readers_per_tenant
+        base = self._num_tenants * READERS_PER_TENANT
         return self.hosts[src].app_thread(
             base + serial * self._num_tenants + tenant.tid
         )

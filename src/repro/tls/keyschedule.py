@@ -47,9 +47,9 @@ class KeySchedule:
 
     # -- early stage ---------------------------------------------------------
 
-    def binder_key(self, external: bool = False) -> bytes:
-        label = "ext binder" if external else "res binder"
-        return derive_secret(self._early_secret, label, _EMPTY_HASH)
+    def binder_key(self) -> bytes:
+        """The PSK binder key; every PSK here is a resumption ticket."""
+        return derive_secret(self._early_secret, "res binder", _EMPTY_HASH)
 
     # -- handshake stage -----------------------------------------------------
 

@@ -20,7 +20,6 @@ mechanism, not from copied totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.crypto.cert import KEY_ALG_ECDSA, KEY_ALG_RSA
@@ -83,16 +82,11 @@ OPERATION_NAMES: dict[str, str] = {
 }
 
 
-@dataclass
 class HandshakeCostModel:
     """Prices handshake trace ops in virtual seconds."""
 
-    overrides_us: dict[str, float] = field(default_factory=dict)
-
     def op_cost(self, op: TraceOp) -> float:
         """Virtual seconds for one trace op."""
-        if op.op_id in self.overrides_us:
-            return self.overrides_us[op.op_id] * USEC
         if op.op_id in _BASE_COSTS_US:
             return _BASE_COSTS_US[op.op_id] * USEC
         if op.op_id in ("S2.5", "C-sign"):

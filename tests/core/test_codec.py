@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.codec import SmtCodec
 from repro.core.session import SmtSession
-from repro.errors import AuthenticationError
+from repro.errors import AuthenticationError, ProtocolError
 from repro.host.costs import CostModel
+from repro.obs import Observability
+from repro.sim.event_loop import EventLoop
 from repro.tls.keyschedule import TrafficKeys
 
 MSS = 1440
@@ -55,6 +57,21 @@ class TestSoftwareRoundTrip:
         with pytest.raises(AuthenticationError):
             receiver.decode(2, bytes(wire))
         assert receiver.auth_failures == 1
+
+    def test_malformed_record_counts_once_in_both_counters(self):
+        # A record whose length runs past the message end fails before any
+        # AEAD work; the attribute the ledger reads and the obs metric must
+        # still agree that exactly one decode failed.
+        sender, receiver = make_pair()
+        obs = Observability(EventLoop())
+        receiver.bind_obs(obs, "rx")
+        encoded = sender.encode(2, b"payload" * 100, MSS)
+        wire = bytearray(wire_of(encoded))
+        wire[3] += 1  # high byte of the first record's length
+        with pytest.raises(ProtocolError):
+            receiver.decode(2, bytes(wire))
+        metric = obs.metrics.get("rx.codec.auth_failures").value
+        assert receiver.auth_failures == metric == 1
 
     def test_wrong_msg_id_rejected(self):
         # A message decrypted under another ID fails: the composite seqno

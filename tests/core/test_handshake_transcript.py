@@ -171,7 +171,7 @@ def _zero_rtt(forward_secrecy, keypool=None, pregenerate=True, client_pool=False
     if keypool == "ctrl":
         keypool = sc.ecdh_pool
     elif keypool is not None:
-        keypool = KeyPool(bed.loop, random.Random(4), kind="ecdh", capacity=2,
+        keypool = KeyPool(bed.loop, random.Random(4), capacity=2,
                           low_watermark=0, prefill=keypool == "stocked")
     sep.serve_zero_rtt(bed.server.app_thread(0), zserver, pregenerate=pregenerate,
                        keypool=keypool)

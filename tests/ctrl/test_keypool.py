@@ -79,18 +79,9 @@ class TestRefill:
 
 
 class TestValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ProtocolError):
-            make_pool(kind="rsa")
-
     def test_watermark_must_sit_below_capacity(self):
         with pytest.raises(ProtocolError):
             make_pool(capacity=4, low_watermark=4)
-
-    def test_ecdsa_pool(self):
-        _loop, pool = make_pool(kind="ecdsa", capacity=3, low_watermark=1)
-        key = pool.take()
-        assert key is not None and hasattr(key, "sign")
 
     def test_deterministic_under_fixed_seed(self):
         _l1, p1 = make_pool()

@@ -152,8 +152,7 @@ class TestKeyPoolPartitions:
         def draw_b_sequence(a_draws: int):
             loop = EventLoop()
             pool = PartitionedKeyPool(
-                loop, {"a": 1.0, "b": 1.0}, seed=seed, capacity=8,
-                prefill=True,
+                loop, {"a": 1.0, "b": 1.0}, seed=seed, capacity=8
             )
             for _ in range(a_draws):
                 pool.take_or_generate("a")
@@ -173,7 +172,7 @@ class TestKeyPoolPartitions:
     def test_exhaustion_is_per_tenant(self):
         loop = EventLoop()
         pool = PartitionedKeyPool(
-            loop, {"a": 1.0, "b": 1.0}, seed=7, capacity=4, prefill=True
+            loop, {"a": 1.0, "b": 1.0}, seed=7, capacity=4
         )
         for _ in range(10):
             pool.take_or_generate("a")

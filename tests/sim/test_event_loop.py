@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.event_loop import EventLoop, Interrupt
+from repro.sim.event_loop import EventLoop
 
 
 class TestScheduling:
@@ -232,34 +232,6 @@ class TestProcesses:
         loop.process(body())
         with pytest.raises(SimulationError):
             loop.run()
-
-    def test_interrupt_raises_in_process(self):
-        loop = EventLoop()
-        caught = []
-
-        def body():
-            try:
-                yield loop.timeout(10.0)
-            except Interrupt as exc:
-                caught.append((loop.now, exc.cause))
-            return "done"
-
-        proc = loop.process(body())
-        loop.call_later(1.0, lambda: proc.interrupt("reason"))
-        loop.run()
-        assert caught == [(1.0, "reason")]  # resumed at interrupt time
-        assert proc.value == "done"
-
-    def test_unhandled_interrupt_ends_process_cleanly(self):
-        loop = EventLoop()
-
-        def body():
-            yield loop.timeout(10.0)
-
-        proc = loop.process(body())
-        loop.call_later(1.0, lambda: proc.interrupt())
-        loop.run()
-        assert proc.triggered and proc.ok
 
     def test_deadlock_detected_by_run_process(self):
         loop = EventLoop()

@@ -111,12 +111,13 @@ class TestResource:
             yield from res.service(hold)
             done.append((name, loop.now))
 
-        holder = loop.process(worker("holder", 2.0))
-        queued = loop.process(worker("queued", 1.0))
-        loop.process(worker("last", 1.0))
-        # One interrupted while queued, one while holding the slot.
-        loop.call_later(0.5, queued.interrupt)
-        loop.call_later(1.0, holder.interrupt)
+        holder = worker("holder", 2.0)
+        queued = worker("queued", 1.0)
+        for gen in (holder, queued, worker("last", 1.0)):
+            loop.process(gen)
+        # One closed while queued, one while holding the slot.
+        loop.call_later(0.5, queued.close)
+        loop.call_later(1.0, holder.close)
         loop.run()
         assert done == [("last", 2.0)]
         assert res.in_use == 0 and res.queue_length == 0

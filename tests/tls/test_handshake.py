@@ -17,6 +17,7 @@ from repro.tls.handshake import (
     ServerHandshake,
 )
 from repro.tls.messages import HandshakeMessage
+from repro.tls.timing import HandshakeCostModel
 
 
 @pytest.fixture(scope="module")
@@ -332,3 +333,31 @@ class TestValidityWindow:
             else:
                 with pytest.raises(AuthenticationError, match="validity window"):
                     server.process_client_flight(final, now=now)
+
+
+class TestShortChainEndToEnd:
+    """``HandshakeConfig.short_chain`` through a real handshake (§4.5.1)."""
+
+    def _client_trace(self, pki, short_chain):
+        ca, _, _ = pki
+        cfg = HandshakeConfig(
+            rng=random.Random(2), server_name="server",
+            trust_roots=(ca.certificate,), short_chain=short_chain,
+        )
+        client, server = run_handshake(pki, client_cfg=cfg)
+        assert client.result.client_app_secret == server.result.client_app_secret
+        return client.trace
+
+    def test_short_chain_prices_only_verify_cert(self, pki):
+        model = HandshakeCostModel()
+        full = self._client_trace(pki, False)
+        short = self._client_trace(pki, True)
+        assert [op.op_id for op in short] == [op.op_id for op in full]
+        (verify,) = [op for op in short if op.op_id == "C3.2"]
+        assert verify.detail["short_chain"] is True
+        for a, b in zip(full, short):
+            if a.op_id != "C3.2":
+                assert model.op_cost(a) == model.op_cost(b)
+        (verify_full,) = [model.op_cost(op) for op in full if op.op_id == "C3.2"]
+        saved = model.total(full) - model.total(short)
+        assert saved == pytest.approx(verify_full * (1 - 0.48), rel=1e-12)

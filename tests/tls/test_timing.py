@@ -57,10 +57,6 @@ class TestBaseCosts:
         with pytest.raises(ProtocolError):
             model.op_cost(TraceOp("Z9", {}))
 
-    def test_override(self):
-        model = HandshakeCostModel(overrides_us={"S1": 10.0})
-        assert model.op_cost(TraceOp("S1", {})) == pytest.approx(10.0 * USEC)
-
 
 class TestTotals:
     def test_total_sums(self, model):
