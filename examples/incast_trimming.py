@@ -11,18 +11,72 @@ re-request exactly the missing data immediately.
 Run:  python examples/incast_trimming.py
 """
 
-import sys
-
-sys.path.insert(0, "tests")
-
-from core.test_incast import build_star  # reuse the incast harness
+from repro.core.codec import SmtCodec
+from repro.core.session import SmtSession
+from repro.homa import HomaConfig, HomaSocket, HomaTransport
 from repro.net.headers import PROTO_SMT
+from repro.testbed import StarTestbed
+from repro.tls.keyschedule import TrafficKeys
 from repro.units import KB
+
+# A small unscheduled window and grant window, so the receiver's grants
+# pace the fan-in, and four-packet TSO segments, so grants and resends
+# work at a granularity the switch buffer can absorb.
+CONFIG = HomaConfig(
+    unscheduled_bytes=8 * KB,
+    grant_window=8 * KB,
+    resend_interval=300e-6,
+    max_resends=100,
+)
+PACKETS_PER_SEGMENT = 4
+
+
+def codec(host, client_addr: int, is_client: bool) -> SmtCodec:
+    """One side of a client's SMT session; keys derive from its address."""
+    to_server = TrafficKeys(key=client_addr.to_bytes(16, "big"), iv=b"\x01" * 12)
+    to_client = TrafficKeys(key=(client_addr + 1).to_bytes(16, "big"), iv=b"\x02" * 12)
+    write, read = (to_server, to_client) if is_client else (to_client, to_server)
+    return SmtCodec(
+        SmtSession(write, read, aead_kind="fast"), host.costs,
+        packets_per_segment=PACKETS_PER_SEGMENT,
+    )
+
+
+def build(trimming: bool):
+    """Six clients and an echo server behind one switch, all speaking SMT."""
+    bed = StarTestbed.star(6, trimming=trimming, buffer_bytes=32 * 1024)
+    server_codecs: dict = {}
+
+    def server_codec(addr, port):
+        if (addr, port) not in server_codecs:
+            server_codecs[(addr, port)] = codec(bed.server, addr, is_client=False)
+        return server_codecs[(addr, port)]
+
+    server_sock = HomaSocket(
+        HomaTransport(bed.server, CONFIG, proto=PROTO_SMT), 7000,
+        codec_provider=server_codec,
+    )
+
+    def echo():
+        thread = bed.server.app_thread(0)
+        while True:
+            rpc = yield from server_sock.recv_request(thread)
+            yield from server_sock.reply(thread, rpc, b"ok")
+
+    bed.loop.process(echo())
+    socks = []
+    for client in bed.clients:
+        transport = HomaTransport(client, CONFIG, proto=PROTO_SMT)
+        client_codec = codec(client, client.addr, is_client=True)
+        socks.append(HomaSocket(
+            transport, client.alloc_port(),
+            codec_provider=lambda a, p, c=client_codec: c,
+        ))
+    return bed, socks
 
 
 def run(trimming: bool) -> tuple[float, dict, int]:
-    bed, ssock, socks = build_star(6, trimming=trimming, encrypted=True,
-                                   buffer_bytes=32 * 1024)
+    bed, socks = build(trimming)
     done_at: dict[int, float] = {}
 
     def sender(i, sock):
@@ -38,7 +92,7 @@ def run(trimming: bool) -> tuple[float, dict, int]:
     bed.loop.run(until=2.0)
     assert len(done_at) == 6, "incast did not complete"
     stats = bed.fabric.leaves[0].stats(bed.server.addr)
-    resends = bed.server._transports[PROTO_SMT].resend_requests
+    resends = bed.server.transport(PROTO_SMT).resend_requests
     return max(done_at.values()), stats, resends
 
 

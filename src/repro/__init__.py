@@ -23,7 +23,6 @@ from repro.errors import (
     ReproError,
     CryptoError,
     AuthenticationError,
-    ReplayError,
     ProtocolError,
     TransportError,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ReproError",
     "CryptoError",
     "AuthenticationError",
-    "ReplayError",
     "ProtocolError",
     "TransportError",
 ]

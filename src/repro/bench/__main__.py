@@ -37,8 +37,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="run experiments in N worker processes "
                              "(default: 1, serial in-process)")
     parser.add_argument("--quick", action="store_true",
-                        help="reduced iteration counts for the 'perf', "
-                             "'churn' and 'loaded' experiments (CI smoke size)")
+                        help="reduced iteration counts for the seven "
+                             "quick-aware experiments: 'perf', 'churn', "
+                             "'loaded', 'incident', 'frontend', 'tenant' and "
+                             "'scale' (CI smoke size)")
     parser.add_argument("--domains", type=int, default=None, metavar="N",
                         help="partition sharded-kernel experiments ('scale') "
                              "into N parallel time domains (default: the "

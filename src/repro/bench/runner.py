@@ -308,10 +308,6 @@ class ThroughputResult:
     client_cpu: float  # utilisation fractions over the window
     server_cpu: float
 
-    @property
-    def krps(self) -> float:
-        return self.rate / 1e3
-
 
 def throughput(
     system: str,

@@ -2,14 +2,13 @@
 
 Two code paths share one key schedule:
 
-- a scalar path (``encrypt_block``/``decrypt_block``) for single blocks and
-  test vectors, and
+- a scalar path (``encrypt_block``) for single blocks and test vectors, and
 - a numpy-vectorised path (``encrypt_blocks``) that encrypts many blocks in
   one call, which is what makes CTR/GCM bulk encryption affordable in pure
   Python.
 
-Only encryption is vectorised because GCM (the only mode the TLS layer
-uses) never runs the inverse cipher.
+There is no inverse cipher: GCM (the only mode the TLS layer uses) runs
+the forward cipher both ways.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[list[int], list[int]]:
+def _build_sbox() -> list[int]:
     # Multiplicative inverses from log/antilog tables over the generator 3:
     # the inverse of 3^k is 3^(255 - k), and 0 maps to 0.
     exp = [0] * 255
@@ -58,13 +57,10 @@ def _build_sbox() -> tuple[list[int], list[int]]:
             y = ((y << 1) | (y >> 7)) & 0xFF
             x ^= y
         sbox[i] = x ^ 0x63
-    inv_sbox = [0] * 256
-    for i, v in enumerate(sbox):
-        inv_sbox[v] = i
-    return sbox, inv_sbox
+    return sbox
 
 
-_SBOX, _INV_SBOX = _build_sbox()
+_SBOX = _build_sbox()
 
 # Vectorised lookup tables.
 _NP_SBOX = np.array(_SBOX, dtype=np.uint8)
@@ -122,47 +118,6 @@ class AES:
         if len(block) != 16:
             raise CryptoError("AES block must be 16 bytes")
         return bytes(self.encrypt_blocks(np.frombuffer(block, dtype=np.uint8).reshape(1, 16))[0])
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block (test/verification use only)."""
-        if len(block) != 16:
-            raise CryptoError("AES block must be 16 bytes")
-        state = list(block)
-        state = [state[i] ^ self._round_keys[self.rounds][i] for i in range(16)]
-        for rnd in range(self.rounds - 1, -1, -1):
-            state = self._inv_shift_rows(state)
-            state = [_INV_SBOX[b] for b in state]
-            state = [state[i] ^ self._round_keys[rnd][i] for i in range(16)]
-            if rnd > 0:
-                state = self._inv_mix_columns(state)
-        return bytes(state)
-
-    @staticmethod
-    def _inv_shift_rows(state: list[int]) -> list[int]:
-        # Encryption computes out[i] = state[_SHIFT_ROWS[i]]; invert that.
-        inv = [0] * 16
-        for new_pos in range(16):
-            inv[_SHIFT_ROWS[new_pos]] = state[new_pos]
-        return inv
-
-    @staticmethod
-    def _inv_mix_columns(state: list[int]) -> list[int]:
-        out = [0] * 16
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            out[4 * c + 0] = (
-                _gf_mul(col[0], 14) ^ _gf_mul(col[1], 11) ^ _gf_mul(col[2], 13) ^ _gf_mul(col[3], 9)
-            )
-            out[4 * c + 1] = (
-                _gf_mul(col[0], 9) ^ _gf_mul(col[1], 14) ^ _gf_mul(col[2], 11) ^ _gf_mul(col[3], 13)
-            )
-            out[4 * c + 2] = (
-                _gf_mul(col[0], 13) ^ _gf_mul(col[1], 9) ^ _gf_mul(col[2], 14) ^ _gf_mul(col[3], 11)
-            )
-            out[4 * c + 3] = (
-                _gf_mul(col[0], 11) ^ _gf_mul(col[1], 13) ^ _gf_mul(col[2], 9) ^ _gf_mul(col[3], 14)
-            )
-        return out
 
     # -- vectorised path -----------------------------------------------------
 

@@ -208,6 +208,3 @@ class TicketCache:
         self._cache[name] = fresh
         self.refreshes += 1
         return fresh
-
-    def invalidate(self, name: str) -> None:
-        self._cache.pop(name, None)

@@ -2,8 +2,9 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything the library may raise with a single ``except`` clause.
-Security-relevant failures (bad tags, replays) get their own classes because
-tests and applications must distinguish them from plain protocol errors.
+Security-relevant failures (bad tags, bad signatures, replayed 0-RTT
+hellos) get their own class, :class:`AuthenticationError`, because tests and
+applications must distinguish them from plain protocol errors.
 """
 
 
@@ -21,10 +22,6 @@ class AuthenticationError(CryptoError):
     Raised when ciphertext or a handshake signature does not authenticate.
     Receivers treat this as evidence of tampering or injection.
     """
-
-
-class ReplayError(ReproError):
-    """A message or record with an already-seen identity arrived."""
 
 
 class SessionFailedError(ReproError):

@@ -114,11 +114,3 @@ class CostModel:
 
     def copy_cost(self, nbytes: int) -> float:
         return nbytes * self.copy_per_byte
-
-    def scaled(self, factor: float) -> "CostModel":
-        """A copy with every cost multiplied by ``factor`` (ablations)."""
-        kwargs = {
-            name: getattr(self, name) * factor
-            for name in self.__dataclass_fields__
-        }
-        return CostModel(**kwargs)

@@ -269,7 +269,6 @@ class ClusterHarness:
         #: frontend experiments read (which replica actually absorbed the
         #: balanced load, independent of client-side bookkeeping).
         self.requests_served = [0] * len(self.hosts)
-        self._index_of = {host.addr: i for i, host in enumerate(self.hosts)}
         self._socks: dict[int, HomaSocket] = {}
         self._stream_clients: dict[tuple[int, int], StreamRpcClient] = {}
         if system in ("homa", "smt"):
@@ -308,10 +307,6 @@ class ClusterHarness:
                 )
 
     # -- engine-facing ------------------------------------------------------------
-
-    def index_of(self, addr: int) -> int:
-        """Host index for an address (replica targets name hosts by addr)."""
-        return self._index_of[addr]
 
     def thread_for(self, src: int, serial: int):
         """A source-host app thread, rotated per RPC serial."""

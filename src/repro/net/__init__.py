@@ -10,7 +10,7 @@ switch port one.  :class:`ClosFabric` is the one multi-host fabric; the
 star bed is its one-rack case.
 """
 
-from repro.net.addressing import FlowTuple, format_addr
+from repro.net.addressing import format_addr
 from repro.net.clos import ClosFabric, ecmp_hash
 from repro.net.domain_faults import (
     DomainFaultController,
@@ -33,7 +33,6 @@ from repro.net.switch import Switch
 __all__ = [
     "ClosFabric",
     "ecmp_hash",
-    "FlowTuple",
     "format_addr",
     "IPv4Header",
     "TransportHeader",

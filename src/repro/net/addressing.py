@@ -1,9 +1,9 @@
-"""Addresses and flow tuples.
+"""Addresses and the flow hash.
 
-Hosts get 32-bit IPv4-style addresses.  A :class:`FlowTuple` is the
-classic 5-tuple; it identifies a TCP connection, a Homa socket pair, and
-an SMT secure session (paper §4.2: "a session is identified by the flow
-5 tuple").
+Hosts get 32-bit IPv4-style addresses.  The classic 5-tuple (src/dst
+address and port plus the protocol number) identifies a TCP connection,
+a Homa socket pair, and an SMT secure session (paper §4.2: "a session is
+identified by the flow 5 tuple").
 
 :func:`flow_hash` is the one hash of a 5-tuple: RSS core steering, the
 TCP transmit-queue pick and ECMP spine choice all call it.  Every packet
@@ -13,7 +13,6 @@ of :data:`FLOW_HASH_MEMO` distinct flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 #: Distinct 5-tuples whose hash :func:`flow_hash` remembers.
@@ -45,32 +44,3 @@ def flow_hash(
         h = (h * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         h ^= h >> 31
     return h
-
-
-@dataclass(frozen=True)
-class FlowTuple:
-    """src/dst address + port plus the transport protocol number."""
-
-    src_addr: int
-    src_port: int
-    dst_addr: int
-    dst_port: int
-    proto: int
-
-    def reversed(self) -> "FlowTuple":
-        """The same flow as seen from the other endpoint."""
-        return FlowTuple(
-            self.dst_addr, self.dst_port, self.src_addr, self.src_port, self.proto
-        )
-
-    def rss_hash(self) -> int:
-        """:func:`flow_hash` of this 5-tuple."""
-        return flow_hash(
-            self.src_addr, self.src_port, self.dst_addr, self.dst_port, self.proto
-        )
-
-    def __str__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"{format_addr(self.src_addr)}:{self.src_port}->"
-            f"{format_addr(self.dst_addr)}:{self.dst_port}/{self.proto}"
-        )

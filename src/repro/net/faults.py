@@ -103,17 +103,6 @@ class FaultConfig:
         if self.flap_period and self.flap_down >= self.flap_period:
             raise SimulationError("flap_down must be shorter than flap_period")
 
-    @property
-    def any_faults(self) -> bool:
-        return bool(
-            self.drop_rate
-            or self.corrupt_rate
-            or self.duplicate_rate
-            or self.reorder_rate
-            or self.burst_enter
-            or (self.flap_period and self.flap_down)
-        )
-
     def describe(self) -> str:
         """Compact non-default-knob summary for logs and failure messages."""
         parts = []
@@ -149,12 +138,6 @@ class FaultInjector:
         self.rng = random.Random(seed)
         self.counters = CounterSet(FAULT_COUNTERS, prefix=f"{name}.")
         self._burst_bad = False  # Gilbert-Elliott state
-
-    # -- installation helpers -------------------------------------------------
-
-    def wrap(self, receiver: Receiver) -> Receiver:
-        """A receiver that routes every packet through this injector."""
-        return lambda packet: self.process(packet, receiver)
 
     # -- the fault pipeline ---------------------------------------------------
 

@@ -82,8 +82,3 @@ class Packet:
         transport = TransportHeader.decode(data[IPV4_HEADER_SIZE:])
         payload = data[HEADERS_SIZE:]
         return Packet(ip, transport, payload)
-
-    def with_meta(self, **kwargs: object) -> "Packet":
-        meta = dict(self.meta)
-        meta.update(kwargs)
-        return Packet(self.ip, self.transport, self.payload, meta)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 
@@ -450,38 +450,6 @@ class EventLoop:
         """Start a process driving ``gen``; returns its completion event."""
         return Process(self, gen)
 
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event succeeding when all ``events`` have succeeded.
-
-        Fails fast with the first failure.  The combined value is the list
-        of individual values in input order.
-        """
-        events = list(events)
-        done = Event(self)
-        remaining = len(events)
-        values: list[Any] = [None] * len(events)
-        if remaining == 0:
-            return done.succeed(values)
-
-        def make_cb(i: int) -> Callable[[Event], None]:
-            def cb(ev: Event) -> None:
-                nonlocal remaining
-                if done.triggered:
-                    return
-                if not ev.ok:
-                    done.fail(ev.value)
-                    return
-                values[i] = ev.value
-                remaining -= 1
-                if remaining == 0:
-                    done.succeed(values)
-
-            return cb
-
-        for i, ev in enumerate(events):
-            ev.add_callback(make_cb(i))
-        return done
-
     # -- running -------------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
@@ -554,20 +522,6 @@ class EventLoop:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def run_process(self, gen: Generator[Event, Any, Any], timeout: Optional[float] = None) -> Any:
-        """Run ``gen`` as a process to completion and return its value.
-
-        Convenience for tests and benchmarks.  Raises if the process fails
-        or the queue drains before the process finishes.
-        """
-        proc = self.process(gen)
-        self.run(until=None if timeout is None else self._now + timeout)
-        if not proc.triggered:
-            raise SimulationError("process did not complete (deadlock or timeout)")
-        if not proc.ok:
-            raise proc.value
-        return proc.value
 
     def next_event_time(self) -> Optional[float]:
         """Virtual time of the earliest pending event, or ``None`` if idle.

@@ -35,7 +35,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: deque[Event] = deque()
+        self._waiters: deque[_Hold] = deque()
         self.busy_time = 0.0  # cumulative seconds spent inside service()
 
     @property
@@ -48,32 +48,22 @@ class Resource:
         """Number of acquirers waiting."""
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Event that succeeds when a slot is granted (FIFO order)."""
-        ev = Event(self.loop)
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
     def release(self) -> None:
         """Release one slot, waking the oldest waiter if any."""
         if self._in_use <= 0:
-            raise SimulationError(f"release() without acquire() on {self.name!r}")
+            raise SimulationError(f"release() with no holder on {self.name!r}")
         if self._waiters:
             self._hand_over(self._waiters.popleft())
         else:
             self._in_use -= 1
 
-    def _hand_over(self, ev: Event) -> None:
-        """Give a slot to ``ev``: a hold with a duration is granted one
-        dispatch later, anything else wakes now."""
-        if ev.__class__ is _Hold and ev.duration > 0:
-            self.loop.call_soon(self._granted, ev)
+    def _hand_over(self, hold: _Hold) -> None:
+        """Give a slot to ``hold``: a hold with a duration is granted one
+        dispatch later, a zero-length one wakes now."""
+        if hold.duration > 0:
+            self.loop.call_soon(self._granted, hold)
         else:
-            ev.succeed(self)
+            hold.succeed(self)
 
     def service(self, duration: float) -> Generator[Event, Any, None]:
         """Process helper: acquire, hold for ``duration``, release.

@@ -118,9 +118,6 @@ class ShardPlan:
     def rack_of_index(self, index: int) -> int:
         return index // self.hosts_per_rack
 
-    def domain_of_index(self, index: int) -> int:
-        return self._domain_of_rack[index // self.hosts_per_rack]
-
     def rack_of_addr_map(self) -> dict[int, int]:
         """Address -> rack for every host in the cluster (all domains)."""
         return {

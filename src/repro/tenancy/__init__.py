@@ -9,8 +9,8 @@ the missing layer:
 - :mod:`repro.tenancy.tenant` — the :class:`Tenant` identity (name, id,
   weight, offered-load entitlement) and an ordered registry;
 - :mod:`repro.tenancy.limiter` — a virtual-time token bucket for
-  host-egress rate limiting (throttling / rate-limiting pattern), usable
-  as a shaper (delay) or a policer (reject);
+  host-egress rate limiting (throttling / rate-limiting pattern), used
+  as a shaper (delay);
 - :mod:`repro.tenancy.bulkhead` — weighted bulkhead partitions of a
   host's service concurrency (bulkhead pattern): each tenant gets
   reserved slots so one tenant's backlog cannot occupy every server
@@ -28,13 +28,12 @@ subsystem with one aggressor tenant near saturation and measures the
 victim tenant's p99 slowdown with isolation off vs on.
 """
 
-from repro.tenancy.bulkhead import BulkheadFull, WeightedBulkhead
+from repro.tenancy.bulkhead import WeightedBulkhead
 from repro.tenancy.harness import IsolationConfig, TenantFabric
 from repro.tenancy.limiter import TokenBucket
 from repro.tenancy.tenant import Tenant, TenantRegistry
 
 __all__ = [
-    "BulkheadFull",
     "IsolationConfig",
     "Tenant",
     "TenantFabric",

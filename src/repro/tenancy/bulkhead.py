@@ -24,11 +24,7 @@ from typing import Any, Generator
 from repro.ctrl.partition import split_slots
 from repro.errors import ProtocolError
 
-__all__ = ["BulkheadFull", "WeightedBulkhead", "split_slots"]
-
-
-class BulkheadFull(ProtocolError):
-    """Raised by :meth:`WeightedBulkhead.acquire_nowait` on a full compartment."""
+__all__ = ["WeightedBulkhead", "split_slots"]
 
 
 class _Compartment:
@@ -54,14 +50,12 @@ class WeightedBulkhead:
         total_slots: int,
         weights: dict[str, float],
         partitioned: bool = True,
-        name: str = "",
     ):
         if total_slots < 1:
             raise ProtocolError(f"need >= 1 slot, got {total_slots}")
         self.loop = loop
         self.total_slots = total_slots
         self.partitioned = partitioned
-        self.name = name
         if partitioned:
             self._alloc = split_slots(total_slots, weights)
             self._parts = {
@@ -102,19 +96,6 @@ class WeightedBulkhead:
         self.admitted[tenant] += 1
         part.peak_active = max(part.peak_active, part.active)
 
-    def acquire_nowait(self, tenant: str) -> None:
-        """Take one slot or raise :class:`BulkheadFull` (policing mode)."""
-        part = self._part(tenant)
-        if part.active >= part.slots or part.waiters:
-            raise BulkheadFull(
-                f"bulkhead {self.name or 'host'}/{tenant}: "
-                f"{part.active}/{part.slots} slots busy"
-            )
-        part.active += 1
-        part.admitted += 1
-        self.admitted[tenant] += 1
-        part.peak_active = max(part.peak_active, part.active)
-
     def release(self, tenant: str) -> None:
         part = self._part(tenant)
         if part.active < 1:
@@ -126,9 +107,6 @@ class WeightedBulkhead:
 
     def active(self, tenant: str) -> int:
         return self._part(tenant).active
-
-    def backlog(self, tenant: str) -> int:
-        return len(self._part(tenant).waiters)
 
     def stats(self) -> dict:
         """Per-tenant admission/wait counters plus compartment peaks."""

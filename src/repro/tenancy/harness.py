@@ -154,13 +154,9 @@ class TenantFabric:
         ]
         self.bulkheads = [
             WeightedBulkhead(
-                self.loop,
-                SERVICE_SLOTS,
-                weights,
-                partitioned=iso.enabled,
-                name=f"{host.name}.svc",
+                self.loop, SERVICE_SLOTS, weights, partitioned=iso.enabled
             )
-            for host in self.hosts
+            for _ in self.hosts
         ]
         self.limiters: dict[tuple[int, str], TokenBucket] = {}
         if iso.enabled:
@@ -288,9 +284,6 @@ class TenantFabric:
             base + serial * self._num_tenants + tenant.tid
         )
 
-    def index_of(self, addr: int) -> int:
-        return self._index_of[addr]
-
     def call(
         self,
         tenant_name: str,
@@ -337,8 +330,7 @@ class TenantFabric:
 
     def throttle_stats(self, tenant_name: str) -> dict:
         """Summed egress-shaper counters for one tenant across hosts."""
-        totals = {"conforming": 0, "throttled": 0, "rejected": 0,
-                  "throttle_wait_total": 0.0}
+        totals = {"conforming": 0, "throttled": 0, "throttle_wait_total": 0.0}
         for (_, name), bucket in self.limiters.items():
             if name != tenant_name:
                 continue

@@ -1,17 +1,14 @@
 """Virtual-time token-bucket rate limiting (throttling pattern).
 
 The bucket refills continuously at ``rate_bps / 8`` bytes per virtual
-second up to ``burst_bytes``; callers charge wire bytes against it.  Two
-disciplines are offered:
-
-- **shaping** (:meth:`reserve`): the charge always succeeds, but returns
-  the virtual-time delay until the debited tokens will have existed.
-  Because the balance may go negative (a reservation against future
-  refill), a back-to-back burst above the rate is *serialised* — exactly
-  a leaky-bucket egress shaper.  Deterministic: the delay is a pure
-  function of prior reservations, never of event ordering races.
-- **policing** (:meth:`try_take`): the charge fails when tokens are
-  short; the caller counts a rejection and drops or retries.
+second up to ``burst_bytes``; callers charge wire bytes against it.  The
+one discipline is **shaping** (:meth:`reserve`): the charge always
+succeeds, but returns the virtual-time delay until the debited tokens
+will have existed.  Because the balance may go negative (a reservation
+against future refill), a back-to-back burst above the rate is
+*serialised* — exactly a leaky-bucket egress shaper.  Deterministic: the
+delay is a pure function of prior reservations, never of event ordering
+races.
 
 The shaper is what :class:`~repro.tenancy.harness.TenantFabric` installs
 at host egress: an aggressor tenant offering load above its entitlement
@@ -41,7 +38,6 @@ class TokenBucket:
         self._last = loop.now
         self.conforming = 0
         self.throttled = 0
-        self.rejected = 0
         self.throttle_wait_total = 0.0
 
     def _refill(self) -> None:
@@ -77,22 +73,9 @@ class TokenBucket:
         self.throttle_wait_total += delay
         return delay
 
-    def try_take(self, nbytes: int) -> bool:
-        """Policing: take ``nbytes`` if available, else reject."""
-        if nbytes <= 0:
-            return True
-        self._refill()
-        if self._tokens >= nbytes:
-            self._tokens -= nbytes
-            self.conforming += 1
-            return True
-        self.rejected += 1
-        return False
-
     def stats(self) -> dict:
         return {
             "conforming": self.conforming,
             "throttled": self.throttled,
-            "rejected": self.rejected,
             "throttle_wait_total": self.throttle_wait_total,
         }

@@ -29,7 +29,8 @@ from repro.net.link import Link
 from repro.nic.device import Nic
 from repro.nic.tso import TsoMode
 from repro.sim.event_loop import EventLoop
-from repro.sim.shard import ShardPlan, ShardRunner
+from repro.errors import SimulationError
+from repro.sim.shard import ShardPlan
 from repro.units import GBPS
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
@@ -283,41 +284,6 @@ class StarTestbed(_Bed):
 
 
 @dataclass
-class ShardedClosTestbed:
-    """A leaf-spine cluster partitioned into parallel time domains.
-
-    Returned by ``ClosTestbed.leaf_spine(domains=N)`` for ``N > 1``.
-    There is deliberately no shared loop, fabric or host list: each
-    domain builds its own from :attr:`plan` (possibly in a worker
-    process), so workloads must arrive as a picklable
-    ``module:function`` factory path -- see
-    :func:`repro.load.shard.build_domain_workload` for the load-mesh one.
-    """
-
-    __test__ = False
-
-    plan: ShardPlan
-
-    @property
-    def num_hosts(self) -> int:
-        return self.plan.num_hosts
-
-    @property
-    def domains(self) -> int:
-        return self.plan.domains
-
-    def runner(self, **kwargs) -> ShardRunner:
-        """A :class:`repro.sim.shard.ShardRunner` over this bed's plan
-        (``workload_factory``, ``workload_args``, ``deadline``,
-        ``use_processes``)."""
-        return ShardRunner(self.plan, **kwargs)
-
-    def run(self, **kwargs):
-        """Build a runner and drive it to completion in one call."""
-        return self.runner(**kwargs).run()
-
-
-@dataclass
 class ClosTestbed(_Bed):
     """N racks x M hosts behind a leaf-spine fabric with ECMP spines.
 
@@ -357,28 +323,25 @@ class ClosTestbed(_Bed):
         (``num_spines``, ``bandwidth_bps``, ``trunk_bandwidth_bps``,
         ``mtu``, ``buffer_bytes``, ``trunk_buffer_bytes``, ``trimming``,
         ``num_app_cores``, ``num_softirq_cores``, ``tso_mode``, ``seed``,
-        ``ecmp_salt``, ``domains``, ...): the plan is the cluster's one
-        parameter list, and validates it (``observe`` only acts on a
-        sharded bed; call :meth:`enable_obs` on a single-loop one).  Host
+        ``ecmp_salt``, ...): the plan is the cluster's one parameter list,
+        and validates it (``observe`` only acts on a sharded run; call
+        :meth:`enable_obs` on a bed).  Host
         ``i`` of rack ``r`` is named ``r{r}h{i}`` and addressed
         ``10.(1+r).0.(1+i)``, so the rack is readable off the address.
 
-        ``domains > 1`` returns a :class:`ShardedClosTestbed` instead: the
-        same cluster partitioned into that many parallel time domains
-        (see :mod:`repro.sim.shard`).  Sharded beds have no shared event
-        loop or host list -- drive them through :meth:`ShardedClosTestbed.runner`
-        with a picklable workload factory.
+        A bed is one event loop, so ``domains > 1`` is rejected: a cluster
+        cut into parallel time domains runs through
+        :class:`~repro.sim.shard.ShardPlan` and
+        :class:`~repro.sim.shard.ShardRunner` directly.
         """
         plan = ShardPlan(
             num_racks=num_racks, hosts_per_rack=hosts_per_rack, **plan_fields
         )
         if plan.domains > 1:
-            if costs is not None:
-                raise ValueError(
-                    "sharded beds rebuild CostModel() per domain; "
-                    "custom cost models are not supported with domains > 1"
-                )
-            return ShardedClosTestbed(plan)
+            raise SimulationError(
+                "a ClosTestbed is one event loop; run a cluster cut into "
+                "time domains through ShardPlan + ShardRunner"
+            )
         loop = EventLoop()
         fabric, racks = plan.build(loop, costs=costs)
         return ClosTestbed(loop, fabric, list(racks.values()), random.Random(plan.seed))

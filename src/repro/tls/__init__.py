@@ -24,7 +24,7 @@ from repro.tls.handshake import (
 )
 from repro.tls.keyschedule import KeySchedule, TrafficKeys
 from repro.tls.record import RecordProtection, TLSRecord
-from repro.tls.timing import HandshakeCostModel, HandshakeTimer
+from repro.tls.timing import HandshakeCostModel
 
 __all__ = [
     "CONTENT_ALERT",
@@ -42,5 +42,4 @@ __all__ = [
     "HandshakeConfig",
     "HandshakeResult",
     "HandshakeCostModel",
-    "HandshakeTimer",
 ]

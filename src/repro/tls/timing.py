@@ -116,20 +116,3 @@ class HandshakeCostModel:
             name = OPERATION_NAMES.get(op.op_id, op.op_id)
             rows.append((op.op_id, name, self.op_cost(op) / USEC))
         return rows
-
-
-class HandshakeTimer:
-    """Accumulates priced handshake time for one endpoint."""
-
-    def __init__(self, model: HandshakeCostModel | None = None):
-        self.model = model or HandshakeCostModel()
-        self.total_time = 0.0
-        self.ops: list[TraceOp] = []
-
-    def charge(self, trace: list[TraceOp], already_charged: int = 0) -> float:
-        """Price ops beyond ``already_charged`` and return their sum."""
-        new_ops = trace[already_charged:]
-        cost = self.model.total(new_ops)
-        self.ops.extend(new_ops)
-        self.total_time += cost
-        return cost

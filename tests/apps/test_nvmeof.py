@@ -20,6 +20,7 @@ from repro.ktls import ktls_pair
 from repro.sim.event_loop import EventLoop
 from repro.tcp import connect_pair
 from repro.testbed import Testbed
+from tests.sim.helpers import run_process
 
 
 class TestProtocol:
@@ -57,7 +58,7 @@ class TestDevice:
             times.append(loop.now - t0)
             assert len(data) == 4096
 
-        loop.run_process(body())
+        run_process(loop, body())
         assert 60e-6 < times[0] < 400e-6
 
     def test_channel_parallelism(self):
@@ -95,7 +96,7 @@ class TestDevice:
             yield from dev.read_block(100)
 
         with pytest.raises(ReproError):
-            loop.run_process(body())
+            run_process(loop, body())
 
     def test_deterministic_content(self):
         loop = EventLoop()
@@ -105,7 +106,7 @@ class TestDevice:
         def body():
             out["data"] = yield from dev.read_block(0x1AB)
 
-        loop.run_process(body())
+        run_process(loop, body())
         assert out["data"] == bytes([0xAB]) * 4096
 
 

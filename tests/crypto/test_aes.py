@@ -36,10 +36,10 @@ FIPS_SBOX = bytes.fromhex(
 
 
 def test_sbox_matches_fips197():
-    sbox, inv_sbox = aes_module._build_sbox()
+    sbox = aes_module._build_sbox()
     assert bytes(sbox) == FIPS_SBOX
-    assert [inv_sbox[v] for v in FIPS_SBOX] == list(range(256))
-    assert aes_module._SBOX == sbox and aes_module._INV_SBOX == inv_sbox
+    assert sorted(sbox) == list(range(256))
+    assert aes_module._SBOX == sbox
 
 
 class TestKnownVectors:
@@ -47,11 +47,6 @@ class TestKnownVectors:
     def test_fips197_encrypt(self, key_hex, ct_hex):
         aes = AES(bytes.fromhex(key_hex))
         assert aes.encrypt_block(PLAINTEXT).hex() == ct_hex
-
-    @pytest.mark.parametrize("key_hex,ct_hex", FIPS_VECTORS)
-    def test_fips197_decrypt(self, key_hex, ct_hex):
-        aes = AES(bytes.fromhex(key_hex))
-        assert aes.decrypt_block(bytes.fromhex(ct_hex)) == PLAINTEXT
 
     def test_aes128_sp800_38a_vector(self):
         # NIST SP 800-38A F.1.1 ECB-AES128 block 1.
@@ -69,8 +64,6 @@ class TestInterface:
         aes = AES(bytes(16))
         with pytest.raises(CryptoError):
             aes.encrypt_block(b"tiny")
-        with pytest.raises(CryptoError):
-            aes.decrypt_block(b"tiny")
 
     def test_vectorised_matches_scalar(self):
         aes = AES(bytes(range(16)))
@@ -110,12 +103,6 @@ class TestCtrKeystream:
 
 
 class TestRoundTripProperties:
-    @given(st.binary(min_size=16, max_size=16), st.sampled_from([16, 24, 32]))
-    @settings(max_examples=30, deadline=None)
-    def test_decrypt_inverts_encrypt(self, block, key_size):
-        aes = AES(bytes(key_size))
-        assert aes.decrypt_block(aes.encrypt_block(block)) == block
-
     @given(st.binary(min_size=16, max_size=16))
     @settings(max_examples=20, deadline=None)
     def test_different_keys_differ(self, block):

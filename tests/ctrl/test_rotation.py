@@ -192,29 +192,6 @@ class TestTicketCache:
         assert seen[0] is not seen[1]
         assert seen[1].not_after > seen[0].not_after
 
-    def test_invalidate_forces_refetch(self, pki):
-        ca, _chain, _key = pki
-        loop = EventLoop()
-        dns = InternalDns()
-        rotator = TicketRotator(
-            loop, make_zserver(pki, lifetime=100.0), dns, "svc"
-        )
-        rotator.start()
-        cache = TicketCache(dns, (ca.certificate,))
-        cache_queries = []
-
-        def body():
-            yield from cache.get("svc", loop)
-            cache.invalidate("svc")
-            yield from cache.get("svc", loop)
-            cache_queries.append(dns.queries)
-
-        done = loop.process(body())
-        loop.run(until=1.0)
-        rotator.stop()
-        assert done.triggered and done.ok
-        assert cache.refreshes == 2 and cache_queries == [2]
-
 
 class TestTicketCacheStalenessRace:
     """Regression: a refresh racing the record's TTL degrades, never raises.

@@ -5,6 +5,7 @@ import pytest
 from repro.host.cpu import AppThread, SoftirqCore, per_item
 from repro.sim.event_loop import EventLoop
 from repro.sim.resources import Resource
+from tests.sim.helpers import run_process
 
 
 class TestSoftirqCore:
@@ -137,7 +138,7 @@ class TestAppThread:
             yield from thread.work(2.0)
             return loop.now
 
-        assert loop.run_process(body()) == pytest.approx(2.0)
+        assert run_process(loop, body()) == pytest.approx(2.0)
         assert core.busy_time == pytest.approx(2.0)
 
     def test_threads_sharing_core_serialize(self):
@@ -164,4 +165,4 @@ class TestAppThread:
             yield loop.timeout(0)
             return loop.now
 
-        assert loop.run_process(body()) == 0.0
+        assert run_process(loop, body()) == 0.0

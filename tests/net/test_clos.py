@@ -385,6 +385,11 @@ class TestPlanValidation:
         with pytest.raises(SimulationError):
             ClosTestbed.leaf_spine(num_racks=2, domains=3)
 
+    def test_leaf_spine_is_one_loop(self):
+        # A cluster cut into time domains runs through ShardPlan + ShardRunner.
+        with pytest.raises(SimulationError, match="ShardPlan"):
+            ClosTestbed.leaf_spine(num_racks=4, domains=2)
+
 
 class TestBackToBackCtrl:
     def test_enable_ctrl_seeds_and_unpacks(self):

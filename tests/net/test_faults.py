@@ -36,11 +36,6 @@ class TestFaultConfig:
         with pytest.raises(SimulationError):
             FaultConfig(flap_period=1e-3, flap_down=1e-3)
 
-    def test_any_faults(self):
-        assert not FaultConfig().any_faults
-        assert FaultConfig(drop_rate=0.1).any_faults
-        assert FaultConfig(flap_period=1e-3, flap_down=1e-4).any_faults
-
     def test_describe_names_non_defaults(self):
         assert FaultConfig().describe() == "clean"
         assert "drop_rate=0.1" in FaultConfig(drop_rate=0.1).describe()

@@ -3,8 +3,8 @@
 ``ref_flow_hash`` is the plain, un-memoised hash loop and
 ``ref_ecmp_hash`` adds the salt finalizer ``ecmp_hash`` applies on top;
 both are kept here as the model.  Every caller that steers by flow --
-``flow_hash``, ``FlowTuple.rss_hash``, softirq core choice, ECMP spine
-choice -- must agree with it bit for bit.
+``flow_hash`` (memoised or not), softirq core choice, ECMP spine choice --
+must agree with it bit for bit.
 """
 
 import random
@@ -13,7 +13,7 @@ import pytest
 
 from repro.host.host import Host
 from repro.net import ecmp_hash
-from repro.net.addressing import FLOW_HASH_MEMO, FlowTuple, flow_hash
+from repro.net.addressing import FLOW_HASH_MEMO, flow_hash
 from repro.net.headers import HEADERS_SIZE, IPv4Header, TransportHeader
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
@@ -68,7 +68,7 @@ def test_flow_hash_and_rss_hash_match_reference():
     for five in TUPLES:
         want = ref_flow_hash(*five)
         assert flow_hash(*five) == want, five
-        assert FlowTuple(*five).rss_hash() == want, five
+        assert flow_hash.__wrapped__(*five) == want, five
 
 
 def test_softirq_core_matches_reference():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.net.addressing import FlowTuple, format_addr, make_addr
+from repro.net.addressing import flow_hash, format_addr, make_addr
 from repro.net.headers import (
     HEADERS_SIZE,
     IPV4_HEADER_SIZE,
@@ -29,19 +29,13 @@ class TestAddressing:
         with pytest.raises(ValueError):
             make_addr(256, 0, 0, 1)
 
-    def test_flow_reversal(self):
-        flow = FlowTuple(1, 100, 2, 200, PROTO_SMT)
-        rev = flow.reversed()
-        assert rev.src_addr == 2 and rev.dst_port == 100
-        assert rev.reversed() == flow
-
     def test_rss_hash_deterministic(self):
-        flow = FlowTuple(1, 100, 2, 200, PROTO_SMT)
-        assert flow.rss_hash() == FlowTuple(1, 100, 2, 200, PROTO_SMT).rss_hash()
+        flow = (1, 100, 2, 200, PROTO_SMT)
+        assert flow_hash(*flow) == flow_hash.__wrapped__(*flow)
 
     def test_rss_hash_differs_per_flow(self):
-        a = FlowTuple(1, 100, 2, 200, PROTO_SMT).rss_hash()
-        b = FlowTuple(1, 101, 2, 200, PROTO_SMT).rss_hash()
+        a = flow_hash(1, 100, 2, 200, PROTO_SMT)
+        b = flow_hash(1, 101, 2, 200, PROTO_SMT)
         assert a != b
 
 
@@ -154,6 +148,6 @@ class TestPacket:
             Packet.decode(data + b"extra")
 
     def test_meta_not_in_equality(self):
-        a = self._packet().with_meta(queue=1)
-        b = self._packet().with_meta(queue=2)
+        a, b = self._packet(), self._packet()
+        a.meta["queue"], b.meta["queue"] = 1, 2
         assert a == b  # meta is simulation-only annotation

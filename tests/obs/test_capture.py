@@ -21,7 +21,9 @@ def make_packet(msg_id: int = 7, ipid: int = 3, trimmed: bool = False) -> Packet
         ),
         payload=b"\x00" * 64,
     )
-    return pkt.with_meta(trimmed=True) if trimmed else pkt
+    if trimmed:
+        pkt.meta["trimmed"] = True
+    return pkt
 
 
 class TestRecording:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.event_loop import EventLoop
+from tests.sim.helpers import run_process
 
 
 class TestScheduling:
@@ -144,29 +145,6 @@ class TestEvents:
         loop.run()
         assert ev.triggered and ev.ok and ev.value == "done"
 
-    def test_all_of_collects_values(self):
-        loop = EventLoop()
-        events = [loop.timeout(i, value=i) for i in (3.0, 1.0, 2.0)]
-        combined = loop.all_of(events)
-        loop.run()
-        assert combined.value == [3.0, 1.0, 2.0]
-
-    def test_all_of_empty(self):
-        loop = EventLoop()
-        combined = loop.all_of([])
-        loop.run()
-        assert combined.triggered and combined.value == []
-
-    def test_all_of_fails_fast(self):
-        loop = EventLoop()
-        good = loop.timeout(5.0)
-        bad = loop.event()
-        combined = loop.all_of([good, bad])
-        loop.call_later(1.0, lambda: bad.fail(ValueError("boom")))
-        loop.run()
-        assert combined.triggered and not combined.ok
-        assert isinstance(combined.value, ValueError)
-
 
 class TestProcesses:
     def test_process_returns_value(self):
@@ -176,7 +154,7 @@ class TestProcesses:
             yield loop.timeout(1.0)
             return "result"
 
-        assert loop.run_process(body()) == "result"
+        assert run_process(loop, body()) == "result"
         assert loop.now == 1.0
 
     def test_process_receives_event_value(self):
@@ -186,7 +164,7 @@ class TestProcesses:
             value = yield loop.timeout(1.0, value=99)
             return value
 
-        assert loop.run_process(body()) == 99
+        assert run_process(loop, body()) == 99
 
     def test_process_exception_propagates(self):
         loop = EventLoop()
@@ -196,7 +174,7 @@ class TestProcesses:
             raise RuntimeError("inner")
 
         with pytest.raises(RuntimeError, match="inner"):
-            loop.run_process(body())
+            run_process(loop, body())
 
     def test_failed_event_raises_in_process(self):
         loop = EventLoop()
@@ -208,7 +186,7 @@ class TestProcesses:
                 yield ev
             return "handled"
 
-        assert loop.run_process(body()) == "handled"
+        assert run_process(loop, body()) == "handled"
 
     def test_processes_compose(self):
         loop = EventLoop()
@@ -221,7 +199,7 @@ class TestProcesses:
             value = yield loop.process(inner())
             return value * 2
 
-        assert loop.run_process(outer()) == 14
+        assert run_process(loop, outer()) == 14
 
     def test_yield_non_event_rejected(self):
         loop = EventLoop()
@@ -240,7 +218,7 @@ class TestProcesses:
             yield loop.event()  # never triggers
 
         with pytest.raises(SimulationError, match="did not complete"):
-            loop.run_process(body())
+            run_process(loop, body())
 
 
 class TestTimers:

@@ -15,10 +15,9 @@ class TestResource:
     def test_immediate_acquire_when_free(self):
         loop = EventLoop()
         res = Resource(loop)
-        ev = res.acquire()
-        loop.run()
-        assert ev.triggered
-        assert res.in_use == 1
+        loop.process(res.service(1.0))
+        loop.run(until=0.5)
+        assert res.in_use == 1 and res.queue_length == 0
 
     def test_release_without_acquire_rejected(self):
         with pytest.raises(SimulationError):
@@ -126,10 +125,9 @@ class TestResource:
     def test_queue_length_reporting(self):
         loop = EventLoop()
         res = Resource(loop)
-        res.acquire()
-        res.acquire()
-        res.acquire()
-        loop.run()
+        for _ in range(3):
+            loop.process(res.service(1.0))
+        loop.run(until=0.5)
         assert res.in_use == 1
         assert res.queue_length == 2
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.sim.event_loop import EventLoop
-from repro.tenancy import BulkheadFull, WeightedBulkhead
+from repro.tenancy import WeightedBulkhead
 
 WEIGHTS = {"victim": 1.0, "aggr": 1.0}
 
@@ -103,16 +103,6 @@ class TestSlotAccounting:
         assert order == ["a", "b", "c", "d", "e"]
         assert bulkhead.active("t") == 0
 
-    def test_acquire_nowait_polices(self):
-        loop = EventLoop()
-        bulkhead = WeightedBulkhead(loop, 2, {"t": 1.0})
-        bulkhead.acquire_nowait("t")
-        bulkhead.acquire_nowait("t")
-        with pytest.raises(BulkheadFull):
-            bulkhead.acquire_nowait("t")
-        bulkhead.release("t")
-        bulkhead.acquire_nowait("t")  # slot freed, admissible again
-
     def test_release_without_acquire_rejected(self):
         loop = EventLoop()
         bulkhead = WeightedBulkhead(loop, 2, {"t": 1.0})
@@ -123,7 +113,7 @@ class TestSlotAccounting:
         loop = EventLoop()
         bulkhead = WeightedBulkhead(loop, 2, {"t": 1.0})
         with pytest.raises(ProtocolError):
-            bulkhead.acquire_nowait("stranger")
+            next(bulkhead.acquire("stranger"))
 
     def test_stats_shape(self):
         loop = EventLoop()

@@ -1,4 +1,4 @@
-"""TokenBucket: shaping delays, policing rejections, refill bounds."""
+"""TokenBucket: shaping delays, refill bounds."""
 
 import pytest
 
@@ -49,23 +49,6 @@ class TestShaping:
         _loop, bucket = make_bucket()
         assert bucket.reserve(0) == 0.0
         assert bucket.conforming == 0
-
-
-class TestPolicing:
-    def test_rejects_when_short(self):
-        _loop, bucket = make_bucket()
-        assert bucket.try_take(80)
-        assert not bucket.try_take(40)
-        assert bucket.rejected == 1
-        # Policing never dips negative: the 20 remaining still spendable.
-        assert bucket.try_take(20)
-
-    def test_recovers_after_refill(self):
-        loop, bucket = make_bucket()
-        bucket.try_take(100)
-        assert not bucket.try_take(10)
-        loop.run(until=0.05)  # 50 ms -> 50 bytes back
-        assert bucket.try_take(10)
 
 
 class TestValidation:

@@ -2,13 +2,25 @@
 
 Only the fast examples run here (the benchmark-style ones are covered by
 ``benchmarks/``).  Each executes in-process with its printed output
-captured; assertions inside the examples do the verifying.
+captured; assertions inside the examples do the verifying.  Each runs
+from an empty working directory, as a user running it from elsewhere
+would, and ``sys.path`` is restored afterwards, so an example can neither
+lean on the repository layout nor leak an import path into later tests.
 """
 
 import runpy
+import sys
 from pathlib import Path
 
-EXAMPLES = Path(__file__).parent.parent / "examples"
+import pytest
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.fixture(autouse=True)
+def _elsewhere(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))
 
 
 def run_example(name: str, capsys) -> str:

@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.cert import KEY_ALG_ECDSA, KEY_ALG_RSA
 from repro.errors import ProtocolError
 from repro.tls.handshake import TraceOp
-from repro.tls.timing import HandshakeCostModel, HandshakeTimer
+from repro.tls.timing import HandshakeCostModel
 from repro.units import USEC
 
 
@@ -67,12 +67,3 @@ class TestTotals:
         rows = model.breakdown([TraceOp("S1", {}), TraceOp("C5", {})])
         assert rows[0] == ("S1", "Process CHLO", pytest.approx(1.8))
         assert rows[1][1] == "Process Finished"
-
-    def test_timer_incremental_charging(self, model):
-        timer = HandshakeTimer(model)
-        trace = [TraceOp("S1", {})]
-        timer.charge(trace)
-        trace.append(TraceOp("S3", {}))
-        timer.charge(trace, already_charged=1)
-        assert timer.total_time == pytest.approx((1.8 + 44.4) * USEC)
-        assert len(timer.ops) == 2
