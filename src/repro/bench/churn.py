@@ -28,9 +28,7 @@ import random
 from repro.bench.report import ExperimentReport
 from repro.core.endpoint import SmtEndpoint
 from repro.core.zero_rtt import ZeroRttServer
-from repro.crypto.ca import CertificateAuthority
-from repro.crypto.cert import KEY_ALG_ECDSA
-from repro.crypto.ecdsa import EcdsaKeyPair
+from repro.crypto.ca import fixed_pki
 from repro.ctrl import CtrlConfig, TicketCache, TicketRotator
 from repro.dns.resolver import InternalDns
 from repro.testbed import Testbed
@@ -51,13 +49,6 @@ CLIENT_KEYGEN_US = 61.3  # C1.1
 SERVER_KEYGEN_US = 67.9  # S2.1
 
 
-def _pki(seed: int = 1):
-    rng = random.Random(seed)
-    ca = CertificateAuthority("dc-root", rng)
-    key = EcdsaKeyPair.generate(rng)
-    leaf = ca.issue("server", KEY_ALG_ECDSA, key.public_bytes())
-    return ca, ca.chain_for(leaf), key
-
 
 def _percentile(sorted_vals: list[float], frac: float) -> float:
     idx = min(len(sorted_vals) - 1, int(frac * len(sorted_vals)))
@@ -66,7 +57,7 @@ def _percentile(sorted_vals: list[float], frac: float) -> float:
 
 def _run_combo(variant: str, pooled: bool, n: int, capacity: int, seed: int) -> dict:
     """``n`` sequential connections of one variant; returns measurements."""
-    ca, chain, key = _pki()
+    ca, chain, key = fixed_pki("server")
     roots = (ca.certificate,)
     creds = ServerCredentials(chain=chain, signing_key=key)
     bed = Testbed.back_to_back()

@@ -22,10 +22,8 @@ import random
 from repro.bench.report import ExperimentReport
 from repro.core.endpoint import SmtEndpoint
 from repro.core.zero_rtt import ZeroRttServer
-from repro.crypto.ca import CertificateAuthority
-from repro.crypto.cert import KEY_ALG_ECDSA
+from repro.crypto.ca import fixed_pki
 from repro.crypto.ecdh import EcdhKeyPair
-from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.dns.resolver import InternalDns
 from repro.testbed import Testbed
 from repro.tls.handshake import HandshakeConfig, ServerCredentials, SessionTicket
@@ -34,13 +32,6 @@ from repro.units import USEC
 VARIANTS = ("Init-1RTT", "Init-FS", "Init", "Rsmp-FS", "Rsmp")
 DATA_PORT = 7000
 
-
-def _pki(seed: int = 1):
-    rng = random.Random(seed)
-    ca = CertificateAuthority("dc-root", rng)
-    key = EcdsaKeyPair.generate(rng)
-    leaf = ca.issue("server", KEY_ALG_ECDSA, key.public_bytes())
-    return ca, ca.chain_for(leaf), key
 
 
 def _bed_with_endpoints():
@@ -54,7 +45,7 @@ def _full_handshake(pregenerate: bool, ticket: SessionTicket | None = None,
                     forward_secrecy: bool = True, cache: dict | None = None,
                     seed: int = 5):
     """Run one handshake over the wire; returns (stats, issued tickets)."""
-    ca, chain, key = _pki()
+    ca, chain, key = fixed_pki("server")
 
     bed, cep, sep = _bed_with_endpoints()
     roots = (ca.certificate,)
@@ -88,7 +79,7 @@ def _full_handshake(pregenerate: bool, ticket: SessionTicket | None = None,
 
 
 def _zero_rtt(forward_secrecy: bool, seed: int = 9):
-    ca, chain, key = _pki()
+    ca, chain, key = fixed_pki("server")
     bed, cep, sep = _bed_with_endpoints()
     roots = (ca.certificate,)
     zserver = ZeroRttServer("server", chain, key, random.Random(seed))

@@ -46,9 +46,7 @@ import random
 from repro.bench.loaded import LOAD_HOMA_CONFIG
 from repro.bench.report import ExperimentReport
 from repro.core.zero_rtt import ZeroRttServer
-from repro.crypto.ca import CertificateAuthority
-from repro.crypto.cert import KEY_ALG_ECDSA
-from repro.crypto.ecdsa import EcdsaKeyPair
+from repro.crypto.ca import fixed_pki
 from repro.ctrl import CtrlConfig, SharedShareRotator, TicketCache, TicketRotator
 from repro.dns.resolver import InternalDns
 from repro.lb import (
@@ -74,13 +72,6 @@ GRACE_WINDOW = 2e-3
 REFRESH_MARGIN = 1e-3
 
 
-def _pki(seed: int = 1):
-    rng = random.Random(seed)
-    ca = CertificateAuthority("dc-root", rng)
-    key = EcdsaKeyPair.generate(rng)
-    leaf = ca.issue(SERVICE, KEY_ALG_ECDSA, key.public_bytes())
-    return ca, ca.chain_for(leaf), key
-
 
 # -- part 1: ticket portability (+ drain) -----------------------------------------
 
@@ -89,7 +80,7 @@ def _run_portability(shared: bool, opens: int) -> dict:
     bed = ClosTestbed.leaf_spine(
         num_racks=2, hosts_per_rack=3, num_spines=2, seed=5
     )
-    ca, chain, key = _pki()
+    ca, chain, key = fixed_pki(SERVICE)
     roots = (ca.certificate,)
     dns = InternalDns(lookup_latency=DNS_LATENCY)
     replica_hosts = bed.hosts[3:]
@@ -254,7 +245,7 @@ def _run_staleness(quick: bool) -> dict:
         num_racks=2, hosts_per_rack=2, num_spines=2, seed=5
     )
     bed.enable_ctrl(config=CtrlConfig(), seed=2025)
-    ca, chain, key = _pki()
+    ca, chain, key = fixed_pki(SERVICE)
     roots = (ca.certificate,)
     dns = InternalDns(lookup_latency=DNS_LATENCY)
     replica_hosts = bed.hosts[2:]

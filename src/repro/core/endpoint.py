@@ -214,7 +214,7 @@ class SmtEndpoint:
             if pending is None:
                 raise ProtocolError("Finished flight without a pending handshake")
             server_hs, charged = pending
-            server_hs.process_client_flight(body, self.loop.now)
+            server_hs.process_client_flight(body)
             yield from thread.work(self.cost_model.total(server_hs.trace[charged:]))
             client_keys, server_keys = server_hs.result.traffic_keys()
             self.register_session(rpc.peer_addr, peer_port, server_keys, client_keys)
@@ -339,13 +339,12 @@ class SmtEndpoint:
         server_addr: int,
         server_data_port: int,
         hs_config: HandshakeConfig,
-        client_credentials: Optional[ServerCredentials] = None,
     ) -> Generator[Any, Any, HandshakeStats]:
         """Establish a session with a listening server endpoint."""
         started = self.loop.now
         obs = self.loop.obs
         hs_span = None
-        client_hs = ClientHandshake(hs_config, client_credentials)
+        client_hs = ClientHandshake(hs_config)
         if obs is not None:
             hs_span = obs.tracer.begin(
                 "tls.handshake", f"{self.host.name}.connect", peer=server_addr

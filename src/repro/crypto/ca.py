@@ -110,3 +110,18 @@ class CertificateAuthority:
             certs.append(ca.certificate)
             ca = ca.parent
         return CertificateChain(tuple(certs))
+
+
+def fixed_pki(
+    subject: str,
+) -> tuple[CertificateAuthority, CertificateChain, EcdsaKeyPair]:
+    """A root CA and one ECDSA leaf for ``subject``: ``(ca, chain, key)``.
+
+    Seeded, so every run mints the same keys and certificates, and the
+    handshake bytes and event counts that depend on them replay exactly.
+    """
+    rng = random.Random(1)
+    ca = CertificateAuthority("dc-root", rng)
+    key = EcdsaKeyPair.generate(rng)
+    leaf = ca.issue(subject, KEY_ALG_ECDSA, key.public_bytes())
+    return ca, ca.chain_for(leaf), key

@@ -24,6 +24,11 @@ from repro.units import MB
 
 #: Maximum message size (Homa's default, paper §4.4.1).
 MAX_MESSAGE_SIZE = 1 * MB
+#: Largest wire message a transport sends or takes: the payload bound with
+#: room for SMT's record overhead.  The receiver checks a first DATA
+#: header's ``msg_len`` against it before allocating, since nothing in that
+#: header is authenticated yet.
+MAX_WIRE_LEN = MAX_MESSAGE_SIZE * 2
 #: Re-grant when outstanding authorisation falls below this fraction.
 GRANT_REFILL_FRACTION = 0.5
 #: Network priority levels (strict; 7 highest).
@@ -62,6 +67,7 @@ class HomaTransport:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.replays_dropped = 0
+        self.oversize_dropped = 0
         self.spurious_ignored = 0
         self.resend_requests = 0
         self.packets_retransmitted = 0
@@ -165,7 +171,7 @@ class HomaTransport:
         Returns the CPU cost of the transmission work (the caller charges
         it to the right context: app thread for new messages).
         """
-        if encoded.wire_len > MAX_MESSAGE_SIZE * 2:
+        if encoded.wire_len > MAX_WIRE_LEN:
             raise TransportError(
                 f"message of {encoded.wire_len} wire bytes exceeds the maximum"
             )
@@ -377,6 +383,11 @@ class HomaTransport:
         inbound = self._inbound.get(key)
         extra = 0.0
         if inbound is None:
+            if t.msg_len > MAX_WIRE_LEN:
+                # A forged length: drop it before it burns the ID or buys
+                # a buffer.
+                self.oversize_dropped += 1
+                return None
             # First packet of an unseen message: replay filter (paper §6.1:
             # replayed IDs are dropped without decryption).
             extra += self.costs.homa_rx_per_message + self.costs.smt_replay_check

@@ -154,8 +154,8 @@ class InboundMessage:
     # Open ``homa.rx`` span while the loop is observed (closed on delivery).
     obs_span: Optional[object] = None
     # Message-wide receive buffer, preallocated from the first DATA
-    # header's msg_len (fault injection never corrupts headers, so the
-    # size is trusted the same way the old per-segment lengths were).
+    # header's msg_len, which the engine has bounded by MAX_WIRE_LEN
+    # (nothing in that header is authenticated yet).
     # Segment assemblers write into non-overlapping windows of this
     # buffer; ``assemble`` is then a view, not a join.
     _buf: bytearray = field(init=False, repr=False, compare=False)

@@ -242,7 +242,6 @@ class IncidentEngine(OpenLoopEngine):
                 "retries": kit.retries,
                 "fail_fast": kit.fail_fast,
                 "parked": kit.parked,
-                "fallbacks": kit.fallbacks,
                 "exhausted": kit.exhausted,
                 "budget_denied": kit.budget.denied,
             }

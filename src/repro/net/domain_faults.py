@@ -10,9 +10,9 @@ process crashes and takes its session state and standby keys with it.
 
 - **spine down** -- the spine :class:`~repro.net.switch.Switch` goes
   dark (queued packets die with its buffers).  Leaves keep steering the
-  same flows into the blackhole until *re-convergence*: either a
-  scheduled ``auto_reroute_delay``, or -- with :meth:`watch_spines` -- a
-  per-spine heartbeat monitor modelling the routing protocol's hello
+  same flows into the blackhole until *re-convergence*: a manual
+  :meth:`~DomainFaultController.reroute`, or -- with :meth:`watch_spines`
+  -- a per-spine heartbeat monitor modelling the routing protocol's hello
   timers, whose detection triggers :meth:`ClosFabric.reconverge
   <repro.net.clos.ClosFabric.reconverge>` (optionally with a fresh ECMP
   salt).  Live flows migrate to surviving spines; flows already on
@@ -70,14 +70,10 @@ class IncidentEvent:
 class DomainFaultController:
     """Kill and revive whole failure domains on a :class:`ClosTestbed`."""
 
-    def __init__(self, bed, auto_reroute_delay: Optional[float] = None):
+    def __init__(self, bed):
         self.bed = bed
         self.loop = bed.loop
         self.fabric = bed.fabric
-        #: Seconds between a spine state change and the fabric's ECMP
-        #: tables reconverging around it.  ``None`` leaves re-convergence
-        #: to :meth:`watch_spines` heartbeats or manual calls.
-        self.auto_reroute_delay = auto_reroute_delay
         #: Chronological (virtual_time, action, label) tuples.
         self.log: list[tuple[float, str, str]] = []
         #: Domain label -> virtual time a watcher declared it down.
@@ -119,16 +115,12 @@ class DomainFaultController:
         self.fault_times[label] = self.loop.now
         self._record("spine_down", label)
         self._open_span(f"{label}.down")
-        if self.auto_reroute_delay is not None:
-            self.loop.timer_later(self.auto_reroute_delay, self.reroute)
 
     def spine_up(self, spine: int) -> None:
         label = f"spine{spine}"
         self.fabric.restore_spine(spine)
         self._record("spine_up", label)
         self._close_span(f"{label}.down")
-        if self.auto_reroute_delay is not None:
-            self.loop.timer_later(self.auto_reroute_delay, self.reroute)
 
     def reroute(self, salt: Optional[int] = None) -> None:
         """Reconverge the fabric's ECMP tables around the live spines."""

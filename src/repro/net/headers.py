@@ -48,7 +48,9 @@ class PacketType(enum.IntEnum):
     GRANT = 1
     RESEND = 2
     ACK = 3
-    BUSY = 4  # reserved: nothing sends or handles it yet (ROADMAP item 2)
+    # Reserved: nothing sends or handles BUSY yet.  The ROADMAP item for
+    # the next benchmark-archetype change, which re-pins the ledger, adds it.
+    BUSY = 4
     CONTROL = 5  # handshake / session management payloads
 
 

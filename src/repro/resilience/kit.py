@@ -7,10 +7,8 @@ runs with a per-attempt deadline, failures consult the per-destination
 by a seeded :class:`~repro.resilience.retry.BackoffPolicy`, and optional
 :class:`~repro.resilience.heartbeat.HeartbeatMonitor` watchers fail calls
 fast while a destination is declared down.  Exhausted or fail-fast calls
-either raise (:class:`~repro.errors.CircuitOpenError` /
-:class:`~repro.errors.TransportError`) or divert to a caller-supplied
-fallback -- the fail-fast/fallback hooks the incident experiments wire
-onto the SMT socket.
+raise (:class:`~repro.errors.CircuitOpenError` /
+:class:`~repro.errors.TransportError`).
 
 The kit is deliberately transport-agnostic: ``attempt`` is any generator
 factory ``attempt(timeout) -> response``, so the same kit fronts a Homa
@@ -44,6 +42,13 @@ BACKOFF_JITTER = 0.2
 BREAKER_HALF_OPEN_PROBES = 2
 #: Longest a ``wait`` call parks for recovery before giving up.
 MAX_RECOVERY_WAIT = 5e-3
+#: Per-attempt deadline growth: attempt ``n`` (0-based) runs with
+#: ``attempt_timeout * TIMEOUT_GROWTH ** min(n, 3)``.  A flat deadline
+#: false-fires exactly when the system is digesting a recovery backlog,
+#: and every false expiry *adds* a duplicate RPC to that backlog --
+#: growing deadlines absorb the post-recovery mess instead of amplifying
+#: it.
+TIMEOUT_GROWTH = 2.0
 
 
 @dataclass
@@ -58,13 +63,6 @@ class KitConfig:
 
     attempt_timeout: float = 60e-6
     max_attempts: int = 8
-    #: Per-attempt deadline growth: attempt ``n`` (0-based) runs with
-    #: ``attempt_timeout * timeout_growth ** min(n, 3)``.  A flat deadline
-    #: false-fires exactly when the system is digesting a recovery
-    #: backlog, and every false expiry *adds* a duplicate RPC to that
-    #: backlog -- growing deadlines absorb the post-recovery mess instead
-    #: of amplifying it.
-    timeout_growth: float = 2.0
     budget_capacity: float = 64.0
     budget_refund: float = 0.2
     breaker_failure_threshold: int = 6
@@ -102,7 +100,6 @@ class ResilienceKit:
         self.fail_fast = 0
         self.parked = 0
         self.splayed = 0
-        self.fallbacks = 0
         self.exhausted = 0
         self.successes = 0
 
@@ -172,7 +169,6 @@ class ResilienceKit:
         self,
         attempt: Callable[[float], Generator[Any, Any, Any]],
         dst,
-        fallback: Optional[Callable[[BaseException], Any]] = None,
         on_open: str = "raise",
         timeout: Optional[float] = None,
         caller=None,
@@ -196,12 +192,11 @@ class ResilienceKit:
 
         ``on_open`` chooses the fail-fast behaviour when the breaker or
         the heartbeat verdict refuses the call: ``"raise"`` surfaces
-        :class:`CircuitOpenError` immediately (or diverts to
-        ``fallback``), ``"wait"`` parks until the destination looks
-        callable again -- bounded by :data:`MAX_RECOVERY_WAIT`, after which
-        it raises/falls back anyway.  Retryable failures are
-        :data:`RETRYABLE`; anything else propagates untouched (an
-        authentication failure is not cured by retrying).
+        :class:`CircuitOpenError` immediately, ``"wait"`` parks until the
+        destination looks callable again -- bounded by
+        :data:`MAX_RECOVERY_WAIT`, after which it raises anyway.
+        Retryable failures are :data:`RETRYABLE`; anything else propagates
+        untouched (an authentication failure is not cured by retrying).
         """
         if on_open not in ("raise", "wait"):
             raise ValueError(f"on_open must be 'raise' or 'wait', got {on_open!r}")
@@ -225,15 +220,11 @@ class ResilienceKit:
             ):
                 if on_open != "wait" or waited >= MAX_RECOVERY_WAIT:
                     self.fail_fast += 1
-                    exc = CircuitOpenError(
+                    raise CircuitOpenError(
                         f"destination {dst} refused fail-fast "
                         f"(breaker {breaker.state.value}, "
                         f"up={self.destination_up(dst)})"
                     )
-                    if fallback is not None:
-                        self.fallbacks += 1
-                        return fallback(exc)
-                    raise exc
                 # Park until the breaker's timeout or the next heartbeat
                 # could change the verdict; jittered so a thundering herd
                 # of parked callers staggers its re-checks.
@@ -258,7 +249,7 @@ class ResilienceKit:
             started = self.loop.now
             try:
                 result = yield from attempt(
-                    deadline * cfg.timeout_growth ** min(attempts, 3)
+                    deadline * TIMEOUT_GROWTH ** min(attempts, 3)
                 )
             except RETRYABLE as exc:
                 stale = self._outage_since(started, dst, caller)
@@ -267,19 +258,12 @@ class ResilienceKit:
                 attempts += 1
                 if attempts >= cfg.max_attempts:
                     self.exhausted += 1
-                    if fallback is not None:
-                        self.fallbacks += 1
-                        return fallback(exc)
                     raise
                 if not self.budget.try_spend():
                     self.exhausted += 1
-                    budget_exc = TransportError(
+                    raise TransportError(
                         f"retry budget exhausted calling {dst}: {exc}"
-                    )
-                    if fallback is not None:
-                        self.fallbacks += 1
-                        return fallback(budget_exc)
-                    raise budget_exc from exc
+                    ) from exc
                 self.retries += 1
                 if stale and not splayed and cfg.recovery_splay > 0:
                     # The attempt's deadline straddled a detected outage,

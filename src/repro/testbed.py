@@ -382,17 +382,14 @@ class ClosTestbed(_Bed):
         ]
         self._install_faults(faults, fault_seed, sites, prefix="to.")
 
-    def domain_controller(self, auto_reroute_delay: Optional[float] = None):
+    def domain_controller(self):
         """The bed's failure-domain controller (spine/leaf/replica kills).
 
-        Idempotent; ``auto_reroute_delay`` only applies on first call.
-        Enable the control plane *before* asking for the controller if
+        Idempotent.  Enable the control plane *before* asking for the controller if
         replica crashes should tear down session state -- the controller
         captures ``ctrl_planes`` lazily, so order is actually free, but
         crashes only reach planes that exist when the crash happens.
         """
         if self.domains is None:
-            self.domains = DomainFaultController(
-                self, auto_reroute_delay=auto_reroute_delay
-            )
+            self.domains = DomainFaultController(self)
         return self.domains

@@ -2,7 +2,7 @@
 
 Implements exactly what the paper's systems use: the
 TLS_AES_128_GCM_SHA256 suite with secp256r1 ECDHE, ECDSA or RSA
-certificates, optional mutual authentication, session resumption via
+certificates (server authentication only), session resumption via
 tickets, and a record layer whose per-record nonce comes from a 64-bit
 record sequence number -- the variable SMT repurposes as its composite
 message-ID / record-index (paper §4.4).

@@ -21,7 +21,6 @@ HS_SERVER_HELLO = 2
 HS_NEW_SESSION_TICKET = 4
 HS_ENCRYPTED_EXTENSIONS = 8
 HS_CERTIFICATE = 11
-HS_CERTIFICATE_REQUEST = 13
 HS_CERTIFICATE_VERIFY = 15
 HS_FINISHED = 20
 

@@ -3,7 +3,6 @@
 Covers the paths the paper exercises:
 
 - full 1-RTT handshake with ECDSA or RSA server certificates,
-- optional mutual authentication (mTLS, paper §2 and §4.2),
 - PSK session resumption with and without fresh ECDHE (forward secrecy),
 - key pre-generation (§4.5.1): callers may hand in standby ECDH key pairs,
 - session tickets (NewSessionTicket) feeding the resumption cache.
@@ -15,8 +14,10 @@ C5).  The simulator charges virtual CPU time per op through
 all real (actual ECDH, signatures, transcripts and finished MACs).
 
 Server flights after ServerHello are genuinely encrypted under the
-handshake traffic keys, as are the client's authentication messages, so
-record-layer protection is exercised end to end.
+handshake traffic keys, as is the client's Finished, so record-layer
+protection is exercised end to end.  Only the server authenticates: a
+server flight that asks for a client certificate, or a client flight that
+carries one, is rejected.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from repro.errors import AuthenticationError, ProtocolError
 from repro.tls.constants import (
     CONTENT_HANDSHAKE,
     HS_CERTIFICATE,
-    HS_CERTIFICATE_REQUEST,
     HS_CERTIFICATE_VERIFY,
     HS_CLIENT_HELLO,
     HS_FINISHED,
@@ -55,7 +55,6 @@ from repro.tls.messages import (
     F_CERT_CHAIN,
     F_CIPHER_SUITES,
     F_KEY_SHARE,
-    F_MUTUAL_AUTH,
     F_PSK_ACCEPTED,
     F_PSK_BINDER,
     F_PSK_IDENTITY,
@@ -73,7 +72,6 @@ from repro.tls.messages import (
 from repro.tls.record import RecordProtection
 
 _SERVER_CONTEXT = b" " * 64 + b"TLS 1.3, server CertificateVerify" + b"\x00"
-_CLIENT_CONTEXT = b" " * 64 + b"TLS 1.3, client CertificateVerify" + b"\x00"
 
 _SIG_ALG_FOR_KEY = {
     KEY_ALG_ECDSA: SIG_ECDSA_SECP256R1_SHA256,
@@ -104,7 +102,6 @@ class HandshakeConfig:
 
     rng: random.Random
     server_name: str = "server"
-    mutual_auth: bool = False
     # Pre-generated standby ECDH key pair (paper §4.5.1 "key pre-generation").
     pregenerated_keypair: Optional[EcdhKeyPair] = None
     # A repro.ctrl KeyPool to draw standby keys from (duck-typed: anything
@@ -124,7 +121,7 @@ class HandshakeConfig:
 
 @dataclass
 class ServerCredentials:
-    """What a server needs to authenticate itself (and verify clients)."""
+    """What a server needs to authenticate itself."""
 
     chain: CertificateChain
     signing_key: object  # EcdsaKeyPair or RsaKeyPair
@@ -202,14 +199,9 @@ class _HandshakeBase:
 class ClientHandshake(_HandshakeBase):
     """Client side.  Drive with ``start()`` then ``process_server_flight()``."""
 
-    def __init__(
-        self,
-        config: HandshakeConfig,
-        client_credentials: Optional[ServerCredentials] = None,
-    ):
+    def __init__(self, config: HandshakeConfig):
         super().__init__()
         self.config = config
-        self._creds = client_credentials  # for mutual auth
         self._ecdh: Optional[EcdhKeyPair] = None
         self._schedule: Optional[KeySchedule] = None
         self.result: Optional[HandshakeResult] = None
@@ -240,8 +232,6 @@ class ClientHandshake(_HandshakeBase):
         msg.fields[F_SERVER_NAME] = cfg.server_name.encode()
         if self._ecdh is not None:
             msg.fields[F_KEY_SHARE] = self._ecdh.public_bytes()
-        if cfg.mutual_auth:
-            msg.fields[F_MUTUAL_AUTH] = b"\x01"
         if cfg.ticket is not None:
             msg.fields[F_PSK_IDENTITY] = cfg.ticket.ticket_id
             # Binder: HMAC with the binder key over the partial CHLO.
@@ -303,13 +293,9 @@ class ClientHandshake(_HandshakeBase):
             raise ProtocolError("server flight is not handshake data")
         messages = HandshakeMessage.decode_all(record.payload)
         peer_cert: Optional[Certificate] = None
-        cert_requested = False
         finished_seen = False
         for msg in messages:
-            if msg.msg_type == HS_CERTIFICATE_REQUEST:
-                cert_requested = True
-                self._absorb(msg.encode())
-            elif msg.msg_type == HS_CERTIFICATE:
+            if msg.msg_type == HS_CERTIFICATE:
                 if psk_accepted:
                     raise ProtocolError("certificate in a resumed handshake")
                 chain = CertificateChain.decode(msg.require(F_CERT_CHAIN))
@@ -356,30 +342,11 @@ class ClientHandshake(_HandshakeBase):
 
         server_flight_hash = self._th()
 
-        # Build the client's final flight (client auth + Finished).
-        sealer = _hs_protection(client_hs)
-        flight = bytearray()
-        if cert_requested:
-            if self._creds is None:
-                raise ProtocolError("server requires a client certificate")
-            cert_msg = HandshakeMessage(HS_CERTIFICATE)
-            cert_msg.fields[F_CERT_CHAIN] = self._creds.chain.encode()
-            encoded = cert_msg.encode()
-            self._absorb(encoded)
-            flight += encoded
-            cv = HandshakeMessage(HS_CERTIFICATE_VERIFY)
-            sign_data = _CLIENT_CONTEXT + self._th()
-            cv.fields[F_SIG_ALG] = _SIG_ALG_FOR_KEY[self._creds.key_alg].to_bytes(2, "big")
-            cv.fields[F_SIGNATURE] = self._creds.signing_key.sign(sign_data)
-            self._note("C-sign", alg=self._creds.key_alg)
-            encoded = cv.encode()
-            self._absorb(encoded)
-            flight += encoded
+        # The client's final flight: its Finished.
         fin = HandshakeMessage(HS_FINISHED)
         fin.fields[F_VERIFY_DATA] = KeySchedule.finished_mac(client_hs, self._th())
         encoded = fin.encode()
         self._absorb(encoded)
-        flight += encoded
 
         full_hash = self._th()
         self.result = HandshakeResult(
@@ -391,7 +358,7 @@ class ClientHandshake(_HandshakeBase):
             used_ecdhe=used_ecdhe,
         )
         self._flight_end(span, bytes=len(data), psk=psk_accepted, ecdhe=used_ecdhe)
-        return bytes(sealer.seal(bytes(flight), CONTENT_HANDSHAKE))
+        return bytes(_hs_protection(client_hs).seal(encoded, CONTENT_HANDSHAKE))
 
     def process_tickets(self, data: bytes) -> list[SessionTicket]:
         """Consume post-handshake NewSessionTicket records from the server."""
@@ -439,7 +406,6 @@ class ServerHandshake(_HandshakeBase):
         self._schedule: Optional[KeySchedule] = None
         self._server_flight_hash = b""
         self.result: Optional[HandshakeResult] = None
-        self._cert_requested = False
 
     def process_client_hello(self, data: bytes) -> bytes:
         """Consume the CHLO and emit SHLO + encrypted server flight."""
@@ -511,13 +477,6 @@ class ServerHandshake(_HandshakeBase):
         self._client_hs_secret = client_hs
 
         flight = bytearray()
-        want_client_cert = cfg.mutual_auth and not psk_accepted
-        if want_client_cert:
-            cr = HandshakeMessage(HS_CERTIFICATE_REQUEST)
-            encoded = cr.encode()
-            self._absorb(encoded)
-            flight += encoded
-            self._cert_requested = True
         if not psk_accepted:
             cert_msg = HandshakeMessage(HS_CERTIFICATE)
             cert_msg.fields[F_CERT_CHAIN] = self.credentials.chain.encode()
@@ -549,9 +508,8 @@ class ServerHandshake(_HandshakeBase):
         self._flight_end(span, bytes=len(data), psk=psk_accepted, ecdhe=use_ecdhe)
         return shlo_encoded + sealer.seal(bytes(flight), CONTENT_HANDSHAKE)
 
-    def process_client_flight(self, data: bytes, now: float = 0.0) -> None:
-        """Consume the client's (encrypted) auth + Finished flight; ``now`` as
-        in :meth:`ClientHandshake.process_server_flight`."""
+    def process_client_flight(self, data: bytes) -> None:
+        """Consume the client's (encrypted) Finished flight."""
         if self._schedule is None:
             raise ProtocolError("client flight before ClientHello")
         span = self._flight_begin("client_flight")
@@ -559,25 +517,9 @@ class ServerHandshake(_HandshakeBase):
         record = opener.open(data)
         if record.content_type != CONTENT_HANDSHAKE:
             raise ProtocolError("client flight is not handshake data")
-        peer_cert: Optional[Certificate] = None
         finished_seen = False
         for msg in HandshakeMessage.decode_all(record.payload):
-            if msg.msg_type == HS_CERTIFICATE:
-                chain = CertificateChain.decode(msg.require(F_CERT_CHAIN))
-                peer_cert = chain.verify(self.config.trust_roots, now)
-                self._note("S-verify-cert", chain_len=len(chain))
-                self._absorb(msg.encode())
-            elif msg.msg_type == HS_CERTIFICATE_VERIFY:
-                if peer_cert is None:
-                    raise ProtocolError("CertificateVerify before Certificate")
-                # Signature covers the transcript before this message.
-                raise_on = _CLIENT_CONTEXT + self._pre_message_hash(msg)
-                verify_with_key(
-                    peer_cert.key_alg, peer_cert.public_key, raise_on, msg.require(F_SIGNATURE)
-                )
-                self._note("S-verify-sig", alg=peer_cert.key_alg)
-                self._absorb(msg.encode())
-            elif msg.msg_type == HS_FINISHED:
+            if msg.msg_type == HS_FINISHED:
                 expected = KeySchedule.finished_mac(self._client_hs_secret, self._th())
                 if msg.require(F_VERIFY_DATA) != expected:
                     raise AuthenticationError("client Finished MAC mismatch")
@@ -588,21 +530,15 @@ class ServerHandshake(_HandshakeBase):
                 raise ProtocolError(f"unexpected client message {msg.msg_type}")
         if not finished_seen:
             raise ProtocolError("client flight missing Finished")
-        if self._cert_requested and peer_cert is None:
-            raise AuthenticationError("client did not present a certificate")
         schedule = self._schedule
         self.result = HandshakeResult(
             client_app_secret=schedule.client_app_traffic_secret(self._server_flight_hash),
             server_app_secret=schedule.server_app_traffic_secret(self._server_flight_hash),
             resumption_master=schedule.resumption_master_secret(self._th()),
-            peer_certificate=peer_cert,
             used_psk=self._psk_accepted,
             used_ecdhe=self._used_ecdhe,
         )
-        self._flight_end(span, bytes=len(data), mutual=peer_cert is not None)
-
-    def _pre_message_hash(self, _msg: HandshakeMessage) -> bytes:
-        return self._th()
+        self._flight_end(span, bytes=len(data))
 
     def issue_ticket(self, lifetime: float = 3600.0) -> bytes:
         """Mint a NewSessionTicket record and register its PSK in the cache."""

@@ -30,7 +30,6 @@ F_TICKET_LIFETIME = 14
 F_SERVER_NAME = 15
 F_SMT_TICKET = 16  # presence marks the paper's SMT-ticket extension
 F_EARLY_DATA = 17
-F_MUTUAL_AUTH = 18
 F_EXTENSIONS = 19
 
 

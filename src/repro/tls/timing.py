@@ -76,9 +76,6 @@ OPERATION_NAMES: dict[str, str] = {
     "C4.1": "Build Sign Data",
     "C4.2": "Verify CertVerify",
     "C5": "Process Finished",
-    "C-sign": "Client CertVerify Gen",
-    "S-verify-cert": "Verify Client Cert",
-    "S-verify-sig": "Verify Client CertVerify",
 }
 
 
@@ -89,11 +86,11 @@ class HandshakeCostModel:
         """Virtual seconds for one trace op."""
         if op.op_id in _BASE_COSTS_US:
             return _BASE_COSTS_US[op.op_id] * USEC
-        if op.op_id in ("S2.5", "C-sign"):
+        if op.op_id == "S2.5":
             return _SIGN_COST_US[op.detail["alg"]] * USEC
-        if op.op_id in ("C4.2", "S-verify-sig"):
+        if op.op_id == "C4.2":
             return _VERIFY_COST_US[op.detail["alg"]] * USEC
-        if op.op_id in ("C3.2", "S-verify-cert"):
+        if op.op_id == "C3.2":
             chain_len = op.detail.get("chain_len", 1)
             cost = _CERT_VERIFY_BASE_US + 196.3 * chain_len
             if op.detail.get("short_chain"):

@@ -31,10 +31,8 @@ import pytest
 from repro.bench import fig12
 from repro.core.endpoint import HANDSHAKE_PORT, SmtEndpoint
 from repro.core.zero_rtt import ZeroRttServer
-from repro.crypto.ca import CertificateAuthority
-from repro.crypto.cert import KEY_ALG_ECDSA
+from repro.crypto.ca import fixed_pki
 from repro.crypto.ecdh import EcdhKeyPair
-from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.ctrl import ControlPlane, CtrlConfig
 from repro.ctrl.keypool import KeyPool
 from repro.dns.resolver import InternalDns
@@ -100,11 +98,7 @@ class Recorder:
 
 
 def _pki():
-    rng = random.Random(1)
-    ca = CertificateAuthority("dc-root", rng)
-    key = EcdsaKeyPair.generate(rng)
-    leaf = ca.issue("server", KEY_ALG_ECDSA, key.public_bytes())
-    chain = ca.chain_for(leaf)
+    ca, chain, key = fixed_pki("server")
     return (ca.certificate,), chain, key
 
 

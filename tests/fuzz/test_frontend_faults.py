@@ -30,9 +30,7 @@ import random
 import pytest
 
 from repro.core.zero_rtt import ZeroRttServer
-from repro.crypto.ca import CertificateAuthority
-from repro.crypto.cert import KEY_ALG_ECDSA
-from repro.crypto.ecdsa import EcdsaKeyPair
+from repro.crypto.ca import fixed_pki
 from repro.ctrl import CtrlConfig, SharedShareRotator, TicketCache
 from repro.dns.resolver import InternalDns
 from repro.lb import (
@@ -65,13 +63,6 @@ MARGIN = 200 * USEC
 DNS_LATENCY = 2e-6
 
 
-def _pki(seed: int = 1):
-    rng = random.Random(seed)
-    ca = CertificateAuthority("dc-root", rng)
-    key = EcdsaKeyPair.generate(rng)
-    leaf = ca.issue(SERVICE, KEY_ALG_ECDSA, key.public_bytes())
-    return ca, ca.chain_for(leaf), key
-
 
 def run_frontend_seed(seed: int):
     """One fuzz iteration; returns the full comparable outcome tuple."""
@@ -90,7 +81,7 @@ def run_frontend_seed(seed: int):
         num_racks=2, hosts_per_rack=2, num_spines=2, seed=5
     )
     bed.enable_ctrl(config=CtrlConfig(), seed=2025)
-    ca, chain, key = _pki()
+    ca, chain, key = fixed_pki(SERVICE)
     roots = (ca.certificate,)
     dns = InternalDns(lookup_latency=DNS_LATENCY)
     replica_hosts = [bed.hosts[i] for i in REPLICA_INDICES]

@@ -36,6 +36,7 @@ PORTS = (6000, 6001)
 NO_SESSION_PORT = 4001  # a peer port whose session does not exist yet
 MSS = 1440  # the NIC payload at the default 1 500 B MTU
 SEG_PACKETS = 3  # packets per TSO segment: several segments per message
+MAX_WIRE_LEN = 2 * 1024 * 1024  # repro.homa.engine.MAX_WIRE_LEN, by value
 # Costs whose sums round differently in different groupings, so adding a
 # packet's extras in another order shows in the returned bits.
 COSTS = CostModel(
@@ -396,3 +397,35 @@ def test_random_batches_match_per_packet(seed):
     batches = [stream[i:j] for i, j in zip([0] + cuts, cuts + [len(stream)])]
     replayed = {msgs[0].msg_id} if rng.random() < 0.2 else ()
     run_both(batches, replayed)
+
+
+
+
+def with_len(packet: Packet, msg_len: int) -> Packet:
+    return Packet(packet.ip, packet.transport._replace(msg_len=msg_len), packet.payload)
+
+
+def test_forged_length_leaves_no_state(monkeypatch):
+    """A first DATA header is not authenticated, so its ``msg_len`` is
+    bounded before the receiver allocates, arms a timer or asks the replay
+    filter to burn the ID."""
+    asked = []
+    monkeypatch.setattr(_Codec, "accept_message", lambda _, i: not asked.append(i))
+    real = Message(10, 2 * MSS)
+    rx = Receiver()
+    for msg_len in (MAX_WIRE_LEN + 1, 2**32 - 1):
+        forged = with_len(real.packets[0], msg_len)
+        assert rx.transport.classify(forged)[1]([forged]) == 0.0
+    assert not rx.transport._inbound and not asked
+    assert rx.loop._seq == Receiver().loop._seq  # no timer armed
+    assert rx.transport.oversize_dropped == 2
+    rx.transport.classify(real.packets[0])[1](list(real.packets))
+    assert asked == [10]
+    assert rx.delivered == [(PORTS[0], 10, real.wire)]
+
+
+def test_length_at_the_bound_is_taken():
+    rx = Receiver()
+    at_bound = with_len(Message(10, MSS).packets[0], MAX_WIRE_LEN)
+    rx.transport.classify(at_bound)[1]([at_bound])
+    assert [m.wire_len for m in rx.transport._inbound.values()] == [MAX_WIRE_LEN]

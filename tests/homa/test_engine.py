@@ -5,7 +5,7 @@ from repro.homa import HomaConfig, HomaSocket, HomaTransport
 from repro.homa.codec import PlainCodec
 from repro.net.headers import PacketType
 from repro.testbed import Testbed
-from repro.units import KB
+from repro.units import KB, MB
 
 
 def make_bed(**config_kwargs):
@@ -114,6 +114,36 @@ class TestBasicRpc:
         proc = bed.loop.process(client())
         bed.loop.run(until=1.0)
         assert not proc.ok and isinstance(proc.value, ProtocolError)
+
+
+
+#: ``repro.homa.engine.MAX_WIRE_LEN``, by value: twice the 1 MB message bound.
+MAX_WIRE_LEN = 2 * MB
+
+
+class TestSizeBound:
+    """A plain-Homa message of exactly ``MAX_WIRE_LEN`` wire bytes goes
+    through; one byte more is refused before anything is sent."""
+
+    def test_message_at_the_bound_is_delivered(self):
+        bed, ct, st, csock, ssock = make_bed()
+        echo_server(bed, ssock)
+        payload = bytes(i & 0xFF for i in range(MAX_WIRE_LEN))
+        [(response, _)] = run_client(bed, csock, [payload])
+        assert response == payload
+
+    def test_one_byte_more_raises(self):
+        bed, ct, st, csock, ssock = make_bed()
+
+        def client():
+            t = bed.client.app_thread(0)
+            yield from csock.call(t, bed.server.addr, 6000, bytes(MAX_WIRE_LEN + 1))
+
+        proc = bed.loop.process(client())
+        bed.loop.run(until=1.0)
+        assert not proc.ok and isinstance(proc.value, TransportError)
+        assert "exceeds the maximum" in str(proc.value)
+        assert not ct._outbound and bed.link.stats("a")["tx_packets"] == 0
 
 
 class TestLossRecovery:

@@ -149,8 +149,8 @@ class TestMetricFinalisation:
         assert m.kit is not None
         assert m.kit["calls"] == result.issued
         assert set(m.kit) == {
-            "calls", "retries", "fail_fast", "parked", "fallbacks",
-            "exhausted", "budget_denied",
+            "calls", "retries", "fail_fast", "parked", "exhausted",
+            "budget_denied",
         }
         # Per-destination heartbeats were armed for every host.
         assert len(kit._monitors) == len(engine.harness.hosts)

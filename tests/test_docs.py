@@ -10,6 +10,10 @@ scanned for two kinds of reference:
 
 ``:line`` and ``::test`` suffixes are stripped before a path is checked.
 A failure names the file, the line and the reference.
+
+Neither the docs nor ``src/`` may point at a ROADMAP item by number
+(``ROADMAP item 4``): items are renumbered at every re-anchor, so a
+number goes stale silently.  Name the item by its title instead.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md")
 
+ITEM_NUMBER = re.compile(r"ROADMAP items? \d")
 SPAN = re.compile(r"`([^`\n]+)`")
 NAME = re.compile(r"(?<![\w./])repro(?:\.\w+)+")
 PATH = re.compile(
@@ -92,3 +97,29 @@ def test_the_gate_bites():
     ]
     failing = [ref for _, kind, ref in found if not CHECKS[kind](ref)]
     assert failing == ["repro.core.nope", "scripts/missing.py"]
+
+
+
+def item_numbers(text: str) -> list[int]:
+    """The lines of ``text`` that point at a ROADMAP item by number."""
+    lines = enumerate(text.splitlines(), 1)
+    return [lineno for lineno, line in lines if ITEM_NUMBER.search(line)]
+
+
+def test_no_roadmap_item_numbers():
+    paths = [REPO / doc for doc in DOCS] + sorted((REPO / "src").rglob("*.py"))
+    problems = [
+        f"{path.relative_to(REPO)}:{lineno}"
+        for path in paths
+        for lineno in item_numbers(path.read_text())
+    ]
+    assert not problems, "name the ROADMAP item by its title:\n" + "\n".join(problems)
+
+
+def test_item_numbers_are_found():
+    text = (
+        'The ROADMAP item "Ledger debts" stays.\n'
+        "See ROADMAP item 2.\n"
+        "ROADMAP items 8 and 9 too.\n"
+    )
+    assert item_numbers(text) == [2, 3]

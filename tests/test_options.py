@@ -16,6 +16,11 @@ A field that nothing sets is a constant with extra steps: every
 independent option doubles the configurations the tests must cover.
 Make it a module-level constant beside its reader, or set it somewhere
 that exercises it.
+
+A field that only ``tests/`` sets is the same constant, turned by the
+tests alone: no bench, workload or example ever runs another value.
+The gate walks the setters a second time without ``tests/`` and fails on
+such a field unless :data:`KEPT` gives the reason it stays an option.
 """
 
 from __future__ import annotations
@@ -26,7 +31,26 @@ from typing import Iterable, Iterator
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
-SETTERS = ("src", "ledger", "examples", "benchmarks", "scripts", "tests")
+CALLERS = ("src", "ledger", "examples", "benchmarks", "scripts")
+SETTERS = CALLERS + ("tests",)
+
+#: ``Class.field`` -> why it stays an option although only tests set it.
+KEPT: dict[str, str] = {
+    "CtrlConfig.lane_size": "§4.5.2 rekey: the rekey tests and the "
+    "watermark_rekey transcript digest shrink lanes from 2^32 so a session "
+    "reaches the watermark",
+    "CtrlConfig.rekey_watermark_fraction": "§4.5.2 rekey: the same tests set "
+    "where in the shrunken lane the rekey starts",
+    "CtrlConfig.prefill": "a cold key pool: the pool-miss transcript digests "
+    "and the session-table tests start empty so keygen runs inline",
+    "HandshakeConfig.short_chain": "§4.5.1 short certificate chain, a paper "
+    "mechanism Table 2 prices; the handshake tests run it end to end",
+    "KitConfig.heartbeat_interval": "the kit tests pin detection and recovery "
+    "instants with a one-probe 10 us failure detector",
+    "KitConfig.heartbeat_miss_threshold": "the other half of that detector",
+    "KitConfig.recovery_splay": "the kit tests turn the splay off to pin "
+    "recovery instants, and bound it at a set width",
+}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -80,6 +104,24 @@ def test_every_config_field_is_set_somewhere():
     assert not problems, "set by nothing, so a constant:\n" + "\n".join(problems)
 
 
+def test_every_config_field_is_set_outside_tests():
+    only_tests = unset_fields(SRC, [REPO / d for d in CALLERS])
+    problems = [name for name in only_tests if name not in KEPT]
+    assert not problems, (
+        "only tests/ sets these; make each a constant or add it to KEPT with "
+        "a reason:\n" + "\n".join(problems)
+    )
+
+
+def test_kept_fields_exist_and_have_reasons():
+    only_tests = set(unset_fields(SRC, [REPO / d for d in CALLERS]))
+    stale = [name for name in KEPT if name not in only_tests]
+    assert not stale, "KEPT fields that code sets or that are gone:\n" + "\n".join(
+        stale
+    )
+    assert all(reason.strip() for reason in KEPT.values())
+
+
 def test_the_gate_bites(tmp_path):
     """One field of each kind: set by keyword, by store, forwarded, unset."""
     src = tmp_path / "src"
@@ -115,4 +157,10 @@ def test_the_gate_bites(tmp_path):
         ("ThingConfig", "by_replace"),
         ("OtherConfig", "lonely"),
     ]
+    assert unset_fields(src, [src]) == ["ThingConfig.forwarded", "OtherConfig.lonely"]
+    # A field that only tests set passes the first walk, not the second.
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_mod.py").write_text("ThingConfig(forwarded=True)\n")
+    assert unset_fields(src, [src, tests]) == ["OtherConfig.lonely"]
     assert unset_fields(src, [src]) == ["ThingConfig.forwarded", "OtherConfig.lonely"]

@@ -10,13 +10,15 @@ from repro.crypto.ecdh import EcdhKeyPair
 from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.crypto.rsa import RsaKeyPair
 from repro.errors import AuthenticationError, ProtocolError
+from repro.tls.constants import HS_CERTIFICATE
 from repro.tls.handshake import (
     ClientHandshake,
     HandshakeConfig,
     ServerCredentials,
     ServerHandshake,
 )
-from repro.tls.messages import HandshakeMessage
+from repro.tls.messages import F_CERT_CHAIN, HandshakeMessage
+from repro.tls.record import RecordProtection
 from repro.tls.timing import HandshakeCostModel
 
 
@@ -27,24 +29,44 @@ def pki():
     server_key = EcdsaKeyPair.generate(rng)
     leaf = ca.issue("server", KEY_ALG_ECDSA, server_key.public_bytes())
     creds = ServerCredentials(chain=ca.chain_for(leaf), signing_key=server_key)
-    client_key = EcdsaKeyPair.generate(rng)
-    client_leaf = ca.issue("client", KEY_ALG_ECDSA, client_key.public_bytes())
-    client_creds = ServerCredentials(chain=ca.chain_for(client_leaf), signing_key=client_key)
-    return ca, creds, client_creds
+    return ca, creds
 
 
-def run_handshake(pki, client_cfg=None, server_cfg=None, client_creds=None, cache=None):
-    ca, creds, default_client_creds = pki
+def run_handshake(pki, client_cfg=None, server_cfg=None, cache=None):
+    ca, creds = pki
     roots = (ca.certificate,)
     client_cfg = client_cfg or HandshakeConfig(
         rng=random.Random(2), server_name="server", trust_roots=roots
     )
     server_cfg = server_cfg or HandshakeConfig(rng=random.Random(3), trust_roots=roots)
-    client = ClientHandshake(client_cfg, client_creds)
+    client = ClientHandshake(client_cfg)
     server = ServerHandshake(server_cfg, creds, session_cache=cache if cache is not None else {})
     flight = server.process_client_hello(client.start())
     server.process_client_flight(client.process_server_flight(flight))
     return client, server
+
+
+HS_CERTIFICATE_REQUEST = 13  # RFC 8446 §4.3.2
+
+
+def pair(ca, creds):
+    roots = (ca.certificate,)
+    client = ClientHandshake(
+        HandshakeConfig(rng=random.Random(2), server_name="server", trust_roots=roots)
+    )
+    server_cfg = HandshakeConfig(rng=random.Random(3), trust_roots=roots)
+    return client, ServerHandshake(server_cfg, creds)
+
+
+def _prepend_to_next_seal(monkeypatch, msg):
+    """Make the next sealed handshake flight carry ``msg`` before its own."""
+    real = RecordProtection.seal
+
+    def seal(self, payload, *args, **kwargs):
+        monkeypatch.setattr(RecordProtection, "seal", real)
+        return real(self, msg.encode() + bytes(payload), *args, **kwargs)
+
+    monkeypatch.setattr(RecordProtection, "seal", seal)
 
 
 class TestFullHandshake:
@@ -81,7 +103,7 @@ class TestFullHandshake:
         ]
 
     def test_pregenerated_keys_skip_keygen_ops(self, pki):
-        ca, creds, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         rng = random.Random(5)
         ccfg = HandshakeConfig(
@@ -98,7 +120,7 @@ class TestFullHandshake:
         assert client.result.client_app_secret == server.result.client_app_secret
 
     def test_rsa_server(self, pki):
-        ca, _, _ = pki
+        ca, _ = pki
         rng = random.Random(7)
         rsa_key = RsaKeyPair.generate(1024, rng)
         leaf = ca.issue("server", KEY_ALG_RSA, rsa_key.public_bytes())
@@ -118,30 +140,6 @@ class TestFullHandshake:
         assert c42.detail["alg"] == KEY_ALG_RSA
 
 
-class TestMutualAuth:
-    def test_client_certificate_verified(self, pki):
-        ca, _, client_creds = pki
-        roots = (ca.certificate,)
-        ccfg = HandshakeConfig(
-            rng=random.Random(2), server_name="server", trust_roots=roots, mutual_auth=True
-        )
-        scfg = HandshakeConfig(rng=random.Random(3), trust_roots=roots, mutual_auth=True)
-        client, server = run_handshake(pki, ccfg, scfg, client_creds=client_creds)
-        assert server.result.peer_certificate.subject == "client"
-
-    def test_missing_client_cert_rejected(self, pki):
-        ca, creds, _ = pki
-        roots = (ca.certificate,)
-        ccfg = HandshakeConfig(
-            rng=random.Random(2), server_name="server", trust_roots=roots, mutual_auth=True
-        )
-        scfg = HandshakeConfig(rng=random.Random(3), trust_roots=roots, mutual_auth=True)
-        client = ClientHandshake(ccfg)  # no credentials
-        server = ServerHandshake(scfg, creds)
-        with pytest.raises(ProtocolError):
-            client.process_server_flight(server.process_client_hello(client.start()))
-
-
 class TestResumption:
     def _establish_and_get_ticket(self, pki, cache):
         client, server = run_handshake(pki, cache=cache)
@@ -151,7 +149,7 @@ class TestResumption:
         return tickets[0]
 
     def test_resumption_with_forward_secrecy(self, pki):
-        ca, creds, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         cache = {}
         ticket = self._establish_and_get_ticket(pki, cache)
@@ -165,7 +163,7 @@ class TestResumption:
         assert client.result.client_app_secret == server.result.client_app_secret
 
     def test_resumption_without_forward_secrecy_skips_ecdhe(self, pki):
-        ca, creds, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         cache = {}
         ticket = self._establish_and_get_ticket(pki, cache)
@@ -180,7 +178,7 @@ class TestResumption:
         assert client.result.client_app_secret == server.result.client_app_secret
 
     def test_resumed_handshake_sends_no_certificate(self, pki):
-        ca, creds, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         cache = {}
         ticket = self._establish_and_get_ticket(pki, cache)
@@ -195,7 +193,7 @@ class TestResumption:
     def test_unknown_ticket_falls_back_to_full(self, pki):
         from repro.tls.handshake import SessionTicket
 
-        ca, creds, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         bogus = SessionTicket(ticket_id=b"\x00" * 16, psk=b"\x01" * 32, lifetime=100.0)
         ccfg = HandshakeConfig(
@@ -206,7 +204,7 @@ class TestResumption:
         assert client.result.peer_certificate is not None
 
     def test_corrupted_binder_rejected(self, pki):
-        ca, creds, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         cache = {}
         ticket = self._establish_and_get_ticket(pki, cache)
@@ -228,7 +226,7 @@ class TestResumption:
 
 class TestAttacks:
     def test_wrong_server_name_rejected(self, pki):
-        ca, creds, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         ccfg = HandshakeConfig(
             rng=random.Random(2), server_name="other-server", trust_roots=roots
@@ -239,7 +237,7 @@ class TestAttacks:
             client.process_server_flight(server.process_client_hello(client.start()))
 
     def test_untrusted_ca_rejected(self, pki):
-        _, creds, _ = pki
+        _, creds = pki
         rogue = CertificateAuthority("rogue", random.Random(66))
         ccfg = HandshakeConfig(
             rng=random.Random(2), server_name="server", trust_roots=(rogue.certificate,)
@@ -252,8 +250,7 @@ class TestAttacks:
             client.process_server_flight(server.process_client_hello(client.start()))
 
     def test_tampered_server_flight_rejected(self, pki):
-        _, creds, _ = pki
-        ca, _, _ = pki
+        ca, creds = pki
         roots = (ca.certificate,)
         client = ClientHandshake(
             HandshakeConfig(rng=random.Random(2), server_name="server", trust_roots=roots)
@@ -265,28 +262,38 @@ class TestAttacks:
             client.process_server_flight(bytes(flight))
 
     def test_malformed_chlo_rejected(self, pki):
-        _, creds, _ = pki
+        _, creds = pki
         server = ServerHandshake(HandshakeConfig(rng=random.Random(3)), creds)
         with pytest.raises(ProtocolError):
             server.process_client_hello(b"\x01\x00\x00")
 
+    # Only the server authenticates.  The stack sends neither of these, so
+    # each test seals one into an otherwise honest flight.
+
+    def test_certificate_request_rejected(self, pki, monkeypatch):
+        ca, creds = pki
+        client, server = pair(ca, creds)
+        chlo = client.start()
+        _prepend_to_next_seal(monkeypatch, HandshakeMessage(HS_CERTIFICATE_REQUEST))
+        flight = server.process_client_hello(chlo)
+        with pytest.raises(ProtocolError, match="unexpected server message 13"):
+            client.process_server_flight(flight)
+        assert client.result is None
+
+    def test_client_certificate_rejected(self, pki, monkeypatch):
+        ca, creds = pki
+        client, server = pair(ca, creds)
+        flight = server.process_client_hello(client.start())
+        cert = HandshakeMessage(HS_CERTIFICATE, {F_CERT_CHAIN: creds.chain.encode()})
+        _prepend_to_next_seal(monkeypatch, cert)
+        final = client.process_server_flight(flight)
+        with pytest.raises(ProtocolError, match="unexpected client message 11"):
+            server.process_client_flight(final)
+        assert server.result is None
+
 
 class TestValidityWindow:
     """Certificates are checked at the caller's clock, not at t = 0."""
-
-    def _pair(self, ca, creds, mutual=False, client_creds=None):
-        roots = (ca.certificate,)
-        client = ClientHandshake(
-            HandshakeConfig(rng=random.Random(2), server_name="server",
-                            trust_roots=roots, mutual_auth=mutual),
-            client_creds,
-        )
-        server = ServerHandshake(
-            HandshakeConfig(rng=random.Random(3), trust_roots=roots,
-                            mutual_auth=mutual),
-            creds,
-        )
-        return client, server
 
     def _creds(self, ca, subject, seed, **issue_kw):
         key = EcdsaKeyPair.generate(random.Random(seed))
@@ -294,52 +301,37 @@ class TestValidityWindow:
         return ServerCredentials(chain=ca.chain_for(leaf), signing_key=key)
 
     def test_expired_server_leaf_rejected(self, pki):
-        ca, _, _ = pki
+        ca, _ = pki
         creds = self._creds(ca, "server", 21, validity=10.0)
-        client, server = self._pair(ca, creds)
+        client, server = pair(ca, creds)
         flight = server.process_client_hello(client.start())
         with pytest.raises(AuthenticationError, match="validity window"):
             client.process_server_flight(flight, now=10.5)
         # The same leaf is fine inside its window.
-        client, server = self._pair(ca, creds)
+        client, server = pair(ca, creds)
         flight = server.process_client_hello(client.start())
         server.process_client_flight(client.process_server_flight(flight, now=9.5))
         assert client.result.peer_certificate.subject == "server"
 
     def test_leaf_issued_later_accepted(self, pki):
-        ca, _, _ = pki
+        ca, _ = pki
         creds = self._creds(ca, "server", 22, now=100.0)
-        client, server = self._pair(ca, creds)
+        client, server = pair(ca, creds)
         flight = server.process_client_hello(client.start())
         server.process_client_flight(client.process_server_flight(flight, now=100.0))
         assert client.result.client_app_secret == server.result.client_app_secret
         # ... and is not yet valid before it was issued.
-        client, server = self._pair(ca, creds)
+        client, server = pair(ca, creds)
         flight = server.process_client_hello(client.start())
         with pytest.raises(AuthenticationError, match="validity window"):
             client.process_server_flight(flight, now=99.0)
-
-    def test_server_checks_client_leaf_at_its_clock(self, pki):
-        ca, creds, _ = pki
-        client_creds = self._creds(ca, "client", 23, now=50.0, validity=10.0)
-        for now, accepted in ((49.0, False), (55.0, True), (60.5, False)):
-            client, server = self._pair(ca, creds, True, client_creds)
-            final = client.process_server_flight(
-                server.process_client_hello(client.start()), now=55.0
-            )
-            if accepted:
-                server.process_client_flight(final, now=now)
-                assert server.result.peer_certificate.subject == "client"
-            else:
-                with pytest.raises(AuthenticationError, match="validity window"):
-                    server.process_client_flight(final, now=now)
 
 
 class TestShortChainEndToEnd:
     """``HandshakeConfig.short_chain`` through a real handshake (§4.5.1)."""
 
     def _client_trace(self, pki, short_chain):
-        ca, _, _ = pki
+        ca, _ = pki
         cfg = HandshakeConfig(
             rng=random.Random(2), server_name="server",
             trust_roots=(ca.certificate,), short_chain=short_chain,
