@@ -45,13 +45,17 @@ class RpcChannel:
     def send_request(self, thread: AppThread, payload: bytes) -> Generator[Any, Any, int]:
         req_id = self._next_id
         self._next_id += 1
-        yield from self.channel.send(thread, frame(payload, req_id, False))
+        send = self.channel.send(thread, frame(payload, req_id, False))
+        del payload  # framed: the channel sends the copy
+        yield from send
         return req_id
 
     def send_response(
         self, thread: AppThread, req_id: int, payload: bytes
     ) -> Generator[Any, Any, None]:
-        yield from self.channel.send(thread, frame(payload, req_id, True))
+        send = self.channel.send(thread, frame(payload, req_id, True))
+        del payload  # framed: the channel sends the copy
+        yield from send
 
     # -- receiving ----------------------------------------------------------------
 

@@ -134,6 +134,12 @@ def stream_pairs(bed: Testbed, system: str, port: int, n: int, channel=KtlsConne
             )
 
 
+def _request(payload: bytes, response_size: int) -> bytes:
+    """``payload`` with its first 4 bytes replaced by ``response_size``,
+    which the echo servers read back: one copy (the slice is a view)."""
+    return b"".join((response_size.to_bytes(4, "big"), memoryview(payload)[4:]))
+
+
 def _message_harness(bed: Testbed, system: str, config: Optional[HomaConfig]) -> RpcHarness:
     csock, ssock = message_pair(bed, system, SERVER_PORT, config)
 
@@ -142,7 +148,9 @@ def _message_harness(bed: Testbed, system: str, config: Optional[HomaConfig]) ->
         while True:
             rpc = yield from ssock.recv_request(thread)
             response_size = int.from_bytes(rpc.payload[:4], "big") or len(rpc.payload)
-            yield from ssock.reply(thread, rpc, bytes(response_size))
+            reply = ssock.reply(thread, rpc, bytes(response_size))
+            del rpc  # not held while this thread waits for the next request
+            yield from reply
 
     for i in range(12):
         bed.loop.process(server_thread(i))
@@ -151,11 +159,9 @@ def _message_harness(bed: Testbed, system: str, config: Optional[HomaConfig]) ->
         thread = bed.client.app_thread(slot % 12)
 
         def call(payload: bytes, response_size: int):
-            request = response_size.to_bytes(4, "big") + payload[4:]
-            result = yield from csock.call(
-                thread, bed.server.addr, SERVER_PORT, request
+            return csock.call(
+                thread, bed.server.addr, SERVER_PORT, _request(payload, response_size)
             )
-            return result
 
         return call
 
@@ -173,8 +179,9 @@ class _PipelinedStreamClient:
         self._reader_running = False
 
     def call(self, payload: bytes, response_size: int):
-        request = response_size.to_bytes(4, "big") + payload[4:]
-        req_id = yield from self.rpc.send_request(self.thread, request)
+        req_id = yield from self.rpc.send_request(
+            self.thread, _request(payload, response_size)
+        )
         event = self.bed.loop.event()
         self._pending[req_id] = event
         if not self._reader_running:
@@ -203,18 +210,13 @@ def _stream_harness(bed: Testbed, system: str) -> RpcHarness:
             while True:
                 req_id, payload = yield from rpc.recv_request(thread)
                 response_size = int.from_bytes(payload[:4], "big") or len(payload)
+                del payload  # not held while the response is sent or after
                 yield from rpc.send_response(thread, req_id, bytes(response_size))
 
         bed.loop.process(server_thread())
 
     def call_factory(slot: int):
-        client = clients[slot % len(clients)]
-
-        def call(payload: bytes, response_size: int):
-            result = yield from client.call(payload, response_size)
-            return result
-
-        return call
+        return clients[slot % len(clients)].call
 
     return RpcHarness(bed, system, call_factory)
 

@@ -120,6 +120,11 @@ class HomaSocket:
         Homa's own RESEND machinery keeps running underneath until the
         deadline -- the deadline is the *application's* patience (the
         resilience kit's per-attempt budget), not a transport retry knob.
+
+        Like ``sendmsg``, the call is done with ``payload`` once it is
+        encoded, before the first wait: SMT encodes into a buffer of its
+        own.  Plain Homa's plans view ``payload``, so there the transport
+        holds it until the request is acked.
         """
         codec = self.codec_for(dest_addr, dest_port)
         # Managed sessions (repro.ctrl) gate new calls while a rekey drains
@@ -130,9 +135,12 @@ class HomaSocket:
             blocked = codec.tx_gate()
         codec.rpc_started()
         try:
+            msg_id = self.transport.alloc_msg_id(codec)
+            cost = self._send(codec, dest_addr, dest_port, msg_id, payload)
+            del payload  # encoded: the transport holds what it may resend
             return (
                 yield from self._call(
-                    thread, dest_addr, dest_port, payload, codec, timeout
+                    thread, dest_addr, dest_port, codec, msg_id, cost, timeout
                 )
             )
         finally:
@@ -143,12 +151,11 @@ class HomaSocket:
         thread: AppThread,
         dest_addr: int,
         dest_port: int,
-        payload: bytes,
         codec: MessageCodec,
+        msg_id: int,
+        cost: float,
         timeout: Optional[float] = None,
     ) -> Generator[Any, Any, bytes]:
-        msg_id = self.transport.alloc_msg_id(codec)
-        cost = self._send(codec, dest_addr, dest_port, msg_id, payload)
         event = self._await_response(msg_id, dest_addr, dest_port)
         deadline = None
         if timeout is not None:
@@ -196,7 +203,7 @@ class HomaSocket:
         finally:
             if deadline is not None:
                 deadline.cancel()
-        self._cancel_response_timers(msg_id)
+            self._cancel_response_timers(msg_id)
         ack_cost = 0.0
         if config.corruption_recovery:
             # Deferred lazy ACK: only bytes that authenticate may free the
@@ -333,11 +340,13 @@ class HomaSocket:
         """Send the response for ``rpc``."""
         if rpc.msg_id & 1:
             raise TransportError("cannot reply to a response")
-        codec = self.codec_for(rpc.peer_addr, rpc.peer_port)
+        peer_addr = rpc.peer_addr
+        codec = self.codec_for(peer_addr, rpc.peer_port)
         msg_id = rpc.msg_id | 1
-        cost = self._send(codec, rpc.peer_addr, rpc.peer_port, msg_id, payload)
+        cost = self._send(codec, peer_addr, rpc.peer_port, msg_id, payload)
+        del rpc, payload  # encoded: the request and the response are free to go
         yield from thread.work(cost)
-        self.transport.kick(rpc.peer_addr, msg_id)
+        self.transport.kick(peer_addr, msg_id)
 
     def _send(
         self, codec: MessageCodec, dest_addr: int, dest_port: int, msg_id: int,

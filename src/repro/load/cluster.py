@@ -166,8 +166,10 @@ class StreamRpcClient:
             self._send_waiters.append(gate)
             yield gate
         self._send_busy = True
+        send = self.rpc.send_request(self.thread, payload)
+        del payload  # not held while the response is awaited
         try:
-            req_id = yield from self.rpc.send_request(self.thread, payload)
+            req_id = yield from send
         finally:
             self._send_busy = False
             if self._send_waiters:
@@ -237,7 +239,9 @@ def serve_messages(harness, key, sock: HomaSocket, thread):
     """Verifying echo server on one message socket (one server thread)."""
     while True:
         rpc = yield from sock.recv_request(thread)
-        yield from sock.reply(thread, rpc, _answer(harness, key, rpc.payload))
+        reply = sock.reply(thread, rpc, _answer(harness, key, rpc.payload))
+        del rpc  # not held while this thread waits for the next request
+        yield from reply
 
 
 def serve_stream(harness, key, channel, thread):
@@ -245,7 +249,9 @@ def serve_stream(harness, key, channel, thread):
     rpc = RpcChannel(channel)
     while True:
         req_id, payload = yield from rpc.recv_request(thread)
-        yield from rpc.send_response(thread, req_id, _answer(harness, key, payload))
+        send = rpc.send_response(thread, req_id, _answer(harness, key, payload))
+        del payload  # not held while this thread waits for the next request
+        yield from send
 
 
 class ClusterHarness:
@@ -328,10 +334,8 @@ class ClusterHarness:
         deadline mid-record would desynchronise the pipelined framing.
         """
         if self._socks:
-            response = yield from self._socks[src].call(
+            return self._socks[src].call(
                 thread, self.hosts[dst].addr, SERVER_PORT, payload,
                 timeout=timeout,
             )
-            return response
-        response = yield from self._stream_clients[(src, dst)].call(payload)
-        return response
+        return self._stream_clients[(src, dst)].call(payload)

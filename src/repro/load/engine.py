@@ -328,12 +328,12 @@ class OpenLoopEngine:
         loop = self.loop
         result = stream.result
         thread = stream.thread_for(src, serial)
-        request = build_request(serial, size, self.response_size)
         base = result.baseline_rtt[(size, self._is_cross(src, dst))]
         t0 = loop.now
         try:
             response = yield from self._invoke(
-                stream, src, dst, thread, request, base
+                stream, src, dst, thread,
+                build_request(serial, size, self.response_size), base,
             )
         except ReproError:
             result.failed += 1

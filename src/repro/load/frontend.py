@@ -97,7 +97,9 @@ class FrontendEngine(OpenLoopEngine):
         self.replica_outstanding[dst] += 1
         self.replica_issued[dst] += 1
         try:
-            response = yield from stream.call(src, dst, thread, request)
+            call = stream.call(src, dst, thread, request)
+            del request  # not held while the response is awaited
+            response = yield from call
         finally:
             self.replica_outstanding[dst] -= 1
         return response

@@ -178,13 +178,11 @@ class ShardedClusterHarness:
     ) -> Generator[Any, Any, bytes]:
         """One RPC from local host ``src_g`` to any host ``dst_g``."""
         if self._socks:
-            response = yield from self._socks[src_g].call(
+            return self._socks[src_g].call(
                 thread, self._addr_of[dst_g], SERVER_PORT, payload,
                 timeout=timeout,
             )
-            return response
-        response = yield from self._stream_clients[(src_g, dst_g)].call(payload)
-        return response
+        return self._stream_clients[(src_g, dst_g)].call(payload)
 
 
 class ShardedOpenLoopEngine(OpenLoopEngine):

@@ -266,7 +266,9 @@ class TenantFabric:
                 self.requests_served[name] += 1
                 if not ok:
                     self.server_integrity_errors[name] += 1
-                yield from sock.reply(thread, rpc, response)
+                reply = sock.reply(thread, rpc, response)
+                del rpc, response  # not held while this reader waits for more
+                yield from reply
             finally:
                 bulkhead.release(name)
 
@@ -318,9 +320,11 @@ class TenantFabric:
         busy_key = (src, tenant_name, dst_addr)
         self._inflight[busy_key] = self._inflight.get(busy_key, 0) + 1
         try:
-            response = yield from mesh.socks[src].call(
+            call = mesh.socks[src].call(
                 thread, dst_addr, mesh.port, payload, timeout=timeout
             )
+            del payload  # not held while the response is awaited
+            response = yield from call
         finally:
             self._inflight[busy_key] -= 1
             self.session_tables[src].touch(tenant_name, (tenant_name, dst_addr))

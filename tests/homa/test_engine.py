@@ -1,6 +1,7 @@
 """Homa engine integration tests: RPCs, grants, loss recovery."""
 
-from repro.errors import TransportError
+from repro.bench.runner import message_pair
+from repro.errors import AuthenticationError, TransportError
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
 from repro.homa.codec import PlainCodec
 from repro.net.headers import PacketType
@@ -266,6 +267,33 @@ class TestStateLimits:
         assert st.messages_delivered == delivered == 1
         assert st.spurious_ignored == spurious + 1
         assert len(st._delivered) == 100_000
+
+    def test_failed_response_decode_cancels_its_retry_chain(self):
+        # Without corruption recovery a response that does not
+        # authenticate fails the call; its retry chain goes with it
+        # rather than staying filed (and its timer firing) forever.
+        bed = Testbed.back_to_back()
+        csock, ssock = message_pair(bed, "smt-sw", 6000)
+        codec = csock.codec_for(bed.server.addr, 6000)
+
+        def forged(msg_id, wire):
+            raise AuthenticationError("forced")
+
+        codec.decode = forged
+        echo_server(bed, ssock)
+        failures = []
+
+        def client():
+            t = bed.client.app_thread(0)
+            try:
+                yield from csock.call(t, bed.server.addr, 6000, b"z" * 64)
+            except AuthenticationError as exc:
+                failures.append(exc)
+
+        bed.loop.process(client())
+        bed.loop.run(until=1.0)
+        assert len(failures) == 1
+        assert csock._response_timers == {}
 
 
 class TestReceiverDriven:
