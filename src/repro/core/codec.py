@@ -21,6 +21,7 @@ from repro.homa.codec import (
     EncodedMessage,
     MessageCodec,
     SegmentPlan,
+    SegmentedWire,
     packets_per_segment_for,
 )
 from repro.host.costs import CostModel
@@ -283,13 +284,13 @@ class SmtCodec(MessageCodec):
             nic_queue=queue,
         )
 
-    def decode(self, msg_id: int, wire: bytes) -> DecodedMessage:
+    def decode(self, msg_id: int, wire) -> DecodedMessage:
         """Decrypt and authenticate all records of a reassembled message.
 
-        Any failure -- a bad record header, a truncated record, an
-        out-of-range ``msg_id``, a tag that does not verify -- counts once
-        in :attr:`auth_failures` and, with obs bound, once in the
-        ``codec.auth_failures`` metric.
+        Any failure -- a bad record header, a record that runs past its
+        segment, an out-of-range ``msg_id``, a tag that does not verify --
+        counts once in :attr:`auth_failures` and, with obs bound, once in
+        the ``codec.auth_failures`` metric.
         """
         obs = self.obs
         try:
@@ -312,41 +313,45 @@ class SmtCodec(MessageCodec):
                 obs.metrics.counter(f"{self.obs_name}.codec.auth_failures").add()
             raise
 
-    def _decode(self, msg_id: int, wire: bytes) -> DecodedMessage:
+    def _decode(self, msg_id: int, wire) -> DecodedMessage:
         alloc = self.session.allocation
         # One composite encode validates msg_id; per-record seqnos are then
         # a plain OR with the (validated) record index.
         seq_base = alloc.encode(msg_id, 0)
         max_records = alloc.max_records_per_message
-        out: list[bytes] = []
-        cpu = self.costs.smt_session_lookup
-        total = len(wire)
-        # Zero-copy: records go to the record layer as memoryview slices of
-        # the wire and come back as views of the opened plaintexts, so the
-        # final join is the one copy of each byte after the AEAD.
-        view = memoryview(wire)
-        off = 0
-        index = 0
+        out: list = []
+        costs = self.costs
+        cpu = costs.smt_session_lookup
         open_parsed = self.session.read_protection.open_parsed
-        while off < total:
-            header = view[off : off + RECORD_HEADER_SIZE]
-            outer, ct_len = parse_record_header(header)
-            body_start = off + RECORD_HEADER_SIZE
-            end = body_start + ct_len
-            if end > total:
-                raise ProtocolError("truncated record in reassembled message")
-            if index >= max_records:
-                alloc.encode(msg_id, index)  # raises the canonical error
-            if outer != CONTENT_APPLICATION_DATA:
-                raise ProtocolError(f"unexpected outer content type {outer}")
-            # The boundary walk just parsed the header, so hand the
-            # pre-split slices straight to the record layer.
-            record = open_parsed(header, view[body_start:end], seq_base | index)
-            out.append(record.payload)
-            cpu += self.costs.record_parse + self.costs.crypto_cost(len(record.payload))
-            self.records_opened += 1
-            index += 1
-            off = end
+        index = 0
+        # Records never straddle a TSO segment (framing's first invariant), so
+        # each segment is one view -- its lone packet's, or one join, one at a
+        # time -- and a record running past it fails closed.  Opened records
+        # are views of their plaintexts: the final join is the one copy.
+        segments = wire.segments if isinstance(wire, SegmentedWire) else ((wire,),)
+        for packets in segments:
+            view = memoryview(packets[0] if len(packets) == 1 else b"".join(packets))
+            total = len(view)
+            off = 0
+            while off < total:
+                header = view[off : off + RECORD_HEADER_SIZE]
+                outer, ct_len = parse_record_header(header)
+                body_start = off + RECORD_HEADER_SIZE
+                end = body_start + ct_len
+                if end > total:
+                    raise ProtocolError("record runs past its segment")
+                if index >= max_records:
+                    alloc.encode(msg_id, index)  # raises the canonical error
+                if outer != CONTENT_APPLICATION_DATA:
+                    raise ProtocolError(f"unexpected outer content type {outer}")
+                # The boundary walk just parsed the header, so hand the
+                # pre-split slices straight to the record layer.
+                record = open_parsed(header, view[body_start:end], seq_base | index)
+                out.append(record.payload)
+                cpu += costs.record_parse + costs.crypto_cost(len(record.payload))
+                self.records_opened += 1
+                index += 1
+                off = end
         return DecodedMessage(payload=self._unpad(b"".join(out)), rx_cpu_cost=cpu)
 
     def segment_pre_descriptors(self, plan: SegmentPlan, queue: int) -> list[ResyncDescriptor]:

@@ -58,6 +58,21 @@ class DecodedMessage:
     rx_cpu_cost: float = 0.0
 
 
+class SegmentedWire:
+    """A reassembled message: per TSO segment, in wire order, the tuple of
+    its packets' payload views.  ``len()`` is the wire length, which every
+    receive cost is keyed on; ``bytes()`` joins the message (one copy)."""
+
+    def __init__(self, segments: tuple[tuple[bytes, ...], ...], length: int):
+        self.segments, self._len = segments, length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __bytes__(self) -> bytes:
+        return b"".join([p for packets in self.segments for p in packets])
+
+
 class MessageCodec:
     """Contract between the Homa engine and a message codec.
 
@@ -81,8 +96,8 @@ class MessageCodec:
         """Build wire segments for ``payload`` under ``msg_id``."""
         raise NotImplementedError
 
-    def decode(self, msg_id: int, wire: bytes) -> DecodedMessage:
-        """Recover the payload; raises AuthenticationError on tampering."""
+    def decode(self, msg_id: int, wire) -> DecodedMessage:
+        """Recover the payload from a (segmented) wire; raises AuthenticationError."""
         raise NotImplementedError
 
     def accept_message(self, msg_id: int) -> bool:
@@ -162,12 +177,10 @@ class PlainCodec(MessageCodec):
         ]
         return EncodedMessage(wire_len=len(payload), plans=plans)
 
-    def decode(self, msg_id: int, wire: bytes) -> DecodedMessage:
-        # Reassembly hands over a memoryview into the message's receive
-        # buffer; the app-visible payload must be immutable owned bytes.
-        if not isinstance(wire, bytes):
-            wire = bytes(wire)
-        return DecodedMessage(payload=wire)
+    def decode(self, msg_id: int, wire) -> DecodedMessage:
+        # Reassembly hands over the packets' views; the app-visible payload
+        # must be immutable owned bytes, made by one join.
+        return DecodedMessage(payload=wire if isinstance(wire, bytes) else bytes(wire))
 
     def accept_message(self, msg_id: int) -> bool:
         return True

@@ -26,8 +26,8 @@ from repro.units import MB
 MAX_MESSAGE_SIZE = 1 * MB
 #: Largest wire message a transport sends or takes: the payload bound with
 #: room for SMT's record overhead.  The receiver checks a first DATA
-#: header's ``msg_len`` against it before allocating, since nothing in that
-#: header is authenticated yet.
+#: header's ``msg_len`` against it before it keeps any state for the
+#: message, since nothing in that header is authenticated yet.
 MAX_WIRE_LEN = MAX_MESSAGE_SIZE * 2
 #: Re-grant when outstanding authorisation falls below this fraction.
 GRANT_REFILL_FRACTION = 0.5
@@ -384,8 +384,8 @@ class HomaTransport:
         extra = 0.0
         if inbound is None:
             if t.msg_len > MAX_WIRE_LEN:
-                # A forged length: drop it before it burns the ID or buys
-                # a buffer.
+                # A forged length: drop it before it burns the ID or
+                # arms a RESEND timer.
                 self.oversize_dropped += 1
                 return None
             # First packet of an unseen message: replay filter (paper §6.1:

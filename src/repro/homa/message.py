@@ -6,6 +6,10 @@ ordered *within* the segment by IPv4 IPID (normal TSO packets) or by the
 explicit resend packet offset (retransmissions); completed segments are
 then placed into the message by TSO offset.
 
+Nothing is copied: a segment is the payload views its packets carried, a
+message the :class:`~repro.homa.codec.SegmentedWire` of its segments.  No
+buffer has a message's length: an unauthenticated ``msg_len`` sizes none.
+
 Both endpoints derive segment boundaries from the same rule -- segments
 are ``segment_capacity`` bytes except the last -- because TSO's packet
 boundaries are "predictable" (§2.2).
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Optional
 
 from repro.errors import ProtocolError
-from repro.homa.codec import EncodedMessage, MessageCodec
+from repro.homa.codec import EncodedMessage, MessageCodec, SegmentedWire
 
 
 def sort_circular_ipids(ipids: Collection[int]) -> list[int]:
@@ -42,15 +46,9 @@ def sort_circular_ipids(ipids: Collection[int]) -> list[int]:
 class SegmentAssembler:
     """Collects the packets of one TSO segment.
 
-    Payload lands in a contiguous buffer: standalone assemblers own a
-    ``bytearray(seg_len)``; assemblers created by :class:`InboundMessage`
-    write through a memoryview window into the message-wide preallocated
-    buffer, so completing the last segment completes the whole wire image
-    with no join pass (Reverso-style contiguous reassembly).
-
-    Writes happen only at completion time, once packet lengths are known
-    to sum to ``seg_len`` -- a malformed set of packets raises before a
-    single byte reaches the shared buffer.
+    A completed segment is :attr:`packets`, the payload views its packets
+    carried, in wire order: fixed only once their lengths sum to
+    ``seg_len``, so a malformed set raises instead of completing.
     """
 
     __slots__ = (
@@ -59,27 +57,21 @@ class SegmentAssembler:
         "num_packets",
         "complete",
         "spurious",
-        "_view",
+        "packets",
         "_by_ipid",
         "_by_offset",
     )
 
-    def __init__(self, seg_len: int, mss: int, view: Optional[memoryview] = None):
+    def __init__(self, seg_len: int, mss: int):
         self.seg_len = seg_len
         self.mss = mss
         self.num_packets = max(1, (seg_len + mss - 1) // mss)
-        if view is None:
-            view = memoryview(bytearray(seg_len))
-        self._view = view
+        self.packets: tuple[bytes, ...] = ()
         # Rank-unknown TSO packets by IPID; explicit ones by byte offset.
         self._by_ipid: dict[int, bytes] = {}
         self._by_offset: dict[int, bytes] = {}
         self.complete = False
         self.spurious = 0
-
-    @property
-    def complete_data(self) -> Optional[bytes]:
-        return bytes(self._view) if self.complete else None
 
     def add_tso_packet(self, ipid: int, payload: bytes) -> None:
         """A normal (rank-unknown) packet cut by TSO."""
@@ -118,12 +110,7 @@ class SegmentAssembler:
             raise ProtocolError(
                 f"segment assembled to {total} bytes, expected {self.seg_len}"
             )
-        view = self._view
-        pos = 0
-        for chunk in chunks:
-            end = pos + len(chunk)
-            view[pos:end] = chunk
-            pos = end
+        self.packets = tuple(chunks)
         self.complete = True
         self._by_ipid.clear()
         self._by_offset.clear()
@@ -153,17 +140,6 @@ class InboundMessage:
     resend_timer: Optional[object] = None
     # Open ``homa.rx`` span while the loop is observed (closed on delivery).
     obs_span: Optional[object] = None
-    # Message-wide receive buffer, preallocated from the first DATA
-    # header's msg_len, which the engine has bounded by MAX_WIRE_LEN
-    # (nothing in that header is authenticated yet).
-    # Segment assemblers write into non-overlapping windows of this
-    # buffer; ``assemble`` is then a view, not a join.
-    _buf: bytearray = field(init=False, repr=False, compare=False)
-    _mv: memoryview = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._buf = bytearray(self.wire_len)
-        self._mv = memoryview(self._buf)
 
     def segment_length(self, tso_offset: int) -> int:
         if tso_offset % self.segment_capacity != 0 or tso_offset >= self.wire_len:
@@ -174,21 +150,20 @@ class InboundMessage:
         asm = self.segments.get(tso_offset)
         if asm is None:
             seg_len = self.segment_length(tso_offset)
-            asm = SegmentAssembler(
-                seg_len, self.mss, view=self._mv[tso_offset : tso_offset + seg_len]
-            )
-            self.segments[tso_offset] = asm
+            asm = self.segments[tso_offset] = SegmentAssembler(seg_len, self.mss)
         return asm
 
     @property
     def complete(self) -> bool:
         return self.received_bytes >= self.wire_len
 
-    def assemble(self) -> memoryview:
-        """The full contiguous wire message (zero-copy view)."""
+    def assemble(self) -> SegmentedWire:
+        """The full wire message, as its segments' packet views (no copy)."""
         if not self.complete:
             raise ProtocolError("assembling an incomplete message")
-        return self._mv
+        offsets = range(0, self.wire_len, self.segment_capacity)
+        segments = tuple(self.segments[off].packets for off in offsets)
+        return SegmentedWire(segments, self.wire_len)
 
     def missing_ranges(self) -> list[tuple[int, int]]:
         """(wire_offset, length) ranges not yet covered by complete segments."""

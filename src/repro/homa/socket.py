@@ -21,7 +21,12 @@ from repro.errors import (
     SessionFailedError,
     TransportError,
 )
-from repro.homa.codec import MessageCodec, PlainCodec, packets_per_segment_for
+from repro.homa.codec import (
+    MessageCodec,
+    PlainCodec,
+    SegmentedWire,
+    packets_per_segment_for,
+)
 from repro.homa.engine import HomaTransport
 from repro.homa.message import InboundMessage
 from repro.host.cpu import AppThread, per_item
@@ -93,8 +98,9 @@ class HomaSocket:
 
     # -- engine-facing -----------------------------------------------------------
 
-    def deliver(self, inbound: InboundMessage, wire: bytes) -> None:
-        """Engine hands over a complete message (softirq context)."""
+    def deliver(self, inbound: InboundMessage, wire: SegmentedWire) -> None:
+        """Engine hands over a complete message (softirq context): ``wire`` is
+        its packets' views, ``len(wire)`` the wire length, ``bytes(wire)`` a join."""
         if inbound.msg_id & 1:
             event = self._pending.pop(inbound.msg_id & ~1, None)
             if event is not None:
@@ -226,7 +232,7 @@ class HomaSocket:
         for key in stale:
             del self._corrupt_attempts[key]
 
-    def _failed_decode_cost(self, wire: bytes) -> float:
+    def _failed_decode_cost(self, wire: SegmentedWire) -> float:
         """CPU burned reassembling and decrypting bytes the tag rejected."""
         return (
             self.costs.reassembly_copy_per_byte * len(wire)

@@ -18,9 +18,9 @@ ETHERNET_OVERHEAD = 38  # preamble + MAC headers + FCS + IFG, charged on the wir
 class Packet:
     """One network packet: IPv4 header, transport header, payload bytes.
 
-    ``meta`` carries simulation-only annotations (e.g. which NIC queue and
-    TLS flow context produced the packet) that would not exist on a real
-    wire; nothing protocol-visible may live there.
+    ``meta`` carries simulation-only annotations (TSO's ``segment_end``, a
+    switch's ``trimmed``, a link's open ``obs_span``) that would not exist
+    on a real wire; nothing protocol-visible may live there.
 
     A slotted class, one instance per packet on the wire: no attribute is
     reassigned after ``__init__``.  Equality and the hash cover ``ip``,
@@ -80,5 +80,4 @@ class Packet:
                 f"IPv4 total_len {ip.total_len} != packet size {len(data)}"
             )
         transport = TransportHeader.decode(data[IPV4_HEADER_SIZE:])
-        payload = data[HEADERS_SIZE:]
-        return Packet(ip, transport, payload)
+        return Packet(ip, transport, bytes(data[HEADERS_SIZE:]))

@@ -144,7 +144,7 @@ class Nic:
                 encrypted,
                 segment.mss,
                 tls=None,
-                meta=dict(segment.meta, offloaded=True),
+                meta=segment.meta,
             )
             latency += self.costs.nic_crypto_latency
         self.segments_sent += 1

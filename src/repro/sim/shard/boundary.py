@@ -61,10 +61,11 @@ def decode_batch(blob: bytes) -> list[tuple[float, float, int, int, Packet]]:
     off = 0
     seq = 0
     size = _MSG.size
+    view = memoryview(blob)  # Packet.decode copies each payload, and only that
     while off < len(blob):
         spine, flags, _, departure, arrival, length = _MSG.unpack_from(blob, off)
         off += size
-        packet = Packet.decode(blob[off : off + length])
+        packet = Packet.decode(view[off : off + length])
         off += length
         if flags & _FLAG_TRIMMED:
             packet.meta["trimmed"] = True

@@ -1,15 +1,15 @@
-"""Differential suite: contiguous reassembly vs the old fragment path.
+"""Differential suite: zero-copy reassembly vs the old fragment path.
 
-The receive path now preallocates one buffer per in-flight message and
-writes payload slices in place; before this it accumulated per-packet
-fragments in dicts and joined them at completion.  These tests keep the
-old fragment assembler alive *inside the test* as a reference model and
-drive both implementations with identical randomized packet streams --
-drops, reordering, duplicates, explicit-offset retransmissions, IPID
-wraparound, and malformed sizes -- asserting byte-identical assembly and
-identical error behaviour.  A final end-to-end test forces corruption
-recovery so the ``forgive_message`` un-deliver path redelivers through a
-*fresh* contiguous buffer.
+The receive path keeps each completed segment as the ordered payload views
+its packets carried; an older one accumulated per-packet fragments in
+dicts and joined them at completion.  These tests keep that fragment
+assembler alive *inside the test* as a reference model and drive both
+implementations with identical randomized packet streams -- drops,
+reordering, duplicates, explicit-offset retransmissions, IPID wraparound,
+and malformed sizes -- asserting byte-identical assembly and identical
+error behaviour.  A final end-to-end test forces corruption recovery so
+the ``forgive_message`` un-deliver path redelivers through *fresh*
+assemblers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ SEEDS = range(50)
 
 
 class RefSegmentAssembler:
-    """The pre-contiguous fragment assembler, verbatim semantics.
+    """The fragment assembler, verbatim semantics.
 
     Packets are buffered in dicts keyed by IPID / explicit offset and the
     segment is joined only at completion.  Kept here as the reference
@@ -93,15 +93,17 @@ class RefSegmentAssembler:
         self._by_offset.clear()
 
 
-def _packet_stream(rng, seg_len, mss):
+def _packet_stream(rng, seg_len, mss, data=None):
     """A randomized delivery schedule for one segment's packets.
 
     Yields ``("tso", ipid, payload)`` / ``("explicit", offset, payload)``
     ops covering TSO delivery with reordering and duplicates, optional
     packet loss repaired by explicit retransmissions, and IPID runs that
-    wrap the 16-bit space.
+    wrap the 16-bit space.  The segment's bytes are ``data`` when given,
+    else random.
     """
-    data = bytes(rng.randrange(256) for _ in range(seg_len))
+    if data is None:
+        data = bytes(rng.randrange(256) for _ in range(seg_len))
     npkts = max(1, (seg_len + mss - 1) // mss)
     start_ipid = rng.choice([0, rng.randrange(1 << 16), 65534, 65535])
     packets = [
@@ -150,7 +152,7 @@ def test_assembler_matches_fragment_reference(seed):
             assert new.complete == ref.complete
             assert new.spurious == ref.spurious
         assert new.complete and ref.complete, f"seed {seed}: stream incomplete"
-        assert bytes(new.complete_data) == ref.complete_data == data
+        assert b"".join(new.packets) == ref.complete_data == data
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -168,7 +170,7 @@ def test_assembler_error_parity(seed):
         ref.add_explicit_packet(bad_offset, b"x")
     assert str(e_new.value) == str(e_ref.value)
     # Wrong-size chunks that still cover every slot: the total-length
-    # check must fire identically (and before any buffer write).
+    # check must fire identically (and before the segment completes).
     short = mss - rng.randrange(1, mss)
     new2 = SegmentAssembler(seg_len, mss)
     ref2 = RefSegmentAssembler(seg_len, mss)
@@ -185,7 +187,7 @@ def test_assembler_error_parity(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_inbound_message_assembles_contiguously(seed):
-    """Multi-segment messages land byte-identical in the single buffer."""
+    """Multi-segment messages assemble byte-identical to their wire."""
     rng = random.Random(seed)
     mss = rng.choice([100, 1460])
     segment_capacity = mss * rng.choice([2, 4])
@@ -225,7 +227,7 @@ def test_inbound_message_assembles_contiguously(seed):
 
 def test_forgive_message_redelivers_through_fresh_buffer():
     """Corruption recovery: the un-delivered message must reassemble from
-    retransmitted packets into a fresh contiguous buffer, byte-identical."""
+    retransmitted packets through fresh assemblers, byte-identical."""
     faults = FaultConfig(corrupt_rate=0.05, drop_rate=0.01, reorder_rate=0.05)
     recoveries = 0
     for seed in range(12):

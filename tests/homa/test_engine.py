@@ -1,9 +1,12 @@
 """Homa engine integration tests: RPCs, grants, loss recovery."""
 
+import math
+
 from repro.bench.runner import message_pair
 from repro.errors import AuthenticationError, TransportError
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
 from repro.homa.codec import PlainCodec
+from repro.homa.message import InboundMessage
 from repro.net.headers import PacketType
 from repro.testbed import Testbed
 from repro.units import KB, MB
@@ -212,6 +215,28 @@ class TestLossRecovery:
         [(response, _)] = run_client(bed, csock, [b"k" * 128])
         assert response == b"k" * 128
         assert ct.resend_requests >= 1
+
+    def test_resend_check_counts_a_stall_from_nine_tenths_of_the_interval(self):
+        # A message is stalled once 0.9 x its (jittered) RESEND interval
+        # has passed without progress: at that instant, not only after it.
+        # last_progress = 0.0 keeps the subtraction exact, so checks at the
+        # float just below 0.9 x interval and at it fall on either side.
+        bed, ct, st, csock, ssock = make_bed()
+        mss = bed.server.nic.mtu_payload
+        inbound = InboundMessage(
+            msg_id=2, peer_addr=bed.client.addr, peer_port=csock.port,
+            local_port=6000, wire_len=100 * KB, segment_capacity=4 * mss, mss=mss,
+        )
+        st._inbound[(inbound.peer_addr, inbound.peer_port, inbound.msg_id)] = inbound
+        at = st._resend_interval(inbound) * 0.9
+        before = math.nextafter(at, 0.0)
+        bed.loop.call_at(before, st._resend_check, inbound)
+        bed.loop.run(until=before)
+        assert inbound.resends == 0
+        bed.loop.call_at(at, st._resend_check, inbound)
+        bed.loop.run(until=at)
+        assert bed.loop.now - inbound.last_progress == at
+        assert inbound.resends == 1
 
 
 class TestStateLimits:

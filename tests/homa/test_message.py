@@ -51,7 +51,7 @@ class TestSegmentAssembler:
         asm = SegmentAssembler(350, self.MSS)
         for i, chunk in enumerate(chunks_of(payload, self.MSS)):
             asm.add_tso_packet(1000 + i, chunk)
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_out_of_order_tso_packets(self):
         payload = self._payload(350)[:350]
@@ -59,14 +59,14 @@ class TestSegmentAssembler:
         pieces = list(enumerate(chunks_of(payload, self.MSS)))
         for i, chunk in reversed(pieces):
             asm.add_tso_packet(1000 + i, chunk)
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_ipid_wraparound(self):
         payload = self._payload(300)[:300]
         asm = SegmentAssembler(300, self.MSS)
         for i, chunk in enumerate(chunks_of(payload, self.MSS)):
             asm.add_tso_packet((0xFFFF + i) & 0xFFFF, chunk)
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_duplicate_tso_packet_ignored(self):
         payload = self._payload(200)[:200]
@@ -76,7 +76,7 @@ class TestSegmentAssembler:
         asm.add_tso_packet(10, parts[0])  # spurious duplicate
         assert asm.spurious == 1
         asm.add_tso_packet(11, parts[1])
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_pure_explicit_assembly(self):
         # All packets retransmitted with explicit offsets.
@@ -84,7 +84,7 @@ class TestSegmentAssembler:
         asm = SegmentAssembler(250, self.MSS)
         for off in (200, 0, 100):
             asm.add_explicit_packet(off, payload[off : off + self.MSS])
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_mixed_arrivals_wait_for_full_explicit_coverage(self):
         # Packets 0 and 2 arrive via TSO; packet 1 is lost.  A single
@@ -102,7 +102,7 @@ class TestSegmentAssembler:
         assert not asm.complete  # ambiguous: keep waiting
         asm.add_explicit_packet(0, parts[0])
         asm.add_explicit_packet(200, parts[2])
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_ambiguous_mix_never_misassembles(self):
         # The corruption scenario the mixed path allowed: the TSO tail is
@@ -120,7 +120,7 @@ class TestSegmentAssembler:
         # Full explicit coverage resolves it correctly.
         for slot in (100, 200, 300, 400):
             asm.add_explicit_packet(slot, parts[slot // 100])
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_spurious_retransmit_after_completion_ignored(self):
         payload = self._payload(200)[:200]
@@ -131,7 +131,7 @@ class TestSegmentAssembler:
         assert asm.complete
         asm.add_explicit_packet(0, parts[0])
         assert asm.spurious == 1
-        assert asm.complete_data == payload
+        assert b"".join(asm.packets) == payload
 
     def test_pure_tso_preferred_over_ambiguous_mix(self):
         # Original packet and its explicit retransmit both arrive, and all
@@ -142,7 +142,7 @@ class TestSegmentAssembler:
         asm.add_explicit_packet(100, parts[1])  # spurious retransmit first
         for i, chunk in enumerate(parts):
             asm.add_tso_packet(i, chunk)
-        assert asm.complete and asm.complete_data == payload
+        assert asm.complete and b"".join(asm.packets) == payload
 
     def test_bad_explicit_offset_rejected(self):
         asm = SegmentAssembler(200, self.MSS)
@@ -152,7 +152,7 @@ class TestSegmentAssembler:
     def test_single_packet_segment(self):
         asm = SegmentAssembler(40, self.MSS)
         asm.add_tso_packet(999, b"y" * 40)
-        assert asm.complete and asm.complete_data == b"y" * 40
+        assert asm.complete and b"".join(asm.packets) == b"y" * 40
 
     @given(st.integers(1, 1000), st.integers(0, 0xFFFF), st.permutations(range(10)))
     @settings(max_examples=40, deadline=None)
@@ -165,7 +165,7 @@ class TestSegmentAssembler:
         for i in indices:
             asm.add_tso_packet((start_ipid + i) & 0xFFFF, parts[i])
         assert asm.complete
-        assert asm.complete_data == payload
+        assert b"".join(asm.packets) == payload
 
 
 class TestInboundMessage:
@@ -202,7 +202,7 @@ class TestInboundMessage:
                 asm.add_tso_packet(i // 100, seg[i : i + 100])
             msg.received_bytes += asm.seg_len
         assert msg.complete
-        assert msg.assemble() == payload
+        assert bytes(msg.assemble()) == payload
 
     def test_missing_ranges(self):
         msg = self._msg(wire_len=700, cap=300)
