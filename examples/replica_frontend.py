@@ -15,19 +15,14 @@ session-open workload twice:
   obvious-but-wrong deployment): every cross-replica 0-RTT attempt is
   rejected and silently falls back to a full 1-RTT handshake.
 
-Then the skewed-load comparison (consistent hashing concentrates the
-hot keys on one replica; power-of-two-choices spreads by load) and the
-DNS-TTL staleness race across a scripted replica crash -- where every
-window degrades gracefully (cached ticket, then 1-RTT) and none raises.
+Then the DNS-TTL staleness race across a scripted replica crash --
+where every window degrades gracefully (cached ticket, then 1-RTT) and
+none raises.
 
 Run:  python examples/replica_frontend.py
 """
 
-from repro.bench.frontend import (
-    _run_portability,
-    _run_skew,
-    _run_staleness,
-)
+from repro.bench.frontend import _run_portability, _run_staleness
 
 OPENS = 12
 
@@ -55,20 +50,7 @@ def main() -> None:
     print("   0-RTT); per-replica shares degrade DNS-distributed 0-RTT into")
     print("   session affinity (0%), one extra RTT per misrouted open.\n")
 
-    for policy in ("consistent-hash", "least-loaded"):
-        engine, result = _run_skew(policy, quick=True)
-        share = max(
-            engine.replica_issued[r] / max(1, result.issued)
-            for r in engine.replica_indices
-        )
-        print(f"{policy:>16} under Zipf keys: p50 {result.p50:5.1f}  "
-              f"p99 {result.p99:5.1f}  hottest-replica share {share:.2f}  "
-              f"({result.completed}/{result.issued} done, "
-              f"{result.integrity_errors} integrity errors)")
-    print("-> affinity hotspots the hot keys; power-of-two-choices "
-          "spreads by load.\n")
-
-    stale = _run_staleness(quick=True)
+    stale = _run_staleness()
     c, cache, rot = stale["counters"], stale["cache"], stale["rotator"]
     print(f"TTL-vs-crash race: {c.opens} opens across a replica crash: "
           f"{c.zero_rtt_accepts} x 0-RTT, {c.fallbacks_1rtt} x 1-RTT, "

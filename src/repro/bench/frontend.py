@@ -1,6 +1,7 @@
-"""Replicated-service front end: portability, policy, damping, staleness.
+"""Replicated-service front end: §4.5 ticket portability and staleness.
 
-Four deterministic scenarios over the ``repro.lb`` layer:
+Two deterministic scenarios over the ``repro.lb`` layer, each reading a
+property of the paper's DNS-distributed 0-RTT tickets (§4.5.2):
 
 1. **Ticket portability** -- N replicas behind one DNS name.  With a
    :class:`~repro.ctrl.rotation.SharedShareRotator` (one long-term share
@@ -14,23 +15,7 @@ Four deterministic scenarios over the ``repro.lb`` layer:
    connection drain rides along: one replica leaves rotation and every
    one of its sessions migrates, none dropped.
 
-2. **Balancing policy under skew** -- open-loop load through the
-   balancer over the smt cluster mesh, arrivals keyed by a Zipf-like
-   popularity (top key most of the mass).  Consistent hashing
-   concentrates the hot keys on one replica (queueing blows up its tail)
-   while power-of-two-choices spreads by outstanding load: the
-   least-loaded p99 slowdown must beat consistent-hash p99, with every
-   RPC completing and zero integrity errors.
-
-3. **LB oscillation** -- a flapping health probe under a naive
-   one-strike checker republishes membership at probe frequency and
-   herds the flapped replica's whole key range back and forth;
-   hysteresis (2 misses down / 2 successes up) produces *zero*
-   transitions for the same probe schedule, and a dwell window
-   (``min_hold``) suppresses residual flips even at one-strike
-   thresholds.
-
-4. **DNS-TTL staleness** -- the ticket record's TTL races the share
+2. **DNS-TTL staleness** -- the ticket record's TTL races the share
    lifetime across a replica crash (``DomainFaultController``): refresh
    inside the margin finds the record reaped (cached ticket served while
    verifiable, counted), then nothing usable (1-RTT fallback, counted);
@@ -43,7 +28,6 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.loaded import LOAD_HOMA_CONFIG
 from repro.bench.report import ExperimentReport
 from repro.core.zero_rtt import ZeroRttServer
 from repro.crypto.ca import fixed_pki
@@ -51,16 +35,11 @@ from repro.ctrl import CtrlConfig, SharedShareRotator, TicketCache, TicketRotato
 from repro.dns.resolver import InternalDns
 from repro.lb import (
     ConnectionDrainer,
-    ConsistentHashBalancer,
     HealthChecker,
-    LeastLoadedBalancer,
     ReplicaServer,
     ServiceFrontend,
     ServiceRegistry,
 )
-from repro.load import HOMA_W4, ClusterHarness
-from repro.load.frontend import FrontendEngine, SkewedKeys
-from repro.sim.event_loop import EventLoop
 from repro.testbed import ClosTestbed
 from repro.units import USEC
 
@@ -70,7 +49,6 @@ DNS_LATENCY = 2e-6
 TICKET_LIFETIME = 5e-3
 GRACE_WINDOW = 2e-3
 REFRESH_MARGIN = 1e-3
-
 
 
 # -- part 1: ticket portability (+ drain) -----------------------------------------
@@ -114,7 +92,7 @@ def _run_portability(shared: bool, opens: int) -> dict:
     registry.start()
     cache = TicketCache(dns, roots, refresh_margin=REFRESH_MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, ConsistentHashBalancer(), cache, roots,
+        bed.loop, registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=SEED,
     )
     drainer = ConnectionDrainer(bed.loop, fe)
@@ -127,7 +105,7 @@ def _run_portability(shared: bool, opens: int) -> dict:
         # Drain the busiest replica; completeness = every session moved.
         target = max(replicas, key=lambda rid: len(fe.sessions_on(rid)))
         out["pre_drain"] = len(fe.sessions_on(target))
-        out["moved"] = yield from drainer.drain(target)
+        out["moved"] = drainer.drain(target)
         out["left"] = len(fe.sessions_on(target))
 
     done = bed.loop.process(client())
@@ -141,90 +119,7 @@ def _run_portability(shared: bool, opens: int) -> dict:
     return out
 
 
-# -- part 2: balancing policy under skewed load -----------------------------------
-
-
-def _run_skew(policy: str, quick: bool):
-    bed = ClosTestbed.leaf_spine(
-        num_racks=2, hosts_per_rack=2, num_spines=2, num_app_cores=12, seed=1
-    )
-    harness = ClusterHarness(bed, "smt", config=LOAD_HOMA_CONFIG)
-    balancer = (
-        ConsistentHashBalancer() if policy == "consistent-hash"
-        else LeastLoadedBalancer(seed=SEED)
-    )
-    engine = FrontendEngine(
-        harness,
-        HOMA_W4,
-        load=0.45,
-        duration=0.12e-3 if quick else 0.3e-3,
-        balancer=balancer,
-        clients=[0, 1],
-        replicas=[2, 3],
-        keys=SkewedKeys(8, exponent=2.0),
-        seed=SEED,
-    )
-    result = engine.run()
-    return engine, result
-
-
-# -- part 3: LB oscillation and hysteresis damping --------------------------------
-
-
-def _herd_moves(registry, rids, num_keys: int = 60) -> int:
-    """Replay the membership log: total key reassignments across flips.
-
-    Each up/down event republishes membership; consistent hashing then
-    remaps every key whose owner changed -- the herd a flapping replica
-    drags back and forth.
-    """
-    ring = ConsistentHashBalancer()
-    healthy = {rid: True for rid in rids}
-
-    def assignment():
-        live = tuple(r for r in rids if healthy[r])
-        return [ring.pick(f"key-{k}", live) for k in range(num_keys)]
-
-    moves = 0
-    prev = assignment()
-    for _t, event, rid in registry.log:
-        if event not in ("up", "down"):
-            continue
-        healthy[rid] = event == "up"
-        cur = assignment()
-        moves += sum(1 for a, b in zip(prev, cur) if a != b)
-        prev = cur
-    return moves
-
-
-def _run_oscillation(
-    down_misses: int, up_successes: int, min_hold: float, ticks: int
-):
-    loop = EventLoop()
-    dns = InternalDns()
-    registry = ServiceRegistry(loop, dns, "svc-osc", ttl=1.0)
-    rids = ("r0", "r1", "r2")
-    for rid in rids:
-        registry.register(rid)
-    checker = HealthChecker(
-        loop, registry, interval=10e-6,
-        down_misses=down_misses, up_successes=up_successes, min_hold=min_hold,
-    )
-    state = {"tick": 0}
-
-    def flapping() -> bool:
-        state["tick"] += 1
-        return state["tick"] % 2 == 0
-
-    checker.watch("r0", flapping)
-    checker.watch("r1", lambda: True)
-    checker.watch("r2", lambda: True)
-    checker.start()
-    loop.run(until=ticks * 10e-6 + 1e-9)
-    return checker, registry, _herd_moves(registry, rids)
-
-
-# -- part 4: DNS-TTL staleness across a replica crash -----------------------------
+# -- part 2: DNS-TTL staleness across a replica crash -----------------------------
 
 #: Compressed timeline (all virtual seconds).  The ticket record's TTL
 #: expires well before the share does (stale window), the share expires
@@ -240,7 +135,7 @@ RESYNC_DELAY = 200 * USEC
 STALE_HORIZON = 1250 * USEC
 
 
-def _run_staleness(quick: bool) -> dict:
+def _run_staleness() -> dict:
     bed = ClosTestbed.leaf_spine(
         num_racks=2, hosts_per_rack=2, num_spines=2, seed=5
     )
@@ -272,15 +167,13 @@ def _run_staleness(quick: bool) -> dict:
     for h in replica_hosts:
         registry.register(h.addr)
     registry.start()
-    checker = HealthChecker(
-        bed.loop, registry, interval=20e-6, down_misses=2, up_successes=2
-    )
+    checker = HealthChecker(bed.loop, registry, interval=20e-6)
     for h in replica_hosts:
         checker.watch(h.addr, lambda addr=h.addr: controller.is_host_up(addr))
     checker.start()
     cache = TicketCache(dns, roots, refresh_margin=STALE_MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, ConsistentHashBalancer(), cache, roots,
+        bed.loop, registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=SEED,
     )
     # The crashed replica misses the mid-crash rotation; on revival the
@@ -294,7 +187,6 @@ def _run_staleness(quick: bool) -> dict:
     bed.loop.timer_later(CRASH_AT, controller.replica_crash, replica_indices[1])
     bed.loop.timer_later(REVIVE_AT, controller.replica_revive, replica_indices[1])
 
-    del quick  # the timeline is fixed; quick savings live in parts 1-3
     step = 40e-6
     failures = []
 
@@ -333,7 +225,8 @@ def _run_staleness(quick: bool) -> dict:
 
 def run(quick: bool = False) -> ExperimentReport:
     report = ExperimentReport(
-        "Replicated-service front end: discovery, balancing, 0-RTT portability"
+        "Replicated-service front end: §4.5 0-RTT ticket portability across "
+        "replicas and ticket staleness across a crash"
         + (" (quick)" if quick else "")
     )
 
@@ -398,110 +291,8 @@ def run(quick: bool = False) -> ExperimentReport:
         port["shared"]["alive"], opens, opens,
     )
 
-    # 2. Consistent-hash vs least-loaded under skewed keys.
-    skew = {}
-    for policy in ("consistent-hash", "least-loaded"):
-        engine, result = _run_skew(policy, quick)
-        shares = {
-            r: engine.replica_issued[r] / max(1, result.issued)
-            for r in engine.replica_indices
-        }
-        skew[policy] = (engine, result, shares)
-    report.add_table(
-        ["policy", "issued", "done", "p50 slow", "p99 slow",
-         "max replica share", "served r2/r3", "integ errs"],
-        [
-            (
-                policy,
-                result.issued,
-                result.completed,
-                round(result.p50, 2),
-                round(result.p99, 2),
-                round(max(shares.values()), 3),
-                "/".join(
-                    str(engine.harness.requests_served[r])
-                    for r in engine.replica_indices
-                ),
-                result.integrity_errors,
-            )
-            for policy, (engine, result, shares) in skew.items()
-        ],
-    )
-    ch_result = skew["consistent-hash"][1]
-    p2c_result = skew["least-loaded"][1]
-    report.check(
-        "least-loaded p99 slowdown beats consistent-hash p99",
-        float(p2c_result.p99 < ch_result.p99), 1, 1,
-    )
-    report.check(
-        "consistent-hash concentrates the hot keys (max replica share)",
-        max(skew["consistent-hash"][2].values()), 0.60, 1.00,
-    )
-    report.check(
-        "least-loaded spreads below the hash hotspot",
-        float(
-            max(skew["least-loaded"][2].values())
-            < max(skew["consistent-hash"][2].values())
-        ),
-        1, 1,
-    )
-    report.check(
-        "skewed runs: RPCs completed",
-        ch_result.completed + p2c_result.completed,
-        ch_result.issued + p2c_result.issued,
-        ch_result.issued + p2c_result.issued,
-    )
-    report.check(
-        "skewed runs: integrity errors",
-        ch_result.integrity_errors + p2c_result.integrity_errors, 0, 0,
-    )
-    report.check(
-        "skewed runs: unroutable arrivals",
-        skew["consistent-hash"][0].unroutable
-        + skew["least-loaded"][0].unroutable,
-        0, 0,
-    )
-
-    # 3. Oscillation: naive vs hysteresis vs dwell-damped.
-    ticks = 120 if quick else 300
-    osc = {
-        "naive (1/1)": _run_oscillation(1, 1, 0.0, ticks),
-        "hysteresis (2/2)": _run_oscillation(2, 2, 0.0, ticks),
-        "dwell (1/1 + hold)": _run_oscillation(1, 1, 500e-6, ticks),
-    }
-    report.add_table(
-        ["checker", "probes", "transitions", "suppressed", "herd moves"],
-        [
-            (name, c.probes, c.transitions, c.suppressed_flaps, moves)
-            for name, (c, _reg, moves) in osc.items()
-        ],
-    )
-    naive_c, _, naive_moves = osc["naive (1/1)"]
-    hyst_c, _, hyst_moves = osc["hysteresis (2/2)"]
-    dwell_c, _, dwell_moves = osc["dwell (1/1 + hold)"]
-    report.check(
-        "naive checker flaps at probe frequency (transitions)",
-        naive_c.transitions, ticks - 2, ticks,
-    )
-    report.check("naive checker herds keys (moves)", naive_moves, 1, 10**9)
-    report.check(
-        "hysteresis transitions under the same flapping probe",
-        hyst_c.transitions, 0, 0,
-    )
-    report.check("hysteresis herd moves", hyst_moves, 0, 0)
-    report.check(
-        "dwell window suppresses one-strike flips (suppressed count)",
-        dwell_c.suppressed_flaps, 1, 10**9,
-    )
-    report.check(
-        "dwell-damped transitions well below naive",
-        float(dwell_c.transitions <= naive_c.transitions // 10), 1, 1,
-    )
-    report.check("dwell herd moves below naive", float(
-        dwell_moves < naive_moves), 1, 1)
-
-    # 4. DNS-TTL staleness racing a replica crash.
-    stale = _run_staleness(quick)
+    # 2. DNS-TTL staleness racing a replica crash.
+    stale = _run_staleness()  # a fixed timeline: quick runs it whole
     sc = stale["counters"]
     cache = stale["cache"]
     rotator = stale["rotator"]

@@ -1,8 +1,8 @@
-"""Failure-domain incidents on the loaded fabric, kit on vs kit off.
+"""Failure-domain incidents on the loaded fabric, and the §4.5
+re-handshake storm a crashed replica's cold pools cause.
 
 Two scripted incidents run against the open-loop engine at moderate load
-on the two-rack leaf-spine fabric, each with the client resilience kit
-enabled and disabled:
+on the two-rack leaf-spine fabric:
 
 - *spine-down*: one of two spines dies mid-run and revives 140 us later.
   BFD-style spine watchers detect the death within their bound and
@@ -10,20 +10,17 @@ enabled and disabled:
   migrate, and the blackhole window is exactly detection + reroute.
 - *replica-crash*: a host process dies (uplink+downlink blackhole, its
   control plane's session table and key pools are lost) and cold-restarts.
-  Surviving hosts re-handshake the revived replica at once -- the
+  Surviving hosts re-handshake the revived replica at once, and the
   handshake storm pays inline keygen because the restarted pools are
-  empty -- while heartbeat watchers park traffic aimed at the corpse.
+  empty (§4.5: the standby pools exist to keep keygen off this path).
 
 Reported per run: detection time, recovery time (backlog drain past the
-revival), per-phase p99 slowdown (before/during/after the outage), and
-the control-plane load of the re-handshake storm.  The headline band is
-*kit-on during-p99 strictly below kit-off* for both scenarios, under
-fixed seeds: the kit's per-attempt deadlines + outage-aware retries beat
-Homa's own RESEND recovery (first client check at 2x the resend
-interval), and its recovery splay avoids re-congesting the just-revived
-domain.  The remaining bands are exact: detection inside the heartbeat
-bound, every issued RPC completed, zero integrity errors, and the
-expected handshake-storm counters.
+revival), per-phase p99 slowdown (before/during/after the outage),
+blackholed packets, and the control-plane load of the re-handshake
+storm: re-handshakes, admission retries and inline keygens (pool
+misses).  The bands are exact: detection inside the watcher bound,
+every issued RPC completed, zero integrity errors, and the expected
+storm counts.
 
 Everything is virtual-time deterministic: same seeds, same numbers, on
 any machine -- quick mode runs the identical workload (the incident
@@ -37,7 +34,6 @@ from repro.bench.report import ExperimentReport
 from repro.load import HOMA_W4, ClusterHarness
 from repro.load.incident import IncidentEngine
 from repro.net.domain_faults import IncidentEvent
-from repro.resilience import KitConfig, ResilienceKit
 from repro.testbed import ClosTestbed
 from repro.units import USEC
 
@@ -45,7 +41,6 @@ SCENARIOS = ("spine-down", "replica-crash")
 LOAD = 0.25
 DURATION = 0.35e-3
 ENGINE_SEED = 11
-KIT_SEED = 5
 FAULT_AT = 80 * USEC
 REVIVE_AT = 220 * USEC
 CRASHED_HOST = 3
@@ -54,22 +49,9 @@ CRASHED_HOST = 3
 SPINE_HB_INTERVAL = 20 * USEC
 SPINE_HB_MISSES = 2
 
-#: Kit sized for the loaded fabric's tails: the 150 us attempt floor is
-#: ~2x the loaded p99 RTT of a small message (size-dependent deadlines
-#: cover the big ones), and the retry budget is effectively unlimited --
-#: this bench studies latency, not load-shedding.
-KIT_CONFIG = KitConfig(
-    attempt_timeout=150 * USEC,
-    max_attempts=10,
-    budget_capacity=100000,
-    budget_refund=1.0,
-    breaker_failure_threshold=6,
-    breaker_recovery_timeout=100 * USEC,
-)
 
-
-def _run_combo(scenario: str, with_kit: bool):
-    """One (scenario, kit) cell: returns (LoadResult, IncidentMetrics, kit)."""
+def _run_scenario(scenario: str):
+    """One scenario: returns (LoadResult, IncidentMetrics)."""
     bed = ClosTestbed.leaf_spine(
         num_racks=2, hosts_per_rack=2, num_spines=2, seed=1
     )
@@ -93,7 +75,6 @@ def _run_combo(scenario: str, with_kit: bool):
             miss_threshold=SPINE_HB_MISSES,
             resalt=True,
         )
-    kit = ResilienceKit(bed.loop, KIT_CONFIG, seed=KIT_SEED) if with_kit else None
     engine = IncidentEngine(
         harness,
         HOMA_W4,
@@ -101,31 +82,26 @@ def _run_combo(scenario: str, with_kit: bool):
         duration=DURATION,
         controller=controller,
         timeline=timeline,
-        kit=kit,
         reestablish_sessions=replica,
         seed=ENGINE_SEED,
     )
     result = engine.run()
-    return result, engine.metrics, kit
+    return result, engine.metrics
 
 
 def run(quick: bool = False) -> ExperimentReport:
     report = ExperimentReport(
-        "Failure-domain incidents: detection, recovery and the "
-        "during-outage tail, resilience kit on vs off"
+        "Failure-domain incidents: detection, recovery, the during-outage "
+        "tail, and the §4.5 re-handshake storm on cold key pools"
         + (" (quick)" if quick else "")
     )
-    cells = {}
-    for scenario in SCENARIOS:
-        for with_kit in (False, True):
-            cells[(scenario, with_kit)] = _run_combo(scenario, with_kit)
+    cells = {scenario: _run_scenario(scenario) for scenario in SCENARIOS}
 
     rows = []
-    for (scenario, with_kit), (result, m, kit) in cells.items():
+    for scenario, (result, m) in cells.items():
         det = m.detection_time
         rows.append((
             scenario,
-            "on" if with_kit else "off",
             round(det * 1e6, 1) if det is not None else "-",
             round(m.recovery_time * 1e6, 1),
             round(m.phase_p99("before"), 2),
@@ -138,114 +114,63 @@ def run(quick: bool = False) -> ExperimentReport:
             m.blackholed,
         ))
     report.add_table(
-        ["scenario", "kit", "detect (us)", "recover (us)", "p99 before",
+        ["scenario", "detect (us)", "recover (us)", "p99 before",
          "p99 during", "p99 after", "done", "issued", "failed",
          "integ errs", "blackholed"],
         rows,
     )
 
-    kit_rows = []
-    for (scenario, with_kit), (result, m, kit) in cells.items():
-        if kit is None:
-            continue
-        kit_rows.append((
-            scenario, kit.calls, kit.retries, kit.parked, kit.splayed,
-            kit.fail_fast, kit.exhausted, kit.budget.denied,
-        ))
+    _, m_rep = cells["replica-crash"]
+    rh = m_rep.rehandshake
     report.add_table(
-        ["scenario", "calls", "retries", "parked", "splayed", "fail-fast",
-         "exhausted", "budget denied"],
-        kit_rows,
-    )
-
-    storm_rows = []
-    for (scenario, with_kit), (result, m, kit) in cells.items():
-        if m.rehandshake is None:
-            continue
-        rh = m.rehandshake
-        storm_rows.append((
-            scenario, "on" if with_kit else "off", rh["completed"],
-            rh["admission_retries"], rh["client_inline_keygens"],
-            rh["server_inline_keygens"],
-            round(rh["max_duration"] * 1e6, 1),
-        ))
-    report.add_table(
-        ["scenario", "kit", "re-handshakes", "admission retries",
+        ["scenario", "re-handshakes", "admission retries",
          "client keygens", "server keygens", "max duration (us)"],
-        storm_rows,
+        [(
+            "replica-crash", rh["completed"], rh["admission_retries"],
+            rh["client_inline_keygens"], rh["server_inline_keygens"],
+            round(rh["max_duration"] * 1e6, 1),
+        )],
     )
 
     # -- bands: all exact counts or virtual-time determinism ----------------------
 
-    # Detection inside the heartbeat bound, for every watched run.
-    spine_bound = SPINE_HB_INTERVAL * SPINE_HB_MISSES
-    for with_kit in (False, True):
-        _, m, _ = cells[("spine-down", with_kit)]
-        report.check(
-            f"spine-down detection <= watcher bound (kit {'on' if with_kit else 'off'})",
-            m.detection_time * 1e6 if m.detection_time is not None else 1e9,
-            0.0, spine_bound * 1e6, unit="us",
-        )
-    kit_bound = KIT_CONFIG.heartbeat_interval * KIT_CONFIG.heartbeat_miss_threshold
-    _, m_rep, _ = cells[("replica-crash", True)]
+    # Detection inside the heartbeat bound.
+    _, m_spine = cells["spine-down"]
     report.check(
-        "replica-crash detection <= kit heartbeat bound (kit on)",
-        m_rep.detection_time * 1e6 if m_rep.detection_time is not None else 1e9,
-        0.0, kit_bound * 1e6, unit="us",
+        "spine-down detection <= watcher bound",
+        m_spine.detection_time * 1e6 if m_spine.detection_time is not None else 1e9,
+        0.0, SPINE_HB_INTERVAL * SPINE_HB_MISSES * 1e6, unit="us",
     )
 
     # The outage actually bit: packets died in the dead domain.
     report.check(
         "min blackholed packets across runs (fault was real)",
-        min(m.blackholed for _, m, _ in cells.values()), 1, 10**9,
+        min(m.blackholed for _, m in cells.values()), 1, 10**9,
     )
 
     # Open loop stayed lossless end to end: every issued RPC completed
-    # (through Homa resends or kit retries) and none was corrupted.
+    # through Homa's resends and none was corrupted.
+    issued = sum(r.issued for r, _ in cells.values())
     report.check(
-        "RPCs completed == issued (all four runs)",
-        sum(r.completed for r, _, _ in cells.values()),
-        sum(r.issued for r, _, _ in cells.values()),
-        sum(r.issued for r, _, _ in cells.values()),
+        "RPCs completed == issued (both runs)",
+        sum(r.completed for r, _ in cells.values()), issued, issued,
     )
-    report.check(
-        "failed RPCs", sum(r.failed for r, _, _ in cells.values()), 0, 0,
-    )
+    report.check("failed RPCs", sum(r.failed for r, _ in cells.values()), 0, 0)
     report.check(
         "fill integrity errors",
-        sum(r.integrity_errors for r, _, _ in cells.values()), 0, 0,
+        sum(r.integrity_errors for r, _ in cells.values()), 0, 0,
     )
-
-    # The headline: the kit strictly improves the during-outage tail.
-    for scenario in SCENARIOS:
-        off = cells[(scenario, False)][1].phase_p99("during")
-        on = cells[(scenario, True)][1].phase_p99("during")
-        report.check(
-            f"{scenario}: kit-on during-p99 strictly below kit-off "
-            f"({on:.1f} vs {off:.1f})",
-            float(on < off), 1, 1,
-        )
 
     # Re-handshake storm: every surviving host re-established exactly one
     # session, and the cold-restarted replica paid inline server keygen
     # for each (its pools died with the process).
-    for with_kit in (False, True):
-        _, m, _ = cells[("replica-crash", with_kit)]
-        rh = m.rehandshake
-        label = "on" if with_kit else "off"
-        report.check(
-            f"re-handshakes == surviving hosts (kit {label})",
-            rh["completed"], 3, 3,
-        )
-        report.check(
-            f"inline server keygens == re-handshakes (kit {label})",
-            rh["server_inline_keygens"], 3, 3,
-        )
+    report.check("re-handshakes == surviving hosts", rh["completed"], 3, 3)
+    report.check(
+        "inline server keygens == re-handshakes",
+        rh["server_inline_keygens"], 3, 3,
+    )
 
     # The fabric re-converged at least once in the spine scenario (the
     # watcher's programmed re-salt actually ran).
-    report.check(
-        "spine-down reconvergences (kit off run)",
-        cells[("spine-down", False)][1].reconvergences, 1, 10,
-    )
+    report.check("spine-down reconvergences", m_spine.reconvergences, 1, 10)
     return report

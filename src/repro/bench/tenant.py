@@ -26,11 +26,8 @@ Band checks are deterministic (virtual-time and count based):
   contexts and partitioned sessions never cross records between tenants;
 - *compartment hygiene*: the victim's session compartment sees zero
   evictions and zero admission refusals in both modes — aggressor churn
-  cannot spill into the victim's control-plane budget;
-- *dcache epilogue*: a compact read-through/write-behind workload on the
-  SMT cache tier, checked by exact counts (fills equal origin reads,
-  write-behind coalesces overwrites, drain leaves zero dirty keys and an
-  origin consistent with every acknowledged PUT).
+  cannot spill into the victim's control-plane budget (§4.5's session
+  table, partitioned per tenant).
 
 The isolated run is observed (``enable_obs``): ``tenant.*`` gauges and
 ``tenant.throttle`` spans land in the report's obs snapshot.
@@ -38,10 +35,6 @@ The isolated run is observed (``enable_obs``): ``tenant.*`` gauges and
 
 from __future__ import annotations
 
-import random
-
-from repro.apps.dcache import DCacheCluster
-from repro.bench.loaded import LOAD_HOMA_CONFIG
 from repro.bench.report import ExperimentReport
 from repro.homa import HomaConfig
 from repro.load import HOMA_W4, TenantLoadEngine, TenantWorkload
@@ -123,73 +116,10 @@ def _run_mode(enabled: bool, quick: bool):
     return fabric, results, snapshot
 
 
-def _run_dcache(quick: bool) -> dict:
-    """Scripted cache workload; every number below is an exact count."""
-    bed = ClosTestbed.leaf_spine(
-        num_racks=2,
-        hosts_per_rack=2,
-        num_spines=2,
-        num_app_cores=4,
-        seed=1,
-    )
-    cluster = DCacheCluster(
-        bed, cache_capacity=16, flush_batch=4, config=LOAD_HOMA_CONFIG
-    )
-    num_warm = 12
-    num_keys = 24 if quick else 48
-    num_ops = 120 if quick else 300
-    cluster.origin.preload({
-        b"warm%d" % i: b"v%d" % i * 16 for i in range(num_warm)
-    })
-    client = cluster.client(0)
-    loop = bed.loop
-    rng = random.Random(SEED)
-    acked: dict[bytes, bytes] = {}
-
-    def body():
-        thread = bed.hosts[0].app_thread(3)
-        # Warm reads: first pass fills, second pass hits (capacity
-        # permitting) -- the read-through path.
-        for i in range(num_warm):
-            value = yield from client.get(thread, b"warm%d" % i)
-            assert value == b"v%d" % i * 16
-        # Mixed PUT/GET churn driving coalescing and LRU eviction.
-        for _ in range(num_ops):
-            key = b"k%d" % rng.randrange(num_keys)
-            if rng.random() < 0.6:
-                value = b"x" * rng.randrange(32, 256)
-                yield from client.put(thread, key, value)
-                acked[key] = value
-            else:
-                value = yield from client.get(thread, key)
-                if key in acked:
-                    assert value == acked[key], key
-
-    done = loop.process(body())
-    bed.run(until=loop.now + 1.0)
-    if not done.triggered:
-        raise RuntimeError("dcache phase deadlocked")
-    if not done.ok:
-        raise done.value
-    cluster.drain()
-    stats = cluster.stats()
-    stats["client_gets"] = client.gets
-    stats["client_puts"] = client.puts
-    stats["client_hits"] = client.hits
-    stats["client_fills"] = client.fills
-    stats["acked_keys"] = len(acked)
-    stats["durable_acked"] = sum(
-        cluster.origin.get(k) == v for k, v in acked.items()
-    )
-    stats["dirty_after_drain"] = sum(
-        n.store.dirty_count for n in cluster.nodes
-    )
-    return stats
-
-
 def run(quick: bool = False) -> ExperimentReport:
     report = ExperimentReport(
-        "Noisy neighbor: victim tail with tenant isolation off vs on"
+        "Noisy neighbor: victim tail with tenant isolation off vs on "
+        "(§4.5 per-tenant AEAD contexts and session compartments)"
         + (" (quick)" if quick else "")
     )
     modes = {}
@@ -269,35 +199,5 @@ def run(quick: bool = False) -> ExperimentReport:
     report.check(
         "victim session admissions refused (both modes)",
         sum(c["admission_refused"] for c in victim_ctrl), 0, 0,
-    )
-
-    cache = _run_dcache(quick)
-    report.add_table(
-        ["metric", "count"],
-        [(k, cache[k]) for k in sorted(cache)],
-    )
-    report.check(
-        "dcache: client fills equal shard read-throughs",
-        float(
-            cache["client_fills"] == cache["read_throughs"]
-            and cache["origin_reads"] >= cache["read_throughs"]
-        ),
-        1, 1,
-    )
-    report.check(
-        "dcache: every acknowledged PUT durable at the origin after drain",
-        cache["durable_acked"], cache["acked_keys"], cache["acked_keys"],
-    )
-    report.check(
-        "dcache: zero dirty keys after drain",
-        cache["dirty_after_drain"], 0, 0,
-    )
-    report.check(
-        "dcache: write-behind coalesces (origin writes below client puts)",
-        float(0 < cache["origin_writes"] < cache["client_puts"]), 1, 1,
-    )
-    report.check(
-        "dcache: shard hits observed (read-through populated the LRU)",
-        float(cache["client_hits"] > 0), 1, 1,
     )
     return report

@@ -33,17 +33,6 @@ class SessionFailedError(ReproError):
     """
 
 
-class CircuitOpenError(ReproError):
-    """A resilience-kit circuit breaker refused the call without trying.
-
-    Raised on the fail-fast path: the destination has accumulated enough
-    recent failures (or a heartbeat monitor declared it down) that
-    attempting the call would only burn CPU and fabric capacity.  The
-    caller may fall back, shed the request, or wait for the breaker's
-    recovery timeout.
-    """
-
-
 class ProtocolError(ReproError):
     """A peer violated the protocol state machine or wire format."""
 

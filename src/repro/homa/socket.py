@@ -116,16 +116,8 @@ class HomaSocket:
         dest_addr: int,
         dest_port: int,
         payload: bytes,
-        timeout: Optional[float] = None,
     ) -> Generator[Any, Any, bytes]:
         """Send a request and wait for its response; returns the payload.
-
-        ``timeout`` is an optional caller deadline in seconds: if the
-        response has not authenticated by then, the RPC fails with
-        :class:`TransportError` and its resend timers are cancelled.
-        Homa's own RESEND machinery keeps running underneath until the
-        deadline -- the deadline is the *application's* patience (the
-        resilience kit's per-attempt budget), not a transport retry knob.
 
         Like ``sendmsg``, the call is done with ``payload`` once it is
         encoded, before the first wait: SMT encodes into a buffer of its
@@ -146,7 +138,7 @@ class HomaSocket:
             del payload  # encoded: the transport holds what it may resend
             return (
                 yield from self._call(
-                    thread, dest_addr, dest_port, codec, msg_id, cost, timeout
+                    thread, dest_addr, dest_port, codec, msg_id, cost
                 )
             )
         finally:
@@ -160,26 +152,8 @@ class HomaSocket:
         codec: MessageCodec,
         msg_id: int,
         cost: float,
-        timeout: Optional[float] = None,
     ) -> Generator[Any, Any, bytes]:
         event = self._await_response(msg_id, dest_addr, dest_port)
-        deadline = None
-        if timeout is not None:
-
-            def expire() -> None:
-                # Caller deadline: abandon the RPC.  The pending event may
-                # already be gone (response raced the deadline) -- no-op.
-                ev = self._pending.pop(msg_id, None)
-                if ev is None:
-                    return
-                self._cancel_response_timers(msg_id)
-                ev.fail(
-                    TransportError(
-                        f"RPC {msg_id} missed its {timeout * 1e6:.0f}us deadline"
-                    )
-                )
-
-            deadline = self.loop.timer_later(timeout, expire)
         yield from thread.work(cost)
         self.transport.kick(dest_addr, msg_id)
         config = self.transport.config
@@ -207,8 +181,6 @@ class HomaSocket:
                     event = self._await_response(msg_id, dest_addr, dest_port)
                     self.transport.recover_inbound(inbound)
         finally:
-            if deadline is not None:
-                deadline.cancel()
             self._cancel_response_timers(msg_id)
         ack_cost = 0.0
         if config.corruption_recovery:

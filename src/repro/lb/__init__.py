@@ -4,8 +4,7 @@ One logical service name fronts N replica hosts on the Clos fabric:
 :class:`ServiceRegistry` publishes health-gated membership through the
 internal DNS (TTL-bounded, §4.5.2's resolver doing double duty),
 :class:`HealthChecker` drives membership from probes with hysteresis
-damping, a pluggable :class:`Balancer` (consistent-hash or
-power-of-two-choices least-loaded) picks replicas, and
+damping, a :class:`ConsistentHashBalancer` ring picks replicas, and
 :class:`ConnectionDrainer` migrates sessions off replicas leaving
 rotation.  :class:`ServiceFrontend` ties it together and measures the
 paper-level reproduction target: DNS-distributed SMT-tickets accepted
@@ -14,25 +13,17 @@ paper-level reproduction target: DNS-distributed SMT-tickets accepted
 1-RTT fallback under per-replica shares.
 """
 
-from repro.lb.balancer import (
-    Balancer,
-    ConsistentHashBalancer,
-    LeastLoadedBalancer,
-    RandomBalancer,
-)
+from repro.lb.balancer import ConsistentHashBalancer
 from repro.lb.drain import ConnectionDrainer
 from repro.lb.frontend import FrontendSession, ReplicaServer, ServiceFrontend
 from repro.lb.health import HealthChecker
 from repro.lb.registry import ServiceRecord, ServiceRegistry, record_name
 
 __all__ = [
-    "Balancer",
     "ConnectionDrainer",
     "ConsistentHashBalancer",
     "FrontendSession",
     "HealthChecker",
-    "LeastLoadedBalancer",
-    "RandomBalancer",
     "ReplicaServer",
     "ServiceFrontend",
     "ServiceRecord",

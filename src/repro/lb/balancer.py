@@ -1,30 +1,18 @@
-"""Pluggable L4 balancing policies for the replicated-service front end.
+"""Consistent hashing: the front end's replica choice.
 
-Two families, mirroring the classic datacenter trade-off:
-
-- :class:`ConsistentHashBalancer` — a hash ring with virtual nodes.
-  Session/key affinity is stable under membership churn: removing one
-  replica remaps *only* the keys that replica owned (at most ~K/N of
-  them), everything else keeps its assignment.  The price is blindness
-  to load — a skewed key popularity concentrates traffic on whichever
-  replica owns the hot keys.
-- :class:`LeastLoadedBalancer` — power-of-two-choices over the callers'
-  outstanding-request counts (Mitzenmacher): sample two distinct
-  replicas, send to the less loaded.  Near-balanced max load at the cost
-  of no affinity.  :class:`RandomBalancer` is the single-choice baseline
-  the power-of-two property tests compare against.
-
-Every policy is deterministic: hashing uses keyed BLAKE2b, and the
-randomized policies draw from a caller-seeded ``random.Random``, so a
-given (seed, key sequence, membership sequence) replays identically.
+:class:`ConsistentHashBalancer` is a hash ring with virtual nodes.
+Session/key affinity is stable under membership churn: removing one
+replica remaps *only* the keys that replica owned (at most ~K/N of
+them), everything else keeps its assignment.  Hashing uses keyed
+BLAKE2b, so a given (key sequence, membership sequence) replays
+identically.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from bisect import bisect_right
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ProtocolError
 
@@ -41,28 +29,8 @@ def _key_bytes(key) -> bytes:
     return str(key).encode()
 
 
-class Balancer:
-    """Interface: pick one replica for ``key`` among ``replicas``.
-
-    ``outstanding`` maps replica id -> in-flight request count (the
-    load signal); affinity policies may ignore it.
-    """
-
-    name = "balancer"
-
-    def pick(
-        self,
-        key,
-        replicas: Sequence,
-        outstanding: Optional[Mapping] = None,
-    ):
-        raise NotImplementedError
-
-
-class ConsistentHashBalancer(Balancer):
+class ConsistentHashBalancer:
     """Ring hashing with ``vnodes`` virtual nodes per replica."""
-
-    name = "consistent-hash"
 
     def __init__(self, vnodes: int = 64):
         if vnodes < 1:
@@ -84,52 +52,10 @@ class ConsistentHashBalancer(Balancer):
             self._rings[replicas] = ring
         return ring
 
-    def pick(self, key, replicas, outstanding=None):
+    def pick(self, key, replicas: Sequence):
         if not replicas:
             raise ProtocolError("no live replicas to pick from")
         members = tuple(sorted(replicas, key=_key_bytes))
         hashes, owners = self._ring(members)
         idx = bisect_right(hashes, _hash64(_key_bytes(key), salt=b"lb-key"))
         return owners[idx % len(owners)]
-
-
-class LeastLoadedBalancer(Balancer):
-    """Power-of-two-choices on the outstanding-request counts."""
-
-    name = "least-loaded"
-
-    def __init__(self, seed: int = 0):
-        self.rng = random.Random(seed)
-
-    def pick(self, key, replicas, outstanding=None):
-        if not replicas:
-            raise ProtocolError("no live replicas to pick from")
-        n = len(replicas)
-        if n == 1:
-            return replicas[0]
-        loads = outstanding or {}
-        i = self.rng.randrange(n)
-        j = self.rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        a, b = replicas[i], replicas[j]
-        la, lb = loads.get(a, 0), loads.get(b, 0)
-        if la < lb:
-            return a
-        if lb < la:
-            return b
-        return a if i < j else b  # tie: deterministic lower-index choice
-
-
-class RandomBalancer(Balancer):
-    """Uniform single choice -- the baseline power-of-two beats."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0):
-        self.rng = random.Random(seed)
-
-    def pick(self, key, replicas, outstanding=None):
-        if not replicas:
-            raise ProtocolError("no live replicas to pick from")
-        return replicas[self.rng.randrange(len(replicas))]

@@ -1,8 +1,8 @@
-"""The replicated-service front end: session opens through the balancer.
+"""The replicated-service front end: session opens through the hash ring.
 
 :class:`ServiceFrontend` is the client-side machinery for one logical
 service: resolve the health-gated replica list through DNS (latency
-charged, staleness tolerated), let the pluggable balancer pick a
+charged, staleness tolerated), let its consistent-hash ring pick a
 replica, then open a session with the paper's 0-RTT machinery -- the
 DNS-distributed SMT-ticket (§4.5.2) against the *picked* replica's
 :class:`~repro.core.zero_rtt.ZeroRttServer`.
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.core.zero_rtt import ZeroRttClient, share_fingerprint
 from repro.errors import AuthenticationError, ProtocolError
+from repro.lb.balancer import ConsistentHashBalancer
 from repro.resilience.handshake import CLIENT_KEYGEN, HANDSHAKE_CPU, SERVER_KEYGEN
 
 
@@ -60,13 +61,8 @@ class FrontendSession:
     replica: object  # current replica id
     mode: str  # "0rtt" | "1rtt"
     opened_at: float
-    inflight: int = 0
     migrations: int = 0
     closed: bool = False
-
-    @property
-    def idle(self) -> bool:
-        return self.inflight == 0
 
 
 @dataclass
@@ -82,14 +78,13 @@ class _Counters:
 
 
 class ServiceFrontend:
-    """Balancer-driven session opens against one replicated service."""
+    """Hash-routed session opens against one replicated service."""
 
     def __init__(
         self,
         loop,
         registry,
         replicas: dict,
-        balancer,
         tickets,
         trust_roots,
         rtt: float = 10e-6,
@@ -100,7 +95,7 @@ class ServiceFrontend:
         self.registry = registry
         self.service = registry.service
         self.replicas = dict(replicas)  # rid -> ReplicaServer
-        self.balancer = balancer
+        self.balancer = ConsistentHashBalancer()
         self.tickets = tickets
         self.trust_roots = trust_roots
         self.rtt = rtt
@@ -112,7 +107,6 @@ class ServiceFrontend:
         )
         self.seed = seed
         self.counters = _Counters()
-        self.outstanding: dict = {rid: 0 for rid in self.replicas}
         self.draining: set = set()
         self.sessions: list[FrontendSession] = []
         self._by_rid: dict = {rid: set() for rid in self.replicas}
@@ -133,7 +127,7 @@ class ServiceFrontend:
         cands = self.candidates(exclude)
         if not cands:
             raise ProtocolError(f"no routable replica for {self.service!r}")
-        return self.balancer.pick(key, cands, self.outstanding)
+        return self.balancer.pick(key, cands)
 
     # -- session opens ---------------------------------------------------------
 
@@ -158,7 +152,7 @@ class ServiceFrontend:
         cands = [rid for rid in members if rid not in self.draining]
         if not cands:
             raise ProtocolError(f"no routable replica for {self.service!r}")
-        rid = self.balancer.pick(key, cands, self.outstanding)
+        rid = self.balancer.pick(key, cands)
         replica = self.replicas[rid]
         span = None
         if obs is not None:
@@ -225,14 +219,6 @@ class ServiceFrontend:
 
     # -- session bookkeeping ---------------------------------------------------
 
-    def note_start(self, session: FrontendSession) -> None:
-        session.inflight += 1
-        self.outstanding[session.replica] += 1
-
-    def note_done(self, session: FrontendSession) -> None:
-        session.inflight -= 1
-        self.outstanding[session.replica] -= 1
-
     def sessions_on(self, rid) -> list[FrontendSession]:
         return [
             s for s in self.sessions if s.sid in self._by_rid.get(rid, ()) and
@@ -244,12 +230,12 @@ class ServiceFrontend:
         self._by_rid[session.replica].discard(session.sid)
 
     def migrate(self, session: FrontendSession):
-        """Re-home an idle session off its current replica; returns the
-        new replica id, or ``None`` when nowhere else is routable."""
+        """Re-home a session off its current replica; returns the new
+        replica id, or ``None`` when nowhere else is routable."""
         cands = self.candidates(exclude=(session.replica,))
         if not cands:
             return None
-        new_rid = self.balancer.pick(session.key, cands, self.outstanding)
+        new_rid = self.balancer.pick(session.key, cands)
         self._by_rid[session.replica].discard(session.sid)
         self._by_rid[new_rid].add(session.sid)
         session.replica = new_rid

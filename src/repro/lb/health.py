@@ -3,27 +3,28 @@
 A naive checker (one missed probe -> down, one success -> up) turns any
 flapping replica into *herd migration*: every verdict flip republishes
 membership, consistent-hash reassigns the flapped replica's keys, and
-the whole key range it owns sloshes back and forth at probe frequency --
-the LB-oscillation failure mode.  :class:`HealthChecker` damps it with
-classic hysteresis: ``down_misses`` consecutive failures to declare
-down, ``up_successes`` consecutive successes to declare up, plus a
-``min_hold`` dwell after any transition during which further flips are
-suppressed (and counted).  An alternating pass/fail probe schedule
-produces *zero* transitions at thresholds >= 2 -- the no-flap invariant
-the property suite pins.
+the whole key range it owns sloshes back and forth at probe frequency.
+:class:`HealthChecker` damps it with hysteresis: :data:`DOWN_MISSES`
+consecutive failures to declare down, :data:`UP_SUCCESSES` consecutive
+successes to declare up.  An alternating pass/fail probe schedule
+produces *zero* transitions -- the no-flap invariant the property suite
+pins.
 
 Probes are oracle callables (e.g. ``DomainFaultController.is_host_up``)
 sampled every ``interval``; detection bound for a cleanly-dead replica
-is ``interval * down_misses``, mirroring
+is ``interval * DOWN_MISSES``, mirroring
 :class:`repro.resilience.heartbeat.HeartbeatMonitor`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import ProtocolError
+#: Consecutive failed probes that declare a replica down.
+DOWN_MISSES = 2
+#: Consecutive successful probes that declare it up again.
+UP_SUCCESSES = 2
 
 
 @dataclass
@@ -32,42 +33,25 @@ class _ReplicaHealth:
     up: bool = True
     ok_streak: int = 0
     fail_streak: int = 0
-    changed_at: float = field(default=float("-inf"))
 
 
 class HealthChecker:
     """Drives a :class:`ServiceRegistry`'s membership from probes."""
 
-    def __init__(
-        self,
-        loop,
-        registry,
-        interval: float,
-        down_misses: int = 2,
-        up_successes: int = 2,
-        min_hold: float = 0.0,
-    ):
-        if down_misses < 1 or up_successes < 1:
-            raise ProtocolError("hysteresis thresholds must be >= 1")
+    def __init__(self, loop, registry, interval: float):
         self.loop = loop
         self.registry = registry
         self.interval = interval
-        self.down_misses = down_misses
-        self.up_successes = up_successes
-        self.min_hold = min_hold
         self._targets: dict = {}  # rid -> _ReplicaHealth
         self.probes = 0
         self.transitions = 0
-        #: Verdict flips the dwell window swallowed (evidence the damping
-        #: is doing work, not that the replica is healthy).
-        self.suppressed_flaps = 0
         #: (virtual time, rid, "up"/"down") -- every committed transition.
         self.declarations: list[tuple[float, object, str]] = []
         self._periodic = None
 
     @property
     def detection_bound(self) -> float:
-        return self.interval * self.down_misses
+        return self.interval * DOWN_MISSES
 
     def watch(self, rid, probe: Callable[[], bool]) -> None:
         self._targets[rid] = _ReplicaHealth(probe=probe)
@@ -89,20 +73,16 @@ class HealthChecker:
             if st.probe():
                 st.ok_streak += 1
                 st.fail_streak = 0
-                if not st.up and st.ok_streak >= self.up_successes:
+                if not st.up and st.ok_streak >= UP_SUCCESSES:
                     self._flip(rid, st, True, now)
             else:
                 st.fail_streak += 1
                 st.ok_streak = 0
-                if st.up and st.fail_streak >= self.down_misses:
+                if st.up and st.fail_streak >= DOWN_MISSES:
                     self._flip(rid, st, False, now)
 
     def _flip(self, rid, st: _ReplicaHealth, up: bool, now: float) -> None:
-        if now - st.changed_at < self.min_hold:
-            self.suppressed_flaps += 1
-            return
         st.up = up
-        st.changed_at = now
         st.ok_streak = 0
         st.fail_streak = 0
         self.transitions += 1
@@ -113,4 +93,3 @@ class HealthChecker:
         m = obs.metrics
         m.gauge(f"{name}.health.probes", lambda: self.probes)
         m.gauge(f"{name}.health.transitions", lambda: self.transitions)
-        m.gauge(f"{name}.health.suppressed_flaps", lambda: self.suppressed_flaps)

@@ -27,11 +27,8 @@ The flavours, each a subclass that overrides only its seams:
 - :mod:`repro.load.tenant` — one stream per tenant over a shared
   :class:`repro.tenancy.TenantFabric`, a :class:`LoadResult` per tenant;
 - :mod:`repro.load.incident` — the run driven through a scripted
-  failure-domain incident: the call optionally wrapped in the resilience
-  kit, the books also kept per phase;
-- :mod:`repro.load.frontend` — a client subset sends, a ``repro.lb``
-  balancer picks each destination from a replica subset, the books also
-  kept per replica;
+  failure-domain incident, the books also kept per phase, and a
+  replica's revival answered by a §4.5 re-handshake storm;
 - :mod:`repro.load.shard` — one time domain's slice for
   :mod:`repro.sim.shard`: its own harness (same message mesh, a
   port-deterministic stream mesh), per-sender serials, pre-measured
@@ -50,7 +47,6 @@ from repro.load.distributions import (
     SizeDistribution,
 )
 from repro.load.engine import LoadResult, OpenLoopEngine, wire_bytes
-from repro.load.frontend import FrontendEngine, SkewedKeys
 from repro.load.incident import IncidentEngine, IncidentMetrics
 from repro.load.shard import (
     ShardedClusterHarness,
@@ -62,12 +58,10 @@ from repro.load.shard import (
 from repro.load.tenant import TenantLoadEngine, TenantWorkload
 
 __all__ = [
-    "FrontendEngine",
     "TenantLoadEngine",
     "TenantWorkload",
     "IncidentEngine",
     "IncidentMetrics",
-    "SkewedKeys",
     "SERVER_PORT",
     "SYSTEMS",
     "ClusterHarness",

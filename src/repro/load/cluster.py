@@ -324,18 +324,10 @@ class ClusterHarness:
         dst: int,
         thread,
         payload: bytes,
-        timeout: Optional[float] = None,
     ) -> Generator[Any, Any, bytes]:
-        """One RPC from host ``src`` to host ``dst``; returns the response.
-
-        ``timeout`` is a caller deadline, honoured by the message meshes
-        (homa/smt) via :meth:`HomaSocket.call`.  The stream meshes ignore
-        it: TCP's own retransmission owns the bytestream's fate, and a
-        deadline mid-record would desynchronise the pipelined framing.
-        """
+        """One RPC from host ``src`` to host ``dst``; returns the response."""
         if self._socks:
             return self._socks[src].call(
-                thread, self.hosts[dst].addr, SERVER_PORT, payload,
-                timeout=timeout,
+                thread, self.hosts[dst].addr, SERVER_PORT, payload
             )
         return self._stream_clients[(src, dst)].call(payload)

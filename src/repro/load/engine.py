@@ -14,18 +14,15 @@ list of :class:`Stream` s — each a size distribution, a load fraction,
 the call that carries its RPCs and the :class:`LoadResult` they are
 booked in — through one arrival loop, one RPC-measure body, one
 calibration loop and one drain.  The plain engine has one stream; the
-tenant engine has one per tenant.  What the other flavours really do
+tenant engine has one per tenant.  Every flavour sends each arrival to
+a host drawn uniformly from the others; what the flavours do
 differently sits behind small overridable seams:
 
-- ``_pick_dst(src, rng)`` — uniform over the other hosts; the front-end
-  engine asks a balancer;
 - ``_next_serial(src)`` — one global counter; the sharded engine
   namespaces serials per sender;
-- ``_invoke(...)`` — the call itself; the incident engine wraps it in
-  the resilience kit, the front-end engine counts it as outstanding;
 - ``_completed(...)`` / ``_failed(...)`` — the books, written from the
-  RPC's own values; phases, per-replica histograms and the sharded
-  completion records hang here;
+  RPC's own values; the incident phases and the sharded completion
+  records hang here;
 - ``_rack_of(index)`` — the path class of a host pair.
 
 The engine is deterministic end to end: per-(stream, sender)
@@ -46,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from repro.errors import ReproError
 from repro.load.cluster import (
@@ -232,18 +229,6 @@ class OpenLoopEngine:
         self._serial += 1
         return self._serial
 
-    def _pick_dst(self, src: int, rng: random.Random) -> Optional[int]:
-        """Destination for one arrival; ``None`` drops it unissued."""
-        dst = rng.randrange(self.num_hosts - 1)
-        if dst >= src:
-            dst += 1
-        return dst
-
-    def _invoke(self, stream: Stream, src, dst, thread, request, base: float):
-        """The generator that carries one request; ``base`` is the
-        request's unloaded RTT, for deadlines that scale with it."""
-        return stream.call(src, dst, thread, request)
-
     def _completed(self, stream: Stream, src, dst, size, serial, t0, slowdown):
         """Book one verified-or-counted response; ``t0`` is its issue time."""
         stream.result.slowdowns.record(slowdown)
@@ -331,9 +316,8 @@ class OpenLoopEngine:
         base = result.baseline_rtt[(size, self._is_cross(src, dst))]
         t0 = loop.now
         try:
-            response = yield from self._invoke(
-                stream, src, dst, thread,
-                build_request(serial, size, self.response_size), base,
+            response = yield from stream.call(
+                src, dst, thread, build_request(serial, size, self.response_size)
             )
         except ReproError:
             result.failed += 1
@@ -354,9 +338,10 @@ class OpenLoopEngine:
             yield loop.timeout(rng.expovariate(stream.rate))
             if loop.now >= end_time:
                 return
-            dst = self._pick_dst(src, rng)
-            if dst is None:
-                continue
+            # Uniform over the other hosts.
+            dst = rng.randrange(self.num_hosts - 1)
+            if dst >= src:
+                dst += 1
             size = stream.dist.sample(rng)
             serial = self._next_serial(src)
             result.issued += 1

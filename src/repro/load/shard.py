@@ -174,13 +174,11 @@ class ShardedClusterHarness:
         dst_g: int,
         thread,
         payload: bytes,
-        timeout: Optional[float] = None,
     ) -> Generator[Any, Any, bytes]:
         """One RPC from local host ``src_g`` to any host ``dst_g``."""
         if self._socks:
             return self._socks[src_g].call(
-                thread, self._addr_of[dst_g], SERVER_PORT, payload,
-                timeout=timeout,
+                thread, self._addr_of[dst_g], SERVER_PORT, payload
             )
         return self._stream_clients[(src_g, dst_g)].call(payload)
 

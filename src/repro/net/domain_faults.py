@@ -281,7 +281,7 @@ def domain_schedule_from_seed(
 
     Used by the domain-fault fuzz mode: incidents are sequential (one
     domain dead at a time), every kill is revived before the next
-    incident, and at least one spine always survives -- so retry budgets
+    incident, and at least one spine always survives -- so Homa's resends
     can always win eventually, while the mix covers spine, leaf and
     replica domains.  The same seed always yields the same schedule.
     """

@@ -1,35 +1,25 @@
-"""Client-side resilience kit for datacenter incidents.
+"""Failure detection and post-crash session re-establishment.
 
 The paper's transport fails *closed* (a session that cannot authenticate
-dies with :class:`~repro.errors.SessionFailedError`); what a datacenter
-client does next is an application-layer policy.  This package provides
-the standard kit -- retry budgets with exponential backoff and
-deterministic jitter (:mod:`repro.resilience.retry`), per-destination
-circuit breakers (:mod:`repro.resilience.breaker`), heartbeat-driven
-failure detection (:mod:`repro.resilience.heartbeat`), and a composed
-:class:`~repro.resilience.kit.ResilienceKit` that wraps any RPC
-generator with fail-fast and fallback hooks.  After a replica crash,
-:class:`~repro.resilience.handshake.SessionReestablisher` replays the
-paper's §4.5 handshake economics (pool draws, admission backpressure,
+dies with :class:`~repro.errors.SessionFailedError`).  This package holds
+what the failure-domain incidents need around it: heartbeat-driven
+failure detection (:mod:`repro.resilience.heartbeat`), which the spine
+watchers of :mod:`repro.net.domain_faults` run, and, after a replica
+crash, :class:`~repro.resilience.handshake.SessionReestablisher`, which
+replays the paper's §4.5 handshake economics (pool draws, admission
+backpressure with jittered backoff from :mod:`repro.resilience.retry`,
 Table 2 keygen terms) for the re-connection storm.
 
 Everything runs on the virtual clock with caller-supplied seeds, so an
 incident run replays identically -- including every jittered backoff.
 """
 
-from repro.resilience.breaker import BreakerState, CircuitBreaker
 from repro.resilience.handshake import SessionReestablisher
 from repro.resilience.heartbeat import HeartbeatMonitor
-from repro.resilience.kit import KitConfig, ResilienceKit
-from repro.resilience.retry import BackoffPolicy, RetryBudget
+from repro.resilience.retry import BackoffPolicy
 
 __all__ = [
     "BackoffPolicy",
-    "BreakerState",
-    "CircuitBreaker",
     "HeartbeatMonitor",
-    "KitConfig",
-    "ResilienceKit",
-    "RetryBudget",
     "SessionReestablisher",
 ]

@@ -55,27 +55,12 @@ class HeartbeatMonitor:
         self.probes = 0
         #: (virtual_time, "down" | "up") for every declaration.
         self.declarations: list[tuple[float, str]] = []
-        self._last_up_at: Optional[float] = None
         self._periodic = None
 
     @property
     def detection_bound(self) -> float:
         """Worst-case seconds from death to the ``down`` declaration."""
         return self.interval * self.miss_threshold
-
-    def down_since(self, t: float) -> bool:
-        """Was the target declared down at any instant since time ``t``?
-
-        Consumers use this to classify a failed attempt that *started* at
-        ``t``: if the target spent part of the attempt window declared
-        down, the failure is explained by the (already detected) outage
-        and says nothing about the target's health *now* -- so it should
-        not feed a circuit breaker, whose job is the silent failures
-        heartbeats cannot see.
-        """
-        if not self.up:
-            return True
-        return self._last_up_at is not None and self._last_up_at >= t
 
     def start(self) -> "HeartbeatMonitor":
         """Arm the periodic probe; returns ``self`` for chaining."""
@@ -94,7 +79,6 @@ class HeartbeatMonitor:
             self.misses = 0
             if not self.up:
                 self.up = True
-                self._last_up_at = self.loop.now
                 self.declarations.append((self.loop.now, "up"))
                 if self.on_up is not None:
                     self.on_up()

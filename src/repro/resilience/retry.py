@@ -1,12 +1,8 @@
-"""Retry budgets and exponential backoff with deterministic jitter.
+"""Exponential backoff with deterministic jitter.
 
-Unbounded retries turn a partial outage into a total one: every client
-multiplying its offered load by the retry count is the classic metastable
-failure.  :class:`RetryBudget` is the standard defence -- a token bucket
-where retries spend and successes refund a small fraction, so steady
-state affords occasional retries but a dead destination drains the
-bucket and further retries are denied.  :class:`BackoffPolicy` spaces
-the retries that are granted: exponential growth, a hard cap, and
+:class:`BackoffPolicy` spaces a client's retries -- the re-handshakes a
+revived replica's admission control refuses
+(:mod:`repro.resilience.handshake`): exponential growth, a hard cap, and
 *seeded* jitter so concurrent clients decorrelate without breaking
 replay.
 """
@@ -16,42 +12,6 @@ from __future__ import annotations
 import random
 
 from repro.errors import SimulationError
-
-
-class RetryBudget:
-    """Token bucket bounding retries relative to successes.
-
-    Invariant (property-tested): the token level never exceeds
-    ``capacity`` and never drops below zero, for *any* interleaving of
-    spends and refunds.  First attempts are free -- only retries spend.
-    """
-
-    def __init__(self, capacity: float = 32.0, refund: float = 0.1):
-        if capacity <= 0:
-            raise SimulationError(f"retry budget capacity must be > 0, got {capacity}")
-        if refund < 0:
-            raise SimulationError(f"retry refund must be >= 0, got {refund}")
-        self.capacity = float(capacity)
-        self.refund = float(refund)
-        self.tokens = self.capacity
-        self.spent = 0
-        self.denied = 0
-        self.refunded = 0.0
-
-    def try_spend(self) -> bool:
-        """Take one token for a retry; False means the retry is denied."""
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            self.spent += 1
-            return True
-        self.denied += 1
-        return False
-
-    def on_success(self) -> None:
-        """A call succeeded: refund a fraction of a token (capped)."""
-        credit = min(self.refund, self.capacity - self.tokens)
-        self.tokens += credit
-        self.refunded += credit
 
 
 class BackoffPolicy:

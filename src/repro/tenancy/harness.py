@@ -293,7 +293,6 @@ class TenantFabric:
         dst: int,
         thread,
         payload: bytes,
-        timeout: Optional[float] = None,
         shaped: bool = True,
     ) -> Generator[Any, Any, bytes]:
         """One tenant RPC ``src`` -> ``dst``, shaped at egress when isolated.
@@ -320,9 +319,7 @@ class TenantFabric:
         busy_key = (src, tenant_name, dst_addr)
         self._inflight[busy_key] = self._inflight.get(busy_key, 0) + 1
         try:
-            call = mesh.socks[src].call(
-                thread, dst_addr, mesh.port, payload, timeout=timeout
-            )
+            call = mesh.socks[src].call(thread, dst_addr, mesh.port, payload)
             del payload  # not held while the response is awaited
             response = yield from call
         finally:

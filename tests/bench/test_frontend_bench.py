@@ -2,9 +2,8 @@
 
 The replicated-service front end is a *test*-archetype deliverable: its
 deterministic bands (cross-replica 0-RTT acceptance 100% shared vs 0%
-per-replica, least-loaded p99 below consistent-hash p99 under skew, zero
-key mismatches, damped oscillation, graceful TTL staleness) are the
-acceptance criteria, so the quick run is asserted here as well as in the
+per-replica, zero key mismatches, complete drains, graceful TTL
+staleness) are the acceptance criteria, so the quick run is asserted here as well as in the
 CI perf-smoke job.
 """
 

@@ -3,7 +3,7 @@
 The noisy-neighbor experiment is the tenancy subsystem's acceptance
 gate: victim p99 strictly better with isolation on, every issued RPC
 completed in all four (tenant, mode) cells, zero integrity errors, and
-the dcache epilogue's exact counts.  The quick run is asserted here as
+no spill into the victim's session compartment.  The quick run is asserted here as
 well as in the CI perf-smoke job.
 """
 
@@ -25,7 +25,9 @@ class TestTenantBenchQuick:
         assert by_name[
             "integrity-fill errors across tenants and modes"
         ]["measured"] == 0
-        assert by_name["dcache: zero dirty keys after drain"]["measured"] == 0
+        assert by_name[
+            "victim session compartment evictions (both modes)"
+        ]["measured"] == 0
         # The report survives a JSON round-trip (the --json-dir path).
         assert result.report_json == json.loads(json.dumps(result.report_json))
 

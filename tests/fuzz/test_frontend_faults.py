@@ -34,7 +34,6 @@ from repro.crypto.ca import fixed_pki
 from repro.ctrl import CtrlConfig, SharedShareRotator, TicketCache
 from repro.dns.resolver import InternalDns
 from repro.lb import (
-    ConsistentHashBalancer,
     HealthChecker,
     ReplicaServer,
     ServiceFrontend,
@@ -107,15 +106,13 @@ def run_frontend_seed(seed: int):
     for h in replica_hosts:
         registry.register(h.addr)
     registry.start()
-    checker = HealthChecker(
-        bed.loop, registry, interval=20e-6, down_misses=2, up_successes=2
-    )
+    checker = HealthChecker(bed.loop, registry, interval=20e-6)
     for h in replica_hosts:
         checker.watch(h.addr, lambda addr=h.addr: controller.is_host_up(addr))
     checker.start()
     cache = TicketCache(dns, roots, refresh_margin=MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, ConsistentHashBalancer(), cache, roots,
+        bed.loop, registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=seed,
     )
     controller.on_replica_revive(

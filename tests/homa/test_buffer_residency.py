@@ -24,15 +24,14 @@ from repro.apps.rpc import RpcChannel
 from repro.bench.loaded import LOAD_HOMA_CONFIG
 from repro.bench.runner import build_rpc_harness, message_pair, stream_pairs
 from repro.homa.socket import InboundRpc
-from repro.lb.balancer import RandomBalancer
-from repro.load import FixedSize
+from repro.load import FixedSize, OpenLoopEngine
+from repro.load import engine as engine_module
 from repro.load.cluster import (
     ClusterHarness,
     build_request,
     serve_messages,
     serve_stream,
 )
-from repro.load.frontend import FrontendEngine, SkewedKeys
 from repro.tenancy import IsolationConfig, Tenant, TenantFabric
 from repro.testbed import ClosTestbed, Testbed
 
@@ -178,23 +177,29 @@ def test_cluster_call_releases_the_request(system):
     assert harness.server_integrity_errors == 0
 
 
-def test_frontend_invoke_releases_the_request():
+def test_engine_rpc_releases_the_request(monkeypatch):
+    # The load engine builds each request itself: watch the one it builds.
     bed = _pair()
     harness = ClusterHarness(bed, "smt", config=LOAD_HOMA_CONFIG)
-    engine = FrontendEngine(
-        harness, FixedSize(SIZE), load=0.3, duration=1e-4,
-        balancer=RandomBalancer(seed=5), clients=[0], replicas=[1],
-        keys=SkewedKeys(2),
-    )
+    engine = OpenLoopEngine(harness, FixedSize(SIZE), load=0.3, duration=1e-4)
     [stream] = engine.streams
-    thread = stream.thread_for(0, 1)
-    ref, proc = _send_and_watch(
-        bed, lambda box: engine._invoke(stream, 0, 1, thread, box.pop(), 1.0),
-        nic=harness.hosts[0].nic, request=build_request(1, SIZE, RESPONSE),
-    )
+    stream.result.baseline_rtt[(SIZE, False)] = 1.0
+    refs = []
+
+    def watched_request(serial, size, response_size):
+        buf = _Buffer(build_request(serial, size, response_size))
+        refs.append(weakref.ref(buf))
+        return buf
+
+    monkeypatch.setattr(engine_module, "build_request", watched_request)
+    proc = bed.loop.process(engine._one_rpc(stream, 0, 1, SIZE, 1))
+    _until_first_packet(bed, harness.hosts[0].nic)
+    assert not proc.triggered, "the response is already back"
+    [ref] = refs
     assert ref() is None
-    _finish(bed, proc)
-    assert engine.replica_outstanding[1] == 0
+    bed.loop.run(until=bed.loop.now + 1.0)
+    assert proc.triggered and proc.ok, getattr(proc, "value", "deadlock")
+    assert (stream.result.completed, stream.result.integrity_errors) == (1, 0)
     assert harness.server_integrity_errors == 0
 
 

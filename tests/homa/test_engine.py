@@ -368,6 +368,13 @@ class TestCodecContract:
         # hooks run, and rpc_finished runs when the call fails too.
         class Counting(PlainCodec):
             started = finished = gates = 0
+            refused = 1  # responses left to fail authentication
+
+            def decode(self, msg_id, wire):
+                if self.refused:
+                    self.refused -= 1
+                    raise AuthenticationError("response does not authenticate")
+                return super().decode(msg_id, wire)
 
             def tx_gate(self):
                 self.gates += 1
@@ -386,16 +393,16 @@ class TestCodecContract:
             codec_provider=lambda addr, port: codec,
         )
         ssock = HomaSocket(HomaTransport(bed.server), 6000)
+        echo_server(bed, ssock)
         failures = []
 
         def client():
             t = bed.client.app_thread(0)
-            try:  # no server process yet: the caller deadline expires
-                yield from csock.call(t, bed.server.addr, 6000, b"x" * 64, timeout=50e-6)
-            except TransportError as exc:
+            try:  # corruption_recovery is off: a bad response fails the call
+                yield from csock.call(t, bed.server.addr, 6000, b"x" * 64)
+            except AuthenticationError as exc:
                 failures.append(exc)
             assert (codec.started, codec.finished) == (1, 1)
-            echo_server(bed, ssock)
             response = yield from csock.call(t, bed.server.addr, 6000, b"y" * 64)
             assert response == b"y" * 64
 

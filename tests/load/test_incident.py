@@ -7,7 +7,6 @@ from repro.homa import HomaConfig
 from repro.load import ClusterHarness, FixedSize
 from repro.load.incident import PHASES, IncidentEngine
 from repro.net.domain_faults import IncidentEvent
-from repro.resilience import KitConfig, ResilienceKit
 from repro.testbed import ClosTestbed
 from repro.units import KB, USEC
 
@@ -36,14 +35,14 @@ def _spine_timeline():
     ]
 
 
-def _engine(bed, timeline, *, kit=None, watch=True, reestablish=False, **kw):
+def _engine(bed, timeline, *, watch=True, reestablish=False, **kw):
     harness = ClusterHarness(bed, "smt", config=CONFIG)
     controller = bed.domain_controller()
     if watch:
         controller.watch_spines(interval=15 * USEC, miss_threshold=2, resalt=True)
     return IncidentEngine(
         harness, FixedSize(2048), load=0.15, duration=DURATION,
-        controller=controller, timeline=timeline, kit=kit,
+        controller=controller, timeline=timeline,
         reestablish_sessions=reestablish, seed=7, **kw,
     )
 
@@ -92,14 +91,11 @@ class TestPhaseTagging:
         engine = _engine(_bed(), _spine_timeline())
         result = engine.run()
         m = engine.metrics
-        assert sum(m.phase_issued.values()) == result.issued
-        assert sum(m.phase_completed.values()) == result.completed
         assert sum(m.phase_failed.values()) == result.failed
+        assert sum(len(m.phase_slowdowns[p]) for p in PHASES) == result.completed
+        assert result.completed + result.failed == result.issued
         # The load ran long enough that every phase saw traffic.
-        assert all(m.phase_issued[p] > 0 for p in PHASES), m.phase_issued
-        # Histograms only hold completions of their own phase.
-        for p in PHASES:
-            assert len(m.phase_slowdowns[p]) == m.phase_completed[p]
+        assert all(len(m.phase_slowdowns[p]) > 0 for p in PHASES)
 
     def test_phase_is_keyed_on_issue_time(self):
         # An RPC issued before the fault counts as "before" even if its
@@ -132,28 +128,7 @@ class TestMetricFinalisation:
         assert m.recovery_time >= 0.0
         assert m.reconvergences >= 1
         assert m.blackholed >= 1
-        assert m.kit is None and m.rehandshake is None
-
-    def test_kit_metrics_reported_when_kit_on(self):
-        bed = _bed()
-        kit = ResilienceKit(
-            bed.loop,
-            KitConfig(attempt_timeout=150 * USEC, max_attempts=10,
-                      budget_capacity=1000.0, budget_refund=1.0),
-            seed=5,
-        )
-        engine = _engine(bed, _spine_timeline(), kit=kit)
-        result = engine.run()
-        m = engine.metrics
-        assert result.completed == result.issued
-        assert m.kit is not None
-        assert m.kit["calls"] == result.issued
-        assert set(m.kit) == {
-            "calls", "retries", "fail_fast", "parked", "exhausted",
-            "budget_denied",
-        }
-        # Per-destination heartbeats were armed for every host.
-        assert len(kit._monitors) == len(engine.harness.hosts)
+        assert m.rehandshake is None
 
     def test_replica_crash_reports_the_rehandshake_storm(self):
         bed = _bed(ctrl=True)

@@ -29,7 +29,6 @@ from repro.ctrl import CtrlConfig, SharedShareRotator, TicketCache
 from repro.dns.resolver import InternalDns
 from repro.lb import (
     ConnectionDrainer,
-    ConsistentHashBalancer,
     HealthChecker,
     ReplicaServer,
     ServiceFrontend,
@@ -109,16 +108,14 @@ def run_failover():
         registry.register(h.addr)
     registry.start()
     registry.bind_obs(obs)
-    checker = HealthChecker(
-        bed.loop, registry, interval=20e-6, down_misses=2, up_successes=2
-    )
+    checker = HealthChecker(bed.loop, registry, interval=20e-6)
     for h in replica_hosts:
         checker.watch(h.addr, lambda addr=h.addr: controller.is_host_up(addr))
     checker.start()
     checker.bind_obs(obs)
     cache = TicketCache(dns, roots, refresh_margin=MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, ConsistentHashBalancer(), cache, roots,
+        bed.loop, registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=17,
     )
     fe.bind_obs(obs)
@@ -141,7 +138,7 @@ def run_failover():
             k += 1
             yield bed.loop.timeout(OPEN_STEP)
         # Failover survived; drain the minter to close the scenario.
-        yield from drainer.drain(replica_hosts[0].addr)
+        drainer.drain(replica_hosts[0].addr)
 
     done = bed.loop.process(client())
     bed.run(until=HORIZON + 300 * USEC)

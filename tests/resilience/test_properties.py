@@ -3,13 +3,8 @@
 Each component carries one load-bearing invariant the incident machinery
 relies on:
 
-- :class:`RetryBudget`: the token count never exceeds capacity and never
-  goes negative, under arbitrary interleavings of spends and refunds --
-  so a retry storm's amplification is bounded by construction;
-- :class:`CircuitBreaker`: the state machine only ever moves
-  closed -> open -> half-open -> {closed, open}, trips after exactly
-  ``failure_threshold`` consecutive failures, and half-open admits at
-  most ``half_open_max_probes`` concurrent probes;
+- :class:`BackoffPolicy`: delays replay per seed, grow exponentially and
+  stay under the cap (plus jitter) -- the re-handshake storm's spacing;
 - :class:`HeartbeatMonitor`: a target that dies at ``t`` is declared
   down by ``t + interval * miss_threshold`` (the advertised
   ``detection_bound``), for every seed-randomised death time.
@@ -21,55 +16,10 @@ import random
 
 import pytest
 
-from repro.resilience import (
-    BackoffPolicy,
-    BreakerState,
-    CircuitBreaker,
-    HeartbeatMonitor,
-    RetryBudget,
-)
+from repro.resilience import BackoffPolicy, HeartbeatMonitor
 from repro.sim.event_loop import EventLoop
 
 SEEDS = list(range(30))
-
-
-class TestRetryBudgetInvariants:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_tokens_never_exceed_cap_nor_go_negative(self, seed):
-        rng = random.Random(seed)
-        capacity = rng.choice([1.0, 4.0, 32.0, 100.0])
-        refund = rng.choice([0.05, 0.1, 0.5, 1.0])
-        budget = RetryBudget(capacity=capacity, refund=refund)
-        spends = denials = 0
-        for _ in range(500):
-            if rng.random() < 0.6:
-                if budget.try_spend():
-                    spends += 1
-                else:
-                    denials += 1
-            else:
-                budget.on_success()
-            assert -1e-9 <= budget.tokens <= capacity + 1e-9, (
-                f"seed {seed}: tokens {budget.tokens} outside [0, {capacity}]"
-            )
-        assert budget.denied == denials
-        # Conservation: tokens = initial - spends + granted refunds, and
-        # refunds can never push past the cap.
-        assert budget.tokens <= capacity
-
-    def test_exhaustion_then_refund_cycle(self):
-        budget = RetryBudget(capacity=2.0, refund=1.0)
-        assert budget.try_spend() and budget.try_spend()
-        assert not budget.try_spend()  # empty: denied
-        budget.on_success()
-        assert budget.try_spend()  # refund re-enabled exactly one retry
-
-    def test_denied_spend_does_not_consume(self):
-        budget = RetryBudget(capacity=1.0, refund=0.0)
-        assert budget.try_spend()
-        before = budget.tokens
-        assert not budget.try_spend()
-        assert budget.tokens == before
 
 
 class TestBackoffPolicy:
@@ -88,85 +38,6 @@ class TestBackoffPolicy:
         assert policy.delay(3) == pytest.approx(80e-6)
         # Huge attempt numbers neither overflow nor exceed the cap.
         assert policy.delay(10_000) <= 1.0
-
-
-class TestBreakerStateMachine:
-    LEGAL = {
-        (BreakerState.CLOSED, BreakerState.OPEN),
-        (BreakerState.OPEN, BreakerState.HALF_OPEN),
-        (BreakerState.HALF_OPEN, BreakerState.CLOSED),
-        (BreakerState.HALF_OPEN, BreakerState.OPEN),
-    }
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_randomised_trace_only_takes_legal_transitions(self, seed):
-        rng = random.Random(seed * 131 + 1)
-        loop = EventLoop()
-        threshold = rng.choice([1, 2, 3, 5])
-        breaker = CircuitBreaker(
-            loop,
-            failure_threshold=threshold,
-            recovery_timeout=rng.choice([50e-6, 100e-6, 250e-6]),
-            half_open_max_probes=rng.choice([1, 2]),
-        )
-        consecutive = 0
-        for _ in range(400):
-            # Advance virtual time in random hops so the lazy half-open
-            # transition fires at arbitrary points of the trace.
-            loop.run(until=loop.now + rng.uniform(0, 120e-6))
-            if breaker.allow():
-                if rng.random() < 0.5:
-                    breaker.record_success()
-                    consecutive = 0
-                else:
-                    breaker.record_failure()
-                    consecutive += 1
-            if breaker.state == BreakerState.CLOSED and consecutive >= threshold:
-                raise AssertionError(
-                    f"seed {seed}: closed after {consecutive} consecutive failures"
-                )
-        for at, src, dst in breaker.transitions:
-            assert (src, dst) in self.LEGAL, (
-                f"seed {seed}: illegal transition {src} -> {dst} at {at}"
-            )
-
-    def test_trips_after_exactly_threshold_failures(self):
-        loop = EventLoop()
-        breaker = CircuitBreaker(loop, failure_threshold=3, recovery_timeout=1e-3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.trips == 1
-        assert not breaker.allow()
-
-    def test_half_open_admits_bounded_probes_then_closes(self):
-        loop = EventLoop()
-        breaker = CircuitBreaker(
-            loop, failure_threshold=1, recovery_timeout=100e-6,
-            half_open_max_probes=2,
-        )
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        loop.run(until=loop.now + 150e-6)
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert breaker.allow() and breaker.allow()
-        assert not breaker.allow()  # third concurrent probe refused
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_half_open_failure_reopens_with_fresh_timeout(self):
-        loop = EventLoop()
-        breaker = CircuitBreaker(
-            loop, failure_threshold=1, recovery_timeout=100e-6,
-        )
-        breaker.record_failure()
-        loop.run(until=loop.now + 150e-6)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.remaining_open_time() == pytest.approx(100e-6)
 
 
 class TestHeartbeatDetectionBound:
@@ -208,21 +79,3 @@ class TestHeartbeatDetectionBound:
         assert verdicts == ["down", "up"]
         up_at = [t for t, v in monitor.declarations if v == "up"][0]
         assert up_at - 200e-6 <= 20e-6 + 1e-12
-
-    def test_down_since_classifies_attempt_windows(self):
-        loop = EventLoop()
-        alive = [True]
-        monitor = HeartbeatMonitor(
-            loop, lambda: alive[0], interval=10e-6, miss_threshold=1,
-        ).start()
-        loop.call_later(25e-6, lambda _=None: alive.__setitem__(0, False))
-        loop.run(until=50e-6)
-        assert not monitor.up
-        assert monitor.down_since(0.0)  # currently down: any window overlaps
-        alive[0] = True
-        loop.run(until=70e-6)
-        assert monitor.up
-        # An attempt started before the up-declaration overlapped the
-        # outage; one started after did not.
-        assert monitor.down_since(20e-6)
-        assert not monitor.down_since(loop.now)

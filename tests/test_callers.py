@@ -45,7 +45,6 @@ KEPT: dict[str, str] = {
     # Reference models that tests compare the fast paths against.
     "repro.crypto.gcm:gf128_mul": "bitwise GF(2^128) multiply; GHASH's tables "
     "are tested against it",
-    "repro.lb.balancer:RandomBalancer": "the baseline of the p2c property tests",
     "repro.load.distributions:FixedSize": "the one-size distribution the load "
     "tests use as the trivial case",
     "repro.crypto.ec:_P256.negate": "group negation; the EC and ECDSA tests "
@@ -59,11 +58,6 @@ KEPT: dict[str, str] = {
     "tenant's compartment size; the partition property tests read it",
     "repro.ctrl.partition:PartitionedKeyPool.partition_capacity": "a tenant's "
     "key-pool slice; the partition property tests read it",
-    "repro.lb.frontend:ServiceFrontend.note_start": "in-flight accounting only "
-    "a unit test drives; no workload calls it, so every session reads idle "
-    "(a ROADMAP open item)",
-    "repro.lb.frontend:ServiceFrontend.note_done": "the other half of "
-    "note_start",
     # Fuzz support.
     "repro.net.faults:schedule_from_seed": "seeded link-fault schedules for the "
     "fuzz suites",
@@ -86,8 +80,6 @@ KEPT: dict[str, str] = {
     "the incident golden and fuzz tests diff",
     "repro.lb.registry:ServiceRegistry.is_healthy": "health accessor the "
     "registry tests read",
-    "repro.load.frontend:SkewedKeys.hot_share": "probability mass of the hot "
-    "keys; the skew tests read it",
     "repro.net.clos:ClosFabric.routing_spines": "the spines ECMP hashes over; "
     "the reconvergence tests read it",
     "repro.net.clos:ClosFabric.spine_for": "the spine a flow hashes to; the "

@@ -63,11 +63,6 @@ class TestExamples:
         assert "integrity errors 0" in out
         assert "OK: loaded leaf-spine fabric" in out
 
-    def test_incident_drill(self, capsys):
-        out = run_example("incident_drill.py", capsys)
-        assert "3 re-handshakes" in out
-        assert "OK: incident drill survived" in out
-
     def test_replica_frontend(self, capsys):
         out = run_example("replica_frontend.py", capsys)
         assert "5/5 cross-replica accepted" in out

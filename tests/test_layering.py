@@ -47,7 +47,7 @@ DEFERRED = {
         "observability: loaded when ShardPlan.observe is set"
     ),
     ("repro.net.domain_faults", "repro.resilience.heartbeat"): (
-        "heartbeat detection: loaded by enable_heartbeat_detection() only"
+        "heartbeat detection: loaded by watch_spines() only"
     ),
 }
 

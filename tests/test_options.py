@@ -45,11 +45,6 @@ KEPT: dict[str, str] = {
     "and the session-table tests start empty so keygen runs inline",
     "HandshakeConfig.short_chain": "§4.5.1 short certificate chain, a paper "
     "mechanism Table 2 prices; the handshake tests run it end to end",
-    "KitConfig.heartbeat_interval": "the kit tests pin detection and recovery "
-    "instants with a one-probe 10 us failure detector",
-    "KitConfig.heartbeat_miss_threshold": "the other half of that detector",
-    "KitConfig.recovery_splay": "the kit tests turn the splay off to pin "
-    "recovery instants, and bound it at a set width",
 }
 
 
