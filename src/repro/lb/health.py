@@ -49,10 +49,6 @@ class HealthChecker:
         self.declarations: list[tuple[float, object, str]] = []
         self._periodic = None
 
-    @property
-    def detection_bound(self) -> float:
-        return self.interval * DOWN_MISSES
-
     def watch(self, rid, probe: Callable[[], bool]) -> None:
         self._targets[rid] = _ReplicaHealth(probe=probe)
 

@@ -11,18 +11,14 @@ hosts, NICs and fabric slices, so it is a layer of its own above
 imports it -- ``tests/test_layering.py`` holds both.
 """
 
-from repro.sim.shard.boundary import OutboundQueue, decode_batch, encode_message
 from repro.sim.shard.domain import DomainResult, ShardDomain
 from repro.sim.shard.plan import ShardPlan
 from repro.sim.shard.runner import ShardRunner, ShardRunResult
 
 __all__ = [
     "DomainResult",
-    "OutboundQueue",
     "ShardDomain",
     "ShardPlan",
     "ShardRunner",
     "ShardRunResult",
-    "decode_batch",
-    "encode_message",
 ]

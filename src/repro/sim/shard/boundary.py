@@ -1,20 +1,21 @@
-"""Cross-domain packet transport: plain encoded bytes, nothing else.
+"""Cross-domain packet transport: records in process, bytes on a pipe.
 
-Packets crossing a domain boundary are serialised to their exact wire
-bytes (:meth:`Packet.encode`) plus a small shard header carrying what the
-wire does not: the spine the source leaf steered the packet to, the
-departure/arrival virtual times, and the two out-of-band flags receive
-paths consult (``trimmed`` for capture verdicts, ``segment_end`` for TCP
-GRO flush boundaries).  Everything else in ``Packet.meta`` is transmit-
-side scratch and must not survive the hop -- exactly like a real wire.
+A packet crossing a domain boundary travels as a record ``(arrival,
+departure, seq, spine, packet)``, ``seq`` being the source's emission
+order and ``packet`` a wire-faithful copy: the same headers (IPv4
+``total_len`` normalised, as :meth:`Packet.encode` writes it) and
+payload, and a fresh ``meta`` with only the two flags receive paths
+consult (``trimmed`` for capture verdicts, ``segment_end`` for TCP GRO
+flush boundaries).  The rest of the sender's ``meta`` is transmit-side
+scratch and does not survive the hop -- exactly like a real wire.
 
-A window's worth of messages to one destination domain is concatenated
-into a single blob, so the ``multiprocessing`` carrier ships one bytes
-object per (source, destination, window) regardless of packet count.
+Only a pipe needs bytes: :meth:`OutboundQueue.drain` packs a window's
+records to one destination into one blob (:func:`encode_message`'s
+shard header plus exact wire bytes per record), and :func:`decode_batch`
+unpacks equal records on the far side.
 
-Determinism: the decoder returns records tagged with departure time and
-intra-blob sequence, and :func:`merge_batches` orders the combined inbox
-by ``(arrival, departure, source domain, sequence)`` -- the same order a
+Determinism: :func:`merge_batches` orders the combined inbox by
+``(arrival, departure, source domain, sequence)`` -- the same order a
 shared heap would have produced for distinct departure times, and a
 stable, seeded order for exact ties.
 """
@@ -59,7 +60,6 @@ def decode_batch(blob: bytes) -> list[tuple[float, float, int, int, Packet]]:
     """
     out = []
     off = 0
-    seq = 0
     size = _MSG.size
     view = memoryview(blob)  # Packet.decode copies each payload, and only that
     while off < len(blob):
@@ -71,57 +71,63 @@ def decode_batch(blob: bytes) -> list[tuple[float, float, int, int, Packet]]:
             packet.meta["trimmed"] = True
         if flags & _FLAG_HAS_SEGMENT_END:
             packet.meta["segment_end"] = bool(flags & _FLAG_SEGMENT_END)
-        out.append((arrival, departure, seq, spine, packet))
-        seq += 1
+        out.append((arrival, departure, len(out), spine, packet))
     return out
 
 
 def merge_batches(
-    batches: list[tuple[int, bytes]],
+    batches: list[tuple[int, list]],
 ) -> list[tuple[float, int, Packet]]:
     """Order a barrier's inbox for injection: ``(arrival, spine, packet)``.
 
-    ``batches`` is ``[(source_domain, blob), ...]``.  Sorting by
+    ``batches`` is ``[(source_domain, records), ...]``.  Sorting by
     ``(arrival, departure, source, seq)`` reproduces the shared-loop
     schedule whenever departure times differ (they are the times the
     single-loop run would have filed the delivery events at) and breaks
     exact float ties by source identity, which is stable across reruns.
     """
-    records = []
-    for src_domain, blob in batches:
-        for arrival, departure, seq, spine, packet in decode_batch(blob):
-            records.append((arrival, departure, src_domain, seq, spine, packet))
+    records = [
+        (arrival, departure, src_domain, seq, spine, packet)
+        for src_domain, batch in batches
+        for arrival, departure, seq, spine, packet in batch
+    ]
     records.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     return [(arrival, spine, packet) for arrival, _, _, _, spine, packet in records]
 
 
 class OutboundQueue:
-    """Per-window accumulator of boundary messages, one blob per dest.
-
-    Also tracks the earliest arrival per destination so the coordinator
-    can bound the next window without decoding any blob.
-    """
+    """Per-window accumulator of boundary records, one list per dest."""
 
     def __init__(self) -> None:
-        self._parts: dict[int, list[bytes]] = {}
-        self._min_arrival: dict[int, float] = {}
+        self._records: dict[int, list] = {}
 
     def emit(
         self, dest: int, spine: int, packet: Packet, departure: float, arrival: float
     ) -> None:
-        self._parts.setdefault(dest, []).append(
-            encode_message(spine, packet, departure, arrival)
-        )
-        prior = self._min_arrival.get(dest)
-        if prior is None or arrival < prior:
-            self._min_arrival[dest] = arrival
+        meta = packet.meta
+        handoff = {"trimmed": True} if meta.get("trimmed") else {}
+        segment_end = meta.get("segment_end")
+        if segment_end is not None:
+            handoff["segment_end"] = bool(segment_end)
+        ip = packet.ip
+        if ip.total_len != packet.size:
+            ip = ip._replace(total_len=packet.size)
+        copy = Packet(ip, packet.transport, packet.payload, handoff)
+        records = self._records.setdefault(dest, [])
+        records.append((arrival, departure, len(records), spine, copy))
+
+    def take(self) -> dict[int, tuple[list, float]]:
+        """``{dest: (records, min_arrival)}`` for this window, then reset."""
+        out = {dest: (records, min(r[0] for r in records))
+               for dest, records in self._records.items()}
+        self._records = {}
+        return out
 
     def drain(self) -> dict[int, tuple[bytes, float]]:
-        """``{dest: (blob, min_arrival)}`` for this window, then reset."""
-        out = {
-            dest: (b"".join(parts), self._min_arrival[dest])
-            for dest, parts in self._parts.items()
+        """:meth:`take` with each destination's records as one wire blob."""
+        return {
+            dest: (b"".join(encode_message(spine, packet, departure, arrival)
+                            for arrival, departure, _, spine, packet in records),
+                   min_arrival)
+            for dest, (records, min_arrival) in self.take().items()
         }
-        self._parts.clear()
-        self._min_arrival.clear()
-        return out

@@ -98,13 +98,12 @@ class ShardDomain:
 
     # -- stepping (driven by the runner) ------------------------------------------
 
-    def run_window(self, until: float) -> dict[int, tuple[bytes, float]]:
-        """Advance to the barrier at ``until``; return outbound blobs."""
+    def run_window(self, until: float) -> None:
+        """Advance to the barrier at ``until``; records wait in ``outbound``."""
         self.loop.run(until=until)
-        return self.outbound.drain()
 
-    def inject(self, batches: list[tuple[int, bytes]]) -> None:
-        """Deliver a barrier's cross-domain inbox in deterministic order."""
+    def inject(self, batches: list[tuple[int, list]]) -> None:
+        """Deliver ``[(source_domain, records), ...]`` in deterministic order."""
         if not batches:
             return
         for arrival, spine, packet in merge_batches(batches):

@@ -23,7 +23,8 @@ Two carriers execute the same protocol:
   bench's event count exactly.
 - ``multiprocessing``: one worker process per domain, coordinated over
   pipes in a star.  Only the plan, window commands, encoded packet blobs
-  and picklable results cross the pipes.
+  and picklable results cross the pipes: workers run the boundary codec,
+  so the coordinator routes records and blobs alike, unopened.
 
 Determinism: every domain's computation is a pure function of (plan,
 domain id, injected batches, barrier sequence), the coordinator computes
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import SimulationError
+from repro.sim.shard.boundary import decode_batch
 from repro.sim.shard.domain import DomainResult, ShardDomain, resolve_workload_factory
 from repro.sim.shard.plan import ShardPlan
 
@@ -103,10 +105,8 @@ class _InProcessDomain:
 
     def begin(self, until: float, inbox: list) -> None:
         self._domain.inject(inbox)
-        out = self._domain.run_window(until)
-        self._pending = (
-            out, self._domain.next_event_time(), self._domain.workload_done()
-        )
+        self._domain.run_window(until)
+        self._pending = (self._domain.outbound.take(), *self.poll())
 
     def end(self):
         pending, self._pending = self._pending, None
@@ -124,8 +124,9 @@ def _domain_worker(conn, plan, domain, factory, args):
         msg = conn.recv()
         if msg[0] == "window":
             _, until, inbox = msg
-            shard.inject(inbox)
-            out = shard.run_window(until)
+            shard.inject([(src, decode_batch(blob)) for src, blob in inbox])
+            shard.run_window(until)
+            out = shard.outbound.drain()  # records -> one wire blob per dest
             conn.send(("out", out, shard.next_event_time(), shard.workload_done()))
         elif msg[0] == "finish":
             conn.send(("result", shard.result()))
@@ -223,8 +224,8 @@ class ShardRunner:
             pending_arrivals = [None] * len(handles)
             for src, handle in enumerate(handles):
                 out, nexts[src], dones[src] = handle.end()
-                for dest, (blob, min_arrival) in out.items():
-                    inboxes[dest].append((src, blob))
+                for dest, (batch, min_arrival) in out.items():
+                    inboxes[dest].append((src, batch))
                     prior = pending_arrivals[dest]
                     if prior is None or min_arrival < prior:
                         pending_arrivals[dest] = min_arrival

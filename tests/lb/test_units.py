@@ -144,7 +144,7 @@ class TestDrainerDeregister:
         drainer = ConnectionDrainer(loop, fe)
         assert drainer.drain("r0", deregister=True) == 1
         assert fe.registry.members() == ("r1", "r2")
-        assert drainer.log == [(loop.now, "r0", 1)] or drainer.log[0][1] == "r0"
+        assert drainer.log == [(0.0, "r0", 1)]
 
 
 class TestConsistentHashBalancer:

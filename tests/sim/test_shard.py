@@ -20,7 +20,14 @@ from repro.load.shard import (
     merge_load_results,
     merged_requests_served,
 )
-from repro.net.headers import IPv4Header, TransportHeader
+from repro.net.headers import (
+    HEADERS_SIZE,
+    PROTO_SMT,
+    PROTO_TCP,
+    IPv4Header,
+    PacketType,
+    TransportHeader,
+)
 from repro.net.packet import Packet
 from repro.sim.event_loop import EventLoop
 from repro.sim.shard import ShardPlan, ShardRunner
@@ -220,16 +227,140 @@ class TestBoundaryCodec:
         q0.emit(0, 0, self._packet(), 0.5, 2.0)
         q0.emit(0, 1, self._packet(), 0.1, 1.0)
         q1.emit(0, 0, self._packet(), 0.2, 1.0)
-        (blob0, min0) = q0.drain()[0]
-        (blob1, min1) = q1.drain()[0]
+        (records0, min0) = q0.take()[0]
+        (records1, min1) = q1.take()[0]
         assert (min0, min1) == (1.0, 1.0)
-        merged = merge_batches([(1, blob1), (0, blob0)])
+        merged = merge_batches([(1, records1), (0, records0)])
         arrivals = [arrival for arrival, _, _ in merged]
         assert arrivals == [1.0, 1.0, 2.0]
         # Tie at arrival 1.0 breaks by departure time: q0's message left
         # at 0.1, q1's at 0.2, matching shared-loop scheduling order.
         assert merged[0][1] == 1  # spine of q0's arrival-1.0 message
         assert merged[1][1] == 0  # then q1's
+
+
+_SRC, _DST = 0x0A010001, 0x0A020001
+#: One sealed message, as the transmit path holds it: packets are views.
+_WIRE = memoryview(bytes(range(256)) * 12).toreadonly()
+
+
+def _crossing(proto, transport, payload=b"", meta=None, total_len=None):
+    size = HEADERS_SIZE + len(payload)
+    ip = IPv4Header(_SRC, _DST, proto, size if total_len is None else total_len,
+                    ipid=5)
+    return Packet(ip, transport, payload, meta)
+
+
+def _homa(pkt_type, **fields):
+    return TransportHeader(40000, 5000, 77, pkt_type, **fields)
+
+
+def _tcp(pkt_type, seq):
+    return TransportHeader(40001, 443, seq, pkt_type, msg_len=1400)
+
+
+#: Every kind of packet that crosses a cut, as its sender hands it over.
+CROSSING = {
+    "homa_data_first": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.DATA, msg_len=3072, priority=3),
+        _WIRE[:1400], {"segment_end": False}),
+    "homa_data_later": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.DATA, msg_len=3072, tso_offset=2800),
+        _WIRE[2800:], {"segment_end": True}),
+    "homa_data_retransmit": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.DATA, msg_len=3072, tso_offset=1400,
+                         retransmit_offset=1400, resend_packet_offset=1),
+        _WIRE[1400:2800], {"segment_end": True}),
+    "grant": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.GRANT, grant_offset=2800, priority=7),
+        meta={"segment_end": True}),
+    "resend": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.RESEND, tso_offset=1400, msg_len=1400,
+                         priority=7), meta={"segment_end": True}),
+    "ack": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.ACK, msg_len=2, priority=7),
+        (77).to_bytes(8, "big") + (78).to_bytes(8, "big"),
+        {"segment_end": True}),
+    "tcp_data_segment_end": lambda: _crossing(
+        PROTO_TCP, _tcp(PacketType.DATA, 1_000_000), _WIRE[:1400],
+        {"segment_end": True}),
+    "tcp_data_mid_segment": lambda: _crossing(
+        PROTO_TCP, _tcp(PacketType.DATA, 1_001_400), _WIRE[1400:2800],
+        {"segment_end": False}),
+    "tcp_ack": lambda: _crossing(
+        PROTO_TCP, _tcp(PacketType.ACK, 1_002_800), meta={"segment_end": True}),
+    # A switch trims the payload but keeps the old IPv4 header.
+    "trimmed": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.DATA, msg_len=3072, priority=7), b"",
+        {"segment_end": False, "trimmed": True},
+        total_len=HEADERS_SIZE + 1400),
+    "scratch_meta": lambda: _crossing(
+        PROTO_SMT, _homa(PacketType.DATA, msg_len=3072), _WIRE[:1400],
+        {"segment_end": True, "obs_span": object(), "tenant": "victim"}),
+}
+
+
+def _same_packet(handed, wired):
+    assert handed.ip == wired.ip
+    assert handed.transport == wired.transport
+    assert type(handed.transport.pkt_type) is type(wired.transport.pkt_type)
+    assert bytes(handed.payload) == bytes(wired.payload)
+    assert handed.meta == wired.meta
+    assert (handed.size, handed.wire_size) == (wired.size, wired.wire_size)
+
+
+class TestCarrierEquivalence:
+    """The in-process handoff delivers what the wire codec would."""
+
+    @pytest.mark.parametrize("kind", sorted(CROSSING))
+    def test_handoff_equals_wire_round_trip(self, kind):
+        packet = CROSSING[kind]()
+        queue = OutboundQueue()
+        queue.emit(2, 1, packet, 2.5e-6, 3.0e-6)
+        [handed] = queue.take()[2][0]
+        [wired] = decode_batch(encode_message(1, packet, 2.5e-6, 3.0e-6))
+        assert handed[:4] == wired[:4] == (3.0e-6, 2.5e-6, 0, 1)
+        _same_packet(handed[4], wired[4])
+        # The pipe carrier's path: the same records, drained to one blob.
+        queue.emit(2, 1, packet, 2.5e-6, 3.0e-6)
+        [(blob, min_arrival)] = queue.drain().values()
+        [piped] = decode_batch(blob)
+        assert min_arrival == 3.0e-6 and piped[:4] == wired[:4]
+        _same_packet(piped[4], wired[4])
+
+    def test_sender_meta_changes_after_emit_are_invisible(self):
+        packet = CROSSING["scratch_meta"]()
+        queue = OutboundQueue()
+        queue.emit(0, 0, packet, 1.0, 2.0)
+        packet.meta["segment_end"] = False
+        packet.meta["trimmed"] = True
+        del packet.meta["obs_span"]
+        [(_, _, _, _, handed)] = queue.take()[0][0]
+        assert handed.meta == {"segment_end": True}
+        handed.meta["obs_span"] = "receiver scratch"
+        assert "obs_span" not in packet.meta
+
+    def test_loaded_run_handoffs_equal_the_codec(self, monkeypatch):
+        """Every packet a real 2-domain run sends across, both transports."""
+        emit = OutboundQueue.emit
+        checked = []
+
+        def checking_emit(queue, dest, spine, packet, departure, arrival):
+            emit(queue, dest, spine, packet, departure, arrival)
+            handed = queue._records[dest][-1]
+            [wired] = decode_batch(
+                encode_message(spine, packet, departure, arrival)
+            )
+            assert handed[0:2] == wired[0:2] and handed[3] == wired[3]
+            _same_packet(handed[4], wired[4])
+            checked.append(packet.transport.pkt_type)
+
+        monkeypatch.setattr(OutboundQueue, "emit", checking_emit)
+        plan = ShardPlan(num_racks=2, hosts_per_rack=2, num_spines=2)
+        for system in ("smt", "tcp"):
+            baselines = measure_baselines(plan, system, HOMA_W4)
+            _loaded_signature(plan, 2, system, 5, baselines)
+        assert {PacketType.DATA, PacketType.GRANT, PacketType.ACK} <= set(checked)
 
 
 class TestNextEventTime:
