@@ -15,13 +15,10 @@ from typing import Optional
 from repro.core.seqspace import BitAllocation
 from repro.crypto.aead import shared_aead
 from repro.errors import ProtocolError
+from repro.homa.idwindow import ReplayWindow
 from repro.nic.tls_offload import RecordDescriptor, ResyncDescriptor
 from repro.tls.keyschedule import TrafficKeys
 from repro.tls.record import RecordProtection
-
-# Receiver-side ID filter: remember this many trailing message IDs exactly;
-# anything older than the watermark is rejected as a replay.
-REPLAY_WINDOW_IDS = 65536
 
 
 class SmtSession:
@@ -50,10 +47,9 @@ class SmtSession:
         self.read_protection = RecordProtection(
             shared_aead(aead_kind, read_keys.key), read_keys.iv
         )
-        # Replay defence for inbound message IDs.
-        self._seen_ids: set[int] = set()
-        self._watermark = -1  # IDs <= watermark are rejected outright
-        self._max_seen = -1
+        # Replay defence for inbound message IDs: the trailing window
+        # exactly, anything below its watermark outright.
+        self.seen_ids = ReplayWindow()
         self.replays_rejected = 0
         self.messages_forgiven = 0
         # Host shadow of per-queue NIC flow contexts (offload mode).
@@ -86,7 +82,7 @@ class SmtSession:
         m.gauge(f"{prefix}.messages_forgiven", lambda: self.messages_forgiven)
         m.gauge(f"{prefix}.resyncs_issued", lambda: self.resyncs_issued)
         m.gauge(f"{prefix}.rekeys", lambda: self.rekeys)
-        m.gauge(f"{prefix}.ids_tracked", lambda: len(self._seen_ids))
+        m.gauge(f"{prefix}.ids_tracked", lambda: len(self.seen_ids))
 
     # -- control-plane hooks ---------------------------------------------------
 
@@ -125,9 +121,7 @@ class SmtSession:
         self.read_protection = RecordProtection(
             shared_aead(self.aead_kind, read_keys.key), read_keys.iv
         )
-        self._seen_ids.clear()
-        self._watermark = -1
-        self._max_seen = -1
+        self.seen_ids.clear()
         self._queue_expected.clear()
         if self.id_space is not None:
             self.id_space.reset()
@@ -142,19 +136,11 @@ class SmtSession:
 
     def accept_message(self, msg_id: int) -> bool:
         """True exactly once per message ID (paper §6.1 non-replayability)."""
-        if msg_id <= self._watermark or msg_id in self._seen_ids:
+        if not self.seen_ids.add(msg_id):
             self.replays_rejected += 1
             return False
         if self.on_activity is not None:
             self.on_activity()
-        self._seen_ids.add(msg_id)
-        self._max_seen = max(self._max_seen, msg_id)
-        # Prune with hysteresis: once the exact set doubles the window,
-        # advance the watermark to one window below the newest ID so each
-        # prune pays O(window) only every O(window) inserts.
-        if len(self._seen_ids) > 2 * REPLAY_WINDOW_IDS:
-            self._watermark = max(self._watermark, self._max_seen - REPLAY_WINDOW_IDS)
-            self._seen_ids = {i for i in self._seen_ids if i > self._watermark}
         return True
 
     def forgive_message(self, msg_id: int) -> bool:
@@ -167,9 +153,9 @@ class SmtSession:
         already folded below the pruning watermark cannot be selectively
         forgiven; the session stays fail-closed for those (returns False).
         """
-        if msg_id <= self._watermark:
+        if msg_id <= self.seen_ids.watermark:
             return False
-        self._seen_ids.discard(msg_id)
+        self.seen_ids.discard(msg_id)
         self.messages_forgiven += 1
         return True
 

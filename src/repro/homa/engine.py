@@ -15,6 +15,7 @@ from typing import Optional
 from repro.errors import ProtocolError, TransportError
 from repro.homa.codec import EncodedMessage, MessageCodec, SegmentPlan
 from repro.homa.constants import HomaConfig
+from repro.homa.idwindow import IdWindow
 from repro.homa.message import InboundMessage, OutboundMessage
 from repro.host.cpu import discard, per_item
 from repro.net.headers import PROTO_HOMA, PacketType, TransportHeader
@@ -35,9 +36,10 @@ GRANT_REFILL_FRACTION = 0.5
 CONTROL_PRIORITY = 7
 UNSCHEDULED_PRIORITY = 6
 
-#: Delivered message IDs a transport remembers.  The oldest is forgotten
-#: first, so a late duplicate of any of the newest this many is ignored.
-DELIVERED_MEMORY = 100_000
+#: Peer sockets whose delivered IDs a transport remembers.  Past it the
+#: least recently delivered-to peer's window is dropped whole, so a flood
+#: of forged source addresses costs at most this many windows.
+MAX_PEER_WINDOWS = 4096
 
 
 class HomaTransport:
@@ -54,9 +56,9 @@ class HomaTransport:
         # Outbound keyed by (peer, msg_id); inbound by (peer, port, id).
         self._outbound: dict[tuple[int, int], OutboundMessage] = {}
         self._inbound: dict[tuple[int, int, int], InboundMessage] = {}
-        # Insertion-ordered, bounded at DELIVERED_MEMORY keys (a plain dict:
-        # an OrderedDict's linked list more than doubles its size).
-        self._delivered: dict[tuple[int, int, int], None] = {}
+        # Delivered IDs per peer socket (addr, port), least recently
+        # delivered-to first; a late copy of a delivered message is ignored.
+        self.delivered_ids: dict[tuple[int, int], IdWindow] = {}
         self._next_msg_id = 2
         # Lazily-batched ACKs (Homa/Linux acks lazily; responses implicitly
         # ack their requests): peer -> (local_port, peer_port, [msg ids]).
@@ -84,6 +86,9 @@ class HomaTransport:
         # observability (see _rx_counters).
         self._rx_obs = None
         self._rx_bound: dict = {}
+        # The retransmit counter, bound the same way on first use.
+        self._retx_obs = None
+        self._retx_counter = None
 
     # -- socket registry ---------------------------------------------------------
 
@@ -107,17 +112,14 @@ class HomaTransport:
             raise TransportError("message ID space exhausted for this session")
         return msg_id
 
-    def forget_delivered(self, peer_addr: int, peer_port: int) -> int:
+    def forget_delivered(self, peer_addr: int, peer_port: int) -> None:
         """Drop delivered-ID memory for one peer socket (rekey support).
 
         A rekey resets the session's message-ID space, so previously seen
         IDs from that peer become valid again; without this purge the
         engine would treat the new epoch's messages as spurious duplicates.
         """
-        stale = [k for k in self._delivered if k[0] == peer_addr and k[1] == peer_port]
-        for key in stale:
-            del self._delivered[key]
-        return len(stale)
+        self.delivered_ids.pop((peer_addr, peer_port), None)
 
     # -- packet path -----------------------------------------------------------------
     #
@@ -367,9 +369,14 @@ class HomaTransport:
     def _handle_data(self, packet: Packet) -> Optional[float]:
         t = packet.transport
         key = (packet.ip.src_addr, t.src_port, t.msg_id)
-        if key in self._delivered:
-            self.spurious_ignored += 1
-            return None
+        # A message in progress is looked up first, so a window's prune
+        # never cuts one off: its ID only reads as delivered once it is.
+        inbound = self._inbound.get(key)
+        if inbound is None:
+            window = self.delivered_ids.get((packet.ip.src_addr, t.src_port))
+            if window is not None and t.msg_id in window:
+                self.spurious_ignored += 1
+                return None
         socket = self._sockets.get(t.dst_port)
         if socket is None:
             return None
@@ -380,7 +387,6 @@ class HomaTransport:
             # RESEND machinery retries once the session exists.
             self.spurious_ignored += 1
             return None
-        inbound = self._inbound.get(key)
         extra = 0.0
         if inbound is None:
             if t.msg_len > MAX_WIRE_LEN:
@@ -469,14 +475,15 @@ class HomaTransport:
         if timer is not None:  # delivered: the RESEND timer has no work left
             timer.cancel()
             inbound.resend_timer = None
-        delivered = self._delivered
-        delivered[key] = None
-        if len(delivered) > DELIVERED_MEMORY:
-            # Forget the oldest.  Each eviction leaves a hole that the next
-            # ``iter`` walks over, so a periodic copy drops them.
-            del delivered[next(iter(delivered))]
-            if self.messages_delivered % 4096 == 0:
-                self._delivered = dict(delivered)
+        windows = self.delivered_ids
+        peer = (inbound.peer_addr, inbound.peer_port)
+        window = windows.pop(peer, None)
+        if window is None:
+            window = IdWindow()
+            if len(windows) >= MAX_PEER_WINDOWS:
+                del windows[next(iter(windows))]
+        windows[peer] = window  # now the most recently delivered-to
+        window.add(inbound.msg_id)
         self.messages_delivered += 1
         obs = self.loop.obs
         if obs is not None:
@@ -649,7 +656,12 @@ class HomaTransport:
         obs = self.loop.obs
         counter = None
         if obs is not None:
-            counter = obs.metrics.counter(f"{self.host.name}.homa.tx.packets_retransmitted")
+            if obs is not self._retx_obs:
+                self._retx_obs = obs
+                self._retx_counter = obs.metrics.counter(
+                    f"{self.host.name}.homa.tx.packets_retransmitted"
+                )
+            counter = self._retx_counter
         cost = 0.0
         wire = memoryview(wire)  # packets carry slices of it, never copies
         for off in range(0, len(wire), mss):
@@ -684,12 +696,14 @@ class HomaTransport:
 
         Called by the socket layer (app-thread context) when AEAD
         verification rejects a delivered message: wire corruption slipped
-        past the (checksum-free, §7) transport.  The delivered-ID table
-        entry is removed and the codec's replay filter forgives the ID so
+        past the (checksum-free, §7) transport.  The ID leaves the peer's
+        delivered-ID window and the codec's replay filter forgives the ID so
         the sender's retransmission -- byte-identical ciphertext: same
         key, same nonces -- can be reassembled and delivered afresh.
         """
-        self._delivered.pop((inbound.peer_addr, inbound.peer_port, inbound.msg_id), None)
+        window = self.delivered_ids.get((inbound.peer_addr, inbound.peer_port))
+        if window is not None:
+            window.discard(inbound.msg_id)
         socket = self._sockets.get(inbound.local_port)
         if socket is not None:
             codec = socket.codec_for(inbound.peer_addr, inbound.peer_port)

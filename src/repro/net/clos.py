@@ -136,15 +136,18 @@ class ClosFabric:
         self._cut = False
         self._rack_of: dict[int, int] = {}
         self._ports: dict[int, FabricPort] = {}
+        # Trunk port keys, formatted once rather than per routed packet.
+        self._spine_ports = tuple(f"spine{s}" for s in range(num_spines))
+        self._rack_ports = tuple(f"rack{r}" for r in range(num_racks))
         for rack, leaf in self.leaves.items():
             for s, spine in enumerate(self.spines):
                 leaf.add_trunk(
-                    f"spine{s}", spine.inject,
+                    self._spine_ports[s], spine.inject,
                     bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
                     buffer_bytes=trunk_buffer,
                 )
                 spine.add_trunk(
-                    f"rack{rack}", leaf.inject,
+                    self._rack_ports[rack], leaf.inject,
                     bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
                     buffer_bytes=trunk_buffer,
                 )
@@ -304,7 +307,7 @@ class ClosFabric:
 
         for leaf in self.leaves.values():
             for spine in range(self.num_spines):
-                leaf.set_trunk_boundary(f"spine{spine}", uplink_sender(spine))
+                leaf.set_trunk_boundary(self._spine_ports[spine], uplink_sender(spine))
 
     def deliver(self, spine: int, packet: Packet, arrival: float) -> None:
         """Inject a packet another domain emitted into the local spine shard."""
@@ -313,6 +316,8 @@ class ClosFabric:
     # -- routing ------------------------------------------------------------------
 
     def _leaf_router(self, rack: int):
+        spine_ports = self._spine_ports
+
         def route(packet: Packet) -> PortKey:
             dst = packet.ip.dst_addr
             home = self.rack_of(dst)
@@ -321,12 +326,12 @@ class ClosFabric:
             spines = self._routing_spines
             spine = spines[ecmp_hash(packet, self.ecmp_salt) % len(spines)]
             self.spine_packets[rack][spine] += 1
-            return f"spine{spine}"
+            return spine_ports[spine]
 
         return route
 
     def _spine_router(self, packet: Packet) -> PortKey:
-        return f"rack{self.rack_of(packet.ip.dst_addr)}"
+        return self._rack_ports[self.rack_of(packet.ip.dst_addr)]
 
     # -- accounting ---------------------------------------------------------------
 

@@ -35,7 +35,6 @@ bit, on either carrier.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -140,7 +139,11 @@ class _PipeDomain:
     """Carrier adapter: the domain lives in a worker process."""
 
     def __init__(self, plan, domain, factory, args):
-        ctx = mp.get_context()
+        # Imported here, its one user: it pulls in socket and selectors,
+        # which an in-process run never needs.
+        import multiprocessing
+
+        ctx = multiprocessing.get_context()
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_domain_worker,

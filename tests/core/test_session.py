@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.seqspace import BitAllocation
-from repro.core.session import REPLAY_WINDOW_IDS, SmtSession
+from repro.core.session import SmtSession
 from repro.errors import ProtocolError
+from repro.homa.idwindow import REPLAY_WINDOW_IDS
 from repro.tls.keyschedule import TrafficKeys
 
 
@@ -41,8 +42,11 @@ class TestReplayFilter:
             session.accept_message(msg_id)
         # An ID far below the watermark is rejected outright.
         assert not session.accept_message(1)
-        # Memory stays bounded.
-        assert len(session._seen_ids) <= 2 * REPLAY_WINDOW_IDS + 1
+        # Memory stays bounded: the add that made 2W + 1 IDs (ID 2W) moved
+        # the watermark to one window below it, and the nine after it stay.
+        assert session.seen_ids.watermark == REPLAY_WINDOW_IDS
+        assert len(session.seen_ids) == REPLAY_WINDOW_IDS + 9
+        assert session.replays_rejected == 1
 
     def test_directions_independent(self):
         # Each endpoint filters only its *inbound* (peer-write) space;

@@ -155,7 +155,7 @@ class TestReplayDefence:
         echo_server(bed, ssock)
         run_calls(bed, csock, [b"victim message"])
         st = bed.server._transports[PROTO_SMT]
-        st._delivered.clear()  # engine forgot; session must still reject
+        st.delivered_ids.clear()  # engine forgot; session must still reject
         for packet in captured:
             original(packet)
         bed.loop.run(until=bed.loop.now + 1e-3)

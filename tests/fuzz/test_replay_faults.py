@@ -9,10 +9,10 @@ resets but stale pre-rekey ciphertext still dies at AEAD verification).
 
 import pytest
 
-import repro.core.session as session_mod
 from repro.core.codec import SmtCodec
 from repro.core.session import SmtSession
 from repro.errors import AuthenticationError
+from repro.homa import idwindow
 from repro.host.costs import CostModel
 from repro.net.faults import FaultConfig
 from repro.tls.keyschedule import TrafficKeys
@@ -97,18 +97,18 @@ class TestAcceptMessageReplayFilter:
     def test_watermark_rejects_ancient_ids(self, monkeypatch):
         # Shrink the window so pruning happens fast, then check that an ID
         # below the watermark is rejected even though it was never seen.
-        monkeypatch.setattr(session_mod, "REPLAY_WINDOW_IDS", 16)
+        monkeypatch.setattr(idwindow, "REPLAY_WINDOW_IDS", 16)
         session = self.make_session()
         for msg_id in range(0, 200, 2):
             assert session.accept_message(msg_id)
-        assert session._watermark > 0
+        assert session.seen_ids.watermark > 0
         assert not session.accept_message(1)  # below watermark, never seen
         assert session.replays_rejected == 1
 
     def test_forgive_refuses_ids_below_watermark(self, monkeypatch):
         # Corruption recovery must not become a replay hole: once an ID has
         # been folded below the pruning watermark it cannot be re-admitted.
-        monkeypatch.setattr(session_mod, "REPLAY_WINDOW_IDS", 16)
+        monkeypatch.setattr(idwindow, "REPLAY_WINDOW_IDS", 16)
         session = self.make_session()
         for msg_id in range(0, 200, 2):
             session.accept_message(msg_id)

@@ -7,7 +7,9 @@ count the same spurious and replayed packets, post the same GRANT and
 RESEND descriptors, and return the same extra cost, float bits included,
 as the per-packet handler did with the core summing its returns.
 
-That per-packet handler is kept below verbatim as the reference model.
+That per-packet handler is kept below as the reference model, verbatim
+but for its duplicate check, which now reads the peer's delivered-ID
+window for a message not in progress.
 Each case builds two identical receivers, feeds one the packets one at a
 time through the reference and the other the same packets as batches,
 and compares everything observable.
@@ -54,7 +56,7 @@ COSTS = CostModel(
 def reference_handle_data(self, packet: Packet) -> Optional[float]:
     t = packet.transport
     key = (packet.ip.src_addr, t.src_port, t.msg_id)
-    if key in self._delivered:
+    if key not in self._inbound and t.msg_id in self.delivered_ids.get(key[:2], ()):
         self.spurious_ignored += 1
         return None
     socket = self._sockets.get(t.dst_port)
@@ -216,7 +218,10 @@ class Receiver:
                 key: (m.received_bytes, m.granted, sorted(m.trim_requested))
                 for key, m in t._inbound.items()
             },
-            "delivered_ids": list(t._delivered),
+            "delivered_ids": [
+                (peer, window.watermark, dict(window._chunks))
+                for peer, window in t.delivered_ids.items()
+            ],
             "timers": self.loop._seq,
         }
 

@@ -6,6 +6,7 @@ from repro.bench.runner import message_pair
 from repro.errors import AuthenticationError, TransportError
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
 from repro.homa.codec import PlainCodec
+from repro.homa.idwindow import REPLAY_WINDOW_IDS
 from repro.homa.message import InboundMessage
 from repro.net.headers import PacketType
 from repro.testbed import Testbed
@@ -269,11 +270,12 @@ class TestStateLimits:
         assert obs.tracer.layer_summary()["homa.rx"]["open"] == 0
 
     def test_delivered_memory_keeps_the_newest_ids(self):
-        # A full delivered-ID memory forgets its oldest entry, not all of
-        # them: a late copy of the newest request is still a duplicate,
-        # so plain Homa (whose codec accepts every ID) runs it only once.
+        # A peer's delivered-ID window holds its newest IDs exactly and
+        # reads every ID at or below its watermark as delivered, so a late
+        # copy of a request is still a duplicate after 2W newer IDs moved
+        # the watermark past it: plain Homa (whose codec accepts every
+        # ID) runs it only once.
         bed, ct, st, csock, ssock = make_bed()
-        st._delivered.update(dict.fromkeys((0, 0, 2 * i) for i in range(100_000)))
         requests = []
         original = bed.link._a_to_b.receiver
 
@@ -286,12 +288,22 @@ class TestStateLimits:
         echo_server(bed, ssock)
         [(response, _)] = run_client(bed, csock, [b"r" * 64])
         assert response == b"r" * 64 and len(requests) == 1
+        request_id = requests[0].transport.msg_id
+        window = st.delivered_ids[(bed.client.addr, csock.port)]
+        assert len(window) == 1 and request_id in window
+        newest = request_id + 4 * REPLAY_WINDOW_IDS
+        for msg_id in range(request_id + 2, newest + 1, 2):
+            window.add(msg_id)
+        # The prune dropped the lowest 128-ID chunks until at most W IDs
+        # were left, and every ID above the watermark is still held.
+        assert window.watermark > request_id
+        assert REPLAY_WINDOW_IDS - 64 < len(window) <= REPLAY_WINDOW_IDS
+        assert len(window) == (newest - window.watermark) // 2
         delivered, spurious = st.messages_delivered, st.spurious_ignored
         original(requests[0])  # the network delivers a late duplicate
         bed.loop.run()
         assert st.messages_delivered == delivered == 1
         assert st.spurious_ignored == spurious + 1
-        assert len(st._delivered) == 100_000
 
     def test_failed_response_decode_cancels_its_retry_chain(self):
         # Without corruption recovery a response that does not

@@ -317,6 +317,18 @@ def test_import_closures(modules, forbidden):
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+def test_the_ledger_leaves_multiprocessing_unloaded():
+    # Only the pipe carrier of a sharded run uses it, and it brings socket
+    # and selectors along: ~0.6 MB of every workload's peak RSS.
+    code = (
+        "import sys, workloads\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'repro.sim.shard.runner' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{REPO / 'ledger'}{os.pathsep}{SRC}"}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 # -- the names the frozen ledger/ reaches for still resolve -----------------------
 
 
