@@ -4,7 +4,8 @@
 Prints each workload's ``peak_rss_mb`` from ``ledger/out/results.json`` as a
 Markdown table (appended to ``$GITHUB_STEP_SUMMARY`` when that is set) and
 fails if ``fabric_loaded``, ``tenant_hot``, ``fabric_sharded`` or
-``rpc_bulk`` peaks above its ceiling, a multiple of ``rpc_small``'s peak.
+``rpc_bulk`` peaks above its ceiling, a multiple of ``rpc_small``'s peak, or
+if ``rpc_small`` peaks above its own, a multiple of ``session_churn``'s.
 A ratio inside one job is independent of the allocator and the Python
 build, where an absolute ceiling is not: every workload imports the same
 code, so what is left is what the workload *holds*.  Each ceiling sits
@@ -45,8 +46,13 @@ baseline:
   reassembly buffers waited for the cyclic GC.  A new cycle on the
   per-message path fails here.
 
-A ratio cannot see ``rpc_small`` itself grow: a regression there lowers
-every ratio.
+A ratio cannot see its baseline grow: a regression in ``rpc_small`` lowers
+the four ratios above.  So ``rpc_small`` is gated in turn against
+``session_churn``, the workload that holds least (one session and a few
+RPCs at a time, so its peak is mostly the imported code): 1.02 x
+now (ceiling 1.07, 5 % over the median of ten runs each), 1.11 x while
+delivered and replayed message IDs were kept as Python objects (44.36 /
+40.05 MB).
 
 A memo that starts copying records again, a frame that holds a request
 until its response, a receive path that copies a message into a buffer
@@ -62,13 +68,13 @@ import json
 import os
 import sys
 
-BASELINE = "rpc_small"
-#: workload -> the most it may peak at, as a multiple of ``BASELINE``.
-MAX_OVER_SMALL = {
-    "fabric_loaded": 1.99,
-    "tenant_hot": 2.30,
-    "fabric_sharded": 1.92,
-    "rpc_bulk": 1.64,
+#: workload -> (its baseline, the most it may peak at as a multiple of it).
+CEILINGS = {
+    "fabric_loaded": ("rpc_small", 1.99),
+    "tenant_hot": ("rpc_small", 2.30),
+    "fabric_sharded": ("rpc_small", 1.92),
+    "rpc_bulk": ("rpc_small", 1.64),
+    "rpc_small": ("session_churn", 1.07),
 }
 
 
@@ -81,11 +87,11 @@ def main(argv: list[str]) -> int:
     lines += [f"| `{name}` | {mb:.1f} |" for name, mb in rss.items()]
     lines.append("")
     ok = True
-    for name, limit in MAX_OVER_SMALL.items():
-        ratio = rss[name] / rss[BASELINE]
+    for name, (baseline, limit) in CEILINGS.items():
+        ratio = rss[name] / rss[baseline]
         ok &= ratio <= limit
         lines.append(
-            f"`{name}` / `{BASELINE}` = {ratio:.2f} "
+            f"`{name}` / `{baseline}` = {ratio:.2f} "
             f"(limit {limit}): {'OK' if ratio <= limit else 'FAIL'}"
         )
     text = "\n".join(lines)

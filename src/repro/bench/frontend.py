@@ -46,9 +46,15 @@ from repro.units import USEC
 SERVICE = "svc.dc.internal"
 SEED = 17
 DNS_LATENCY = 2e-6
-TICKET_LIFETIME = 5e-3
-GRACE_WINDOW = 2e-3
-REFRESH_MARGIN = 1e-3
+#: Both scenarios' timelines are scaled by this one factor, so that opens
+#: which run real handshakes (0.7-1.6 ms each) fall into their ticket,
+#: TTL and crash windows as often as the 0.1 ms opens of their first
+#: version did.
+TIMELINE_SCALE = 20
+TICKET_LIFETIME = 5e-3 * TIMELINE_SCALE
+GRACE_WINDOW = 2e-3 * TIMELINE_SCALE
+REFRESH_MARGIN = 1e-3 * TIMELINE_SCALE
+PORTABILITY_HORIZON = 0.1 * TIMELINE_SCALE
 
 
 # -- part 1: ticket portability (+ drain) -----------------------------------------
@@ -92,7 +98,7 @@ def _run_portability(shared: bool, opens: int) -> dict:
     registry.start()
     cache = TicketCache(dns, roots, refresh_margin=REFRESH_MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, cache, roots,
+        bed.hosts[0], registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=SEED,
     )
     drainer = ConnectionDrainer(bed.loop, fe)
@@ -109,7 +115,7 @@ def _run_portability(shared: bool, opens: int) -> dict:
         out["left"] = len(fe.sessions_on(target))
 
     done = bed.loop.process(client())
-    bed.run(until=bed.loop.now + 0.1)
+    bed.run(until=bed.loop.now + PORTABILITY_HORIZON)
     if not done.triggered:
         raise AssertionError("portability scenario deadlocked")
     if not done.ok:
@@ -121,18 +127,22 @@ def _run_portability(shared: bool, opens: int) -> dict:
 
 # -- part 2: DNS-TTL staleness across a replica crash -----------------------------
 
-#: Compressed timeline (all virtual seconds).  The ticket record's TTL
-#: expires well before the share does (stale window), the share expires
-#: before the next rotation (unavailable window), and the crash covers
-#: the rotation so the dead replica misses the install.
-STALE_PERIOD = 600 * USEC
-STALE_TTL = 150 * USEC
-STALE_LIFETIME = 400 * USEC
-STALE_MARGIN = 200 * USEC
-CRASH_AT = 250 * USEC
-REVIVE_AT = 700 * USEC
-RESYNC_DELAY = 200 * USEC
-STALE_HORIZON = 1250 * USEC
+#: Compressed timeline (all virtual seconds, each scaled by
+#: ``TIMELINE_SCALE``).  The ticket record's TTL expires well before the
+#: share does (stale window), the share expires before the next rotation
+#: (unavailable window), and the crash covers the rotation so the dead
+#: replica misses the install.
+STALE_PERIOD = 600 * USEC * TIMELINE_SCALE
+STALE_TTL = 150 * USEC * TIMELINE_SCALE
+STALE_LIFETIME = 400 * USEC * TIMELINE_SCALE
+STALE_MARGIN = 200 * USEC * TIMELINE_SCALE
+CRASH_AT = 250 * USEC * TIMELINE_SCALE
+REVIVE_AT = 700 * USEC * TIMELINE_SCALE
+RESYNC_DELAY = 200 * USEC * TIMELINE_SCALE
+STALE_HORIZON = 1250 * USEC * TIMELINE_SCALE
+STALE_START = 10 * USEC * TIMELINE_SCALE  # the first open
+STALE_STEP = 40 * USEC * TIMELINE_SCALE  # the gap after each open
+STALE_TAIL = 200 * USEC * TIMELINE_SCALE  # run past the horizon
 
 
 def _run_staleness() -> dict:
@@ -173,7 +183,7 @@ def _run_staleness() -> dict:
     checker.start()
     cache = TicketCache(dns, roots, refresh_margin=STALE_MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, cache, roots,
+        bed.hosts[0], registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=SEED,
     )
     # The crashed replica misses the mid-crash rotation; on revival the
@@ -187,23 +197,22 @@ def _run_staleness() -> dict:
     bed.loop.timer_later(CRASH_AT, controller.replica_crash, replica_indices[1])
     bed.loop.timer_later(REVIVE_AT, controller.replica_revive, replica_indices[1])
 
-    step = 40e-6
     failures = []
 
     def client():
         thread = bed.hosts[0].app_thread(0)
         k = 0
-        yield bed.loop.timeout(10e-6)
+        yield bed.loop.timeout(STALE_START)
         while bed.loop.now < STALE_HORIZON:
             try:
                 yield from fe.open_session(thread, f"key-{k % 6}")
             except Exception as exc:  # every open must degrade, not raise
                 failures.append((bed.loop.now, repr(exc)))
             k += 1
-            yield bed.loop.timeout(step)
+            yield bed.loop.timeout(STALE_STEP)
 
     done = bed.loop.process(client())
-    bed.run(until=STALE_HORIZON + 200e-6)
+    bed.run(until=STALE_HORIZON + STALE_TAIL)
     if not done.triggered:
         raise AssertionError("staleness scenario deadlocked")
     if not done.ok:

@@ -10,17 +10,18 @@ on the two-rack leaf-spine fabric:
   migrate, and the blackhole window is exactly detection + reroute.
 - *replica-crash*: a host process dies (uplink+downlink blackhole, its
   control plane's session table and key pools are lost) and cold-restarts.
-  Surviving hosts re-handshake the revived replica at once, and the
-  handshake storm pays inline keygen because the restarted pools are
-  empty (§4.5: the standby pools exist to keep keygen off this path).
+  Surviving hosts run a full TLS 1.3 handshake against the revived
+  replica at once, over the fabric and beside the load, and the storm
+  pays inline keygen because the restarted pools are empty (§4.5: the
+  standby pools exist to keep keygen off this path).
 
 Reported per run: detection time, recovery time (backlog drain past the
 revival), per-phase p99 slowdown (before/during/after the outage),
 blackholed packets, and the control-plane load of the re-handshake
-storm: re-handshakes, admission retries and inline keygens (pool
-misses).  The bands are exact: detection inside the watcher bound,
-every issued RPC completed, zero integrity errors, and the expected
-storm counts.
+storm: re-handshakes, admission refusals, inline keygens (pool misses)
+and the slowest handshake.  The bands are exact: detection inside the
+watcher bound, every issued RPC completed, zero integrity errors, and
+the expected storm counts.
 
 Everything is virtual-time deterministic: same seeds, same numbers, on
 any machine -- quick mode runs the identical workload (the incident
@@ -123,10 +124,10 @@ def run(quick: bool = False) -> ExperimentReport:
     _, m_rep = cells["replica-crash"]
     rh = m_rep.rehandshake
     report.add_table(
-        ["scenario", "re-handshakes", "admission retries",
+        ["scenario", "re-handshakes", "admission refused",
          "client keygens", "server keygens", "max duration (us)"],
         [(
-            "replica-crash", rh["completed"], rh["admission_retries"],
+            "replica-crash", rh["completed"], rh["admission_refused"],
             rh["client_inline_keygens"], rh["server_inline_keygens"],
             round(rh["max_duration"] * 1e6, 1),
         )],
@@ -162,13 +163,11 @@ def run(quick: bool = False) -> ExperimentReport:
     )
 
     # Re-handshake storm: every surviving host re-established exactly one
-    # session, and the cold-restarted replica paid inline server keygen
-    # for each (its pools died with the process).
+    # session.  The cold-restarted replica's pool is empty, so its first
+    # hello pays server keygen inline; its one responder serves the hellos
+    # in turn, and the refill timer restocks the pool before the next.
     report.check("re-handshakes == surviving hosts", rh["completed"], 3, 3)
-    report.check(
-        "inline server keygens == re-handshakes",
-        rh["server_inline_keygens"], 3, 3,
-    )
+    report.check("inline server keygens", rh["server_inline_keygens"], 1, 1)
 
     # The fabric re-converged at least once in the spine scenario (the
     # watcher's programmed re-salt actually ran).

@@ -126,6 +126,10 @@ class SmtEndpoint:
         )
         self._handshake_socket = HomaSocket(self.transport, hs_port)
         self._pending_server_hs: dict[tuple[int, int], tuple[ServerHandshake, int]] = {}
+        # What the one handshake responder serves, by flight kind; listen
+        # and serve_zero_rtt add to it, and the first call starts it.
+        self._handlers: dict = {_MSG_REKEY: self._serve_rekey}
+        self._responder = None
         self.tickets: dict[tuple[int, int], list[SessionTicket]] = {}
         self.handshakes_rejected = 0
         if ctrl is not None:
@@ -189,7 +193,8 @@ class SmtEndpoint:
         issue_tickets: int = 0,
         session_cache: Optional[dict] = None,
     ):
-        """Start the 1-RTT handshake responder process on ``thread``.
+        """Serve 1-RTT handshakes (the responder runs on ``thread`` if this
+        call starts it).
 
         ``hs_config_factory()`` returns a fresh :class:`HandshakeConfig`
         per handshake (so each uses fresh randomness/pre-generated keys).
@@ -222,7 +227,7 @@ class SmtEndpoint:
             blob = b"".join(struct.pack("!I", len(t)) + t for t in tickets)
             yield from sock.reply(thread, rpc, blob or b"\x00")
 
-        return self._respond(thread, {_MSG_CHLO: hello, _MSG_FINISHED: finished})
+        return self._serve(thread, {_MSG_CHLO: hello, _MSG_FINISHED: finished})
 
     def serve_zero_rtt(
         self, thread: AppThread, zserver, pregenerate: bool = True, keypool=None
@@ -260,42 +265,46 @@ class SmtEndpoint:
                     yield from thread.work(self.cost_model.op_cost_for("S2.1"))
             session.rekey(*(yield from self._fs_reply(thread, rpc, eph, client_share)))
 
-        return self._respond(thread, {_MSG_ZRTT: hello})
+        return self._serve(thread, {_MSG_ZRTT: hello})
 
-    def _respond(self, thread: AppThread, handlers: dict):
-        """Start the one handshake responder process on ``thread``.
+    def _serve(self, thread: AppThread, handlers: dict):
+        """Add ``handlers`` to the one handshake responder; returns its process.
 
         ``handlers`` maps each served kind to a generator ``(thread, rpc,
         peer_data_port, body)`` that replies; rekeys are always served and
-        hellos pass admission control first.  A flight that fails gets the
-        rejection sentinel and counts in :attr:`handshakes_rejected`.
+        hellos pass admission control first.  The first call starts the
+        responder on ``thread``: one process reads the handshake socket, so
+        every flight reaches the handler of its kind.  A flight that fails
+        gets the rejection sentinel and counts in :attr:`handshakes_rejected`.
         """
-        handlers = {**handlers, _MSG_REKEY: self._serve_rekey}
+        self._handlers.update(handlers)
+        if self._responder is None:
+            self._responder = self.loop.process(self._respond(thread))
+        return self._responder
+
+    def _respond(self, thread: AppThread) -> Generator[Any, Any, None]:
+        handlers = self._handlers
         sock = self._handshake_socket
-
-        def responder() -> Generator[Any, Any, None]:
-            while True:
-                rpc = yield from sock.recv_request(thread)
-                try:
-                    if len(rpc.payload) < 3:
-                        raise ProtocolError("short handshake wrapper")
-                    kind, peer_port = struct.unpack_from("!BH", rpc.payload)
-                    handler = handlers.get(kind)
-                    if handler is None:
-                        raise ProtocolError(f"unserved handshake kind {kind}")
-                    if (
-                        kind in _HELLOS
-                        and self.ctrl is not None
-                        and not self.ctrl.admit_handshake()
-                    ):
-                        yield from sock.reply(thread, rpc, _HS_REFUSED)
-                    else:
-                        yield from handler(thread, rpc, peer_port, rpc.payload[3:])
-                except (ProtocolError, CryptoError):
-                    self.handshakes_rejected += 1
-                    yield from sock.reply(thread, rpc, _HS_REJECTED)
-
-        return self.loop.process(responder())
+        while True:
+            rpc = yield from sock.recv_request(thread)
+            try:
+                if len(rpc.payload) < 3:
+                    raise ProtocolError("short handshake wrapper")
+                kind, peer_port = struct.unpack_from("!BH", rpc.payload)
+                handler = handlers.get(kind)
+                if handler is None:
+                    raise ProtocolError(f"unserved handshake kind {kind}")
+                if (
+                    kind in _HELLOS
+                    and self.ctrl is not None
+                    and not self.ctrl.admit_handshake()
+                ):
+                    yield from sock.reply(thread, rpc, _HS_REFUSED)
+                else:
+                    yield from handler(thread, rpc, peer_port, rpc.payload[3:])
+            except (ProtocolError, CryptoError):
+                self.handshakes_rejected += 1
+                yield from sock.reply(thread, rpc, _HS_REJECTED)
 
     def _serve_rekey(
         self, thread: AppThread, rpc, peer_port: int, body: bytes

@@ -15,7 +15,7 @@ from typing import Optional
 from repro.core.seqspace import BitAllocation
 from repro.crypto.aead import shared_aead
 from repro.errors import ProtocolError
-from repro.homa.idwindow import ReplayWindow
+from repro.homa.idwindow import IdWindow
 from repro.nic.tls_offload import RecordDescriptor, ResyncDescriptor
 from repro.tls.keyschedule import TrafficKeys
 from repro.tls.record import RecordProtection
@@ -47,9 +47,9 @@ class SmtSession:
         self.read_protection = RecordProtection(
             shared_aead(aead_kind, read_keys.key), read_keys.iv
         )
-        # Replay defence for inbound message IDs: the trailing window
-        # exactly, anything below its watermark outright.
-        self.seen_ids = ReplayWindow()
+        # Replay defence for inbound message IDs: the highest IDs held
+        # exactly, anything at or below the window's watermark outright.
+        self.seen_ids = IdWindow()
         self.replays_rejected = 0
         self.messages_forgiven = 0
         # Host shadow of per-queue NIC flow contexts (offload mode).

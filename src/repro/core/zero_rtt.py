@@ -112,7 +112,7 @@ class ZeroRttServer:
     ):
         self.server_name = server_name
         self.chain = chain
-        self._signing_key = signing_key
+        self.signing_key = signing_key
         self._rng = rng
         self.lifetime = lifetime
         # Rotation grace (§4.5.3): after a rotation, 0-RTT attempts built
@@ -151,7 +151,7 @@ class ZeroRttServer:
             not_after=now + self.lifetime,
             signature=b"",
         )
-        signature = self._signing_key.sign(ticket.tbs_bytes())
+        signature = self.signing_key.sign(ticket.tbs_bytes())
         return SmtTicket(
             ticket.server_name, ticket.long_term_share, ticket.chain,
             ticket.not_after, signature,

@@ -75,14 +75,13 @@ def split_slots(total: int, weights: dict[str, float]) -> dict[str, int]:
 class PartitionedSessionTable:
     """Weighted per-tenant compartments over one session-table budget."""
 
-    def __init__(self, loop, weights: dict[str, float], capacity: int = 1024):
+    def __init__(self, weights: dict[str, float], capacity: int = 1024):
         if not weights:
             raise ProtocolError("need at least one tenant")
-        self.loop = loop
         self.capacity = capacity
         self._alloc = split_slots(capacity, weights)
         self._tables = {
-            tenant: SessionTable(loop, capacity=slots)
+            tenant: SessionTable(capacity=slots)
             for tenant, slots in self._alloc.items()
         }
 
@@ -108,9 +107,8 @@ class PartitionedSessionTable:
         key: tuple,
         on_evict: Callable[[], None],
         busy: Callable[[], bool],
-        now: float,
     ) -> None:
-        self.partition(tenant).insert(key, on_evict, busy, now)
+        self.partition(tenant).insert(key, on_evict, busy)
 
     def touch(self, tenant: str, key: tuple) -> None:
         self.partition(tenant).touch(key)
@@ -131,15 +129,10 @@ class PartitionedSessionTable:
                 "sessions": len(table),
                 "inserted": table.inserted,
                 "evicted_lru": table.evicted_lru,
-                "evicted_idle": table.evicted_idle,
                 "admission_refused": table.admission_refused,
             }
             for tenant, table in self._tables.items()
         }
-
-    def stop(self) -> None:
-        for table in self._tables.values():
-            table.stop()
 
 
 class PartitionedKeyPool:

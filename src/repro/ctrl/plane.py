@@ -2,7 +2,7 @@
 
 :class:`ControlPlane` ties the pieces together for one host: standby key
 pools (§4.5.1), lane-based message-ID spaces with proactive rekey before
-exhaustion (§4.5.2), and a bounded session table with LRU/idle eviction
+exhaustion (§4.5.2), and a bounded session table with LRU eviction
 and handshake admission backpressure.  Endpoints opt in by passing
 ``ctrl=`` at construction (or via :meth:`adopt`); unmanaged endpoints
 behave exactly as before -- the control plane is strictly additive.
@@ -42,8 +42,6 @@ class CtrlConfig:
     rekey_watermark_fraction: float = 0.75
     lane_size: int = 1 << 32  # message IDs per managed session before rekey
     session_capacity: int = 1024
-    idle_timeout: Optional[float] = None
-    sweep_interval: Optional[float] = None
 
 
 class ControlPlane:
@@ -70,12 +68,7 @@ class ControlPlane:
             refill_interval=cfg.refill_interval,
             prefill=cfg.prefill,
         )
-        self.table = SessionTable(
-            self.loop,
-            capacity=cfg.session_capacity,
-            idle_timeout=cfg.idle_timeout,
-            sweep_interval=cfg.sweep_interval,
-        )
+        self.table = SessionTable(capacity=cfg.session_capacity)
         self.rekeys = RekeyManager(self.loop, rng, keypool=self.ecdh_pool)
         self._next_lane = 0
         self._managed: list = []  # sessions with an assigned ID lane
@@ -150,7 +143,6 @@ class ControlPlane:
             busy=lambda: (
                 session.inflight_rpcs > 0 or session.tx_gate_event is not None
             ),
-            now=self.loop.now,
         )
         session.on_activity = lambda: self.table.touch(key)
 
@@ -168,7 +160,6 @@ class ControlPlane:
         metrics store, and the incident bench reads them post-mortem.
         """
         self.table.clear(notify=False)
-        self.table.stop()
         self.ecdh_pool.clear()
         if self.zero_rtt is not None:
             self.zero_rtt.forget_share()
@@ -183,7 +174,6 @@ class ControlPlane:
         refill timers catch up -- the control-plane pressure the incident
         bench measures.
         """
-        self.table.start()
         self.restarts += 1
 
     # -- observability ---------------------------------------------------------
@@ -202,7 +192,6 @@ class ControlPlane:
         m.gauge(f"{n}.sessions", lambda: len(t))
         m.gauge(f"{n}.sessions.inserted", lambda: t.inserted)
         m.gauge(f"{n}.sessions.evicted_lru", lambda: t.evicted_lru)
-        m.gauge(f"{n}.sessions.evicted_idle", lambda: t.evicted_idle)
         m.gauge(f"{n}.sessions.admission_refused", lambda: t.admission_refused)
         p = self.ecdh_pool
         m.gauge(f"{n}.keypool.ecdh.size", lambda: p.size)

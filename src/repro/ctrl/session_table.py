@@ -2,18 +2,17 @@
 
 A datacenter host talks to thousands of short-lived peers (ROADMAP north
 star; Homa's workloads), so session state must be bounded.  The table
-evicts least-recently-used sessions when full, sweeps idle ones on a
-timer, and -- when even the LRU candidates are busy -- refuses new
-handshake admissions (backpressure surfaced to clients as a refused
-flight).  Everything is driven by insertion order and virtual time, so a
-fixed seed replays the same evictions.
+evicts the least-recently-used session when full and -- when even the LRU
+candidates are busy -- refuses new handshake admissions (backpressure
+surfaced to clients as a refused flight).  Everything is driven by
+insertion and use order, so a fixed seed replays the same evictions.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import ProtocolError
 
@@ -22,31 +21,18 @@ from repro.errors import ProtocolError
 class _Entry:
     on_evict: Callable[[], None]
     busy: Callable[[], bool]
-    last_used: float
 
 
 class SessionTable:
-    """LRU/idle-evicting session registry with admission backpressure."""
+    """LRU-evicting session registry with admission backpressure."""
 
-    def __init__(
-        self,
-        loop,
-        capacity: int = 1024,
-        idle_timeout: Optional[float] = None,
-        sweep_interval: Optional[float] = None,
-    ):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ProtocolError(f"session table capacity must be >= 1, got {capacity}")
-        self.loop = loop
         self.capacity = capacity
-        self.idle_timeout = idle_timeout
-        self.sweep_interval = sweep_interval
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        self._sweeper = None
-        self.start()
         self.inserted = 0
         self.evicted_lru = 0
-        self.evicted_idle = 0
         self.admission_refused = 0
 
     def __len__(self) -> int:
@@ -69,22 +55,19 @@ class SessionTable:
         key: tuple,
         on_evict: Callable[[], None],
         busy: Callable[[], bool],
-        now: float,
     ) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
-            self._entries[key] = _Entry(on_evict, busy, now)
+            self._entries[key] = _Entry(on_evict, busy)
             return
         if len(self._entries) >= self.capacity and not self._evict_lru():
             self.admission_refused += 1
             raise ProtocolError("session table full and every entry is busy")
-        self._entries[key] = _Entry(on_evict, busy, now)
+        self._entries[key] = _Entry(on_evict, busy)
         self.inserted += 1
 
     def touch(self, key: tuple) -> None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.last_used = self.loop.now
+        if key in self._entries:
             self._entries.move_to_end(key)
 
     def remove(self, key: tuple) -> bool:
@@ -101,19 +84,6 @@ class SessionTable:
             return True
         return False
 
-    def _sweep_idle(self) -> None:
-        now = self.loop.now
-        timeout = self.idle_timeout
-        stale = [
-            (key, entry)
-            for key, entry in self._entries.items()
-            if now - entry.last_used > timeout and not entry.busy()
-        ]
-        for key, entry in stale:
-            if self._entries.pop(key, None) is not None:
-                self.evicted_idle += 1
-                entry.on_evict()
-
     def clear(self, notify: bool = False) -> int:
         """Tear down every session (process crash / cold restart).
 
@@ -128,17 +98,3 @@ class SessionTable:
         for entry in entries:
             entry.on_evict()
         return dropped
-
-    def start(self) -> None:
-        """Arm the idle sweep (if idle eviction is on and it is not armed)."""
-        if self.idle_timeout is not None and self._sweeper is None:
-            interval = self.sweep_interval
-            self._sweeper = self.loop.every(
-                interval if interval is not None else self.idle_timeout / 4,
-                self._sweep_idle,
-            )
-
-    def stop(self) -> None:
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            self._sweeper = None

@@ -9,15 +9,11 @@ IDs are stored as bits in 128-ID chunks, a dict from ``id >> 7`` to an
 int mask, so dense IDs cost under 2 B each and a lone ID (a forged
 header's, say) one small chunk.  Nothing is ever sized by an ID's value.
 The watermark moves only when more than twice ``REPLAY_WINDOW_IDS`` are
-held, so each prune pays O(chunks) once per O(window) adds.  The two
-filters differ only in where it moves to:
-
-* :class:`IdWindow` (Homa) keeps the highest ``REPLAY_WINDOW_IDS`` IDs it
-  holds and raises the watermark to the highest ID it dropped.  An ID
-  nobody sent (a forged outlier near 2^48) takes one slot and cannot
-  lift the floor past the peer's real IDs.
-* :class:`ReplayWindow` (SMT) moves the watermark to the newest ID minus
-  ``REPLAY_WINDOW_IDS``: the rule the session's replay set always had.
+held, so each prune pays O(chunks) once per O(window) adds.  A prune keeps
+the highest ``REPLAY_WINDOW_IDS`` IDs held and raises the watermark to the
+highest ID it dropped, so every ID once seen stays seen, and an ID nobody
+sent (a forged outlier near 2^48) takes one slot and cannot lift the floor
+past the peer's real IDs.
 """
 
 from __future__ import annotations
@@ -102,37 +98,3 @@ class IdWindow:
         self._chunks = {k: m for k, m in chunks.items() if k > top}
         self._count = count
 
-
-class ReplayWindow(IdWindow):
-    """SMT's replay filter: the watermark trails the newest ID by the window."""
-
-    __slots__ = ("_newest",)
-
-    def clear(self) -> None:
-        super().clear()
-        self._newest = -1
-
-    def add(self, msg_id: int) -> bool:
-        # An ID above the newest is above the watermark and not held, so
-        # it is added: record it first, for the prune that add may run.
-        if msg_id > self._newest:
-            self._newest = msg_id
-        return IdWindow.add(self, msg_id)
-
-    def _prune(self) -> None:
-        """Move the watermark to one window below the newest ID.
-
-        ``_newest`` never falls between clears, so neither does the watermark.
-        """
-        self.watermark = floor = self._newest - REPLAY_WINDOW_IDS
-        first = (floor + 1) >> _CHUNK_BITS  # the chunk holding floor + 1
-        chunks = {k: m for k, m in self._chunks.items() if k >= first}
-        edge = chunks.get(first)
-        if edge is not None:
-            edge &= -1 << ((floor + 1) & _CHUNK_MASK)
-            if edge:
-                chunks[first] = edge
-            else:
-                del chunks[first]
-        self._chunks = chunks
-        self._count = sum(m.bit_count() for m in chunks.values())

@@ -14,38 +14,47 @@ by replica B (``cross_accepts``).  With per-replica shares
 (:class:`~repro.ctrl.rotation.TicketRotator` per replica, one ticket
 published), every cross-replica attempt is rejected and the open falls
 back to a full 1-RTT handshake (``fallbacks_1rtt``) -- 0-RTT silently
-degrades into session affinity.  Both sides' derived traffic keys are
+degrades into session affinity.  Both sides' registered traffic keys are
 compared on every accepted 0-RTT open (``key_mismatches`` must stay 0).
 
-Handshake economics follow :mod:`repro.resilience.handshake`: Table 2
-keygen terms charged to the opening app thread, a half-RTT for the 0-RTT
-first flight, a full RTT for the 1-RTT fallback, pool-aware server-side
-keygen when the replica has a control plane.
+Every open is a real handshake over the fabric: a fresh
+:class:`~repro.core.endpoint.SmtEndpoint` on the front end's host runs
+``connect_zero_rtt`` (or ``connect``) against the replica's endpoint,
+which serves both, with its control plane's pools and admission when it
+has one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
-from repro.core.zero_rtt import ZeroRttClient, share_fingerprint
-from repro.errors import AuthenticationError, ProtocolError
+from repro.core.endpoint import SmtEndpoint
+from repro.errors import ProtocolError
 from repro.lb.balancer import ConsistentHashBalancer
-from repro.resilience.handshake import CLIENT_KEYGEN, HANDSHAKE_CPU, SERVER_KEYGEN
+from repro.tls.handshake import HandshakeConfig, ServerCredentials
 
 
 class ReplicaServer:
-    """Server side of one replica: host, 0-RTT state, optional plane."""
+    """Server side of one replica: an SMT endpoint serving 0-RTT with
+    ``zserver`` and the full handshake, on ``plane`` when given."""
 
     def __init__(self, host, zserver, plane=None):
         self.host = host
-        self.zserver = zserver
-        self.plane = plane
         if plane is not None:
             plane.attach_zero_rtt(zserver)
+            config = plane.handshake_config
+        else:
+            config = partial(HandshakeConfig, rng=random.Random(host.addr))
+        self.endpoint = SmtEndpoint(host, host.alloc_port(), ctrl=plane)
+        thread = host.app_thread(0)
+        self.endpoint.serve_zero_rtt(thread, zserver)
+        self.endpoint.listen(
+            thread, ServerCredentials(zserver.chain, zserver.signing_key), config
+        )
         self.zero_rtt_accepts = 0
         self.zero_rtt_rejects = 0
-        self.one_rtt_handshakes = 0
 
     @property
     def rid(self):
@@ -63,6 +72,7 @@ class FrontendSession:
     opened_at: float
     migrations: int = 0
     closed: bool = False
+    endpoint: object = None  # the client SmtEndpoint its handshake ran on
 
 
 @dataclass
@@ -82,23 +92,22 @@ class ServiceFrontend:
 
     def __init__(
         self,
-        loop,
+        host,
         registry,
         replicas: dict,
         tickets,
         trust_roots,
-        rtt: float = 10e-6,
         minter_rid=None,
         seed: int = 0,
     ):
-        self.loop = loop
+        self.host = host
+        self.loop = host.loop
         self.registry = registry
         self.service = registry.service
         self.replicas = dict(replicas)  # rid -> ReplicaServer
         self.balancer = ConsistentHashBalancer()
         self.tickets = tickets
         self.trust_roots = trust_roots
-        self.rtt = rtt
         # The replica whose ZeroRttServer minted the published service
         # ticket; an open against any *other* replica is a cross-replica
         # 0-RTT attempt -- the portability measurement.
@@ -160,28 +169,33 @@ class ServiceFrontend:
                 "lb", "lb.open", service=self.service, replica=str(rid)
             )
         ticket = yield from self.tickets.get(self.service, self.loop)
+        # One client endpoint per open: concurrent opens to one replica
+        # must not share the (address, data port) its handshakes key on.
+        endpoint = SmtEndpoint(self.host, self.host.alloc_port())
+        server = replica.endpoint
+        rng = random.Random(self.seed * 1_000_003 + c.opens)
         mode = None
         if ticket is not None:
             if rid != self.minter_rid:
                 c.cross_attempts += 1
-            rng = random.Random(self.seed * 1_000_003 + c.opens)
-            client = ZeroRttClient(ticket, self.trust_roots, self.loop.now, rng)
-            yield from thread.work(CLIENT_KEYGEN + HANDSHAKE_CPU)
-            share, chlo_random, cw, sw, _ = client.start()
-            fp = share_fingerprint(ticket.long_term_share)
-            yield self.loop.timeout(self.rtt / 2)  # first-flight one-way delay
             try:
-                scw, ssw, _ = replica.zserver.accept_zero_rtt(
-                    share, chlo_random, self.loop.now, client_share_fp=fp
+                yield from endpoint.connect_zero_rtt(
+                    thread, rid, server.port, ticket, self.trust_roots,
+                    rng=rng, share_fingerprint=True,
                 )
-            except (ProtocolError, AuthenticationError):
+            except ProtocolError:
                 replica.zero_rtt_rejects += 1
+                endpoint.close_session(rid, server.port)
             else:
                 replica.zero_rtt_accepts += 1
                 c.zero_rtt_accepts += 1
                 if rid != self.minter_rid:
                     c.cross_accepts += 1
-                if scw.key != cw.key or ssw.key != sw.key:
+                ours = endpoint.session_for(rid, server.port)
+                theirs = server.session_for(self.host.addr, endpoint.port)
+                if (ours.write_keys, ours.read_keys) != (
+                    theirs.read_keys, theirs.write_keys
+                ):
                     c.key_mismatches += 1
                 mode = "0rtt"
         if mode is None:
@@ -191,31 +205,23 @@ class ServiceFrontend:
                     "lb", "lb.fallback.1rtt", service=self.service, replica=str(rid)
                 )
                 obs.tracer.end(fb)
-            yield from self._open_1rtt(thread, replica)
+            yield from endpoint.connect(
+                thread, rid, server.port,
+                HandshakeConfig(
+                    rng=rng, server_name=self.service, trust_roots=self.trust_roots
+                ),
+            )
             mode = "1rtt"
         if obs is not None:
             obs.tracer.end(span)
         session = FrontendSession(
             sid=self._next_sid, key=key, replica=rid, mode=mode,
-            opened_at=self.loop.now,
+            opened_at=self.loop.now, endpoint=endpoint,
         )
         self._next_sid += 1
         self.sessions.append(session)
         self._by_rid[rid].add(session.sid)
         return session
-
-    def _open_1rtt(self, thread, replica: ReplicaServer):
-        """Full handshake against ``replica``: Table 2 costs + one RTT."""
-        cost = 2 * HANDSHAKE_CPU + CLIENT_KEYGEN
-        if replica.plane is not None:
-            _, pooled = replica.plane.take_ecdh()
-            if not pooled:
-                cost += SERVER_KEYGEN
-        else:
-            cost += SERVER_KEYGEN
-        yield from thread.work(cost)
-        yield self.loop.timeout(self.rtt)
-        replica.one_rtt_handshakes += 1
 
     # -- session bookkeeping ---------------------------------------------------
 

@@ -13,7 +13,7 @@ pins.
 Probes are oracle callables (e.g. ``DomainFaultController.is_host_up``)
 sampled every ``interval``; detection bound for a cleanly-dead replica
 is ``interval * DOWN_MISSES``, mirroring
-:class:`repro.resilience.heartbeat.HeartbeatMonitor`.
+:class:`repro.net.domain_faults.HeartbeatMonitor`.
 """
 
 from __future__ import annotations

@@ -12,11 +12,11 @@ experiment's core output: p99-during is what an incident does to the
 tail, and p99-after shows whether the system actually re-converged.
 
 For replica crashes with the ``repro.ctrl`` control plane enabled, the
-revival triggers a re-handshake storm: every surviving host
-re-establishes its session against the cold-restarted replica through
-:class:`~repro.resilience.handshake.SessionReestablisher`, and the
-resulting admission refusals and inline keygens are reported as
-control-plane load (§4.5).
+revival triggers a re-handshake storm: every surviving host runs a full
+TLS 1.3 handshake (:meth:`~repro.core.endpoint.SmtEndpoint.connect`)
+against an endpoint on the cold-restarted replica, each side on its
+host's plane and SMT transport, and the planes' admission refusals and
+key-pool misses are reported as control-plane load (§4.5).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.endpoint import SmtEndpoint
+from repro.crypto.ca import fixed_pki
 from repro.errors import ReproError
 from repro.load.engine import OpenLoopEngine
 from repro.net.domain_faults import (
@@ -32,10 +34,12 @@ from repro.net.domain_faults import (
     DomainFaultController,
     IncidentEvent,
 )
-from repro.resilience.handshake import SessionReestablisher
 from repro.sim.trace import Histogram
+from repro.tls.handshake import ServerCredentials
 
 PHASES = ("before", "during", "after")
+#: The name the revived replica's certificate carries in the storm.
+REPLICA_NAME = "replica.dc.internal"
 
 
 @dataclass
@@ -96,37 +100,47 @@ class IncidentEngine(OpenLoopEngine):
             self.metrics.phase_failed[phase] = 0
         self._load_start = 0.0
         self._last_during_done: Optional[float] = None
-        self._reestablisher: Optional[SessionReestablisher] = None
+        self._storm: list = []  # one connect process per surviving host
+        self._storm_replica: Optional[int] = None
         if reestablish_sessions:
             if harness.bed.ctrl_planes is None:
                 raise ReproError(
                     "session re-establishment needs bed.enable_ctrl() first"
                 )
-            self._reestablisher = SessionReestablisher(
-                harness.bed.loop, seed=seed + 17
-            )
             controller.on_replica_revive(self._rehandshake_storm)
 
     # -- the re-handshake storm --------------------------------------------------
 
     def _rehandshake_storm(self, crashed_index: int) -> None:
-        """Every surviving host re-handshakes the revived replica at once."""
+        """Every surviving host re-handshakes the revived replica at once.
+
+        The replica's one responder serves the hellos in turn, drawing
+        each server share from its restarted (empty) pool; a miss pays
+        keygen inline, and the pool's refill timer restocks between hellos.
+        """
         planes = self.bed.ctrl_planes
-        loop = self.bed.loop
-        for client in range(len(self.harness.hosts)):
+        hosts = self.harness.hosts
+        replica, plane = hosts[crashed_index], planes[crashed_index]
+        ca, chain, key = fixed_pki(REPLICA_NAME)
+        roots = (ca.certificate,)
+        server = SmtEndpoint(replica, replica.alloc_port(), ctrl=plane)
+        server.listen(
+            replica.app_thread(0),
+            ServerCredentials(chain=chain, signing_key=key),
+            lambda: plane.handshake_config(trust_roots=roots),
+        )
+        self._storm_replica = crashed_index
+        for client, host in enumerate(hosts):
             if client == crashed_index:
                 continue
-
-            def storm(client=client):
-                thread = self.harness.thread_for(client, self._next_serial(client))
-                yield from self._reestablisher.reestablish(
-                    thread,
-                    planes[client],
-                    planes[crashed_index],
-                    key=(client, crashed_index),
-                )
-
-            loop.process(storm())
+            endpoint = SmtEndpoint(host, host.alloc_port(), ctrl=planes[client])
+            config = planes[client].handshake_config(
+                server_name=REPLICA_NAME, trust_roots=roots
+            )
+            thread = self.harness.thread_for(client, self._next_serial(client))
+            self._storm.append(self.loop.process(
+                endpoint.connect(thread, replica.addr, server.port, config)
+            ))
 
     # -- phase-tagged RPCs: an RPC belongs to the phase it was issued in ----------
 
@@ -147,6 +161,11 @@ class IncidentEngine(OpenLoopEngine):
 
     def _failed(self, stream, src, dst, size, serial, t0):
         self.metrics.phase_failed[self._phase(t0)] += 1
+
+    def _outstanding(self) -> bool:
+        # The drain also waits out the storm: real handshakes outlast the
+        # loaded window.
+        return super()._outstanding() or any(not p.triggered for p in self._storm)
 
     # -- the run -----------------------------------------------------------------
 
@@ -176,12 +195,18 @@ class IncidentEngine(OpenLoopEngine):
         stats = self.bed.fabric.stats()
         m.blackholed = stats["leaf"]["blackholed"] + stats["spine"]["blackholed"]
         m.reconvergences = self.bed.fabric.reconvergences
-        if self._reestablisher is not None:
-            re = self._reestablisher
+        if self._storm_replica is not None:
+            planes = self.bed.ctrl_planes
+            server = planes[self._storm_replica]
+            done = [p.value for p in self._storm if p.triggered and p.ok]
             m.rehandshake = {
-                "completed": re.completed,
-                "admission_retries": re.admission_retries,
-                "client_inline_keygens": re.client_inline_keygens,
-                "server_inline_keygens": re.server_inline_keygens,
-                "max_duration": max(re.durations) if re.durations else 0.0,
+                "completed": len(done),
+                "admission_refused": server.table.admission_refused,
+                "client_inline_keygens": sum(
+                    p.ecdh_pool.misses for p in planes if p is not server
+                ),
+                "server_inline_keygens": server.ecdh_pool.misses,
+                "max_duration": max(
+                    (s.finished_at - s.started_at for s in done), default=0.0
+                ),
             }

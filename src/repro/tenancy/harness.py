@@ -138,9 +138,7 @@ class TenantFabric:
         # -- per-host control-plane partitions and isolation primitives ----
         iso = self.isolation
         self.session_tables = [
-            PartitionedSessionTable(
-                self.loop, weights, capacity=iso.session_capacity
-            )
+            PartitionedSessionTable(weights, capacity=iso.session_capacity)
             for _ in self.hosts
         ]
         self.keypools = [
@@ -246,7 +244,6 @@ class TenantFabric:
             key,
             on_evict=lambda: codecs.pop(peer_addr, None),
             busy=lambda: inflight[busy_key] > 0,
-            now=self.loop.now,
         )
 
     # -- server side -------------------------------------------------------------
@@ -355,7 +352,7 @@ class TenantFabric:
             stats = table.stats()[tenant_name]
             sessions += stats["sessions"]
             inserted += stats["inserted"]
-            evicted += stats["evicted_lru"] + stats["evicted_idle"]
+            evicted += stats["evicted_lru"]
             refused += stats["admission_refused"]
         for pool in self.keypools:
             stats = pool.stats()[tenant_name]

@@ -214,7 +214,7 @@ def zrtt_no_fs():
 def _saturated_server(bed):
     ctrl = ControlPlane(bed.server, random.Random(12),
                         config=CtrlConfig(session_capacity=1, prefill=False))
-    ctrl.table.insert(("pin",), lambda: None, busy=lambda: True, now=0.0)
+    ctrl.table.insert(("pin",), lambda: None, busy=lambda: True)
     return SmtEndpoint(bed.server, PORT, ctrl=ctrl)
 
 

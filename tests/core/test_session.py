@@ -42,10 +42,11 @@ class TestReplayFilter:
             session.accept_message(msg_id)
         # An ID far below the watermark is rejected outright.
         assert not session.accept_message(1)
-        # Memory stays bounded: the add that made 2W + 1 IDs (ID 2W) moved
-        # the watermark to one window below it, and the nine after it stay.
-        assert session.seen_ids.watermark == REPLAY_WINDOW_IDS
-        assert len(session.seen_ids) == REPLAY_WINDOW_IDS + 9
+        # Memory stays bounded: the add that made 2W + 1 IDs (ID 2W) dropped
+        # the lowest 128-ID chunks until at most W were held, chunk 512
+        # (IDs W to W + 127) the last of them, and the nine after it stay.
+        assert session.seen_ids.watermark == REPLAY_WINDOW_IDS + 127
+        assert len(session.seen_ids) == REPLAY_WINDOW_IDS - 127 + 9
         assert session.replays_rejected == 1
 
     def test_directions_independent(self):

@@ -12,6 +12,7 @@ from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.dns.resolver import InternalDns
 from repro.errors import ProtocolError
 from repro.testbed import Testbed
+from repro.tls.handshake import HandshakeConfig, ServerCredentials
 
 PORT = 7000
 
@@ -151,3 +152,37 @@ class TestZeroRttOverWire:
         honest = SmtEndpoint(bed.client, bed.client.alloc_port())
         out = connect_and_call(bed, honest, dns, roots, True, rng_seed=43)
         assert out["reply"] == b"zrtt"
+
+    def test_one_endpoint_serves_1rtt_and_0rtt_in_turn(self, pki):
+        # listen and serve_zero_rtt share the endpoint's one responder, so
+        # each flight reaches the handler of its kind: a second responder
+        # on the same socket would take some FINISHED flights it cannot
+        # serve and reject them.
+        ca, chain, key = pki
+        bed, cep, sep, dns, zserver, roots = build(pki, False)
+        sep.listen(
+            bed.server.app_thread(2),
+            ServerCredentials(chain=chain, signing_key=key),
+            lambda: HandshakeConfig(rng=random.Random(3), trust_roots=roots),
+        )
+        for i in range(3):
+            full = SmtEndpoint(bed.client, bed.client.alloc_port())
+
+            def one_rtt(full=full, i=i):
+                yield from full.connect(
+                    bed.client.app_thread(0), bed.server.addr, PORT,
+                    HandshakeConfig(rng=random.Random(50 + i),
+                                    server_name="server", trust_roots=roots),
+                )
+                return (yield from full.socket.call(
+                    bed.client.app_thread(0), bed.server.addr, PORT, b"1rtt"
+                ))
+
+            done = bed.loop.process(one_rtt())
+            bed.loop.run(until=bed.loop.now + 0.5)
+            assert done.triggered and done.ok, getattr(done, "value", None)
+            assert done.value == b"1rtt"
+            quick = SmtEndpoint(bed.client, bed.client.alloc_port())
+            out = connect_and_call(bed, quick, dns, roots, False, rng_seed=60 + i)
+            assert out["reply"] == b"zrtt"
+        assert sep.handshakes_rejected == 0

@@ -56,9 +56,8 @@ class TestEvictionIsolation:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_churn_in_one_partition_never_evicts_another(self, seed):
         rng = random.Random(seed)
-        loop = EventLoop()
         table = PartitionedSessionTable(
-            loop, {"victim": 1.0, "aggr": 1.0}, capacity=8
+            {"victim": 1.0, "aggr": 1.0}, capacity=8
         )
         evicted: dict[str, list] = {"victim": [], "aggr": []}
         # The victim settles in well under its compartment's capacity...
@@ -66,7 +65,7 @@ class TestEvictionIsolation:
             table.insert(
                 "victim", ("v", i),
                 on_evict=lambda i=i: evicted["victim"].append(i),
-                busy=never_busy, now=0.0,
+                busy=never_busy,
             )
         victim_before = table.sessions("victim")
         # ...then the aggressor churns far past its own capacity.
@@ -74,7 +73,7 @@ class TestEvictionIsolation:
             table.insert(
                 "aggr", ("a", i),
                 on_evict=lambda i=i: evicted["aggr"].append(i),
-                busy=never_busy, now=0.0,
+                busy=never_busy,
             )
             if rng.random() < 0.3:
                 table.touch("aggr", ("a", i))
@@ -90,7 +89,7 @@ class TestEvictionIsolation:
         loop = EventLoop()
         names = ["a", "b", "c"]
         table = PartitionedSessionTable(
-            loop, {n: rng.choice([1.0, 2.0]) for n in names}, capacity=9
+            {n: rng.choice([1.0, 2.0]) for n in names}, capacity=9
         )
         evicted_by: dict[str, set] = {n: set() for n in names}
         live: dict[str, set] = {n: set() for n in names}
@@ -102,7 +101,7 @@ class TestEvictionIsolation:
                 on_evict=lambda t=tenant, k=key: (
                     evicted_by[t].add(k), live[t].discard(k)
                 ),
-                busy=never_busy, now=0.0,
+                busy=never_busy,
             )
             live[tenant].add(key)
         for tenant in names:
@@ -117,15 +116,14 @@ class TestBackpressureCharging:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_refusals_land_on_the_saturating_tenant(self, seed):
         rng = random.Random(seed)
-        loop = EventLoop()
         table = PartitionedSessionTable(
-            loop, {"noisy": 1.0, "quiet": 1.0}, capacity=rng.randrange(4, 12)
+            {"noisy": 1.0, "quiet": 1.0}, capacity=rng.randrange(4, 12)
         )
         # The noisy tenant pins every slot of its own compartment busy.
         for i in range(table.partition_capacity("noisy")):
             table.insert(
                 "noisy", ("n", i), on_evict=lambda: None,
-                busy=lambda: True, now=0.0,
+                busy=lambda: True,
             )
         refusals = rng.randrange(1, 6)
         for _ in range(refusals):
@@ -133,12 +131,12 @@ class TestBackpressureCharging:
         with pytest.raises(ProtocolError):
             table.insert(
                 "noisy", ("n", 99), on_evict=lambda: None,
-                busy=never_busy, now=0.0,
+                busy=never_busy,
             )
         # The quiet tenant is untouched: admitted, insertable, clean counters.
         assert table.admit("quiet")
         table.insert(
-            "quiet", ("q", 0), on_evict=lambda: None, busy=never_busy, now=0.0
+            "quiet", ("q", 0), on_evict=lambda: None, busy=never_busy
         )
         stats = table.stats()
         assert stats["noisy"]["admission_refused"] == refusals + 1

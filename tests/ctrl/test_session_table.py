@@ -1,4 +1,4 @@
-"""SessionTable: LRU/idle eviction, busy pinning, admission backpressure."""
+"""SessionTable: LRU eviction, busy pinning, admission backpressure."""
 
 import random
 
@@ -10,15 +10,13 @@ from repro.crypto.cert import KEY_ALG_ECDSA
 from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.ctrl import ControlPlane, CtrlConfig, SessionTable
 from repro.errors import ProtocolError
-from repro.sim.event_loop import EventLoop
 from repro.testbed import Testbed
 from repro.tls.handshake import HandshakeConfig, ServerCredentials
 
 
 def make_table(**kw):
-    loop = EventLoop()
     kw.setdefault("capacity", 3)
-    return loop, SessionTable(loop, **kw)
+    return SessionTable(**kw)
 
 
 def never_busy():
@@ -27,62 +25,60 @@ def never_busy():
 
 class TestLru:
     def test_insert_within_capacity(self):
-        loop, table = make_table()
+        table = make_table()
         for i in range(3):
-            table.insert(("s", i), on_evict=lambda: None, busy=never_busy, now=0.0)
+            table.insert(("s", i), on_evict=lambda: None, busy=never_busy)
         assert len(table) == 3
         assert table.evicted_lru == 0
 
     def test_overflow_evicts_oldest(self):
-        loop, table = make_table()
+        table = make_table()
         evicted = []
         for i in range(5):
             table.insert(
                 ("s", i),
                 on_evict=lambda i=i: evicted.append(i),
                 busy=never_busy,
-                now=0.0,
             )
         assert evicted == [0, 1]
         assert ("s", 0) not in table and ("s", 4) in table
         assert table.evicted_lru == 2
 
     def test_touch_rescues_from_eviction(self):
-        loop, table = make_table()
+        table = make_table()
         evicted = []
         for i in range(3):
             table.insert(
                 ("s", i),
                 on_evict=lambda i=i: evicted.append(i),
                 busy=never_busy,
-                now=0.0,
             )
         table.touch(("s", 0))  # 1 is now the LRU candidate
-        table.insert(("s", 3), on_evict=lambda: None, busy=never_busy, now=0.0)
+        table.insert(("s", 3), on_evict=lambda: None, busy=never_busy)
         assert evicted == [1]
 
     def test_busy_entry_skipped(self):
-        loop, table = make_table()
+        table = make_table()
         evicted = []
-        table.insert(("s", 0), lambda: evicted.append(0), busy=lambda: True, now=0.0)
-        table.insert(("s", 1), lambda: evicted.append(1), busy=never_busy, now=0.0)
-        table.insert(("s", 2), lambda: evicted.append(2), busy=never_busy, now=0.0)
-        table.insert(("s", 3), lambda: evicted.append(3), busy=never_busy, now=0.0)
+        table.insert(("s", 0), lambda: evicted.append(0), busy=lambda: True)
+        table.insert(("s", 1), lambda: evicted.append(1), busy=never_busy)
+        table.insert(("s", 2), lambda: evicted.append(2), busy=never_busy)
+        table.insert(("s", 3), lambda: evicted.append(3), busy=never_busy)
         assert evicted == [1]  # oldest, but 0 is pinned busy
 
     def test_all_busy_raises(self):
-        loop, table = make_table(capacity=2)
-        table.insert(("s", 0), lambda: None, busy=lambda: True, now=0.0)
-        table.insert(("s", 1), lambda: None, busy=lambda: True, now=0.0)
+        table = make_table(capacity=2)
+        table.insert(("s", 0), lambda: None, busy=lambda: True)
+        table.insert(("s", 1), lambda: None, busy=lambda: True)
         with pytest.raises(ProtocolError):
-            table.insert(("s", 2), lambda: None, busy=never_busy, now=0.0)
+            table.insert(("s", 2), lambda: None, busy=never_busy)
         assert table.admission_refused == 1
 
     def test_deterministic_under_fixed_seed(self):
         # Same seeded insert/touch schedule -> identical eviction order.
         def run(seed):
             rng = random.Random(seed)
-            _loop, table = make_table(capacity=4)
+            table = make_table(capacity=4)
             evicted = []
             for i in range(32):
                 if rng.random() < 0.3 and len(table):
@@ -91,7 +87,6 @@ class TestLru:
                     ("s", i),
                     on_evict=lambda i=i: evicted.append(i),
                     busy=never_busy,
-                    now=0.0,
                 )
             return evicted
 
@@ -99,46 +94,19 @@ class TestLru:
         assert run(1234) != run(99)  # the schedule, not the table, is random
 
 
-class TestIdleSweep:
-    def test_idle_entries_swept(self):
-        loop, table = make_table(capacity=8, idle_timeout=1e-3)
-        evicted = []
-        table.insert(("s", 0), lambda: evicted.append(0), busy=never_busy, now=0.0)
-        loop.run(until=2e-3)
-        assert evicted == [0]
-        assert table.evicted_idle == 1
-        table.stop()
-
-    def test_touched_entry_survives(self):
-        loop, table = make_table(capacity=8, idle_timeout=1e-3)
-        table.insert(("s", 0), lambda: None, busy=never_busy, now=0.0)
-        keeper = loop.every(0.5e-3, lambda: table.touch(("s", 0)))
-        loop.run(until=5e-3)
-        assert ("s", 0) in table
-        keeper.cancel()
-        table.stop()
-
-    def test_busy_entry_not_swept(self):
-        loop, table = make_table(capacity=8, idle_timeout=1e-3)
-        table.insert(("s", 0), lambda: None, busy=lambda: True, now=0.0)
-        loop.run(until=5e-3)
-        assert ("s", 0) in table
-        table.stop()
-
-
 class TestAdmission:
     def test_admit_with_room(self):
-        _loop, table = make_table(capacity=1)
+        table = make_table(capacity=1)
         assert table.admit()
 
     def test_admit_full_but_evictable(self):
-        _loop, table = make_table(capacity=1)
-        table.insert(("s", 0), lambda: None, busy=never_busy, now=0.0)
+        table = make_table(capacity=1)
+        table.insert(("s", 0), lambda: None, busy=never_busy)
         assert table.admit()
 
     def test_refuse_full_and_busy(self):
-        _loop, table = make_table(capacity=1)
-        table.insert(("s", 0), lambda: None, busy=lambda: True, now=0.0)
+        table = make_table(capacity=1)
+        table.insert(("s", 0), lambda: None, busy=lambda: True)
         assert not table.admit()
         assert table.admission_refused == 1
 
@@ -161,7 +129,7 @@ class TestEndpointBackpressure:
             config=CtrlConfig(session_capacity=1, prefill=False),
         )
         # Saturate: one pinned-busy entry fills the table for good.
-        ctrl.table.insert(("pin",), lambda: None, busy=lambda: True, now=0.0)
+        ctrl.table.insert(("pin",), lambda: None, busy=lambda: True)
 
         sep = SmtEndpoint(bed.server, 7000, ctrl=ctrl)
         cep = SmtEndpoint(bed.client, bed.client.alloc_port())

@@ -29,6 +29,7 @@ import random
 
 import pytest
 
+from repro.bench.frontend import TIMELINE_SCALE
 from repro.core.zero_rtt import ZeroRttServer
 from repro.crypto.ca import fixed_pki
 from repro.ctrl import CtrlConfig, SharedShareRotator, TicketCache
@@ -54,11 +55,14 @@ REPLICA_INDICES = (2, 3)
 #: Compressed share/TTL timeline (virtual seconds), tuned so a crash in
 #: the schedule window below races both the rotation period and the
 #: record TTL: refreshes can find the record reaped and rotations can
-#: fire while the crashed replica cannot take the install.
-PERIOD = 600 * USEC
-TTL = 150 * USEC
-LIFETIME = 400 * USEC
-MARGIN = 200 * USEC
+#: fire while the crashed replica cannot take the install.  Every time
+#: in it and in the schedule is scaled by the bench's factor, because
+#: each open runs a real handshake (0.7-1.6 ms).
+SCALE = TIMELINE_SCALE
+PERIOD = 600 * USEC * SCALE
+TTL = 150 * USEC * SCALE
+LIFETIME = 400 * USEC * SCALE
+MARGIN = 200 * USEC * SCALE
 DNS_LATENCY = 2e-6
 
 
@@ -67,12 +71,12 @@ def run_frontend_seed(seed: int):
     """One fuzz iteration; returns the full comparable outcome tuple."""
     rng = random.Random(seed * 31 + 7)
     crash_idx = rng.choice(REPLICA_INDICES)
-    crash_at = rng.uniform(100 * USEC, 400 * USEC)
-    revive_at = crash_at + rng.uniform(100 * USEC, 300 * USEC)
-    resync_delay = rng.uniform(50 * USEC, 150 * USEC)
-    horizon = revive_at + resync_delay + 300 * USEC
+    crash_at = rng.uniform(100 * USEC, 400 * USEC) * SCALE
+    revive_at = crash_at + rng.uniform(100 * USEC, 300 * USEC) * SCALE
+    resync_delay = rng.uniform(50 * USEC, 150 * USEC) * SCALE
+    horizon = revive_at + resync_delay + 300 * USEC * SCALE
     plan = [
-        (serial, rng.uniform(10 * USEC, horizon), f"key-{rng.randrange(6)}")
+        (serial, rng.uniform(10 * USEC * SCALE, horizon), f"key-{rng.randrange(6)}")
         for serial in range(N_OPENS)
     ]
 
@@ -112,7 +116,7 @@ def run_frontend_seed(seed: int):
     checker.start()
     cache = TicketCache(dns, roots, refresh_margin=MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, cache, roots,
+        bed.hosts[0], registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=seed,
     )
     controller.on_replica_revive(
@@ -144,7 +148,7 @@ def run_frontend_seed(seed: int):
         bed.loop.process(one_open(*item))
     # Drain window: a late open can queue behind another open's keygen
     # on the same app thread, so leave room for two full 1-RTT opens.
-    bed.run(until=horizon + 600 * USEC)
+    bed.run(until=horizon + 600 * USEC * SCALE)
     rotator.stop()
     checker.stop()
 

@@ -2,10 +2,11 @@
 
 :class:`~repro.homa.idwindow.IdWindow` replaced a set of seen IDs plus a
 watermark (SMT's replay defence) and a 100 000-key FIFO dict of delivered
-IDs (Homa's late-copy filter).  The session must answer exactly as the set
-did; the engine keeps one window per peer socket, which must stay small
-per ID, never grow with an ID's value, never let one forged ID lift its
-floor, and never cut off a message still being received.
+IDs (Homa's late-copy filter).  The session and the engine's per-peer
+windows answer as one model of a set and a watermark; a window must stay
+small per ID, never grow with an ID's value, never let one forged ID lift
+its floor (in the session, not even one that failed AEAD and was
+forgiven), and never cut off a message still being received.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def held(window: IdWindow) -> list[int]:
     )
 
 
-class SetModel:
-    """SMT's replay filter as a set and a watermark, pruned as it always was."""
+class Model:
+    """A set of IDs and a watermark; a prune drops the lowest 128-ID groups
+    until at most W are left and the watermark is the highest ID dropped."""
 
     def __init__(self):
         self.clear()
@@ -47,35 +49,22 @@ class SetModel:
     def clear(self) -> None:
         self.ids: set[int] = set()
         self.watermark = -1
-        self.newest = -1
 
     def add(self, msg_id: int) -> bool:
         if msg_id <= self.watermark or msg_id in self.ids:
             return False
         self.ids.add(msg_id)
-        self.newest = max(self.newest, msg_id)
         if len(self.ids) > 2 * SPAN:
-            self.prune()
+            ids = sorted(self.ids)
+            while len(ids) > SPAN:
+                group = ids[0] >> 7
+                while ids and ids[0] >> 7 == group:
+                    self.watermark = ids.pop(0)
+            self.ids = set(ids)
         return True
-
-    def prune(self) -> None:
-        self.watermark = max(self.watermark, self.newest - SPAN)
-        self.ids = {i for i in self.ids if i > self.watermark}
 
     def seen(self, msg_id: int) -> bool:
         return msg_id <= self.watermark or msg_id in self.ids
-
-
-class HeldModel(SetModel):
-    """Homa's rule: drop the lowest 128-ID groups until at most W are left."""
-
-    def prune(self) -> None:
-        ids = sorted(self.ids)
-        while len(ids) > SPAN:
-            group = ids[0] >> 7
-            while ids and ids[0] >> 7 == group:
-                self.watermark = ids.pop(0)
-        self.ids = set(ids)
 
 
 # Each op names its ID relative to the newest added since the last rekey,
@@ -94,8 +83,7 @@ _ops = st.lists(
 )
 
 
-# A prune whose floor (newest - SPAN = 127) ends a chunk while IDs at and
-# below it are held in that chunk: IDs 124-131 and then 100.
+# A prune while IDs 124-131 straddle a chunk edge, then an ID below them.
 _FLOOR_ENDS_A_CHUNK = [
     ("add", offset) for offset in (130, -6, -5, -4, -3, 1, -2, -3, -31)
 ]
@@ -113,12 +101,12 @@ def _with_ids(ops) -> list[tuple[str, int]]:
     return out
 
 
-def _probe(model: SetModel) -> list[int]:
+def _probe(model: Model) -> list[int]:
     near = {0, 1, 127, 128, 129, 255, 256, 2**48, 2**48 + 1}
     return sorted(near | model.ids | {model.watermark, model.watermark + 1})
 
 
-def _same(window: IdWindow, model: SetModel) -> None:
+def _same(window: IdWindow, model: Model) -> None:
     assert len(window) == len(model.ids)
     assert window.watermark == model.watermark
     assert held(window) == sorted(model.ids)
@@ -129,9 +117,9 @@ def _same(window: IdWindow, model: SetModel) -> None:
 @settings(max_examples=300, deadline=None)
 @given(_ops)
 @example(_FLOOR_ENDS_A_CHUNK)
-def test_session_answers_as_the_set_did(ops):
+def test_session_answers_as_the_model_does(ops):
     session = make_session()
-    model = SetModel()
+    model = Model()
     rejected = forgiven = 0
     with mock.patch.object(idwindow, "REPLAY_WINDOW_IDS", SPAN):
         for op, msg_id in _with_ids(ops):
@@ -158,7 +146,7 @@ def test_session_answers_as_the_set_did(ops):
 @given(_ops)
 @example(_FLOOR_ENDS_A_CHUNK)
 def test_window_matches_the_model(ops):
-    window, model = IdWindow(), HeldModel()
+    window, model = IdWindow(), Model()
     with mock.patch.object(idwindow, "REPLAY_WINDOW_IDS", SPAN):
         for op, msg_id in _with_ids(ops):
             if op == "add":
@@ -256,6 +244,23 @@ def test_a_forged_id_near_2_48_cannot_cut_its_peer_off():
     assert receiver.delivered[-1][1] == real[-1]
     assert len(receiver.delivered) == len(real) + 1
     assert receiver.transport.spurious_ignored == 0
+
+
+def test_a_forgiven_forged_id_cannot_lock_the_session():
+    # A forged first header's ID passes accept_message before AEAD, fails
+    # it, and is forgiven.  It must leave nothing behind that a later prune
+    # lifts the watermark to: after 2W + 1 real IDs the next one is accepted.
+    session = make_session()
+    w = 16
+    with mock.patch.object(idwindow, "REPLAY_WINDOW_IDS", w):
+        assert session.accept_message(2**48)
+        assert session.forgive_message(2**48)
+        real = range(2, 2 + 2 * (2 * w + 2), 2)
+        for msg_id in real[:-1]:
+            assert session.accept_message(msg_id)
+        assert session.seen_ids.watermark < real[-1]
+        assert session.accept_message(real[-1])
+    assert session.replays_rejected == 0
 
 
 def test_a_message_in_progress_survives_a_prune():

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from math import ceil
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,7 +80,8 @@ def _stub_frontend(loop, rids):
     """A ServiceFrontend with bookkeeping only (no crypto, no fabric).
 
     Drain and migrate never touch the handshake machinery, so the drain
-    properties run against hand-planted sessions.
+    properties run against hand-planted sessions, and the host is a
+    stand-in no endpoint is opened on.
     """
     registry = ServiceRegistry(loop, InternalDns(), "drain-prop", ttl=1.0)
     for rid in rids:
@@ -90,7 +92,7 @@ def _stub_frontend(loop, rids):
             self.rid = rid
 
     fe = ServiceFrontend(
-        loop, registry, {rid: _Stub(rid) for rid in rids},
+        SimpleNamespace(loop=loop), registry, {rid: _Stub(rid) for rid in rids},
         tickets=None, trust_roots=(),
     )
     return fe

@@ -7,6 +7,8 @@ session accounting, drain-with-deregister, and the ring's refusal of an
 empty membership.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.dns.resolver import InternalDns
@@ -98,8 +100,9 @@ def make_frontend(loop, rids=("r0", "r1", "r2")):
         def __init__(self, rid):
             self.rid = rid
 
+    # A host stand-in: bookkeeping never opens an endpoint on it.
     return ServiceFrontend(
-        loop, registry, {rid: _Stub(rid) for rid in rids},
+        SimpleNamespace(loop=loop), registry, {rid: _Stub(rid) for rid in rids},
         tickets=None, trust_roots=(),
     )
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.churn import _percentile, _run_combo
 from repro.errors import ReproError
 from repro.homa import HomaConfig
 from repro.load import ClusterHarness, FixedSize
@@ -142,11 +143,34 @@ class TestMetricFinalisation:
         assert result.completed == result.issued
         rh = m.rehandshake
         assert rh is not None
-        # Every surviving host re-established exactly one session, and
-        # the cold-restarted pools forced inline keygen server-side.
+        # Every surviving host re-established exactly one session.  The
+        # cold-restarted pool made the first hello pay server keygen
+        # inline; the replica's one responder serves the hellos in turn,
+        # and the refill timer restocked the pool before the next.
         assert rh["completed"] == len(engine.harness.hosts) - 1
-        assert rh["server_inline_keygens"] == rh["completed"]
-        assert rh["max_duration"] > 0.0
+        assert rh["server_inline_keygens"] == 1
+        assert rh["client_inline_keygens"] == 0
+        assert rh["admission_refused"] == 0
+        # A re-handshake is a full TLS handshake over the fabric: the
+        # slowest costs at least a pooled 1-RTT setup on a quiet wire.
+        pooled = sorted(_run_combo("1rtt", True, n=6, capacity=3, seed=40)["latencies"])
+        assert rh["max_duration"] >= _percentile(pooled, 0.50)
+
+    def test_the_drain_waits_for_a_pending_storm(self):
+        # Real handshakes outlast the loaded window, so the drain must not
+        # end while one is in flight, whatever the RPCs are doing.
+        bed = _bed(ctrl=True)
+        timeline = [
+            IncidentEvent(FAULT_AT, "replica_crash", 3),
+            IncidentEvent(REVIVE_AT, "replica_revive", 3),
+        ]
+        engine = _engine(bed, timeline, watch=False, reestablish=True)
+        assert not engine._outstanding()
+        engine._rehandshake_storm(3)
+        assert engine._outstanding()
+        bed.run(until=bed.loop.now + 0.01)
+        assert not engine._outstanding()
+        assert all(p.ok for p in engine._storm)
 
     def test_fixed_seed_is_deterministic(self):
         def once():

@@ -1,13 +1,9 @@
-"""Property tests for the resilience primitives, seeded and exhaustive.
+"""Property tests for the spine watchers' heartbeat monitor, seeded.
 
-Each component carries one load-bearing invariant the incident machinery
-relies on:
-
-- :class:`BackoffPolicy`: delays replay per seed, grow exponentially and
-  stay under the cap (plus jitter) -- the re-handshake storm's spacing;
-- :class:`HeartbeatMonitor`: a target that dies at ``t`` is declared
-  down by ``t + interval * miss_threshold`` (the advertised
-  ``detection_bound``), for every seed-randomised death time.
+:class:`~repro.net.domain_faults.HeartbeatMonitor` carries the one
+invariant the incident machinery relies on: a target that dies at ``t``
+is declared down by ``t + interval * miss_threshold`` (the advertised
+``detection_bound``), for every seed-randomised death time.
 """
 
 from __future__ import annotations
@@ -16,28 +12,10 @@ import random
 
 import pytest
 
-from repro.resilience import BackoffPolicy, HeartbeatMonitor
+from repro.net.domain_faults import HeartbeatMonitor
 from repro.sim.event_loop import EventLoop
 
 SEEDS = list(range(30))
-
-
-class TestBackoffPolicy:
-    def test_deterministic_per_seed_and_capped(self):
-        a = BackoffPolicy(base=10e-6, multiplier=2.0, cap=100e-6, seed=3)
-        b = BackoffPolicy(base=10e-6, multiplier=2.0, cap=100e-6, seed=3)
-        da = [a.delay(i) for i in range(20)]
-        db = [b.delay(i) for i in range(20)]
-        assert da == db
-        for i, d in enumerate(da):
-            assert 0 < d <= 100e-6 * 1.2 + 1e-12, f"attempt {i} delay {d}"
-
-    def test_growth_until_cap(self):
-        policy = BackoffPolicy(base=10e-6, multiplier=2.0, cap=1.0, jitter=0.0)
-        assert policy.delay(0) == pytest.approx(10e-6)
-        assert policy.delay(3) == pytest.approx(80e-6)
-        # Huge attempt numbers neither overflow nor exceed the cap.
-        assert policy.delay(10_000) <= 1.0
 
 
 class TestHeartbeatDetectionBound:

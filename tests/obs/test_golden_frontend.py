@@ -1,9 +1,10 @@
 """Golden trace for one deterministic front-end failover.
 
 One fixed scenario -- two replicas behind one DNS name with a shared
-long-term share, replica 1 crashing at 250 us and reviving at 700 us
-(resynced 200 us later) while session opens flow through the balancer,
-then a drain of replica 0 -- is locked down three ways:
+long-term share, replica 1 crashing at 5 ms and reviving at 14 ms
+(resynced 4 ms later) while session opens, each a real SMT handshake,
+flow through the balancer, then a drain of replica 0 -- is locked down
+three ways:
 
 - the ``lb``/``dns`` span log: every ``lb.open`` with its picked
   replica, the ``lb.fallback.1rtt`` spans inside the outage, the
@@ -21,6 +22,7 @@ Regenerate after an intentional change::
 import json
 import random
 
+from repro.bench.frontend import TIMELINE_SCALE
 from repro.core.zero_rtt import ZeroRttServer
 from repro.crypto.ca import CertificateAuthority
 from repro.crypto.cert import KEY_ALG_ECDSA
@@ -40,15 +42,19 @@ from repro.units import USEC
 from tests.obs.test_golden_trace import check_golden
 
 SERVICE = "svc.golden.internal"
-PERIOD = 600 * USEC
-TTL = 150 * USEC
-LIFETIME = 400 * USEC
-MARGIN = 200 * USEC
-CRASH_AT = 250 * USEC
-REVIVE_AT = 700 * USEC
-RESYNC_DELAY = 200 * USEC
-OPEN_STEP = 80 * USEC
-HORIZON = 1250 * USEC
+#: The bench's factor: each open runs a real handshake (0.7-1.6 ms).
+SCALE = TIMELINE_SCALE
+PERIOD = 600 * USEC * SCALE
+TTL = 150 * USEC * SCALE
+LIFETIME = 400 * USEC * SCALE
+MARGIN = 200 * USEC * SCALE
+CRASH_AT = 250 * USEC * SCALE
+REVIVE_AT = 700 * USEC * SCALE
+RESYNC_DELAY = 200 * USEC * SCALE
+OPEN_STEP = 80 * USEC * SCALE
+HORIZON = 1250 * USEC * SCALE
+FIRST_OPEN = 10 * USEC * SCALE
+TAIL = 300 * USEC * SCALE
 
 
 def render_lb_spans(obs) -> str:
@@ -115,7 +121,7 @@ def run_failover():
     checker.bind_obs(obs)
     cache = TicketCache(dns, roots, refresh_margin=MARGIN)
     fe = ServiceFrontend(
-        bed.loop, registry, replicas, cache, roots,
+        bed.hosts[0], registry, replicas, cache, roots,
         minter_rid=replica_hosts[0].addr, seed=17,
     )
     fe.bind_obs(obs)
@@ -132,7 +138,7 @@ def run_failover():
     def client():
         thread = bed.hosts[0].app_thread(0)
         k = 0
-        yield bed.loop.timeout(10e-6)
+        yield bed.loop.timeout(FIRST_OPEN)
         while bed.loop.now < HORIZON:
             yield from fe.open_session(thread, f"key-{k % 6}")
             k += 1
@@ -141,7 +147,7 @@ def run_failover():
         drainer.drain(replica_hosts[0].addr)
 
     done = bed.loop.process(client())
-    bed.run(until=HORIZON + 300 * USEC)
+    bed.run(until=HORIZON + TAIL)
     assert done.triggered and done.ok, getattr(done, "value", None)
     rotator.stop()
     registry.stop()

@@ -113,7 +113,7 @@ KEPT: dict[str, str] = {
     "fuzz harness and fault-schedule tests read its config and counters",
     "repro.testbed:Testbed.faults_s2c": "the server-to-client injector; the "
     "fault-schedule tests read its counters",
-    "repro.resilience.heartbeat:HeartbeatMonitor.detection_bound": "worst-case "
+    "repro.net.domain_faults:HeartbeatMonitor.detection_bound": "worst-case "
     "death-to-down latency; the heartbeat property tests bound detection by it",
 }
 

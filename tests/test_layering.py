@@ -37,7 +37,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: Cross-package imports that stay inside a function, keyed by
-#: (importing module, imported module).  All four are optional layers,
+#: (importing module, imported module).  All three are optional layers,
 #: off unless a bed enables them: hoisting any would add its package to
 #: the import closure of every run (``test_import_closures`` holds that).
 DEFERRED = {
@@ -45,9 +45,6 @@ DEFERRED = {
     ("repro.testbed", "repro.ctrl"): "control plane: loaded by enable_ctrl() only",
     ("repro.sim.shard.domain", "repro.obs"): (
         "observability: loaded when ShardPlan.observe is set"
-    ),
-    ("repro.net.domain_faults", "repro.resilience.heartbeat"): (
-        "heartbeat detection: loaded by watch_spines() only"
     ),
 }
 
@@ -301,9 +298,9 @@ def test_the_gate_bites(tmp_path):
     "modules, forbidden",
     [
         ("repro.sim", "net host nic obs sim.shard"),
-        ("repro.crypto, repro.tls, repro.dns, repro.resilience", "sim"),
+        ("repro.crypto, repro.tls, repro.dns", "sim"),
         # What DEFERRED buys: a plain bed loads no optional layer.
-        ("repro.testbed", "obs ctrl resilience"),
+        ("repro.testbed", "obs ctrl"),
     ],
 )
 def test_import_closures(modules, forbidden):
