@@ -20,6 +20,7 @@ crypto operations.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import struct
 from dataclasses import dataclass
@@ -132,6 +133,10 @@ class SmtEndpoint:
         self._responder = None
         self.tickets: dict[tuple[int, int], list[SessionTicket]] = {}
         self.handshakes_rejected = 0
+        # Servers this endpoint is handshaking with, by (address, data
+        # port): a server keys its handshake state by this endpoint's
+        # address and data port, so one session with it is set up at a time.
+        self._connecting: set[tuple[int, int]] = set()
         if ctrl is not None:
             ctrl.adopt(self)
 
@@ -350,39 +355,44 @@ class SmtEndpoint:
         hs_config: HandshakeConfig,
     ) -> Generator[Any, Any, HandshakeStats]:
         """Establish a session with a listening server endpoint."""
-        started = self.loop.now
-        obs = self.loop.obs
-        hs_span = None
-        client_hs = ClientHandshake(hs_config)
-        if obs is not None:
-            hs_span = obs.tracer.begin(
-                "tls.handshake", f"{self.host.name}.connect", peer=server_addr
+        with self._handshaking(server_addr, server_data_port):
+            started = self.loop.now
+            obs = self.loop.obs
+            hs_span = None
+            client_hs = ClientHandshake(hs_config)
+            if obs is not None:
+                hs_span = obs.tracer.begin(
+                    "tls.handshake", f"{self.host.name}.connect", peer=server_addr
+                )
+                client_hs.bind_obs(obs, f"{self.host.name}.tls", parent=hs_span)
+            chlo = client_hs.start()
+            yield from thread.work(self.cost_model.total(client_hs.trace))
+            charged = len(client_hs.trace)
+            server_flight = yield from self._exchange(
+                thread, server_addr, _MSG_CHLO, chlo
             )
-            client_hs.bind_obs(obs, f"{self.host.name}.tls", parent=hs_span)
-        chlo = client_hs.start()
-        yield from thread.work(self.cost_model.total(client_hs.trace))
-        charged = len(client_hs.trace)
-        server_flight = yield from self._exchange(thread, server_addr, _MSG_CHLO, chlo)
-        finished = client_hs.process_server_flight(server_flight, self.loop.now)
-        yield from thread.work(self.cost_model.total(client_hs.trace[charged:]))
-        client_keys, server_keys = client_hs.result.traffic_keys()
-        self.register_session(server_addr, server_data_port, client_keys, server_keys)
-        keys_ready = self.loop.now
-        ticket_blob = yield from self._exchange(
-            thread, server_addr, _MSG_FINISHED, finished
-        )
-        tickets, off = [], 0
-        while ticket_blob != b"\x00" and off < len(ticket_blob):
-            (n,) = struct.unpack_from("!I", ticket_blob, off)
-            off += 4 + n
-            tickets.extend(client_hs.process_tickets(ticket_blob[off - n : off]))
-        if tickets:
-            self.tickets[(server_addr, server_data_port)] = tickets
-        if hs_span is not None:
-            obs.tracer.end(
-                hs_span, setup_latency=keys_ready - started, tickets=len(tickets)
+            finished = client_hs.process_server_flight(server_flight, self.loop.now)
+            yield from thread.work(self.cost_model.total(client_hs.trace[charged:]))
+            client_keys, server_keys = client_hs.result.traffic_keys()
+            self.register_session(
+                server_addr, server_data_port, client_keys, server_keys
             )
-        return HandshakeStats(started, keys_ready, self.loop.now)
+            keys_ready = self.loop.now
+            ticket_blob = yield from self._exchange(
+                thread, server_addr, _MSG_FINISHED, finished
+            )
+            tickets, off = [], 0
+            while ticket_blob != b"\x00" and off < len(ticket_blob):
+                (n,) = struct.unpack_from("!I", ticket_blob, off)
+                off += 4 + n
+                tickets.extend(client_hs.process_tickets(ticket_blob[off - n : off]))
+            if tickets:
+                self.tickets[(server_addr, server_data_port)] = tickets
+            if hs_span is not None:
+                obs.tracer.end(
+                    hs_span, setup_latency=keys_ready - started, tickets=len(tickets)
+                )
+            return HandshakeStats(started, keys_ready, self.loop.now)
 
     def connect_zero_rtt(
         self,
@@ -404,30 +414,51 @@ class SmtEndpoint:
         the ticket's share so a freshly-rotated server can honour the
         previous one inside its grace window (§4.5.3).
         """
-        started = self.loop.now
-        # Ticket verification happened offline, "before the handshake
-        # begins" (§4.5.2) -- it is not on the connect latency path.
-        client = ZeroRttClient(
-            ticket, trust_roots, now=self.loop.now, rng=rng or random.Random(0)
-        )
-        share, chlo_random, cw, sw, trace = client.start(pregenerated=pregenerated)
-        yield from thread.work(
-            self.cost_model.total(trace) + self.cost_model.op_cost_for("C2.3")
-        )
-        session = self.register_session(server_addr, server_data_port, cw, sw)
-        keys_ready = self.loop.now  # 0-RTT: encrypted data may flow already
-        body = bytes([int(forward_secrecy)]) + chlo_random + share
-        if share_fingerprint:
-            body += fingerprint_of(ticket.long_term_share)
-        reply = yield from self._exchange(thread, server_addr, _MSG_ZRTT, body)
-        # Processing the server's confirming flight (SHLO-style reply +
-        # Finished-style confirmation) happens for both variants.
-        yield from thread.work(
-            self.cost_model.op_cost_for("C2.1") + self.cost_model.op_cost_for("C5")
-        )
-        if forward_secrecy:
-            session.rekey(*(yield from self._fs_keys(thread, client.ephemeral, reply)))
-        return HandshakeStats(started, keys_ready, self.loop.now)
+        with self._handshaking(server_addr, server_data_port):
+            started = self.loop.now
+            # Ticket verification happened offline, "before the handshake
+            # begins" (§4.5.2) -- it is not on the connect latency path.
+            client = ZeroRttClient(
+                ticket, trust_roots, now=self.loop.now, rng=rng or random.Random(0)
+            )
+            share, chlo_random, cw, sw, trace = client.start(pregenerated=pregenerated)
+            yield from thread.work(
+                self.cost_model.total(trace) + self.cost_model.op_cost_for("C2.3")
+            )
+            session = self.register_session(server_addr, server_data_port, cw, sw)
+            keys_ready = self.loop.now  # 0-RTT: encrypted data may flow already
+            body = bytes([int(forward_secrecy)]) + chlo_random + share
+            if share_fingerprint:
+                body += fingerprint_of(ticket.long_term_share)
+            reply = yield from self._exchange(thread, server_addr, _MSG_ZRTT, body)
+            # Processing the server's confirming flight (SHLO-style reply +
+            # Finished-style confirmation) happens for both variants.
+            yield from thread.work(
+                self.cost_model.op_cost_for("C2.1") + self.cost_model.op_cost_for("C5")
+            )
+            if forward_secrecy:
+                fs_keys = yield from self._fs_keys(thread, client.ephemeral, reply)
+                session.rekey(*fs_keys)
+            return HandshakeStats(started, keys_ready, self.loop.now)
+
+    @contextlib.contextmanager
+    def _handshaking(self, server_addr: int, server_data_port: int):
+        """Hold the one handshake slot with a server for a connect's span.
+
+        A second connect while one is in flight raises before it sends
+        anything, so the first completes.
+        """
+        peer = (server_addr, server_data_port)
+        if peer in self._connecting:
+            raise ProtocolError(
+                f"a handshake with {server_addr}:{server_data_port} is already"
+                " in flight from this endpoint"
+            )
+        self._connecting.add(peer)
+        try:
+            yield
+        finally:
+            self._connecting.discard(peer)
 
     def rekey(
         self,

@@ -5,6 +5,16 @@ carry an authenticated public key, chain up to an internal CA, and cost
 signature verifications proportional to chain length (§4.5.1's "short
 certificate chain" optimisation).  This module provides exactly that with a
 deterministic binary encoding -- no ASN.1.
+
+Every signature check in the stack -- certificate links, SMT-ticket
+signatures, ``CertificateVerify`` -- goes through :func:`verify_with_key`,
+which remembers the last ``_VERIFIED_MAX`` verifications that succeeded.
+A client that checks one chain and one ticket on every connect (§4.5.2
+verifies the ticket "offline, before the handshake begins") so pays for
+each distinct signature once.  Virtual time is unaffected: Table 2's
+costs are charged from the cost model per handshake.  Validity windows,
+trust roots and issuer linkage are not signatures and are checked on
+every call.
 """
 
 from __future__ import annotations
@@ -36,8 +46,23 @@ def _unpack(data: bytes, offset: int) -> tuple[bytes, int]:
     return data[offset : offset + n], offset + n
 
 
+# Verifications that succeeded, least recently used first, keyed by the
+# key algorithm and the public key, message and signature bytes.  ECDSA
+# and RSA verification are pure functions of those inputs, so a
+# byte-identical repeat has the answer the full check gave; any other
+# input, and every failure, runs the full check.  Entries are a few
+# hundred bytes each.
+_VERIFIED_MAX = 256
+_verified: dict[tuple[str, bytes, bytes, bytes], None] = {}
+
+
 def verify_with_key(key_alg: str, public_key: bytes, message: bytes, signature: bytes) -> None:
-    """Verify ``signature`` over ``message`` with an encoded public key."""
+    """Verify ``signature`` over ``message`` with an encoded public key;
+    a repeat of a verification that succeeded returns at once."""
+    key = (key_alg, bytes(public_key), bytes(message), bytes(signature))
+    if key in _verified:
+        _verified[key] = _verified.pop(key)
+        return
     if key_alg == KEY_ALG_ECDSA:
         ecdsa_verify(ECPoint.decode(public_key), message, signature)
     elif key_alg == KEY_ALG_RSA:
@@ -52,6 +77,9 @@ def verify_with_key(key_alg: str, public_key: bytes, message: bytes, signature: 
         pub.verify(message, signature)
     else:
         raise CryptoError(f"unknown key algorithm {key_alg!r}")
+    if len(_verified) >= _VERIFIED_MAX:
+        del _verified[next(iter(_verified))]
+    _verified[key] = None
 
 
 @dataclass(frozen=True)

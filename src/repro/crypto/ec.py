@@ -24,10 +24,15 @@ every addition is a mixed Jacobian+affine one:
   ``_key_tables`` holds at most ``_KEY_TABLES_MAX`` of them, least recently
   used out first, keyed by the full ``(x, y)``, and a key earns its table
   only on its second sighting.  On the first, ``u2*Q`` is the wNAF ladder
-  and joins the comb for ``u1*G`` by one affine addition.  What is kept is
-  a table of multiples of a point that was validated on this very call --
-  never a verification result: every signature is a full double-scalar
-  multiplication.
+  and joins the comb for ``u1*G`` by one affine addition.  What is kept
+  here is a table of multiples of a point that was validated on this very
+  call, so every call of ``double_scalar_mult`` is a full double-scalar
+  multiplication.  Results are kept one layer up:
+  ``repro.crypto.cert.verify_with_key`` files each verification that
+  succeeded under all four of its inputs (key algorithm, public key,
+  message, signature).  That is safe because verification is a pure
+  function of exactly those inputs: only a byte-identical repeat hits,
+  and a failure is never filed, so a forgery runs the full check.
 
 All tables leave Jacobian coordinates through Montgomery's batch inversion,
 and every inverse is ``pow(x, -1, m)``.

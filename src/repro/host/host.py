@@ -85,7 +85,10 @@ class Host:
         return self._transports.get(proto)
 
     def alloc_port(self) -> int:
+        """The next ephemeral port; raises once the 16-bit space is spent."""
         port = self._next_port
+        if port > 0xFFFF:
+            raise SimulationError(f"host {self.name} has no ephemeral port left")
         self._next_port += 1
         return port
 

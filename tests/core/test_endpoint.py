@@ -146,6 +146,51 @@ class TestBadFlights:
         assert sep.session_for(bed.client.addr, cep.port) is not None
 
 
+class TestConcurrentConnects:
+    """One endpoint sets up one session with a server at a time."""
+
+    def test_second_connect_in_flight_raises_and_first_completes(self, pki):
+        bed, cep, sep, roots = build(pki)
+        t = bed.client.app_thread(0)
+
+        def one(seed):
+            return (yield from cep.connect(
+                t, bed.server.addr, 7000,
+                HandshakeConfig(rng=random.Random(seed), server_name="server",
+                                trust_roots=roots),
+            ))
+
+        first = bed.loop.process(one(4))
+        second = bed.loop.process(one(5))
+        bed.loop.run(until=0.5)
+        assert first.triggered and first.ok, getattr(first, "value", None)
+        assert second.triggered and not second.ok
+        assert isinstance(second.value, ProtocolError)
+        assert "already in flight" in str(second.value)
+        assert sep.handshakes_rejected == 0
+        assert sep.session_for(bed.client.addr, cep.port) is not None
+        # The slot frees with the first handshake: a later connect runs.
+        third = bed.loop.process(one(6))
+        bed.loop.run(until=1.0)
+        assert third.triggered and third.ok, getattr(third, "value", None)
+        assert sep.handshakes_rejected == 0
+
+    def test_a_failed_connect_frees_the_slot(self, pki):
+        bed, cep, sep, roots = build(pki)
+
+        def wrong_name():
+            yield from cep.connect(
+                bed.client.app_thread(0), bed.server.addr, 7000,
+                HandshakeConfig(rng=random.Random(4), server_name="other",
+                                trust_roots=roots),
+            )
+
+        done = bed.loop.process(wrong_name())
+        bed.loop.run(until=0.5)
+        assert not done.ok and isinstance(done.value, AuthenticationError)
+        connect(bed, cep, roots, seed=5)
+
+
 class TestEncryptedData:
     @pytest.mark.parametrize("offload", [False, True])
     def test_echo_roundtrip(self, pki, offload):

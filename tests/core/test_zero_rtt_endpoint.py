@@ -186,3 +186,31 @@ class TestZeroRttOverWire:
             out = connect_and_call(bed, quick, dns, roots, False, rng_seed=60 + i)
             assert out["reply"] == b"zrtt"
         assert sep.handshakes_rejected == 0
+
+
+def test_second_zero_rtt_connect_in_flight_raises(pki):
+    bed, cep, sep, dns, zserver, roots = build(pki, True)
+    ticket = dns.query("server", now=0.0)
+
+    def one(seed):
+        return (yield from cep.connect_zero_rtt(
+            bed.client.app_thread(0), bed.server.addr, PORT, ticket, roots,
+            forward_secrecy=True, rng=random.Random(seed),
+        ))
+
+    first = bed.loop.process(one(42))
+    second = bed.loop.process(one(43))
+    bed.loop.run(until=1.0)
+    assert first.triggered and first.ok, getattr(first, "value", None)
+    assert not second.ok and isinstance(second.value, ProtocolError)
+    assert sep.handshakes_rejected == 0
+    out = {}
+
+    def call():
+        out["reply"] = yield from cep.socket.call(
+            bed.client.app_thread(0), bed.server.addr, PORT, b"after"
+        )
+
+    bed.loop.process(call())
+    bed.loop.run(until=bed.loop.now + 1.0)
+    assert out["reply"] == b"after"

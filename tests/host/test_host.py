@@ -63,6 +63,15 @@ class TestRegistration:
         ports = {host.alloc_port() for _ in range(100)}
         assert len(ports) == 100
 
+    def test_port_space_exhaustion_fails_closed(self):
+        host = make_host()
+        host._next_port = 0xFFFF
+        assert host.alloc_port() == 0xFFFF
+        with pytest.raises(SimulationError, match="host h "):
+            host.alloc_port()
+        with pytest.raises(SimulationError):
+            host.alloc_port()
+
 
 class TestAccounting:
     def test_cpu_busy_time_groups(self):
