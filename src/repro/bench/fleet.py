@@ -41,7 +41,7 @@ from repro.bench import (
     table2,
     tenant,
 )
-from repro.crypto.aead import in_flight_stats
+from repro.crypto.aead import in_flight_reset, in_flight_stats
 from repro.sim.event_loop import events_dispatched
 
 EXPERIMENTS = {
@@ -95,8 +95,10 @@ def run_experiment(
     """Run one registered experiment, timing it and counting loop events.
 
     The returned JSON report carries a ``perf`` key with host wall time,
-    events/sec and FastAead's in-flight counters (all since process start);
-    everything else is virtual-time output, identical wherever it runs.
+    events/sec and FastAead's in-flight table as this experiment left it,
+    emptied at its start so that no earlier experiment in the process
+    shows in it; everything else is virtual-time output, identical
+    wherever it runs.
     ``domains`` overrides the sharded-kernel partitioning for experiments
     that support it and is ignored by the rest.
     """
@@ -107,6 +109,7 @@ def run_experiment(
     if name in _DOMAIN_AWARE and domains is not None:
         kwargs["domains"] = domains
     events0 = events_dispatched()
+    in_flight_reset()
     start = time.perf_counter()
     report = fn(**kwargs)
     wall_s = time.perf_counter() - start

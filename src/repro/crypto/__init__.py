@@ -1,10 +1,11 @@
 """From-scratch cryptography used by the TLS and SMT layers.
 
-Everything here is implemented in this repository (no external crypto
-libraries): AES-128/256 (numpy-vectorised for bulk throughput), AES-GCM
-with Shoup-table GHASH, HKDF/HMAC-SHA256, the secp256r1 group with ECDH and
-deterministic (RFC 6979) ECDSA, RSA with PKCS#1 v1.5 signatures, and a
-minimal certificate/CA system.
+Everything here is implemented in this repository, on the standard library
+alone (no external crypto or numeric libraries): AES-128/256 (32-bit
+T-tables over Python ints), AES-GCM with Shoup-table GHASH,
+HKDF/HMAC-SHA256, the secp256r1 group with ECDH and deterministic (RFC
+6979) ECDSA, RSA with PKCS#1 v1.5 signatures, and a minimal
+certificate/CA system.
 
 These primitives are *functionally* real -- ciphertexts authenticate,
 signatures verify, tampering raises :class:`repro.errors.AuthenticationError`.

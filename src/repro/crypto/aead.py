@@ -6,8 +6,8 @@ AES-128-GCM.  Two implementations:
 
 - :class:`repro.crypto.gcm.AesGcm` -- the real cipher, used by default and
   in every security test.
-- :class:`FastAead` -- a hashlib + numpy stand-in (BLAKE2b-derived
-  keystream, prefix-keyed truncated SHA-1 tag) with identical interface
+- :class:`FastAead` -- a hashlib stand-in (one keyed BLAKE2b byte per
+  record, prefix-keyed truncated SHA-1 tag) with identical interface
   and security *semantics* (tamper detection, nonce binding).
   Long-running benchmarks may select it so host wall-clock time stays
   reasonable; virtual-time costs are charged identically for both because
@@ -27,8 +27,6 @@ import functools
 import hashlib
 import hmac as _hmac
 from typing import Protocol
-
-import numpy as np
 
 from repro.crypto.gcm import AesGcm
 from repro.errors import AuthenticationError, CryptoError
@@ -119,8 +117,18 @@ def in_flight_stats() -> dict[str, int]:
     return {**vars(_IN_FLIGHT), "entries": len(_IN_FLIGHT.entries)}
 
 
+def in_flight_reset() -> None:
+    """Empty the table and zero its books; an earlier record opens as a miss."""
+    _IN_FLIGHT.__init__()
+
+
+#: ``_XOR_TABLES[d]`` XORs every byte with ``d % 255 + 1``: a one-byte
+#: BLAKE2b digest ``d``, mapped to a key byte that is never zero.
+_XOR_TABLES = [bytes(b ^ (d % 255 + 1) for b in range(256)) for d in range(256)]
+
+
 class FastAead:
-    """Simulation AEAD: BLAKE2b-derived keystream, prefix-keyed SHA-1 tag.
+    """Simulation AEAD: one keyed BLAKE2b byte per record, prefix-keyed SHA-1 tag.
 
     Not a vetted cipher -- it exists so multi-gigabyte benchmark runs do not
     spend wall-clock hours inside pure-Python AES.  It preserves everything
@@ -128,14 +136,13 @@ class FastAead:
     in nonce/AAD/ciphertext fails authentication, same nonce+key gives the
     same ciphertext.
 
-    The keystream is one keyed BLAKE2b block per nonce, tiled across the
-    record and applied with one numpy XOR per record (:meth:`_xor`, the
-    only XOR, shared by seal and open; a seal XORs straight into the
-    caller's buffer); the tag is one SHA-1 pass, fed field by field, over
-    the key and length-prefixed (nonce, aad, ciphertext), truncated to 16
-    bytes.  A prefix-keyed truncated SHA-1 is not HMAC, and SHA-1 is not
-    collision-resistant -- acceptable for a simulation stand-in, where the
-    adversary is a fault injector flipping bytes, not a cryptanalyst.
+    The keystream is one keyed, nonzero BLAKE2b byte per nonce, XORed into
+    every byte of the record by one ``bytes.translate`` (:meth:`_xor`,
+    shared by seal and open); the tag is one SHA-1 pass, fed field by
+    field, over the key and length-prefixed (nonce, aad, ciphertext),
+    truncated to 16 bytes.  A one-byte keystream hides nothing, and a
+    prefix-keyed truncated SHA-1 is not HMAC -- acceptable for a stand-in
+    whose adversary is a fault injector flipping bytes, not a cryptanalyst.
 
     An instance holds two derived keys and nothing else.  One memo exploits
     the simulation's loopback (sealer and opener share a process):
@@ -162,13 +169,10 @@ class FastAead:
         # Every tag hashes the MAC key first: hash it once, copy the state.
         self._mac = hashlib.sha1(self._mac_key)
 
-    def _xor(self, nonce: bytes, data, out=None) -> np.ndarray:
-        """``data`` (any bytes-like) XOR the nonce's tiled keystream, written
-        to ``out`` (a ``uint8`` array of ``data``'s length) when given."""
-        length = len(data)
-        block = hashlib.blake2b(nonce, key=self._enc_key, digest_size=64).digest()
-        keystream = np.frombuffer(block * ((length + 63) >> 6), np.uint8, count=length)
-        return np.bitwise_xor(np.frombuffer(data, np.uint8), keystream, out=out)
+    def _xor(self, nonce: bytes, data) -> bytes:
+        """``data`` (any bytes-like) XOR the nonce's key byte."""
+        digest = hashlib.blake2b(nonce, key=self._enc_key, digest_size=1).digest()
+        return bytes(data).translate(_XOR_TABLES[digest[0]])
 
     def _tag(self, nonce, aad, ciphertext) -> bytes:
         h = self._mac.copy()
@@ -206,8 +210,7 @@ class FastAead:
         for nonce, (_nonce, plaintext, aad), offset in zip(nonces, items, offsets):
             end = offset + len(plaintext)
             ciphertext = view[offset:end]
-            # The XOR writes straight into ``out``: no ciphertext array, no join.
-            self._xor(nonce, plaintext, np.frombuffer(ciphertext, np.uint8))
+            ciphertext[:] = self._xor(nonce, plaintext)
             view[end : end + self.tag_size] = self._tag(nonce, aad, ciphertext)
             _IN_FLIGHT.put(
                 (self._mac_key, nonce), bytes(aad), out, offset,
@@ -230,7 +233,7 @@ class FastAead:
             tag = record[-self.tag_size :]
             if not _hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
                 raise AuthenticationError("FastAead tag mismatch")
-        return self._xor(nonce, ciphertext).tobytes()
+        return self._xor(nonce, ciphertext)
 
 
 _AEAD_KINDS = {

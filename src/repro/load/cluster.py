@@ -34,8 +34,6 @@ import hashlib
 import struct
 from typing import Any, Generator, Optional
 
-import numpy as np
-
 from repro.apps.rpc import RpcChannel
 from repro.core.codec import SmtCodec
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
@@ -59,39 +57,41 @@ HEADER_SIZE = _HDR.size
 MIN_MESSAGE = HEADER_SIZE + 8
 _RESP_SALT = 0xA5A5_5A5A_0F0F_F0F0
 
-#: Block positions 0, 1, 2, ... as big-endian 8-byte words, viewed as
-#: ``uint64`` so that one XOR with a serial's big-endian word is the fill;
-#: grown (doubling) to the longest message asked for.
-_POSITIONS = np.arange(0, dtype=">u8").view(np.uint64)
+#: ``_LANES[j][i]`` is byte ``j`` of block position ``i`` as a big-endian
+#: 8-byte word; grown (doubling) to the longest message asked for.
+_LANES = [b""] * 8
+#: ``_XOR[k]`` maps each byte to itself XOR ``k``.
+_XOR = [bytes(b ^ k for b in range(256)) for k in range(256)]
 
 
-def _fill_array(serial: int, n: int) -> np.ndarray:
-    """:func:`_fill` as a fresh, writable ``uint8`` array."""
-    global _POSITIONS
-    blocks = (n + 7) >> 3
-    if len(_POSITIONS) < blocks:
-        size = max(blocks, 2 * len(_POSITIONS))
-        _POSITIONS = np.arange(size, dtype=">u8").view(np.uint64)
-    word = np.frombuffer(serial.to_bytes(8, "big"), np.uint64)[0]
-    return np.bitwise_xor(_POSITIONS[:blocks], word).view(np.uint8)[:n]
-
-
-def _fill(serial: int, n: int) -> bytes:
+def _fill(serial: int, n: int) -> bytearray:
     """``n`` bytes where every 8-byte block depends on position and serial.
 
     Block ``i`` is ``i XOR serial``, both as big-endian 8-byte words.
     Position dependence means a swapped pair of blocks anywhere in the
     message changes the bytes — reassembly must put every record at its
-    exact offset for the fill to verify.
+    exact offset for the fill to verify.  Built as the serial repeated,
+    then one translated lane per byte a position can set.
     """
-    return _fill_array(serial, n).tobytes()
+    global _LANES
+    blocks = (n + 7) >> 3
+    if len(_LANES[7]) < blocks:
+        size = max(blocks, 2 * len(_LANES[7]))
+        words = struct.pack(f">{size}Q", *range(size))
+        _LANES = [words[j::8] for j in range(8)]
+    word = serial.to_bytes(8, "big")
+    out = bytearray(word) * blocks
+    for j in range(8 - (max(blocks - 1, 0).bit_length() + 7) // 8, 8):
+        out[j::8] = _LANES[j][:blocks].translate(_XOR[word[j]])
+    del out[n:]
+    return out
 
 
 def _message(header: bytes, serial: int, n: int) -> bytes:
-    """``header`` then the fill of ``(serial, n)`` past it: one XOR, one copy."""
-    body = _fill_array(serial, max(n, HEADER_SIZE))
-    body[:HEADER_SIZE] = np.frombuffer(header, np.uint8)
-    return body.tobytes()
+    """``header`` then the fill of ``(serial, n)`` past it."""
+    body = _fill(serial, max(n, HEADER_SIZE))
+    body[:HEADER_SIZE] = header
+    return bytes(body)
 
 
 def _fill_follows(payload, serial: int) -> bool:

@@ -29,6 +29,18 @@ class TestRegistry:
         }
         assert result.report_json == json.loads(json.dumps(result.report_json))
 
+    def test_aead_block_is_the_experiments_own(self):
+        # fig12 seals no FastAead record; tenant seals thousands and perf
+        # leaves records unopened.  Run after both in the same process,
+        # fig12 must still report what it reports alone: nothing.
+        alone = run_experiment("fig12").report_json["perf"]["aead"]
+        tenant = run_experiment("tenant", quick=True).report_json["perf"]["aead"]
+        assert tenant["hits"] > 0 and tenant["high_water_bytes"] > 0
+        assert run_experiment("perf", quick=True).report_json["perf"]["aead"]["entries"]
+        after = run_experiment("fig12").report_json["perf"]["aead"]
+        assert after == alone
+        assert set(after.values()) == {0}
+
 
 class TestSerialParallelParity:
     def test_results_identical_minus_perf(self):

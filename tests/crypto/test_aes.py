@@ -1,6 +1,5 @@
 """AES block cipher tests against FIPS 197 vectors."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,17 +64,38 @@ class TestInterface:
         with pytest.raises(CryptoError):
             aes.encrypt_block(b"tiny")
 
-    def test_vectorised_matches_scalar(self):
+    def test_multi_block_matches_per_block(self):
         aes = AES(bytes(range(16)))
-        blocks = np.frombuffer(bytes(range(48)), dtype=np.uint8).reshape(3, 16).copy()
+        blocks = bytes(range(48))
         out = aes.encrypt_blocks(blocks)
-        for i in range(3):
-            assert bytes(out[i]) == aes.encrypt_block(bytes(blocks[i]))
+        assert out == b"".join(
+            aes.encrypt_block(blocks[i : i + 16]) for i in range(0, 48, 16)
+        )
+        assert aes.encrypt_blocks(b"") == b""
 
     def test_encrypt_blocks_shape_check(self):
         aes = AES(bytes(16))
-        with pytest.raises(CryptoError):
-            aes.encrypt_blocks(np.zeros((3, 8), dtype=np.uint8))
+        for length in (8, 15, 17, 40):  # not a whole number of blocks
+            with pytest.raises(CryptoError):
+                aes.encrypt_blocks(bytes(length))
+
+    @pytest.mark.parametrize("key_hex,ct_hex", FIPS_VECTORS)
+    def test_fips197_through_encrypt_blocks(self, key_hex, ct_hex):
+        aes = AES(bytes.fromhex(key_hex))
+        assert aes.encrypt_blocks(PLAINTEXT * 3).hex() == ct_hex * 3
+
+
+def test_t_tables_are_sbox_then_mix_columns():
+    # Te0[x] is MixColumns of the column (S[x], 0, 0, 0): (2s, s, s, 3s);
+    # Te1..Te3 are the same byte in rows 1..3, i.e. Te0 rotated right.
+    mul = aes_module._gf_mul
+    for x, s in enumerate(FIPS_SBOX):
+        column = bytes((mul(s, 2), s, s, mul(s, 3)))
+        for row, table in enumerate(aes_module._TE):
+            rotated = column[4 - row :] + column[: 4 - row]
+            assert table[x].to_bytes(4, "big") == rotated
+        for row, table in enumerate(aes_module._SB):
+            assert table[x] == s << (24 - 8 * row)
 
 
 class TestCtrKeystream:

@@ -4,8 +4,8 @@
 into the buffer its caller sends, and FastAead's in-flight table files
 views of that buffer.  The reference here is the record path as it was
 before: every record sealed on its own (``header + seal(payload ||
-type)``) and the pieces joined, with FastAead's big-int XOR and
-one-message SHA-1 tag from ``test_aead_bytes``.
+type)``) and the pieces joined, with FastAead's per-byte reference XOR
+and one-message SHA-1 tag from ``test_aead_bytes``.
 """
 
 import random

@@ -253,6 +253,17 @@ def test_no_private_name_crosses_modules():
     assert not problems, "\n" + "\n".join(problems)
 
 
+def test_the_standard_library_is_the_only_dependency():
+    # The package declares no dependency: every import is ours or the
+    # standard library's, so a third-party import fails here by name.
+    outside = [
+        f"{imp.site} imports {imp.target}"
+        for imp in all_imports(SRC)
+        if imp.target.split(".")[0] not in sys.stdlib_module_names | {"repro"}
+    ]
+    assert not outside, "\n" + "\n".join(outside)
+
+
 def test_exemption_lists_hold_nothing_stale(imports):
     deferred = {(i.module, i.target) for i in imports if i.kind == "function"}
     assert deferred == set(DEFERRED)
@@ -321,6 +332,18 @@ def test_the_ledger_leaves_multiprocessing_unloaded():
         "import sys, workloads\n"
         "assert 'multiprocessing' not in sys.modules\n"
         "assert 'repro.sim.shard.runner' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": f"{REPO / 'ledger'}{os.pathsep}{SRC}"}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_a_built_workload_leaves_numpy_unloaded():
+    # numpy alone was ~12 MB of every workload's peak RSS, and an import of
+    # it would lower every ratio the RSS gate reads, so it is checked here.
+    code = (
+        "import sys, workloads\n"
+        "workloads.WORKLOADS['rpc_small']().setup(1, 0.1, observe=False)\n"
+        "assert 'numpy' not in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": f"{REPO / 'ledger'}{os.pathsep}{SRC}"}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
