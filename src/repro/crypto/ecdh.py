@@ -2,6 +2,24 @@
 
 Key pairs are generated from a caller-supplied ``random.Random`` so every
 simulation is reproducible from its seed.
+
+Both ends of every handshake live in this one process, so each agreement
+would compute ``k*Q`` twice: ``a*B`` on one side, ``b*A`` on the other.
+:meth:`EcdhKeyPair.shared_secret` keeps a table of agreed secrets that
+pays for it once.  A full computation by the key pair with public share
+``A`` against the peer share ``B`` files ``(A, B) -> secret``.  A later
+call by a key pair with public share ``B`` against the share ``A`` pops
+that entry and returns its bytes.  That is exact because ``a*B = b*A``
+for ``A = a*G`` and ``B = b*G`` (every key pair's ``public`` is its
+``private`` times G, as :meth:`EcdhKeyPair.generate` makes them): only
+the holder of ``b`` looks the entry up, and the entry exists only
+because the holder of ``a`` computed it.  A hit removes its entry, so
+the table holds the agreements whose second half has not run yet, at
+most ``_AGREED_MAX`` of them, the oldest out first.  The peer share is
+validated on every call, before the lookup.  A forged or replayed share
+meets a fresh share on the other side, so it misses and pays in full,
+and a call that raises files nothing.  Virtual time is unaffected: the
+cost model prices the handshake, not Python.
 """
 
 from __future__ import annotations
@@ -11,6 +29,11 @@ from dataclasses import dataclass
 
 from repro.crypto.ec import ECPoint, N, P256
 from repro.errors import CryptoError
+
+# Agreements whose second half has not run yet, oldest first, keyed by
+# (the computing side's public share, the peer share it was given).
+_AGREED_MAX = 256
+_agreed: dict[tuple[ECPoint, ECPoint], bytes] = {}
 
 
 @dataclass(frozen=True)
@@ -30,14 +53,22 @@ class EcdhKeyPair:
         """X coordinate of ``private * peer_public`` (32 bytes, RFC 8446 style).
 
         Validates the peer point; an off-curve or infinity share is rejected
-        (invalid-curve attack defence).
+        (invalid-curve attack defence).  The second half of an agreement
+        whose first half ran in this process reads the first half's result.
         """
         if peer_public.is_infinity or not P256.is_on_curve(peer_public):
             raise CryptoError("invalid peer ECDH share")
+        secret = _agreed.pop((peer_public, self.public), None)
+        if secret is not None:
+            return secret
         shared = P256.scalar_mult(self.private, peer_public)
         if shared.is_infinity:
             raise CryptoError("ECDH produced the point at infinity")
-        return shared.x.to_bytes(32, "big")
+        secret = shared.x.to_bytes(32, "big")
+        if len(_agreed) >= _AGREED_MAX:
+            del _agreed[next(iter(_agreed))]
+        _agreed[(self.public, peer_public)] = secret
+        return secret
 
     def public_bytes(self) -> bytes:
         """SEC1 uncompressed public share for the wire."""

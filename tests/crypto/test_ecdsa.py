@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec
+from repro.crypto import ec, ecdh
 from repro.crypto.ec import ECPoint, INFINITY, N, P256
 from repro.crypto.ecdh import EcdhKeyPair
 from repro.crypto.ecdsa import EcdsaKeyPair, ecdsa_sign, ecdsa_verify
@@ -189,11 +189,16 @@ class TestOperationBudget:
 
 
 class TestEcdh:
-    def test_shared_secret_agreement(self):
+    def test_shared_secret_agreement(self, monkeypatch):
         rng = random.Random(3)
         a = EcdhKeyPair.generate(rng)
         b = EcdhKeyPair.generate(rng)
-        assert a.shared_secret(b.public) == b.shared_secret(a.public)
+        monkeypatch.setattr(ecdh, "_agreed", {})
+        first = a.shared_secret(b.public)
+        # An empty table of agreed secrets, so the second half is the
+        # full computation too, not a read of the first half's result.
+        monkeypatch.setattr(ecdh, "_agreed", {})
+        assert first == b.shared_secret(a.public)
 
     def test_secret_is_32_bytes(self):
         rng = random.Random(3)
@@ -205,13 +210,15 @@ class TestEcdh:
         a, b, c = (EcdhKeyPair.generate(rng) for _ in range(3))
         assert a.shared_secret(b.public) != a.shared_secret(c.public)
 
-    def test_rfc5903_known_answer(self):
+    def test_rfc5903_known_answer(self, monkeypatch):
         initiator = EcdhKeyPair(RFC5903_I, P256.scalar_mult(RFC5903_I))
         responder = EcdhKeyPair(RFC5903_R, P256.scalar_mult(RFC5903_R))
         assert initiator.public == ECPoint(RFC5903_GI_X, RFC5903_GI_Y)
         assert responder.public == ECPoint(RFC5903_GR_X, RFC5903_GR_Y)
         secret = RFC5903_GIR_X.to_bytes(32, "big")
+        monkeypatch.setattr(ecdh, "_agreed", {})
         assert initiator.shared_secret(responder.public) == secret
+        monkeypatch.setattr(ecdh, "_agreed", {})  # both halves in full
         assert responder.shared_secret(initiator.public) == secret
 
     def test_invalid_peer_share_rejected(self):

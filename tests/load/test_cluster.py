@@ -101,6 +101,14 @@ class TestFillMatchesReference:
         for serial, n in cases:
             assert _fill(serial, n) == _reference_fill(serial, n), (serial, n)
 
+    def test_lengths_around_the_lane_boundaries(self):
+        """2^8 and 2^16 blocks on each side, and past 2^16 blocks, where a
+        third position byte (lane 5) is set."""
+        rng = random.Random(34)
+        for n in (2_048, 2_056, 524_288, 524_296, 1_100_000):
+            serial = rng.getrandbits(64)
+            assert _fill(serial, n) == _reference_fill(serial, n), (serial, n)
+
     def test_messages_match_reference(self):
         rng = random.Random(33)
         for _ in range(100):
