@@ -1,8 +1,8 @@
 """The NVMe SSD model.
 
 A flash device with internal channel parallelism: reads queue onto one of
-``channels`` independent units; service time is a base flash-read latency
-plus an exponential tail (read disturb, retries, FTL work).  Defaults
+``CHANNELS`` independent units; service time is a base flash-read latency
+plus an exponential tail (read disturb, retries, FTL work).  The constants
 approximate a datacenter NVMe drive: ~80 us median 4 KB random read.
 """
 
@@ -17,36 +17,29 @@ from repro.sim.resources import Resource
 from repro.units import KB, USEC
 
 BLOCK_SIZE = 4 * KB
+NUM_BLOCKS = 1 << 20
+CHANNELS = 8
+BASE_READ_LATENCY = 72 * USEC
+TAIL_SCALE = 9 * USEC
 
 
 class NvmeDevice:
     """A block device with parallel channels and realistic read latency."""
 
-    def __init__(
-        self,
-        loop: EventLoop,
-        rng: random.Random,
-        num_blocks: int = 1 << 20,
-        channels: int = 8,
-        base_read_latency: float = 72 * USEC,
-        tail_scale: float = 9 * USEC,
-    ):
+    def __init__(self, loop: EventLoop, rng: random.Random):
         self.loop = loop
         self.rng = rng
-        self.num_blocks = num_blocks
-        self.base_read_latency = base_read_latency
-        self.tail_scale = tail_scale
         self._channels = [
-            Resource(loop, 1, f"nvme.ch{i}") for i in range(channels)
+            Resource(loop, 1, f"nvme.ch{i}") for i in range(CHANNELS)
         ]
         self.reads = 0
 
     def _service_time(self) -> float:
-        return self.base_read_latency + self.rng.expovariate(1.0 / self.tail_scale)
+        return BASE_READ_LATENCY + self.rng.expovariate(1.0 / TAIL_SCALE)
 
     def read_block(self, lba: int) -> Generator[Any, Any, bytes]:
         """Read one 4 KB block; yields until the flash returns the data."""
-        if not 0 <= lba < self.num_blocks:
+        if not 0 <= lba < NUM_BLOCKS:
             raise ReproError(f"LBA {lba} out of range")
         channel = self._channels[lba % len(self._channels)]
         yield from channel.service(self._service_time())

@@ -13,8 +13,9 @@ _CMD = struct.Struct("!BHQI")  # opcode, command id, start LBA, block count
 _CPL = struct.Struct("!BHI")  # status, command id, data length
 
 
-def encode_read_cmd(command_id: int, lba: int, blocks: int = 1) -> bytes:
-    return _CMD.pack(OPC_READ, command_id, lba, blocks)
+def encode_read_cmd(command_id: int, lba: int) -> bytes:
+    """A one-block read: random-read FIO issues 4 KB commands only."""
+    return _CMD.pack(OPC_READ, command_id, lba, 1)
 
 
 def decode_read_cmd(data: bytes) -> tuple[int, int, int]:
@@ -27,8 +28,8 @@ def decode_read_cmd(data: bytes) -> tuple[int, int, int]:
     return cid, lba, blocks
 
 
-def encode_completion(command_id: int, data: bytes, status: int = STATUS_SUCCESS) -> bytes:
-    return _CPL.pack(status, command_id, len(data)) + data
+def encode_completion(command_id: int, data: bytes) -> bytes:
+    return _CPL.pack(STATUS_SUCCESS, command_id, len(data)) + data
 
 
 def decode_completion(payload: bytes) -> tuple[int, int, bytes]:

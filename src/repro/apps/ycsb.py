@@ -28,12 +28,12 @@ ZIPF_CONSTANT = 0.99
 class ZipfianGenerator:
     """Zipf-distributed integers in [0, n) (YCSB's ZipfianGenerator)."""
 
-    def __init__(self, n: int, rng: random.Random, theta: float = ZIPF_CONSTANT):
+    def __init__(self, n: int, rng: random.Random):
         if n < 1:
             raise ReproError("zipfian needs at least one item")
+        theta = ZIPF_CONSTANT
         self.n = n
         self.rng = rng
-        self.theta = theta
         self.zeta = sum(1.0 / (i ** theta) for i in range(1, n + 1))
         self.zeta2 = 1.0 + 0.5 ** theta
         self.alpha = 1.0 / (1.0 - theta)

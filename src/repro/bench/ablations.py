@@ -31,9 +31,13 @@ from repro.sim.trace import Histogram, RateMeter
 from repro.testbed import Testbed
 
 
-def run_flow_context_ablation(
-    messages: int = 200, context_capacity: int = 64
-) -> ExperimentReport:
+#: The flow-context ablation's run: messages sent, and the NIC's context
+#: budget, small enough that per-message contexts thrash it.
+MESSAGES = 200
+CONTEXT_CAPACITY = 64
+
+
+def run_flow_context_ablation() -> ExperimentReport:
     report = ExperimentReport(
         "Ablation: flow-context policy (per-queue+resync vs per-message)"
     )
@@ -41,7 +45,7 @@ def run_flow_context_ablation(
     stats = {}
     for policy in ("per-queue", "per-message"):
         bed = Testbed.back_to_back()
-        bed.client.nic.flow_contexts.capacity = context_capacity
+        bed.client.nic.flow_contexts.capacity = CONTEXT_CAPACITY
         csock, ssock = message_pair(
             bed, "smt-hw", SERVER_PORT, context_per_message=policy == "per-message"
         )
@@ -57,7 +61,7 @@ def run_flow_context_ablation(
 
         def client():
             thread = bed.client.app_thread(0)
-            for i in range(messages):
+            for i in range(MESSAGES):
                 response = yield from csock.call(
                     thread, bed.server.addr, SERVER_PORT, bytes(256)
                 )
@@ -74,14 +78,14 @@ def run_flow_context_ablation(
     # Per-queue: allocations bounded by the queue count, reuse via resync.
     report.check("per-queue allocations <= queues", stats["per-queue"][0], 0, 4)
     report.check("per-queue causes no evictions", stats["per-queue"][1], 0, 0)
-    report.check("per-queue relies on resyncs", stats["per-queue"][2], messages // 2,
-                 messages * 2)
+    report.check("per-queue relies on resyncs", stats["per-queue"][2], MESSAGES // 2,
+                 MESSAGES * 2)
     # Per-message: one allocation per message, thrashing the context table.
     report.check("per-message allocates per message", stats["per-message"][0],
-                 messages, messages + 8)
+                 MESSAGES, MESSAGES + 8)
     report.check("per-message thrashes NIC memory (evictions)",
-                 stats["per-message"][1], messages - context_capacity - 8,
-                 messages)
+                 stats["per-message"][1], MESSAGES - CONTEXT_CAPACITY - 8,
+                 MESSAGES)
     report.check("per-message needs no resyncs", stats["per-message"][2], 0, 0)
     return report
 

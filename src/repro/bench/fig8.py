@@ -23,6 +23,9 @@ from repro.testbed import Testbed
 from repro.units import USEC
 
 KV_PORT = 6379
+#: Client threads (the paper's 12) and the YCSB keyspace they share.
+NUM_CLIENTS = 12
+RECORD_COUNT = 2000
 SYSTEMS = ("tcp", "tls-usr", "ktls-sw", "ktls-hw", "homa", "smt-sw", "smt-hw")
 # Extra per-send/recv cost of a user-space TLS library versus kTLS: the
 # record transits the library's buffers and its state machine in user code.
@@ -54,7 +57,7 @@ def _build_message_side(bed: Testbed, system: str, store: KVStore):
     bed.loop.process(server.run(bed.server.app_thread(0)))
 
     def issue_factory(slot: int):
-        thread = bed.client.app_thread(slot % 12)
+        thread = bed.client.app_thread(slot % NUM_CLIENTS)
 
         def issue(command: bytes) -> Generator[Any, Any, bytes]:
             reply = yield from csock.call(thread, bed.server.addr, KV_PORT, command)
@@ -65,14 +68,14 @@ def _build_message_side(bed: Testbed, system: str, store: KVStore):
     return issue_factory
 
 
-def _build_stream_side(bed: Testbed, system: str, store: KVStore, num_connections=12):
+def _build_stream_side(bed: Testbed, system: str, store: KVStore):
     # User-space TLS is the kTLS-SW stack behind the library-overhead channel.
     base, channel = (
         ("ktls-sw", _UserTlsChannel) if system == "tls-usr" else (system, KtlsConnection)
     )
     server = StreamKvServer(bed.loop, bed.server.costs, store)
     issuers = []
-    pairs = stream_pairs(bed, base, KV_PORT + 1, num_connections, channel)
+    pairs = stream_pairs(bed, base, KV_PORT + 1, NUM_CLIENTS, channel)
     for i, (c, s) in enumerate(pairs):
         server.add_client(s)
         rpc = RpcChannel(c)
@@ -84,7 +87,7 @@ def _build_stream_side(bed: Testbed, system: str, store: KVStore, num_connection
 
         issuers.append(issue)
     bed.loop.process(server.run(bed.server.app_thread(0)))
-    return lambda slot: issuers[slot % num_connections]
+    return lambda slot: issuers[slot % NUM_CLIENTS]
 
 
 def run_kv(
@@ -93,16 +96,13 @@ def run_kv(
     value_size: int,
     duration: float = 3e-3,
     warmup: float = 0.8e-3,
-    record_count: int = 2000,
-    num_clients: int = 12,
-    pipeline: int = 1,
     seed: int = 0,
 ) -> float:
     """One cell of Figure 8: ops/s for (system, workload, value size)."""
     bed = Testbed.back_to_back(seed=seed)
     store = KVStore(bed.server.costs)
     spec = WORKLOADS[workload_name]
-    setup_workload = YcsbWorkload(spec, record_count, value_size, random.Random(seed))
+    setup_workload = YcsbWorkload(spec, RECORD_COUNT, value_size, random.Random(seed))
     store.preload(setup_workload.initial_data())
     if system in MESSAGE_SYSTEMS:
         issue_factory = _build_message_side(bed, system, store)
@@ -112,9 +112,9 @@ def run_kv(
     end_time = warmup + duration
 
     def client(slot: int) -> Generator[Any, Any, None]:
-        workload = YcsbWorkload(spec, record_count, value_size,
+        workload = YcsbWorkload(spec, RECORD_COUNT, value_size,
                                 random.Random(seed * 1000 + slot))
-        issue = issue_factory(slot % num_clients)
+        issue = issue_factory(slot)
         while bed.loop.now < end_time:
             op, key, value = workload.next_op()
             if op == "read":
@@ -127,7 +127,7 @@ def run_kv(
 
     # One outstanding op per client thread: RpcChannel.call is not safe
     # for concurrent callers on one connection (response stealing).
-    for slot in range(num_clients * pipeline):
+    for slot in range(NUM_CLIENTS):
         bed.loop.process(client(slot))
     bed.loop.run(until=warmup)
     meter.start(bed.loop.now)

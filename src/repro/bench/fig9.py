@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from repro.apps.fio import MessageFioDriver, StreamFioDriver
 from repro.apps.nvmeof import MessageNvmeTarget, NvmeDevice, StreamNvmeTarget
+from repro.apps.nvmeof.device import NUM_BLOCKS
 from repro.bench.report import ExperimentReport, improvement
 from repro.bench.runner import MESSAGE_SYSTEMS, message_pair, stream_pairs
 from repro.testbed import Testbed
@@ -39,7 +40,7 @@ def run_point(system: str, iodepth: int, duration: float = 6e-3, seed: int = 0) 
         target = MessageNvmeTarget(ssock, device)
         bed.loop.process(target.run(bed.server.app_thread(0)))
         driver = MessageFioDriver(
-            csock, bed.server.addr, NVME_PORT, device.num_blocks, random.Random(seed + 3)
+            csock, bed.server.addr, NVME_PORT, NUM_BLOCKS, random.Random(seed + 3)
         )
         # In-kernel client, single I/O queue: iodepth worker slots.
         for i in range(iodepth):
@@ -53,7 +54,7 @@ def run_point(system: str, iodepth: int, duration: float = 6e-3, seed: int = 0) 
         ((c, s),) = stream_pairs(bed, system, NVME_PORT, 1)
         target = StreamNvmeTarget(s, device)
         bed.loop.process(target.run(bed.server.app_thread(0)))
-        driver = StreamFioDriver(c, device.num_blocks, random.Random(seed + 3))
+        driver = StreamFioDriver(c, NUM_BLOCKS, random.Random(seed + 3))
         bed.loop.process(
             driver.run(bed.client.app_thread(0), iodepth=iodepth, duration=duration,
                        warmup=duration / 4)

@@ -73,33 +73,35 @@ def run_timer_churn(n: int = 200_000) -> dict:
 # -- codec encode/decode -------------------------------------------------------
 
 
-def run_codec(
-    msg_size: int = 256 * 1024, record_payload: int = 4096, iters: int = 24
-) -> dict:
+CODEC_MSG_SIZE = 256 * 1024
+CODEC_RECORD_PAYLOAD = 4096
+
+
+def run_codec(iters: int = 24) -> dict:
     """SMT software encode + decode round trips (framing + seal/open)."""
     costs = CostModel()
     sender = SmtCodec(
         SmtSession(_KEY_A, _KEY_B, aead_kind="fast"),
         costs,
-        max_record_payload=record_payload,
+        max_record_payload=CODEC_RECORD_PAYLOAD,
     )
     receiver = SmtCodec(
         SmtSession(_KEY_B, _KEY_A, aead_kind="fast"),
         costs,
-        max_record_payload=record_payload,
+        max_record_payload=CODEC_RECORD_PAYLOAD,
     )
-    payload = bytes(range(256)) * (msg_size // 256)
+    payload = bytes(range(256)) * (CODEC_MSG_SIZE // 256)
     decoded_ok = 0
     for i in range(iters):
         msg_id = 2 * (i + 1)
         encoded = sender.encode(msg_id, payload, mss=1460)
         wire = b"".join(bytes(plan.payload) for plan in encoded.plans)
         decoded = receiver.decode(msg_id, wire)
-        if len(decoded.payload) == msg_size:
+        if len(decoded.payload) == CODEC_MSG_SIZE:
             decoded_ok += 1
     return {
-        "msg_size": msg_size,
-        "record_payload": record_payload,
+        "msg_size": CODEC_MSG_SIZE,
+        "record_payload": CODEC_RECORD_PAYLOAD,
         "iters": iters,
         "decoded_ok": decoded_ok,
         "records_sealed": sender.records_sealed,

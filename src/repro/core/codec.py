@@ -26,6 +26,7 @@ from repro.homa.codec import (
 )
 from repro.host.costs import CostModel
 from repro.net.headers import PROTO_SMT
+from repro.nic.device import NUM_QUEUES
 from repro.nic.tls_offload import ResyncDescriptor, TlsOffloadDescriptor, seal_layout
 from repro.tls.constants import (
     CONTENT_APPLICATION_DATA,
@@ -44,7 +45,6 @@ class SmtCodec(MessageCodec):
         self,
         session: SmtSession,
         costs: CostModel,
-        num_nic_queues: int = 4,
         max_record_payload: int = MAX_RECORD_PAYLOAD,
         proto: int = PROTO_SMT,
         packets_per_segment: int = 0,
@@ -53,7 +53,6 @@ class SmtCodec(MessageCodec):
     ):
         self.session = session
         self.costs = costs
-        self.num_nic_queues = num_nic_queues
         self.max_record_payload = max_record_payload
         self.proto = proto
         self.packets_per_segment = packets_per_segment
@@ -89,17 +88,17 @@ class SmtCodec(MessageCodec):
         """A fresh session plus its codec, wired to ``host``.
 
         The one place that reads a :class:`~repro.host.Host` for a codec:
-        the cost model, the NIC queue count, the segment packet budget of
-        the NIC's TSO mode (paper §7) and, for ``offload``, the NIC whose
-        flow contexts the session installs.  ``codec_kw`` passes through
-        to the constructor (``context_per_message``, ``pad_to``, ...).
+        the cost model, the segment packet budget of the NIC's TSO mode
+        (paper §7) and, for ``offload``, the NIC whose flow contexts the
+        session installs.  ``codec_kw`` passes through to the constructor
+        (``context_per_message``, ``pad_to``, ...).
         """
         session = SmtSession(
             write_keys, read_keys, allocation, aead_kind, offload,
             nic=host.nic if offload else None,
         )
         return cls(
-            session, host.costs, host.nic.num_queues,
+            session, host.costs,
             packets_per_segment=packets_per_segment_for(host.nic.tso_mode),
             **codec_kw,
         )
@@ -199,7 +198,7 @@ class SmtCodec(MessageCodec):
         plans: list[SegmentPlan] = []
         cpu = 0.0
         offload = self.session.offload
-        queue = (msg_id >> 1) % self.num_nic_queues if offload else None
+        queue = (msg_id >> 1) % NUM_QUEUES if offload else None
         # Zero-copy: record plaintexts are memoryview slices until the
         # record layer copies each into place (or the join building the NIC
         # layout does).

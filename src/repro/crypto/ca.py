@@ -22,7 +22,8 @@ from repro.crypto.ecdsa import EcdsaKeyPair
 from repro.crypto.rsa import RsaKeyPair
 from repro.errors import CryptoError
 
-DEFAULT_VALIDITY = 365 * 24 * 3600.0
+#: Lifetime of every certificate the CA signs, its own included.
+VALIDITY = 365 * 24 * 3600.0
 
 
 class CertificateAuthority:
@@ -36,7 +37,6 @@ class CertificateAuthority:
         parent: Optional["CertificateAuthority"] = None,
         rsa_bits: int = 2048,
         now: float = 0.0,
-        validity: float = DEFAULT_VALIDITY,
     ):
         self.name = name
         self.key_alg = key_alg
@@ -57,7 +57,7 @@ class CertificateAuthority:
             public_key=public,
             serial=self._next_serial(),
             not_before=now,
-            not_after=now + validity,
+            not_after=now + VALIDITY,
             is_ca=True,
         )
         signer = parent if parent else self
@@ -79,7 +79,6 @@ class CertificateAuthority:
         public_key: bytes,
         is_ca: bool = False,
         now: float = 0.0,
-        validity: float = DEFAULT_VALIDITY,
     ) -> Certificate:
         """Issue a certificate binding ``subject`` to ``public_key``."""
         unsigned = Certificate(
@@ -89,7 +88,7 @@ class CertificateAuthority:
             public_key=public_key,
             serial=self._next_serial(),
             not_before=now,
-            not_after=now + validity,
+            not_after=now + VALIDITY,
             is_ca=is_ca,
         )
         return unsigned.with_signature(self.sign(unsigned.tbs_bytes()))

@@ -17,6 +17,9 @@ from collections import deque
 from repro.crypto.ecdh import EcdhKeyPair
 from repro.errors import ProtocolError
 
+#: Keypairs one refill tick generates.
+REFILL_BATCH = 8
+
 
 class KeyPool:
     """A bounded stock of pre-generated ECDH keypairs with timer-driven refill.
@@ -31,7 +34,6 @@ class KeyPool:
         rng: random.Random,
         capacity: int = 32,
         low_watermark: int = 8,
-        refill_batch: int = 8,
         refill_interval: float = 100e-6,
         prefill: bool = True,
     ):
@@ -43,7 +45,6 @@ class KeyPool:
         self.rng = rng
         self.capacity = capacity
         self.low_watermark = low_watermark
-        self.refill_batch = refill_batch
         self.refill_interval = refill_interval
         self._keys: deque = deque()
         self._refill_timer = None
@@ -85,7 +86,7 @@ class KeyPool:
     def _refill_tick(self) -> None:
         self._refill_timer = None
         self.refill_ticks += 1
-        batch = min(self.refill_batch, self.capacity - len(self._keys))
+        batch = min(REFILL_BATCH, self.capacity - len(self._keys))
         for _ in range(batch):
             self._keys.append(EcdhKeyPair.generate(self.rng))
         self.refilled += batch

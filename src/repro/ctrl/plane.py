@@ -36,7 +36,6 @@ class CtrlConfig:
 
     ecdh_pool_capacity: int = 32
     ecdh_low_watermark: int = 8
-    refill_batch: int = 8
     refill_interval: float = 100e-6
     prefill: bool = True
     rekey_watermark_fraction: float = 0.75
@@ -64,7 +63,6 @@ class ControlPlane:
             rng,
             capacity=cfg.ecdh_pool_capacity,
             low_watermark=cfg.ecdh_low_watermark,
-            refill_batch=cfg.refill_batch,
             refill_interval=cfg.refill_interval,
             prefill=cfg.prefill,
         )

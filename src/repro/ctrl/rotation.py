@@ -28,7 +28,6 @@ class TicketRotator:
         dns,
         dns_name: str,
         period: Optional[float] = None,
-        grace: Optional[float] = None,
         ttl: Optional[float] = None,
     ):
         self.loop = loop
@@ -36,8 +35,6 @@ class TicketRotator:
         self.dns = dns
         self.dns_name = dns_name
         self.period = zserver.lifetime if period is None else period
-        if grace is not None:
-            zserver.grace_window = grace
         self.ttl = self.period if ttl is None else ttl
         self.rotations = 0
         self._periodic = None
@@ -88,7 +85,6 @@ class SharedShareRotator:
         dns_name: str,
         rng: Optional[random.Random] = None,
         period: Optional[float] = None,
-        grace: Optional[float] = None,
         ttl: Optional[float] = None,
         up_fn=None,
     ):
@@ -100,9 +96,6 @@ class SharedShareRotator:
         self.dns_name = dns_name
         self.rng = rng if rng is not None else random.Random(0)
         self.period = zservers[0].lifetime if period is None else period
-        if grace is not None:
-            for z in self.zservers:
-                z.grace_window = grace
         self.ttl = self.period if ttl is None else ttl
         #: ``up_fn(replica_index) -> bool``: a rotation cannot install the
         #: new share on a dead replica; it is skipped (and counted) and

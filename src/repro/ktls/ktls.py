@@ -205,21 +205,15 @@ def ktls_pair(
     client_conn: TcpConnection,
     server_conn: TcpConnection,
     mode: Optional[str],
-    client_keys: Optional[TrafficKeys] = None,
-    server_keys: Optional[TrafficKeys] = None,
+    client_keys: TrafficKeys,
+    server_keys: TrafficKeys,
     aead_kind: str = "aes-128-gcm",
 ) -> tuple[KtlsConnection, KtlsConnection]:
     """Build both ends of a kTLS channel over an established TCP pair.
 
     ``client_keys``/``server_keys`` are the per-direction traffic keys
-    (e.g. from a TLS handshake); they default to fresh deterministic keys
-    for benchmarks that do not model the handshake.
+    (e.g. from a TLS handshake); plain TCP (``mode=None``) ignores them.
     """
-    if mode is not None:
-        if client_keys is None:
-            client_keys = TrafficKeys(key=b"\x11" * 16, iv=b"\x22" * 12)
-        if server_keys is None:
-            server_keys = TrafficKeys(key=b"\x33" * 16, iv=b"\x44" * 12)
     c = KtlsConnection(client_conn, mode, client_keys, server_keys, aead_kind)
     s = KtlsConnection(server_conn, mode, server_keys, client_keys, aead_kind)
     return c, s

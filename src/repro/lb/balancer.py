@@ -29,13 +29,14 @@ def _key_bytes(key) -> bytes:
     return str(key).encode()
 
 
-class ConsistentHashBalancer:
-    """Ring hashing with ``vnodes`` virtual nodes per replica."""
+#: Virtual nodes per replica on the hash ring.
+VNODES = 64
 
-    def __init__(self, vnodes: int = 64):
-        if vnodes < 1:
-            raise ProtocolError(f"need >= 1 virtual node, got {vnodes}")
-        self.vnodes = vnodes
+
+class ConsistentHashBalancer:
+    """Ring hashing with :data:`VNODES` virtual nodes per replica."""
+
+    def __init__(self):
         # Membership tuple -> (sorted vnode hashes, owner per vnode).
         self._rings: dict[tuple, tuple[list[int], list]] = {}
 
@@ -45,7 +46,7 @@ class ConsistentHashBalancer:
             points = []
             for rid in replicas:
                 base = _key_bytes(rid)
-                for v in range(self.vnodes):
+                for v in range(VNODES):
                     points.append((_hash64(base + b"#%d" % v), rid))
             points.sort()
             ring = ([h for h, _ in points], [rid for _, rid in points])

@@ -24,12 +24,11 @@ class ConnectionDrainer:
         #: (virtual time, rid, sessions migrated) per completed drain.
         self.log: list[tuple[float, object, int]] = []
 
-    def drain(self, rid, deregister: bool = False) -> int:
+    def drain(self, rid) -> int:
         """Drain ``rid``; returns the number of sessions moved.
 
-        With ``deregister`` the replica also leaves the registry once
-        empty.  Raises :class:`ProtocolError`, and takes ``rid`` out of
-        draining, when a session has no other replica to go to.
+        Raises :class:`ProtocolError`, and takes ``rid`` out of draining,
+        when a session has no other replica to go to.
         """
         fe = self.frontend
         fe.mark_draining(rid)
@@ -49,8 +48,6 @@ class ConnectionDrainer:
                 )
             moved += 1
             self.migrated_sessions += 1
-        if deregister:
-            fe.registry.deregister(rid)
         if obs is not None:
             obs.tracer.end(span)
         self.drains += 1

@@ -54,23 +54,13 @@ class ServiceRegistry:
 
     # -- membership ------------------------------------------------------------
 
-    def register(self, rid, healthy: bool = True) -> None:
+    def register(self, rid) -> None:
         if rid in self._healthy:
             return
         self._order.append(rid)
-        self._healthy[rid] = healthy
+        self._healthy[rid] = True
         self.membership_changes += 1
         self.log.append((self.loop.now, "register", rid))
-        self.publish()
-
-    def deregister(self, rid) -> None:
-        if rid not in self._healthy:
-            return
-        self._order.remove(rid)
-        del self._healthy[rid]
-        self.membership_changes += 1
-        self.log.append((self.loop.now, "deregister", rid))
-        self._close_down_span(rid)
         self.publish()
 
     def set_health(self, rid, up: bool) -> bool:
@@ -82,18 +72,15 @@ class ServiceRegistry:
         self.log.append((self.loop.now, "up" if up else "down", rid))
         obs = self.loop.obs
         if up:
-            self._close_down_span(rid)
+            span = self._down_spans.pop(rid, None)
+            if span is not None:
+                obs.tracer.end(span)
         elif obs is not None:
             self._down_spans[rid] = obs.tracer.begin(
                 "lb", "lb.replica.down", service=self.service, replica=str(rid)
             )
         self.publish()
         return True
-
-    def _close_down_span(self, rid) -> None:
-        span = self._down_spans.pop(rid, None)
-        if span is not None:
-            self.loop.obs.tracer.end(span)
 
     def live(self) -> tuple:
         return tuple(rid for rid in self._order if self._healthy[rid])

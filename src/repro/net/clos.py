@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.net.addressing import flow_hash
-from repro.net.fabric import FabricPort
+from repro.net.fabric import HOST_LINK_DELAY, FabricPort
 from repro.net.packet import Packet
 from repro.net.switch import PortKey, Switch
 from repro.sim.event_loop import EventLoop
@@ -60,6 +60,9 @@ def ecmp_hash(packet: Packet, salt: int = 0) -> int:
     return h
 
 
+#: Propagation delay of a leaf-spine trunk: the sharded runner's lookahead.
+TRUNK_DELAY = 0.5e-6
+
 #: Boundary emit callback: (dest_domain, spine, packet, departure, arrival).
 ShardEmit = Callable[[int, int, Packet, float, float], None]
 
@@ -79,8 +82,6 @@ class ClosFabric:
         num_spines: int,
         bandwidth_bps: float = 100 * GBPS,
         trunk_bandwidth_bps: Optional[float] = None,
-        host_link_delay: float = 0.5e-6,
-        trunk_delay: float = 0.5e-6,
         mtu: int = 1500,
         buffer_bytes: int = 128 * 1024,
         trunk_buffer_bytes: Optional[int] = None,
@@ -100,8 +101,6 @@ class ClosFabric:
         self.trunk_bandwidth = (
             trunk_bandwidth_bps if trunk_bandwidth_bps is not None else bandwidth_bps
         )
-        self.host_link_delay = host_link_delay
-        self.trunk_delay = trunk_delay
         self.mtu = mtu
         self.ecmp_salt = ecmp_salt
         trunk_buffer = (
@@ -110,14 +109,14 @@ class ClosFabric:
         #: Leaf switch per rack built here (all of them unless ``racks``).
         self.leaves = {
             rack: Switch(
-                loop, bandwidth_bps=bandwidth_bps, delay=host_link_delay,
+                loop, bandwidth_bps=bandwidth_bps, delay=HOST_LINK_DELAY,
                 buffer_bytes=buffer_bytes, trimming=trimming,
             )
             for rack in racks
         }
         self.spines = [
             Switch(
-                loop, bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
+                loop, bandwidth_bps=self.trunk_bandwidth, delay=TRUNK_DELAY,
                 buffer_bytes=trunk_buffer, trimming=trimming,
             )
             for _ in range(num_spines)
@@ -143,12 +142,12 @@ class ClosFabric:
             for s, spine in enumerate(self.spines):
                 leaf.add_trunk(
                     self._spine_ports[s], spine.inject,
-                    bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
+                    bandwidth_bps=self.trunk_bandwidth, delay=TRUNK_DELAY,
                     buffer_bytes=trunk_buffer,
                 )
                 spine.add_trunk(
                     self._rack_ports[rack], leaf.inject,
-                    bandwidth_bps=self.trunk_bandwidth, delay=trunk_delay,
+                    bandwidth_bps=self.trunk_bandwidth, delay=TRUNK_DELAY,
                     buffer_bytes=trunk_buffer,
                 )
             leaf.set_router(self._leaf_router(rack))
@@ -279,7 +278,7 @@ class ClosFabric:
 
         The cut runs through every leaf up-trunk at serialisation end:
         the trunk's propagation delay happens in the destination domain,
-        which makes ``trunk_delay`` the synchronization lookahead.
+        which makes ``TRUNK_DELAY`` the synchronization lookahead.
         ``rack_of_addr`` is the cluster-wide address map (leaves route to
         racks built in other domains); a packet bound for one of those
         leaves through ``emit`` and reaches the far spine shard through

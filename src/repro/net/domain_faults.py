@@ -352,12 +352,15 @@ def _drop_all(packet) -> bool:
     return True
 
 
+#: No seeded incident starts after this virtual time.
+SCHEDULE_HORIZON = 2.0e-3
+
+
 def domain_schedule_from_seed(
     seed: int,
     num_spines: int,
     num_racks: int,
     num_hosts: int,
-    horizon: float = 2.0e-3,
 ) -> list[IncidentEvent]:
     """A random-but-survivable kill+revive schedule derived from ``seed``.
 
@@ -372,7 +375,7 @@ def domain_schedule_from_seed(
     t = rng.uniform(0.10e-3, 0.30e-3)
     kinds = ["spine", "replica", "spine", "replica", "leaf"]
     for _ in range(rng.randint(1, 3)):
-        if t >= horizon:
+        if t >= SCHEDULE_HORIZON:
             break
         kind = rng.choice(kinds)
         duration = rng.uniform(0.08e-3, 0.35e-3)

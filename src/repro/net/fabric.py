@@ -18,13 +18,16 @@ from repro.net.link import Egress, LossFn, Receiver
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 
+#: Propagation delay of a host's access link, both directions.
+HOST_LINK_DELAY = 0.5e-6
+
 
 class FabricPort:
     """A host's attachment point: looks like a Link to the NIC.
 
-    ``fabric`` may be any object exposing ``loop``, ``mtu``, ``bandwidth``
-    and ``host_link_delay``; ``switch`` is the edge switch this host hangs
-    off (its leaf in :class:`repro.net.clos.ClosFabric`).
+    ``fabric`` may be any object exposing ``loop``, ``mtu`` and
+    ``bandwidth``; ``switch`` is the edge switch this host hangs off (its
+    leaf in :class:`repro.net.clos.ClosFabric`).
     """
 
     def __init__(self, fabric, addr: int, switch: Switch):
@@ -33,7 +36,7 @@ class FabricPort:
         self.mtu = fabric.mtu
         # Host -> switch egress with its own serialisation.
         self._egress = Egress(
-            fabric.loop, fabric.bandwidth, fabric.host_link_delay, switch.inject
+            fabric.loop, fabric.bandwidth, HOST_LINK_DELAY, switch.inject
         )
 
     def attach(self, side: str, receiver: Receiver) -> None:

@@ -22,6 +22,9 @@ from repro.nic.tls_offload import FlowContextTable, ResyncDescriptor
 from repro.nic.tso import TsoMode, TsoSegment, gso_split, split_segment
 from repro.sim.event_loop import EventLoop
 
+#: Transmit rings per NIC.
+NUM_QUEUES = 4
+
 RingItem = Union[ResyncDescriptor, TsoSegment]
 RxHandler = Callable[[Packet], None]
 
@@ -35,17 +38,16 @@ class Nic:
         link: Link,
         side: str,
         costs: CostModel,
-        num_queues: int = 4,
         tso_mode: TsoMode = TsoMode.FULL,
     ):
         self.loop = loop
         self.link = link
         self.side = side
         self.costs = costs
-        self.num_queues = num_queues
+        self.num_queues = NUM_QUEUES
         self.tso_mode = tso_mode
         self.flow_contexts = FlowContextTable()
-        self._rings: list[deque[RingItem]] = [deque() for _ in range(num_queues)]
+        self._rings: list[deque[RingItem]] = [deque() for _ in range(NUM_QUEUES)]
         # One doorbell per posted descriptor: the engine takes exactly one
         # item per doorbell and scans rings round-robin.  ``_doorbells``
         # counts those it has not answered yet; it is 0 while idle.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.net.addressing import format_addr
 
@@ -173,14 +173,12 @@ class PacketCapture:
 
     # -- export --------------------------------------------------------------
 
-    def export_jsonl(self, last: Optional[int] = None) -> str:
+    def export_jsonl(self) -> str:
         """One JSON object per line (stable key order), oldest first."""
-        records = self.packets() if last is None else self.last(last)
-        return "\n".join(json.dumps(r.as_dict()) for r in records)
+        return "\n".join(json.dumps(r.as_dict()) for r in self._ring)
 
-    def export_text(self, last: Optional[int] = None) -> str:
-        records = self.packets() if last is None else self.last(last)
-        return "\n".join(r.format() for r in records)
+    def export_text(self) -> str:
+        return "\n".join(r.format() for r in self._ring)
 
     def tail_text(self, n: int = 20) -> str:
         """The last ``n`` packets with a header line, for failure reports."""

@@ -141,14 +141,9 @@ class Event:
             loop._seq = seq
 
 
-class _Timeout(Event):
-    """A timeout event: carries its value, fired without a closure."""
-
-    __slots__ = ("_value",)
-
-
-def _fire_timeout(ev: _Timeout) -> None:
-    ev._trigger(True, ev._value)
+def _fire_timeout(ev: Event) -> None:
+    """Succeed a timeout event: fired without a closure."""
+    ev._trigger(True, None)
 
 
 # What a process is resumed with on its first step: a succeeded event
@@ -377,14 +372,14 @@ class EventLoop:
         self._seq = seq = self._seq + 1
         self._ready.append((seq, fn, arg))
 
-    def timer_at(self, when: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
+    def timer_at(self, when: float, fn: Callable[[], None]) -> Timer:
         """Like :meth:`call_at`, but returns a cancellable :class:`Timer`."""
         if not self._now - 1e-15 <= when < _INF:
             raise SimulationError(
                 f"cannot schedule at {when}: in the past of {self._now} or not finite"
             )
         self._seq = seq = self._seq + 1
-        entry = [when, seq, fn, arg]
+        entry = [when, seq, fn, _NO_ARG]
         heappush(self._heap, entry)
         timer = Timer.__new__(Timer)  # skip __init__: this path is hot
         timer._loop = self
@@ -431,17 +426,16 @@ class EventLoop:
         """A fresh untriggered event on this loop."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds ``delay`` seconds from now."""
+    def timeout(self, delay: float) -> Event:
+        """An event that succeeds with ``None`` ``delay`` seconds from now."""
         if not 0 <= delay < _INF:
             raise SimulationError(f"negative or non-finite delay {delay}")
-        ev = _Timeout.__new__(_Timeout)  # skip __init__: this path is hot
+        ev = Event.__new__(Event)  # skip __init__: this path is hot
         ev.loop = self
         ev._callbacks = None
         ev._ok = None
         ev.value = None
         ev._triggered = False
-        ev._value = value
         self._seq = seq = self._seq + 1
         heappush(self._heap, [self._now + delay, seq, _fire_timeout, ev])
         return ev

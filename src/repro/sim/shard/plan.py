@@ -16,7 +16,7 @@ domain ``r * domains // num_racks``), so every domain owns at least one
 whole rack and the boundary cut always runs through leaf up-trunks.  The
 synchronization lookahead is therefore the trunk propagation delay: a
 packet finishing serialisation at ``t`` in one domain cannot affect any
-other domain before ``t + trunk_delay``.
+other domain before ``t + TRUNK_DELAY`` (:mod:`repro.net.clos`).
 """
 
 from __future__ import annotations
@@ -44,12 +44,8 @@ class ShardPlan:
     num_spines: int = 2
     domains: int = 1
     bandwidth_bps: float = 100 * GBPS
-    trunk_bandwidth_bps: Optional[float] = None
-    host_link_delay: float = 0.5e-6
-    trunk_delay: float = 0.5e-6
     mtu: int = 1500
     buffer_bytes: int = 128 * 1024
-    trunk_buffer_bytes: Optional[int] = None
     trimming: bool = False
     num_app_cores: int = 12
     num_softirq_cores: int = 4
@@ -84,11 +80,6 @@ class ShardPlan:
         )
 
     # -- partitioning -------------------------------------------------------------
-
-    @property
-    def lookahead(self) -> float:
-        """Minimum boundary-link propagation delay (the sync window bound)."""
-        return self.trunk_delay
 
     @property
     def num_hosts(self) -> int:
@@ -151,12 +142,8 @@ class ShardPlan:
             self.num_racks,
             self.num_spines,
             bandwidth_bps=self.bandwidth_bps,
-            trunk_bandwidth_bps=self.trunk_bandwidth_bps,
-            host_link_delay=self.host_link_delay,
-            trunk_delay=self.trunk_delay,
             mtu=self.mtu,
             buffer_bytes=self.buffer_bytes,
-            trunk_buffer_bytes=self.trunk_buffer_bytes,
             trimming=self.trimming,
             ecmp_salt=self.ecmp_salt,
             racks=racks,

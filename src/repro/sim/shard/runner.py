@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import SimulationError
+from repro.net.clos import TRUNK_DELAY
 from repro.sim.shard.boundary import decode_batch
 from repro.sim.shard.domain import DomainResult, ShardDomain, resolve_workload_factory
 from repro.sim.shard.plan import ShardPlan
@@ -184,8 +185,6 @@ class ShardRunner:
     plan: ShardPlan
     workload_factory: Optional[str] = None
     workload_args: Optional[dict] = None
-    #: Virtual-time budget; the run stops once no event precedes it.
-    deadline: Optional[float] = None
     #: True fans each domain out to a ``multiprocessing`` worker.
     use_processes: bool = False
     windows: int = field(default=0, init=False)
@@ -206,7 +205,7 @@ class ShardRunner:
         has_workload = self.workload_factory is not None
         inboxes: list[list] = [[] for _ in handles]
         pending_arrivals: list[Optional[float]] = [None] * len(handles)
-        half_lookahead = plan.lookahead / 2.0
+        half_lookahead = TRUNK_DELAY / 2.0
         barrier = 0.0
         while True:
             if has_workload and all(dones):
@@ -215,12 +214,7 @@ class ShardRunner:
             candidates.extend(t for t in pending_arrivals if t is not None)
             if not candidates:
                 break
-            earliest = min(candidates)
-            if self.deadline is not None and earliest > self.deadline:
-                break
-            until = earliest + half_lookahead
-            if self.deadline is not None:
-                until = min(until, self.deadline)
+            until = min(candidates) + half_lookahead
             for d, handle in enumerate(handles):
                 handle.begin(until, inboxes[d])
             inboxes = [[] for _ in handles]

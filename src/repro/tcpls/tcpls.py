@@ -13,7 +13,7 @@ software encryption.
 from __future__ import annotations
 
 import struct
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.crypto.aead import shared_aead
 from repro.errors import ProtocolError
@@ -119,15 +119,11 @@ class TcplsConnection:
 def tcpls_pair(
     client_conn: TcpConnection,
     server_conn: TcpConnection,
-    client_keys: Optional[TrafficKeys] = None,
-    server_keys: Optional[TrafficKeys] = None,
+    client_keys: TrafficKeys,
+    server_keys: TrafficKeys,
     aead_kind: str = "aes-128-gcm",
 ) -> tuple[TcplsConnection, TcplsConnection]:
     """Both ends of a TCPLS session over an established TCP pair."""
-    if client_keys is None:
-        client_keys = TrafficKeys(key=b"\x55" * 16, iv=b"\x66" * 12)
-    if server_keys is None:
-        server_keys = TrafficKeys(key=b"\x77" * 16, iv=b"\x88" * 12)
     c = TcplsConnection(client_conn, client_keys, server_keys, aead_kind)
     s = TcplsConnection(server_conn, server_keys, client_keys, aead_kind)
     return c, s

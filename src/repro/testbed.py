@@ -160,7 +160,6 @@ class Testbed(_Bed):
         mtu: int = 1500,
         num_app_cores: int = 12,
         num_softirq_cores: int = 4,
-        num_nic_queues: int = 4,
         tso_mode: TsoMode = TsoMode.FULL,
         costs: Optional[CostModel] = None,
         seed: int = 0,
@@ -177,12 +176,8 @@ class Testbed(_Bed):
             loop, "server", make_addr(10, 0, 0, 2), costs,
             num_app_cores=num_app_cores, num_softirq_cores=num_softirq_cores,
         )
-        client.attach_nic(
-            Nic(loop, link, "a", costs, num_queues=num_nic_queues, tso_mode=tso_mode)
-        )
-        server.attach_nic(
-            Nic(loop, link, "b", costs, num_queues=num_nic_queues, tso_mode=tso_mode)
-        )
+        client.attach_nic(Nic(loop, link, "a", costs, tso_mode=tso_mode))
+        server.attach_nic(Nic(loop, link, "b", costs, tso_mode=tso_mode))
         return Testbed(loop, link, client, server, random.Random(seed))
 
     @staticmethod
@@ -320,12 +315,11 @@ class ClosTestbed(_Bed):
         """Build the fabric and one NIC-attached host per rack slot.
 
         Every other keyword is a :class:`~repro.sim.shard.ShardPlan` field
-        (``num_spines``, ``bandwidth_bps``, ``trunk_bandwidth_bps``,
-        ``mtu``, ``buffer_bytes``, ``trunk_buffer_bytes``, ``trimming``,
-        ``num_app_cores``, ``num_softirq_cores``, ``tso_mode``, ``seed``,
-        ``ecmp_salt``, ...): the plan is the cluster's one parameter list,
-        and validates it (``observe`` only acts on a sharded run; call
-        :meth:`enable_obs` on a bed).  Host
+        (``num_spines``, ``bandwidth_bps``, ``mtu``, ``buffer_bytes``,
+        ``trimming``, ``num_app_cores``, ``num_softirq_cores``,
+        ``tso_mode``, ``seed``, ``ecmp_salt``, ...): the plan is the
+        cluster's one parameter list, and validates it (``observe`` only
+        acts on a sharded run; call :meth:`enable_obs` on a bed).  Host
         ``i`` of rack ``r`` is named ``r{r}h{i}`` and addressed
         ``10.(1+r).0.(1+i)``, so the rack is readable off the address.
 

@@ -14,6 +14,7 @@ from repro.apps.kvstore import (
 )
 from repro.apps.kvstore.protocol import OP_GET, OP_SET, STATUS_NOT_FOUND, STATUS_OK
 from repro.apps.rpc import RpcChannel
+from repro.bench.runner import CLIENT_KEYS, SERVER_KEYS
 from repro.errors import ProtocolError
 from repro.homa import HomaSocket, HomaTransport
 from repro.host.costs import CostModel
@@ -122,7 +123,7 @@ class TestStreamServer:
         channels = []
         for _ in range(3):
             conn_c, conn_s = connect_pair(bed.client, bed.server, bed.server.alloc_port())
-            c, s = ktls_pair(conn_c, conn_s, "sw")
+            c, s = ktls_pair(conn_c, conn_s, "sw", CLIENT_KEYS, SERVER_KEYS)
             server.add_client(s)
             channels.append(RpcChannel(c))
         bed.loop.process(server.run(bed.server.app_thread(0)))
@@ -147,7 +148,7 @@ class TestStreamServer:
         store.preload({b"key%d" % i: b"v%d" % i for i in range(10)})
         server = StreamKvServer(bed.loop, bed.server.costs, store)
         conn_c, conn_s = connect_pair(bed.client, bed.server, 6379)
-        c, s = ktls_pair(conn_c, conn_s, "sw")
+        c, s = ktls_pair(conn_c, conn_s, "sw", CLIENT_KEYS, SERVER_KEYS)
         server.add_client(s)
         bed.loop.process(server.run(bed.server.app_thread(0)))
         rpc = RpcChannel(c)

@@ -14,6 +14,8 @@ from repro.apps.nvmeof import (
     encode_completion,
     encode_read_cmd,
 )
+from repro.apps.nvmeof.device import BASE_READ_LATENCY, NUM_BLOCKS
+from repro.bench.runner import CLIENT_KEYS, SERVER_KEYS
 from repro.errors import ProtocolError, ReproError
 from repro.homa import HomaSocket, HomaTransport
 from repro.ktls import ktls_pair
@@ -25,8 +27,8 @@ from tests.sim.helpers import run_process
 
 class TestProtocol:
     def test_command_roundtrip(self):
-        cid, lba, blocks = decode_read_cmd(encode_read_cmd(5, 1234, 2))
-        assert (cid, lba, blocks) == (5, 1234, 2)
+        cid, lba, blocks = decode_read_cmd(encode_read_cmd(5, 1234))
+        assert (cid, lba, blocks) == (5, 1234, 1)
 
     def test_completion_roundtrip(self):
         status, cid, data = decode_completion(encode_completion(7, b"D" * 4096))
@@ -63,8 +65,7 @@ class TestDevice:
 
     def test_channel_parallelism(self):
         loop = EventLoop()
-        dev = NvmeDevice(loop, random.Random(1), channels=8,
-                         base_read_latency=100e-6, tail_scale=1e-9)
+        dev = NvmeDevice(loop, random.Random(1))
 
         def body(lba):
             yield from dev.read_block(lba)
@@ -73,12 +74,11 @@ class TestDevice:
         for lba in range(8):
             loop.process(body(lba))
         loop.run()
-        assert loop.now < 150e-6
+        assert loop.now < 2 * BASE_READ_LATENCY
 
     def test_same_channel_serialises(self):
         loop = EventLoop()
-        dev = NvmeDevice(loop, random.Random(1), channels=8,
-                         base_read_latency=100e-6, tail_scale=1e-9)
+        dev = NvmeDevice(loop, random.Random(1))
 
         def body():
             yield from dev.read_block(0)
@@ -86,14 +86,14 @@ class TestDevice:
         for _ in range(3):
             loop.process(body())  # all LBA 0: same channel
         loop.run()
-        assert loop.now > 290e-6
+        assert loop.now > 3 * BASE_READ_LATENCY
 
     def test_lba_out_of_range(self):
         loop = EventLoop()
-        dev = NvmeDevice(loop, random.Random(1), num_blocks=100)
+        dev = NvmeDevice(loop, random.Random(1))
 
         def body():
-            yield from dev.read_block(100)
+            yield from dev.read_block(NUM_BLOCKS)
 
         with pytest.raises(ReproError):
             run_process(loop, body())
@@ -121,7 +121,7 @@ class TestEndToEnd:
         target = MessageNvmeTarget(ssock, device)
         bed.loop.process(target.run(bed.server.app_thread(0)))
         driver = MessageFioDriver(
-            csock, bed.server.addr, 4420, device.num_blocks, random.Random(6)
+            csock, bed.server.addr, 4420, NUM_BLOCKS, random.Random(6)
         )
         for i in range(4):  # iodepth 4
             bed.loop.process(driver.worker(bed.client.app_thread(i), duration=3e-3))
@@ -133,11 +133,11 @@ class TestEndToEnd:
     def test_reads_over_ktls(self):
         bed = Testbed.back_to_back()
         conn_c, conn_s = connect_pair(bed.client, bed.server, 4420)
-        c, s = ktls_pair(conn_c, conn_s, "sw")
+        c, s = ktls_pair(conn_c, conn_s, "sw", CLIENT_KEYS, SERVER_KEYS)
         device = NvmeDevice(bed.loop, random.Random(5))
         target = StreamNvmeTarget(s, device)
         bed.loop.process(target.run(bed.server.app_thread(0)))
-        driver = StreamFioDriver(c, device.num_blocks, random.Random(6))
+        driver = StreamFioDriver(c, NUM_BLOCKS, random.Random(6))
         bed.loop.process(
             driver.run(bed.client.app_thread(0), iodepth=4, duration=3e-3)
         )
@@ -150,11 +150,11 @@ class TestEndToEnd:
         def throughput(iodepth):
             bed = Testbed.back_to_back()
             conn_c, conn_s = connect_pair(bed.client, bed.server, 4420)
-            c, s = ktls_pair(conn_c, conn_s, None)
+            c, s = ktls_pair(conn_c, conn_s, None, CLIENT_KEYS, SERVER_KEYS)
             device = NvmeDevice(bed.loop, random.Random(5))
             target = StreamNvmeTarget(s, device)
             bed.loop.process(target.run(bed.server.app_thread(0)))
-            driver = StreamFioDriver(c, device.num_blocks, random.Random(6))
+            driver = StreamFioDriver(c, NUM_BLOCKS, random.Random(6))
             bed.loop.process(
                 driver.run(bed.client.app_thread(0), iodepth=iodepth, duration=5e-3)
             )

@@ -1,6 +1,7 @@
 """RPC framing tests over bytestream channels."""
 
 from repro.apps.rpc import RpcChannel, frame
+from repro.bench.runner import CLIENT_KEYS, SERVER_KEYS
 from repro.errors import ProtocolError
 from repro.ktls import ktls_pair
 from repro.tcp import connect_pair
@@ -10,7 +11,7 @@ from repro.testbed import Testbed
 def build(mode="sw"):
     bed = Testbed.back_to_back()
     conn_c, conn_s = connect_pair(bed.client, bed.server, 5000)
-    c, s = ktls_pair(conn_c, conn_s, mode)
+    c, s = ktls_pair(conn_c, conn_s, mode, CLIENT_KEYS, SERVER_KEYS)
     return bed, RpcChannel(c), RpcChannel(s)
 
 

@@ -1,5 +1,6 @@
 """SMT endpoint tests: session establishment and encrypted data flow."""
 
+import dataclasses
 import random
 
 import pytest
@@ -90,9 +91,9 @@ class TestEstablishment:
         # 0, accepted at 6 s, rejected again at 16 s.
         ca, _ = pki
         key = EcdsaKeyPair.generate(random.Random(9))
-        leaf = ca.issue(
-            "server", KEY_ALG_ECDSA, key.public_bytes(), now=5.0, validity=10.0
-        )
+        issued = ca.issue("server", KEY_ALG_ECDSA, key.public_bytes(), now=5.0)
+        short = dataclasses.replace(issued, not_after=15.0)
+        leaf = short.with_signature(ca.sign(short.tbs_bytes()))
         creds = ServerCredentials(chain=ca.chain_for(leaf), signing_key=key)
         outcomes = []
         for start in (0.0, 6.0, 16.0):

@@ -36,8 +36,8 @@ def build(offload=False, **config_kwargs):
         server_write, client_write, offload=offload,
         nic=bed.server.nic if offload else None,
     )
-    client_codec = SmtCodec(client_session, costs, bed.client.nic.num_queues)
-    server_codec = SmtCodec(server_session, costs, bed.server.nic.num_queues)
+    client_codec = SmtCodec(client_session, costs)
+    server_codec = SmtCodec(server_session, costs)
     csock = HomaSocket(ct, bed.client.alloc_port(), codec_provider=lambda a, p: client_codec)
     ssock = HomaSocket(st, 7000, codec_provider=lambda a, p: server_codec)
     return bed, csock, ssock, client_session, server_session

@@ -103,7 +103,11 @@ class TestChainVerification:
             ca.chain_for(leaf).verify([other.certificate], now=1.0)
 
     def test_expired_certificate_rejected(self, ca, leaf_key):
-        leaf = ca.issue("server", KEY_ALG_ECDSA, leaf_key.public_bytes(), validity=10.0)
+        import dataclasses
+
+        issued = ca.issue("server", KEY_ALG_ECDSA, leaf_key.public_bytes())
+        short = dataclasses.replace(issued, not_after=10.0)
+        leaf = short.with_signature(ca.sign(short.tbs_bytes()))
         with pytest.raises(AuthenticationError):
             ca.chain_for(leaf).verify([ca.certificate], now=100.0)
 

@@ -6,6 +6,7 @@ failure must never be filed, and the checks outside the memo (validity,
 trust roots, issuer linkage) must run every time.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -149,8 +150,9 @@ class TestChecksOutsideTheMemo:
         rng = random.Random(9)
         ca = CertificateAuthority("dc-root", rng)
         leaf_key = EcdsaKeyPair.generate(rng)
-        leaf = ca.issue("server", KEY_ALG_ECDSA, leaf_key.public_bytes(),
-                        validity=10.0)
+        issued = ca.issue("server", KEY_ALG_ECDSA, leaf_key.public_bytes())
+        short = dataclasses.replace(issued, not_after=10.0)  # a 10 s leaf
+        leaf = short.with_signature(ca.sign(short.tbs_bytes()))
         return ca, ca.chain_for(leaf)
 
     def test_an_expired_chain_fails_after_its_signature_is_memoised(

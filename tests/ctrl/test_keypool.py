@@ -6,6 +6,7 @@ import pytest
 
 from repro.crypto.ecdh import EcdhKeyPair
 from repro.ctrl import KeyPool
+from repro.ctrl.keypool import REFILL_BATCH
 from repro.errors import ProtocolError
 from repro.sim.event_loop import EventLoop
 
@@ -14,7 +15,6 @@ def make_pool(**kw):
     loop = EventLoop()
     kw.setdefault("capacity", 8)
     kw.setdefault("low_watermark", 2)
-    kw.setdefault("refill_batch", 4)
     pool = KeyPool(loop, random.Random(7), **kw)
     return loop, pool
 
@@ -44,14 +44,15 @@ class TestTake:
 
 class TestRefill:
     def test_refills_to_capacity_after_drain(self):
-        loop, pool = make_pool()
-        for _ in range(8):
+        capacity = 2 * REFILL_BATCH
+        loop, pool = make_pool(capacity=capacity)
+        for _ in range(capacity):
             assert pool.take() is not None
         assert pool.size == 0
         loop.run(until=1.0)
-        assert pool.size == 8
-        assert pool.refilled == 8
-        assert pool.refill_ticks >= 2  # batches of 4
+        assert pool.size == capacity
+        assert pool.refilled == capacity
+        assert pool.refill_ticks == 2  # two batches
 
     def test_refill_only_arms_below_watermark(self):
         loop, pool = make_pool()

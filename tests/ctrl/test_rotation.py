@@ -66,13 +66,6 @@ class TestRotator:
         loop.run(until=10.0)
         assert rotator.rotations == 1
 
-    def test_grace_knob_configures_server(self, pki):
-        zserver = make_zserver(pki)
-        TicketRotator(
-            EventLoop(), zserver, InternalDns(), "svc", period=1.0, grace=0.25
-        )
-        assert zserver.grace_window == 0.25
-
 
 class TestGraceWindow:
     """§4.5.3: after rotation the previous share works briefly, then never."""

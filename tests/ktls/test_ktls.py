@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.runner import CLIENT_KEYS, SERVER_KEYS
 from repro.errors import AuthenticationError, CryptoError, ProtocolError
 from repro.ktls import KtlsConnection, ktls_pair
 from repro.net.headers import PacketType
@@ -13,7 +14,7 @@ from repro.tls.keyschedule import TrafficKeys
 def make_bed(mode, **kwargs):
     bed = Testbed.back_to_back()
     conn_c, conn_s = connect_pair(bed.client, bed.server, 5000, **kwargs)
-    c, s = ktls_pair(conn_c, conn_s, mode)
+    c, s = ktls_pair(conn_c, conn_s, mode, CLIENT_KEYS, SERVER_KEYS)
     return bed, c, s
 
 
@@ -84,7 +85,7 @@ class TestWireConfidentiality:
     def test_payload_not_on_wire_in_clear(self, mode):
         bed = Testbed.back_to_back()
         conn_c, conn_s = connect_pair(bed.client, bed.server, 5000)
-        c, s = ktls_pair(conn_c, conn_s, mode)
+        c, s = ktls_pair(conn_c, conn_s, mode, CLIENT_KEYS, SERVER_KEYS)
         secret = b"SECRET-VALUE-0123456789" * 4
         sniffed = []
         original_cb = bed.link._a_to_b.receiver
@@ -117,7 +118,7 @@ class TestWireConfidentiality:
     def test_plain_mode_payload_visible(self):
         bed = Testbed.back_to_back()
         conn_c, conn_s = connect_pair(bed.client, bed.server, 5000)
-        c, s = ktls_pair(conn_c, conn_s, None)
+        c, s = ktls_pair(conn_c, conn_s, None, CLIENT_KEYS, SERVER_KEYS)
         sniffed = []
         original_cb = bed.link._a_to_b.receiver
 
@@ -166,7 +167,7 @@ class TestTamperDetection:
     def test_bit_flip_on_wire_detected(self):
         bed = Testbed.back_to_back()
         conn_c, conn_s = connect_pair(bed.client, bed.server, 5000)
-        c, s = ktls_pair(conn_c, conn_s, "sw")
+        c, s = ktls_pair(conn_c, conn_s, "sw", CLIENT_KEYS, SERVER_KEYS)
         flipped = [False]
         original_cb = bed.link._a_to_b.receiver
 
@@ -227,7 +228,7 @@ class TestHwRetransmission:
         # NIC sees the previous record sequence numbers."
         bed = Testbed.back_to_back()
         conn_c, conn_s = connect_pair(bed.client, bed.server, 5000, rto=0.5e-3)
-        c, s = ktls_pair(conn_c, conn_s, "hw")
+        c, s = ktls_pair(conn_c, conn_s, "hw", CLIENT_KEYS, SERVER_KEYS)
         state = {"n": 0}
 
         def loss_fn(packet):

@@ -44,7 +44,7 @@ class TestConsistentHashRemapBound:
         k = rng.randint(40, 120)
         replicas = tuple(f"r{seed}-{i}" for i in range(n))
         keys = [f"key-{seed}-{j}" for j in range(k)]
-        ring = ConsistentHashBalancer(vnodes=64)
+        ring = ConsistentHashBalancer()
         before = {key: ring.pick(key, replicas) for key in keys}
         removed = rng.choice(replicas)
         survivors = tuple(r for r in replicas if r != removed)
@@ -62,7 +62,7 @@ class TestConsistentHashRemapBound:
         k = rng.randint(40, 120)
         replicas = tuple(f"r{seed}-{i}" for i in range(n))
         keys = [f"key-{seed}-{j}" for j in range(k)]
-        ring = ConsistentHashBalancer(vnodes=64)
+        ring = ConsistentHashBalancer()
         before = {key: ring.pick(key, replicas) for key in keys}
         owned = {r: sum(1 for key in keys if before[key] == r) for r in replicas}
         # Pigeonhole: some replica owns <= K/N keys; removing it moves

@@ -3,7 +3,7 @@
 The property suite (:mod:`tests.lb.test_properties`), fault fuzz and
 golden traces cover the end-to-end behaviours; these tests pin the
 smaller contracts -- registry membership/publish mechanics, frontend
-session accounting, drain-with-deregister, and the ring's refusal of an
+session accounting, the drainer's log, and the ring's refusal of an
 empty membership.
 """
 
@@ -50,18 +50,6 @@ class TestServiceRegistry:
         registry.register("r0")
         assert registry.members() == ("r0", "r1")
         assert registry.publishes == publishes
-
-    def test_deregister_removes_and_republishes(self):
-        loop = EventLoop()
-        registry = make_registry(loop)
-        registry.deregister("r0")
-        assert registry.members() == ("r1",)
-        assert registry.live() == ("r1",)
-        record = registry.dns.query(record_name("svc.unit"), loop.now)
-        assert record.replicas == ("r1",)
-        # Unknown rid: a no-op, not an error.
-        registry.deregister("ghost")
-        assert registry.members() == ("r1",)
 
     def test_set_health_returns_whether_membership_changed(self):
         loop = EventLoop()
@@ -136,8 +124,8 @@ class TestFrontendBookkeeping:
             fe.route("key")
 
 
-class TestDrainerDeregister:
-    def test_drain_with_deregister_leaves_the_registry(self):
+class TestDrainer:
+    def test_drain_moves_sessions_and_keeps_membership(self):
         loop = EventLoop()
         fe = make_frontend(loop)
         s = FrontendSession(sid=0, key="k", replica="r0", mode="0rtt",
@@ -145,8 +133,9 @@ class TestDrainerDeregister:
         fe.sessions.append(s)
         fe._by_rid["r0"].add(0)
         drainer = ConnectionDrainer(loop, fe)
-        assert drainer.drain("r0", deregister=True) == 1
-        assert fe.registry.members() == ("r1", "r2")
+        assert drainer.drain("r0") == 1
+        assert s.replica != "r0"
+        assert fe.registry.members() == ("r0", "r1", "r2")
         assert drainer.log == [(0.0, "r0", 1)]
 
 

@@ -141,9 +141,9 @@ class TestEvents:
 
     def test_timeout_value(self):
         loop = EventLoop()
-        ev = loop.timeout(2.0, value="done")
+        ev = loop.timeout(2.0)
         loop.run()
-        assert ev.triggered and ev.ok and ev.value == "done"
+        assert ev.triggered and ev.ok and ev.value is None
 
 
 class TestProcesses:
@@ -160,8 +160,11 @@ class TestProcesses:
     def test_process_receives_event_value(self):
         loop = EventLoop()
 
+        ev = loop.event()
+        loop.call_later(1.0, ev.succeed, 99)
+
         def body():
-            value = yield loop.timeout(1.0, value=99)
+            value = yield ev
             return value
 
         assert run_process(loop, body()) == 99
@@ -249,13 +252,13 @@ class TestTimers:
         loop.run()
         assert loop.pending_events() == 0
 
-    def test_timer_at_passes_arg_and_when(self):
+    def test_timer_at_fires_at_when(self):
         loop = EventLoop()
         got = []
-        timer = loop.timer_at(2.5, got.append, "payload")
+        timer = loop.timer_at(2.5, lambda: got.append(loop.now))
         assert timer.when == 2.5
         loop.run()
-        assert got == ["payload"]
+        assert got == [2.5]
         assert loop.now == 2.5
 
     def test_cancelled_timers_do_not_count_as_pending(self):
@@ -313,9 +316,9 @@ class TestTimers:
         loop = EventLoop()
         order = []
         loop.call_soon(order.append, "s1")
-        t = loop.timer_at(0.0, order.append, "t1")
+        t = loop.timer_at(0.0, lambda: order.append("t1"))
         loop.call_soon(order.append, "s2")
-        loop.timer_at(0.0, order.append, "t2")
+        loop.timer_at(0.0, lambda: order.append("t2"))
         t.cancel()
         loop.run()
         assert order == ["s1", "s2", "t2"]

@@ -25,7 +25,7 @@ from collections import deque
 from repro.host.costs import CostModel
 from repro.host.cpu import SoftirqCore, per_item
 from repro.net.link import Link
-from repro.nic.device import Nic
+from repro.nic.device import NUM_QUEUES, Nic
 from repro.sim.event_loop import Event, EventLoop
 from repro.sim.resources import Resource, Store
 
@@ -36,7 +36,7 @@ TIMES = [0.0, 0.0, 1e-6, 1e-6, 2e-6, 2.5e-6, 5e-6, 1.2e-5]
 COSTS = [0.0, 0.0, 1e-6, 2.5e-6]
 EXTRAS = [None, None, 0, 0.0, 1e-6, 3e-6, -1.0, "not a cost"]
 HOLDS = [0.0, 1e-6, 3e-6]
-NUM_RINGS = 3
+NUM_RINGS = NUM_QUEUES
 
 
 # -- reference models: the generator bodies as they were -------------------------
@@ -164,7 +164,7 @@ class RefResource:
 
 
 def _real_nic(loop, process):
-    nic = Nic(loop, Link(loop), "a", CostModel(), num_queues=NUM_RINGS)
+    nic = Nic(loop, Link(loop), "a", CostModel())
     nic._process = process
     return nic
 

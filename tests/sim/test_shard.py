@@ -400,21 +400,6 @@ class TestRunnerProtocol:
         assert result.final_barrier < 1e-3
         assert sum(result.spine_spread()) == 0
 
-    def test_deadline_bounds_virtual_time(self):
-        plan = ShardPlan(num_racks=2, hosts_per_rack=2, domains=2)
-        baselines = measure_baselines(plan, "smt", HOMA_W4)
-        args = {
-            "system": "smt", "distribution": HOMA_W4, "load": 0.5,
-            "duration": 1.0, "seed": 1, "baselines": baselines,
-        }
-        run = ShardRunner(
-            plan, workload_factory=WORKLOAD, workload_args=args,
-            deadline=2e-5,
-        ).run()
-        assert run.final_barrier <= 2e-5 + plan.lookahead
-        for domain in run.domains:
-            assert domain.final_now <= 2e-5 + plan.lookahead
-
     @pytest.mark.parametrize("use_processes", [False, True])
     @pytest.mark.parametrize(
         "path", ["repro.load.shard:nope", "repro.load.shard", "no.such.module:fn"]

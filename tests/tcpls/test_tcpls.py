@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.runner import CLIENT_KEYS, SERVER_KEYS
 from repro.tcp import connect_pair
 from repro.tcpls import tcpls_pair
 from repro.testbed import Testbed
@@ -10,7 +11,7 @@ from repro.testbed import Testbed
 def make_bed():
     bed = Testbed.back_to_back()
     conn_c, conn_s = connect_pair(bed.client, bed.server, 5000)
-    c, s = tcpls_pair(conn_c, conn_s)
+    c, s = tcpls_pair(conn_c, conn_s, CLIENT_KEYS, SERVER_KEYS)
     return bed, c, s
 
 

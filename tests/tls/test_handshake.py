@@ -1,5 +1,6 @@
 """TLS 1.3 handshake state-machine tests."""
 
+import dataclasses
 import random
 
 import pytest
@@ -295,14 +296,17 @@ class TestAttacks:
 class TestValidityWindow:
     """Certificates are checked at the caller's clock, not at t = 0."""
 
-    def _creds(self, ca, subject, seed, **issue_kw):
+    def _creds(self, ca, subject, seed, now=0.0, not_after=None):
         key = EcdsaKeyPair.generate(random.Random(seed))
-        leaf = ca.issue(subject, KEY_ALG_ECDSA, key.public_bytes(), **issue_kw)
+        leaf = ca.issue(subject, KEY_ALG_ECDSA, key.public_bytes(), now=now)
+        if not_after is not None:  # re-signed with a shorter lifetime
+            leaf = dataclasses.replace(leaf, not_after=not_after)
+            leaf = leaf.with_signature(ca.sign(leaf.tbs_bytes()))
         return ServerCredentials(chain=ca.chain_for(leaf), signing_key=key)
 
     def test_expired_server_leaf_rejected(self, pki):
         ca, _ = pki
-        creds = self._creds(ca, "server", 21, validity=10.0)
+        creds = self._creds(ca, "server", 21, not_after=10.0)
         client, server = pair(ca, creds)
         flight = server.process_client_hello(client.start())
         with pytest.raises(AuthenticationError, match="validity window"):
