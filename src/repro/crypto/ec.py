@@ -13,13 +13,15 @@ every addition is a mixed Jacobian+affine one:
   over one table of the 255 subset sums of ``2^(32j) * G``, j in 0..7, built
   on first use (~3 ms, ~47 KB, once per process).  32 doublings and at most
   32 additions.
-- ``k*Q`` (ECDH): width-5 wNAF over the odd multiples ``1Q..15Q``, which
-  are recomputed on every call (2Q goes affine first, so that building them
-  is mixed additions too).  An ECDH peer share is ephemeral, so no table is
+- ``k*Q`` (ECDH against a share from elsewhere, and ECDSA's first sighting
+  of a key): width-5 wNAF over the odd multiples ``1Q..15Q``, which are
+  recomputed on every call (2Q goes affine first, so that building them is
+  mixed additions too).  An ECDH peer share is ephemeral, so no table is
   kept for it.  Both ends of a handshake run in one process, and
-  ``repro.crypto.ecdh.EcdhKeyPair.shared_secret`` files the first half's
-  secret for the second half to read, so an agreement runs one ``k*Q``,
-  not two.
+  ``repro.crypto.ecdh`` uses it twice: a first half against a share this
+  process generated is ``(a*b mod N)*G``, one ``k*G`` comb, and the
+  second half reads the first half's secret.  So an in-process agreement
+  runs no ``k*Q`` at all.
 - ``u1*G + u2*Q`` (ECDSA verification): **one** comb ladder over two tables
   of that shape, G's and Q's -- 32 doublings for both scalars together and
   at most 64 additions.  Verification keys are long-lived (a CA's, a
@@ -47,8 +49,9 @@ for an ECDSA verification under a key with a table and 1.6 ms without,
 the reference model in ``tests/crypto/test_ec.py``) cost 2.3 ms, 2.3 ms and
 5.0 ms; the 64 x 15 window table ``k*G`` used before the comb cost 0.31 ms
 per ``k*G`` and 180 KB.  About two thirds of ``k*Q`` is its 256 doublings.
-An agreement costs one ``k*Q``: ``session_churn`` runs 196 a timed
-section, where it ran 392 before the table of agreed secrets.  No ladder
+An in-process agreement costs one ``k*G``: ``session_churn`` runs no
+``k*Q`` in a timed section, where it ran 392 before the table of agreed
+secrets and 196 before the table of generated shares.  No ladder
 here is constant-time: keys are seeded simulation keys, and virtual-time
 costs come from the cost model anyway.
 """

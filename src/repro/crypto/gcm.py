@@ -44,8 +44,10 @@ def _build_tables(h: int) -> list[list[int]]:
     """Shoup tables: T[j][b] = (b at byte position j) * H.
 
     Byte position 0 is the most significant byte of the 128-bit element.
-    Built from the 128 monomial products x^i * H by composing bits, so the
-    whole table needs only 128 shift-reductions and ~4K XORs.
+    Built from the 128 monomial products x^i * H: each row starts as [0]
+    and doubles once per bit of the byte, lowest bit first, the new half
+    being the old one XORed with that bit's monomial.  So the whole table
+    needs only 128 shift-reductions and ~4K XORs, in list comprehensions.
     """
     monomials = [0] * 128  # monomials[i] = x^i * H
     monomials[0] = h
@@ -53,13 +55,10 @@ def _build_tables(h: int) -> list[list[int]]:
         monomials[i] = _mul_by_x(monomials[i - 1])
     tables: list[list[int]] = []
     for j in range(16):
-        row = [0] * 256
-        for bit in range(8):  # bit 0 = MSB of the byte
-            row[0x80 >> bit] = monomials[8 * j + bit]
-        for b in range(1, 256):
-            low = b & (b - 1)  # b with lowest set bit cleared
-            if low:
-                row[b] = row[low] ^ row[b & -b]
+        row = [0]
+        for bit in range(7, -1, -1):  # bit 7 = LSB of the byte
+            m = monomials[8 * j + bit]
+            row += [v ^ m for v in row]
         tables.append(row)
     return tables
 

@@ -4,9 +4,10 @@ N sessions open in sequence, 1-RTT, 0-RTT and 0-RTT with forward secrecy
 in turn, each on a fresh client endpoint (as the front end and the churn
 bench open them) and each with one echo RPC; at most K are alive at once.
 N is kept small because every handshake runs real ECDH.  After every
-completed handshake the process-wide crypto memos must be within their
-caps, and the agreed-secret table empty; the per-peer tables of both
-hosts must stay within c*K, which needs sessions that end.
+completed handshake the process-wide crypto memos, the generated-share
+table among them, must be within their caps, and the agreed-secret table
+empty; the per-peer tables of both hosts must stay within c*K, which
+needs sessions that end.
 """
 
 import random
@@ -102,25 +103,42 @@ def _churn(observe) -> None:
 
 def test_crypto_memos_stay_bounded_and_agreements_complete(monkeypatch):
     monkeypatch.setattr(ecdh, "_agreed", {})
-    shares, ladders = set(), []
-    real_agree, real_ladder = ecdh.EcdhKeyPair.shared_secret, ec._wnaf_mult
+    monkeypatch.setattr(ecdh, "_generated", {})
+    shares, ladders, combs, agreed = set(), [], [], []
+    real_agree, real_ladder, real_comb = (
+        ecdh.EcdhKeyPair.shared_secret, ec._wnaf_mult, ec._comb_mult
+    )
 
     def agree(pair, peer_public):
+        # Every share here was generated in this process, so a first half
+        # is one comb on the product of the two private scalars and a
+        # second half reads the first half's secret.
         shares.add(peer_public)
-        return real_agree(pair, peer_public)
+        product = pair.private * ecdh._generated[peer_public] % ec.N
+        before = len(combs)
+        secret = real_agree(pair, peer_public)
+        assert combs[before:] in ([], [product])
+        agreed.append(len(combs) - before)
+        return secret
 
     def ladder(k, px, py):
         ladders.append(ec.ECPoint(px, py))
         return real_ladder(k, px, py)
 
+    def comb(*terms):
+        combs.append(terms[0][0])
+        return real_comb(*terms)
+
     monkeypatch.setattr(ecdh.EcdhKeyPair, "shared_secret", agree)
     monkeypatch.setattr(ec, "_wnaf_mult", ladder)
+    monkeypatch.setattr(ec, "_comb_mult", comb)
     seen = []
 
     def observe(server, opened):
         # Both halves of every agreement ran in this process, so the
         # second half read and removed what the first half filed.
         assert ecdh._agreed == {}
+        assert len(ecdh._generated) <= ecdh._GENERATED_MAX
         assert len(cert._verified) <= cert._VERIFIED_MAX
         assert len(ec._key_tables) <= ec._KEY_TABLES_MAX
         seen.append(len(opened))
@@ -128,9 +146,12 @@ def test_crypto_memos_stay_bounded_and_agreements_complete(monkeypatch):
     _churn(observe)
     assert seen == list(range(1, N + 1))
     # One agreement per 1-RTT and 0-RTT session, two with forward
-    # secrecy; each is one k*Q, not one per side.
+    # secrecy; each is one comb, not one per side, and no share meets a
+    # k*Q ladder (certificate keys still do, on their first sighting).
     agreements = sum(2 if i % 3 == 2 else 1 for i in range(N))
-    assert sum(point in shares for point in ladders) == agreements
+    assert len(agreed) == 2 * agreements
+    assert sum(agreed) == agreements
+    assert [point for point in ladders if point in shares] == []
 
 
 @pytest.mark.xfail(

@@ -1,9 +1,11 @@
 """The table of agreed secrets in EcdhKeyPair.shared_secret.
 
-Every test starts from an empty table and counts the ``k*Q`` ladders that
-really run under it: the second half of an agreement must read the first
-half's secret and nothing else, a hit must leave the table, every share
-must be validated before the lookup, and the table must stay bounded.
+Every test starts from an empty table, and from an empty table of
+generated shares so that every first half is a ``k*Q`` ladder, and counts
+the ladders that really run under it: the second half of an agreement
+must read the first half's secret and nothing else, a hit must leave the
+table, every share must be validated before the lookup, and the table
+must stay bounded.
 """
 
 import random
@@ -18,8 +20,9 @@ from repro.errors import CryptoError
 
 @pytest.fixture()
 def ladders(monkeypatch):
-    """An empty table; returns the list of (k, x, y) of every ``k*Q`` run."""
+    """Empty tables; returns the list of (k, x, y) of every ``k*Q`` run."""
     monkeypatch.setattr(ecdh, "_agreed", {})
+    monkeypatch.setattr(ecdh, "_generated", {})
     calls = []
     real = ec._wnaf_mult
 

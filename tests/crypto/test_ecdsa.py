@@ -193,12 +193,24 @@ class TestEcdh:
         rng = random.Random(3)
         a = EcdhKeyPair.generate(rng)
         b = EcdhKeyPair.generate(rng)
+        ladders = []
+        real = ec._wnaf_mult
+
+        def ladder(k, px, py):
+            ladders.append(k)
+            return real(k, px, py)
+
+        monkeypatch.setattr(ec, "_wnaf_mult", ladder)
         monkeypatch.setattr(ecdh, "_agreed", {})
-        first = a.shared_secret(b.public)
-        # An empty table of agreed secrets, so the second half is the
-        # full computation too, not a read of the first half's result.
+        # b's share was generated here: one comb on a.private * b.private.
+        by_comb = a.shared_secret(b.public)
+        assert ladders == []
+        # Both tables empty, so the other half is the full k*Q ladder, not
+        # a read of the first half's result.
         monkeypatch.setattr(ecdh, "_agreed", {})
-        assert first == b.shared_secret(a.public)
+        monkeypatch.setattr(ecdh, "_generated", {})
+        assert by_comb == b.shared_secret(a.public)
+        assert ladders == [b.private]
 
     def test_secret_is_32_bytes(self):
         rng = random.Random(3)

@@ -1,10 +1,12 @@
 """AES-GCM tests against NIST SP 800-38D / GCM spec test cases."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.gcm import AesGcm, gf128_mul, _build_tables
+from repro.crypto.gcm import AesGcm, gf128_mul, _build_tables, _mul_by_x
 from repro.errors import AuthenticationError, CryptoError
 
 # McGrew & Viega GCM spec test cases (AES-128).
@@ -115,6 +117,37 @@ class TestGhashInternals:
                 byte = (x >> (120 - 8 * j)) & 0xFF
                 via_tables ^= tables[j][byte]
             assert via_tables == gf128_mul(x, h)
+
+    def test_tables_match_the_subset_sum_construction_and_gf128_mul(self):
+        """Row by doubling against the earlier construction (each entry
+        the XOR of the entry without its lowest set bit and that bit's
+        monomial), byte for byte, and every entry against gf128_mul."""
+
+        def subset_sums(h):
+            monomials = [h]
+            for _ in range(127):
+                monomials.append(_mul_by_x(monomials[-1]))
+            tables = []
+            for j in range(16):
+                row = [0] * 256
+                for bit in range(8):  # bit 0 = MSB of the byte
+                    row[0x80 >> bit] = monomials[8 * j + bit]
+                for b in range(1, 256):
+                    low = b & (b - 1)
+                    if low:
+                        row[b] = row[low] ^ row[b & -b]
+                tables.append(row)
+            return tables
+
+        rng = random.Random(128)
+        for trial in range(6):
+            h = rng.getrandbits(128)
+            tables = _build_tables(h)
+            assert tables == subset_sums(h)
+            if trial < 2:
+                for j, row in enumerate(tables):
+                    for b, entry in enumerate(row):
+                        assert entry == gf128_mul(b << (120 - 8 * j), h)
 
     def test_gf_mul_identity(self):
         one = 1 << 127  # the field's multiplicative identity in GCM order

@@ -20,7 +20,10 @@ A second walk over the code that drives the package -- ``src/``,
 - a positional argument at the parameter's index in a call of its
   function by bare name (``KeyPool(loop, rng, 4)`` calls
   ``KeyPool.__init__``, ``x.seal(p, t)`` calls every ``seal``); a
-  ``*args`` argument sets every index from its own on;
+  ``*args`` argument sets every index from its own on.  Two calls name
+  their class another way: ``cls(...)`` inside a classmethod calls the
+  enclosing class's ``__init__``, and ``super().__init__(...)`` calls the
+  ``__init__`` of the enclosing class's first base;
 - a command-line flag: ``add_argument("--jobs")`` sets ``jobs``, which the
   CLI then passes on as ``jobs=args.jobs``;
 - for a ``*Config`` field, an attribute store to it (``cfg.grant_window =
@@ -165,18 +168,46 @@ class Setters(NamedTuple):
     starred: dict  # callee -> lowest index a ``*args`` argument fills
 
 
-def _walk(tree: ast.AST) -> Iterator[tuple[ast.AST, frozenset]]:
-    """Every node, with the parameter names of its enclosing function."""
-    stack = [(tree, frozenset())]
+def _walk(tree: ast.AST) -> Iterator[tuple]:
+    """Every node, with the parameter names of its enclosing function, the
+    class ``cls(...)`` calls there (inside a classmethod, else None) and
+    the class ``super().__init__(...)`` calls there (the enclosing class's
+    first base, else None)."""
+    stack = [(tree, frozenset(), None, None)]
     while stack:
-        node, params = stack.pop()
+        node, params, cls, base = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             a = node.args
             params = frozenset(
                 arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
             )
-        yield node, params
-        stack.extend((child, params) for child in ast.iter_child_nodes(node))
+        yield node, params, cls, base
+        if isinstance(node, ast.ClassDef):
+            base = _name_of(node.bases[0]) if node.bases else None
+            for child in ast.iter_child_nodes(node):
+                decorators = getattr(child, "decorator_list", ())
+                is_cm = any(_name_of(d) == "classmethod" for d in decorators)
+                stack.append((child, params, node.name if is_cm else None, base))
+        else:
+            stack.extend(
+                (child, params, cls, base) for child in ast.iter_child_nodes(node)
+            )
+
+
+def _callee(call: ast.Call, cls: Optional[str], base: Optional[str]) -> Optional[str]:
+    """The name whose options a call's positional arguments set."""
+    func = call.func
+    if cls and isinstance(func, ast.Name) and func.id == "cls":
+        return cls
+    if (
+        base
+        and isinstance(func, ast.Attribute)
+        and func.attr == "__init__"
+        and isinstance(func.value, ast.Call)
+        and _name_of(func.value.func) == "super"
+    ):
+        return base
+    return _name_of(func)
 
 
 def _flag_dest(call: ast.Call) -> Optional[str]:
@@ -194,7 +225,8 @@ def setters(roots: Iterable[Path]) -> Setters:
     found = Setters(set(), set(), defaultdict(set), {})
     for root in roots:
         for path in sorted(root.rglob("*.py")):
-            for node, params in _walk(ast.parse(path.read_text(), str(path))):
+            tree = ast.parse(path.read_text(), str(path))
+            for node, params, cls, base in _walk(tree):
                 if isinstance(node, ast.keyword) and node.arg is not None:
                     if getattr(node.value, "attr", None) != node.arg:
                         found.keywords.add(node.arg)
@@ -215,7 +247,7 @@ def setters(roots: Iterable[Path]) -> Setters:
                         if isinstance(t, ast.Attribute) and t.attr != forwarded
                     )
                 elif isinstance(node, ast.Call):
-                    callee = _name_of(node.func)
+                    callee = _callee(node, cls, base)
                     if callee == "add_argument":
                         found.keywords.add(_flag_dest(node))
                     for i, arg in enumerate(node.args):
@@ -278,7 +310,8 @@ def test_kept_fields_exist_and_have_reasons():
 
 def test_the_gate_bites(tmp_path):
     """One option of each kind: set by keyword, by position, by store, by a
-    ``**kwargs`` wrapper's caller and by a CLI flag; forwarded; unset;
+    ``**kwargs`` wrapper's caller, by a CLI flag, by ``cls(...)`` in a
+    classmethod and by ``super().__init__(...)``; forwarded; unset;
     private; and one that only a test sets."""
     src = tmp_path / "pkg"
     src.mkdir()
@@ -336,6 +369,20 @@ def test_the_gate_bites(tmp_path):
         "    parser = argparse.ArgumentParser()\n"
         "    parser.add_argument('-j', '--jobs', type=int)\n"
         "    parser.add_argument('--quick', action='store_true')\n"
+        "class Codec:\n"
+        "    def __init__(self, host, queues=1):\n"
+        "        self.host = host\n"
+        "    @classmethod\n"
+        "    def for_host(cls, host):\n"
+        "        return cls(host, 4)\n"
+        "class Base:\n"
+        "    def __init__(self, loop, depth=2, width=1):\n"
+        "        self.loop = loop\n"
+        "    def spawn(self, cls):\n"  # not a classmethod: ``cls`` is any callable
+        "        return cls(self, 1, 2)\n"
+        "class Child(Base):\n"
+        "    def __init__(self, loop):\n"
+        "        super().__init__(loop, 8)\n"
     )
     assert [o.key for o in options(src)] == [
         "pkg.mod:ThingConfig(by_keyword)",
@@ -357,6 +404,9 @@ def test_the_gate_bites(tmp_path):
         "pkg.mod:spread(b)",
         "pkg.mod:spread(c)",
         "pkg.mod:only_tests(mode)",
+        "pkg.mod:Codec(queues)",
+        "pkg.mod:Base(depth)",
+        "pkg.mod:Base(width)",
     ]
     flagged = [
         "pkg.mod:ThingConfig(forwarded)",
@@ -366,6 +416,7 @@ def test_the_gate_bites(tmp_path):
         "pkg.mod:Pool.take(wait)",
         "pkg.mod:run_all(verbose)",  # ``args.verbose``, but no such flag
         "pkg.mod:only_tests(mode)",
+        "pkg.mod:Base(width)",  # ``super().__init__`` set depth, not width
     ]
     assert unset(src, [src]) == flagged
     # An option that only tests set passes the first walk, not the second.
