@@ -15,10 +15,16 @@ The peak is found by sampling: a ``gc.callbacks`` hook reads the traced
 size after every collection and snapshots the heap whenever it is a new
 high, so the snapshot shown is the largest one sampled (its size is
 printed beside ``tracemalloc``'s own peak, which may fall between
-samples).  Sampling only reads the heap; to show that it changed
-nothing, the script also runs the same repetition through ``ledger/rep.py``
-untraced and exits 1 unless both virtual reports -- every ``virt_*``
-value, the event count, attempted and failed ops -- are identical.
+samples).  ``EventLoop.run`` pauses automatic collection, which would
+leave almost nothing to sample, so this repetition makes ``gc.disable``
+a no-op and the collector runs inside every run as it did before the
+pause.  That moves nothing on the heap: a run makes no cyclic garbage
+(``tests/sim/test_no_cyclic_garbage.py``), and the table prints how many
+objects the sampled passes reclaimed.  Sampling only reads the heap; to
+show that it changed nothing, the script also runs the same repetition
+through ``ledger/rep.py`` untraced and exits 1 unless both virtual
+reports -- every ``virt_*`` value, the event count, attempted and failed
+ops -- are identical.
 
 ``--root`` names the checkout whose ``src/`` is measured (default: this
 one), as for ``ledger/run.py``; this repo's ``ledger/`` drives it and is
@@ -64,11 +70,13 @@ class PeakSampler:
         self.size = 0  # traced bytes, less the held snapshot, at ``snapshot``
         self.held = 0  # traced bytes the held snapshot itself occupies
         self.samples = 0
+        self.collected = 0  # unreachable objects the sampled passes found
 
-    def __call__(self, phase: str, _info: dict) -> None:
+    def __call__(self, phase: str, info: dict) -> None:
         if phase != "stop":
             return
         self.samples += 1
+        self.collected += info["collected"]
         live = tracemalloc.get_traced_memory()[0] - self.held
         if live <= self.size:
             return
@@ -86,6 +94,7 @@ def child(args) -> int:
     import workloads
 
     sampler = PeakSampler()
+    gc.disable = lambda: None  # keep the collector, and so the sampler, on
     gc.callbacks.append(sampler)
     try:
         workload = workloads.WORKLOADS[args.workload]()
@@ -109,7 +118,8 @@ def child(args) -> int:
         "report": report, "events": workload.events,
         "attempted": workload.book.attempted, "failed": workload.book.failed,
         "traced_peak": peak, "snapshot": sampler.size,
-        "samples": sampler.samples, "sites": sites,
+        "samples": sampler.samples, "collected": sampler.collected,
+        "sites": sites,
     }))
     return 0
 
@@ -118,7 +128,8 @@ def table(result: dict) -> str:
     mb = 1 << 20
     lines = [
         f"traced peak {result['traced_peak'] / mb:.1f} MB; largest sample "
-        f"{result['snapshot'] / mb:.1f} MB ({result['samples']} GC passes sampled)",
+        f"{result['snapshot'] / mb:.1f} MB ({result['samples']} GC passes "
+        f"sampled, {result['collected']} objects reclaimed)",
         "",
         "| site | layer | MB | blocks |",
         "|---|---|---:|---:|",

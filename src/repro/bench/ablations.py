@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.bench.report import ExperimentReport
 from repro.bench.runner import (
-    BENCH_AEAD,
     CLIENT_KEYS,
     SERVER_KEYS,
     SERVER_PORT,
@@ -23,6 +22,7 @@ from repro.bench.runner import (
     message_pair,
 )
 from repro.core.codec import SmtCodec
+from repro.crypto.aead import SIM_AEAD
 from repro.core.seqspace import BitAllocation
 from repro.core.session import SmtSession
 from repro.errors import ProtocolError
@@ -124,7 +124,7 @@ def run_bit_split_ablation() -> ExperimentReport:
     tiny_index = BitAllocation(60)
     bed = Testbed.back_to_back()
     session = SmtSession(CLIENT_KEYS, SERVER_KEYS, allocation=tiny_index,
-                         aead_kind=BENCH_AEAD)
+                         aead_kind=SIM_AEAD)
     codec = SmtCodec(session, bed.client.costs)
     big_failed = 0.0
     try:
@@ -137,7 +137,7 @@ def run_bit_split_ablation() -> ExperimentReport:
         encoded = codec.encode(2, bytes(16 * 1024), 1440)
         receiver = SmtCodec(
             SmtSession(SERVER_KEYS, CLIENT_KEYS, allocation=tiny_index,
-                       aead_kind=BENCH_AEAD),
+                       aead_kind=SIM_AEAD),
             bed.client.costs,
         )
         decoded = receiver.decode(2, b"".join(p.payload for p in encoded.plans))

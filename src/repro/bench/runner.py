@@ -17,6 +17,7 @@ from typing import Any, Generator, Optional
 
 from repro.apps.rpc import RpcChannel
 from repro.core.codec import SmtCodec
+from repro.crypto.aead import SIM_AEAD
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
 from repro.ktls import KtlsConnection
 from repro.net.headers import PROTO_HOMA, PROTO_SMT
@@ -31,9 +32,6 @@ from repro.units import USEC
 SYSTEMS = ("tcp", "ktls-sw", "ktls-hw", "tcpls", "homa", "smt-sw", "smt-hw")
 MESSAGE_SYSTEMS = ("homa", "smt-sw", "smt-hw")
 SERVER_PORT = 7000
-# Benchmarks run the simulation AEAD for wall-clock sanity; virtual-time
-# costs are charged as AES-128-GCM either way (see repro.host.costs).
-BENCH_AEAD = "fast"
 
 # kTLS mode per bytestream system (tcpls carries its own record layer).
 _STREAM_MODES = {"tcp": None, "tcpls": None, "ktls-sw": "sw", "ktls-hw": "hw"}
@@ -94,11 +92,11 @@ def message_pair(
     offload = system == "smt-hw"
     client_codec = SmtCodec.for_host(
         bed.client, CLIENT_KEYS, SERVER_KEYS, offload=offload,
-        aead_kind=BENCH_AEAD, **client_codec_kw,
+        aead_kind=SIM_AEAD, **client_codec_kw,
     )
     server_codec = SmtCodec.for_host(
         bed.server, SERVER_KEYS, CLIENT_KEYS, offload=offload,
-        aead_kind=BENCH_AEAD,
+        aead_kind=SIM_AEAD,
     )
     if bed.obs is not None:
         client_codec.bind_obs(bed.obs, "client.smt")
@@ -126,11 +124,11 @@ def stream_pairs(bed: Testbed, system: str, port: int, n: int, channel=KtlsConne
         server_keys = TrafficKeys.from_secret(SERVER_KEYS.key + salt)
         if system == "tcpls":
             yield tcpls_pair(conn_c, conn_s, client_keys, server_keys,
-                             aead_kind=BENCH_AEAD)
+                             aead_kind=SIM_AEAD)
         else:
             yield (
-                channel(conn_c, mode, client_keys, server_keys, BENCH_AEAD),
-                channel(conn_s, mode, server_keys, client_keys, BENCH_AEAD),
+                channel(conn_c, mode, client_keys, server_keys, SIM_AEAD),
+                channel(conn_s, mode, server_keys, client_keys, SIM_AEAD),
             )
 
 

@@ -242,6 +242,11 @@ _AEAD_KINDS = {
     "fast": (FastAead, 16),
 }
 
+#: The AEAD every bench and load mesh runs: the simulation cipher, for
+#: wall-clock sanity.  Virtual-time costs are charged as AES-128-GCM
+#: either way (see repro.host.costs).
+SIM_AEAD = "fast"
+
 
 def new_aead(kind: str, key: bytes) -> Aead:
     """Create an AEAD by name: ``aes-128-gcm``, ``aes-256-gcm`` or ``fast``."""

@@ -36,6 +36,7 @@ from typing import Any, Generator, Optional
 
 from repro.apps.rpc import RpcChannel
 from repro.core.codec import SmtCodec
+from repro.crypto.aead import SIM_AEAD
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
 from repro.ktls import ktls_pair
 from repro.net.headers import PROTO_HOMA, PROTO_SMT
@@ -45,9 +46,6 @@ from repro.tls.keyschedule import TrafficKeys
 
 SYSTEMS = ("tcp", "ktls", "homa", "smt")
 SERVER_PORT = 7000
-#: AEAD implementation used for ktls/smt stacks (virtual-time costs are
-#: charged as AES-128-GCM regardless; see repro.host.costs).
-LOAD_AEAD = "fast"
 
 # -- message integrity protocol ---------------------------------------------------
 
@@ -200,7 +198,7 @@ def message_socket(host, system: str, config: Optional[HomaConfig]) -> HomaSocke
     provider = SmtCodec.per_peer(
         host, {},
         lambda addr: (pair_keys(host.addr, addr), pair_keys(addr, host.addr)),
-        LOAD_AEAD,
+        SIM_AEAD,
     )
     return HomaSocket(transport, SERVER_PORT, codec_provider=provider)
 
@@ -302,7 +300,7 @@ class ClusterHarness:
                 server_keys = pair_keys(dst.addr, src.addr, port)
                 chan_c, chan_s = ktls_pair(
                     conn_c, conn_s, mode, client_keys, server_keys,
-                    aead_kind=LOAD_AEAD,
+                    aead_kind=SIM_AEAD,
                 )
                 ordinal = len(self._stream_clients)
                 self._stream_clients[(i, j)] = StreamRpcClient(

@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Generator, Optional
 
+from repro.crypto.aead import SIM_AEAD
 from repro.homa import HomaConfig, HomaSocket
 from repro.ktls.ktls import KtlsConnection
 from repro.load.cluster import (
-    LOAD_AEAD,
     SERVER_PORT,
     SYSTEMS,
     StreamRpcClient,
@@ -144,7 +144,7 @@ class ShardedClusterHarness:
                     )
                     TcpTransport.for_host(src).add_connection(conn)
                     chan = KtlsConnection(
-                        conn, mode, client_keys, server_keys, LOAD_AEAD
+                        conn, mode, client_keys, server_keys, SIM_AEAD
                     )
                     self._stream_clients[(src_g, dst_g)] = StreamRpcClient(
                         self.loop, src.app_thread(ordinal), chan
@@ -156,7 +156,7 @@ class ShardedClusterHarness:
                     )
                     TcpTransport.for_host(dst).add_connection(conn)
                     chan = KtlsConnection(
-                        conn, mode, server_keys, client_keys, LOAD_AEAD
+                        conn, mode, server_keys, client_keys, SIM_AEAD
                     )
                     self.loop.process(
                         serve_stream(self, dst_g, chan, dst.app_thread(ordinal))

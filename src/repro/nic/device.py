@@ -127,7 +127,7 @@ class Nic:
         # A zero-time gap so descriptors posted by other CPU cores at the
         # same instant interleave across rings -- the cross-queue
         # non-atomicity of §3.2.
-        self.loop.call_later(0, self.loop.call_soon, self._next)
+        self.loop.call_soon(self.loop.call_soon, self._next)
 
     def _process(self, item: RingItem) -> None:
         if isinstance(item, ResyncDescriptor):

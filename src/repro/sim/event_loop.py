@@ -17,33 +17,45 @@ seed replays identically.
 
 Fast-path internals (all behaviour-preserving):
 
-- Scheduled entries are mutable 4-lists ``[when, seq, fn, arg]`` in
-  **one binary heap**.  ``seq`` is unique, so list comparison never
-  reaches ``fn`` and stays in C.  One heap because ``heappush`` and
-  ``heappop`` are C: Python-level bucketing in front of them measured at
-  wall-clock parity at best and 11-22 % slower when finer-grained
-  (EXPERIMENTS.md, "Speed machinery: kept / removed").
-- A cancelled timer is a *tombstone*: its ``fn`` slot is set to ``None``
-  and the entry is dropped when it reaches the head.  When tombstones
+- Scheduled entries are immutable tuples ``(when, seq, fn, arg)`` in
+  **one binary heap**.  ``seq`` is unique, so tuple comparison never
+  reaches ``fn`` and stays in C, and dispatch unpacks the head once and
+  writes nothing back.  One heap because ``heappush`` and ``heappop`` are
+  C: Python-level bucketing in front of them measured at wall-clock
+  parity at best and 11-22 % slower when finer-grained (EXPERIMENTS.md,
+  "Speed machinery: kept / removed").
+- A cancellable timer files ``(when, seq, _TIMER, timer)``: the
+  :class:`Timer` handle is the entry's mutable cell, holding ``fn`` and
+  ``arg``.  Cancelling blanks them, turning the entry into a *tombstone*
+  that is dropped when it reaches the head; dispatch blanks them too, so
+  a fired timer holds no arg and cancels as a no-op.  When tombstones
   outnumber live entries the heap is filtered and re-heapified in place;
   dispatch order is unchanged because ``(when, seq)`` keys are distinct.
 - ``call_soon`` appends to a FIFO ready deque instead of touching the
   heap.  Ready entries share the global ``seq`` counter, and the run
   loop merges the deque with same-timestamp heap entries strictly by
   ``seq``, so the dispatch order is byte-identical to the all-heap scheme.
-- ``timeout()`` returns a slotted :class:`Event` subclass fired by a
-  module-level function -- no per-timeout closure allocation, which
+- ``timeout()`` builds its :class:`Event` without ``__init__`` and files
+  a module-level function to fire it -- no per-timeout closure, which
   matters because every modelled packet delay and CPU slice is a timeout.
 - A process step is one call: :meth:`Process._resume` reads the event's
   outcome and drives the generator itself, and triggering an event
-  appends its waiters to the ready deque without a ``call_soon`` each.
-  The kernel's own infinite loops (the softirq core, the NIC engine) and
+  appends its waiters to the ready deque inline.  The kernel's own
+  infinite loops (the softirq core, the NIC engine) and
   :meth:`Resource.service`'s hold are callbacks, not processes at all
   (DESIGN.md §9).
+- :meth:`EventLoop.run` pauses the cyclic garbage collector for its
+  duration.  That loses nothing: nothing the simulator does inside a run
+  leaves cyclic garbage (a timer's callback is blanked when it fires or
+  is cancelled, and no process caches a bound method of itself), so
+  every collection there would traverse the live heap and find nothing.
+  ``tests/sim/test_no_cyclic_garbage.py`` checks that on the quick
+  benches.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Optional
@@ -52,6 +64,10 @@ from repro.errors import SimulationError
 
 # Sentinel: "call fn()" rather than "call fn(arg)".
 _NO_ARG = object()
+
+# Sentinel in a heap entry's ``fn`` slot: the entry is a cancellable
+# timer's, and its ``arg`` slot holds the Timer, which holds fn and arg.
+_TIMER = object()
 
 # Upper bound of every range check on a time or delay: ``x < _INF`` is
 # False for +inf and for NaN, so one comparison chain rejects past,
@@ -204,28 +220,27 @@ class Process(Event):
 class Timer:
     """Cancellable handle for one scheduled callback.
 
-    Holds the scheduled entry itself, so :meth:`cancel` is O(1): it blanks
-    the entry's ``fn`` slot (turning it into a tombstone the loop drops
-    when it reaches the head of the heap) rather than searching the heap.
-    Cancelling after the callback fired, or twice, is a no-op -- dispatch
-    blanks the same slot.
+    The heap entry points at the handle, and the handle holds the
+    callback, so :meth:`cancel` is O(1): it blanks ``fn`` and ``arg``
+    (turning the entry into a tombstone the loop drops when it reaches the
+    head of the heap) rather than searching the heap.  Cancelling after
+    the callback fired, or twice, is a no-op -- dispatch blanks the same
+    slots.
     """
 
-    __slots__ = ("_loop", "_entry")
+    __slots__ = ("_loop", "when", "_fn", "_arg")
 
-    def __init__(self, loop: "EventLoop", entry: list):
+    def __init__(self, loop: "EventLoop", when: float, fn: Callable, arg: Any):
         self._loop = loop
-        self._entry = entry
-
-    @property
-    def when(self) -> float:
-        """Scheduled virtual time (valid whether or not still active)."""
-        return self._entry[0]
+        #: Scheduled virtual time (valid whether or not still active).
+        self.when = when
+        self._fn = fn
+        self._arg = arg
 
     @property
     def active(self) -> bool:
         """True while the callback has neither fired nor been cancelled."""
-        return self._entry[2] is not None
+        return self._fn is not None
 
     def cancel(self) -> bool:
         """Cancel the callback; True if it had not yet fired.
@@ -234,11 +249,10 @@ class Timer:
         reclaimed lazily: by compaction once tombstones outnumber live
         entries, otherwise when it surfaces at the head.
         """
-        entry = self._entry
-        if entry[2] is None:
+        if self._fn is None:
             return False
-        entry[2] = None
-        entry[3] = _NO_ARG  # drop the arg reference right away
+        self._fn = None
+        self._arg = _NO_ARG  # drop the arg reference right away
         loop = self._loop
         loop._tombstones += 1
         if loop._tombstones * 2 > len(loop._heap):
@@ -249,15 +263,15 @@ class Timer:
 class PeriodicTimer:
     """A repeating timer: fires ``fn()`` every ``interval`` until cancelled.
 
-    Holds its pending heap entry the way a :class:`Timer` does, so
-    cancellation is O(1) and leaves only a lazily-reclaimed tombstone.
-    The callback may cancel its own periodic; the reschedule check runs
-    after the callback returns.  Created via :meth:`EventLoop.every` --
-    the control-plane primitives (key-pool refill, ticket rotation,
-    session idle sweeps) all hang off this.
+    Each period is one :class:`Timer`, so cancellation is O(1) and leaves
+    only a lazily-reclaimed tombstone.  The callback may cancel its own
+    periodic; the reschedule check runs after the callback returns.
+    Created via :meth:`EventLoop.every` -- the control-plane primitives
+    (key-pool refill, ticket rotation, session idle sweeps) all hang off
+    this.
     """
 
-    __slots__ = ("_loop", "interval", "_fn", "_entry", "_cancelled", "fires")
+    __slots__ = ("_loop", "interval", "_fn", "_timer", "_cancelled", "fires")
 
     def __init__(
         self,
@@ -280,25 +294,13 @@ class PeriodicTimer:
         self._fn = fn
         self._cancelled = False
         self.fires = 0
-        # The scheduled entry is held directly (not via a Timer handle):
-        # a periodic reschedules on every fire, and skipping the handle
-        # allocation matters for heartbeat-grade frequencies.
-        loop._seq = seq = loop._seq + 1
-        entry = [loop._now + delay, seq, self._fire, _NO_ARG]
-        self._entry: list = entry
-        heappush(loop._heap, entry)
+        self._timer = loop.timer_later(delay, self._fire)
 
     def _fire(self) -> None:
-        if self._cancelled:
-            return
         self.fires += 1
         self._fn()
         if not self._cancelled:
-            loop = self._loop
-            loop._seq = seq = loop._seq + 1
-            entry = [loop._now + self.interval, seq, self._fire, _NO_ARG]
-            self._entry = entry
-            heappush(loop._heap, entry)
+            self._timer = self._loop.timer_later(self.interval, self._fire)
 
     @property
     def active(self) -> bool:
@@ -309,15 +311,7 @@ class PeriodicTimer:
         if self._cancelled:
             return False
         self._cancelled = True
-        entry = self._entry
-        if entry[2] is not None:
-            # Tombstone the pending entry exactly as Timer.cancel does.
-            entry[2] = None
-            entry[3] = _NO_ARG
-            loop = self._loop
-            loop._tombstones += 1
-            if loop._tombstones * 2 > len(loop._heap):
-                loop._compact()
+        self._timer.cancel()
         return True
 
 
@@ -326,9 +320,11 @@ class EventLoop:
 
     def __init__(self) -> None:
         self._now = 0.0
-        # Heap of [when, seq, fn, arg] entries ordered by (when, seq); arg is
-        # _NO_ARG for plain fn() calls, fn is None once cancelled or fired.
-        self._heap: list[list] = []
+        # Heap of (when, seq, fn, arg) entries ordered by (when, seq); arg is
+        # _NO_ARG for plain fn() calls.  A timer's entry is
+        # (when, seq, _TIMER, timer); timer._fn is None once cancelled or
+        # fired.
+        self._heap: list[tuple] = []
         self._ready: deque = deque()  # (seq, fn, arg) at the current time
         self._seq = 0
         self._tombstones = 0
@@ -353,14 +349,14 @@ class EventLoop:
                 f"cannot schedule at {when}: in the past of {self._now} or not finite"
             )
         self._seq = seq = self._seq + 1
-        heappush(self._heap, [when, seq, fn, arg])
+        heappush(self._heap, (when, seq, fn, arg))
 
     def call_later(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` after ``delay`` seconds of virtual time."""
         if not 0 <= delay < _INF:
             raise SimulationError(f"negative or non-finite delay {delay}")
         self._seq = seq = self._seq + 1
-        heappush(self._heap, [self._now + delay, seq, fn, arg])
+        heappush(self._heap, (self._now + delay, seq, fn, arg))
 
     def call_soon(self, fn: Callable[..., None], arg: Any = _NO_ARG) -> None:
         """Run ``fn()`` at the current time, after already-queued events.
@@ -379,11 +375,12 @@ class EventLoop:
                 f"cannot schedule at {when}: in the past of {self._now} or not finite"
             )
         self._seq = seq = self._seq + 1
-        entry = [when, seq, fn, _NO_ARG]
-        heappush(self._heap, entry)
         timer = Timer.__new__(Timer)  # skip __init__: this path is hot
         timer._loop = self
-        timer._entry = entry
+        timer.when = when
+        timer._fn = fn
+        timer._arg = _NO_ARG
+        heappush(self._heap, (when, seq, _TIMER, timer))
         return timer
 
     def timer_later(self, delay: float, fn: Callable[..., None], arg: Any = _NO_ARG) -> Timer:
@@ -391,11 +388,12 @@ class EventLoop:
         if not 0 <= delay < _INF:
             raise SimulationError(f"negative or non-finite delay {delay}")
         self._seq = seq = self._seq + 1
-        entry = [self._now + delay, seq, fn, arg]
-        heappush(self._heap, entry)
         timer = Timer.__new__(Timer)  # skip __init__: this path is hot
         timer._loop = self
-        timer._entry = entry
+        timer.when = when = self._now + delay
+        timer._fn = fn
+        timer._arg = arg
+        heappush(self._heap, (when, seq, _TIMER, timer))
         return timer
 
     def _compact(self) -> None:
@@ -407,7 +405,7 @@ class EventLoop:
         same live entries pops them in the same order.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if entry[2] is not None]
+        heap[:] = [e for e in heap if e[2] is not _TIMER or e[3]._fn is not None]
         heapify(heap)
         self._tombstones = 0
 
@@ -437,7 +435,7 @@ class EventLoop:
         ev.value = None
         ev._triggered = False
         self._seq = seq = self._seq + 1
-        heappush(self._heap, [self._now + delay, seq, _fire_timeout, ev])
+        heappush(self._heap, (self._now + delay, seq, _fire_timeout, ev))
         return ev
 
     def process(self, gen: Generator[Event, Any, Any]) -> Process:
@@ -452,22 +450,28 @@ class EventLoop:
         With ``until`` set, stops once the clock would pass it (and advances
         the clock exactly to ``until``).  Returns the final virtual time.
         ``max_events`` guards against runaway simulations (tombstone skips
-        do not count).
+        do not count).  Automatic cyclic garbage collection is paused for
+        the run and restored as it was on return or raise: a run makes no
+        cyclic garbage (module docstring).
         """
         heap = self._heap
         ready = self._ready
         pop = heappop
         no_arg = _NO_ARG
+        timer = _TIMER
         count = 0
         # Ready entries run at the *current* time; if the window already
         # ended they must wait for a later run, like the heap entries do.
         ready_ok = until is None or self._now <= until
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         try:
             while True:
                 # Find the next live scheduled entry (leave it in the heap).
                 if heap:
                     head = heap[0]
-                    if head[2] is None:  # cancelled: drop the tombstone
+                    if head[2] is timer and head[3]._fn is None:  # tombstone
                         pop(heap)
                         self._tombstones -= 1
                         continue
@@ -492,13 +496,18 @@ class EventLoop:
                         continue
                 if head is None:
                     break  # only ready entries left, for a later run
-                when = head[0]
+                when, _seq, fn, arg = head
                 if until is not None and when > until:
                     break  # head stays filed for a later run
                 pop(heap)
-                fn = head[2]
-                head[2] = None  # marks "fired": Timer.cancel becomes a no-op
-                arg, head[3] = head[3], no_arg
+                if fn is timer:
+                    # Blank the handle: the timer has fired, Timer.cancel
+                    # becomes a no-op, and the arg reference is dropped.
+                    handle = arg
+                    fn = handle._fn
+                    arg = handle._arg
+                    handle._fn = None
+                    handle._arg = no_arg
                 self._now = when
                 if arg is no_arg:
                     fn()
@@ -510,6 +519,8 @@ class EventLoop:
                         f"exceeded {max_events} events; runaway simulation?"
                     )
         finally:
+            if collecting:
+                gc.enable()
             self.dispatched += count
             global _dispatched_total
             _dispatched_total += count
@@ -532,7 +543,7 @@ class EventLoop:
         heap = self._heap
         while heap:
             head = heap[0]
-            if head[2] is not None:
+            if head[2] is not _TIMER or head[3]._fn is not None:
                 return head[0]
             heappop(heap)  # cancelled: drop the tombstone
             self._tombstones -= 1

@@ -42,9 +42,10 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.core.codec import SmtCodec
+from repro.crypto.aead import SIM_AEAD
 from repro.ctrl.partition import PartitionedKeyPool, PartitionedSessionTable
 from repro.homa import HomaConfig, HomaSocket, HomaTransport
-from repro.load.cluster import LOAD_AEAD, handle_request
+from repro.load.cluster import handle_request
 from repro.load.engine import wire_bytes
 from repro.net.headers import PROTO_SMT
 from repro.tenancy.bulkhead import WeightedBulkhead
@@ -215,7 +216,7 @@ class TenantFabric:
                 tenant_pair_keys(tenant.tid, addr, host.addr, theirs, mine),
             )
 
-        build = SmtCodec.per_peer(host, codecs, keys_for, LOAD_AEAD)
+        build = SmtCodec.per_peer(host, codecs, keys_for, SIM_AEAD)
 
         def provider(addr: int, port: int) -> SmtCodec:
             codec = codecs.get(addr)

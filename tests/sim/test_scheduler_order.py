@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import weakref
 
 from repro.sim.event_loop import EventLoop
 
@@ -71,10 +72,19 @@ class RefHeapLoop:
 
     @staticmethod
     def cancel(entry_or_state):
+        """Cancel; True if it had neither fired nor been cancelled."""
         if isinstance(entry_or_state, dict):
+            was_active = not entry_or_state["cancelled"]
             entry_or_state["cancelled"] = True
-        elif entry_or_state[2] is not None:
-            entry_or_state[2] = None
+            return was_active
+        if entry_or_state[2] is None:
+            return False
+        entry_or_state[2] = None
+        return True
+
+    @staticmethod
+    def when_of(entry):
+        return entry[0]
 
     def next_event_time(self):
         """Time of the live head, or None: what the real peek must return."""
@@ -119,7 +129,11 @@ class LoopAdapter:
 
     @staticmethod
     def cancel(handle):
-        handle.cancel()
+        return handle.cancel()
+
+    @staticmethod
+    def when_of(timer):
+        return timer.when
 
 
 def _scenario(seed, loop):
@@ -254,3 +268,177 @@ def test_mass_cancellation_compacts_without_reordering():
         # Survivors with equal `when` keep insertion order, which the sort
         # key above reproduces because lower index implies lower seq.
         assert fired == expected, f"seed {seed}: survivor order changed"
+
+
+def _cancel_timing_scenario(seed, loop):
+    """Timers cancelled before they fire, after, and inside their own
+    callback; returns the firing order and every cancel's return value."""
+    rng = random.Random(seed)
+    order = []
+    results = []
+    timers = {}
+
+    def fire(tag):
+        order.append((round(loop.now, 12), tag))
+        roll = rng.random()
+        if roll < 0.3:  # cancel itself: already fired, so a no-op
+            results.append((tag, "self", loop.cancel(timers[tag])))
+        elif roll < 0.7 and timers:  # another timer, fired or not
+            other = rng.choice(sorted(timers))
+            results.append((tag, other, loop.cancel(timers[other])))
+
+    for tag in range(60):
+        timers[tag] = loop.timer_later(rng.choice(DELAYS) * rng.random(), fire, tag)
+    for tag in rng.sample(range(60), 15):  # before anything fires
+        results.append((None, tag, loop.cancel(timers[tag])))
+    loop.run()
+    for tag in rng.sample(range(60), 15):  # after everything fired
+        results.append((None, tag, loop.cancel(timers[tag])))
+    return order, results
+
+
+def test_cancel_before_after_and_inside_its_callback_matches_heap_reference():
+    for seed in SEEDS:
+        loop = LoopAdapter()
+        l_order, l_results = _cancel_timing_scenario(seed, loop)
+        r_order, r_results = _cancel_timing_scenario(seed, RefHeapLoop())
+        assert l_order == r_order, f"seed {seed} diverged"
+        assert l_results == r_results, f"seed {seed}: cancel results differ"
+        assert loop._loop.pending_events() == 0
+        assert loop._loop._tombstones == 0
+
+
+def test_window_ending_exactly_at_a_timer_fires_it():
+    """run(until=t) for a timer due at exactly t fires it, and the
+    same-instant work it files, in that window; nothing later runs."""
+    for seed in range(20):
+        orders = []
+        for loop in (LoopAdapter(), RefHeapLoop()):
+            rng = random.Random(seed)
+            order = []
+
+            def fire(tag, loop=loop, order=order):
+                order.append((round(loop.now, 12), tag))
+                if tag >= 0:
+                    loop.call_soon(fire, -1 - tag)
+                    loop.call_later(0.0, fire, -1000 - tag)
+
+            handles = [
+                loop.timer_later(rng.choice(DELAYS[1:]) * (1 + rng.random()), fire, i)
+                for i in range(12)
+            ]
+            target = handles[5]
+            until = loop.when_of(target)
+            assert loop.run(until=until) == until
+            fired = {tag for _, tag in order}
+            assert {5, -6, -1005} <= fired, f"seed {seed}: timer at until missed"
+            assert all(t <= round(until, 12) for t, _ in order)
+            loop.run()
+            orders.append(order)
+        assert orders[0] == orders[1], f"seed {seed} diverged"
+
+
+def test_mass_cancellation_matches_heap_reference():
+    """Cancelling most of a population, before and during windowed runs,
+    compacts the real heap without changing what fires or when."""
+    for seed in range(10):
+        orders = []
+        for loop in (LoopAdapter(), RefHeapLoop()):
+            rng = random.Random(seed)
+            order = []
+            timers = []
+
+            def fire(tag, loop=loop, order=order, rng=rng, timers=timers):
+                order.append((round(loop.now, 12), tag))
+                for _ in range(rng.randrange(30)):
+                    loop.cancel(rng.choice(timers))
+
+            for i in range(500):
+                delay = rng.choice(DELAYS) * (1.0 + rng.random())
+                timers.append(loop.timer_later(delay, fire, i))
+            for timer in rng.sample(timers, 300):
+                loop.cancel(timer)
+            if isinstance(loop, LoopAdapter):  # compacted, not just blanked
+                assert len(loop._loop._heap) < 500
+                assert loop._loop.pending_events() == 200
+            horizon = 0.0
+            for _ in range(10):
+                horizon += rng.choice(DELAYS)
+                loop.run(until=horizon)
+            loop.run()
+            orders.append(order)
+        assert orders[0] == orders[1], f"seed {seed}: survivors reordered"
+
+
+def test_periodic_cancelled_in_its_callback_among_other_work():
+    """A periodic that cancels itself mid-scenario leaves the rest of the
+    dispatch order exactly as the reference's, and no pending entry."""
+    for seed in range(20):
+        orders = []
+        for loop in (LoopAdapter(), RefHeapLoop()):
+            order = _scenario(seed, loop)
+            rng = random.Random(seed)
+            interval = rng.choice([1e-6, 3.3e-4, 0.01])
+            stop_at = rng.randrange(1, 8)
+            ticks = []
+
+            def tick(loop=loop, order=order, ticks=ticks):
+                ticks.append(loop.now)
+                order.append((round(loop.now, 12), "tick"))
+                if len(ticks) == stop_at:
+                    assert loop.cancel(handle) is True
+                    assert loop.cancel(handle) is False
+
+            handle = loop.every(interval, tick)
+            loop.run()
+            assert len(ticks) == stop_at
+            orders.append(order)
+            if isinstance(loop, LoopAdapter):
+                assert not handle.active and handle.fires == stop_at
+                assert loop._loop.pending_events() == 0
+        assert orders[0] == orders[1], f"seed {seed} diverged"
+
+
+class _Arg:
+    """A weakly referenceable timer argument."""
+
+
+def test_fired_or_cancelled_timer_drops_its_arg():
+    loop = EventLoop()
+    fired_arg, cancelled_arg, live_arg = _Arg(), _Arg(), _Arg()
+    refs = [weakref.ref(a) for a in (fired_arg, cancelled_arg, live_arg)]
+    fired = loop.timer_later(1e-6, lambda arg: None, fired_arg)
+    cancelled = loop.timer_later(1e-6, lambda arg: None, cancelled_arg)
+    live = loop.timer_later(1.0, lambda arg: None, live_arg)
+    del fired_arg, cancelled_arg, live_arg
+    assert cancelled.cancel() is True
+    loop.run(until=1e-3)
+    assert not fired.active and not cancelled.active and live.active
+    assert [ref() is None for ref in refs] == [True, True, False]
+
+
+def test_periodic_cancelled_between_ticks_matches_heap_reference():
+    """Cancelled from another event, a periodic never fires again, its
+    pending tick becomes a tombstone, and the order matches the model."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        interval = rng.choice([1e-6, 3.3e-4, 0.01])
+        stop = interval * (rng.randrange(1, 8) + rng.random())
+        orders = []
+        for loop in (LoopAdapter(), RefHeapLoop()):
+            order = _scenario(seed, loop)
+
+            def tick(loop=loop, order=order):
+                order.append((round(loop.now, 12), "tick"))
+
+            def stop_ticking(_arg, loop=loop):
+                assert loop.cancel(handle) is True
+
+            handle = loop.every(interval, tick)
+            loop.call_later(stop, stop_ticking, None)
+            loop.run()
+            orders.append(order)
+            if isinstance(loop, LoopAdapter):
+                assert not handle.active and handle.cancel() is False
+                assert loop._loop.pending_events() == 0
+        assert orders[0] == orders[1], f"seed {seed} diverged"
